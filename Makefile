@@ -30,7 +30,16 @@
 #   make cover   - enforce the >=85% coverage floor on the MD/IO/cluster/
 #                  shard packages (grid/overlap paths included)
 #   make fuzz    - 10s native-fuzz smoke per mlmdio deserializer and per
-#                  wire frame decoder (the multi-process rank transport)
+#                  wire frame decoder (the multi-process rank transport), plus
+#                  the bitwise equivalence harnesses (batched MLP, halo pack,
+#                  min-image fast path vs formula)
+#   make benchmark-check - go vet + go test inside benchmark/ (a module of its
+#                  own, which ./... never reaches)
+#   make bench-ab A=<ref> B=<ref> [SEEDS=10] [BENCH_SECONDS=10] - the gate for
+#                  performance claims: check the two refs out into throw-away
+#                  worktrees under .bench_build/ab and run benchmark/run.sh on
+#                  them (alternating pairs, every workload, compare table;
+#                  exit 1 on a regression). Both refs must contain benchmark/.
 #   make bench   - hot-kernel benchmarks (serial vs pool) with allocation
 #                  counts, written to BENCH_PR1.json (and echoed)
 #   make bench2  - sharded-engine strong scaling (1/2/4/8 ranks, best of 7),
@@ -94,15 +103,16 @@ FUZZ_TARGETS      = FuzzReadXYZ FuzzLoadSystem FuzzLoadModel FuzzLoadWaveField F
 WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
+MD_FUZZ_TARGETS   = FuzzMinImage1
 FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).
 DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./internal/par ./internal/allegro ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint
 
-.PHONY: check fmt vet lint build test race race-full cover fuzz docs bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
+.PHONY: check fmt vet lint build test race race-full cover fuzz docs benchmark-check bench-ab bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
 
-check: fmt vet lint build test race cover fuzz docs
+check: fmt vet lint build test race cover fuzz docs benchmark-check
 
 # Static enforcement: the internal/lint analyzer suite over the whole tree.
 # Deliberately-violating analyzer fixtures live under internal/lint/testdata,
@@ -167,6 +177,28 @@ fuzz:
 		echo "fuzz $$f ($(FUZZ_TIME))"; \
 		$(GO) test ./internal/shard/halo -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
 	done
+	@for f in $(MD_FUZZ_TARGETS); do \
+		echo "fuzz $$f ($(FUZZ_TIME))"; \
+		$(GO) test ./internal/md -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
+	done
+
+# The gated benchmark is a nested module: ./... above never builds, vets or
+# tests it.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+SEEDS         ?= 10
+BENCH_SECONDS ?= 10
+
+bench-ab:
+	@test -n "$(A)" && test -n "$(B)" || { echo "usage: make bench-ab A=<ref> B=<ref> [SEEDS=10] [BENCH_SECONDS=10]"; exit 2; }
+	git worktree prune
+	rm -rf .bench_build/ab
+	mkdir -p .bench_build/ab
+	git worktree add --detach .bench_build/ab/A $(A)
+	git worktree add --detach .bench_build/ab/B $(B)
+	status=0; bash benchmark/run.sh .bench_build/ab/A .bench_build/ab/B $(SEEDS) $(BENCH_SECONDS) || status=$$?; \
+	git worktree remove --force .bench_build/ab/A; git worktree remove --force .bench_build/ab/B; exit $$status
 
 bench:
 	$(GO) test ./internal/md ./internal/linalg ./internal/par \

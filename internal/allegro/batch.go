@@ -217,9 +217,13 @@ func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, 
 //mlmd:hotpath
 func (m *Model) GatherAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, desc, vec []float64) {
 	scr.env.reset()
+	x := sys.X
+	px, py, pz := sys.Periods()
+	xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 	for _, j32 := range cand {
 		j := int(j32)
-		dx, dy, dz := sys.MinImage(j, i) // vector from i to j
+		// vector from i to j: sys.MinImage(j, i) with the box hoisted
+		dx, dy, dz := px.MinImage(x[3*j]-xi), py.MinImage(x[3*j+1]-yi), pz.MinImage(x[3*j+2]-zi)
 		r := math.Sqrt(dx*dx + dy*dy + dz*dz)
 		if r >= m.Spec.Cutoff || r == 0 {
 			continue

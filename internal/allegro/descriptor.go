@@ -97,9 +97,13 @@ func (env *neighborEnv) reset() {
 //mlmd:hotpath
 func buildEnv(sys *md.System, nl *md.NeighborList, i int, rc float64, env *neighborEnv) {
 	env.reset()
+	x := sys.X
+	px, py, pz := sys.Periods()
+	xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 	for _, j32 := range nl.FullNeighbors(i) {
 		j := int(j32)
-		dx, dy, dz := sys.MinImage(j, i) // vector from i to j
+		// vector from i to j: sys.MinImage(j, i) with the box hoisted
+		dx, dy, dz := px.MinImage(x[3*j]-xi), py.MinImage(x[3*j+1]-yi), pz.MinImage(x[3*j+2]-zi)
 		r := math.Sqrt(dx*dx + dy*dy + dz*dz)
 		if r >= rc || r == 0 {
 			continue

@@ -633,7 +633,9 @@ func (t *SocketTransport) recv(src int) sockMsg {
 			if ok {
 				return m
 			}
-			panic(t.lostRank(src))
+			// src's inbox closed too (typically its bye, sent because it
+			// saw the same failure first): the latched failure below is the
+			// root cause, not src's orderly departure.
 		default:
 		}
 		panic(t.failed.Load())

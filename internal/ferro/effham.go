@@ -155,9 +155,9 @@ func (eh *EffectiveHamiltonian) ComputeForces(sys *md.System) float64 {
 		if sys.Type[i] == SpTi {
 			continue
 		}
-		dx := mi(sys.X[3*i]-l.R0[3*i], sys.Lx)
-		dy := mi(sys.X[3*i+1]-l.R0[3*i+1], sys.Ly)
-		dz := mi(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz)
+		dx := md.MinImage1(sys.X[3*i]-l.R0[3*i], sys.Lx)
+		dy := md.MinImage1(sys.X[3*i+1]-l.R0[3*i+1], sys.Ly)
+		dz := md.MinImage1(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz)
 		pe += 0.5 * eh.KHost * (dx*dx + dy*dy + dz*dz)
 		sys.F[3*i] -= eh.KHost * dx
 		sys.F[3*i+1] -= eh.KHost * dy

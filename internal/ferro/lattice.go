@@ -14,7 +14,6 @@ package ferro
 
 import (
 	"fmt"
-	"math"
 
 	"mlmd/internal/md"
 	"mlmd/internal/units"
@@ -129,18 +128,13 @@ func (l *Lattice) NeighborCells(c int) [6]int {
 	}
 }
 
-// MinImage1 returns the minimum-image reduction of displacement d in a
-// periodic box of length l (the mi() used throughout this package),
-// exported for decomposed evaluators that must match it bitwise.
-func MinImage1(d, l float64) float64 { return mi(d, l) }
-
 // SoftMode returns the soft-mode (Ti off-centering) displacement vector of
 // cell c, minimum-imaged.
 func (l *Lattice) SoftMode(sys *md.System, c int) (sx, sy, sz float64) {
 	i := l.TiIndex[c]
-	sx = mi(sys.X[3*i]-l.R0[3*i], sys.Lx)
-	sy = mi(sys.X[3*i+1]-l.R0[3*i+1], sys.Ly)
-	sz = mi(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz)
+	sx = md.MinImage1(sys.X[3*i]-l.R0[3*i], sys.Lx)
+	sy = md.MinImage1(sys.X[3*i+1]-l.R0[3*i+1], sys.Ly)
+	sz = md.MinImage1(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz)
 	return
 }
 
@@ -163,9 +157,4 @@ func (l *Lattice) Polarization(sys *md.System) []float64 {
 		out[3*c], out[3*c+1], out[3*c+2] = zStar*sx, zStar*sy, zStar*sz
 	}
 	return out
-}
-
-func mi(d, l float64) float64 {
-	d -= l * math.Round(d/l)
-	return d
 }

@@ -175,6 +175,8 @@ func (nl *NeighborList) ensureClosures() {
 		ncx, ncy, ncz := nl.bctx.ncx, nl.bctx.ncy, nl.bctx.ncz
 		r2 := nl.bctx.r2
 		head, next, cellIdx, counts := nl.head, nl.next, nl.cellIdx, nl.counts
+		x := sys.X
+		px, py, pz := sys.Periods()
 		lo := part * sys.N / nl.bctx.parts
 		hi := (part + 1) * sys.N / nl.bctx.parts
 		buf := nl.bufs.Get(part)
@@ -184,6 +186,7 @@ func (nl *NeighborList) ensureClosures() {
 		}
 		for i := lo; i < hi; i++ {
 			start := len(b)
+			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 			c := int(cellIdx[i])
 			cz := c % ncz
 			cy := (c / ncz) % ncy
@@ -207,7 +210,9 @@ func (nl *NeighborList) ensureClosures() {
 							if int(j) <= i {
 								continue
 							}
-							dx, dy, dz := sys.MinImage(i, int(j))
+							dx := px.MinImage(xi - x[3*j])
+							dy := py.MinImage(yi - x[3*j+1])
+							dz := pz.MinImage(zi - x[3*j+2])
 							if dx*dx+dy*dy+dz*dz <= r2 {
 								b = append(b, j)
 							}
@@ -344,10 +349,11 @@ func (nl *NeighborList) Stale(sys *System) bool {
 		return true
 	}
 	lim2 := nl.Skin * nl.Skin / 4
+	px, py, pz := sys.Periods()
 	for i := 0; i < sys.N; i++ {
-		dx := minImage1(sys.X[3*i]-nl.refX[3*i], sys.Lx)
-		dy := minImage1(sys.X[3*i+1]-nl.refX[3*i+1], sys.Ly)
-		dz := minImage1(sys.X[3*i+2]-nl.refX[3*i+2], sys.Lz)
+		dx := px.MinImage(sys.X[3*i] - nl.refX[3*i])
+		dy := py.MinImage(sys.X[3*i+1] - nl.refX[3*i+1])
+		dz := pz.MinImage(sys.X[3*i+2] - nl.refX[3*i+2])
 		if dx*dx+dy*dy+dz*dz > lim2 {
 			return true
 		}
@@ -480,11 +486,16 @@ func (lj *LennardJones) ensureClosures() {
 		sys := lj.fctx.sys
 		rc2 := lj.fctx.rc2
 		nl := lj.NL
+		x := sys.X
+		px, py, pz := sys.Periods()
 		var pe float64
 		for i := lo; i < hi; i++ {
+			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
 			for p := int(nl.Start[i]); p < int(nl.End[i]); p++ {
 				j := int(nl.Pairs[p])
-				dx, dy, dz := sys.MinImage(i, j)
+				dx := px.MinImage(xi - x[3*j])
+				dy := py.MinImage(yi - x[3*j+1])
+				dz := pz.MinImage(zi - x[3*j+2])
 				r2 := dx*dx + dy*dy + dz*dz
 				if r2 > rc2 || r2 == 0 {
 					lj.skip[p] = 1

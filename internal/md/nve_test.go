@@ -125,24 +125,24 @@ func TestWrapMinImageInvariants(t *testing.T) {
 			t.Fatalf("wrap1(%g) = %g outside [0, %g)", x, w, l)
 		}
 		// wrapping moves by an exact multiple of the box
-		if d := math.Abs(minImage1(x-w, l)); d > 1e-9 {
+		if d := math.Abs(MinImage1(x-w, l)); d > 1e-9 {
 			t.Fatalf("wrap1(%g) shifted by a non-lattice vector (residual %g)", x, d)
 		}
 		d := (rng.Float64() - 0.5) * 10 * l
-		m := minImage1(d, l)
+		m := MinImage1(d, l)
 		if m < -l/2-1e-12 || m > l/2+1e-12 {
-			t.Fatalf("minImage1(%g) = %g outside [-L/2, L/2]", d, m)
+			t.Fatalf("MinImage1(%g) = %g outside [-L/2, L/2]", d, m)
 		}
 		// antisymmetry is exact (bitwise up to signed zero)
-		if m != -minImage1(-d, l) && !(m == 0 && minImage1(-d, l) == 0) {
+		if m != -MinImage1(-d, l) && !(m == 0 && MinImage1(-d, l) == 0) {
 			t.Fatalf("minImage1 not antisymmetric at %g", d)
 		}
 		// periodic invariance
-		if diff := math.Abs(minImage1(d+3*l, l) - m); diff > 1e-9 {
+		if diff := math.Abs(MinImage1(d+3*l, l) - m); diff > 1e-9 {
 			t.Fatalf("minImage1 not periodic at %g (diff %g)", d, diff)
 		}
 		// idempotence
-		if got := minImage1(m, l); got != m {
+		if got := MinImage1(m, l); got != m {
 			t.Fatalf("minImage1 not idempotent at %g: %g -> %g", d, m, got)
 		}
 	}

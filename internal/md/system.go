@@ -63,22 +63,92 @@ func wrap1(x, l float64) float64 {
 // arithmetic bitwise.
 func Wrap1(x, l float64) float64 { return wrap1(x, l) }
 
+// Period is one periodic box length with the bound of the min-image fast
+// path precomputed, so a pair loop pays the multiply once per axis instead
+// of once per pair. L must be a positive finite box length.
+type Period struct {
+	L, near float64
+}
+
+// NewPeriod returns the Period of box length l.
+func NewPeriod(l float64) Period { return Period{L: l, near: 0.49 * l} }
+
+// MinImage returns the minimum-image reduction of displacement d:
+// d − L·Round(d/L), bit for bit (see Fold for why the shortcut is exact).
+// The common case |d| < 0.49·L is tested inline and everything else goes to
+// minImageWrap; that split is what keeps this function under the inliner's
+// budget, so pair loops get the compare inline and call out only for
+// wrapped pairs.
+func (p Period) MinImage(d float64) float64 {
+	if d < p.near && -d < p.near { // |d| < near, in the form that costs the inliner least
+		return d + 0
+	}
+	return minImageWrap(d, p.L)
+}
+
+// Fold returns MinImage(d) and true whenever that takes no divide, else d and
+// false. It contains no call, so a loop built on it keeps its accumulators in
+// registers; such a loop hands a displacement Fold declines to a loop built
+// on MinImage. Two cases fold:
+//
+//   - |d| < fl(0.49·L): the quotient d/L rounds below one half, Round yields
+//     ±0 and the formula returns d itself (−0 becomes +0, which d+0
+//     reproduces).
+//   - fl(0.51·L) < |d| < fl(1.49·L), which is every wrapped pair of atoms that
+//     both sit inside the box: the quotient lies strictly between 0.5 and
+//     1.5, Round is ±1, L·(±1) is exact and the formula reduces to d ∓ L.
+//
+// The margins around 0.5 and 1.5 absorb the rounding of the bounds (for
+// subnormal L too); NaN and ±Inf fail every compare and are declined.
+func (p Period) Fold(d float64) (float64, bool) {
+	a := math.Abs(d)
+	if a < p.near {
+		return d + 0, true
+	}
+	if a > 0.51*p.L && a < 1.49*p.L {
+		if d > 0 {
+			return d - p.L, true
+		}
+		return d + p.L, true
+	}
+	return d, false
+}
+
+// minImageWrap is the out-of-line part of Period.MinImage.
+//
+//go:noinline
+func minImageWrap(d, l float64) float64 {
+	if m, ok := NewPeriod(l).Fold(d); ok {
+		return m
+	}
+	return minImageFormula(d, l)
+}
+
+// minImageFormula is the reference definition of the minimum image; every
+// faster path above must return its bits.
+func minImageFormula(d, l float64) float64 {
+	d -= l * math.Round(d/l)
+	return d
+}
+
 // MinImage1 returns the minimum-image reduction of displacement d in a
-// periodic box of length l: the scalar form of MinImage, exported for
-// decomposed engines that must match it bitwise.
-func MinImage1(d, l float64) float64 { return minImage1(d, l) }
+// periodic box of length l: the scalar form of MinImage and the one
+// implementation every package routes to (decomposed engines must match it
+// bitwise). Loops over many pairs hoist NewPeriod out and call
+// Period.MinImage.
+func MinImage1(d, l float64) float64 { return NewPeriod(l).MinImage(d) }
+
+// Periods returns the box lengths as Periods, for pair loops.
+func (s *System) Periods() (px, py, pz Period) {
+	return NewPeriod(s.Lx), NewPeriod(s.Ly), NewPeriod(s.Lz)
+}
 
 // MinImage returns the minimum-image displacement from atom j to atom i.
 func (s *System) MinImage(i, j int) (dx, dy, dz float64) {
-	dx = minImage1(s.X[3*i]-s.X[3*j], s.Lx)
-	dy = minImage1(s.X[3*i+1]-s.X[3*j+1], s.Ly)
-	dz = minImage1(s.X[3*i+2]-s.X[3*j+2], s.Lz)
+	dx = MinImage1(s.X[3*i]-s.X[3*j], s.Lx)
+	dy = MinImage1(s.X[3*i+1]-s.X[3*j+1], s.Ly)
+	dz = MinImage1(s.X[3*i+2]-s.X[3*j+2], s.Lz)
 	return
-}
-
-func minImage1(d, l float64) float64 {
-	d -= l * math.Round(d/l)
-	return d
 }
 
 // KineticEnergy returns Σ ½ m v².

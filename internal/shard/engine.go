@@ -153,6 +153,12 @@ type View struct {
 	lookup map[int32]int32
 }
 
+// Periods returns the global box lengths as md.Periods, for pair loops that
+// take minimum images.
+func (v *View) Periods() (px, py, pz md.Period) {
+	return md.NewPeriod(v.Lx), md.NewPeriod(v.Ly), md.NewPeriod(v.Lz)
+}
+
 // Lookup returns the local index of global atom gid, or −1 if the atom is
 // neither owned nor a ghost of this rank.
 func (v *View) Lookup(gid int32) int32 {
@@ -897,10 +903,11 @@ func (e *Engine) checkStale(rs *rankState) bool {
 		stale = 1
 	} else {
 		lim2 := e.cfg.Skin * e.cfg.Skin / 4
+		px, py, pz := md.NewPeriod(e.box[0]), md.NewPeriod(e.box[1]), md.NewPeriod(e.box[2])
 		for i := 0; i < rs.nOwn; i++ {
-			dx := minImage1(rs.x[3*i]-rs.refX[3*i], e.box[0])
-			dy := minImage1(rs.x[3*i+1]-rs.refX[3*i+1], e.box[1])
-			dz := minImage1(rs.x[3*i+2]-rs.refX[3*i+2], e.box[2])
+			dx := px.MinImage(rs.x[3*i] - rs.refX[3*i])
+			dy := py.MinImage(rs.x[3*i+1] - rs.refX[3*i+1])
+			dz := pz.MinImage(rs.x[3*i+2] - rs.refX[3*i+2])
 			if dx*dx+dy*dy+dz*dz > lim2 {
 				stale = 1
 				break
@@ -1020,7 +1027,15 @@ func (e *Engine) rebuild(rs *rankState) {
 		t0 := time.Now()
 		rs.nl.Build(&rs.v)
 		rs.stepSecs += time.Since(t0).Seconds()
-		e.verifyInteriorRows(rs)
+		// The belt over classifyInterior's geometric braces: if
+		// floating-point edge effects ever put a ghost into an interior
+		// atom's neighbor row, overlap is disabled for this rebuild window
+		// rather than risking a stale-ghost read. (The geometric margin
+		// makes this effectively unreachable.)
+		if rs.nl.ghostInInterior {
+			rs.nInt = 0
+			rs.v.NInt = 0
+		}
 	}
 	rs.needRebuild = false
 }
@@ -1089,23 +1104,6 @@ func (e *Engine) classifyInterior(rs *rankState) {
 	copy(rs.mass[keep:rs.nOwn], rs.tmpMass[:nb])
 	copy(rs.typ[keep:rs.nOwn], rs.tmpTyp[:nb])
 	rs.nInt = keep
-}
-
-// verifyInteriorRows is the belt over classifyInterior's geometric braces:
-// if floating-point edge effects ever put a ghost into an interior atom's
-// neighbor row, overlap is disabled for this rebuild window rather than
-// risking a stale-ghost read. (The geometric margin makes this effectively
-// unreachable; the scan is O(interior pairs) on the rebuild path only.)
-func (e *Engine) verifyInteriorRows(rs *rankState) {
-	for i := 0; i < rs.nInt; i++ {
-		for _, j := range rs.nl.Row(i) {
-			if int(j) >= rs.nOwn {
-				rs.nInt = 0
-				rs.v.NInt = 0
-				return
-			}
-		}
-	}
 }
 
 // migrate routes owned atoms whose subdomain changed to their new owners,
@@ -1521,12 +1519,11 @@ func (e *Engine) Validate() error {
 
 // --- small helpers ---
 
-// wrap1/minImage1 delegate to internal/md's exported scalar forms: the
-// bitwise-determinism contract requires the exact arithmetic of
-// System.Wrap/MinImage, so there is deliberately a single implementation.
+// wrap1 delegates to internal/md's exported scalar form: the
+// bitwise-determinism contract requires the exact arithmetic of System.Wrap,
+// so there is deliberately a single implementation (min-image likewise: every
+// caller here uses md.Period / md.MinImage1 directly).
 func wrap1(x, l float64) float64 { return md.Wrap1(x, l) }
-
-func minImage1(d, l float64) float64 { return md.MinImage1(d, l) }
 
 func appendI32At(s []int32, i int, v int32) []int32 {
 	if i < len(s) {

@@ -206,7 +206,7 @@ func TestShardColdStability(t *testing.T) {
 	eng.Gather(got)
 	for i := 0; i < base.N; i++ {
 		for d, l := range [3]float64{base.Lx, base.Ly, base.Lz} {
-			if math.Abs(minImage1(got.X[3*i+d]-base.X[3*i+d], l)) > 1e-10 {
+			if math.Abs(md.MinImage1(got.X[3*i+d]-base.X[3*i+d], l)) > 1e-10 {
 				t.Fatalf("cold atom moved: X[%d] %v -> %v", 3*i+d, base.X[3*i+d], got.X[3*i+d])
 			}
 		}
@@ -284,19 +284,16 @@ func TestShardNeighborRowOrder(t *testing.T) {
 					t.Fatalf("rank %d row %d not gid-sorted", rs.rank, i)
 				}
 			}
-			// brute-force cross-check on a few atoms
-			if i%97 != 0 {
-				continue
-			}
+			// brute-force cross-check
 			r := testCutoff + testSkin
 			count := 0
 			for j := 0; j < rs.nLoc; j++ {
 				if j == i {
 					continue
 				}
-				dx := minImage1(rs.x[3*i]-rs.x[3*j], sys.Lx)
-				dy := minImage1(rs.x[3*i+1]-rs.x[3*j+1], sys.Ly)
-				dz := minImage1(rs.x[3*i+2]-rs.x[3*j+2], sys.Lz)
+				dx := md.MinImage1(rs.x[3*i]-rs.x[3*j], sys.Lx)
+				dy := md.MinImage1(rs.x[3*i+1]-rs.x[3*j+1], sys.Ly)
+				dz := md.MinImage1(rs.x[3*i+2]-rs.x[3*j+2], sys.Lz)
 				if dx*dx+dy*dy+dz*dz <= r*r {
 					count++
 				}

@@ -224,9 +224,11 @@ func (a *AllegroFF) ensureClosures() {
 		base := a.p2ctx.base
 		spec := a.m.Spec
 		rc := spec.Cutoff
-		sys := v.Sys
+		x := v.X
+		px, py, pz := v.Periods()
 		for j := base + lo; j < base+hi; j++ {
 			rowJ := aux[j*w : (j+1)*w]
+			xj, yj, zj := x[3*j], x[3*j+1], x[3*j+2]
 			var ax, ay, az float64 // dE/dx_j chain, ascending gid of i
 			for _, i32 := range v.NL.Row(j) {
 				i := int(i32)
@@ -235,7 +237,8 @@ func (a *AllegroFF) ensureClosures() {
 				// displacements are bitwise negations, so the membership
 				// test (r < cutoff) agrees with both owners' phase-one
 				// environments.
-				dxj, dyj, dzj := sys.MinImage(j, i) // center i, neighbor j
+				// center i, neighbor j
+				dxj, dyj, dzj := px.MinImage(xj-x[3*i]), py.MinImage(yj-x[3*i+1]), pz.MinImage(zj-x[3*i+2])
 				r := math.Sqrt(dxj*dxj + dyj*dyj + dzj*dzj)
 				if r >= rc || r == 0 {
 					continue
@@ -248,7 +251,8 @@ func (a *AllegroFF) ensureClosures() {
 				az += gz
 				// − G(j→i): atom j's own energy moved by x_j (Newton's
 				// third law through the descriptor chain rule).
-				dxi, dyi, dzi := sys.MinImage(i, j) // center j, neighbor i
+				// center j, neighbor i
+				dxi, dyi, dzi := px.MinImage(x[3*i]-xj), py.MinImage(x[3*i+1]-yj), pz.MinImage(x[3*i+2]-zj)
 				gx, gy, gz = spec.PairGradTerm(v.Type[i], rowJ[:dim], rowJ[dim:], a.cs, dxi, dyi, dzi, r)
 				ax -= gx
 				ay -= gy

@@ -61,6 +61,7 @@ func (b *BlendEffHam) Compute(v *View, partial []float64) {
 // ghost dereference would silently read a stale position.
 func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 	lat, gs, xs := b.lat, b.gs, b.xs
+	px, py, pz := v.Periods()
 	var eGS, eXS, wSum float64
 	for i := lo; i < hi; i++ {
 		g := int(v.ID[i])
@@ -71,9 +72,9 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 		wSum += w
 		c := g / ferro.AtomsPerCell
 		if g%ferro.AtomsPerCell == 1 { // the cell's Ti: well + coupling
-			sx := ferro.MinImage1(v.X[3*i]-lat.R0[3*g], v.Lx)
-			sy := ferro.MinImage1(v.X[3*i+1]-lat.R0[3*g+1], v.Ly)
-			sz := ferro.MinImage1(v.X[3*i+2]-lat.R0[3*g+2], v.Lz)
+			sx := px.MinImage(v.X[3*i] - lat.R0[3*g])
+			sy := py.MinImage(v.X[3*i+1] - lat.R0[3*g+1])
+			sz := pz.MinImage(v.X[3*i+2] - lat.R0[3*g+2])
 			s2 := sx*sx + sy*sy + sz*sz
 			nb := lat.NeighborCells(c)
 			var ns [6][3]float64
@@ -86,9 +87,9 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 				if hi <= v.NInt && int(li) >= v.NOwn {
 					panic(fmt.Sprintf("shard: rank %d interior atom %d dereferences ghost Ti %d — interior margin violated", v.Rank, i, tg))
 				}
-				ns[k][0] = ferro.MinImage1(v.X[3*li]-lat.R0[3*tg], v.Lx)
-				ns[k][1] = ferro.MinImage1(v.X[3*li+1]-lat.R0[3*tg+1], v.Ly)
-				ns[k][2] = ferro.MinImage1(v.X[3*li+2]-lat.R0[3*tg+2], v.Lz)
+				ns[k][0] = px.MinImage(v.X[3*li] - lat.R0[3*tg])
+				ns[k][1] = py.MinImage(v.X[3*li+1] - lat.R0[3*tg+1])
+				ns[k][2] = pz.MinImage(v.X[3*li+2] - lat.R0[3*tg+2])
 			}
 			fgx, fgy, fgz, peg := tiForce(gs, c, sx, sy, sz, s2, &ns)
 			fxx, fxy, fxz, pex := tiForce(xs, c, sx, sy, sz, s2, &ns)
@@ -98,9 +99,9 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 			v.F[3*i+1] = (1-w)*fgy + w*fxy
 			v.F[3*i+2] = (1-w)*fgz + w*fxz
 		} else { // host-cage atom
-			dx := ferro.MinImage1(v.X[3*i]-lat.R0[3*g], v.Lx)
-			dy := ferro.MinImage1(v.X[3*i+1]-lat.R0[3*g+1], v.Ly)
-			dz := ferro.MinImage1(v.X[3*i+2]-lat.R0[3*g+2], v.Lz)
+			dx := px.MinImage(v.X[3*i] - lat.R0[3*g])
+			dy := py.MinImage(v.X[3*i+1] - lat.R0[3*g+1])
+			dz := pz.MinImage(v.X[3*i+2] - lat.R0[3*g+2])
 			eGS += 0.5 * gs.KHost * (dx*dx + dy*dy + dz*dz)
 			eXS += 0.5 * xs.KHost * (dx*dx + dy*dy + dz*dz)
 			fgx, fgy, fgz := -(gs.KHost * dx), -(gs.KHost * dy), -(gs.KHost * dz)

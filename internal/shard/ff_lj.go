@@ -1,6 +1,9 @@
 package shard
 
-import "mlmd/internal/par"
+import (
+	"mlmd/internal/md"
+	"mlmd/internal/par"
+)
 
 // ljGrain is the fixed chunk size of the pool-parallel force pass. Like
 // internal/md, it is a constant (not worker-derived) so chunk boundaries —
@@ -84,35 +87,85 @@ func (lj *LJ) ensureClosures() {
 	}
 	lj.forceFn = func(lo, hi, _ int) {
 		v := lj.fctx.v
-		rc2 := lj.fctx.rc2
 		base := lj.fctx.base
 		nl := v.NL
-		eps, sig2 := lj.Epsilon, lj.Sigma*lj.Sigma
+		k := ljKernel{
+			rc2: lj.fctx.rc2, sig2: lj.Sigma * lj.Sigma,
+			eps4: 4 * lj.Epsilon, eps24: 24 * lj.Epsilon,
+		}
+		k.px, k.py, k.pz = v.Periods()
+		x := v.X
 		var pe float64
 		for i := base + lo; i < base+hi; i++ {
-			xi, yi, zi := v.X[3*i], v.X[3*i+1], v.X[3*i+2]
 			var fx, fy, fz float64
-			for _, j := range nl.Row(i) {
-				dx := minImage1(xi-v.X[3*j], v.Lx)
-				dy := minImage1(yi-v.X[3*j+1], v.Ly)
-				dz := minImage1(zi-v.X[3*j+2], v.Lz)
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > rc2 || r2 == 0 {
-					continue
-				}
-				sr2 := sig2 / r2
-				sr6 := sr2 * sr2 * sr2
-				sr12 := sr6 * sr6
-				pe += 0.5 * (4 * eps * (sr12 - sr6))
-				fmag := 24 * eps * (2*sr12 - sr6) / r2
-				fx += fmag * dx
-				fy += fmag * dy
-				fz += fmag * dz
-			}
+			fx, fy, fz, pe = k.row(x, nl.Row(i), x[3*i], x[3*i+1], x[3*i+2], pe)
 			v.F[3*i] = fx
 			v.F[3*i+1] = fy
 			v.F[3*i+2] = fz
 		}
 		lj.peChunk[lo/ljGrain] = pe
 	}
+}
+
+// ljKernel holds what the pair loop reads: the squared cutoff, σ², the two
+// ε prefactors of u and f (4ε and 24ε, the products the per-pair expressions
+// 4·ε·(…) and 24·ε·(…) start with) and the box periods.
+type ljKernel struct {
+	rc2, sig2, eps4, eps24 float64
+	px, py, pz             md.Period
+}
+
+// pair returns the force scale f(r)/r and the half pair energy ½u(r) at
+// squared distance r2.
+func (k *ljKernel) pair(r2 float64) (fmag, e float64) {
+	sr2 := k.sig2 / r2
+	sr6 := sr2 * sr2 * sr2
+	sr12 := sr6 * sr6
+	return k.eps24 * (2*sr12 - sr6) / r2, 0.5 * (k.eps4 * (sr12 - sr6))
+}
+
+// row returns the force on the owned atom at (xi, yi, zi) summed over its
+// neighbor row in row order, and pe advanced by the row's ½u terms. The loop
+// is call-free (md.Period.Fold), which is what lets the four running sums
+// stay in registers; the first displacement Fold declines — none, for atoms
+// inside a box at least ~2 list radii wide — hands the rest of the row, sums
+// so far included, to rowAny.
+func (k *ljKernel) row(x []float64, row []int32, xi, yi, zi, pe float64) (fx, fy, fz, _ float64) {
+	for n, j := range row {
+		dx, okx := k.px.Fold(xi - x[3*j])
+		dy, oky := k.py.Fold(yi - x[3*j+1])
+		dz, okz := k.pz.Fold(zi - x[3*j+2])
+		if !(okx && oky && okz) {
+			return k.rowAny(x, row[n:], xi, yi, zi, fx, fy, fz, pe)
+		}
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 > k.rc2 || r2 == 0 {
+			continue
+		}
+		fmag, e := k.pair(r2)
+		pe += e
+		fx += fmag * dx
+		fy += fmag * dy
+		fz += fmag * dz
+	}
+	return fx, fy, fz, pe
+}
+
+// rowAny is row for any displacement at all, continuing from the given sums.
+func (k *ljKernel) rowAny(x []float64, row []int32, xi, yi, zi, fx, fy, fz, pe float64) (_, _, _, _ float64) {
+	for _, j := range row {
+		dx := k.px.MinImage(xi - x[3*j])
+		dy := k.py.MinImage(yi - x[3*j+1])
+		dz := k.pz.MinImage(zi - x[3*j+2])
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 > k.rc2 || r2 == 0 {
+			continue
+		}
+		fmag, e := k.pair(r2)
+		pe += e
+		fx += fmag * dx
+		fy += fmag * dy
+		fz += fmag * dz
+	}
+	return fx, fy, fz, pe
 }

@@ -1,9 +1,11 @@
 package shard
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
+
+	"mlmd/internal/md"
 )
 
 // NeighborList is the rank-local full neighbor list: one CSR row per owned
@@ -14,12 +16,24 @@ import (
 // decomposition, because the set (same inclusion test on the same raw
 // coordinates) and the order (global ids) are both decomposition-invariant.
 //
-// Binning is linked-cell over the full global box — the same geometry as
-// md.NeighborList, so no slab-relative coordinate mapping (and its wrap
-// edge cases) is needed. The head array is sized to the global cell count
-// (O(global cells) memory per rank, allocated once), but each rebuild only
-// clears the cells the previous build touched, so rebuild *work* stays
-// O(local atoms + local pairs) regardless of the rank count.
+// Binning is cell-sorted CSR over the full global box — the same cell
+// geometry as md.NeighborList, so no slab-relative coordinate mapping (and
+// its wrap edge cases) is needed. Every Build
+//
+//   - ranks the local atoms by global id with one integer sort of packed
+//     gid<<32|local keys,
+//   - counting-sorts them into their cells, keeping a cell-contiguous copy of
+//     the coordinates beside each slot's gid rank,
+//   - sweeps each owned atom's neighbor cells over those contiguous blocks
+//     (cells adjacent along z are adjacent in memory, so a sweep is 9 straight
+//     runs in the bulk; see zFine), and
+//   - emits the accepted ranks in ascending order through a bitmap (rankSet)
+//     instead of sorting the row.
+//
+// The cell offsets are sized to the global cell count (O(global cells)
+// memory and one prefix sum per rebuild per rank); the rest of the work is
+// O(local atoms + candidate pairs). All buffers are retained across
+// rebuilds.
 type NeighborList struct {
 	Cutoff, Skin float64
 
@@ -27,12 +41,31 @@ type NeighborList struct {
 	start []int32
 	adj   []int32
 
-	head, next, cellIdx []int32
-	// headCells is the cell count head currently describes; prevLoc the
-	// atom count binned by the previous build (their cellIdx entries are
-	// the only head cells that need re-clearing).
-	headCells, prevLoc int
+	// byGid holds the local atoms' gid<<32|local keys in ascending order:
+	// the atom of gid rank r is uint32(byGid[r]).
+	byGid []uint64
+	// Cell c's atoms occupy slots cellStart[c]:cellStart[c+1] of cellX
+	// (coordinates, 3 per slot) and cellRank (gid rank); cellOf is each
+	// local atom's cell. cellStart carries one spare trailing element for
+	// the counting sort.
+	cellStart []int32
+	cellOf    []int32
+	cellX     []float64
+	cellRank  []uint32
+	row       []uint32 // one row's accepted ranks, in sweep order
+	order     rankSet
+
+	// ghostInInterior records whether the last Build put a ghost (local
+	// index >= NOwn) into the row of an interior atom (row < NInt).
+	ghostInInterior bool
 }
+
+// zFine is how many cells the z axis cuts one list radius into. Runs of cells
+// along z are contiguous in memory whatever their length, so finer z cells
+// cost no extra sweeps and trim the swept slab from 3 list radii toward 2
+// (2.25 at 4, a quarter fewer candidates); the price is a cell-offset array
+// zFine times longer.
+const zFine = 4
 
 // Row returns owned atom i's neighbors (local indices, ascending gid).
 func (nl *NeighborList) Row(i int) []int32 {
@@ -49,78 +82,210 @@ func (nl *NeighborList) Build(v *View) {
 	r := nl.Cutoff + nl.Skin
 	ncx := cellCount(v.Lx, r)
 	ncy := cellCount(v.Ly, r)
-	ncz := cellCount(v.Lz, r)
+	ncz := cellCount(v.Lz, r) * zFine
 	ncells := ncx * ncy * ncz
 	n := v.NLoc
-	if nl.headCells != ncells {
-		nl.head = resizeI32(nl.head, ncells)
-		for i := range nl.head {
-			nl.head[i] = -1
-		}
-		nl.headCells = ncells
-	} else {
-		// Same grid as last build: only the previously touched cells hold
-		// non-empty chains.
-		for _, c := range nl.cellIdx[:nl.prevLoc] {
-			nl.head[c] = -1
-		}
+
+	if cap(nl.byGid) < n {
+		nl.byGid = make([]uint64, n)
+		nl.cellRank = make([]uint32, n)
 	}
-	nl.next = resizeI32(nl.next, n)
-	nl.cellIdx = resizeI32(nl.cellIdx, n)
-	nl.start = resizeI32(nl.start, v.NOwn+1)
-	nl.prevLoc = n
+	byGid, ranks := nl.byGid[:n], nl.cellRank[:n]
+	for i := range byGid {
+		byGid[i] = uint64(uint32(v.ID[i]))<<32 | uint64(uint32(i))
+	}
+	slices.Sort(byGid)
+
+	// Counting sort into cells. Counts go in at c+2, so after the prefix
+	// sum cs[c+1] is cell c's first slot; the fill advances it to cell
+	// c+1's first slot, which leaves cs[c]:cs[c+1] as cell c's range.
+	nl.cellStart = resizeI32(nl.cellStart, ncells+2)
+	nl.cellOf = resizeI32(nl.cellOf, n)
+	nl.cellX = resizeF64(nl.cellX, 3*n)
+	cs, cellOf, cx := nl.cellStart, nl.cellOf, nl.cellX
+	clear(cs)
 	for i := 0; i < n; i++ {
-		cx := clampCell(int(v.X[3*i]/v.Lx*float64(ncx)), ncx)
-		cy := clampCell(int(v.X[3*i+1]/v.Ly*float64(ncy)), ncy)
-		cz := clampCell(int(v.X[3*i+2]/v.Lz*float64(ncz)), ncz)
-		c := int32((cx*ncy+cy)*ncz + cz)
-		nl.cellIdx[i] = c
-		nl.next[i] = nl.head[c]
-		nl.head[c] = int32(i)
+		ax := clampCell(int(v.X[3*i]/v.Lx*float64(ncx)), ncx)
+		ay := clampCell(int(v.X[3*i+1]/v.Ly*float64(ncy)), ncy)
+		az := clampCell(int(v.X[3*i+2]/v.Lz*float64(ncz)), ncz)
+		c := int32((ax*ncy+ay)*ncz + az)
+		cellOf[i] = c
+		cs[c+2]++
 	}
+	for c := 2; c < len(cs); c++ {
+		cs[c] += cs[c-1]
+	}
+	for rank, key := range byGid {
+		i := uint32(key)
+		s := cs[cellOf[i]+1]
+		cs[cellOf[i]+1]++
+		copy(cx[3*s:3*s+3], v.X[3*i:3*i+3])
+		ranks[s] = uint32(rank)
+	}
+
+	nl.start = resizeI32(nl.start, v.NOwn+1)
+	nl.ghostInInterior = false
+	nl.order.resize(n)
 	r2cut := r * r
-	adj := nl.adj[:0]
-	ids := v.ID
+	px, py, pz := v.Periods()
+	adj, row := nl.adj[:0], nl.row
+	var bx, by, bz [2][2]int
 	for i := 0; i < v.NOwn; i++ {
 		nl.start[i] = int32(len(adj))
-		c := int(nl.cellIdx[i])
-		cz := c % ncz
-		cy := (c / ncz) % ncy
-		cx := c / (ncz * ncy)
-		for ox := -1; ox <= 1; ox++ {
-			// With fewer than 3 cells along an axis the ±1 offsets alias;
-			// skip the redundant sweep (same rule as md.NeighborList).
-			if ncx < 3 && ox > ncx-2 {
-				continue
-			}
-			for oy := -1; oy <= 1; oy++ {
-				if ncy < 3 && oy > ncy-2 {
-					continue
-				}
-				for oz := -1; oz <= 1; oz++ {
-					if ncz < 3 && oz > ncz-2 {
-						continue
-					}
-					cc := (modCell(cx+ox, ncx)*ncy+modCell(cy+oy, ncy))*ncz + modCell(cz+oz, ncz)
-					for j := nl.head[cc]; j >= 0; j = nl.next[j] {
-						if int(j) == i {
-							continue
-						}
-						dx := minImage1(v.X[3*i]-v.X[3*j], v.Lx)
-						dy := minImage1(v.X[3*i+1]-v.X[3*j+1], v.Ly)
-						dz := minImage1(v.X[3*i+2]-v.X[3*j+2], v.Lz)
-						if dx*dx+dy*dy+dz*dz <= r2cut {
-							adj = append(adj, j)
+		xi, yi, zi := v.X[3*i], v.X[3*i+1], v.X[3*i+2]
+		c := int(cellOf[i])
+		rx := bx[:cellRuns(&bx, c/(ncz*ncy), ncx, 1)]
+		ry := by[:cellRuns(&by, (c/ncz)%ncy, ncy, 1)]
+		rz := bz[:cellRuns(&bz, c%ncz, ncz, zFine)]
+		row = row[:0]
+		for _, xr := range rx {
+			for ax := xr[0]; ax < xr[1]; ax++ {
+				for _, yr := range ry {
+					for ay := yr[0]; ay < yr[1]; ay++ {
+						base := (ax*ncy + ay) * ncz
+						for _, zr := range rz {
+							// Cells adjacent along z are adjacent in slot
+							// order: one sweep covers the whole run.
+							lo, hi := int(cs[base+zr[0]]), int(cs[base+zr[1]])
+							row = sweepRun(row, cx[3*lo:3*hi], ranks[lo:hi], xi, yi, zi, r2cut, px, py, pz)
 						}
 					}
 				}
 			}
 		}
-		row := adj[nl.start[i]:]
-		slices.SortFunc(row, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+		for _, rank := range row {
+			nl.order.add(rank)
+		}
+		// The sweep met atom i itself, at distance 0; drain leaves it out.
+		adj = nl.order.drain(adj, byGid, int32(i))
+		if i < v.NInt && !nl.ghostInInterior {
+			for _, j := range adj[nl.start[i]:] {
+				if int(j) >= v.NOwn {
+					nl.ghostInInterior = true
+				}
+			}
+		}
 	}
 	nl.start[v.NOwn] = int32(len(adj))
-	nl.adj = adj
+	nl.adj, nl.row = adj, row
+}
+
+// sweepRun appends to row the gid rank of every slot of one cell run
+// (coordinates xs, ranks rs) within min-image distance² r2 of the point
+// (xi, yi, zi). The loop is call-free (md.Period.Fold) and stores every
+// candidate's rank, advancing the fill only past the accepted ones, so the
+// unpredictable accept test is not a branch. The first displacement Fold
+// declines hands the rest of the run to sweepRunAny.
+func sweepRun(row []uint32, xs []float64, rs []uint32, xi, yi, zi, r2 float64, px, py, pz md.Period) []uint32 {
+	row = slices.Grow(row, len(rs))
+	out := row[len(row) : len(row)+len(rs)]
+	n := 0
+	for s, rank := range rs {
+		dx, okx := px.Fold(xi - xs[3*s])
+		dy, oky := py.Fold(yi - xs[3*s+1])
+		dz, okz := pz.Fold(zi - xs[3*s+2])
+		if !(okx && oky && okz) {
+			return sweepRunAny(row[:len(row)+n], xs[3*s:], rs[s:], xi, yi, zi, r2, px, py, pz)
+		}
+		out[n] = rank
+		if dx*dx+dy*dy+dz*dz <= r2 {
+			n++
+		}
+	}
+	return row[:len(row)+n]
+}
+
+// sweepRunAny is sweepRun for any displacement at all.
+func sweepRunAny(row []uint32, xs []float64, rs []uint32, xi, yi, zi, r2 float64, px, py, pz md.Period) []uint32 {
+	for s, rank := range rs {
+		dx := px.MinImage(xi - xs[3*s])
+		dy := py.MinImage(yi - xs[3*s+1])
+		dz := pz.MinImage(zi - xs[3*s+2])
+		if dx*dx+dy*dy+dz*dz <= r2 {
+			row = append(row, rank)
+		}
+	}
+	return row
+}
+
+// cellRuns fills out with the cells within h of cell c (c included) along a
+// periodic axis of n cells, as runs [first, last+1) of consecutive cells, and
+// returns the number of runs: one in the bulk, two where the neighborhood
+// wraps around the box. Where the 2h+1 cells would overlap themselves around
+// the ring (fewer than 3 list radii along the axis) the axis contributes each
+// of its cells once (same rule as md.NeighborList).
+func cellRuns(out *[2][2]int, c, n, h int) int {
+	switch {
+	case n <= 2*h+1:
+		out[0] = [2]int{0, n}
+	case c < h:
+		out[0], out[1] = [2]int{0, c + h + 1}, [2]int{n + c - h, n}
+		return 2
+	case c+h >= n:
+		out[0], out[1] = [2]int{0, c + h + 1 - n}, [2]int{c - h, n}
+		return 2
+	default:
+		out[0] = [2]int{c - h, c + h + 1}
+	}
+	return 1
+}
+
+// rankSet is a set of small integers (gid ranks below the local atom count)
+// that gives its members back in ascending order without comparing them: a
+// bitmap with two summary levels, each bit of a level marking a non-zero word
+// of the level below. Adding is three ORs; draining walks set bits only, so
+// a row of m neighbors costs O(m) plus one word per 262144 local atoms.
+type rankSet struct {
+	l0, l1, l2 []uint64
+}
+
+// resize makes room for members below n; the set must be empty.
+func (s *rankSet) resize(n int) {
+	s.l0 = bitWords(s.l0, n)
+	s.l1 = bitWords(s.l1, len(s.l0))
+	s.l2 = bitWords(s.l2, len(s.l1))
+}
+
+// bitWords resizes the all-zero bitmap w to hold n bits.
+func bitWords(w []uint64, n int) []uint64 {
+	k := (n + 63) / 64
+	if cap(w) < k {
+		return make([]uint64, k)
+	}
+	return w[:k]
+}
+
+func (s *rankSet) add(r uint32) {
+	s.l0[r>>6] |= 1 << (r & 63)
+	s.l1[r>>12] |= 1 << (r >> 6 & 63)
+	s.l2[r>>18] |= 1 << (r >> 12 & 63)
+}
+
+// drain empties the set, appending to adj the local index (the low word of
+// byGid[r]) of every member r in ascending order, except local index skip.
+func (s *rankSet) drain(adj []int32, byGid []uint64, skip int32) []int32 {
+	for w2, b2 := range s.l2 {
+		if b2 == 0 {
+			continue
+		}
+		s.l2[w2] = 0
+		for ; b2 != 0; b2 &= b2 - 1 {
+			w1 := w2<<6 | bits.TrailingZeros64(b2)
+			b1 := s.l1[w1]
+			s.l1[w1] = 0
+			for ; b1 != 0; b1 &= b1 - 1 {
+				w0 := w1<<6 | bits.TrailingZeros64(b1)
+				b0 := s.l0[w0]
+				s.l0[w0] = 0
+				for ; b0 != 0; b0 &= b0 - 1 {
+					if j := int32(uint32(byGid[w0<<6|bits.TrailingZeros64(b0)])); j != skip {
+						adj = append(adj, j)
+					}
+				}
+			}
+		}
+	}
+	return adj
 }
 
 // The binning helpers below mirror internal/md's unexported ones but are
@@ -145,12 +310,4 @@ func clampCell(c, n int) int {
 		return n - 1
 	}
 	return c
-}
-
-func modCell(i, n int) int {
-	i %= n
-	if i < 0 {
-		i += n
-	}
-	return i
 }

@@ -160,6 +160,8 @@ func (f *Field) MeanPz() float64 {
 	return sum / float64(n)
 }
 
+// minImageF is this import-free package's copy of md.MinImage1, the canonical
+// minimum image.
 func minImageF(d, l float64) float64 {
 	d -= l * math.Round(d/l)
 	return d

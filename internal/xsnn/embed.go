@@ -41,9 +41,9 @@ func (e *Embedding) SetSphere(sys *md.System, c [3]float64, rIn, rOut float64) e
 		return fmt.Errorf("xsnn: embedding sized for %d atoms, system has %d", len(e.W), sys.N)
 	}
 	for i := 0; i < sys.N; i++ {
-		dx := minImage1(sys.X[3*i]-c[0], sys.Lx)
-		dy := minImage1(sys.X[3*i+1]-c[1], sys.Ly)
-		dz := minImage1(sys.X[3*i+2]-c[2], sys.Lz)
+		dx := md.MinImage1(sys.X[3*i]-c[0], sys.Lx)
+		dy := md.MinImage1(sys.X[3*i+1]-c[1], sys.Ly)
+		dz := md.MinImage1(sys.X[3*i+2]-c[2], sys.Lz)
 		r := math.Sqrt(dx*dx + dy*dy + dz*dz)
 		e.W[i] = smoothStep(r, rIn, rOut)
 	}
@@ -62,11 +62,6 @@ func smoothStep(r, rIn, rOut float64) float64 {
 		x := (r - rIn) / (rOut - rIn)
 		return 0.5 * (1 + math.Cos(math.Pi*x))
 	}
-}
-
-func minImage1(d, l float64) float64 {
-	d -= l * math.Round(d/l)
-	return d
 }
 
 // HighFidelityAtoms returns the number of atoms with w > 0.5 — the cost
