@@ -633,9 +633,7 @@ func (t *SocketTransport) recv(src int) sockMsg {
 			if ok {
 				return m
 			}
-			// src's inbox closed too (typically its bye, sent because it
-			// saw the same failure first): the latched failure below is the
-			// root cause, not src's orderly departure.
+			panic(t.lostRank(src))
 		default:
 		}
 		panic(t.failed.Load())

@@ -17,9 +17,6 @@ func sameMinImage(t *testing.T, d, l float64) {
 	if got := math.Float64bits(MinImage1(d, l)); got != want {
 		t.Fatalf("MinImage1(%v, %v) = %#x, formula %#x", d, l, got, want)
 	}
-	if m, ok := NewPeriod(l).Fold(d); ok && math.Float64bits(m) != want {
-		t.Fatalf("Period(%v).Fold(%v) = %#x, formula %#x", l, d, math.Float64bits(m), want)
-	}
 }
 
 // TestMinImageFastPathBits pins the fast path to the formula at every edge

@@ -65,61 +65,42 @@ func Wrap1(x, l float64) float64 { return wrap1(x, l) }
 
 // Period is one periodic box length with the bound of the min-image fast
 // path precomputed, so a pair loop pays the multiply once per axis instead
-// of once per pair. L must be a positive finite box length.
+// of once per pair. Build one with NewPeriod from a positive finite box
+// length.
 type Period struct {
-	L, near float64
+	l, near float64
 }
 
 // NewPeriod returns the Period of box length l.
-func NewPeriod(l float64) Period { return Period{L: l, near: 0.49 * l} }
+func NewPeriod(l float64) Period { return Period{l: l, near: 0.49 * l} }
 
 // MinImage returns the minimum-image reduction of displacement d:
-// d − L·Round(d/L), bit for bit (see Fold for why the shortcut is exact).
-// The common case |d| < 0.49·L is tested inline and everything else goes to
-// minImageWrap; that split is what keeps this function under the inliner's
-// budget, so pair loops get the compare inline and call out only for
-// wrapped pairs.
+// d − l·Round(d/l), bit for bit. Where |d| < fl(0.49·l) the quotient d/l
+// rounds below one half, Round yields ±0 and the formula returns d itself
+// (−0 becomes +0, which d+0 reproduces); that compare is inlined into the
+// caller's pair loop and everything else goes to minImageWrap. The split is
+// what keeps this function under the inliner's budget.
 func (p Period) MinImage(d float64) float64 {
 	if d < p.near && -d < p.near { // |d| < near, in the form that costs the inliner least
 		return d + 0
 	}
-	return minImageWrap(d, p.L)
+	return minImageWrap(d, p.l)
 }
 
-// Fold returns MinImage(d) and true whenever that takes no divide, else d and
-// false. It contains no call, so a loop built on it keeps its accumulators in
-// registers; such a loop hands a displacement Fold declines to a loop built
-// on MinImage. Two cases fold:
-//
-//   - |d| < fl(0.49·L): the quotient d/L rounds below one half, Round yields
-//     ±0 and the formula returns d itself (−0 becomes +0, which d+0
-//     reproduces).
-//   - fl(0.51·L) < |d| < fl(1.49·L), which is every wrapped pair of atoms that
-//     both sit inside the box: the quotient lies strictly between 0.5 and
-//     1.5, Round is ±1, L·(±1) is exact and the formula reduces to d ∓ L.
-//
+// minImageWrap is the out-of-line part of Period.MinImage. Where
+// fl(0.51·l) < |d| < fl(1.49·l) — every wrapped pair of atoms that both sit
+// inside the box — the quotient lies strictly between 0.5 and 1.5, Round is
+// ±1, l·(±1) is exact and the formula reduces to d ∓ l without the divide.
 // The margins around 0.5 and 1.5 absorb the rounding of the bounds (for
-// subnormal L too); NaN and ±Inf fail every compare and are declined.
-func (p Period) Fold(d float64) (float64, bool) {
-	a := math.Abs(d)
-	if a < p.near {
-		return d + 0, true
-	}
-	if a > 0.51*p.L && a < 1.49*p.L {
-		if d > 0 {
-			return d - p.L, true
-		}
-		return d + p.L, true
-	}
-	return d, false
-}
-
-// minImageWrap is the out-of-line part of Period.MinImage.
+// subnormal l too); NaN and ±Inf fail every compare and take the formula.
 //
 //go:noinline
 func minImageWrap(d, l float64) float64 {
-	if m, ok := NewPeriod(l).Fold(d); ok {
-		return m
+	if a := math.Abs(d); a > 0.51*l && a < 1.49*l {
+		if d > 0 {
+			return d - l
+		}
+		return d + l
 	}
 	return minImageFormula(d, l)
 }

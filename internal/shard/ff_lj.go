@@ -109,50 +109,20 @@ func (lj *LJ) ensureClosures() {
 
 // ljKernel holds what the pair loop reads: the squared cutoff, σ², the two
 // ε prefactors of u and f (4ε and 24ε, the products the per-pair expressions
-// 4·ε·(…) and 24·ε·(…) start with) and the box periods.
+// 4·ε·(…) and 24·ε·(…) start with, so hoisting them moves no bit) and the
+// box periods.
 type ljKernel struct {
 	rc2, sig2, eps4, eps24 float64
 	px, py, pz             md.Period
 }
 
-// pair returns the force scale f(r)/r and the half pair energy ½u(r) at
-// squared distance r2.
-func (k *ljKernel) pair(r2 float64) (fmag, e float64) {
-	sr2 := k.sig2 / r2
-	sr6 := sr2 * sr2 * sr2
-	sr12 := sr6 * sr6
-	return k.eps24 * (2*sr12 - sr6) / r2, 0.5 * (k.eps4 * (sr12 - sr6))
-}
-
 // row returns the force on the owned atom at (xi, yi, zi) summed over its
-// neighbor row in row order, and pe advanced by the row's ½u terms. The loop
-// is call-free (md.Period.Fold), which is what lets the four running sums
-// stay in registers; the first displacement Fold declines — none, for atoms
-// inside a box at least ~2 list radii wide — hands the rest of the row, sums
-// so far included, to rowAny.
+// neighbor row in row order, and pe advanced by the row's ½u terms. It is a
+// function of its own rather than the body of the chunk loop above because
+// it measures faster that way: written inline, the same loop costs the
+// md.lj benchmark workload 1.75 ms per step instead of 1.35
+// (PERFORMANCE.md, PR 13).
 func (k *ljKernel) row(x []float64, row []int32, xi, yi, zi, pe float64) (fx, fy, fz, _ float64) {
-	for n, j := range row {
-		dx, okx := k.px.Fold(xi - x[3*j])
-		dy, oky := k.py.Fold(yi - x[3*j+1])
-		dz, okz := k.pz.Fold(zi - x[3*j+2])
-		if !(okx && oky && okz) {
-			return k.rowAny(x, row[n:], xi, yi, zi, fx, fy, fz, pe)
-		}
-		r2 := dx*dx + dy*dy + dz*dz
-		if r2 > k.rc2 || r2 == 0 {
-			continue
-		}
-		fmag, e := k.pair(r2)
-		pe += e
-		fx += fmag * dx
-		fy += fmag * dy
-		fz += fmag * dz
-	}
-	return fx, fy, fz, pe
-}
-
-// rowAny is row for any displacement at all, continuing from the given sums.
-func (k *ljKernel) rowAny(x []float64, row []int32, xi, yi, zi, fx, fy, fz, pe float64) (_, _, _, _ float64) {
 	for _, j := range row {
 		dx := k.px.MinImage(xi - x[3*j])
 		dy := k.py.MinImage(yi - x[3*j+1])
@@ -161,8 +131,11 @@ func (k *ljKernel) rowAny(x []float64, row []int32, xi, yi, zi, fx, fy, fz, pe f
 		if r2 > k.rc2 || r2 == 0 {
 			continue
 		}
-		fmag, e := k.pair(r2)
-		pe += e
+		sr2 := k.sig2 / r2
+		sr6 := sr2 * sr2 * sr2
+		sr12 := sr6 * sr6
+		pe += 0.5 * (k.eps4 * (sr12 - sr6))
+		fmag := k.eps24 * (2*sr12 - sr6) / r2
 		fx += fmag * dx
 		fy += fmag * dy
 		fz += fmag * dz

@@ -16,13 +16,18 @@ import (
 // decomposition, because the set (same inclusion test on the same raw
 // coordinates) and the order (global ids) are both decomposition-invariant.
 //
-// Binning is cell-sorted CSR over the full global box — the same cell
-// geometry as md.NeighborList, so no slab-relative coordinate mapping (and
-// its wrap edge cases) is needed. Every Build
+// Binning is cell-sorted CSR on the global box's cell geometry — the same as
+// md.NeighborList's, so no slab-relative coordinate mapping (and its wrap
+// edge cases) is needed — but only the cells this rank can reach get a bin:
+// per axis, the cell indices some local atom occupies are numbered
+// consecutively (cellAxis), and a bin is a triple of those numbers. A rank's
+// owned box plus halo occupies a product of per-axis index sets, wrapped
+// around the box or not, so the bins are its bounding block of cells. Every
+// Build
 //
 //   - ranks the local atoms by global id with one integer sort of packed
 //     gid<<32|local keys,
-//   - counting-sorts them into their cells, keeping a cell-contiguous copy of
+//   - counting-sorts them into their bins, keeping a bin-contiguous copy of
 //     the coordinates beside each slot's gid rank,
 //   - sweeps each owned atom's neighbor cells over those contiguous blocks
 //     (cells adjacent along z are adjacent in memory, so a sweep is 9 straight
@@ -30,10 +35,9 @@ import (
 //   - emits the accepted ranks in ascending order through a bitmap (rankSet)
 //     instead of sorting the row.
 //
-// The cell offsets are sized to the global cell count (O(global cells)
-// memory and one prefix sum per rebuild per rank); the rest of the work is
-// O(local atoms + candidate pairs). All buffers are retained across
-// rebuilds.
+// Rebuild work is O(local atoms + local bins + candidate pairs) plus one
+// pass over each axis's cell indices (the cube root of the global cell
+// count), whatever the rank count. All buffers are retained across rebuilds.
 type NeighborList struct {
 	Cutoff, Skin float64
 
@@ -44,12 +48,15 @@ type NeighborList struct {
 	// byGid holds the local atoms' gid<<32|local keys in ascending order:
 	// the atom of gid rank r is uint32(byGid[r]).
 	byGid []uint64
-	// Cell c's atoms occupy slots cellStart[c]:cellStart[c+1] of cellX
-	// (coordinates, 3 per slot) and cellRank (gid rank); cellOf is each
-	// local atom's cell. cellStart carries one spare trailing element for
-	// the counting sort.
-	cellStart []int32
+	// cellAxis[a][c] counts the occupied cell indices below c along axis a,
+	// which is cell index c's bin coordinate where c is occupied itself;
+	// cellOf is each local atom's bin.
+	// Bin b's atoms occupy slots cellStart[b]:cellStart[b+1] of cellX
+	// (coordinates, 3 per slot) and cellRank (gid rank). cellStart carries
+	// one spare trailing element for the counting sort.
+	cellAxis  [3][]int32
 	cellOf    []int32
+	cellStart []int32
 	cellX     []float64
 	cellRank  []uint32
 	row       []uint32 // one row's accepted ranks, in sweep order
@@ -63,8 +70,8 @@ type NeighborList struct {
 // zFine is how many cells the z axis cuts one list radius into. Runs of cells
 // along z are contiguous in memory whatever their length, so finer z cells
 // cost no extra sweeps and trim the swept slab from 3 list radii toward 2
-// (2.25 at 4, a quarter fewer candidates); the price is a cell-offset array
-// zFine times longer.
+// (2.25 at 4, a quarter fewer candidates); the price is zFine times as many
+// bins.
 const zFine = 4
 
 // Row returns owned atom i's neighbors (local indices, ascending gid).
@@ -80,10 +87,8 @@ func (nl *NeighborList) NumPairs() int { return len(nl.adj) }
 // retained across rebuilds).
 func (nl *NeighborList) Build(v *View) {
 	r := nl.Cutoff + nl.Skin
-	ncx := cellCount(v.Lx, r)
-	ncy := cellCount(v.Ly, r)
-	ncz := cellCount(v.Lz, r) * zFine
-	ncells := ncx * ncy * ncz
+	box := [3]float64{v.Lx, v.Ly, v.Lz}
+	nc := [3]int{cellCount(v.Lx, r), cellCount(v.Ly, r), cellCount(v.Lz, r) * zFine}
 	n := v.NLoc
 
 	if cap(nl.byGid) < n {
@@ -96,24 +101,45 @@ func (nl *NeighborList) Build(v *View) {
 	}
 	slices.Sort(byGid)
 
-	// Counting sort into cells. Counts go in at c+2, so after the prefix
-	// sum cs[c+1] is cell c's first slot; the fill advances it to cell
-	// c+1's first slot, which leaves cs[c]:cs[c+1] as cell c's range.
-	nl.cellStart = resizeI32(nl.cellStart, ncells+2)
+	// Per axis, which cell indices are occupied: flagged at c+1, so that the
+	// running sum leaves at c the number of occupied indices below c and at
+	// nc[a] their total.
+	var nb [3]int
+	for a := range nc {
+		nl.cellAxis[a] = resizeI32(nl.cellAxis[a], nc[a]+1)
+		ca := nl.cellAxis[a]
+		clear(ca)
+		for i := 0; i < n; i++ {
+			ca[axisCell(v.X[3*i+a], box[a], nc[a])+1] = 1
+		}
+		for c := 1; c < len(ca); c++ {
+			ca[c] += ca[c-1]
+		}
+		nb[a] = int(ca[nc[a]])
+	}
+	bx, by, bz := nl.cellAxis[0], nl.cellAxis[1], nl.cellAxis[2]
+
+	// Counting sort into bins. Counts go in at b+2, so after the prefix sum
+	// cs[b+1] is bin b's first slot; the fill advances it to bin b+1's first
+	// slot, which leaves cs[b]:cs[b+1] as bin b's range. (The bin count
+	// moves a little from rebuild to rebuild as cells at the rim empty and
+	// fill, hence the amortized growth.)
+	nbins := nb[0] * nb[1] * nb[2]
+	nl.cellStart = slices.Grow(nl.cellStart[:0], nbins+2)[:nbins+2]
 	nl.cellOf = resizeI32(nl.cellOf, n)
 	nl.cellX = resizeF64(nl.cellX, 3*n)
 	cs, cellOf, cx := nl.cellStart, nl.cellOf, nl.cellX
 	clear(cs)
 	for i := 0; i < n; i++ {
-		ax := clampCell(int(v.X[3*i]/v.Lx*float64(ncx)), ncx)
-		ay := clampCell(int(v.X[3*i+1]/v.Ly*float64(ncy)), ncy)
-		az := clampCell(int(v.X[3*i+2]/v.Lz*float64(ncz)), ncz)
-		c := int32((ax*ncy+ay)*ncz + az)
-		cellOf[i] = c
-		cs[c+2]++
+		ax := bx[axisCell(v.X[3*i], box[0], nc[0])]
+		ay := by[axisCell(v.X[3*i+1], box[1], nc[1])]
+		az := bz[axisCell(v.X[3*i+2], box[2], nc[2])]
+		b := (int(ax)*nb[1]+int(ay))*nb[2] + int(az)
+		cellOf[i] = int32(b)
+		cs[b+2]++
 	}
-	for c := 2; c < len(cs); c++ {
-		cs[c] += cs[c-1]
+	for b := 2; b < len(cs); b++ {
+		cs[b] += cs[b-1]
 	}
 	for rank, key := range byGid {
 		i := uint32(key)
@@ -129,22 +155,21 @@ func (nl *NeighborList) Build(v *View) {
 	r2cut := r * r
 	px, py, pz := v.Periods()
 	adj, row := nl.adj[:0], nl.row
-	var bx, by, bz [2][2]int
+	var runX, runY, runZ [2][2]int
 	for i := 0; i < v.NOwn; i++ {
 		nl.start[i] = int32(len(adj))
 		xi, yi, zi := v.X[3*i], v.X[3*i+1], v.X[3*i+2]
-		c := int(cellOf[i])
-		rx := bx[:cellRuns(&bx, c/(ncz*ncy), ncx, 1)]
-		ry := by[:cellRuns(&by, (c/ncz)%ncy, ncy, 1)]
-		rz := bz[:cellRuns(&bz, c%ncz, ncz, zFine)]
+		rx := runX[:cellRuns(&runX, axisCell(xi, box[0], nc[0]), nc[0], 1, bx)]
+		ry := runY[:cellRuns(&runY, axisCell(yi, box[1], nc[1]), nc[1], 1, by)]
+		rz := runZ[:cellRuns(&runZ, axisCell(zi, box[2], nc[2]), nc[2], zFine, bz)]
 		row = row[:0]
 		for _, xr := range rx {
 			for ax := xr[0]; ax < xr[1]; ax++ {
 				for _, yr := range ry {
 					for ay := yr[0]; ay < yr[1]; ay++ {
-						base := (ax*ncy + ay) * ncz
+						base := (ax*nb[1] + ay) * nb[2]
 						for _, zr := range rz {
-							// Cells adjacent along z are adjacent in slot
+							// Bins adjacent along z are adjacent in slot
 							// order: one sweep covers the whole run.
 							lo, hi := int(cs[base+zr[0]]), int(cs[base+zr[1]])
 							row = sweepRun(row, cx[3*lo:3*hi], ranks[lo:hi], xi, yi, zi, r2cut, px, py, pz)
@@ -170,23 +195,18 @@ func (nl *NeighborList) Build(v *View) {
 	nl.adj, nl.row = adj, row
 }
 
-// sweepRun appends to row the gid rank of every slot of one cell run
+// sweepRun appends to row the gid rank of every slot of one bin run
 // (coordinates xs, ranks rs) within min-image distance² r2 of the point
-// (xi, yi, zi). The loop is call-free (md.Period.Fold) and stores every
-// candidate's rank, advancing the fill only past the accepted ones, so the
-// unpredictable accept test is not a branch. The first displacement Fold
-// declines hands the rest of the run to sweepRunAny.
+// (xi, yi, zi). It stores every candidate's rank and advances the fill only
+// past the accepted ones, so the unpredictable accept test is not a branch.
 func sweepRun(row []uint32, xs []float64, rs []uint32, xi, yi, zi, r2 float64, px, py, pz md.Period) []uint32 {
 	row = slices.Grow(row, len(rs))
 	out := row[len(row) : len(row)+len(rs)]
 	n := 0
 	for s, rank := range rs {
-		dx, okx := px.Fold(xi - xs[3*s])
-		dy, oky := py.Fold(yi - xs[3*s+1])
-		dz, okz := pz.Fold(zi - xs[3*s+2])
-		if !(okx && oky && okz) {
-			return sweepRunAny(row[:len(row)+n], xs[3*s:], rs[s:], xi, yi, zi, r2, px, py, pz)
-		}
+		dx := px.MinImage(xi - xs[3*s])
+		dy := py.MinImage(yi - xs[3*s+1])
+		dz := pz.MinImage(zi - xs[3*s+2])
 		out[n] = rank
 		if dx*dx+dy*dy+dz*dz <= r2 {
 			n++
@@ -195,40 +215,32 @@ func sweepRun(row []uint32, xs []float64, rs []uint32, xi, yi, zi, r2 float64, p
 	return row[:len(row)+n]
 }
 
-// sweepRunAny is sweepRun for any displacement at all.
-func sweepRunAny(row []uint32, xs []float64, rs []uint32, xi, yi, zi, r2 float64, px, py, pz md.Period) []uint32 {
-	for s, rank := range rs {
-		dx := px.MinImage(xi - xs[3*s])
-		dy := py.MinImage(yi - xs[3*s+1])
-		dz := pz.MinImage(zi - xs[3*s+2])
-		if dx*dx+dy*dy+dz*dz <= r2 {
-			row = append(row, rank)
-		}
-	}
-	return row
-}
-
 // cellRuns fills out with the cells within h of cell c (c included) along a
-// periodic axis of n cells, as runs [first, last+1) of consecutive cells, and
-// returns the number of runs: one in the bulk, two where the neighborhood
-// wraps around the box. Where the 2h+1 cells would overlap themselves around
-// the ring (fewer than 3 list radii along the axis) the axis contributes each
-// of its cells once (same rule as md.NeighborList).
-func cellRuns(out *[2][2]int, c, n, h int) int {
+// periodic axis of n cells, as runs [first, last+1) of consecutive bin
+// coordinates (bin[c] being the occupied cell indices below c, an unoccupied
+// stretch maps to an empty run), and returns the number of runs: one in the
+// bulk, two where the neighborhood wraps around the box. Where the 2h+1 cells
+// would overlap themselves around the ring (fewer than 3 list radii along the
+// axis) the axis contributes each of its cells once (same rule as
+// md.NeighborList).
+func cellRuns(out *[2][2]int, c, n, h int, bin []int32) int {
 	switch {
 	case n <= 2*h+1:
-		out[0] = [2]int{0, n}
+		out[0] = binRun(bin, 0, n)
 	case c < h:
-		out[0], out[1] = [2]int{0, c + h + 1}, [2]int{n + c - h, n}
+		out[0], out[1] = binRun(bin, 0, c+h+1), binRun(bin, n+c-h, n)
 		return 2
 	case c+h >= n:
-		out[0], out[1] = [2]int{0, c + h + 1 - n}, [2]int{c - h, n}
+		out[0], out[1] = binRun(bin, 0, c+h+1-n), binRun(bin, c-h, n)
 		return 2
 	default:
-		out[0] = [2]int{c - h, c + h + 1}
+		out[0] = binRun(bin, c-h, c+h+1)
 	}
 	return 1
 }
+
+// binRun maps cells [lo, hi) of one axis to their run of bin coordinates.
+func binRun(bin []int32, lo, hi int) [2]int { return [2]int{int(bin[lo]), int(bin[hi])} }
 
 // rankSet is a set of small integers (gid ranks below the local atom count)
 // that gives its members back in ascending order without comparing them: a
@@ -293,6 +305,12 @@ func (s *rankSet) drain(adj []int32, byGid []uint64, skip int32) []int32 {
 // decided by the min-image distance test (which delegates to md). A
 // divergence here could cost completeness, never bitwise reproducibility —
 // and completeness is cross-checked against brute force in the tests.
+
+// axisCell returns the cell index of coordinate x along an axis of length l
+// cut into n cells.
+func axisCell(x, l float64, n int) int {
+	return clampCell(int(x/l*float64(n)), n)
+}
 
 func cellCount(l, r float64) int {
 	n := int(math.Floor(l / r))

@@ -197,44 +197,30 @@ func TestBuildMatchesLinkedCellReferenceOnBalancedGrid(t *testing.T) {
 	}
 }
 
-// TestCallFreeLoopsMatchGeneralLoops: the Fold-based pair loops (sweepRun,
-// ljKernel.row) and the MinImage-based loops they fall back to return the
-// same bits, in a roomy box where Fold never declines and in boxes of about
-// two list radii where it declines mid-run.
-func TestCallFreeLoopsMatchGeneralLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	declined := false
-	for _, l := range []float64{20, 4.1, 3.7, 3.0} {
-		px, py, pz := md.NewPeriod(l), md.NewPeriod(0.9*l), md.NewPeriod(1.1*l)
-		const n = 300
-		x := make([]float64, 3*n)
-		ranks := make([]uint32, n)
-		row := make([]int32, n)
-		for i := 0; i < n; i++ {
-			x[3*i], x[3*i+1], x[3*i+2] = rng.Float64()*px.L, rng.Float64()*py.L, rng.Float64()*pz.L
-			ranks[i], row[i] = uint32(i), int32(i)
-		}
-		k := ljKernel{rc2: 2.25, sig2: 1, eps4: 4 * testEps, eps24: 24 * testEps, px: px, py: py, pz: pz}
-		for i := 0; i < n; i += 7 {
-			xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
-			fast := sweepRun(nil, x, ranks, xi, yi, zi, 3.24, px, py, pz)
-			if any := sweepRunAny(nil, x, ranks, xi, yi, zi, 3.24, px, py, pz); !slices.Equal(fast, any) {
-				t.Fatalf("box %g atom %d: sweepRun %v, sweepRunAny %v", l, i, fast, any)
-			}
-			fx, fy, fz, pe := k.row(x, row, xi, yi, zi, 0.125)
-			ax, ay, az, ape := k.rowAny(x, row, xi, yi, zi, 0, 0, 0, 0.125)
-			for c, p := range [4][2]float64{{fx, ax}, {fy, ay}, {fz, az}, {pe, ape}} {
-				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-					t.Fatalf("box %g atom %d component %d: row %v, rowAny %v", l, i, c, p[0], p[1])
-				}
-			}
-			for j := 0; j < n; j++ {
-				_, ok := px.Fold(xi - x[3*j])
-				declined = declined || !ok
-			}
-		}
+// TestBuildBinsOnlyOccupiedCells: a rank whose atoms sit in one corner of a
+// large box, wrapped around the x boundary like an edge rank's halo, bins
+// them over the cells they occupy — the bin offsets do not grow with the
+// global cell count — and still reproduces the reference list.
+func TestBuildBinsOnlyOccupiedCells(t *testing.T) {
+	const cutoff, skin = 1.5, 0.3 // list radius 1.8
+	box := [3]float64{90, 90, 90} // 50 x 50 x 200 cells
+	rng := rand.New(rand.NewSource(17))
+	v := randomView(rng, 600, 400, 100, [3]float64{8, 9, 7})
+	v.Lx, v.Ly, v.Lz = box[0], box[1], box[2]
+	for i := 0; i < v.NLoc; i++ {
+		v.X[3*i] = md.Wrap1(v.X[3*i]-4, box[0]) // x in [86, 90) and [0, 4]
+		v.X[3*i+1] += 20
+		v.X[3*i+2] += 33
 	}
-	if !declined {
-		t.Error("Fold never declined: the fallback loops were not exercised")
+	nl := &NeighborList{Cutoff: cutoff, Skin: skin}
+	nl.Build(v)
+	assertSameList(t, "corner of a large box", nl, v)
+	if nl.NumPairs() == 0 {
+		t.Fatal("no pairs: the view is too sparse to test anything")
+	}
+	// At most 6 x 7 x 18 occupied cell indices per axis (extent / cell size,
+	// plus the partial cells at either end).
+	if got, most := len(nl.cellStart), 6*7*18+2; got > most {
+		t.Errorf("%d bin offsets for a corner of the box, want at most %d (global cells: %d)", got, most, 50*50*200)
 	}
 }
