@@ -14,6 +14,14 @@
 #                  RunRecovered shrink-and-resume driver too), the coverage
 #                  floor, a short fuzz smoke (FuzzReadHandshake covers the
 #                  generation-tagged wire handshake), and the docs gate
+#   make vet     - go vet ./... (asmdecl checks the amd64 assembly against its
+#                  Go declarations), a cross-vet of the kernel-tier packages
+#                  for arm64 (the stub/reference side of every *_amd64 file
+#                  must keep compiling), and the asm-nofma guard
+#   make asm-nofma - fail if any *.s under internal/ contains a fused
+#                  multiply-add mnemonic: the vector kernels are bit-identical
+#                  to their Go references only because every product is
+#                  rounded before it is added
 #   make lint    - run cmd/mlmdlint (the internal/lint analyzer suite:
 #                  noalloc, detrange, poolonly, ascendsum, wiresafe) over
 #                  ./... and fail on any finding; docs/lint.md documents the
@@ -32,7 +40,8 @@
 #   make fuzz    - 10s native-fuzz smoke per mlmdio deserializer and per
 #                  wire frame decoder (the multi-process rank transport), plus
 #                  the bitwise equivalence harnesses (batched MLP, halo pack,
-#                  min-image fast path vs formula)
+#                  min-image fast path vs formula, complex128 vector kernels
+#                  vs their Go references)
 #   make benchmark-check - go vet + go test inside benchmark/ (a module of its
 #                  own, which ./... never reaches)
 #   make bench-ab A=<ref> B=<ref> [SEEDS=10] [BENCH_SECONDS=10] - the gate for
@@ -104,13 +113,18 @@ WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 MD_FUZZ_TARGETS   = FuzzMinImage1
+LINALG_FUZZ_TARGETS = FuzzZKernels
 FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).
 DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./internal/par ./internal/allegro ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint
 
-.PHONY: check fmt vet lint build test race race-full cover fuzz docs benchmark-check bench-ab bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
+# Packages with architecture-specific files (assembly kernels and their
+# stubs) or that call them: cross-vetted for a non-amd64 GOARCH.
+ARCH_PKGS = ./internal/linalg ./internal/tddft ./internal/core
+
+.PHONY: check fmt vet asm-nofma lint build test race race-full cover fuzz docs benchmark-check bench-ab bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
 
 check: fmt vet lint build test race cover fuzz docs benchmark-check
 
@@ -129,8 +143,13 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-vet:
+vet: asm-nofma
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet $(ARCH_PKGS)
+
+asm-nofma:
+	@if grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB' internal/; then \
+		echo "fused multiply-add in assembly: the kernels must stay bit-identical to their Go references"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -180,6 +199,10 @@ fuzz:
 	@for f in $(MD_FUZZ_TARGETS); do \
 		echo "fuzz $$f ($(FUZZ_TIME))"; \
 		$(GO) test ./internal/md -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
+	done
+	@for f in $(LINALG_FUZZ_TARGETS); do \
+		echo "fuzz $$f ($(FUZZ_TIME))"; \
+		$(GO) test ./internal/linalg -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
 	done
 
 # The gated benchmark is a nested module: ./... above never builds, vets or

@@ -319,3 +319,54 @@ func TestRankFailedErrorShape(t *testing.T) {
 		t.Error("AsRankFailure rejected a real failure")
 	}
 }
+
+// TestRecvAfterFailureBlamesLatchedRank pins the failure-path rule that a
+// receive woken by the failure latch reports the latched root cause, not
+// the peer it happened to be waiting on: rank 1 crashes (latched), then
+// rank 2 — having noticed — leaves with an orderly bye, which closes its
+// inbox on rank 0. A recv(2) on rank 0 now sees both the closed inbox and
+// the fired latch; whichever select arm wins, the panic must name rank 1.
+// (The latch arm used to build a fresh "rank 2 failed: peer said goodbye"
+// error, which failed TestKillWorkerMidRun about one run in ten under load.)
+func TestRecvAfterFailureBlamesLatchedRank(t *testing.T) {
+	dir := skipWithoutUnixSockets(t)
+	trs := startSocketMesh(t, dir, 3, [3]int{3, 1, 1})
+	tr := trs[0]
+
+	trs[1].Abort() // rank 1 crashes: no bye
+	select {
+	case <-tr.failedCh:
+	case <-time.After(failureDeadline):
+		t.Fatal("rank 0 never latched rank 1's crash")
+	}
+	latched := tr.failed.Load()
+	if latched == nil || latched.Rank != 1 {
+		t.Fatalf("latched failure %v, want rank 1", latched)
+	}
+
+	trs[2].Close() // rank 2 leaves in an orderly way, after the failure
+	deadline := time.Now().Add(failureDeadline)
+	for closed := false; !closed; {
+		select {
+		case _, ok := <-tr.inbox[2]:
+			closed = !ok
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("rank 2's bye never closed its inbox on rank 0")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if !tr.peerLeft(2) {
+		t.Fatal("rank 2's inbox closed without a recorded bye")
+	}
+
+	// Both select arms of recv are ready now and Go picks one at random:
+	// repeat until each has surely been taken.
+	for i := 0; i < 64; i++ {
+		rf := recvFailure(t, func() { tr.recv(2) })
+		if rf != latched {
+			t.Fatalf("attempt %d: recv(2) panicked with %v, want the latched %v", i, rf, latched)
+		}
+	}
+}

@@ -442,9 +442,12 @@ func (t *SocketTransport) sendFailed(dst int, err error) *RankFailedError {
 }
 
 // recvClosed picks the panic value when src's inbox closed under a blocked
-// recv. A crashed src was already latched by its read loop; a graceful bye
-// from src means the root cause is elsewhere in the mesh — wait for it to
-// latch before blaming a rank that shut down cleanly.
+// recv. A crashed src was latched by its read loop before the inbox closed;
+// a graceful bye from src means the root cause is elsewhere in the mesh —
+// wait for it to latch before blaming a rank that shut down cleanly. Either
+// way the latch, once set, is the answer: it names the first failure this
+// survivor saw, so every report stays consistent when several ranks die in
+// one window. Only a bye with nothing ever latched blames src itself.
 func (t *SocketTransport) recvClosed(src int) *RankFailedError {
 	if t.peerLeft(src) {
 		select {
@@ -452,9 +455,9 @@ func (t *SocketTransport) recvClosed(src int) *RankFailedError {
 		case <-t.stop:
 		case <-time.After(t.grace()):
 		}
-		if f := t.failed.Load(); f != nil {
-			return f
-		}
+	}
+	if f := t.failed.Load(); f != nil {
+		return f
 	}
 	return t.lostRank(src)
 }
@@ -627,13 +630,16 @@ func (t *SocketTransport) recv(src int) sockMsg {
 		return m
 	case <-t.failedCh:
 		// Prefer a frame that raced in ahead of the failure signal, so the
-		// failure report never precedes data already delivered.
+		// failure report never precedes data already delivered. A closed
+		// inbox is not a frame: whether src crashed (and was latched by its
+		// read loop) or said an orderly goodbye after the failure, the
+		// latch holds the root cause — blaming src here would name a rank
+		// that merely shut down cleanly.
 		select {
 		case m, ok := <-t.inbox[src]:
 			if ok {
 				return m
 			}
-			panic(t.lostRank(src))
 		default:
 		}
 		panic(t.failed.Load())

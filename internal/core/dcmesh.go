@@ -90,6 +90,12 @@ type DomainState struct {
 	// XCell is the Maxwell-grid cell this domain's macroscopic position
 	// maps to (the X(α) of Eq. 3).
 	XCell int
+
+	// Per-MD-step scratch, reused so advanceDomain does not allocate: the
+	// occupation hand-off and the Norb×Norb overlap matrix of the
+	// nonadiabatic couplings.
+	occ     []float64
+	overlap []complex128
 }
 
 // DCMESH is the assembled quantum-dynamics module.
@@ -100,6 +106,13 @@ type DCMESH struct {
 	Field   *maxwell.Field
 	time    float64
 	step    int
+
+	// aHist is the sampled vector potential of one MD step, domain-major:
+	// aHist[di*NQD+q] = A_x(X_di) at QD sub-step q, so each domain's history
+	// is one contiguous slice. nExc is the gathered result MDStep returns.
+	// Both are reused across steps.
+	aHist []float64
+	nExc  []float64
 }
 
 // NewDCMESH builds the module: decomposition, per-domain ground states
@@ -130,39 +143,64 @@ func NewDCMESH(cfg DCMESHConfig) (*DCMESH, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &DCMESH{Cfg: cfg, Decomp: decomp, Field: field}
-	for _, dom := range decomp.Domains() {
-		lg := decomp.LocalGrid(dom)
-		h := tddft.NewHamiltonian(lg, grid.Order2)
-		// Default external potential: a soft harmonic confinement per
-		// domain (replaced by SetExternalPotential for material runs).
-		tddft.HarmonicPotential(lg, 0.04, h.Vloc)
-		psi, energies := tddft.GroundState(h, cfg.Norb, cfg.GroundIters, cfg.Seed+int64(dom.ID))
-		occ0 := make([]float64, cfg.Norb)
-		for s := 0; s < cfg.Norb/2; s++ {
-			occ0[s] = 1 // lower half occupied: a gapped "valence band"
+	domains := decomp.Domains()
+	m := &DCMESH{
+		Cfg: cfg, Decomp: decomp, Field: field,
+		Domains: make([]*DomainState, len(domains)),
+		aHist:   make([]float64, len(domains)*cfg.NQD),
+		nExc:    make([]float64, len(domains)),
+	}
+	// The domain ground states are independent and seeded by domain ID, so
+	// they are prepared side by side on the worker pool; every domain lands
+	// in its own slot, whatever the worker count.
+	errs := make([]error, len(domains))
+	par.For(len(domains), 1, func(lo, hi, _ int) {
+		for di := lo; di < hi; di++ {
+			m.Domains[di], errs[di] = newDomainState(cfg, decomp, field, domains[di])
 		}
-		shState, err := sh.NewState(energies, occ0, cfg.KT, cfg.Seed+1000+int64(dom.ID))
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		prop, err := tddft.NewPropagator(h, cfg.Impl)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.NonlocalDelta != 0 {
-			prop.NL = &tddft.Scissor{Delta: cfg.NonlocalDelta, Mode: cfg.NonlocalMode}
-			prop.Psi0 = psi.Clone()
-		}
-		xMid := (float64(dom.Cx) + float64(dom.CNx)/2) * cfg.Global.Hx
-		m.Domains = append(m.Domains, &DomainState{
-			Dom: dom, G: lg, H: h, Prop: prop,
-			Psi: psi, Psi0: psi.Clone(), SH: shState,
-			Occ0: occ0, Energy: energies,
-			XCell: field.CellFor(xMid),
-		})
 	}
 	return m, nil
+}
+
+// newDomainState prepares one domain: its local Hamiltonian, ground state
+// Ψ(0), surface-hopping state and propagator.
+func newDomainState(cfg DCMESHConfig, decomp *dc.Decomposition, field *maxwell.Field, dom dc.Domain) (*DomainState, error) {
+	lg := decomp.LocalGrid(dom)
+	h := tddft.NewHamiltonian(lg, grid.Order2)
+	// Default external potential: a soft harmonic confinement per
+	// domain (replaced by SetExternalPotential for material runs).
+	tddft.HarmonicPotential(lg, 0.04, h.Vloc)
+	psi, energies := tddft.GroundState(h, cfg.Norb, cfg.GroundIters, cfg.Seed+int64(dom.ID))
+	occ0 := make([]float64, cfg.Norb)
+	for s := 0; s < cfg.Norb/2; s++ {
+		occ0[s] = 1 // lower half occupied: a gapped "valence band"
+	}
+	shState, err := sh.NewState(energies, occ0, cfg.KT, cfg.Seed+1000+int64(dom.ID))
+	if err != nil {
+		return nil, err
+	}
+	prop, err := tddft.NewPropagator(h, cfg.Impl)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.NonlocalDelta != 0 {
+		prop.NL = &tddft.Scissor{Delta: cfg.NonlocalDelta, Mode: cfg.NonlocalMode}
+		prop.Psi0 = psi.Clone()
+	}
+	xMid := (float64(dom.Cx) + float64(dom.CNx)/2) * cfg.Global.Hx
+	return &DomainState{
+		Dom: dom, G: lg, H: h, Prop: prop,
+		Psi: psi, Psi0: psi.Clone(), SH: shState,
+		Occ0: occ0, Energy: energies,
+		XCell:   field.CellFor(xMid),
+		occ:     make([]float64, cfg.Norb),
+		overlap: make([]complex128, cfg.Norb*cfg.Norb),
+	}, nil
 }
 
 // SetExternalPotential installs a global external potential (e.g. the ionic
@@ -183,22 +221,11 @@ func (m *DCMESH) Time() float64 { return m.time }
 // paper's one-rank-per-domain map), followed by the surface-hopping
 // occupation update at the MD cadence, and returns the per-domain
 // photoexcited-electron counts n_exc (the MPI-gathered quantity of
-// Sec. V.A.8).
+// Sec. V.A.8). The returned slice is owned by the module and overwritten by
+// the next MDStep; copy it to keep it.
 func (m *DCMESH) MDStep() []float64 {
 	cfg := m.Cfg
-	// Sub-cycle the FDTD field across the MD step, recording A(X_α) per QD
-	// step for every domain (field cells are shared read-only between
-	// domain goroutines once precomputed).
-	aHist := make([][]float64, cfg.NQD)
-	fieldSteps := int(math.Ceil(cfg.DtQD / m.Field.Dt))
-	for q := 0; q < cfg.NQD; q++ {
-		m.Field.DriveSteps(cfg.Pulse, 0, fieldSteps)
-		row := make([]float64, len(m.Domains))
-		for di, d := range m.Domains {
-			row[di] = m.Field.Sample(d.XCell)
-		}
-		aHist[q] = row
-	}
+	m.sampleField()
 	// Ehrenfest propagation per domain, data-parallel on the shared worker
 	// pool (the paper's one-rank-per-domain map; the shadow-dynamics
 	// survival/occupation hand-off happens inside advanceDomain). Domain
@@ -206,7 +233,7 @@ func (m *DCMESH) MDStep() []float64 {
 	// without oversubscribing.
 	par.For(len(m.Domains), 1, func(lo, hi, _ int) {
 		for di := lo; di < hi; di++ {
-			m.advanceDomain(m.Domains[di], aHist, di)
+			m.advanceDomain(m.Domains[di], m.domainField(di))
 		}
 	})
 	m.step++
@@ -215,11 +242,31 @@ func (m *DCMESH) MDStep() []float64 {
 		m.feedCurrents()
 	}
 	// Gather n_exc (the once-per-MD-step collective).
-	out := make([]float64, len(m.Domains))
 	for i, d := range m.Domains {
-		out[i] = d.NExc
+		m.nExc[i] = d.NExc
 	}
-	return out
+	return m.nExc
+}
+
+// sampleField sub-cycles the FDTD field across one MD step, recording
+// A(X_α) per QD sub-step for every domain into aHist (field cells are shared
+// read-only between domain goroutines once sampled).
+func (m *DCMESH) sampleField() {
+	cfg := m.Cfg
+	fieldSteps := int(math.Ceil(cfg.DtQD / m.Field.Dt))
+	for q := 0; q < cfg.NQD; q++ {
+		m.Field.DriveSteps(cfg.Pulse, 0, fieldSteps)
+		for di, d := range m.Domains {
+			m.aHist[di*cfg.NQD+q] = m.Field.Sample(d.XCell)
+		}
+	}
+}
+
+// domainField is domain di's vector-potential history of the current MD
+// step: one value per QD sub-step.
+func (m *DCMESH) domainField(di int) []float64 {
+	nqd := m.Cfg.NQD
+	return m.aHist[di*nqd : (di+1)*nqd]
 }
 
 // feedCurrents computes each domain's electric current and installs it as
@@ -245,7 +292,7 @@ func (m *DCMESH) FieldEnergy() float64 { return m.Field.Energy() }
 // overlaps between Ψ(0) and Ψ(t) within a domain.
 func (m *DCMESH) domainCouplings(d *DomainState, dt float64) []sh.Coupling {
 	norb := d.Psi.Norb
-	o := make([]complex128, norb*norb)
+	o := d.overlap // only the strict upper triangle is written and read
 	dv := complex(d.G.DV(), 0)
 	n := d.G.Len()
 	for a := 0; a < norb; a++ {

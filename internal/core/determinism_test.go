@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"mlmd/internal/ferro"
+	"mlmd/internal/grid"
 	"mlmd/internal/md"
 	"mlmd/internal/par"
 )
@@ -130,4 +132,136 @@ func TestLJWorkerCountDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// domainBits flattens everything NewDCMESH prepares and MDStep advances —
+// per domain Ψ, Ψ(0), the orbital energies, v_loc and the surface-hopping
+// occupations — into raw bits, in domain-slot order.
+func domainBits(m *DCMESH) []uint64 {
+	var bits []uint64
+	for _, d := range m.Domains {
+		bits = append(bits, uint64(d.Dom.ID), uint64(d.XCell))
+		for _, field := range [][]complex128{d.Psi.Data, d.Psi0.Data} {
+			for _, z := range field {
+				bits = append(bits, math.Float64bits(real(z)), math.Float64bits(imag(z)))
+			}
+		}
+		for _, vals := range [][]float64{d.Energy, d.H.Vloc, d.SH.F} {
+			for _, v := range vals {
+				bits = append(bits, math.Float64bits(v))
+			}
+		}
+	}
+	return bits
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []uint64) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// smallScissorDCMESH is a quick 8-domain module with the scissor on.
+func smallScissorDCMESH(t *testing.T) *DCMESH {
+	t.Helper()
+	cfg := DefaultDCMESHConfig()
+	cfg.NQD = 6
+	cfg.GroundIters = 10
+	cfg.NonlocalDelta = complex(0, 1e-6)
+	m, err := NewDCMESH(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestDCMESHDeterministicAcrossWorkerCounts extends the worker-count
+// contract to the quantum-dynamics module: ground-state preparation (one
+// pool task per domain), two MD steps of driven sub-steps with the scissor
+// on (vector kernels under every domain) and the surface-hopping hand-off
+// leave Ψ and the occupations bitwise identical at 1, 2, 4 and 7 workers.
+func TestDCMESHDeterministicAcrossWorkerCounts(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+
+	run := func() []uint64 {
+		m := smallScissorDCMESH(t)
+		m.MDStep()
+		m.MDStep()
+		return domainBits(m)
+	}
+	par.SetWorkers(1)
+	ref := run()
+	if firstDiff(domainBits(smallScissorDCMESH(t)), ref) < 0 {
+		t.Fatal("two MD steps left the state untouched — the comparison below would be vacuous")
+	}
+	for _, w := range []int{2, 4, 7} {
+		par.SetWorkers(w)
+		if i := firstDiff(run(), ref); i >= 0 {
+			t.Fatalf("workers=%d: state differs from the 1-worker run at word %d", w, i)
+		}
+	}
+}
+
+// TestNewDCMESHMatchesSerialPreparation: preparing the domains side by side
+// on the pool yields, field for field and slot for slot, the bits of
+// preparing them one after another — at 1, 2 and 4 workers.
+func TestNewDCMESHMatchesSerialPreparation(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+
+	par.SetWorkers(1)
+	serial := smallScissorDCMESH(t)
+	for di, dom := range serial.Decomp.Domains() {
+		// The serial preparation: one newDomainState after another.
+		d, err := newDomainState(serial.Cfg, serial.Decomp, serial.Field, dom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Domains[di] = d
+	}
+	want := domainBits(serial)
+	for _, w := range []int{1, 2, 4} {
+		par.SetWorkers(w)
+		if i := firstDiff(domainBits(smallScissorDCMESH(t)), want); i >= 0 {
+			t.Fatalf("workers=%d: prepared state differs from the serial preparation at word %d", w, i)
+		}
+	}
+}
+
+// TestMDStepAllocsIndependentOfNQD: the field history, occupation and
+// overlap scratch and the result slice live in the module, and a domain's
+// sub-steps run without pool closures, so what one MDStep allocates does
+// not grow with the number of QD sub-steps.
+func TestMDStepAllocsIndependentOfNQD(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+	par.SetWorkers(1) // inline pool: count the module's own allocations only
+
+	allocs := func(nqd int) float64 {
+		cfg := DefaultDCMESHConfig()
+		cfg.Global = grid.NewCubic(8, 0.8)
+		cfg.Dx, cfg.Dy, cfg.Dz = 2, 1, 1
+		cfg.NQD = nqd
+		cfg.GroundIters = 5
+		cfg.NonlocalDelta = complex(0, 1e-6)
+		m, err := NewDCMESH(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.MDStep() // first call grows the scratch
+		return testing.AllocsPerRun(5, func() { m.MDStep() })
+	}
+	few, many := allocs(2), allocs(16)
+	if many > few {
+		t.Errorf("MDStep allocates %v objects at NQD=16 but %v at NQD=2", many, few)
+	}
+	t.Logf("MDStep allocations: %v at NQD=2, %v at NQD=16", few, many)
 }

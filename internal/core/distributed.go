@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -35,16 +34,7 @@ func (m *DCMESH) MDStepDistributed(comm *cluster.Comm) (*DistributedResult, erro
 	cfg := m.Cfg
 	// Field sub-cycling is global (the light field is shared state): do it
 	// once up front, as in the serial path.
-	aHist := make([][]float64, cfg.NQD)
-	fieldSteps := int(math.Ceil(cfg.DtQD / m.Field.Dt))
-	for q := 0; q < cfg.NQD; q++ {
-		m.Field.DriveSteps(cfg.Pulse, 0, fieldSteps)
-		row := make([]float64, len(m.Domains))
-		for di, d := range m.Domains {
-			row[di] = m.Field.Sample(d.XCell)
-		}
-		aHist[q] = row
-	}
+	m.sampleField()
 	// Rank goroutines coordinate through Gather/Barrier and must all run
 	// concurrently, so this fan-out deliberately stays on raw goroutines:
 	// the par pool schedules independent tasks and does not guarantee
@@ -61,7 +51,7 @@ func (m *DCMESH) MDStepDistributed(comm *cluster.Comm) (*DistributedResult, erro
 			var local []float64
 			for di := rank; di < len(m.Domains); di += p {
 				d := m.Domains[di]
-				m.advanceDomain(d, aHist, di)
+				m.advanceDomain(d, m.domainField(di))
 				local = append(local, float64(di), d.NExc)
 			}
 			comm.AdvanceClock(rank, time.Since(start).Seconds())
@@ -90,15 +80,13 @@ func (m *DCMESH) MDStepDistributed(comm *cluster.Comm) (*DistributedResult, erro
 }
 
 // advanceDomain runs the per-domain Ehrenfest + SH update (shared with the
-// serial MDStep).
-func (m *DCMESH) advanceDomain(d *DomainState, aHist [][]float64, di int) {
+// serial MDStep): ax is the domain's vector-potential history, one value per
+// QD sub-step.
+func (m *DCMESH) advanceDomain(d *DomainState, ax []float64) {
 	cfg := m.Cfg
-	for q := 0; q < cfg.NQD; q++ {
-		d.H.Ax = aHist[q][di]
-		d.Prop.Step(d.Psi, cfg.DtQD)
-	}
+	d.Prop.RunDriven(d.Psi, cfg.DtQD, ax)
 	surv := tddft.ProjectOccupations(d.Psi0, d.Psi)
-	occ := make([]float64, cfg.Norb)
+	occ := d.occ
 	var promoted float64
 	for s := range occ {
 		occ[s] = d.Occ0[s] * surv[s]

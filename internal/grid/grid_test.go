@@ -157,6 +157,57 @@ func TestGramSchmidt(t *testing.T) {
 	}
 }
 
+// gramSchmidtAtSet is the element-accessor form GramSchmidt replaced: the
+// same modified Gram-Schmidt through At/Set, every sum in ascending mesh
+// order.
+func gramSchmidtAtSet(w *WaveField) {
+	n := w.G.Len()
+	dv := complex(w.G.DV(), 0)
+	for s := 0; s < w.Norb; s++ {
+		for r := 0; r < s; r++ {
+			var ov complex128
+			for g := 0; g < n; g++ {
+				ov += cmplx.Conj(w.At(g, r)) * w.At(g, s)
+			}
+			ov *= dv
+			for g := 0; g < n; g++ {
+				w.Set(g, s, w.At(g, s)-ov*w.At(g, r))
+			}
+		}
+		var sum float64
+		for g := 0; g < n; g++ {
+			v := w.At(g, s)
+			sum += real(v)*real(v) + imag(v)*imag(v)
+		}
+		if n2 := sum * w.G.DV(); n2 > 0 {
+			scale := complex(1/math.Sqrt(n2), 0)
+			for g := 0; g < n; g++ {
+				w.Set(g, s, w.At(g, s)*scale)
+			}
+		}
+	}
+}
+
+// TestGramSchmidtStridedMatchesAccessors: indexing Data directly with
+// hoisted strides keeps the summation order, so the bits are those of the
+// At/Set walk in both layouts.
+func TestGramSchmidtStridedMatchesAccessors(t *testing.T) {
+	g := New(4, 6, 5, 0.8, 0.7, 0.9)
+	for _, layout := range []Layout{LayoutSoA, LayoutAoS} {
+		w := NewWaveField(g, 5, layout)
+		fillRandomField(w, 11)
+		want := w.Clone()
+		w.GramSchmidt()
+		gramSchmidtAtSet(want)
+		for i := range want.Data {
+			if math.Float64bits(real(w.Data[i])) != math.Float64bits(real(want.Data[i])) ||
+				math.Float64bits(imag(w.Data[i])) != math.Float64bits(imag(want.Data[i])) {
+				t.Fatalf("%v: Data[%d] = %v, accessor walk gives %v", layout, i, w.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestDensityIntegratesToElectronCount(t *testing.T) {
 	g := NewCubic(6, 0.8)
 	w := NewWaveField(g, 3, LayoutSoA)

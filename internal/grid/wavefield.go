@@ -71,6 +71,16 @@ func (w *WaveField) Set(gIdx, s int, v complex128) {
 	}
 }
 
+// strides returns the Data strides of the orbital and mesh-point indices:
+// orbital s at point g is Data[s*orb+g*pt] in either layout. Loops over the
+// whole mesh hoist them instead of branching on the layout per element.
+func (w *WaveField) strides() (orb, pt int) {
+	if w.Layout == LayoutSoA {
+		return 1, w.Norb
+	}
+	return w.G.Len(), 1
+}
+
 // Clone returns a deep copy of the field.
 func (w *WaveField) Clone() *WaveField {
 	c := &WaveField{G: w.G, Norb: w.Norb, Layout: w.Layout, Data: make([]complex128, len(w.Data))}
@@ -111,8 +121,9 @@ func (w *WaveField) Norm2(s int) float64 {
 	dv := w.G.DV()
 	sum := 0.0
 	n := w.G.Len()
-	for g := 0; g < n; g++ {
-		v := w.At(g, s)
+	so, sg := w.strides()
+	for g, i := 0, s*so; g < n; g, i = g+1, i+sg {
+		v := w.Data[i]
 		sum += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return sum * dv
@@ -172,25 +183,28 @@ func (w *WaveField) Density(dst []float64, occ []float64) {
 }
 
 // GramSchmidt orthonormalizes the orbitals in place (modified Gram-Schmidt).
+// Every sum runs over the mesh in ascending point order.
 func (w *WaveField) GramSchmidt() {
 	n := w.G.Len()
 	dv := complex(w.G.DV(), 0)
+	so, sg := w.strides()
+	data := w.Data
 	for s := 0; s < w.Norb; s++ {
 		for r := 0; r < s; r++ {
 			var ov complex128
-			for g := 0; g < n; g++ {
-				ov += cmplx.Conj(w.At(g, r)) * w.At(g, s)
+			for g, is, ir := 0, s*so, r*so; g < n; g, is, ir = g+1, is+sg, ir+sg {
+				ov += cmplx.Conj(data[ir]) * data[is]
 			}
 			ov *= dv
-			for g := 0; g < n; g++ {
-				w.Set(g, s, w.At(g, s)-ov*w.At(g, r))
+			for g, is, ir := 0, s*so, r*so; g < n; g, is, ir = g+1, is+sg, ir+sg {
+				data[is] -= ov * data[ir]
 			}
 		}
 		n2 := w.Norm2(s)
 		if n2 > 0 {
 			scale := complex(1/math.Sqrt(n2), 0)
-			for g := 0; g < n; g++ {
-				w.Set(g, s, w.At(g, s)*scale)
+			for g, is := 0, s*so; g < n; g, is = g+1, is+sg {
+				data[is] *= scale
 			}
 		}
 	}

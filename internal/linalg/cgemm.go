@@ -105,29 +105,48 @@ const blockSize = 48
 // sharded over the shared worker pool. Beta scaling is fused into each row
 // chunk so C is traversed once.
 //
+// Accumulation order (row-major B, the production path): k is cut into
+// blocks of blockSize from 0; within a block each C[i][j] sums its products
+// op(A)[i,p]·B[p,j] from zero in ascending p, and the block sum is scaled by
+// alpha once and added to C[i][j] — blocks in ascending order. That order
+// depends on the problem shape only, never on the row chunking, so results
+// are bitwise independent of the worker count; the work is sharded over C
+// rows and never over p, also for the Gram shape (small m, long k). The
+// per-tile work runs on the zgemmTile kernel (AVX2 where available, else
+// its bit-identical Go reference).
+//
 //mlmd:hotpath
 func CGEMMBlocked(opA, opB Op, m, n, k int, alpha complex128, a []complex128, lda int, b []complex128, ldb int, beta complex128, c []complex128, ldc int) {
 	checkGEMMArgs(opA, opB, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
-	par.For(m, gemmRowGrain(n, k, 8), func(lo, hi, _ int) {
+	AddFlops(CGEMMFlops(m, n, k))
+	// The micro-kernel runs about 4x the rate gemmRowGrain's ~1 MFLOP chunk
+	// was sized for, so a chunk holds 4x the rows (still ~250 µs). A
+	// problem of one chunk — both scissor products of a DC-MESH domain —
+	// runs inline, without a pool closure.
+	grain := 4 * gemmRowGrain(n, k, 8)
+	if m <= grain {
+		scaleRows(0, m, n, beta, c, ldc)
+		cgemmAccumRange(opA, opB, 0, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		return
+	}
+	par.For(m, grain, func(lo, hi, _ int) {
 		scaleRows(lo, hi, n, beta, c, ldc)
 		cgemmAccumRange(opA, opB, lo, hi, n, k, alpha, a, lda, b, ldb, c, ldc)
 	})
-	AddFlops(CGEMMFlops(m, n, k))
 }
 
 // cgemmAccumRange accumulates alpha*op(A)*op(B) into C for rows [i0,i1).
-// Row-major B goes through the shared register-tile kernel; the
+// Row-major B goes through the zgemmTile micro-kernel; the
 // conjugate-transpose B fallback keeps the straightforward blocked loop.
 //
 //mlmd:hotpath
 func cgemmAccumRange(opA, opB Op, i0, i1, n, k int, alpha complex128, a []complex128, lda int, b []complex128, ldb int, c []complex128, ldc int) {
-	getA := func(i, p int) complex128 { return alpha * getOp(a, lda, opA, i, p) }
 	for ii := i0; ii < i1; ii += blockSize {
 		iMax := min(ii+blockSize, i1)
 		for pp := 0; pp < k; pp += blockSize {
 			pMax := min(pp+blockSize, k)
 			if opB == NoTrans {
-				tileNoTransB(blockSize, getA, ii, iMax, pp, pMax, n, b, ldb, c, ldc)
+				zgemmTile(opA, ii, iMax, pp, pMax, n, alpha, a, lda, b, ldb, c, ldc)
 				continue
 			}
 			for jj := 0; jj < n; jj += blockSize {

@@ -1,15 +1,16 @@
 package linalg
 
 // gemmElem is any element type the shared register-tile kernel supports.
-// Go stencils a separate instantiation per element size, so the float32,
-// complex64, and complex128 kernels all compile to specialized code.
+// Go stencils a separate instantiation per element size, so each kernel
+// compiles to specialized code.
 type gemmElem interface {
 	~float32 | ~float64 | ~complex64 | ~complex128
 }
 
 // tileNoTransB accumulates op(A)·B (with alpha folded into getA) into C
 // rows [ii,iMax) over the k-range [pp,pMax), for row-major B. It is the
-// one shared hot kernel behind GEMM32, CGEMMBlocked, and CGEMM32Parallel:
+// shared hot kernel behind GEMM32 and CGEMM32Parallel (complex128 has its
+// own micro-kernel, zgemmTile):
 // a 2×2 register tile over (i, p) halves both the C-row store traffic and
 // the B-row load traffic per multiply-add — the seed's axpy form reloaded
 // C once per p — with j-blocks of bsj keeping the working set in L1.

@@ -1,0 +1,299 @@
+package linalg
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"unsafe"
+)
+
+// onReference runs f with the vector kernels switched off.
+func onReference(f func()) {
+	prev := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = prev }()
+	f()
+}
+
+// TestKernelTestsOnReferencePath re-runs every test that reaches a
+// complex128 kernel with the dispatch variable flipped, so both the
+// assembly (the default on an AVX2 host) and the Go reference pass them.
+func TestKernelTestsOnReferencePath(t *testing.T) {
+	onReference(func() {
+		t.Run("CGEMMIdentity", TestCGEMMIdentity)
+		t.Run("BlockedAndParallelMatchNaive", TestBlockedAndParallelMatchNaive)
+		t.Run("CGEMMConjTrans", TestCGEMMConjTrans)
+		t.Run("CGEMMAssociativityProperty", TestCGEMMAssociativityProperty)
+		t.Run("CGEMMBlockedWorkerCountInvariance", TestCGEMMBlockedWorkerCountInvariance)
+		t.Run("CGEMMTileMatchesNaive", TestCGEMMTileMatchesNaive)
+		t.Run("ZKernelsShortSlicePanics", TestZKernelsShortSlicePanics)
+		t.Run("ZRotPairsIsTheRotation", TestZRotPairsIsTheRotation)
+	})
+}
+
+// specials are the values a plain random draw never produces.
+var specials = []float64{
+	0, math.Copysign(0, -1), 1, -1,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+	math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// fuzzComplex draws a value whose parts are mostly ordinary and sometimes
+// special (the share is set by rate, 0 = never).
+func fuzzComplex(rng *rand.Rand, rate int) complex128 {
+	part := func() float64 {
+		if rate > 0 && rng.Intn(rate) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
+	}
+	return complex(part(), part())
+}
+
+// fuzzField returns n values starting at an element offset into a larger
+// backing array, so kernels see slices that are not 32-byte aligned.
+func fuzzField(rng *rand.Rand, n, off, rate int) []complex128 {
+	buf := make([]complex128, off+n)
+	for i := range buf {
+		buf[i] = fuzzComplex(rng, rate)
+	}
+	return buf[off:]
+}
+
+// sameBits reports whether got is bit-for-bit want, treating any NaN as
+// equal to any NaN: which payload and sign a NaN result carries depends on
+// operand order, which IEEE 754 leaves open and neither path promises.
+func sameBits(got, want complex128) bool {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	return same(real(got), real(want)) && same(imag(got), imag(want))
+}
+
+func compareFields(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: element %d = %v (%x,%x), reference %v (%x,%x)", what, i,
+				got[i], math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
+				want[i], math.Float64bits(real(want[i])), math.Float64bits(imag(want[i])))
+		}
+	}
+}
+
+// checkZKernels runs the three kernels against their Go references on one
+// random problem. With the vector kernels off (or off amd64) it compares
+// the reference with itself, which still exercises the wrappers.
+func checkZKernels(t *testing.T, seed int64, norb, n, k, off, rate int) {
+	rng := rand.New(rand.NewSource(seed))
+
+	// ZRotPairs: n rows paired up at random, each row in at most one pair.
+	perm := rng.Perm(n)
+	idx := make([]int32, 0, n)
+	for i := 0; i+1 < n; i += 2 {
+		idx = append(idx, int32(perm[i]), int32(perm[i+1]))
+	}
+	plan := NewZPairs(idx)
+	c := rng.NormFloat64()
+	f, b := fuzzComplex(rng, rate), fuzzComplex(rng, rate)
+	got := fuzzField(rng, n*norb, off, rate)
+	want := append([]complex128(nil), got...)
+	ZRotPairs(got, norb, plan, c, f, b)
+	zrotPairsGo(want, norb, idx, c, f, b)
+	compareFields(t, "ZRotPairs", got, want)
+
+	// ZPhaseRows, per-row phases and the single long row.
+	rot := fuzzField(rng, n, off, rate)
+	got = fuzzField(rng, n*norb, off, rate)
+	want = append(want[:0], got...)
+	ZPhaseRows(got, norb, rot)
+	zphaseRowsGo(want, norb, rot)
+	compareFields(t, "ZPhaseRows", got, want)
+	ZPhaseRows(got, len(got), rot[:1])
+	zphaseRowsGo(want, len(want), rot[:1])
+	compareFields(t, "ZPhaseRows (one row)", got, want)
+
+	// zgemmTile through cgemmAccumRange: m = n rows, norb columns, k deep,
+	// both op(A), padded leading dimensions.
+	m, cols := n, norb
+	alpha := fuzzComplex(rng, rate)
+	for _, opA := range []Op{NoTrans, ConjTrans} {
+		pad := rng.Intn(3)
+		lda, ldb, ldc := k+pad, cols+pad, cols+pad
+		aLen := m * lda
+		if opA == ConjTrans {
+			lda = m + pad
+			aLen = k * lda
+		}
+		a := fuzzField(rng, aLen, off, rate)
+		bm := fuzzField(rng, k*ldb, off, rate)
+		got = fuzzField(rng, m*ldc, off, rate)
+		want = append(want[:0], got...)
+		cgemmAccumRange(opA, NoTrans, 0, m, cols, k, alpha, a, lda, bm, ldb, got, ldc)
+		onReference(func() {
+			cgemmAccumRange(opA, NoTrans, 0, m, cols, k, alpha, a, lda, bm, ldb, want, ldc)
+		})
+		compareFields(t, "zgemmTile", got, want)
+	}
+}
+
+// FuzzZKernels: every vector kernel equals its Go reference by Float64bits
+// over random shapes (odd and 1 included), unaligned slice offsets, strided
+// and conjugated A, signed zeros, subnormals, infinities and NaNs.
+func FuzzZKernels(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(16), uint8(48), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(4))
+	f.Add(int64(3), uint8(3), uint8(7), uint8(49), uint8(1), uint8(6))
+	f.Add(int64(4), uint8(11), uint8(5), uint8(97), uint8(3), uint8(0))
+	f.Add(int64(5), uint8(26), uint8(9), uint8(2), uint8(2), uint8(20))
+	f.Fuzz(func(t *testing.T, seed int64, norb, n, k, off, rate uint8) {
+		checkZKernels(t, seed, 1+int(norb%40), 1+int(n%40), 1+int(k%120), int(off%4), int(rate))
+	})
+}
+
+// TestZRotPairsIsTheRotation pins the canonical formula to the mathematics:
+// ZRotPairs equals c·a + f·b, c·b + bk·a in ordinary complex arithmetic up
+// to round-off.
+func TestZRotPairsIsTheRotation(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const norb = 5
+	data := fuzzField(rng, 4*norb, 1, 0)
+	orig := append([]complex128(nil), data...)
+	c, f, b := 0.8, complex(0.1, -0.59), complex(-0.1, -0.59)
+	ZRotPairs(data, norb, NewZPairs([]int32{3, 0, 1, 2}), c, f, b)
+	for _, pr := range [][2]int{{3, 0}, {1, 2}} {
+		for s := 0; s < norb; s++ {
+			va, vb := orig[pr[0]*norb+s], orig[pr[1]*norb+s]
+			wantA := complex(c, 0)*va + f*vb
+			wantB := complex(c, 0)*vb + b*va
+			if d := data[pr[0]*norb+s] - wantA; math.Hypot(real(d), imag(d)) > 1e-14 {
+				t.Fatalf("row a of pair %v, orbital %d: %v, want %v", pr, s, data[pr[0]*norb+s], wantA)
+			}
+			if d := data[pr[1]*norb+s] - wantB; math.Hypot(real(d), imag(d)) > 1e-14 {
+				t.Fatalf("row b of pair %v, orbital %d: %v, want %v", pr, s, data[pr[1]*norb+s], wantB)
+			}
+		}
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestZKernelsShortSlicePanics: the assembly checks nothing, so the Go
+// wrappers must refuse a slice that is too short before it is scribbled
+// past. Each field sits inside a larger canary-filled array.
+func TestZKernelsShortSlicePanics(t *testing.T) {
+	const norb, rows = 4, 6
+	canary := complex(12345.5, -54321.25)
+	backing := make([]complex128, 2*rows*norb)
+	for i := range backing {
+		backing[i] = canary
+	}
+	short := backing[: rows*norb-1 : rows*norb-1]
+
+	plan := NewZPairs([]int32{0, 5, 1, 4})
+	mustPanic(t, "ZRotPairs on a short field", func() { ZRotPairs(short, norb, plan, 1, 0, 0) })
+	mustPanic(t, "ZRotPairs on a chunk of the plan", func() { ZRotPairs(short, norb, plan.Slice(1, 2), 1, 0, 0) })
+	mustPanic(t, "ZRotPairs with norb 0", func() { ZRotPairs(short, 0, plan, 1, 0, 0) })
+	mustPanic(t, "ZPhaseRows on a short field", func() { ZPhaseRows(short, norb, make([]complex128, rows)) })
+	mustPanic(t, "ZPhaseRows with norb 0", func() { ZPhaseRows(short, 0, make([]complex128, rows)) })
+	mustPanic(t, "NewZPairs with a negative index", func() { NewZPairs([]int32{0, -1}) })
+	mustPanic(t, "NewZPairs with an odd list", func() { NewZPairs([]int32{0, 1, 2}) })
+
+	a := make([]complex128, rows*norb)
+	b := make([]complex128, norb*norb)
+	mustPanic(t, "CGEMMBlocked with a short C", func() {
+		CGEMMBlocked(NoTrans, NoTrans, rows, norb, norb, 1, a, norb, b, norb, 1, short, norb)
+	})
+	mustPanic(t, "CGEMMBlocked with a short A", func() {
+		CGEMMBlocked(ConjTrans, NoTrans, norb, norb, rows, 1, short, norb, a, norb, 0, b, norb)
+	})
+	mustPanic(t, "CGEMMBlocked with a short B", func() {
+		CGEMMBlocked(NoTrans, NoTrans, norb, norb, rows, 1, a, rows, short, norb, 0, b, norb)
+	})
+	for i, v := range backing {
+		if v != canary {
+			t.Fatalf("a rejected call wrote element %d", i)
+		}
+	}
+}
+
+// TestZGEMMArgsLayout pins the field offsets the assembly hard-codes.
+func TestZGEMMArgsLayout(t *testing.T) {
+	var z zgemmArgs
+	got := []uintptr{
+		unsafe.Offsetof(z.a), unsafe.Offsetof(z.aRow), unsafe.Offsetof(z.aCol), unsafe.Offsetof(z.conj),
+		unsafe.Offsetof(z.b), unsafe.Offsetof(z.ldb), unsafe.Offsetof(z.c), unsafe.Offsetof(z.ldc),
+		unsafe.Offsetof(z.m), unsafe.Offsetof(z.kb), unsafe.Offsetof(z.n),
+		unsafe.Offsetof(z.alphaRe), unsafe.Offsetof(z.alphaIm),
+	}
+	for i, off := range got {
+		if off != uintptr(8*i) {
+			t.Fatalf("zgemmArgs field %d at offset %d, the assembly expects %d", i, off, 8*i)
+		}
+	}
+}
+
+// --- kernel vs reference benchmarks (qd.dcmesh shapes: 16³ × 8 orbitals) ---
+
+const benchGrid, benchOrb = 4096, 8
+
+func benchBothPaths(b *testing.B, f func()) {
+	b.Run("kernel", func(b *testing.B) {
+		if !useAVX2 {
+			b.Skip("no AVX2: the kernel is the reference")
+		}
+		for i := 0; i < b.N; i++ {
+			f()
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		onReference(func() {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		})
+	})
+}
+
+func BenchmarkZRotPairs(b *testing.B) {
+	data := fuzzField(rand.New(rand.NewSource(1)), benchGrid*benchOrb, 0, 0)
+	idx := make([]int32, benchGrid)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	plan := NewZPairs(idx)
+	benchBothPaths(b, func() { ZRotPairs(data, benchOrb, plan, 0.8, complex(0.1, -0.59), complex(-0.1, -0.59)) })
+}
+
+func BenchmarkZPhaseRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := fuzzField(rng, benchGrid*benchOrb, 0, 0)
+	rot := make([]complex128, benchGrid)
+	for i := range rot {
+		s, c := math.Sincos(rng.Float64())
+		rot[i] = complex(c, s)
+	}
+	benchBothPaths(b, func() { ZPhaseRows(data, benchOrb, rot) })
+}
+
+// BenchmarkScissorGEMMs is the CGEMM pair of one scissor correction:
+// O = Ψ0†Ψ (Gram shape), then Ψ −= δ Ψ0 O (tall-skinny update).
+func BenchmarkScissorGEMMs(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	psi0 := fuzzField(rng, benchGrid*benchOrb, 0, 0)
+	psi := fuzzField(rng, benchGrid*benchOrb, 0, 0)
+	o := make([]complex128, benchOrb*benchOrb)
+	benchBothPaths(b, func() {
+		CGEMMBlocked(ConjTrans, NoTrans, benchOrb, benchOrb, benchGrid, 1, psi0, benchOrb, psi, benchOrb, 0, o, benchOrb)
+		CGEMMBlocked(NoTrans, NoTrans, benchGrid, benchOrb, benchOrb, -1e-6, psi0, benchOrb, o, benchOrb, 1, psi, benchOrb)
+	})
+}

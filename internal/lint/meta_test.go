@@ -27,18 +27,19 @@ var hotpathPkgs = map[string]bool{
 // //mlmd:hotpath line (and with it the noalloc guarantee on that function)
 // cannot slip through review silently.
 var requiredHotpaths = map[string][]string{
-	"mlmd/internal/par":    {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
-	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange"},
-	"mlmd/internal/nn":     {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
+	"mlmd/internal/par": {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
+	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange",
+		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo"},
+	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",
 		"DescriptorSpec.descriptorInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTerm", "buildEnv",
 	},
 	"mlmd/internal/maxwell": {"(*Field).Step", "(*Sim3D).Step", "(*Sim3D).halfStep", "(*Sim3D).updateE", "(*Sim3D).updateB", "(*Sim3D).applySource", "(*Sim3D).PackField"},
 	"mlmd/internal/tddft": {
-		"(*KinProp).Propagate", "(*KinProp).baselineSweep", "(*KinProp).blockedSweep",
-		"(*ShardProp).Step", "(*ShardProp).rotatePairs", "(*ShardProp).vprop", "(*ShardProp).scaleOwned",
-		"VProp", "vpropRange",
+		"(*KinProp).Propagate", "(*KinProp).baselineSweep", "(*KinProp).propagateReordered", "(*KinProp).propagateBlocked",
+		"(*ShardProp).Step", "(*ShardProp).rotatePairs", "(*ShardProp).rotateOneSided", "(*ShardProp).vprop", "(*ShardProp).scaleOwned",
+		"VProp", "applyPhase", "phaseTable",
 	},
 	"mlmd/internal/shard": {
 		"(*Engine).runSteps", "(*Engine).evalSteady", "(*Engine).forceStep", "(*Engine).checkStale",

@@ -78,11 +78,10 @@ func (e *Ehrenfest) Step(w *grid.WaveField, dtIon float64) {
 			e.H.Vloc[i] += e.VStatic[i]
 		}
 	}
-	// Electron sub-steps.
-	dtQD := dtIon / float64(e.NQDPerIon)
-	for q := 0; q < e.NQDPerIon; q++ {
-		e.Prop.Step(w, dtQD)
-	}
+	// Electron sub-steps: v_loc is fixed until the next ion step (Hartree
+	// refreshes aside, which the propagator handles), so one run shares the
+	// potential phases across all of them.
+	e.Prop.run(w, dtIon/float64(e.NQDPerIon), e.NQDPerIon, nil)
 	// Forces at the new positions, half kick.
 	w.Density(e.rho, e.Prop.Occ)
 	forces = e.totalForces()

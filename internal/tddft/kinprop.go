@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mlmd/internal/grid"
+	"mlmd/internal/linalg"
 	"mlmd/internal/par"
 )
 
@@ -17,8 +18,8 @@ import (
 //	ImplReordered  SoA layout with orbital-fastest storage; stencil
 //	               rotations are computed once per pair and reused across
 //	               all Norb orbitals (Sec. V.B.2).
-//	ImplBlocked    + planned pair lists, fully hoisted coefficients and a
-//	               blocked orbital loop (Sec. V.B.3).
+//	ImplBlocked    + planned pair lists handed whole to the sweep-level
+//	               rotation and phase kernels (Sec. V.B.3).
 //	ImplParallel   + hierarchical parallelism over independent pair sets
 //	               (Sec. V.B.4) — the GPU-offload proxy.
 //
@@ -29,6 +30,14 @@ import (
 // pairs, each exponentiated exactly, composed as a Strang product
 // R_even(Δt/2) R_odd(Δt) R_even(Δt/2). A uniform vector potential enters as
 // a Peierls phase on the x hoppings.
+//
+// Every rung above the baseline evaluates one formula: the pair rotation
+// linalg.ZRot (real cosine, complex hopping) and the phase product
+// linalg.ZMul. ImplReordered walks it element by element in Go;
+// ImplBlocked/ImplParallel hand whole pair lists to the linalg.ZRotPairs and
+// linalg.ZPhaseRows kernels (AVX2 where available); ShardProp uses the same
+// kernels on its rank-local lists. All three are therefore bitwise equal,
+// which is what lets the scalar walk cross-check the assembly.
 
 // Impl selects a kin_prop implementation.
 type Impl int
@@ -62,8 +71,8 @@ func (im Impl) String() string {
 // KinProp is a planned kinetic propagator for a fixed grid.
 type KinProp struct {
 	G grid.Grid
-	// pairs[axis][parity] lists point-index pairs (a0,b0,a1,b1,...).
-	pairs [3][2][]int32
+	// pairs[axis][parity] is the validated list of point-index pairs.
+	pairs [3][2]linalg.ZPairs
 	// hop coefficient per axis: o = −1/(2h²).
 	hop [3]float64
 	// diag is Σ_axis 1/h².
@@ -116,17 +125,21 @@ func NewKinProp(g grid.Grid) (*KinProp, error) {
 					}
 				}
 			}
-			kp.pairs[ax][parity] = list
+			kp.pairs[ax][parity] = linalg.NewZPairs(list)
 		}
 	}
 	return kp, nil
 }
 
-// Flops returns the floating-point operation count of one Propagate call on
-// norb orbitals: per pair rotation, a 2×2 complex rotation costs ~14 real
-// ops per orbital; 3 axes × 2 sub-steps worth of pair sets (even twice at
-// half step + odd once = 3 sweeps of N/2 pairs each), plus the diagonal
-// phase (6 ops per point per orbital).
+// Flops returns the nominal floating-point operation count of one Propagate
+// call on norb orbitals, the way the paper books kin_prop: ~14 real ops per
+// orbital per pair rotation (one general complex multiply-add per output);
+// 3 axes × 3 pair sweeps of N/2 rotations each (even twice at half step, odd
+// once), plus the diagonal phase (6 ops per point per orbital). The count is
+// a fixed yardstick for the Table III/V rates, not the executed work: the
+// canonical rotation linalg.ZRot exploits the real cosine and executes 20
+// real ops per orbital per pair (10 per output) where two general complex
+// multiply-adds per output would be 28.
 func (kp *KinProp) Flops(norb int) uint64 {
 	n := uint64(kp.G.Len())
 	perAxis := 3 * (n / 2) * 14 // 3 pair sweeps of n/2 rotations
@@ -174,6 +187,44 @@ func (kp *KinProp) peierlsTheta(axPot float64) float64 {
 	return axPot * kp.G.Hx / lightC
 }
 
+// strang is the even–odd Strang product of one axis: which parity set is
+// rotated, and by what fraction of the step.
+var strang = [3]struct {
+	parity int
+	frac   float64
+}{{0, 0.5}, {1, 1.0}, {0, 0.5}}
+
+// pairCoef returns the coefficients of one pair-rotation sweep by the
+// hopping angle hop·t: the real cosine c, and the forward and backward
+// hopping factors −i·sin·e^{±iθ} carrying the Peierls phase θ (0 on the
+// axes the vector potential does not point along). The optimized rungs and
+// ShardProp all take their coefficients from here.
+func pairCoef(hop, t, theta float64) (c float64, f, b complex128) {
+	angle := hop * t
+	is := complex(0, -math.Sin(angle))
+	var ph complex128 = 1
+	if theta != 0 {
+		ph = complex(math.Cos(theta), math.Sin(theta))
+	}
+	return math.Cos(angle), is * ph, is * conj(ph)
+}
+
+// axisTheta is the Peierls angle of a hop along ax, given the angle theta of
+// a +x hop: the uniform vector potential points along x, so only x hops
+// carry one.
+func axisTheta(ax int, theta float64) float64 {
+	if ax != 0 {
+		return 0
+	}
+	return theta
+}
+
+// diagPhase is the uniform diagonal kinetic phase e^{−iΔt·diag}.
+func diagPhase(dt, diag float64) complex128 {
+	ph := -dt * diag
+	return complex(math.Cos(ph), math.Sin(ph))
+}
+
 // --- Baseline: AoS, wrap arithmetic and trig inside the loops. ---
 
 //mlmd:hotpath
@@ -185,10 +236,7 @@ func (kp *KinProp) propagateBaseline(w *grid.WaveField, dt, axPot float64) {
 	for s := 0; s < w.Norb; s++ {
 		orb := w.Data[s*ngrid : (s+1)*ngrid]
 		for ax := 0; ax < 3; ax++ {
-			for _, sub := range [3]struct {
-				parity int
-				frac   float64
-			}{{0, 0.5}, {1, 1.0}, {0, 0.5}} {
+			for _, sub := range strang {
 				kp.baselineSweep(orb, ax, sub.parity, dt*sub.frac, theta)
 			}
 		}
@@ -241,120 +289,78 @@ func (kp *KinProp) baselineSweep(orb []complex128, ax, parity int, t, theta floa
 
 // --- Reordered: SoA, neighbor plans, rotation hoisted out of orbital loop. ---
 
+// propagateReordered is the scalar walk over the canonical formula: the
+// independent check the kernel-backed rungs and ShardProp must equal bit for
+// bit.
+//
 //mlmd:hotpath
 func (kp *KinProp) propagateReordered(w *grid.WaveField, dt, axPot float64) {
 	norb := w.Norb
 	theta := kp.peierlsTheta(axPot)
 	for ax := 0; ax < 3; ax++ {
-		for _, sub := range [3]struct {
-			parity int
-			frac   float64
-		}{{0, 0.5}, {1, 1.0}, {0, 0.5}} {
-			angle := kp.hop[ax] * dt * sub.frac
-			c := complex(math.Cos(angle), 0)
-			is := complex(0, -math.Sin(angle))
-			var ph complex128 = 1
-			if ax == 0 && theta != 0 {
-				ph = complex(math.Cos(theta), math.Sin(theta))
-			}
-			isF, isB := is*ph, is*conj(ph)
+		for _, sub := range strang {
+			c, f, b := pairCoef(kp.hop[ax], dt*sub.frac, axisTheta(ax, theta))
 			pairs := kp.pairs[ax][sub.parity]
-			for p := 0; p < len(pairs); p += 2 {
-				ra := int(pairs[p]) * norb
-				rb := int(pairs[p+1]) * norb
+			for p := 0; p < pairs.Len(); p++ {
+				pa, pb := pairs.Pair(p)
+				ra, rb := pa*norb, pb*norb
 				for s := 0; s < norb; s++ {
 					va, vb := w.Data[ra+s], w.Data[rb+s]
-					w.Data[ra+s] = c*va + isF*vb
-					w.Data[rb+s] = c*vb + isB*va
+					w.Data[ra+s] = linalg.ZRot(c, f, va, vb)
+					w.Data[rb+s] = linalg.ZRot(c, b, vb, va)
 				}
 			}
 		}
 	}
-	ph := -dt * kp.diag
-	rot := complex(math.Cos(ph), math.Sin(ph))
+	rot := diagPhase(dt, kp.diag)
 	for i := range w.Data {
-		w.Data[i] *= rot
+		w.Data[i] = linalg.ZMul(w.Data[i], rot)
 	}
 }
 
-// --- Blocked (+ optional parallel): slice-based inner loops over orbital
-// blocks; pair sets within one parity touch disjoint rows, so they shard
-// safely across goroutines. ---
+// --- Blocked (+ optional parallel): whole planned pair lists go to the
+// sweep-level kernels; pair sets within one parity touch disjoint rows, so
+// they shard safely across goroutines. ---
 
-// orbBlock is the orbital tile size: 2 rows × 32 complex128 = 1 KiB per
-// pair, far inside L1.
-const orbBlock = 32
+// sweepChunk is the number of orbital values one pool chunk of an
+// element-wise sweep (pair rotation, phase) should hold: about 50 µs of the
+// vector kernels, below which waking a worker costs more than it saves. A
+// sweep that fits one chunk runs inline, without a pool closure — which is
+// every sweep of a DC-MESH domain, whose parallelism is across domains.
+// Chunks are disjoint rows, so the grain never shows in the result.
+const sweepChunk = 1 << 16
 
-// kinPairGrain is the pair-chunk size of the pool-parallel sweeps; pair
-// rotations within one parity set touch disjoint rows, so chunks shard
-// race-free at any boundary.
-const kinPairGrain = 512
+// sweepGrain is the pool grain, in rows of norb values, of a sweepChunk.
+func sweepGrain(norb int) int { return max(1, sweepChunk/norb) }
 
 //mlmd:hotpath
 func (kp *KinProp) propagateBlocked(w *grid.WaveField, dt, axPot float64, parallel bool) {
 	norb := w.Norb
+	data := w.Data
 	theta := kp.peierlsTheta(axPot)
+	grain := sweepGrain(norb)
 	for ax := 0; ax < 3; ax++ {
-		for _, sub := range [3]struct {
-			parity int
-			frac   float64
-		}{{0, 0.5}, {1, 1.0}, {0, 0.5}} {
-			angle := kp.hop[ax] * dt * sub.frac
-			c := complex(math.Cos(angle), 0)
-			is := complex(0, -math.Sin(angle))
-			var ph complex128 = 1
-			if ax == 0 && theta != 0 {
-				ph = complex(math.Cos(theta), math.Sin(theta))
-			}
-			isF, isB := is*ph, is*conj(ph)
+		for _, sub := range strang {
+			c, f, b := pairCoef(kp.hop[ax], dt*sub.frac, axisTheta(ax, theta))
 			pairs := kp.pairs[ax][sub.parity]
-			nPairs := len(pairs) / 2
-			if !parallel || nPairs < 1024 {
-				kp.blockedSweep(w.Data, norb, pairs, c, isF, isB)
+			if !parallel || pairs.Len() <= grain {
+				linalg.ZRotPairs(data, norb, pairs, c, f, b)
 				continue
 			}
-			par.For(nPairs, kinPairGrain, func(lo, hi, _ int) {
-				kp.blockedSweep(w.Data, norb, pairs[2*lo:2*hi], c, isF, isB)
+			par.For(pairs.Len(), grain, func(lo, hi, _ int) {
+				linalg.ZRotPairs(data, norb, pairs.Slice(lo, hi), c, f, b)
 			})
 		}
 	}
-	ph := -dt * kp.diag
-	rot := complex(math.Cos(ph), math.Sin(ph))
-	if !parallel {
-		for i := range w.Data {
-			w.Data[i] *= rot
-		}
+	// One row as long as the chunk applies the uniform diagonal phase.
+	ph := diagPhase(dt, kp.diag)
+	if !parallel || len(data) <= sweepChunk {
+		rot := [1]complex128{ph}
+		linalg.ZPhaseRows(data, len(data), rot[:])
 		return
 	}
-	data := w.Data
-	par.For(len(data), 1<<14, func(lo, hi, _ int) {
-		sl := data[lo:hi]
-		for i := range sl {
-			sl[i] *= rot
-		}
+	par.For(len(data), sweepChunk, func(lo, hi, _ int) {
+		rot := [1]complex128{ph}
+		linalg.ZPhaseRows(data[lo:hi], hi-lo, rot[:])
 	})
-}
-
-//mlmd:hotpath
-func (kp *KinProp) blockedSweep(data []complex128, norb int, pairs []int32, c, isF, isB complex128) {
-	// Blocking only pays once a row pair outgrows L1; below that a single
-	// full-width pass avoids re-traversing the pair list.
-	block := orbBlock
-	if norb <= 2*orbBlock {
-		block = norb
-	}
-	for s0 := 0; s0 < norb; s0 += block {
-		s1 := min(s0+block, norb)
-		for p := 0; p < len(pairs); p += 2 {
-			ra := int(pairs[p]) * norb
-			rb := int(pairs[p+1]) * norb
-			rowA := data[ra+s0 : ra+s1]
-			rowB := data[rb+s0 : rb+s1]
-			for s := range rowA {
-				va, vb := rowA[s], rowB[s]
-				rowA[s] = c*va + isF*vb
-				rowB[s] = c*vb + isB*va
-			}
-		}
-	}
 }

@@ -20,17 +20,23 @@ import (
 // Scissor applies the time-dependent scissor-style nonlocal correction of
 // Eq. (5). psi0 holds Ψ(0) (reference orbitals), psi holds Ψ(t), both SoA —
 // conveniently, SoA storage *is* the Ngrid×Norb row-major matrix Ψ.
-// delta is the (small, complex) correction strength times Δt.
+// Delta is the (small, complex) correction strength times Δt.
 //
-// The work matrix may be nil; pass a reusable buffer of length Norb×Norb to
-// avoid allocation in the QD loop.
+// A Scissor owns its scratch — the Norb×Norb overlap matrix and, in the BF16
+// modes, the two quantized Ngrid×Norb operand copies — grown on first use
+// and reused, so Apply does not allocate in the QD loop. One Scissor must
+// therefore not be applied from two goroutines at once (each domain's
+// Propagator has its own). Both products run on linalg.CGEMMBlocked and so
+// on the CGEMM micro-kernel: the Gram-shaped overlap sharded over its Norb
+// rows, the tall-skinny update over mesh rows.
 type Scissor struct {
 	Delta complex128
 	// Mode selects the compute precision of the two GEMM calls. ModeFP64
 	// computes in complex128; other modes quantize through the emulated
 	// BF16/FP32 pipeline before accumulating in FP64 storage.
-	Mode precision.Mode
-	work []complex128
+	Mode   precision.Mode
+	work   []complex128
+	q0, qt []complex128
 }
 
 // Apply performs Ψ(t) −= δ Ψ(0) Ψ(0)† Ψ(t) in place.
@@ -52,8 +58,9 @@ func (sc *Scissor) Apply(psi0, psi *grid.WaveField) {
 	a0 := psi0.Data
 	at := psi.Data
 	if quant {
-		a0 = quantizeBF16(psi0.Data, sc.Mode.Components())
-		at = quantizeBF16(psi.Data, sc.Mode.Components())
+		sc.q0 = quantizeBF16(sc.q0, psi0.Data, sc.Mode.Components())
+		sc.qt = quantizeBF16(sc.qt, psi.Data, sc.Mode.Components())
+		a0, at = sc.q0, sc.qt
 	}
 	// CGEMM (1): O = Ψ(0)† Ψ(t), Norb×Norb from (Ngrid×Norb)†(Ngrid×Norb).
 	linalg.CGEMMParallel(linalg.ConjTrans, linalg.NoTrans, norb, norb, ngrid,
@@ -65,14 +72,18 @@ func (sc *Scissor) Apply(psi0, psi *grid.WaveField) {
 
 // quantizeBF16 rounds the real and imaginary parts of each amplitude to an
 // n-component BF16 sum, emulating the float_to_BF16xN operand conversion.
-func quantizeBF16(src []complex128, comps int) []complex128 {
-	out := make([]complex128, len(src))
+// The result reuses dst's storage when it is large enough.
+func quantizeBF16(dst, src []complex128, comps int) []complex128 {
+	if cap(dst) < len(src) {
+		dst = make([]complex128, len(src))
+	}
+	dst = dst[:len(src)]
 	for i, v := range src {
 		re := quantScalar(real(v), comps)
 		im := quantScalar(imag(v), comps)
-		out[i] = complex(re, im)
+		dst[i] = complex(re, im)
 	}
-	return out
+	return dst
 }
 
 func quantScalar(v float64, comps int) float64 {

@@ -2,8 +2,8 @@ package tddft
 
 import (
 	"fmt"
-	"math"
 
+	"mlmd/internal/linalg"
 	"mlmd/internal/shard/halo"
 )
 
@@ -14,13 +14,14 @@ import (
 //
 //	e^{−iΔt v/2} · Π_ax [even(Δt/2) odd(Δt) even(Δt/2)] · e^{−iΔt diag} · e^{−iΔt v/2}
 //
-// with every per-cell update copied expression-for-expression from
-// propagateReordered and VProp. The domain split is pair-aligned
+// with every per-cell update evaluated by the same formula: the rotation
+// and phase kernels of internal/linalg that KinProp's blocked rungs call,
+// and linalg.ZRot for the one-sided pairs. The domain split is pair-aligned
 // (halo.NewDomain even=true): every even-parity pair (2k, 2k+1) is rank-
 // local, so only the odd-parity pairs straddle block boundaries. Those are
 // computed one-sidedly — the rank owning the low element a evaluates
-// orb[a] = c·va + isF·vb from the ghost vb, the rank owning b evaluates
-// orb[b] = c·vb + isB·va from the ghost va — which are exactly the two
+// orb[a] = c·va + f·vb from the ghost vb, the rank owning b evaluates
+// orb[b] = c·vb + b·va from the ghost va — which are exactly the two
 // assignments of the serial pair rotation, so the sharded propagation is
 // bitwise identical to the serial one on any rank grid
 // (TestShardPropMatchesSerial, TestGridStencilIdentityMatrixTDDFT).
@@ -47,13 +48,18 @@ type ShardProp struct {
 	hx   float64
 	dV   float64
 
-	// pair lists of Data base offsets (GridFieldC.Index values, already
-	// ×Norb). evenPairs/oddPairs hold (a,b) two-sided pairs; oddLow/oddHigh
-	// hold (owned, ghost) one-sided boundary pairs.
-	evenPairs [3][]int32
-	oddPairs  [3][]int32
+	// evenPairs/oddPairs are the two-sided (a,b) pairs as cell indices
+	// (GridFieldC.Index / Norb), validated for the rotation kernel.
+	// oddLow/oddHigh hold (owned, ghost) one-sided boundary pairs as Data
+	// base offsets (GridFieldC.Index values, already ×Norb).
+	evenPairs [3]linalg.ZPairs
+	oddPairs  [3]linalg.ZPairs
 	oddLow    [3][]int32
 	oddHigh   [3][]int32
+
+	// phase is the half-step potential phase e^{−i·Δt/2·v_loc} on the owned
+	// cells, evaluated once per Step for both half-steps.
+	phase []complex128
 
 	t    float64
 	step int
@@ -103,6 +109,7 @@ func NewShardProp(d halo.Domain, cfg ShardPropConfig) (*ShardProp, error) {
 		W:              halo.NewGridFieldC(d, cfg.Norb),
 		Norb:           cfg.Norb,
 		Vloc:           make([]float64, d.Len()),
+		phase:          make([]complex128, d.Len()),
 		Dt:             cfg.Dt,
 		Ax:             cfg.Ax,
 		DisableOverlap: cfg.DisableOverlap,
@@ -135,8 +142,10 @@ func NewShardProp(d halo.Domain, cfg ShardPropConfig) (*ShardProp, error) {
 // layers of a partitioned axis.
 func (sp *ShardProp) buildPairs() {
 	d, f := sp.D, sp.W
+	norb := int32(sp.Norb)
 	for ax := 0; ax < 3; ax++ {
 		part := d.Partitioned(ax)
+		var even, odd []int32
 		var lc [3]int
 		for lc[0] = 0; lc[0] < d.Own[0]; lc[0]++ {
 			for lc[1] = 0; lc[1] < d.Own[1]; lc[1]++ {
@@ -148,7 +157,7 @@ func (sp *ShardProp) buildPairs() {
 						// Even pair (i, i+1): i+1 is always in-block.
 						nb[ax] = i + 1
 						b := int32(f.Index(d.Ghost+nb[0], d.Ghost+nb[1], d.Ghost+nb[2]))
-						sp.evenPairs[ax] = append(sp.evenPairs[ax], a, b)
+						even = append(even, a/norb, b/norb)
 						if i == 0 && part {
 							// Odd pair (i−1, i): the low neighbor lives in
 							// the minus ghost layer; we own only b.
@@ -162,7 +171,7 @@ func (sp *ShardProp) buildPairs() {
 					nb[ax] = i + 1
 					if i+1 < d.Own[ax] {
 						b := int32(f.Index(d.Ghost+nb[0], d.Ghost+nb[1], d.Ghost+nb[2]))
-						sp.oddPairs[ax] = append(sp.oddPairs[ax], a, b)
+						odd = append(odd, a/norb, b/norb)
 					} else if part {
 						// High neighbor is the plus ghost layer; we own a.
 						g := int32(f.Index(d.Ghost+nb[0], d.Ghost+nb[1], d.Ghost+nb[2]))
@@ -171,11 +180,13 @@ func (sp *ShardProp) buildPairs() {
 						// Periodic wrap pair — local on an unpartitioned axis.
 						nb[ax] = 0
 						b := int32(f.Index(d.Ghost+nb[0], d.Ghost+nb[1], d.Ghost+nb[2]))
-						sp.oddPairs[ax] = append(sp.oddPairs[ax], a, b)
+						odd = append(odd, a/norb, b/norb)
 					}
 				}
 			}
 		}
+		sp.evenPairs[ax] = linalg.NewZPairs(even)
+		sp.oddPairs[ax] = linalg.NewZPairs(odd)
 	}
 }
 
@@ -204,7 +215,7 @@ func (sp *ShardProp) InitRandom(seed uint64, amp float64) {
 }
 
 // Step advances the orbitals by one Δt: v/2 → kinetic axes → diagonal
-// phase → v/2, the exact Propagator.Step + propagateReordered sequence.
+// phase → v/2, the exact Propagator.Step + KinProp.Propagate sequence.
 //
 //mlmd:hotpath
 func (sp *ShardProp) Step(ex *halo.Exchanger) {
@@ -218,124 +229,81 @@ func (sp *ShardProp) Step(ex *halo.Exchanger) {
 	}
 	theta := axPot * sp.hx / lightC
 
-	sp.vprop(dt / 2)
+	phaseTable(sp.phase, sp.Vloc, dt/2)
+	sp.vprop()
 	for ax := 0; ax < 3; ax++ {
-		for _, sub := range [3]struct {
-			parity int
-			frac   float64
-		}{{0, 0.5}, {1, 1.0}, {0, 0.5}} {
-			angle := sp.hop[ax] * dt * sub.frac
-			c := complex(math.Cos(angle), 0)
-			is := complex(0, -math.Sin(angle))
-			var ph complex128 = 1
-			if ax == 0 && theta != 0 {
-				ph = complex(math.Cos(theta), math.Sin(theta))
-			}
-			isF, isB := is*ph, is*conj(ph)
+		for _, sub := range strang {
+			c, f, b := pairCoef(sp.hop[ax], dt*sub.frac, axisTheta(ax, theta))
 			if sub.parity == 0 {
-				sp.rotatePairs(sp.evenPairs[ax], c, isF, isB)
+				sp.rotatePairs(sp.evenPairs[ax], c, f, b)
 				continue
 			}
 			// Odd sweep: boundary pairs read post-even(Δt/2) neighbor
 			// values through the axis ghosts.
 			if !sp.D.Partitioned(ax) {
-				sp.rotatePairs(sp.oddPairs[ax], c, isF, isB)
+				sp.rotatePairs(sp.oddPairs[ax], c, f, b)
 				continue
 			}
 			if sp.DisableOverlap {
 				sp.W.RefreshAxis(ex, ax)
-				sp.rotatePairs(sp.oddPairs[ax], c, isF, isB)
+				sp.rotatePairs(sp.oddPairs[ax], c, f, b)
 			} else {
 				sp.W.PostAxis(ex, ax)
-				sp.rotatePairs(sp.oddPairs[ax], c, isF, isB)
+				sp.rotatePairs(sp.oddPairs[ax], c, f, b)
 				sp.W.FinishAxis(ex, ax)
 			}
-			sp.rotateLow(sp.oddLow[ax], c, isB)
-			sp.rotateHigh(sp.oddHigh[ax], c, isF)
+			sp.rotateOneSided(sp.oddLow[ax], c, b)
+			sp.rotateOneSided(sp.oddHigh[ax], c, f)
 		}
 	}
 	// Diagonal kinetic phase over the owned cells.
-	ph := -dt * sp.diag
-	rot := complex(math.Cos(ph), math.Sin(ph))
-	sp.scaleOwned(rot)
-	sp.vprop(dt / 2)
+	sp.scaleOwned(diagPhase(dt, sp.diag))
+	sp.vprop()
 
 	sp.step++
 	sp.t = float64(sp.step) * dt
 }
 
 // rotatePairs applies the 2×2 pair rotation to every (a,b) pair — the
-// serial propagateReordered inner loop verbatim.
+// sweep kernel KinProp's blocked rungs call.
 //
 //mlmd:hotpath
-func (sp *ShardProp) rotatePairs(pairs []int32, c, isF, isB complex128) {
+func (sp *ShardProp) rotatePairs(pairs linalg.ZPairs, c float64, f, b complex128) {
+	linalg.ZRotPairs(sp.W.Data, sp.Norb, pairs, c, f, b)
+}
+
+// rotateOneSided applies one assignment of a boundary pair whose partner
+// lives in a ghost layer: own = c·own + k·ghost for every (own, ghost)
+// pair. For a low-side pair (the partner a is the minus ghost) k is the
+// backward factor b, for a high-side pair (the partner b is the plus ghost)
+// the forward factor f — the two halves of the serial rotation.
+//
+//mlmd:hotpath
+func (sp *ShardProp) rotateOneSided(pairs []int32, c float64, k complex128) {
 	norb := sp.Norb
 	data := sp.W.Data
 	for p := 0; p < len(pairs); p += 2 {
-		ra := int(pairs[p])
-		rb := int(pairs[p+1])
-		for s := 0; s < norb; s++ {
-			va, vb := data[ra+s], data[rb+s]
-			data[ra+s] = c*va + isF*vb
-			data[rb+s] = c*vb + isB*va
+		own := data[int(pairs[p]):][:norb]
+		ghost := data[int(pairs[p+1]):][:norb]
+		for s := range own {
+			own[s] = linalg.ZRot(c, k, own[s], ghost[s])
 		}
 	}
 }
 
-// rotateLow applies the b-side assignment of a boundary pair whose a lives
-// in the minus ghost layer: orb[b] = c·vb + isB·va.
+// vprop applies the half-step local-potential phase to the owned cells,
+// one z-row of cells per kernel call.
 //
 //mlmd:hotpath
-func (sp *ShardProp) rotateLow(pairs []int32, c, isB complex128) {
-	norb := sp.Norb
-	data := sp.W.Data
-	for p := 0; p < len(pairs); p += 2 {
-		rb := int(pairs[p])
-		ra := int(pairs[p+1])
-		for s := 0; s < norb; s++ {
-			va, vb := data[ra+s], data[rb+s]
-			data[rb+s] = c*vb + isB*va
-		}
-	}
-}
-
-// rotateHigh applies the a-side assignment of a boundary pair whose b lives
-// in the plus ghost layer: orb[a] = c·va + isF·vb.
-//
-//mlmd:hotpath
-func (sp *ShardProp) rotateHigh(pairs []int32, c, isF complex128) {
-	norb := sp.Norb
-	data := sp.W.Data
-	for p := 0; p < len(pairs); p += 2 {
-		ra := int(pairs[p])
-		rb := int(pairs[p+1])
-		for s := 0; s < norb; s++ {
-			va, vb := data[ra+s], data[rb+s]
-			data[ra+s] = c*va + isF*vb
-		}
-	}
-}
-
-// vprop applies the local-potential phase e^{−i dt v_loc} cell by cell —
-// the serial VProp expression on the owned box.
-//
-//mlmd:hotpath
-func (sp *ShardProp) vprop(dt float64) {
+func (sp *ShardProp) vprop() {
 	d, f := sp.D, sp.W
-	norb := sp.Norb
+	nz := d.Own[2]
 	k := 0
 	for ox := 0; ox < d.Own[0]; ox++ {
 		for oy := 0; oy < d.Own[1]; oy++ {
 			base := f.OwnIndex(ox, oy, 0)
-			for oz := 0; oz < d.Own[2]; oz++ {
-				ph := -dt * sp.Vloc[k]
-				rot := complex(math.Cos(ph), math.Sin(ph))
-				row := f.Data[base+oz*norb : base+(oz+1)*norb]
-				for s := range row {
-					row[s] *= rot
-				}
-				k++
-			}
+			linalg.ZPhaseRows(f.Data[base:base+nz*sp.Norb], sp.Norb, sp.phase[k:k+nz])
+			k += nz
 		}
 	}
 }
@@ -345,14 +313,12 @@ func (sp *ShardProp) vprop(dt float64) {
 //mlmd:hotpath
 func (sp *ShardProp) scaleOwned(rot complex128) {
 	d, f := sp.D, sp.W
-	norb := sp.Norb
+	r := [1]complex128{rot}
+	rowLen := d.Own[2] * sp.Norb
 	for ox := 0; ox < d.Own[0]; ox++ {
 		for oy := 0; oy < d.Own[1]; oy++ {
 			base := f.OwnIndex(ox, oy, 0)
-			row := f.Data[base : base+d.Own[2]*norb]
-			for s := range row {
-				row[s] *= rot
-			}
+			linalg.ZPhaseRows(f.Data[base:base+rowLen], rowLen, r[:])
 		}
 	}
 }

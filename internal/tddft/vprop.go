@@ -4,12 +4,59 @@ import (
 	"math"
 
 	"mlmd/internal/grid"
+	"mlmd/internal/linalg"
 	"mlmd/internal/par"
 )
 
+// phaseTable fills dst[g] = e^{−i·dt·v[g]}, the local-potential phase of a
+// step dt, for len(dst) points of v. This is the only place the v_prop trig
+// is evaluated: the Propagator keeps the table across the sub-steps of one
+// run, ShardProp across the two half-steps of one step.
+//
+//mlmd:hotpath
+func phaseTable(dst []complex128, v []float64, dt float64) {
+	v = v[:len(dst)]
+	for g := range dst {
+		sin, cos := math.Sincos(-dt * v[g])
+		dst[g] = complex(cos, sin)
+	}
+}
+
+// applyPhase multiplies every orbital value at mesh point g by table[g]
+// (linalg.ZPhaseRows), for both layouts; parallel shards the mesh over the
+// worker pool. Mesh rows are disjoint, so any chunking is race-free and
+// bitwise identical to the serial sweep.
+//
+//mlmd:hotpath
+func applyPhase(w *grid.WaveField, table []complex128, parallel bool) {
+	n := w.G.Len()
+	norb := w.Norb
+	table = table[:n]
+	if w.Layout != grid.LayoutSoA {
+		for s := 0; s < norb; s++ {
+			linalg.ZPhaseRows(w.Data[s*n:(s+1)*n], 1, table)
+		}
+		return
+	}
+	grain := sweepGrain(norb)
+	if !parallel || n <= grain {
+		linalg.ZPhaseRows(w.Data, norb, table)
+		return
+	}
+	data := w.Data
+	par.For(n, grain, func(lo, hi, _ int) {
+		linalg.ZPhaseRows(data[lo*norb:hi*norb], norb, table[lo:hi])
+	})
+}
+
+// vpropChunk is the number of mesh points whose phases VProp keeps on the
+// stack at a time.
+const vpropChunk = 256
+
 // VProp applies the local-potential phase exp(−iΔt v_loc(r)) to every
-// orbital of w in place. The potential half-steps of the split-operator
-// scheme call this with dt/2. Works for both layouts.
+// orbital of w in place, for both layouts, without any retained state: the
+// phases are evaluated chunk by chunk on the stack. The Propagator applies
+// the same phases from a table it keeps across sub-steps.
 //
 //mlmd:hotpath
 func VProp(h *Hamiltonian, w *grid.WaveField, dt float64) {
@@ -17,55 +64,18 @@ func VProp(h *Hamiltonian, w *grid.WaveField, dt float64) {
 	if w.G != h.G {
 		panic("tddft: VProp grid mismatch")
 	}
-	if w.Layout == grid.LayoutSoA {
-		vpropRange(h, w, dt, 0, n)
-		return
-	}
-	for s := 0; s < w.Norb; s++ {
-		orb := w.Data[s*n : (s+1)*n]
-		for g := 0; g < n; g++ {
-			ph := -dt * h.Vloc[g]
-			orb[g] *= complex(math.Cos(ph), math.Sin(ph))
+	norb := w.Norb
+	var buf [vpropChunk]complex128
+	for g0 := 0; g0 < n; g0 += vpropChunk {
+		g1 := min(g0+vpropChunk, n)
+		table := buf[:g1-g0]
+		phaseTable(table, h.Vloc[g0:g1], dt)
+		if w.Layout == grid.LayoutSoA {
+			linalg.ZPhaseRows(w.Data[g0*norb:g1*norb], norb, table)
+			continue
+		}
+		for s := 0; s < norb; s++ {
+			linalg.ZPhaseRows(w.Data[s*n+g0:s*n+g1], 1, table)
 		}
 	}
-}
-
-// vpropRange applies the phase on grid points [lo,hi) (SoA layout).
-//
-//mlmd:hotpath
-func vpropRange(h *Hamiltonian, w *grid.WaveField, dt float64, lo, hi int) {
-	norb := w.Norb
-	for g := lo; g < hi; g++ {
-		ph := -dt * h.Vloc[g]
-		rot := complex(math.Cos(ph), math.Sin(ph))
-		row := w.Data[g*norb : (g+1)*norb]
-		for s := range row {
-			row[s] *= rot
-		}
-	}
-}
-
-// VPropParallel is VProp with the grid sharded over the shared worker pool
-// (SoA only). Grid rows are disjoint, so any chunking is race-free and the
-// result is bitwise identical to the serial sweep.
-//
-//mlmd:hotpath
-func VPropParallel(h *Hamiltonian, w *grid.WaveField, dt float64) {
-	if w.Layout != grid.LayoutSoA {
-		VProp(h, w, dt)
-		return
-	}
-	n := h.G.Len()
-	norb := w.Norb
-	if n*norb < 1<<14 {
-		VProp(h, w, dt)
-		return
-	}
-	grain := 1 << 12 / norb
-	if grain < 1 {
-		grain = 1
-	}
-	par.For(n, grain, func(lo, hi, _ int) {
-		vpropRange(h, w, dt, lo, hi)
-	})
 }
