@@ -41,7 +41,7 @@
 #                  wire frame decoder (the multi-process rank transport), plus
 #                  the bitwise equivalence harnesses (batched MLP, halo pack,
 #                  min-image fast path vs formula, complex128 vector kernels
-#                  vs their Go references)
+#                  and the float64 GEMM tile vs their Go references)
 #   make benchmark-check - go vet + go test inside benchmark/ (a module of its
 #                  own, which ./... never reaches)
 #   make bench-ab A=<ref> B=<ref> [SEEDS=10] [BENCH_SECONDS=10] - the gate for
@@ -113,7 +113,7 @@ WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 MD_FUZZ_TARGETS   = FuzzMinImage1
-LINALG_FUZZ_TARGETS = FuzzZKernels
+LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels
 FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).
@@ -122,7 +122,7 @@ DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./interna
 
 # Packages with architecture-specific files (assembly kernels and their
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.
-ARCH_PKGS = ./internal/linalg ./internal/tddft ./internal/core
+ARCH_PKGS = ./internal/linalg ./internal/tddft ./internal/core ./internal/nn
 
 .PHONY: check fmt vet asm-nofma lint build test race race-full cover fuzz docs benchmark-check bench-ab bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
 
@@ -148,7 +148,7 @@ vet: asm-nofma
 	GOARCH=arm64 $(GO) vet $(ARCH_PKGS)
 
 asm-nofma:
-	@if grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB' internal/; then \
+	@if grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VFNMSUB' internal/; then \
 		echo "fused multiply-add in assembly: the kernels must stay bit-identical to their Go references"; exit 1; fi
 
 build:

@@ -9,19 +9,25 @@ import (
 // gemmRowGrain returns the row-chunk size for sharding an m×n×k GEMM over
 // the worker pool: aim for ~1 MFLOP per chunk so dynamic claiming stays
 // cheap relative to the work while small problems collapse to one inline
-// chunk. The grain is even so the 2×2 register tiles see full row pairs
-// (an odd grain would push every chunk's last row down the slow
-// single-row path).
+// chunk. The grain is a multiple of 4 so every chunk but the last is whole
+// register tiles (4 rows in dgemmTile, 2 in the generic tile).
 func gemmRowGrain(n, k, flopsPerMAC int) int {
 	work := flopsPerMAC * n * k
 	if work <= 0 {
-		return 2
+		return 4
 	}
-	g := 1048576 / work
-	if g < 2 {
-		g = 2
+	return max(4, (1048576/work)&^3)
+}
+
+// checkGEMMShape is checkGEMMArgs for the real row-major GEMMs (A m×k, B k×n,
+// C m×n), which also refuses a leading dimension smaller than the row width:
+// rows of C would overlap across pool chunks. It runs before any kernel does
+// — the assembly tiles check nothing.
+func checkGEMMShape(m, n, k, lenA, lda, lenB, ldb, lenC, ldc int) {
+	checkGEMMArgs(NoTrans, NoTrans, m, n, k, lenA, lda, lenB, ldb, lenC, ldc)
+	if lda < k || ldb < n || ldc < n {
+		panic("linalg: leading dimension smaller than the row width")
 	}
-	return g &^ 1
 }
 
 // GEMM32 computes C = alpha*A*B + beta*C for float32 row-major matrices,
@@ -33,15 +39,7 @@ func gemmRowGrain(n, k, flopsPerMAC int) int {
 //
 //mlmd:hotpath
 func GEMM32(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	if len(a) < (m-1)*lda+k && m > 0 {
-		panic("linalg: A too short")
-	}
-	if len(b) < (k-1)*ldb+n && k > 0 {
-		panic("linalg: B too short")
-	}
-	if len(c) < (m-1)*ldc+n && m > 0 {
-		panic("linalg: C too short")
-	}
+	checkGEMMShape(m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
 	par.For(m, gemmRowGrain(n, k, 2), func(lo, hi, _ int) {
 		gemm32Range(lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 	})
@@ -68,50 +66,27 @@ func gemm32Range(i0, i1, n, k int, alpha float32, a []float32, lda int, b []floa
 }
 
 // GEMM64 computes C = alpha*A*B + beta*C for float64 row-major matrices,
-// cache-blocked and sharded over the shared worker pool by row blocks.
+// sharded over the shared worker pool by row blocks. Every C[i][j] is scaled
+// by beta and then takes its products float64(alpha·A[i,p])·B[p,j] one at a
+// time in ascending p, each rounded before it is added (dgemmTile): the bits
+// depend on the operands only — not on the worker count, the vector tier or
+// the GOARCH — and no product is skipped, so 0·Inf is NaN as IEEE has it.
 //
 //mlmd:hotpath
 func GEMM64(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	checkGEMMShape(m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
 	par.For(m, gemmRowGrain(n, k, 2), func(lo, hi, _ int) {
 		gemm64Range(lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 	})
 	AddFlops(GEMMFlops(m, n, k))
 }
 
+// gemm64Range is GEMM64 on rows [i0,i1) of C.
+//
 //mlmd:hotpath
 func gemm64Range(i0, i1, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	for i := i0; i < i1; i++ {
-		row := c[i*ldc : i*ldc+n]
-		if beta == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-		} else if beta != 1 {
-			for j := range row {
-				row[j] *= beta
-			}
-		}
-	}
-	const bs = 64
-	for ii := i0; ii < i1; ii += bs {
-		iMax := min(ii+bs, i1)
-		for pp := 0; pp < k; pp += bs {
-			pMax := min(pp+bs, k)
-			for i := ii; i < iMax; i++ {
-				crow := c[i*ldc : i*ldc+n]
-				for p := pp; p < pMax; p++ {
-					av := alpha * a[i*lda+p]
-					if av == 0 {
-						continue
-					}
-					brow := b[p*ldb : p*ldb+n]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
+	scaleRows(i0, i1, n, beta, c, ldc)
+	dgemmTile(i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
 }
 
 // GEMM64Job is a reusable binding of GEMM64 for steady-state hot loops:
@@ -138,17 +113,12 @@ func (j *GEMM64Job) Run(m, n, k int, alpha float64, a []float64, lda int, b []fl
 			gemm64Range(lo, hi, j.n, j.k, j.alpha, j.a, j.lda, j.b, j.ldb, j.beta, j.c, j.ldc)
 		}
 	}
+	checkGEMMShape(m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
 	j.n, j.k, j.alpha, j.beta = n, k, alpha, beta
 	j.a, j.b, j.c = a, b, c
 	j.lda, j.ldb, j.ldc = lda, ldb, ldc
 	par.For(m, gemmRowGrain(n, k, 2), j.fn)
 	AddFlops(GEMMFlops(m, n, k))
-}
-
-// GEMM64Parallel is kept for API compatibility: GEMM64 itself now runs on
-// the shared worker pool.
-func GEMM64Parallel(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	GEMM64(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // MatVec64 computes y = A x for a dense row-major m×n matrix, sharded over

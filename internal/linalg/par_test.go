@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"mlmd/internal/par"
@@ -39,6 +40,31 @@ func TestGEMM32WorkerCountInvariance(t *testing.T) {
 			for i := range c {
 				if math.Float32bits(c[i]) != math.Float32bits(ref[i]) {
 					t.Fatalf("workers=%d: C[%d]=%v != serial %v", workers, i, c[i], ref[i])
+				}
+			}
+		})
+	}
+}
+
+// TestGEMM64WorkerCountInvariance: GEMM64 and GEMM64Job.Run on 1, 2 and 4
+// workers equal one serial gemm64Range over all rows, bit for bit. m is not
+// a multiple of the 4-row tile, so the last chunk ends in a short block.
+func TestGEMM64WorkerCountInvariance(t *testing.T) {
+	const m, n, k = 130, 70, 90
+	rng := rand.New(rand.NewSource(8))
+	a, b, c0 := fuzzReals(rng, m*k, 0, 0), fuzzReals(rng, k*n, 0, 0), fuzzReals(rng, m*n, 0, 0)
+	ref := append([]float64(nil), c0...)
+	gemm64Range(0, m, n, k, 1.5, a, k, b, n, 0.5, ref, n)
+	var job GEMM64Job
+	for _, workers := range []int{1, 2, 4} {
+		withWorkers(t, workers, func() {
+			c := append([]float64(nil), c0...)
+			cj := append([]float64(nil), c0...)
+			GEMM64(m, n, k, 1.5, a, k, b, n, 0.5, c, n)
+			job.Run(m, n, k, 1.5, a, k, b, n, 0.5, cj, n)
+			for i := range ref {
+				if math.Float64bits(c[i]) != math.Float64bits(ref[i]) || math.Float64bits(cj[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("workers=%d: C[%d] = %v (GEMM64), %v (job), serial %v", workers, i, c[i], cj[i], ref[i])
 				}
 			}
 		})

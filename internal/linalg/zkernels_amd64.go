@@ -1,7 +1,7 @@
 package linalg
 
-// Assembly kernels of zkernels.go (zkernels_amd64.s). None of them checks a
-// bound: the Go wrappers do.
+// Assembly kernels of zkernels.go (zkernels_amd64.s) and dkernels.go
+// (dkernels_amd64.s). None of them checks a bound: the Go wrappers do.
 
 //go:noescape
 func zrotPairsAVX2(data *complex128, norb int, pairs *int32, npairs int, coef *[5]float64)
@@ -11,6 +11,9 @@ func zphaseRowsAVX2(data *complex128, norb int, rot *complex128, nrows int)
 
 //go:noescape
 func zgemmTileAVX2(args *zgemmArgs)
+
+//go:noescape
+func dgemmTile4AVX2(args *dgemmArgs)
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

@@ -16,3 +16,7 @@ func zphaseRowsAVX2(data *complex128, norb int, rot *complex128, nrows int) {
 func zgemmTileAVX2(args *zgemmArgs) {
 	panic("linalg: no vector kernels on this architecture")
 }
+
+func dgemmTile4AVX2(args *dgemmArgs) {
+	panic("linalg: no vector kernels on this architecture")
+}

@@ -15,8 +15,8 @@ func onReference(f func()) {
 	f()
 }
 
-// TestKernelTestsOnReferencePath re-runs every test that reaches a
-// complex128 kernel with the dispatch variable flipped, so both the
+// TestKernelTestsOnReferencePath re-runs every test that reaches a vector
+// kernel with the dispatch variable flipped, so both the
 // assembly (the default on an AVX2 host) and the Go reference pass them.
 func TestKernelTestsOnReferencePath(t *testing.T) {
 	onReference(func() {
@@ -28,6 +28,10 @@ func TestKernelTestsOnReferencePath(t *testing.T) {
 		t.Run("CGEMMTileMatchesNaive", TestCGEMMTileMatchesNaive)
 		t.Run("ZKernelsShortSlicePanics", TestZKernelsShortSlicePanics)
 		t.Run("ZRotPairsIsTheRotation", TestZRotPairsIsTheRotation)
+		t.Run("GEMM32MatchesFloat64", TestGEMM32MatchesFloat64)
+		t.Run("GEMM64WorkerCountInvariance", TestGEMM64WorkerCountInvariance)
+		t.Run("GEMM64IsTheAscendingChain", TestGEMM64IsTheAscendingChain)
+		t.Run("GEMM64ShortSlicePanics", TestGEMM64ShortSlicePanics)
 	})
 }
 
@@ -39,16 +43,18 @@ var specials = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(),
 }
 
-// fuzzComplex draws a value whose parts are mostly ordinary and sometimes
-// special (the share is set by rate, 0 = never).
-func fuzzComplex(rng *rand.Rand, rate int) complex128 {
-	part := func() float64 {
-		if rate > 0 && rng.Intn(rate) == 0 {
-			return specials[rng.Intn(len(specials))]
-		}
-		return rng.NormFloat64()
+// fuzzReal draws a value that is mostly ordinary and sometimes special (the
+// share is set by rate, 0 = never).
+func fuzzReal(rng *rand.Rand, rate int) float64 {
+	if rate > 0 && rng.Intn(rate) == 0 {
+		return specials[rng.Intn(len(specials))]
 	}
-	return complex(part(), part())
+	return rng.NormFloat64()
+}
+
+// fuzzComplex draws a value from two fuzzReal parts.
+func fuzzComplex(rng *rand.Rand, rate int) complex128 {
+	return complex(fuzzReal(rng, rate), fuzzReal(rng, rate))
 }
 
 // fuzzField returns n values starting at an element offset into a larger
@@ -61,14 +67,16 @@ func fuzzField(rng *rand.Rand, n, off, rate int) []complex128 {
 	return buf[off:]
 }
 
-// sameBits reports whether got is bit-for-bit want, treating any NaN as
+// sameBits64 reports whether got is bit-for-bit want, treating any NaN as
 // equal to any NaN: which payload and sign a NaN result carries depends on
 // operand order, which IEEE 754 leaves open and neither path promises.
+func sameBits64(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+}
+
+// sameBits is sameBits64 on both parts.
 func sameBits(got, want complex128) bool {
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-	}
-	return same(real(got), real(want)) && same(imag(got), imag(want))
+	return sameBits64(real(got), real(want)) && sameBits64(imag(got), imag(want))
 }
 
 func compareFields(t *testing.T, what string, got, want []complex128) {

@@ -8,26 +8,27 @@ import (
 
 // BatchTape holds the per-layer activations of one blocked forward pass:
 // the per-row tape of ForwardTapeInto turned on its side, with every layer's
-// inputs and pre-activations stored as a rows×width row-major matrix so the
-// forward pass is one linalg.GEMM64 per layer instead of rows dot-product
-// sweeps. Like Tape, a BatchTape is reusable — buffers are sized on first
-// use and recorded over on later passes — so steady-state blocked inference
-// allocates nothing.
+// inputs and activation derivatives stored as a rows×width row-major matrix
+// so the forward pass is one linalg.GEMM64 per layer instead of rows
+// dot-product sweeps. Like Tape, a BatchTape is reusable — buffers are sized
+// on first use and recorded over on later passes — so steady-state blocked
+// inference allocates nothing.
 //
 // The blocked pass is bitwise identical to running ForwardTapeInto /
 // BackwardInto row by row: GEMM64 accumulates each output element over the
 // reduction index in the same ascending order as the per-row loops, with
 // the same operand rounding (IEEE-754 multiplication is commutative, and
-// the alpha=1 scaling is exact). The one documented exception is a weight
-// matrix containing negative-zero bias entries, where the kernel's
-// skip-zero fast path can preserve a −0 accumulator the per-row path would
-// rewrite to +0; initialized or trained networks never contain −0 weights.
+// the alpha=1 scaling is exact) and no product skipped — for every input,
+// signed zeros, infinities and NaNs included.
 type BatchTape struct {
 	rows int
 	// in[l] is the rows×Sizes[l] input block of layer l; in[0] is the
 	// gathered network input.
 	in [][]float64
-	// pre[l] is the rows×Sizes[l+1] pre-activation block of layer l.
+	// pre[l] is the rows×Sizes[l+1] block layer l's GEMM accumulates its
+	// pre-activations into. For a hidden layer ForwardBatch then overwrites
+	// each pre-activation with the activation derivative at it — actFn
+	// yields both at once — which is all BackwardBatch needs of it.
 	pre [][]float64
 	// out is the rows×Sizes[last] output block.
 	out []float64
@@ -128,8 +129,7 @@ func (m *MLP) ForwardBatch(t *BatchTape) {
 		} else {
 			dst := t.in[l+1][:rows*out]
 			for i, v := range pre {
-				y, _ := actFn(m.Act, v)
-				dst[i] = y
+				dst[i], pre[i] = actFn(m.Act, v)
 			}
 		}
 	}
@@ -149,10 +149,11 @@ func (m *MLP) ForwardBatchInto(x []float64, rows int, t *BatchTape) *BatchTape {
 // BackwardBatch propagates the output cotangent block gOut (t.rows×outDim,
 // row-major) through the taped blocked forward pass, writing the input
 // gradients into dst (t.rows×Sizes[0], returned). Hidden deltas are scaled
-// elementwise by the activation derivative and each layer's input gradient
-// is one GEMM64 against the untransposed weights, reproducing BackwardInto
-// row by row bitwise. Weight gradients are not accumulated — the blocked
-// path is inference-only (training keeps the per-row tapes).
+// elementwise by the activation derivative ForwardBatch taped (no second
+// actFn call) and each layer's input gradient is one GEMM64 against the
+// untransposed weights, reproducing BackwardInto row by row bitwise. Weight
+// gradients are not accumulated — the blocked path is inference-only
+// (training keeps the per-row tapes).
 //
 //mlmd:hotpath
 func (m *MLP) BackwardBatch(t *BatchTape, gOut, dst []float64) []float64 {
@@ -170,9 +171,7 @@ func (m *MLP) BackwardBatch(t *BatchTape, gOut, dst []float64) []float64 {
 	for l := len(m.W) - 1; l >= 0; l-- {
 		in, out := m.Sizes[l], m.Sizes[l+1]
 		if l < len(m.W)-1 {
-			pre := t.pre[l][:rows*out]
-			for i, v := range pre {
-				_, d := actFn(m.Act, v)
+			for i, d := range t.pre[l][:rows*out] {
 				delta[i] *= d
 			}
 		}

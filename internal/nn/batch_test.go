@@ -30,11 +30,18 @@ func perRowReference(m *MLP, x []float64, rows int, gOut []float64) (outs, grads
 // assertBitsEqual fails if any element of got differs bitwise from want.
 func assertBitsEqual(t *testing.T, what string, got, want []float64) {
 	t.Helper()
+	assertBits(t, what, got, want, false)
+}
+
+// assertBits compares got and want by Float64bits; with anyNaN, a NaN equals
+// any NaN (IEEE 754 leaves the payload to the operand order).
+func assertBits(t *testing.T, what string, got, want []float64, anyNaN bool) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(anyNaN && math.IsNaN(got[i]) && math.IsNaN(want[i])) {
 			t.Fatalf("%s[%d]: %v (bits %x) != %v (bits %x)",
 				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
@@ -63,7 +70,7 @@ func TestBatchBitwiseMatchesPerRow(t *testing.T) {
 				for i := range x {
 					x[i] = rng.NormFloat64()
 				}
-				// Exercise exact-zero inputs (the GEMM skip-zero path).
+				// Exact-zero inputs: their products are added like any other.
 				if rows*in > 2 {
 					x[0], x[rows*in/2] = 0, 0
 				}
@@ -78,7 +85,63 @@ func TestBatchBitwiseMatchesPerRow(t *testing.T) {
 				m.BackwardBatch(&bt, gOut, grad)
 				assertBitsEqual(t, "outputs", bt.Outputs()[:rows*outDim], refOut)
 				assertBitsEqual(t, "input gradients", grad, refGrad)
+				// The tape survives a backward pass: a second one reads the
+				// same taped derivatives.
+				m.BackwardBatch(&bt, gOut, grad)
+				assertBitsEqual(t, "input gradients, second pass", grad, refGrad)
 			}
+		}
+	}
+}
+
+// TestBatchMatchesPerRowOnZerosAndNonFinite closes what used to be the
+// documented exception of the blocked path: GEMM64 skips no product, so it
+// agrees with the per-row loops where a skipped zero would show — a −0 bias
+// under an all-zero activation row (−0 + 0·w is +0, not −0), and a zero
+// activation or delta meeting an infinite or NaN weight (0·Inf is NaN).
+func TestBatchMatchesPerRowOnZerosAndNonFinite(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, act := range []Activation{SiLU, Tanh, Linear} {
+		m, err := NewMLP([]int{3, 4, 2}, act, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range m.B {
+			for o := range m.B[l] {
+				m.B[l][o] = negZero
+			}
+		}
+		m.W[0][1] = negZero
+		const rows = 5
+		x := []float64{
+			0, 0, 0, // all-zero row under the −0 biases
+			negZero, 0, negZero,
+			0.5, -1.25, 2,
+			0, 3, 0,
+			-0.75, 0, 1,
+		}
+		gOut := []float64{1, -2, 0, 0, 0.5, 0.25, negZero, 1, 3, 0}
+		check := func(what string) {
+			t.Helper()
+			refOut, refGrad := perRowReference(m, x, rows, gOut)
+			var bt BatchTape
+			m.ForwardBatchInto(x, rows, &bt)
+			grad := make([]float64, rows*3)
+			m.BackwardBatch(&bt, gOut, grad)
+			assertBits(t, what+" outputs", bt.Outputs()[:rows*2], refOut, true)
+			assertBits(t, what+" input gradients", grad, refGrad, true)
+		}
+		check("signed zeros:")
+
+		// Non-finite weights against exact zeros, both passes: row 0 is all
+		// zeros (forward 0·Inf), rows 1 and 4 have zero cotangents (backward).
+		m.W[0][0], m.W[0][5] = math.Inf(1), math.NaN()
+		m.W[1][2], m.W[1][7] = math.Inf(-1), math.Inf(1)
+		check("non-finite weights:")
+		var bt BatchTape
+		m.ForwardBatchInto(x, rows, &bt)
+		if !math.IsNaN(bt.Out(0)) {
+			t.Fatalf("%v: zero row through an infinite weight gives %v, want NaN", act, bt.Out(0))
 		}
 	}
 }
@@ -218,11 +281,12 @@ func TestMixedBatchTracksFloat64(t *testing.T) {
 // FuzzBatchedMLP cross-checks the blocked kernels against the per-row
 // reference on fuzzed shapes, weights and inputs (bitwise). Weights and
 // inputs are derived from the fuzz bytes as small dyadic rationals, which
-// keeps them finite and excludes the out-of-contract −0 weight case.
+// keeps them finite; byte 0x80 stands for −0.
 func FuzzBatchedMLP(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{4, 1, 2, 2, 200, 100, 0, 0, 0, 50, 25, 12, 255, 254, 253, 1, 2, 3})
 	f.Add([]byte{1, 1, 1, 0, 128})
+	f.Add([]byte{3, 2, 3, 2, 1, 4, 0x80, 0, 0x80, 0x80, 0, 0, 16, 0x80, 0, 240})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -240,11 +304,14 @@ func FuzzBatchedMLP(f *testing.F) {
 			t.Skip()
 		}
 		// Overwrite weights/biases from the corpus: v = int8/16, so exact
-		// zeros occur (exercising the GEMM skip-zero path) but −0 cannot.
+		// zeros of both signs occur.
 		k := nLayers + 3
 		fill := func(dst []float64) {
 			for i := range dst {
 				dst[i] = float64(int8(next(k))) / 16
+				if next(k) == 0x80 {
+					dst[i] = math.Copysign(0, -1)
+				}
 				k++
 			}
 		}
