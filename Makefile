@@ -40,8 +40,9 @@
 #   make fuzz    - 10s native-fuzz smoke per mlmdio deserializer and per
 #                  wire frame decoder (the multi-process rank transport), plus
 #                  the bitwise equivalence harnesses (batched MLP, halo pack,
-#                  min-image fast path vs formula, complex128 vector kernels
-#                  and the float64 GEMM tile vs their Go references)
+#                  min-image fast path vs formula, complex128 vector kernels,
+#                  the float64 GEMM tile and the Yee curl rows vs their Go
+#                  references)
 #   make benchmark-check - go vet + go test inside benchmark/ (a module of its
 #                  own, which ./... never reaches)
 #   make bench-ab A=<ref> B=<ref> [SEEDS=10] [BENCH_SECONDS=10] - the gate for
@@ -113,7 +114,7 @@ WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 MD_FUZZ_TARGETS   = FuzzMinImage1
-LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels
+LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows
 FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).
@@ -122,7 +123,7 @@ DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./interna
 
 # Packages with architecture-specific files (assembly kernels and their
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.
-ARCH_PKGS = ./internal/linalg ./internal/tddft ./internal/core ./internal/nn
+ARCH_PKGS = ./internal/linalg ./internal/tddft ./internal/core ./internal/nn ./internal/maxwell
 
 .PHONY: check fmt vet asm-nofma lint build test race race-full cover fuzz docs benchmark-check bench-ab bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 // fuzzReals returns n values starting at an element offset into a larger
@@ -164,22 +163,6 @@ func TestGEMM64ShortSlicePanics(t *testing.T) {
 	for i, v := range full {
 		if v != 0 {
 			t.Fatalf("a rejected call wrote element %d of a valid operand", i)
-		}
-	}
-}
-
-// TestDGEMMArgsLayout pins the field offsets the assembly hard-codes.
-func TestDGEMMArgsLayout(t *testing.T) {
-	var d dgemmArgs
-	got := []uintptr{
-		unsafe.Offsetof(d.a), unsafe.Offsetof(d.aOff), unsafe.Offsetof(d.aOff) + 8, unsafe.Offsetof(d.aOff) + 16,
-		unsafe.Offsetof(d.b), unsafe.Offsetof(d.ldb),
-		unsafe.Offsetof(d.c), unsafe.Offsetof(d.cOff), unsafe.Offsetof(d.cOff) + 8, unsafe.Offsetof(d.cOff) + 16,
-		unsafe.Offsetof(d.n), unsafe.Offsetof(d.k),
-	}
-	for i, off := range got {
-		if off != uintptr(8*i) {
-			t.Fatalf("dgemmArgs field %d at offset %d, the assembly expects %d", i, off, 8*i)
 		}
 	}
 }

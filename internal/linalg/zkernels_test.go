@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 // onReference runs f with the vector kernels switched off.
@@ -32,6 +31,8 @@ func TestKernelTestsOnReferencePath(t *testing.T) {
 		t.Run("GEMM64WorkerCountInvariance", TestGEMM64WorkerCountInvariance)
 		t.Run("GEMM64IsTheAscendingChain", TestGEMM64IsTheAscendingChain)
 		t.Run("GEMM64ShortSlicePanics", TestGEMM64ShortSlicePanics)
+		t.Run("CurlRowsMatchesReference", TestCurlRowsMatchesReference)
+		t.Run("CurlRowsShortSlicePanics", TestCurlRowsShortSlicePanics)
 	})
 }
 
@@ -230,22 +231,6 @@ func TestZKernelsShortSlicePanics(t *testing.T) {
 	for i, v := range backing {
 		if v != canary {
 			t.Fatalf("a rejected call wrote element %d", i)
-		}
-	}
-}
-
-// TestZGEMMArgsLayout pins the field offsets the assembly hard-codes.
-func TestZGEMMArgsLayout(t *testing.T) {
-	var z zgemmArgs
-	got := []uintptr{
-		unsafe.Offsetof(z.a), unsafe.Offsetof(z.aRow), unsafe.Offsetof(z.aCol), unsafe.Offsetof(z.conj),
-		unsafe.Offsetof(z.b), unsafe.Offsetof(z.ldb), unsafe.Offsetof(z.c), unsafe.Offsetof(z.ldc),
-		unsafe.Offsetof(z.m), unsafe.Offsetof(z.kb), unsafe.Offsetof(z.n),
-		unsafe.Offsetof(z.alphaRe), unsafe.Offsetof(z.alphaIm),
-	}
-	for i, off := range got {
-		if off != uintptr(8*i) {
-			t.Fatalf("zgemmArgs field %d at offset %d, the assembly expects %d", i, off, 8*i)
 		}
 	}
 }

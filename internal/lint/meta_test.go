@@ -29,7 +29,8 @@ var hotpathPkgs = map[string]bool{
 var requiredHotpaths = map[string][]string{
 	"mlmd/internal/par": {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
 	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange",
-		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run"},
+		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run",
+		"CurlRows", "curlRowsGo"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mlmd/internal/linalg"
 	"mlmd/internal/shard/halo"
 	"mlmd/internal/units"
 )
@@ -19,8 +20,11 @@ import (
 // before the B update. Every owned cell's update is a fixed expression
 // over its face neighborhood, so trajectories are bitwise identical
 // across all grid shapes and transports (shard.GridEngine's identity
-// matrix pins this). Sim3D implements shard.GridWorkload structurally
-// without importing shard.
+// matrix pins this). Every product is rounded before it is added
+// (linalg.CurlRows, applySource), so no GOARCH may fuse one and an
+// undriven run has the same bits everywhere; the source's pulse sample
+// goes through math.Exp/Sin/Cos, which do not promise that. Sim3D
+// implements shard.GridWorkload structurally without importing shard.
 //
 // The optional current source drives Jz at one global cell with the
 // pulse's electric-field envelope — a point antenna radiating into the
@@ -40,10 +44,6 @@ type Sim3D struct {
 	Drive     Pulse
 	Source    [3]int
 	SourceAmp float64
-	// DisableOverlap forces sequential refresh-then-update stepping
-	// instead of overlapping the interior update with the ghost
-	// exchange. Bitwise neutral either way.
-	DisableOverlap bool
 
 	t    float64
 	step int
@@ -61,8 +61,6 @@ type Sim3DConfig struct {
 	Drive     Pulse
 	Source    [3]int
 	SourceAmp float64
-	// DisableOverlap forces sequential stepping.
-	DisableOverlap bool
 }
 
 // NewSim3D builds the rank-local simulation on domain block d.
@@ -90,7 +88,6 @@ func NewSim3D(d halo.Domain, cfg Sim3DConfig) (*Sim3D, error) {
 		D: d, E: halo.NewGridField(d, 3), B: halo.NewGridField(d, 3),
 		H: cfg.H, Dt: cfg.Dt,
 		Drive: cfg.Drive, Source: cfg.Source, SourceAmp: cfg.SourceAmp,
-		DisableOverlap: cfg.DisableOverlap,
 	}, nil
 }
 
@@ -130,9 +127,9 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// Step advances the fields by Δt, refreshing ghosts through ex. With
-// overlap enabled the interior cells (those whose stencil never reaches a
-// partitioned-axis ghost) update while the ghost frames are in flight.
+// Step advances the fields by Δt, refreshing ghosts through ex. The
+// interior cells (those whose stencil never reaches a partitioned-axis
+// ghost) update while the ghost frames are in flight.
 //
 //mlmd:hotpath
 func (s *Sim3D) Step(ex *halo.Exchanger) {
@@ -146,19 +143,14 @@ func (s *Sim3D) Step(ex *halo.Exchanger) {
 }
 
 // halfStep refreshes read's ghosts and runs update over the owned box,
-// overlapping the interior unless disabled. loTrim/hiTrim name the owned
-// layers (along partitioned axes) whose update reads the refreshed
-// ghosts.
+// the interior while the exchange is in flight. loTrim/hiTrim name the
+// owned layers (along partitioned axes) whose update reads the refreshed
+// ghosts. Per-cell updates are independent, so the split cannot affect
+// bits: every rank grid reproduces the 1×1×1 run, which has no
+// partitioned axis and so no split.
 //
 //mlmd:hotpath
 func (s *Sim3D) halfStep(ex *halo.Exchanger, read *halo.GridField, update func(lo, hi [3]int), loTrim, hiTrim int) {
-	if s.DisableOverlap {
-		for a := 0; a < 3; a++ {
-			read.RefreshAxis(ex, a)
-		}
-		update([3]int{}, s.D.Own)
-		return
-	}
 	for a := 0; a < 3; a++ {
 		read.PostAxis(ex, a)
 	}
@@ -210,58 +202,29 @@ func (s *Sim3D) boundarySlabs(ilo, ihi [3]int, fn func(lo, hi [3]int)) {
 }
 
 // updateE applies E += Δt·c ∇×B with backward differences over the owned
-// box [lo, hi).
+// box [lo, hi): one linalg.CurlRows sweep.
 //
 //mlmd:hotpath
 func (s *Sim3D) updateE(lo, hi [3]int) {
-	e, b := s.E.Data, s.B.Data
-	sx := s.E.Ext[1] * s.E.Ext[2] * 3
-	sy := s.E.Ext[2] * 3
-	sz := 3
-	c := units.LightSpeed
-	dt := s.Dt
-	hx, hy, hz := s.H[0], s.H[1], s.H[2]
-	for ox := lo[0]; ox < hi[0]; ox++ {
-		for oy := lo[1]; oy < hi[1]; oy++ {
-			base := s.E.OwnIndex(ox, oy, lo[2])
-			for oz := lo[2]; oz < hi[2]; oz++ {
-				cx := (b[base+2]-b[base-sy+2])/hy - (b[base+1]-b[base-sz+1])/hz
-				cy := (b[base]-b[base-sz])/hz - (b[base+2]-b[base-sx+2])/hx
-				cz := (b[base+1]-b[base-sx+1])/hx - (b[base]-b[base-sy])/hy
-				e[base] += dt * c * cx
-				e[base+1] += dt * c * cy
-				e[base+2] += dt * c * cz
-				base += 3
-			}
-		}
-	}
+	linalg.CurlRows(linalg.CurlAddBackward, s.E.Data, s.B.Data, s.curlBox(lo, hi), s.H, s.Dt*units.LightSpeed)
 }
 
 // updateB applies B −= Δt·c ∇×E with forward differences over the owned
-// box [lo, hi).
+// box [lo, hi): one linalg.CurlRows sweep.
 //
 //mlmd:hotpath
 func (s *Sim3D) updateB(lo, hi [3]int) {
-	e, b := s.E.Data, s.B.Data
-	sx := s.E.Ext[1] * s.E.Ext[2] * 3
+	linalg.CurlRows(linalg.CurlSubForward, s.B.Data, s.E.Data, s.curlBox(lo, hi), s.H, s.Dt*units.LightSpeed)
+}
+
+// curlBox is the owned box [lo, hi) in the layout E and B share.
+func (s *Sim3D) curlBox(lo, hi [3]int) linalg.CurlBox {
 	sy := s.E.Ext[2] * 3
-	sz := 3
-	c := units.LightSpeed
-	dt := s.Dt
-	hx, hy, hz := s.H[0], s.H[1], s.H[2]
-	for ox := lo[0]; ox < hi[0]; ox++ {
-		for oy := lo[1]; oy < hi[1]; oy++ {
-			base := s.E.OwnIndex(ox, oy, lo[2])
-			for oz := lo[2]; oz < hi[2]; oz++ {
-				cx := (e[base+sy+2]-e[base+2])/hy - (e[base+sz+1]-e[base+1])/hz
-				cy := (e[base+sz]-e[base])/hz - (e[base+sx+2]-e[base+2])/hx
-				cz := (e[base+sx+1]-e[base+1])/hx - (e[base+sy]-e[base])/hy
-				b[base] -= dt * c * cx
-				b[base+1] -= dt * c * cy
-				b[base+2] -= dt * c * cz
-				base += 3
-			}
-		}
+	return linalg.CurlBox{
+		Base: s.E.OwnIndex(lo[0], lo[1], lo[2]),
+		N:    [3]int{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]},
+		SX:   s.E.Ext[1] * sy,
+		SY:   sy,
 	}
 }
 
@@ -281,7 +244,7 @@ func (s *Sim3D) applySource() {
 	}
 	j := s.SourceAmp * s.Drive.EFieldAt(s.t)
 	idx := s.E.OwnIndex(s.Source[0]-d.Off[0], s.Source[1]-d.Off[1], s.Source[2]-d.Off[2])
-	s.E.Data[idx+2] -= 4 * math.Pi * s.Dt * j
+	s.E.Data[idx+2] -= float64(4 * math.Pi * s.Dt * j)
 }
 
 // Energy returns this rank's field energy ∫(E²+B²)/8π dV over its owned

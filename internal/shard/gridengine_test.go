@@ -34,9 +34,8 @@ type gridFixture struct {
 	ghost  int
 	even   bool
 	fields int
-	// newWork builds rank r's workload; overlap selects the
-	// exchange/compute overlap path (the A/B of the identity matrix).
-	newWork func(overlap bool) func(rank int, d halo.Domain) (GridWorkload, error)
+	// newWork builds rank r's workload.
+	newWork func(rank int, d halo.Domain) (GridWorkload, error)
 }
 
 // fdtdFixture is the Maxwell slice of the matrix: a driven 12×10×8 box
@@ -47,21 +46,18 @@ func fdtdFixture() gridFixture {
 	dt := 0.9 * h[0] / math.Sqrt(3) / units.LightSpeed
 	return gridFixture{
 		name: "grid-fdtd", steps: 320, n: n, ghost: 1, fields: 2,
-		newWork: func(overlap bool) func(rank int, d halo.Domain) (GridWorkload, error) {
-			return func(rank int, d halo.Domain) (GridWorkload, error) {
-				sim, err := maxwell.NewSim3D(d, maxwell.Sim3DConfig{
-					H: h, Dt: dt,
-					Drive:          maxwell.NewPulse(1e-2, 0.057, 0.02, 0.02),
-					Source:         [3]int{5, 4, 3},
-					SourceAmp:      1,
-					DisableOverlap: !overlap,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sim.InitRandom(11, 1e-3)
-				return sim, nil
+		newWork: func(rank int, d halo.Domain) (GridWorkload, error) {
+			sim, err := maxwell.NewSim3D(d, maxwell.Sim3DConfig{
+				H: h, Dt: dt,
+				Drive:     maxwell.NewPulse(1e-2, 0.057, 0.02, 0.02),
+				Source:    [3]int{5, 4, 3},
+				SourceAmp: 1,
+			})
+			if err != nil {
+				return nil, err
 			}
+			sim.InitRandom(11, 1e-3)
+			return sim, nil
 		},
 	}
 }
@@ -78,20 +74,17 @@ func tddftFixture() gridFixture {
 	pulse := maxwell.NewPulse(1e-2, 0.057, 0.01, 0.01)
 	return gridFixture{
 		name: "grid-tddft", steps: 310, n: n, ghost: 1, even: true, fields: 1,
-		newWork: func(overlap bool) func(rank int, d halo.Domain) (GridWorkload, error) {
-			return func(rank int, d halo.Domain) (GridWorkload, error) {
-				sp, err := tddft.NewShardProp(d, tddft.ShardPropConfig{
-					Norb: 2, H: [3]float64{0.9, 1.1, 0.7}, Dt: 0.05,
-					Ax:             pulse.VectorPotential,
-					Vloc:           vloc,
-					DisableOverlap: !overlap,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sp.InitRandom(42, 1.0)
-				return sp, nil
+		newWork: func(rank int, d halo.Domain) (GridWorkload, error) {
+			sp, err := tddft.NewShardProp(d, tddft.ShardPropConfig{
+				Norb: 2, H: [3]float64{0.9, 1.1, 0.7}, Dt: 0.05,
+				Ax:   pulse.VectorPotential,
+				Vloc: vloc,
+			})
+			if err != nil {
+				return nil, err
 			}
+			sp.InitRandom(42, 1.0)
+			return sp, nil
 		},
 	}
 }
@@ -107,11 +100,11 @@ func gridFixtureByName(name string) (gridFixture, error) {
 
 // runGridFixture runs fix on the given rank grid in-process and returns
 // the gathered global fields as IEEE-754 bytes plus the final observables.
-func runGridFixture(t *testing.T, fix gridFixture, grid [3]int, overlap bool) ([]byte, []float64) {
+func runGridFixture(t *testing.T, fix gridFixture, grid [3]int) ([]byte, []float64) {
 	t.Helper()
 	eng, err := NewGridEngine(GridConfig{
 		Grid: grid, N: fix.n, Ghost: fix.ghost, EvenAligned: fix.even,
-		NewWork: fix.newWork(overlap),
+		NewWork: fix.newWork,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,21 +147,18 @@ func gatherFieldBytes(eng *GridEngine, fix gridFixture) ([]byte, error) {
 var gridMatrixShapes = [][3]int{{2, 1, 1}, {1, 2, 1}, {2, 2, 1}, {2, 2, 2}, {4, 1, 1}}
 
 // runGridIdentityMatrix pins fix across the matrix: every shape's gathered
-// fields must match the 1×1×1 reference bit for bit (with the overlap path
-// on), the DisableOverlap A/B run must match too, and the AllReduced
-// observables must agree to reduction tolerance.
+// fields must match the 1×1×1 reference bit for bit, and the AllReduced
+// observables must agree to reduction tolerance. The reference has no
+// partitioned axis and so no interior/boundary split, which makes each
+// comparison also the check that the exchange/compute overlap moves no bit.
 func runGridIdentityMatrix(t *testing.T, fix gridFixture) {
-	refBits, refObs := runGridFixture(t, fix, [3]int{1, 1, 1}, true)
+	refBits, refObs := runGridFixture(t, fix, [3]int{1, 1, 1})
 	for _, shape := range gridMatrixShapes {
 		shape := shape
 		t.Run(fmt.Sprintf("%dx%dx%d", shape[0], shape[1], shape[2]), func(t *testing.T) {
-			bits, obs := runGridFixture(t, fix, shape, true)
+			bits, obs := runGridFixture(t, fix, shape)
 			if string(bits) != string(refBits) {
 				t.Fatalf("grid %v: gathered fields are not bitwise identical to the 1-rank run", shape)
-			}
-			offBits, _ := runGridFixture(t, fix, shape, false)
-			if string(offBits) != string(refBits) {
-				t.Fatalf("grid %v: DisableOverlap changed the trajectory bits", shape)
 			}
 			for i := range obs {
 				if rel := math.Abs(obs[i]-refObs[i]) / math.Max(math.Abs(refObs[i]), 1e-300); rel > 1e-12 {
@@ -180,8 +170,7 @@ func runGridIdentityMatrix(t *testing.T, fix gridFixture) {
 }
 
 // TestGridStencilIdentityMatrixFDTD: the sharded Maxwell FDTD trajectory
-// is bitwise decomposition-invariant across ≥4 rank-grid shapes, with and
-// without exchange/compute overlap.
+// is bitwise decomposition-invariant across ≥4 rank-grid shapes.
 func TestGridStencilIdentityMatrixFDTD(t *testing.T) {
 	runGridIdentityMatrix(t, fdtdFixture())
 }
@@ -203,7 +192,7 @@ func TestGridPartialEnginesOverSharedComm(t *testing.T) {
 	fix.steps = 60
 	grid := [3]int{2, 2, 1}
 	const p = 4
-	refBits, refObs := runGridFixture(t, fix, [3]int{1, 1, 1}, true)
+	refBits, refObs := runGridFixture(t, fix, [3]int{1, 1, 1})
 
 	comm, err := cluster.NewComm(p, cluster.Interconnect{})
 	if err != nil {
@@ -213,7 +202,7 @@ func TestGridPartialEnginesOverSharedComm(t *testing.T) {
 	for r := 0; r < p; r++ {
 		engs[r], err = NewGridEngine(GridConfig{
 			Grid: grid, N: fix.n, Ghost: fix.ghost, EvenAligned: fix.even,
-			NewWork: fix.newWork(true),
+			NewWork: fix.newWork,
 			Comm:    comm, LocalRank: r,
 		})
 		if err != nil {
@@ -269,7 +258,7 @@ func TestGridEngineSteadyStateAllocs(t *testing.T) {
 	fix := fdtdFixture()
 	eng, err := NewGridEngine(GridConfig{
 		Grid: [3]int{2, 2, 1}, N: fix.n, Ghost: fix.ghost,
-		NewWork: fix.newWork(true),
+		NewWork: fix.newWork,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +294,7 @@ func TestGridEngineSteadyStateAllocs(t *testing.T) {
 // TestNewGridEngineErrors exercises the fail-fast configuration checks.
 func TestNewGridEngineErrors(t *testing.T) {
 	fix := fdtdFixture()
-	ok := GridConfig{Grid: [3]int{2, 1, 1}, N: fix.n, Ghost: 1, NewWork: fix.newWork(true)}
+	ok := GridConfig{Grid: [3]int{2, 1, 1}, N: fix.n, Ghost: 1, NewWork: fix.newWork}
 	cases := []struct {
 		name string
 		mut  func(*GridConfig)
@@ -379,7 +368,7 @@ func runGridMPWorker() error {
 	}
 	eng, err := NewGridEngine(GridConfig{
 		Grid: grid, N: fix.n, Ghost: fix.ghost, EvenAligned: fix.even,
-		NewWork: fix.newWork(true),
+		NewWork: fix.newWork,
 		Comm:    comm, LocalRank: rank,
 	})
 	if err != nil {
@@ -460,7 +449,7 @@ func runGridMultiProcess(t *testing.T, fix gridFixture, grid [3]int, transport s
 // transports of the same grid and tolerance-compared against 1 rank.
 func runGridMultiProcessMatrix(t *testing.T, fix gridFixture) {
 	mpSkip(t)
-	refBits, refObs := runGridFixture(t, fix, [3]int{1, 1, 1}, true)
+	refBits, refObs := runGridFixture(t, fix, [3]int{1, 1, 1})
 	for _, grid := range mpGrids {
 		var prev []byte
 		for _, transport := range []string{"unix", "tcp"} {

@@ -39,9 +39,6 @@ type ShardProp struct {
 	Dt float64
 	// Ax samples the uniform vector potential A_x at time t (nil = 0).
 	Ax func(t float64) float64
-	// DisableOverlap forces the blocking RefreshAxis path before each odd
-	// sweep instead of overlapping the exchange with the interior pairs.
-	DisableOverlap bool
 
 	hop  [3]float64 // −1/(2h²) per axis
 	diag float64    // Σ 1/h²
@@ -76,8 +73,6 @@ type ShardPropConfig struct {
 	Ax func(t float64) float64
 	// Vloc samples the static local potential at a global cell.
 	Vloc func(gx, gy, gz int) float64
-	// DisableOverlap disables communication/compute overlap (A/B testing).
-	DisableOverlap bool
 }
 
 // NewShardProp builds the propagator on domain block d. The global mesh
@@ -105,16 +100,15 @@ func NewShardProp(d halo.Domain, cfg ShardPropConfig) (*ShardProp, error) {
 		return nil, fmt.Errorf("tddft: time step %g must be positive", cfg.Dt)
 	}
 	sp := &ShardProp{
-		D:              d,
-		W:              halo.NewGridFieldC(d, cfg.Norb),
-		Norb:           cfg.Norb,
-		Vloc:           make([]float64, d.Len()),
-		phase:          make([]complex128, d.Len()),
-		Dt:             cfg.Dt,
-		Ax:             cfg.Ax,
-		DisableOverlap: cfg.DisableOverlap,
-		hx:             cfg.H[0],
-		dV:             cfg.H[0] * cfg.H[1] * cfg.H[2],
+		D:     d,
+		W:     halo.NewGridFieldC(d, cfg.Norb),
+		Norb:  cfg.Norb,
+		Vloc:  make([]float64, d.Len()),
+		phase: make([]complex128, d.Len()),
+		Dt:    cfg.Dt,
+		Ax:    cfg.Ax,
+		hx:    cfg.H[0],
+		dV:    cfg.H[0] * cfg.H[1] * cfg.H[2],
 	}
 	for ax := 0; ax < 3; ax++ {
 		sp.hop[ax] = -0.5 / (cfg.H[ax] * cfg.H[ax])
@@ -239,19 +233,15 @@ func (sp *ShardProp) Step(ex *halo.Exchanger) {
 				continue
 			}
 			// Odd sweep: boundary pairs read post-even(Δt/2) neighbor
-			// values through the axis ghosts.
+			// values through the axis ghosts, exchanged while the interior
+			// pairs rotate.
 			if !sp.D.Partitioned(ax) {
 				sp.rotatePairs(sp.oddPairs[ax], c, f, b)
 				continue
 			}
-			if sp.DisableOverlap {
-				sp.W.RefreshAxis(ex, ax)
-				sp.rotatePairs(sp.oddPairs[ax], c, f, b)
-			} else {
-				sp.W.PostAxis(ex, ax)
-				sp.rotatePairs(sp.oddPairs[ax], c, f, b)
-				sp.W.FinishAxis(ex, ax)
-			}
+			sp.W.PostAxis(ex, ax)
+			sp.rotatePairs(sp.oddPairs[ax], c, f, b)
+			sp.W.FinishAxis(ex, ax)
 			sp.rotateOneSided(sp.oddLow[ax], c, b)
 			sp.rotateOneSided(sp.oddHigh[ax], c, f)
 		}
