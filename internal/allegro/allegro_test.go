@@ -42,7 +42,7 @@ func descriptorOf(t *testing.T, m *Model, sys *md.System, i int) []float64 {
 	t.Helper()
 	m.ensureNeighbors(sys)
 	var env neighborEnv
-	buildEnv(sys, m.nl, i, m.Spec.Cutoff, &env)
+	buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &env)
 	d := make([]float64, m.Spec.Dim())
 	m.Spec.Descriptor(sys, env, d)
 	return d

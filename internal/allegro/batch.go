@@ -2,7 +2,6 @@ package allegro
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -216,24 +215,7 @@ func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, 
 //
 //mlmd:hotpath
 func (m *Model) GatherAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, desc, vec []float64) {
-	scr.env.reset()
-	x := sys.X
-	px, py, pz := sys.Periods()
-	xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
-	for _, j32 := range cand {
-		j := int(j32)
-		// vector from i to j: sys.MinImage(j, i) with the box hoisted
-		dx, dy, dz := px.MinImage(x[3*j]-xi), py.MinImage(x[3*j+1]-yi), pz.MinImage(x[3*j+2]-zi)
-		r := math.Sqrt(dx*dx + dy*dy + dz*dz)
-		if r >= m.Spec.Cutoff || r == 0 {
-			continue
-		}
-		scr.env.j = append(scr.env.j, j)
-		scr.env.dx = append(scr.env.dx, dx)
-		scr.env.dy = append(scr.env.dy, dy)
-		scr.env.dz = append(scr.env.dz, dz)
-		scr.env.r = append(scr.env.r, r)
-	}
+	buildEnv(sys, i, cand, m.Spec.Cutoff, &scr.env)
 	m.Spec.descriptorInto(sys, scr.env, desc, cs, vec)
 }
 
@@ -304,7 +286,7 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 				for r := 0; r < n; r++ {
 					i := base + flo + r
 					ws.envOff[r] = int32(len(ws.envJ))
-					buildEnv(sys, m.nl, i, m.Spec.Cutoff, &ws.env)
+					buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &ws.env)
 					ws.envJ = append(ws.envJ, ws.env.j...)
 					ws.envDx = append(ws.envDx, ws.env.dx...)
 					ws.envDy = append(ws.envDy, ws.env.dy...)

@@ -90,17 +90,18 @@ func (env *neighborEnv) reset() {
 	env.r = env.r[:0]
 }
 
-// buildEnv collects all neighbors of atom i within cutoff into env,
-// reusing its backing storage. The neighbor order comes from the list's
-// full-list CSR and matches the seed's per-call half-list expansion.
+// buildEnv collects every candidate j of atom i (cand, in the caller's
+// order — a neighbor-list row) that lies within cutoff rc into env, reusing
+// its backing storage. It is the one environment filter: the global force
+// path passes md.NeighborList rows, the sharded engine its rank rows.
 //
 //mlmd:hotpath
-func buildEnv(sys *md.System, nl *md.NeighborList, i int, rc float64, env *neighborEnv) {
+func buildEnv(sys *md.System, i int, cand []int32, rc float64, env *neighborEnv) {
 	env.reset()
 	x := sys.X
 	px, py, pz := sys.Periods()
 	xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
-	for _, j32 := range nl.FullNeighbors(i) {
+	for _, j32 := range cand {
 		j := int(j32)
 		// vector from i to j: sys.MinImage(j, i) with the box hoisted
 		dx, dy, dz := px.MinImage(x[3*j]-xi), py.MinImage(x[3*j+1]-yi), pz.MinImage(x[3*j+2]-zi)

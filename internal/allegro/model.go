@@ -36,7 +36,7 @@ type Model struct {
 	// MixedMode is the precision.GEMMMixed compute mode used when Mode
 	// is EvalBatchedMixed (the zero value is FP32).
 	MixedMode precision.Mode
-	// nl (with its full-list CSR) is rebuilt on demand.
+	// nl (full rows, ascending atom index) is rebuilt on demand.
 	nl *md.NeighborList
 	// Per-worker inference scratch for the pool-parallel force path.
 	scratch *par.Scratch[inferState]
@@ -110,8 +110,8 @@ func (m *Model) NumWeights() int {
 	return n + len(m.PerSpeciesShift)
 }
 
-// ensureNeighbors rebuilds the neighbor list (and its full-list CSR) if
-// any atom moved past the skin.
+// ensureNeighbors rebuilds the neighbor list if any atom moved past the
+// skin.
 func (m *Model) ensureNeighbors(sys *md.System) {
 	if m.nl.Stale(sys) {
 		m.nl.Build(sys)
@@ -127,7 +127,7 @@ func (m *Model) Energy(sys *md.System) float64 {
 	var env neighborEnv
 	var e float64
 	for i := 0; i < sys.N; i++ {
-		buildEnv(sys, m.nl, i, m.Spec.Cutoff, &env)
+		buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &env)
 		m.Spec.descriptorInto(sys, env, desc, cs, vec)
 		sp := sys.Type[i]
 		e += m.Nets[sp].Forward(desc)[0] + m.PerSpeciesShift[sp]
@@ -270,7 +270,7 @@ func (m *Model) forceBlock(sys *md.System, lo, hi int) float64 {
 			ws.active = true
 			ws.gOut[0] = 1
 			for i := base + flo; i < base+fhi; i++ {
-				buildEnv(sys, m.nl, i, m.Spec.Cutoff, &ws.env)
+				buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &ws.env)
 				m.Spec.descriptorInto(sys, ws.env, ws.desc, ws.cs, ws.vec)
 				sp := sys.Type[i]
 				net := m.Nets[sp]

@@ -135,7 +135,7 @@ func (m *Model) Train(template *md.System, samples []Sample, cfg TrainConfig) (*
 			tapes := make([]atomTape, sys.N)
 			var ePred float64
 			for i := 0; i < sys.N; i++ {
-				buildEnv(sys, m.nl, i, m.Spec.Cutoff, &env)
+				buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &env)
 				m.Spec.Descriptor(sys, env, desc)
 				sp := sys.Type[i]
 				tp := m.Nets[sp].ForwardTape(desc)

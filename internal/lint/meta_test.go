@@ -14,6 +14,7 @@ import (
 var hotpathPkgs = map[string]bool{
 	"mlmd/internal/par":        true,
 	"mlmd/internal/linalg":     true,
+	"mlmd/internal/md":         true,
 	"mlmd/internal/nn":         true,
 	"mlmd/internal/allegro":    true,
 	"mlmd/internal/maxwell":    true,
@@ -31,6 +32,7 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange",
 		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run",
 		"CurlRows", "curlRowsGo"},
+	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",

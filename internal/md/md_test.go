@@ -3,6 +3,7 @@ package md
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -77,31 +78,20 @@ func TestNeighborListMatchesBruteForce(t *testing.T) {
 	nl, _ := NewNeighborList(3.0, 0.3)
 	nl.Build(sys)
 	r := nl.Cutoff + nl.Skin
-	// Brute-force pair set.
-	type pair struct{ i, j int }
-	want := map[pair]bool{}
+	// Row i holds every j != i within cutoff+skin, in ascending order.
 	for i := 0; i < sys.N; i++ {
-		for j := i + 1; j < sys.N; j++ {
+		var want []int32
+		for j := 0; j < sys.N; j++ {
+			if j == i {
+				continue
+			}
 			dx, dy, dz := sys.MinImage(i, j)
 			if dx*dx+dy*dy+dz*dz <= r*r {
-				want[pair{i, j}] = true
+				want = append(want, int32(j))
 			}
 		}
-	}
-	got := map[pair]bool{}
-	for i := 0; i < sys.N; i++ {
-		for _, j := range nl.Neighbors(i) {
-			got[pair{i, int(j)}] = true
-		}
-	}
-	for p := range want {
-		if !got[p] {
-			t.Errorf("missing pair %v", p)
-		}
-	}
-	for p := range got {
-		if !want[p] {
-			t.Errorf("spurious pair %v", p)
+		if got := nl.Row(i); !slices.Equal(got, want) {
+			t.Fatalf("row %d = %v, brute force %v", i, got, want)
 		}
 	}
 }

@@ -39,91 +39,35 @@ func withWorkers(tb testing.TB, n int, f func()) {
 	f()
 }
 
-// TestParallelBuildBitIdentical: the pool-parallel Build must produce the
-// exact pair list of the seed's serial algorithm for every worker count.
-func TestParallelBuildBitIdentical(t *testing.T) {
-	sys, lj := ljSystem(t, 801, 7)
-	ref, err := NewNeighborList(2.5, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.buildSerial(sys)
-	if len(ref.Pairs) == 0 {
-		t.Fatal("degenerate test: no pairs")
-	}
-	for _, workers := range []int{1, 2, 4} {
-		withWorkers(t, workers, func() {
-			lj.NL.Build(sys)
-			if got, want := len(lj.NL.Pairs), len(ref.Pairs); got != want {
-				t.Fatalf("workers=%d: %d pairs, want %d", workers, got, want)
-			}
-			for i := 0; i < sys.N; i++ {
-				if lj.NL.Start[i] != ref.Start[i] || lj.NL.End[i] != ref.End[i] {
-					t.Fatalf("workers=%d: atom %d range [%d,%d) != [%d,%d)",
-						workers, i, lj.NL.Start[i], lj.NL.End[i], ref.Start[i], ref.End[i])
-				}
-			}
-			for p := range ref.Pairs {
-				if lj.NL.Pairs[p] != ref.Pairs[p] {
-					t.Fatalf("workers=%d: pair %d = %d, want %d", workers, p, lj.NL.Pairs[p], ref.Pairs[p])
-				}
-			}
-		})
-	}
-}
-
-// TestParallelForcesBitIdentical: the two-phase parallel LJ kernel must
-// reproduce the serial half-list accumulation bit for bit (same adds on
-// each atom's accumulator in the same order), for every worker count.
+// TestParallelForcesBitIdentical: LJ forces and energy are the same bits
+// for every worker count — each force is a self-contained row sum and the
+// energy is summed in fixed 128-atom chunks, whoever runs them.
 func TestParallelForcesBitIdentical(t *testing.T) {
 	sys, lj := ljSystem(t, 612, 11)
-	lj.NL.Build(sys)
-	peRef := lj.computeForcesSerial(sys)
-	fRef := append([]float64(nil), sys.F...)
+	var fRef []float64
+	var peRef float64
 	for _, workers := range []int{1, 2, 4} {
 		withWorkers(t, workers, func() {
 			for i := range sys.F {
 				sys.F[i] = math.NaN() // catch unwritten components
 			}
 			pe := lj.ComputeForces(sys)
-			// Forces are bitwise; the energy is a chunk-ordered sum, so it
-			// is deterministic across worker counts but may differ from
-			// the single running sum by a few ulps.
-			if d := math.Abs(pe - peRef); d > 1e-9*math.Abs(peRef) {
-				t.Errorf("workers=%d: pe %v != serial %v (diff %g)", workers, pe, peRef, d)
+			if fRef == nil {
+				fRef, peRef = append([]float64(nil), sys.F...), pe
+				return
+			}
+			if math.Float64bits(pe) != math.Float64bits(peRef) {
+				t.Errorf("workers=%d: pe %v != 1-worker %v", workers, pe, peRef)
 			}
 			for k := range fRef {
 				if math.Float64bits(sys.F[k]) != math.Float64bits(fRef[k]) {
-					t.Fatalf("workers=%d: F[%d] = %v != serial %v", workers, k, sys.F[k], fRef[k])
+					t.Fatalf("workers=%d: F[%d] = %v != 1-worker %v", workers, k, sys.F[k], fRef[k])
 				}
 			}
 		})
 	}
-}
-
-// TestFullNeighborsMatchesExpansion: the CSR full list must equal the
-// seed's per-call half-list expansion, including order.
-func TestFullNeighborsMatchesExpansion(t *testing.T) {
-	sys, lj := ljSystem(t, 345, 3)
-	nl := lj.NL
-	nl.Build(sys)
-	full := make([][]int32, sys.N)
-	for i := 0; i < sys.N; i++ {
-		for _, j := range nl.Neighbors(i) {
-			full[i] = append(full[i], j)
-			full[int(j)] = append(full[int(j)], int32(i))
-		}
-	}
-	for i := 0; i < sys.N; i++ {
-		got := nl.FullNeighbors(i)
-		if len(got) != len(full[i]) {
-			t.Fatalf("atom %d: %d full neighbors, want %d", i, len(got), len(full[i]))
-		}
-		for q := range got {
-			if got[q] != full[i][q] {
-				t.Fatalf("atom %d entry %d: %d, want %d", i, q, got[q], full[i][q])
-			}
-		}
+	if lj.NL.NumPairs() == 0 {
+		t.Fatal("degenerate test: no pairs")
 	}
 }
 
@@ -196,17 +140,6 @@ func benchSystem(b *testing.B, n int) (*System, *LennardJones) {
 	return sys, lj
 }
 
-func BenchmarkNeighborBuildSerial(b *testing.B) {
-	sys, lj := benchSystem(b, 8192)
-	nl := lj.NL
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nl.buildSerial(sys)
-	}
-	b.ReportMetric(float64(sys.N)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Matoms/s")
-}
-
 func BenchmarkNeighborBuild(b *testing.B) {
 	sys, lj := benchSystem(b, 8192)
 	nl := lj.NL
@@ -216,16 +149,6 @@ func BenchmarkNeighborBuild(b *testing.B) {
 		nl.Build(sys)
 	}
 	b.ReportMetric(float64(sys.N)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Matoms/s")
-}
-
-func BenchmarkLJForcesSerial(b *testing.B) {
-	sys, lj := benchSystem(b, 8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lj.computeForcesSerial(sys)
-	}
-	b.ReportMetric(float64(lj.NL.NumPairs())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
 func BenchmarkLJForces(b *testing.B) {

@@ -1,5 +1,6 @@
 // Package md is the classical molecular-dynamics engine underlying the
-// XS-NNQMD module: periodic simulation cells, linked-cell neighbor lists,
+// XS-NNQMD module: periodic simulation cells, the cell-sorted full neighbor
+// list and Lennard-Jones row kernel the sharded engine also runs,
 // velocity-Verlet integration, and thermostats. Forces come from a
 // ForceField interface so the same engine drives the analytic ferroelectric
 // model, the Allegro-style neural network, and the blended XS/GS force of

@@ -61,7 +61,7 @@ func BenchmarkShardBridge(b *testing.B) {
 // Event/P* is one whole forced rebuild — every rank's needRebuild set, then
 // a zero-step dispatch: migrate, classify, halo, neighbor list and the fresh
 // force evaluation — so ns/op is ns per rebuild. List/P* is rank 0's
-// NeighborList.Build alone on the primed view.
+// md.NeighborList.BuildOwned alone on the primed view.
 func BenchmarkShardRebuild(b *testing.B) {
 	for _, p := range []int{1, 2} {
 		base := fccLJSystem(b, 11, 1e-3, 1)
@@ -86,7 +86,7 @@ func BenchmarkShardRebuild(b *testing.B) {
 			rs := eng.rs[0]
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rs.nl.Build(&rs.v)
+				rs.nl.BuildOwned(rs.v.Sys, rs.v.ID, rs.v.NOwn)
 			}
 			b.ReportMetric(float64(rs.nl.NumPairs()), "pairs")
 		})

@@ -143,9 +143,9 @@ type View struct {
 	// Weights is the engine's global per-atom blending weight array
 	// (indexed by global id), nil until SetPerAtomWeights is called.
 	Weights []float64
-	// NL is the rank neighbor list (built only when the force field
-	// reports NeedsNeighborList).
-	NL *NeighborList
+	// NL is the rank neighbor list: one row per owned atom over the local
+	// atoms (built only when the force field reports NeedsNeighborList).
+	NL *md.NeighborList
 	// Sys aliases the local arrays as an md.System with the global box,
 	// for force fields built on the md engine (e.g. Allegro).
 	Sys *md.System
@@ -408,7 +408,7 @@ type rankState struct {
 	// system ends each force call with the full force array.
 	fpub, fall []float64
 
-	nl   *NeighborList
+	nl   *md.NeighborList
 	lsys md.System
 
 	// event counters (read driver-side through Engine.Stats)
@@ -535,7 +535,7 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 			}
 		}
 		rs.partial = make([]float64, rs.ff.PartialLen())
-		rs.nl = &NeighborList{Cutoff: cfg.Cutoff, Skin: cfg.Skin}
+		rs.nl = &md.NeighborList{Cutoff: cfg.Cutoff, Skin: cfg.Skin}
 		e.rs[r] = rs
 		e.local = append(e.local, rs)
 	}
@@ -1025,16 +1025,19 @@ func (e *Engine) rebuild(rs *rankState) {
 	e.refreshView(rs)
 	if rs.ff.NeedsNeighborList() {
 		t0 := time.Now()
-		rs.nl.Build(&rs.v)
+		rs.nl.BuildOwned(rs.v.Sys, rs.v.ID, rs.v.NOwn)
 		rs.stepSecs += time.Since(t0).Seconds()
 		// The belt over classifyInterior's geometric braces: if
 		// floating-point edge effects ever put a ghost into an interior
 		// atom's neighbor row, overlap is disabled for this rebuild window
 		// rather than risking a stale-ghost read. (The geometric margin
 		// makes this effectively unreachable.)
-		if rs.nl.ghostInInterior {
-			rs.nInt = 0
-			rs.v.NInt = 0
+		for _, j := range rs.nl.Rows(0, rs.nInt) {
+			if int(j) >= rs.nOwn {
+				rs.nInt = 0
+				rs.v.NInt = 0
+				break
+			}
 		}
 	}
 	rs.needRebuild = false
