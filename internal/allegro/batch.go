@@ -209,18 +209,23 @@ func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, 
 
 // GatherAtom is the descriptor half of EvalAtom: it builds atom i's
 // environment from the candidate neighbor list cand (same cutoff filter and
-// order as EvalAtom) and fills desc (length Dim) and vec (length
-// NSpecies·NRadial·3), leaving the MLP to a later EvalBlock over many
-// gathered rows. cs must be Spec.Centers().
+// order as EvalAtom) and fills desc (length Dim), vec (length
+// NSpecies·NRadial·3) and the radial tape rad, leaving the MLP to a later
+// EvalBlock over many gathered rows. cs must be Spec.Centers(). rad must
+// hold len(cand)·Spec.RadialLen() values; the record of the n-th candidate
+// within the cutoff lands at rad[n·RadialLen():], and the return value is
+// how many there were.
 //
 //mlmd:hotpath
-func (m *Model) GatherAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, desc, vec []float64) {
+func (m *Model) GatherAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, desc, vec, rad []float64) int {
 	buildEnv(sys, i, cand, m.Spec.Cutoff, &scr.env)
-	m.Spec.descriptorInto(sys, scr.env, desc, cs, vec)
+	m.Spec.descriptorInto(sys, scr.env, desc, cs, vec, rad)
+	return len(scr.env.j)
 }
 
 // batchState is one part's scratch of the batched force path: the gathered
-// descriptor/vector rows and flattened environments of the part's atoms,
+// descriptor/vector rows and flattened environments of the part's atoms
+// with their radial tape (envRad, RadialLen values per environment slot),
 // the blocked-inference scratch, and the private dE/dx accumulator merged
 // after each block (the same merge discipline as the per-atom inferState).
 type batchState struct {
@@ -229,6 +234,7 @@ type batchState struct {
 	envJ                []int
 	envDx, envDy, envDz []float64
 	envR                []float64
+	envRad              []float64
 	envOff              []int32
 	cs                  []float64
 	eAtom               []float64
@@ -248,9 +254,10 @@ func growF64(s []float64, n int) []float64 {
 
 // forceBlockBatched is forceBlock on the blocked path: the same static
 // part partition, but each part gathers its atoms' environments and
-// descriptor rows first (pass 1), runs the per-species blocked MLPs over
-// the whole part (pass 2, EvalBlock), and then replays the per-atom
-// energy sum and PairGradTerm scatter in ascending atom order (pass 3) —
+// descriptor rows and radial tape first (pass 1), runs the per-species
+// blocked MLPs over the whole part (pass 2, EvalBlock), and then replays
+// the per-atom energy sum and PairGradTaped scatter from the tape in
+// ascending atom order (pass 3) —
 // so the per-part dE/dx accumulators and energies are bitwise identical
 // to the per-atom path's. net supplies weights/shifts and dE/dx merges
 // into F (−dE/dx): the committee evaluates several nets over one gather
@@ -270,6 +277,7 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 			ws := m.bscratch.Get(part)
 			dim := m.Spec.Dim()
 			vlen := m.Spec.NSpecies * m.Spec.NRadial * 3
+			rl := m.Spec.RadialLen()
 			if len(ws.cs) == 0 {
 				ws.cs = m.Spec.centers()
 			}
@@ -283,6 +291,8 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 				ws.envJ = ws.envJ[:0]
 				ws.envDx, ws.envDy = ws.envDx[:0], ws.envDy[:0]
 				ws.envDz, ws.envR = ws.envDz[:0], ws.envR[:0]
+				// The part's candidate count bounds its environment slots.
+				ws.envRad = growF64(ws.envRad, len(m.nl.Rows(base+flo, base+fhi))*rl)
 				for r := 0; r < n; r++ {
 					i := base + flo + r
 					ws.envOff[r] = int32(len(ws.envJ))
@@ -292,7 +302,7 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 					ws.envDy = append(ws.envDy, ws.env.dy...)
 					ws.envDz = append(ws.envDz, ws.env.dz...)
 					ws.envR = append(ws.envR, ws.env.r...)
-					m.Spec.descriptorInto(sys, ws.env, ws.desc[r*dim:(r+1)*dim], ws.cs, ws.vec[r*vlen:(r+1)*vlen])
+					m.Spec.descriptorInto(sys, ws.env, ws.desc[r*dim:(r+1)*dim], ws.cs, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(ws.envOff[r])*rl:])
 				}
 				ws.envOff[n] = int32(len(ws.envJ))
 			}
@@ -316,7 +326,7 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 					dx: ws.envDx[o0:o1], dy: ws.envDy[o0:o1], dz: ws.envDz[o0:o1],
 					r: ws.envR[o0:o1],
 				}
-				m.Spec.descriptorGradPre(sys, envView, i, ws.gD[r*dim:(r+1)*dim], ws.dEdx, ws.cs, ws.vec[r*vlen:(r+1)*vlen])
+				m.Spec.descriptorGradPre(sys, envView, i, ws.gD[r*dim:(r+1)*dim], ws.dEdx, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(o0)*rl:int(o1)*rl])
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func (d DescriptorSpec) Validate() error {
 }
 
 // Centers returns the radial basis centers, evenly spaced in (0, cutoff) —
-// the cs scratch argument of the *Into evaluation paths and of PairGradTerm.
+// the cs scratch argument of the evaluation paths (EvalAtom, GatherAtom).
 func (d DescriptorSpec) Centers() []float64 { return d.centers() }
 
 // centers returns the radial basis centers, evenly spaced in (0, cutoff).
@@ -123,15 +123,41 @@ func buildEnv(sys *md.System, i int, cand []int32, rc float64, env *neighborEnv)
 //	out[(sp*NR+k)*2+0] = Σ_j g_k(r_ij) fc(r_ij)                (scalar)
 //	out[(sp*NR+k)*2+1] = |Σ_j g_k(r_ij) fc(r_ij) r̂_ij|²        (vector²)
 func (d DescriptorSpec) Descriptor(sys *md.System, env neighborEnv, out []float64) {
-	d.descriptorInto(sys, env, out, d.centers(), make([]float64, d.NSpecies*d.NRadial*3))
+	d.descriptorInto(sys, env, out, d.centers(), make([]float64, d.NSpecies*d.NRadial*3), make([]float64, len(env.j)*d.RadialLen()))
+}
+
+// RadialLen returns the length of one pair's record on the radial tape: the
+// NRadial Gaussians g_k, their radial derivatives through the cutoff
+// h_k = dg_k·fc + g_k·dfc, and the cutoff value fc.
+func (d DescriptorSpec) RadialLen() int { return 2*d.NRadial + 1 }
+
+// radialInto fills t (length RadialLen) with the radial record of a pair at
+// distance r: t[k] = g_k, t[NRadial+k] = h_k, t[2·NRadial] = fc. It is the
+// one place the Gaussian basis and the cosine cutoff are evaluated; the
+// descriptor fills a tape of these records during the gather and every
+// gradient path reads them back from it.
+//
+//mlmd:hotpath
+func (d DescriptorSpec) radialInto(r float64, cs, t []float64) {
+	w := d.width()
+	nr := d.NRadial
+	fc, dfc := cutoffFn(r, d.Cutoff)
+	for k := 0; k < nr; k++ {
+		g := math.Exp(-(r - cs[k]) * (r - cs[k]) / (2 * w * w))
+		dg := g * (-(r - cs[k]) / (w * w))
+		t[k] = g
+		t[nr+k] = dg*fc + g*dfc
+	}
+	t[2*nr] = fc
 }
 
 // descriptorInto is Descriptor with caller-provided scratch (cs from
 // centers(), vec of length NSpecies*NRadial*3), so per-worker hot loops
-// avoid per-atom allocation.
+// avoid per-atom allocation. It also writes the radial tape: record n of
+// tape (RadialLen values each, len(env.j) records) is env neighbor n's.
 //
 //mlmd:hotpath
-func (d DescriptorSpec) descriptorInto(sys *md.System, env neighborEnv, out, cs, vec []float64) {
+func (d DescriptorSpec) descriptorInto(sys *md.System, env neighborEnv, out, cs, vec, tape []float64) {
 	if len(out) != d.Dim() {
 		panic("allegro: descriptor output length mismatch")
 	}
@@ -141,20 +167,22 @@ func (d DescriptorSpec) descriptorInto(sys *md.System, env neighborEnv, out, cs,
 	for i := range vec {
 		vec[i] = 0
 	}
-	w := d.width()
 	nr := d.NRadial
+	rl := d.RadialLen()
 	for n := range env.j {
 		sp := sys.Type[env.j[n]]
 		r := env.r[n]
-		fc, _ := cutoffFn(r, d.Cutoff)
+		t := tape[n*rl : (n+1)*rl]
+		d.radialInto(r, cs, t)
+		fc := t[2*nr]
 		ux, uy, uz := env.dx[n]/r, env.dy[n]/r, env.dz[n]/r
 		for k := 0; k < nr; k++ {
-			g := math.Exp(-(r - cs[k]) * (r - cs[k]) / (2 * w * w))
+			gf := t[k] * fc
 			base := (sp*nr + k)
-			out[base*2] += g * fc
-			vec[base*3] += g * fc * ux
-			vec[base*3+1] += g * fc * uy
-			vec[base*3+2] += g * fc * uz
+			out[base*2] += gf
+			vec[base*3] += gf * ux
+			vec[base*3+1] += gf * uy
+			vec[base*3+2] += gf * uz
 		}
 	}
 	for b := 0; b < d.NSpecies*nr; b++ {
@@ -162,49 +190,18 @@ func (d DescriptorSpec) descriptorInto(sys *md.System, env neighborEnv, out, cs,
 	}
 }
 
-// DescriptorGrad accumulates dE/dx for all atoms given dE/dD of atom i
-// (gD, length Dim) and the cached environment, using the chain rule through
-// the descriptor. Forces are F = −dE/dx; the caller negates.
-func (d DescriptorSpec) DescriptorGrad(sys *md.System, env neighborEnv, i int, gD []float64, dEdx []float64) {
-	d.descriptorGradInto(sys, env, i, gD, dEdx, d.centers(), make([]float64, d.NSpecies*d.NRadial*3))
-}
-
-// descriptorGradInto is DescriptorGrad with caller-provided scratch.
-func (d DescriptorSpec) descriptorGradInto(sys *md.System, env neighborEnv, i int, gD, dEdx, cs, vec []float64) {
-	w := d.width()
-	nr := d.NRadial
-	// Recompute the vector accumulators (needed for the vector² chain).
-	for k := range vec {
-		vec[k] = 0
-	}
-	for n := range env.j {
-		sp := sys.Type[env.j[n]]
-		r := env.r[n]
-		fc, _ := cutoffFn(r, d.Cutoff)
-		ux, uy, uz := env.dx[n]/r, env.dy[n]/r, env.dz[n]/r
-		for k := 0; k < nr; k++ {
-			g := math.Exp(-(r - cs[k]) * (r - cs[k]) / (2 * w * w))
-			base := sp*nr + k
-			vec[base*3] += g * fc * ux
-			vec[base*3+1] += g * fc * uy
-			vec[base*3+2] += g * fc * uz
-		}
-	}
-	d.descriptorGradPre(sys, env, i, gD, dEdx, cs, vec)
-}
-
-// descriptorGradPre is the scatter half of descriptorGradInto for callers
-// that already hold atom i's vector accumulators: vec must be exactly what
-// descriptorInto filled for the same environment (the recomputation above
-// runs the identical loop, so a stored vec is bitwise equal to a recomputed
-// one). The batched evaluation path stores vec at gather time and calls
-// this directly, skipping the duplicate exponentials.
+// descriptorGradPre accumulates dE/dx for all atoms given dE/dD of atom i
+// (gD, length Dim), its vector accumulators vec and its radial tape — both
+// exactly as descriptorInto filled them for the same environment — by the
+// chain rule through the descriptor. Forces are F = −dE/dx; the caller
+// negates.
 //
 //mlmd:hotpath
-func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int, gD, dEdx, cs, vec []float64) {
+func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int, gD, dEdx, vec, tape []float64) {
+	rl := d.RadialLen()
 	for n := range env.j {
 		j := env.j[n]
-		gx, gy, gz := d.PairGradTerm(sys.Type[j], gD, vec, cs, env.dx[n], env.dy[n], env.dz[n], env.r[n])
+		gx, gy, gz := d.PairGradTaped(sys.Type[j], gD, vec, tape[n*rl:(n+1)*rl], env.dx[n], env.dy[n], env.dz[n], env.r[n])
 		dEdx[3*j] += gx
 		dEdx[3*j+1] += gy
 		dEdx[3*j+2] += gz
@@ -214,39 +211,40 @@ func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int
 	}
 }
 
-// PairGradTerm evaluates the gradient of one atom's energy with respect to a
-// single neighbor's position: given the center atom's backpropagated dE/dD
+// PairGradTaped evaluates the gradient of one atom's energy with respect to
+// a single neighbor's position: given the center atom's backpropagated dE/dD
 // (gD), its vector-channel accumulators S (vec, as filled by the descriptor
-// evaluation), the radial centers cs, the neighbor's species spJ and the pair
+// evaluation), the pair's radial record t (RadialLen values, as the
+// descriptor evaluation taped them), the neighbor's species spJ and the pair
 // geometry (dx,dy,dz,r = displacement neighbor − center), it returns
 // G = dE_center/dx_neighbor. By Newton's third law through the descriptor
 // chain rule, the same G enters the center's own gradient with a minus sign.
+// The record depends on r alone, so one record serves both directions of a
+// pair.
 //
 // This is the single source of the pair-term arithmetic: both the global
-// scatter path (DescriptorGrad) and the sharded canonical assembly
+// scatter path (descriptorGradPre) and the sharded canonical assembly
 // (internal/shard's Allegro adapter) call it, so a force summed from
-// PairGradTerm values in a fixed order is bitwise reproducible across
+// PairGradTaped values in a fixed order is bitwise reproducible across
 // decompositions.
 //
 //mlmd:hotpath
-func (d DescriptorSpec) PairGradTerm(spJ int, gD, vec, cs []float64, dx, dy, dz, r float64) (gx, gy, gz float64) {
-	w := d.width()
+func (d DescriptorSpec) PairGradTaped(spJ int, gD, vec, t []float64, dx, dy, dz, r float64) (gx, gy, gz float64) {
 	nr := d.NRadial
-	fc, dfc := cutoffFn(r, d.Cutoff)
+	fc := t[2*nr]
 	ux, uy, uz := dx/r, dy/r, dz/r
 	// d(unit vector)/d(x_j) pieces: du_a/dx_b = (δ_ab − u_a u_b)/r.
 	for k := 0; k < nr; k++ {
 		base := spJ*nr + k
-		g := math.Exp(-(r - cs[k]) * (r - cs[k]) / (2 * w * w))
-		dg := g * (-(r - cs[k]) / (w * w))
-		// Scalar channel: D = Σ g fc ⇒ dD/dr = (dg fc + g dfc),
+		g, h := t[k], t[nr+k]
+		// Scalar channel: D = Σ g fc ⇒ dD/dr = h = dg fc + g dfc,
 		// dr/dx_j = u.
-		cS := gD[base*2] * (dg*fc + g*dfc)
+		cS := gD[base*2] * h
 		// Vector channel: D = |S|², S = Σ g fc u.
-		// dD/dx_j = 2 S · [ (dg fc + g dfc) u ⊗ u + g fc (I − u⊗u)/r ].
+		// dD/dx_j = 2 S · [ h u ⊗ u + g fc (I − u⊗u)/r ].
 		sx, sy, sz := vec[base*3], vec[base*3+1], vec[base*3+2]
 		su := sx*ux + sy*uy + sz*uz
-		cRad := gD[base*2+1] * 2 * (su * (dg*fc + g*dfc))
+		cRad := gD[base*2+1] * 2 * (su * h)
 		cTan := gD[base*2+1] * 2 * g * fc / r
 		gx += cS*ux + cRad*ux + cTan*(sx-su*ux)
 		gy += cS*uy + cRad*uy + cTan*(sy-su*uy)

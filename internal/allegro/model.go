@@ -59,13 +59,14 @@ type Model struct {
 }
 
 // inferState is one worker's reusable inference scratch: the neighbor
-// environment, descriptor/gradient buffers, and the private dE/dx
-// accumulator merged after each block.
+// environment, descriptor/gradient buffers with the atom's radial tape, and
+// the private dE/dx accumulator merged after each block.
 type inferState struct {
 	env  neighborEnv
 	desc []float64
 	cs   []float64
 	vec  []float64
+	rad  []float64
 	gOut [1]float64
 	dEdx []float64
 	tape nn.Tape
@@ -125,10 +126,12 @@ func (m *Model) Energy(sys *md.System) float64 {
 	cs := m.Spec.centers()
 	vec := make([]float64, m.Spec.NSpecies*m.Spec.NRadial*3)
 	var env neighborEnv
+	var rad []float64
 	var e float64
 	for i := 0; i < sys.N; i++ {
 		buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &env)
-		m.Spec.descriptorInto(sys, env, desc, cs, vec)
+		rad = growF64(rad, len(env.j)*m.Spec.RadialLen())
+		m.Spec.descriptorInto(sys, env, desc, cs, vec, rad)
 		sp := sys.Type[i]
 		e += m.Nets[sp].Forward(desc)[0] + m.PerSpeciesShift[sp]
 	}
@@ -149,7 +152,7 @@ func (m *Model) ComputeForces(sys *md.System) float64 {
 // of a reverse-force-halo decomposition (sum the scattered ghost partials
 // back at the owners). The sharded engine no longer uses this scheme: its
 // canonical-order path evaluates per-atom payloads with EvalAtom and
-// assembles forces through PairGradTerm, which is bitwise reproducible
+// assembles forces through PairGradTaped, which is bitwise reproducible
 // across decompositions where the scatter-sum here is not. With
 // nOwned == sys.N it is exactly the full ComputeForces.
 func (m *Model) ComputeForcesOwned(sys *md.System, nOwned int) float64 {
@@ -196,24 +199,27 @@ type EvalScratch struct {
 // indices cand (in the caller's order — the sharded engine passes its
 // ascending-global-id neighbor row; candidates at or beyond the cutoff are
 // skipped), computes the descriptor and the per-species network's energy,
-// and backpropagates to fill gD = dE_i/dDescriptor (length Spec.Dim()) and
-// vec = the vector-channel accumulators S_i (length NSpecies·NRadial·3).
-// cs must be Spec.Centers(). The return value is the atomic energy E_i.
+// and backpropagates to fill gD = dE_i/dDescriptor (length Spec.Dim()),
+// vec = the vector-channel accumulators S_i (length NSpecies·NRadial·3) and
+// the radial tape rad (see GatherAtom). cs must be Spec.Centers(). It
+// returns the atomic energy E_i and the number of neighbors within the
+// cutoff.
 //
-// gD and vec are exactly the center-atom inputs PairGradTerm needs, so a
-// caller holding (gD, vec) for every atom of a pair can reconstruct both
-// sides' gradient contributions without re-running inference.
-func (m *Model) EvalAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, gD, vec []float64) float64 {
+// gD, vec and the tape records are exactly the inputs PairGradTaped needs,
+// so a caller holding (gD, vec) for every atom of a pair and one side's
+// record can reconstruct both sides' gradient contributions without
+// re-running inference.
+func (m *Model) EvalAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, gD, vec, rad []float64) (float64, int) {
 	if len(scr.desc) != m.Spec.Dim() {
 		scr.desc = make([]float64, m.Spec.Dim())
 	}
-	m.GatherAtom(sys, i, cand, cs, scr, scr.desc, vec)
+	nAcc := m.GatherAtom(sys, i, cand, cs, scr, scr.desc, vec, rad)
 	sp := sys.Type[i]
 	net := m.Nets[sp]
 	tape := net.ForwardTapeInto(scr.desc, &scr.tape)
 	scr.gOut[0] = 1
 	net.BackwardInto(tape, scr.gOut[:], nil, gD)
-	return tape.Out() + m.PerSpeciesShift[sp]
+	return tape.Out() + m.PerSpeciesShift[sp], nAcc
 }
 
 // CloneShared returns a new Model sharing this model's (read-only at
@@ -259,6 +265,7 @@ func (m *Model) forceBlock(sys *md.System, lo, hi int) float64 {
 				ws.vec = make([]float64, m.Spec.NSpecies*m.Spec.NRadial*3)
 				ws.gD = make([]float64, m.Spec.Dim())
 			}
+			rl := m.Spec.RadialLen()
 			if len(ws.dEdx) != 3*sys.N {
 				ws.dEdx = make([]float64, 3*sys.N)
 			}
@@ -271,13 +278,14 @@ func (m *Model) forceBlock(sys *md.System, lo, hi int) float64 {
 			ws.gOut[0] = 1
 			for i := base + flo; i < base+fhi; i++ {
 				buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &ws.env)
-				m.Spec.descriptorInto(sys, ws.env, ws.desc, ws.cs, ws.vec)
+				ws.rad = growF64(ws.rad, len(ws.env.j)*rl)
+				m.Spec.descriptorInto(sys, ws.env, ws.desc, ws.cs, ws.vec, ws.rad)
 				sp := sys.Type[i]
 				net := m.Nets[sp]
 				tape := net.ForwardTapeInto(ws.desc, &ws.tape)
 				ws.e += tape.Out() + m.PerSpeciesShift[sp]
 				gD := net.BackwardInto(tape, ws.gOut[:], nil, ws.gD)
-				m.Spec.descriptorGradInto(sys, ws.env, i, gD, ws.dEdx, ws.cs, ws.vec)
+				m.Spec.descriptorGradPre(sys, ws.env, i, gD, ws.dEdx, ws.vec, ws.rad)
 			}
 		}
 	}

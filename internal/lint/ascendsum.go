@@ -10,7 +10,7 @@ import (
 // AscendSum guards the canonical ascending-order force/energy assembly:
 // floating-point partials gathered from peers or workers must be reduced by
 // iterating a sorted/ascending index source (the ascending-global-id
-// PairGradTerm chains, ascending-rank collective combines), never in
+// PairGradTaped chains, ascending-rank collective combines), never in
 // channel-receipt order and never over keys collected from a map but not
 // sorted. Receipt order varies run to run; with floating-point addition
 // non-associative, that is a silent bitwise-reproducibility break.

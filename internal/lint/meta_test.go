@@ -36,7 +36,7 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",
-		"DescriptorSpec.descriptorInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTerm", "buildEnv",
+		"DescriptorSpec.descriptorInto", "DescriptorSpec.radialInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTaped", "buildEnv",
 	},
 	"mlmd/internal/maxwell": {"(*Field).Step", "(*Sim3D).Step", "(*Sim3D).halfStep", "(*Sim3D).updateE", "(*Sim3D).updateB", "(*Sim3D).applySource", "(*Sim3D).PackField"},
 	"mlmd/internal/tddft": {

@@ -89,8 +89,17 @@ func (nl *NeighborList) Rows(lo, hi int) []int32 {
 	return nl.adj[nl.start[lo]:nl.start[hi]]
 }
 
+// RowOffset returns the CSR slot of row i's first neighbor: row i occupies
+// slots [RowOffset(i), RowOffset(i+1)), so a side array indexed by slot
+// lines up with Row(i).
+func (nl *NeighborList) RowOffset(i int) int { return int(nl.start[i]) }
+
 // NumPairs returns the stored (directed) neighbor count.
 func (nl *NeighborList) NumPairs() int { return len(nl.adj) }
+
+// PairCap returns how many neighbor slots the list holds before it has to
+// grow: a per-slot side array sized to it grows only when the list does.
+func (nl *NeighborList) PairCap() int { return cap(nl.adj) }
 
 // Build rebuilds the list of an unsharded system — atom i has global id i
 // and every atom owns a row — and records the positions Stale measures

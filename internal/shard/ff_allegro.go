@@ -24,7 +24,10 @@ const allegroGrain = 16
 //     neighbor row: the atomic energy E_i plus a fixed-width payload
 //     [gD_i | S_i] — the backpropagated descriptor cotangent and the
 //     vector-channel accumulators, exactly the center-atom inputs
-//     allegro.DescriptorSpec.PairGradTerm needs. Under the model's batched
+//     allegro.DescriptorSpec.PairGradTaped needs — and tapes the radial
+//     record (Gaussians, their derivatives, cutoff) of each of i's pairs
+//     within the cutoff into the rank-local radial tape, at the pair's
+//     neighbor-list slot. Under the model's batched
 //     eval modes the MLP half runs as blocked GEMMs over gathered
 //     descriptor rows (allegro.Model.EvalBlock) instead of per-atom tapes;
 //     the float64 batched path is bitwise identical to the per-atom one.
@@ -34,9 +37,12 @@ const allegroGrain = 16
 //   - PhaseTwo assembles each owned atom j's force as a single chain over
 //     its neighbor row in ascending global-id order: for every neighbor i
 //     within the model cutoff it adds G(i→j) (from i's payload — i may be a
-//     ghost) and subtracts G(j→i) (from j's own payload).
+//     ghost) and subtracts G(j→i) (from j's own payload). Both terms read
+//     the pair's radial record from j's row of the tape: it depends on the
+//     pair distance alone, so ghosts need no tape and the payload carries
+//     none.
 //
-// Every term of that chain is computed by the one shared PairGradTerm
+// Every term of that chain is computed by the one shared PairGradTaped
 // routine from raw global coordinates and owner-computed payloads, and the
 // chain order is the decomposition-invariant global-id order — so forces
 // are bitwise identical for every grid shape, per the package determinism
@@ -53,8 +59,15 @@ type AllegroFF struct {
 	cs []float64
 
 	scratch *par.Scratch[allegroWS]
-	// eAtom[i] is owned atom i's energy from the current phase one.
+	// eAtom[i] is owned atom i's energy from the current phase one, and
+	// nAcc[i] how many of its neighbor-row entries lie within the cutoff.
 	eAtom []float64
+	nAcc  []int32
+	// rad is the radial tape: the record of owned atom i's n-th neighbor
+	// within the cutoff starts at (NL.RowOffset(i)+n)·RadialLen. It is
+	// sized from the neighbor list's capacity, so it grows only when the
+	// list has.
+	rad []float64
 
 	p1ctx struct {
 		v    *View
@@ -122,6 +135,18 @@ func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
 		return
 	}
 	a.eAtom = resizeF64(a.eAtom, v.NOwn)
+	if cap(a.nAcc) < v.NOwn {
+		a.nAcc = make([]int32, v.NOwn)
+	}
+	a.nAcc = a.nAcc[:v.NOwn]
+	// The list does not change between the PhaseOneRange calls of one
+	// step, so only the first can grow the tape. A slot of tape is
+	// RadialLen float64s against the list's one int32, so the tape keeps a
+	// quarter over the list's capacity: a rebuild that adds a few percent
+	// of pairs may grow the list, but does not re-make the tape.
+	if rl := a.m.Spec.RadialLen(); len(a.rad) < v.NL.NumPairs()*rl {
+		a.rad = make([]float64, v.NL.PairCap()*rl*5/4)
+	}
 	a.ensureClosures()
 	a.p1ctx.v = v
 	a.p1ctx.aux = aux
@@ -197,6 +222,7 @@ func (a *AllegroFF) ensureClosures() {
 	}
 	dim := a.m.Spec.Dim()
 	w := a.AuxLen()
+	rl := a.m.Spec.RadialLen()
 	a.phase1Fn = func(lo, hi, worker int) {
 		v := a.p1ctx.v
 		aux := a.p1ctx.aux
@@ -204,7 +230,9 @@ func (a *AllegroFF) ensureClosures() {
 		ws := a.scratch.Get(worker)
 		for i := base + lo; i < base+hi; i++ {
 			row := aux[i*w : (i+1)*w]
-			a.eAtom[i] = a.m.EvalAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, row[:dim], row[dim:])
+			var n int
+			a.eAtom[i], n = a.m.EvalAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, row[:dim], row[dim:], a.rad[v.NL.RowOffset(i)*rl:])
+			a.nAcc[i] = int32(n)
 		}
 	}
 	a.gatherFn = func(lo, hi, worker int) {
@@ -215,7 +243,7 @@ func (a *AllegroFF) ensureClosures() {
 		for i := base + lo; i < base+hi; i++ {
 			row := aux[i*w : (i+1)*w]
 			r := i - base
-			a.m.GatherAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, a.bdesc[r*dim:(r+1)*dim], row[dim:])
+			a.nAcc[i] = int32(a.m.GatherAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, a.bdesc[r*dim:(r+1)*dim], row[dim:], a.rad[v.NL.RowOffset(i)*rl:]))
 		}
 	}
 	a.phase2Fn = func(lo, hi, _ int) {
@@ -229,6 +257,8 @@ func (a *AllegroFF) ensureClosures() {
 		for j := base + lo; j < base+hi; j++ {
 			rowJ := aux[j*w : (j+1)*w]
 			xj, yj, zj := x[3*j], x[3*j+1], x[3*j+2]
+			rad := a.rad[v.NL.RowOffset(j)*rl:]
+			n := 0                 // j's neighbors within the cutoff so far
 			var ax, ay, az float64 // dE/dx_j chain, ascending gid of i
 			for _, i32 := range v.NL.Row(j) {
 				i := int(i32)
@@ -236,16 +266,19 @@ func (a *AllegroFF) ensureClosures() {
 				// environment: MinImage(neighbor, center). The two
 				// displacements are bitwise negations, so the membership
 				// test (r < cutoff) agrees with both owners' phase-one
-				// environments.
+				// environments, and the n-th accepted neighbor here is the
+				// n-th record of j's tape row.
 				// center i, neighbor j
 				dxj, dyj, dzj := px.MinImage(xj-x[3*i]), py.MinImage(yj-x[3*i+1]), pz.MinImage(zj-x[3*i+2])
 				r := math.Sqrt(dxj*dxj + dyj*dyj + dzj*dzj)
 				if r >= rc || r == 0 {
 					continue
 				}
+				t := rad[n*rl : (n+1)*rl]
+				n++
 				rowI := aux[i*w : (i+1)*w]
 				// + G(i→j): atom i's energy moved by x_j.
-				gx, gy, gz := spec.PairGradTerm(v.Type[j], rowI[:dim], rowI[dim:], a.cs, dxj, dyj, dzj, r)
+				gx, gy, gz := spec.PairGradTaped(v.Type[j], rowI[:dim], rowI[dim:], t, dxj, dyj, dzj, r)
 				ax += gx
 				ay += gy
 				az += gz
@@ -253,10 +286,14 @@ func (a *AllegroFF) ensureClosures() {
 				// third law through the descriptor chain rule).
 				// center j, neighbor i
 				dxi, dyi, dzi := px.MinImage(x[3*i]-xj), py.MinImage(x[3*i+1]-yj), pz.MinImage(x[3*i+2]-zj)
-				gx, gy, gz = spec.PairGradTerm(v.Type[i], rowJ[:dim], rowJ[dim:], a.cs, dxi, dyi, dzi, r)
+				gx, gy, gz = spec.PairGradTaped(v.Type[i], rowJ[:dim], rowJ[dim:], t, dxi, dyi, dzi, r)
 				ax -= gx
 				ay -= gy
 				az -= gz
+			}
+			if n != int(a.nAcc[j]) {
+				panic(fmt.Sprintf("shard: Allegro atom %d accepted %d neighbors in phase two but taped %d in phase one — the radial tape is misaligned",
+					v.ID[j], n, a.nAcc[j]))
 			}
 			v.F[3*j] = -ax
 			v.F[3*j+1] = -ay

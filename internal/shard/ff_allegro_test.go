@@ -113,3 +113,64 @@ func TestShardAllegroShortTrajectory(t *testing.T) {
 	}
 	t.Logf("worst |Δx| vs global Allegro after %d steps: %g", steps, worst)
 }
+
+// TestAllegroTapeAlignment: on a balanced 2x2x1 engine — moving cut planes,
+// migrations and rebuilds — every owned atom's phase-two count of neighbors
+// within the cutoff, taken from its own side of each pair, equals the count
+// phase one taped from the other side, so phase two's n-th accepted
+// neighbor reads the n-th record of the row. A misaligned count fails phase
+// two loudly.
+func TestAllegroTapeAlignment(t *testing.T) {
+	sys, model := newAllegroFixture(t, 160, 12.0)
+	sys.InitVelocities(3e-3, 4)
+	model.Mode, model.BlockSize = allegro.EvalBatched, 64
+	eng, err := NewEngine(Config{
+		Grid: [3]int{2, 2, 1}, Cutoff: model.Spec.Cutoff, Skin: 0.3,
+		NewFF:   AllegroFactory(model),
+		Balance: true, BalanceEvery: 1, BalanceCost: CostStepTime,
+	}, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	eng.Run(matrixSteps(t), 1.0, 0, 0)
+	if rebuilds, _ := eng.Stats(); rebuilds < 2 {
+		t.Fatalf("only %d rebuilds — gas too cold to move the list", rebuilds)
+	}
+	if rebalances, _ := eng.BalanceStats(); rebalances < 1 {
+		t.Fatal("no rebalance fired")
+	}
+	rc := model.Spec.Cutoff
+	for _, rs := range eng.rs {
+		a := rs.ff.(*AllegroFF)
+		v := &rs.v
+		px, py, pz := v.Periods()
+		for j := 0; j < v.NOwn; j++ {
+			n := 0
+			for _, i32 := range v.NL.Row(j) {
+				i := int(i32)
+				dx := px.MinImage(v.X[3*j] - v.X[3*i])
+				dy := py.MinImage(v.X[3*j+1] - v.X[3*i+1])
+				dz := pz.MinImage(v.X[3*j+2] - v.X[3*i+2])
+				if r := math.Sqrt(dx*dx + dy*dy + dz*dz); r < rc && r != 0 {
+					n++
+				}
+			}
+			if n != int(a.nAcc[j]) {
+				t.Fatalf("rank %d atom %d: %d neighbors within the cutoff, %d taped", v.Rank, v.ID[j], n, a.nAcc[j])
+			}
+		}
+	}
+	// The check inside phase two: a count off by one panics instead of
+	// assembling from the neighboring record.
+	rs := eng.rs[0]
+	a := rs.ff.(*AllegroFF)
+	a.nAcc[0]++
+	defer func() {
+		a.nAcc[0]--
+		if r := recover(); r == nil {
+			t.Error("phase two assembled atom 0 from a misaligned tape without failing")
+		}
+	}()
+	a.PhaseTwo(&rs.v, rs.aux, 0, 1)
+}
