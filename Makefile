@@ -19,9 +19,11 @@
 #                  for arm64 (the stub/reference side of every *_amd64 file
 #                  must keep compiling), and the asm-nofma guard
 #   make asm-nofma - fail if any *.s under internal/ contains a fused
-#                  multiply-add mnemonic: the vector kernels are bit-identical
-#                  to their Go references only because every product is
-#                  rounded before it is added
+#                  multiply-add mnemonic, an approximate reciprocal
+#                  (VRCP*, VRSQRT*) or an AVX-512 rounding override
+#                  (.RN_SAE/.RZ_SAE/.RU_SAE/.RD_SAE/.SAE): the vector kernels
+#                  are bit-identical to their Go references only because every
+#                  product is rounded, to nearest, before it is added
 #   make lint    - run cmd/mlmdlint (the internal/lint analyzer suite:
 #                  noalloc, detrange, poolonly, ascendsum, wiresafe) over
 #                  ./... and fail on any finding; docs/lint.md documents the
@@ -149,8 +151,8 @@ vet: asm-nofma
 	GOARCH=arm64 $(GO) vet $(ARCH_PKGS)
 
 asm-nofma:
-	@if grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VFNMSUB' internal/; then \
-		echo "fused multiply-add in assembly: the kernels must stay bit-identical to their Go references"; exit 1; fi
+	@if grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VFNMSUB|VRCP|VRSQRT|\.(R[NZUD]_)?SAE' internal/; then \
+		echo "fused multiply-add, approximate reciprocal or rounding override in assembly: the kernels must stay bit-identical to their Go references"; exit 1; fi
 
 build:
 	$(GO) build ./...

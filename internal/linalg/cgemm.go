@@ -138,6 +138,8 @@ func CGEMMBlocked(opA, opB Op, m, n, k int, alpha complex128, a []complex128, ld
 // cgemmAccumRange accumulates alpha*op(A)*op(B) into C for rows [i0,i1).
 // Row-major B goes through the zgemmTile micro-kernel; the
 // conjugate-transpose B fallback keeps the straightforward blocked loop.
+// Neither skips a zero alpha·op(A)[i,p], so 0·Inf and 0·NaN reach C as NaN,
+// as in CGEMM.
 //
 //mlmd:hotpath
 func cgemmAccumRange(opA, opB Op, i0, i1, n, k int, alpha complex128, a []complex128, lda int, b []complex128, ldb int, c []complex128, ldc int) {
@@ -154,9 +156,6 @@ func cgemmAccumRange(opA, opB Op, i0, i1, n, k int, alpha complex128, a []comple
 				for i := ii; i < iMax; i++ {
 					for p := pp; p < pMax; p++ {
 						av := alpha * getOp(a, lda, opA, i, p)
-						if av == 0 {
-							continue
-						}
 						for j := jj; j < jMax; j++ {
 							c[i*ldc+j] += av * getOp(b, ldb, opB, p, j)
 						}

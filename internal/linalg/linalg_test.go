@@ -94,6 +94,46 @@ func TestCGEMMConjTrans(t *testing.T) {
 	}
 }
 
+// TestCGEMMBlockedPropagatesNaN: a zero in A times an Inf or NaN in op(B)
+// is NaN in C, as in the naive CGEMM, for both op(B). The
+// conjugate-transpose-B loop used to skip a zero alpha·A[i,p] and return a
+// finite C.
+func TestCGEMMBlockedPropagatesNaN(t *testing.T) {
+	const m, n, k = 2, 3, 2
+	a := []complex128{0, 1, 0, 2} // op(A)[i,0] = 0
+	for _, bad := range []complex128{complex(math.Inf(1), 0), complex(math.NaN(), 1)} {
+		for _, opB := range []Op{NoTrans, ConjTrans} {
+			b := make([]complex128, k*n)
+			for i := range b {
+				b[i] = complex(float64(i+1), -0.5)
+			}
+			ldb := n
+			if opB == ConjTrans {
+				ldb = k
+				for j := 0; j < n; j++ {
+					b[j*ldb] = bad // op(B)[0,j] = conj(B[j,0])
+				}
+			} else {
+				for j := 0; j < n; j++ {
+					b[j] = bad // op(B)[0,j] = B[0,j]
+				}
+			}
+			want := make([]complex128, m*n)
+			got := make([]complex128, m*n)
+			CGEMM(NoTrans, opB, m, n, k, 1, a, k, b, ldb, 0, want, n)
+			CGEMMBlocked(NoTrans, opB, m, n, k, 1, a, k, b, ldb, 0, got, n)
+			for i := range want {
+				if !cmplx.IsNaN(want[i]) {
+					t.Fatalf("naive CGEMM: C[%d] = %v, want NaN", i, want[i])
+				}
+				if math.IsNaN(real(got[i])) != math.IsNaN(real(want[i])) || math.IsNaN(imag(got[i])) != math.IsNaN(imag(want[i])) {
+					t.Fatalf("op(B) %d, B holding %v: C[%d] = %v, naive %v", opB, bad, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestCGEMMAssociativityProperty(t *testing.T) {
 	// (A*B)*x == A*(B*x) for square matrices — catches indexing bugs.
 	f := func(seed int64) bool {

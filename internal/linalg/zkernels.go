@@ -9,17 +9,20 @@ package linalg
 // the thing the tests compare against.
 //
 // Beside each reference sits an AVX2 kernel (zkernels_amd64.s) that uses
-// VMULPD, VADDPD and VADDSUBPD only — no FMA. Every lane of an element-wise
-// complex kernel, and every output column of an ascending-p GEMM, is an
-// independent chain of IEEE multiplies and adds, so the vector kernel is
-// bit-for-bit the reference (FuzzZKernels; NaN payloads excepted, which IEEE
-// leaves to the operand order). The wrappers below own every bounds check;
-// the assembly has none.
+// VMULPD, VADDPD and VADDSUBPD only — no FMA — and the CGEMM tile has an
+// AVX-512 twin that uses VMULPD and VADDPD with a sign-flipped operand in
+// place of VADDSUBPD. Every lane of an element-wise complex kernel, and
+// every output column of an ascending-p GEMM, is an independent chain of
+// IEEE multiplies and adds, so each vector kernel is bit-for-bit the
+// reference (FuzzZKernels; NaN payloads excepted, which IEEE leaves to the
+// operand order). The wrappers below own every bounds check; the assembly
+// has none.
 
-// useAVX2 selects the assembly kernels. It is set once at init from CPUID
-// (zkernels_amd64.go) and flipped only by this package's tests, which run
-// every kernel test on both paths.
-var useAVX2 bool
+// useAVX2 selects the assembly kernels, and useAVX512 (which implies
+// useAVX2) the AVX-512 CGEMM tile among them. Both are set once at init from
+// CPUID and XGETBV (zkernels_amd64.go) and flipped only by this package's
+// tests, which run every kernel test on each path.
+var useAVX2, useAVX512 bool
 
 // ZMul returns a·b by the textbook formula
 // (ar·br − ai·bi) + i(ar·bi + ai·br), each product rounded before the add.
@@ -194,6 +197,10 @@ func zgemmTile(opA Op, i0, i1, p0, p1, n int, alpha complex128, a []complex128, 
 	} else {
 		args.a, args.aRow, args.aCol = &a[p0*lda+i0], elem, uintptr(lda)*elem
 		args.conj = 1 << 63
+	}
+	if useAVX512 {
+		zgemmTileAVX512(&args)
+		return
 	}
 	zgemmTileAVX2(&args)
 }

@@ -13,13 +13,19 @@ func zphaseRowsAVX2(data *complex128, norb int, rot *complex128, nrows int)
 func zgemmTileAVX2(args *zgemmArgs)
 
 //go:noescape
+func zgemmTileAVX512(args *zgemmArgs)
+
+//go:noescape
 func dgemmTile4AVX2(args *dgemmArgs)
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-func init() { useAVX2 = hasAVX2() }
+func init() {
+	useAVX2 = hasAVX2()
+	useAVX512 = useAVX2 && hasAVX512()
+}
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
 // state (the standard CPUID + XGETBV sequence).
@@ -36,4 +42,17 @@ func hasAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// hasAVX512 reports whether the CPU implements AVX512F and the OS saves the
+// opmask and ZMM state. It is asked only after hasAVX2, which has checked
+// OSXSAVE and the maximum CPUID leaf.
+func hasAVX512() bool {
+	// XCR0 bits 1, 2, 5, 6, 7: XMM, YMM, opmask, ZMM_Hi256 (the upper halves
+	// of Z0–Z15) and Hi16_ZMM (Z16–Z31, which the tile uses).
+	if xcr0, _ := xgetbv0(); xcr0&0xE6 != 0xE6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
 }

@@ -1,40 +1,87 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// onReference runs f with the vector kernels switched off.
-func onReference(f func()) {
-	prev := useAVX2
-	useAVX2 = false
-	defer func() { useAVX2 = prev }()
+// A kernelPath is one setting of the dispatch variables: the AVX-512 tier
+// (the default on a host that has it), the AVX2 tier, or the Go reference.
+type kernelPath struct {
+	name         string
+	avx2, avx512 bool
+}
+
+var (
+	pathAVX512    = kernelPath{"avx512", true, true}
+	pathAVX2      = kernelPath{"avx2", true, false}
+	pathReference = kernelPath{"reference", false, false}
+)
+
+// available reports whether this host runs p's tier.
+func (p kernelPath) available() bool {
+	return (useAVX2 || !p.avx2) && (useAVX512 || !p.avx512)
+}
+
+// onPath runs f with the dispatch variables set to p. A tier the host lacks
+// stays off, so there f runs on the next tier down.
+func onPath(p kernelPath, f func()) {
+	prev2, prev512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = prev2 && p.avx2, prev512 && p.avx512
+	defer func() { useAVX2, useAVX512 = prev2, prev512 }()
 	f()
 }
 
-// TestKernelTestsOnReferencePath re-runs every test that reaches a vector
-// kernel with the dispatch variable flipped, so both the
-// assembly (the default on an AVX2 host) and the Go reference pass them.
-func TestKernelTestsOnReferencePath(t *testing.T) {
-	onReference(func() {
-		t.Run("CGEMMIdentity", TestCGEMMIdentity)
-		t.Run("BlockedAndParallelMatchNaive", TestBlockedAndParallelMatchNaive)
-		t.Run("CGEMMConjTrans", TestCGEMMConjTrans)
-		t.Run("CGEMMAssociativityProperty", TestCGEMMAssociativityProperty)
-		t.Run("CGEMMBlockedWorkerCountInvariance", TestCGEMMBlockedWorkerCountInvariance)
-		t.Run("CGEMMTileMatchesNaive", TestCGEMMTileMatchesNaive)
-		t.Run("ZKernelsShortSlicePanics", TestZKernelsShortSlicePanics)
-		t.Run("ZRotPairsIsTheRotation", TestZRotPairsIsTheRotation)
-		t.Run("GEMM32MatchesFloat64", TestGEMM32MatchesFloat64)
-		t.Run("GEMM64WorkerCountInvariance", TestGEMM64WorkerCountInvariance)
-		t.Run("GEMM64IsTheAscendingChain", TestGEMM64IsTheAscendingChain)
-		t.Run("GEMM64ShortSlicePanics", TestGEMM64ShortSlicePanics)
-		t.Run("CurlRowsMatchesReference", TestCurlRowsMatchesReference)
-		t.Run("CurlRowsShortSlicePanics", TestCurlRowsShortSlicePanics)
+// onReference runs f with the vector kernels switched off.
+func onReference(f func()) { onPath(pathReference, f) }
+
+// kernelTests are the tests that reach a vector kernel. A plain run takes
+// the widest tier the host has; the TestKernelTestsOn*Path tests re-run
+// them on the tiers below it.
+var kernelTests = []struct {
+	name string
+	f    func(*testing.T)
+}{
+	{"CGEMMIdentity", TestCGEMMIdentity},
+	{"BlockedAndParallelMatchNaive", TestBlockedAndParallelMatchNaive},
+	{"CGEMMConjTrans", TestCGEMMConjTrans},
+	{"CGEMMBlockedPropagatesNaN", TestCGEMMBlockedPropagatesNaN},
+	{"CGEMMAssociativityProperty", TestCGEMMAssociativityProperty},
+	{"CGEMMBlockedWorkerCountInvariance", TestCGEMMBlockedWorkerCountInvariance},
+	{"CGEMMTileMatchesNaive", TestCGEMMTileMatchesNaive},
+	{"ZKernelsShortSlicePanics", TestZKernelsShortSlicePanics},
+	{"ZRotPairsIsTheRotation", TestZRotPairsIsTheRotation},
+	{"GEMM32MatchesFloat64", TestGEMM32MatchesFloat64},
+	{"GEMM64WorkerCountInvariance", TestGEMM64WorkerCountInvariance},
+	{"GEMM64IsTheAscendingChain", TestGEMM64IsTheAscendingChain},
+	{"GEMM64ShortSlicePanics", TestGEMM64ShortSlicePanics},
+	{"CurlRowsMatchesReference", TestCurlRowsMatchesReference},
+	{"CurlRowsShortSlicePanics", TestCurlRowsShortSlicePanics},
+}
+
+func runKernelTests(t *testing.T, p kernelPath) {
+	onPath(p, func() {
+		for _, kt := range kernelTests {
+			t.Run(kt.name, kt.f)
+		}
 	})
 }
+
+// TestKernelTestsOnAVX2Path: on an AVX-512 host a plain run reaches the
+// AVX-512 CGEMM tile, so the AVX2 one is tested here — it is the whole
+// vector tier of a host without AVX-512.
+func TestKernelTestsOnAVX2Path(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512: a plain run is the AVX2 path (or the reference)")
+	}
+	runKernelTests(t, pathAVX2)
+}
+
+// TestKernelTestsOnReferencePath: the Go reference, the only path off
+// amd64, passes every kernel test too.
+func TestKernelTestsOnReferencePath(t *testing.T) { runKernelTests(t, pathReference) }
 
 // specials are the values a plain random draw never produces.
 var specials = []float64{
@@ -92,8 +139,9 @@ func compareFields(t *testing.T, what string, got, want []complex128) {
 }
 
 // checkZKernels runs the three kernels against their Go references on one
-// random problem. With the vector kernels off (or off amd64) it compares
-// the reference with itself, which still exercises the wrappers.
+// random problem, the CGEMM tile on each vector tier. With the vector
+// kernels off (or off amd64) it compares the reference with itself, which
+// still exercises the wrappers.
 func checkZKernels(t *testing.T, seed int64, norb, n, k, off, rate int) {
 	rng := rand.New(rand.NewSource(seed))
 
@@ -123,9 +171,16 @@ func checkZKernels(t *testing.T, seed int64, norb, n, k, off, rate int) {
 	zphaseRowsGo(want, len(want), rot[:1])
 	compareFields(t, "ZPhaseRows (one row)", got, want)
 
-	// zgemmTile through cgemmAccumRange: m = n rows, norb columns, k deep,
-	// both op(A), padded leading dimensions.
-	m, cols := n, norb
+	// zgemmTile through cgemmAccumRange: m = n rows, norb columns, k deep.
+	checkZGEMM(t, rng, n, norb, k, off, rate)
+}
+
+// checkZGEMM runs cgemmAccumRange on one random problem — m rows, cols
+// columns, k deep, both op(A), padded leading dimensions — on each vector
+// tier and on the Go reference, and wants one set of bits. C is followed by
+// a guard of one ZMM's worth of values, which the kernels must not write.
+func checkZGEMM(t *testing.T, rng *rand.Rand, m, cols, k, off, rate int) {
+	const guard = 4
 	alpha := fuzzComplex(rng, rate)
 	for _, opA := range []Op{NoTrans, ConjTrans} {
 		pad := rng.Intn(3)
@@ -137,19 +192,44 @@ func checkZKernels(t *testing.T, seed int64, norb, n, k, off, rate int) {
 		}
 		a := fuzzField(rng, aLen, off, rate)
 		bm := fuzzField(rng, k*ldb, off, rate)
-		got = fuzzField(rng, m*ldc, off, rate)
-		want = append(want[:0], got...)
-		cgemmAccumRange(opA, NoTrans, 0, m, cols, k, alpha, a, lda, bm, ldb, got, ldc)
+		c0 := fuzzField(rng, m*ldc+guard, off, rate)
+		want := append([]complex128(nil), c0...)
 		onReference(func() {
-			cgemmAccumRange(opA, NoTrans, 0, m, cols, k, alpha, a, lda, bm, ldb, want, ldc)
+			cgemmAccumRange(opA, NoTrans, 0, m, cols, k, alpha, a, lda, bm, ldb, want[:m*ldc], ldc)
 		})
-		compareFields(t, "zgemmTile", got, want)
+		for _, p := range []kernelPath{pathAVX512, pathAVX2} {
+			if !p.available() {
+				continue
+			}
+			got := append([]complex128(nil), c0...)
+			onPath(p, func() {
+				cgemmAccumRange(opA, NoTrans, 0, m, cols, k, alpha, a, lda, bm, ldb, got[:m*ldc], ldc)
+			})
+			compareFields(t, fmt.Sprintf("zgemmTile on %s, op(A) %d, %dx%dx%d", p.name, opA, m, cols, k), got, want)
+		}
+	}
+}
+
+// TestZGEMMTileEveryShape runs checkZGEMM over every row tail of the
+// 4-row block (m = 1…9) and every column tail of the 8- and 4-wide blocks
+// (1…17 columns), at k on both sides of the 48-value p block, so a plain
+// `go test` covers each masked and row-tail path of every tier.
+func TestZGEMMTileEveryShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for m := 1; m <= 9; m++ {
+		for cols := 1; cols <= 17; cols++ {
+			for _, k := range []int{1, 2, 49} {
+				checkZGEMM(t, rng, m, cols, k, (m+cols)%4, 6)
+			}
+		}
 	}
 }
 
 // FuzzZKernels: every vector kernel equals its Go reference by Float64bits
-// over random shapes (odd and 1 included), unaligned slice offsets, strided
-// and conjugated A, signed zeros, subnormals, infinities and NaNs.
+// over random shapes (odd and 1 included; rows and columns 1…40, k across
+// the 48-value p block), unaligned slice offsets, strided and conjugated A,
+// signed zeros, subnormals, infinities and NaNs. The CGEMM tile is held to
+// the reference on each vector tier (AVX-512 and AVX2) separately.
 func FuzzZKernels(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(16), uint8(48), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(4))
@@ -257,6 +337,22 @@ func benchBothPaths(b *testing.B, f func()) {
 	})
 }
 
+// benchTiers runs f as one sub-benchmark per tier: avx512, avx2, reference.
+func benchTiers(b *testing.B, f func()) {
+	for _, p := range []kernelPath{pathAVX512, pathAVX2, pathReference} {
+		b.Run(p.name, func(b *testing.B) {
+			if !p.available() {
+				b.Skip("this host lacks the tier")
+			}
+			onPath(p, func() {
+				for i := 0; i < b.N; i++ {
+					f()
+				}
+			})
+		})
+	}
+}
+
 func BenchmarkZRotPairs(b *testing.B) {
 	data := fuzzField(rand.New(rand.NewSource(1)), benchGrid*benchOrb, 0, 0)
 	idx := make([]int32, benchGrid)
@@ -279,13 +375,14 @@ func BenchmarkZPhaseRows(b *testing.B) {
 }
 
 // BenchmarkScissorGEMMs is the CGEMM pair of one scissor correction:
-// O = Ψ0†Ψ (Gram shape), then Ψ −= δ Ψ0 O (tall-skinny update).
+// O = Ψ0†Ψ (Gram shape), then Ψ −= δ Ψ0 O (tall-skinny update), on each
+// tier of the CGEMM tile.
 func BenchmarkScissorGEMMs(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	psi0 := fuzzField(rng, benchGrid*benchOrb, 0, 0)
 	psi := fuzzField(rng, benchGrid*benchOrb, 0, 0)
 	o := make([]complex128, benchOrb*benchOrb)
-	benchBothPaths(b, func() {
+	benchTiers(b, func() {
 		CGEMMBlocked(ConjTrans, NoTrans, benchOrb, benchOrb, benchGrid, 1, psi0, benchOrb, psi, benchOrb, 0, o, benchOrb)
 		CGEMMBlocked(NoTrans, NoTrans, benchGrid, benchOrb, benchOrb, -1e-6, psi0, benchOrb, o, benchOrb, 1, psi, benchOrb)
 	})
