@@ -23,9 +23,13 @@
 #                  (VRCP*, VRSQRT*) or an AVX-512 rounding override
 #                  (.RN_SAE/.RZ_SAE/.RU_SAE/.RD_SAE/.SAE): the vector kernels
 #                  are bit-identical to their Go references only because every
-#                  product is rounded, to nearest, before it is added
+#                  product is rounded, to nearest, before it is added. The one
+#                  exemption is internal/linalg/vexp_amd64.s, whose reference
+#                  is the stdlib's fused math.Exp: it is fused exactly where
+#                  the reference fuses — its FMA mnemonics must be, in order,
+#                  those of the avxfma block of $GOROOT/src/math/exp_amd64.s
 #   make lint    - run cmd/mlmdlint (the internal/lint analyzer suite:
-#                  noalloc, detrange, poolonly, ascendsum, wiresafe) over
+#                  noalloc, detrange, poolonly, ascendsum, wiresafe, rowexp) over
 #                  ./... and fail on any finding; docs/lint.md documents the
 #                  //mlmd:hotpath annotation and //lint:allow suppression
 #                  grammar
@@ -116,7 +120,7 @@ WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 MD_FUZZ_TARGETS   = FuzzMinImage1
-LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows
+LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows
 FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).
@@ -150,15 +154,30 @@ vet: asm-nofma
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet $(ARCH_PKGS)
 
+# The exp kernels' file, and the FMA mnemonics (suffix dropped) of a file with
+# its comments stripped.
+VEXP_ASM = internal/linalg/vexp_amd64.s
+fma_seq  = sed 's://.*::' $(1) | grep -oE 'VFN?M(ADD|SUB)[0-9]*' | tr '\n' ' '
+
 asm-nofma:
-	@if grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VFNMSUB|VRCP|VRSQRT|\.(R[NZUD]_)?SAE' internal/; then \
+	@if grep -rnE --include='*.s' 'VFMADD|VFNMADD|VFMSUB|VFNMSUB|VRCP|VRSQRT|\.(R[NZUD]_)?SAE' internal/ | grep -v '^$(VEXP_ASM):'; then \
 		echo "fused multiply-add, approximate reciprocal or rounding override in assembly: the kernels must stay bit-identical to their Go references"; exit 1; fi
+	@if grep -nE 'VRCP|VRSQRT|\.(R[NZUD]_)?SAE' $(VEXP_ASM); then \
+		echo "approximate reciprocal or rounding override in $(VEXP_ASM)"; exit 1; fi
+	@ref="$$($(GO) env GOROOT)/src/math/exp_amd64.s"; \
+	want="$$(sed -n '/^avxfma:/,$$p' "$$ref" | $(call fma_seq,))"; got="$$($(call fma_seq,$(VEXP_ASM)))"; \
+	if [ -z "$$want" ] || [ "$$got" != "$$want" ]; then \
+		echo "$(VEXP_ASM) must fuse exactly where the avxfma block of $$ref does:"; \
+		echo "  want: $$want"; echo "  got:  $$got"; exit 1; fi
 
 build:
 	$(GO) build ./...
 
+# The second line is the exp dispatch's regression test: with the stdlib's
+# exp on its unfused path the self-check must keep the fused kernel off.
 test:
 	$(GO) test ./...
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/linalg -run 'Exp|SiLU'
 
 race:
 	$(GO) test -race $(PAR_PKGS)

@@ -1,6 +1,6 @@
 // Command mlmdlint is the repo's static-enforcement driver: it loads the
 // named packages (default ./...) and runs the internal/lint analyzer suite
-// over them — noalloc, detrange, poolonly, ascendsum, wiresafe — printing
+// over them — noalloc, detrange, poolonly, ascendsum, wiresafe, rowexp — printing
 // findings go-vet style (file:line:col: analyzer: message) and exiting
 // nonzero when any survive suppression. `make lint` runs it over the whole
 // tree as part of `make check`; docs/lint.md documents the //mlmd:hotpath

@@ -219,7 +219,7 @@ func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, 
 //mlmd:hotpath
 func (m *Model) GatherAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, desc, vec, rad []float64) int {
 	buildEnv(sys, i, cand, m.Spec.Cutoff, &scr.env)
-	m.Spec.descriptorInto(sys, scr.env, desc, cs, vec, rad)
+	m.Spec.descriptorInto(sys, &scr.env, desc, cs, vec, rad)
 	return len(scr.env.j)
 }
 
@@ -302,7 +302,7 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 					ws.envDy = append(ws.envDy, ws.env.dy...)
 					ws.envDz = append(ws.envDz, ws.env.dz...)
 					ws.envR = append(ws.envR, ws.env.r...)
-					m.Spec.descriptorInto(sys, ws.env, ws.desc[r*dim:(r+1)*dim], ws.cs, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(ws.envOff[r])*rl:])
+					m.Spec.descriptorInto(sys, &ws.env, ws.desc[r*dim:(r+1)*dim], ws.cs, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(ws.envOff[r])*rl:])
 				}
 				ws.envOff[n] = int32(len(ws.envJ))
 			}

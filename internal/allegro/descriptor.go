@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"mlmd/internal/linalg"
 	"mlmd/internal/md"
 )
 
@@ -80,6 +81,9 @@ type neighborEnv struct {
 	j          []int     // neighbor atom indices
 	dx, dy, dz []float64 // displacement components (j − i)
 	r          []float64
+	// gauss is descriptorInto's scratch: the Gaussian exponents of the whole
+	// environment, then their exps, NRadial per neighbor.
+	gauss []float64
 }
 
 func (env *neighborEnv) reset() {
@@ -123,7 +127,7 @@ func buildEnv(sys *md.System, i int, cand []int32, rc float64, env *neighborEnv)
 //	out[(sp*NR+k)*2+0] = Σ_j g_k(r_ij) fc(r_ij)                (scalar)
 //	out[(sp*NR+k)*2+1] = |Σ_j g_k(r_ij) fc(r_ij) r̂_ij|²        (vector²)
 func (d DescriptorSpec) Descriptor(sys *md.System, env neighborEnv, out []float64) {
-	d.descriptorInto(sys, env, out, d.centers(), make([]float64, d.NSpecies*d.NRadial*3), make([]float64, len(env.j)*d.RadialLen()))
+	d.descriptorInto(sys, &env, out, d.centers(), make([]float64, d.NSpecies*d.NRadial*3), make([]float64, len(env.j)*d.RadialLen()))
 }
 
 // RadialLen returns the length of one pair's record on the radial tape: the
@@ -131,33 +135,46 @@ func (d DescriptorSpec) Descriptor(sys *md.System, env neighborEnv, out []float6
 // h_k = dg_k·fc + g_k·dfc, and the cutoff value fc.
 func (d DescriptorSpec) RadialLen() int { return 2*d.NRadial + 1 }
 
-// radialInto fills t (length RadialLen) with the radial record of a pair at
-// distance r: t[k] = g_k, t[NRadial+k] = h_k, t[2·NRadial] = fc. It is the
-// one place the Gaussian basis and the cosine cutoff are evaluated; the
-// descriptor fills a tape of these records during the gather and every
-// gradient path reads them back from it.
+// gaussExponents writes the Gaussian exponents −(r−c_k)²/(2w²) of a pair at
+// distance r into a (length NRadial); radialInto takes their exps.
 //
 //mlmd:hotpath
-func (d DescriptorSpec) radialInto(r float64, cs, t []float64) {
+func (d DescriptorSpec) gaussExponents(r float64, cs, a []float64) {
+	w := d.width()
+	for k := range a {
+		a[k] = -(r - cs[k]) * (r - cs[k]) / (2 * w * w)
+	}
+}
+
+// radialInto fills t (length RadialLen) with the radial record of a pair at
+// distance r, given g, the exps of its gaussExponents: t[k] = g_k,
+// t[NRadial+k] = h_k, t[2·NRadial] = fc. It is the one place the Gaussian
+// basis and the cosine cutoff become a record; the descriptor fills a tape of
+// these records during the gather and every gradient path reads them back
+// from it.
+//
+//mlmd:hotpath
+func (d DescriptorSpec) radialInto(r float64, cs, g, t []float64) {
 	w := d.width()
 	nr := d.NRadial
 	fc, dfc := cutoffFn(r, d.Cutoff)
 	for k := 0; k < nr; k++ {
-		g := math.Exp(-(r - cs[k]) * (r - cs[k]) / (2 * w * w))
-		dg := g * (-(r - cs[k]) / (w * w))
-		t[k] = g
-		t[nr+k] = dg*fc + g*dfc
+		dg := g[k] * (-(r - cs[k]) / (w * w))
+		t[k] = g[k]
+		t[nr+k] = dg*fc + g[k]*dfc
 	}
 	t[2*nr] = fc
 }
 
 // descriptorInto is Descriptor with caller-provided scratch (cs from
-// centers(), vec of length NSpecies*NRadial*3), so per-worker hot loops
-// avoid per-atom allocation. It also writes the radial tape: record n of
-// tape (RadialLen values each, len(env.j) records) is env neighbor n's.
+// centers(), vec of length NSpecies*NRadial*3, and env's own gauss), so
+// per-worker hot loops avoid per-atom allocation. It also writes the radial
+// tape: record n of tape (RadialLen values each, len(env.j) records) is env
+// neighbor n's. The Gaussians of the whole environment are one
+// linalg.ExpRows sweep.
 //
 //mlmd:hotpath
-func (d DescriptorSpec) descriptorInto(sys *md.System, env neighborEnv, out, cs, vec, tape []float64) {
+func (d DescriptorSpec) descriptorInto(sys *md.System, env *neighborEnv, out, cs, vec, tape []float64) {
 	if len(out) != d.Dim() {
 		panic("allegro: descriptor output length mismatch")
 	}
@@ -169,11 +186,20 @@ func (d DescriptorSpec) descriptorInto(sys *md.System, env neighborEnv, out, cs,
 	}
 	nr := d.NRadial
 	rl := d.RadialLen()
+	ng := len(env.j) * nr
+	if cap(env.gauss) < ng {
+		env.gauss = make([]float64, ng)
+	}
+	g := env.gauss[:ng]
+	for n, r := range env.r {
+		d.gaussExponents(r, cs, g[n*nr:(n+1)*nr])
+	}
+	linalg.ExpRows(g, g)
 	for n := range env.j {
 		sp := sys.Type[env.j[n]]
 		r := env.r[n]
 		t := tape[n*rl : (n+1)*rl]
-		d.radialInto(r, cs, t)
+		d.radialInto(r, cs, g[n*nr:(n+1)*nr], t)
 		fc := t[2*nr]
 		ux, uy, uz := env.dx[n]/r, env.dy[n]/r, env.dz[n]/r
 		for k := 0; k < nr; k++ {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mlmd/internal/linalg"
 )
 
 // pairGradRecomputed is the pair term as it stood before the radial tape:
@@ -44,6 +46,7 @@ func TestPairGradTapedMatchesRecomputed(t *testing.T) {
 	gD := make([]float64, spec.Dim())
 	vec := make([]float64, spec.NSpecies*spec.NRadial*3)
 	rec := make([]float64, spec.RadialLen())
+	g := make([]float64, spec.NRadial)
 
 	radii := []float64{math.Nextafter(rc, 0), rc * (1 - 1e-12), rc, math.Nextafter(rc, 3), 1.5 * rc, 1e-3, 1e-9, 1e-300}
 	for len(radii) < 2000 {
@@ -61,7 +64,9 @@ func TestPairGradTapedMatchesRecomputed(t *testing.T) {
 		ux, uy, uz := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 		s := r / math.Sqrt(ux*ux+uy*uy+uz*uz)
 		dx, dy, dz := ux*s, uy*s, uz*s
-		spec.radialInto(r, cs, rec)
+		spec.gaussExponents(r, cs, g)
+		linalg.ExpRows(g, g)
+		spec.radialInto(r, cs, g, rec)
 		for spJ := 0; spJ < spec.NSpecies; spJ++ {
 			wx, wy, wz := pairGradRecomputed(spec, spJ, gD, vec, cs, dx, dy, dz, r)
 			gx, gy, gz := spec.PairGradTaped(spJ, gD, vec, rec, dx, dy, dz, r)

@@ -131,7 +131,7 @@ func (m *Model) Energy(sys *md.System) float64 {
 	for i := 0; i < sys.N; i++ {
 		buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &env)
 		rad = growF64(rad, len(env.j)*m.Spec.RadialLen())
-		m.Spec.descriptorInto(sys, env, desc, cs, vec, rad)
+		m.Spec.descriptorInto(sys, &env, desc, cs, vec, rad)
 		sp := sys.Type[i]
 		e += m.Nets[sp].Forward(desc)[0] + m.PerSpeciesShift[sp]
 	}
@@ -279,7 +279,7 @@ func (m *Model) forceBlock(sys *md.System, lo, hi int) float64 {
 			for i := base + flo; i < base+fhi; i++ {
 				buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &ws.env)
 				ws.rad = growF64(ws.rad, len(ws.env.j)*rl)
-				m.Spec.descriptorInto(sys, ws.env, ws.desc, ws.cs, ws.vec, ws.rad)
+				m.Spec.descriptorInto(sys, &ws.env, ws.desc, ws.cs, ws.vec, ws.rad)
 				sp := sys.Type[i]
 				net := m.Nets[sp]
 				tape := net.ForwardTapeInto(ws.desc, &ws.tape)

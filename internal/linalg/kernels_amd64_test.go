@@ -1,12 +1,23 @@
 package linalg
 
 // The argument blocks of the assembly kernels: field offsets are amd64
-// facts (8-byte pointers and ints), so their pins live in an amd64 file.
+// facts (8-byte pointers and ints), so their pins live in an amd64 file, as
+// does the CPUID side of the exp kernels' dispatch.
 
 import (
 	"testing"
 	"unsafe"
 )
+
+// TestExpDispatchIsTheSelfCheck: useExpFMA is exactly AVX2 and FMA on the
+// host and this process's math.Exp being the stdlib's fused block — set under
+// a plain run on an FMA host, clear under GODEBUG=cpu.fma=off.
+func TestExpDispatchIsTheSelfCheck(t *testing.T) {
+	fused, _ := mathExpIsFused()
+	if want := hasAVX2() && hasFMA() && fused; useExpFMA != want {
+		t.Errorf("useExpFMA = %v; AVX2 %v, FMA %v, math.Exp fused on the probe %v", useExpFMA, hasAVX2(), hasFMA(), fused)
+	}
+}
 
 // TestCurlArgsLayout pins the field offsets the assembly hard-codes.
 func TestCurlArgsLayout(t *testing.T) {

@@ -25,6 +25,14 @@ func xgetbv0() (eax, edx uint32)
 func init() {
 	useAVX2 = hasAVX2()
 	useAVX512 = useAVX2 && hasAVX512()
+	useExpFMA = useAVX2 && hasFMA() && expKernelAgrees()
+}
+
+// hasFMA reports whether the CPU implements FMA3 (CPUID.1:ECX bit 12). It is
+// asked only after hasAVX2, which has checked the YMM state.
+func hasFMA() bool {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&(1<<12) != 0
 }
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM

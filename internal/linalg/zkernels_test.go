@@ -28,9 +28,9 @@ func (p kernelPath) available() bool {
 // onPath runs f with the dispatch variables set to p. A tier the host lacks
 // stays off, so there f runs on the next tier down.
 func onPath(p kernelPath, f func()) {
-	prev2, prev512 := useAVX2, useAVX512
-	useAVX2, useAVX512 = prev2 && p.avx2, prev512 && p.avx512
-	defer func() { useAVX2, useAVX512 = prev2, prev512 }()
+	prev2, prev512, prevExp := useAVX2, useAVX512, useExpFMA
+	useAVX2, useAVX512, useExpFMA = prev2 && p.avx2, prev512 && p.avx512, prevExp && p.avx2
+	defer func() { useAVX2, useAVX512, useExpFMA = prev2, prev512, prevExp }()
 	f()
 }
 
@@ -59,6 +59,9 @@ var kernelTests = []struct {
 	{"GEMM64ShortSlicePanics", TestGEMM64ShortSlicePanics},
 	{"CurlRowsMatchesReference", TestCurlRowsMatchesReference},
 	{"CurlRowsShortSlicePanics", TestCurlRowsShortSlicePanics},
+	{"ExpRowsMatchesMathExp", TestExpRowsMatchesMathExp},
+	{"SiLURowsMatchesSiLU", TestSiLURowsMatchesSiLU},
+	{"ExpRowsFuzzSeeds", TestExpRowsFuzzSeeds},
 }
 
 func runKernelTests(t *testing.T, p kernelPath) {

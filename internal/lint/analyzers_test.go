@@ -10,6 +10,7 @@ func TestDetRangeFixture(t *testing.T)  { checkFixture(t, DetRange, "detrangefix
 func TestPoolOnlyFixture(t *testing.T)  { checkFixture(t, PoolOnly, "poolonlyfix") }
 func TestAscendSumFixture(t *testing.T) { checkFixture(t, AscendSum, "ascendsumfix") }
 func TestWireSafeFixture(t *testing.T)  { checkFixture(t, WireSafe, "wire") }
+func TestRowExpFixture(t *testing.T)    { checkFixture(t, RowExp, "rowexpfix") }
 
 // TestPoolOnlyClusterWhitelist checks the analyzer-level whitelist: the
 // reader/heartbeat/accept goroutines of a package named cluster pass, any
@@ -42,14 +43,14 @@ func TestAllowGrammar(t *testing.T) {
 	}
 }
 
-// TestAnalyzersHaveDocs pins the suite's shape: five named, documented
+// TestAnalyzersHaveDocs pins the suite's shape: six named, documented
 // analyzers.
 func TestAnalyzersHaveDocs(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 5 {
-		t.Fatalf("analyzer suite has %d analyzers, want 5", len(as))
+	if len(as) != 6 {
+		t.Fatalf("analyzer suite has %d analyzers, want 6", len(as))
 	}
-	want := map[string]bool{"noalloc": true, "detrange": true, "poolonly": true, "ascendsum": true, "wiresafe": true}
+	want := map[string]bool{"noalloc": true, "detrange": true, "poolonly": true, "ascendsum": true, "wiresafe": true, "rowexp": true}
 	for _, a := range as {
 		if !want[a.Name] {
 			t.Errorf("unexpected analyzer %q", a.Name)

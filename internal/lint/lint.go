@@ -1,6 +1,6 @@
 // Package lint is the project's static-enforcement layer: a small
 // go/analysis-shaped framework (stdlib-only — no golang.org/x/tools
-// dependency) plus five project-specific analyzers that check, at `make
+// dependency) plus six project-specific analyzers that check, at `make
 // lint` time, the rules that make the repo's two load-bearing runtime
 // invariants true — trajectories bitwise identical across every
 // decomposition/transport/worker-count, and 0 allocs/op steady-state steps:
@@ -20,6 +20,9 @@
 //   - wiresafe:  decoders in internal/cluster/wire and internal/mlmdio
 //     must validate length/count fields against a constant bound before
 //     any make sized by wire data (validate-before-allocate)
+//   - rowexp:    functions annotated //mlmd:hotpath must not use math.Exp;
+//     step paths take exponentials a row at a time (linalg.ExpRows,
+//     linalg.SiLURows), whose kernel equals math.Exp bit for bit
 //
 // cmd/mlmdlint is the driver. docs/lint.md documents the //mlmd:hotpath
 // annotation and the //lint:allow suppression grammar; ARCHITECTURE.md maps
@@ -90,7 +93,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoAlloc, DetRange, PoolOnly, AscendSum, WireSafe}
+	return []*Analyzer{NoAlloc, DetRange, PoolOnly, AscendSum, WireSafe, RowExp}
 }
 
 // allowDirective is one parsed //lint:allow comment.

@@ -31,12 +31,12 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/par": {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
 	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange",
 		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run",
-		"CurlRows", "curlRowsGo"},
+		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU"},
 	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",
-		"DescriptorSpec.descriptorInto", "DescriptorSpec.radialInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTaped", "buildEnv",
+		"DescriptorSpec.descriptorInto", "DescriptorSpec.gaussExponents", "DescriptorSpec.radialInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTaped", "buildEnv",
 	},
 	"mlmd/internal/maxwell": {"(*Field).Step", "(*Sim3D).Step", "(*Sim3D).halfStep", "(*Sim3D).updateE", "(*Sim3D).updateB", "(*Sim3D).applySource", "(*Sim3D).PackField"},
 	"mlmd/internal/tddft": {

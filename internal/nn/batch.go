@@ -27,8 +27,9 @@ type BatchTape struct {
 	in [][]float64
 	// pre[l] is the rows×Sizes[l+1] block layer l's GEMM accumulates its
 	// pre-activations into. For a hidden layer ForwardBatch then overwrites
-	// each pre-activation with the activation derivative at it — actFn
-	// yields both at once — which is all BackwardBatch needs of it.
+	// each pre-activation with the activation derivative at it — actFn, and
+	// for SiLU linalg.SiLURows over the whole block, yield both at once —
+	// which is all BackwardBatch needs of it.
 	pre [][]float64
 	// out is the rows×Sizes[last] output block.
 	out []float64
@@ -126,11 +127,15 @@ func (m *MLP) ForwardBatch(t *BatchTape) {
 		t.job.Run(rows, out, in, 1, t.in[l][:rows*in], in, wt, out, 1, pre, out)
 		if l == layers-1 {
 			copy(t.out[:rows*out], pre)
-		} else {
-			dst := t.in[l+1][:rows*out]
-			for i, v := range pre {
-				dst[i], pre[i] = actFn(m.Act, v)
-			}
+			continue
+		}
+		dst := t.in[l+1][:rows*out]
+		if m.Act == SiLU {
+			linalg.SiLURows(dst, pre, pre)
+			continue
+		}
+		for i, v := range pre {
+			dst[i], pre[i] = actFn(m.Act, v)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"mlmd/internal/linalg"
 )
 
 // Activation selects the nonlinearity between layers.
@@ -29,9 +31,7 @@ func actFn(a Activation, x float64) (y, dy float64) {
 		y = math.Tanh(x)
 		return y, 1 - y*y
 	case SiLU:
-		s := 1 / (1 + math.Exp(-x))
-		y = x * s
-		return y, s + x*s*(1-s)
+		return linalg.SiLU(x)
 	default:
 		return x, 1
 	}
