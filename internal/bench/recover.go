@@ -7,11 +7,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"mlmd/internal/cluster"
 	"mlmd/internal/mlmdio"
+	"mlmd/internal/rank"
 	"mlmd/internal/shard"
 )
 
@@ -159,40 +159,37 @@ func RecoverCost(grid [3]int, cells, steps int, cadences []int) ([]RecoverPoint,
 			errInjected := errors.New("bench: injected rank failure")
 			stats := make([]shard.RecoverStats, size)
 			errs := make([]error, size)
-			var wg sync.WaitGroup
-			for id := 0; id < size; id++ {
-				wg.Add(1)
-				//lint:allow poolonly one rank-lifecycle goroutine per recovering rank; ranks must run concurrently
-				go func(id int) {
-					defer wg.Done()
-					sys := base.Clone()
-					var tr *cluster.SocketTransport
-					opts := shard.RecoverOpts{
-						Steps: steps, Dt: 2, Every: every, MaxRestarts: 1,
-						Candidates: []string{path, path + ".prev"},
-						Write: func(cp *mlmdio.Checkpoint) error {
-							if _, err := os.Stat(path); err == nil {
-								if err := os.Rename(path, path+".prev"); err != nil {
-									return err
-								}
+			// One runtime slot per recovering process: the meshes rendezvous
+			// and run collectives, so every process must run concurrently.
+			procs := rank.Start(size, func(id, _ int) {
+				sys := base.Clone()
+				var tr *cluster.SocketTransport
+				opts := shard.RecoverOpts{
+					Steps: steps, Dt: 2, Every: every, MaxRestarts: 1,
+					Candidates: []string{path, path + ".prev"},
+					Write: func(cp *mlmdio.Checkpoint) error {
+						if _, err := os.Stat(path); err == nil {
+							if err := os.Rename(path, path+".prev"); err != nil {
+								return err
 							}
-							return mlmdio.WriteCheckpointFile(path, cp)
-						},
-						Mesh: recoverMeshBuilder(dir, id, &tr),
-					}
-					if id == size-1 {
-						opts.OnChunk = func(gen, done int) error {
-							if gen == 0 && done == killAt {
-								tr.Abort()
-								return errInjected
-							}
-							return nil
 						}
+						return mlmdio.WriteCheckpointFile(path, cp)
+					},
+					Mesh: recoverMeshBuilder(dir, id, &tr),
+				}
+				if id == size-1 {
+					opts.OnChunk = func(gen, done int) error {
+						if gen == 0 && done == killAt {
+							tr.Abort()
+							return errInjected
+						}
+						return nil
 					}
-					_, stats[id], errs[id] = shard.RunRecovered(cfg, sys, opts)
-				}(id)
-			}
-			wg.Wait()
+				}
+				_, stats[id], errs[id] = shard.RunRecovered(cfg, sys, opts)
+			})
+			procs.Dispatch(0)
+			procs.Close()
 			worst := time.Duration(0)
 			for id := 0; id < size-1; id++ {
 				if errs[id] != nil {

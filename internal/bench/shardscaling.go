@@ -126,7 +126,7 @@ func ShardStrongScaling(rankCounts []int, cells, steps int, balance bool) ([]Sha
 	points := make([]ShardPoint, 0, len(rankCounts))
 	for _, p := range rankCounts {
 		pt, err := measureShardConfig(base, shard.Config{
-			Ranks: p, Cutoff: 2.0, Skin: 0.3,
+			Grid: [3]int{p, 1, 1}, Cutoff: 2.0, Skin: 0.3,
 			Net:     cluster.Slingshot11(),
 			NewFF:   shard.LJFactory(0.01, 1.0),
 			Balance: balance,

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"mlmd/internal/cluster"
+	"mlmd/internal/rank"
 	"mlmd/internal/tddft"
 )
 
@@ -21,11 +21,14 @@ type DistributedResult struct {
 }
 
 // MDStepDistributed runs one MD step with the domains distributed over an
-// MPI-like communicator: rank r owns domains r, r+P, r+2P, ... Each rank
-// propagates its domains (advancing its virtual clock by the measured
-// compute time), then participates in the n_exc gather and a closing
-// barrier, exactly the communication pattern of Sec. V.A.8. Results are
-// bitwise identical to the serial MDStep modulo domain scheduling.
+// MPI-like communicator, every rank of which this process hosts on the rank
+// runtime: rank r owns domains r, r+P, r+2P, ... Each rank propagates its
+// domains (advancing its virtual clock by the measured compute time), then
+// participates in the n_exc gather and a closing barrier, exactly the
+// communication pattern of Sec. V.A.8. Every domain goes through the same
+// advanceDomain as the serial MDStep, so n_exc and the wavefunctions are
+// bitwise identical to it; a transport rank failure is returned as the
+// error.
 func (m *DCMESH) MDStepDistributed(comm *cluster.Comm) (*DistributedResult, error) {
 	p := comm.Size()
 	if p < 1 || p > len(m.Domains) {
@@ -35,45 +38,37 @@ func (m *DCMESH) MDStepDistributed(comm *cluster.Comm) (*DistributedResult, erro
 	// Field sub-cycling is global (the light field is shared state): do it
 	// once up front, as in the serial path.
 	m.sampleField()
-	// Rank goroutines coordinate through Gather/Barrier and must all run
-	// concurrently, so this fan-out deliberately stays on raw goroutines:
-	// the par pool schedules independent tasks and does not guarantee
-	// concurrency, which a barrier requires.
-	var wg sync.WaitGroup
-	rankNExc := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		//lint:allow poolonly rank goroutines synchronize through Gather/Barrier and must all run concurrently
-		go func(rank int) {
-			defer wg.Done()
-			start := time.Now()
-			// Local domain work.
-			var local []float64
-			for di := rank; di < len(m.Domains); di += p {
-				d := m.Domains[di]
-				m.advanceDomain(d, m.domainField(di))
-				local = append(local, float64(di), d.NExc)
-			}
-			comm.AdvanceClock(rank, time.Since(start).Seconds())
-			// Gather (domain id, n_exc) pairs at root.
-			parts := comm.Gather(rank, 0, local)
-			if rank == 0 {
-				out := make([]float64, len(m.Domains))
-				for _, part := range parts {
-					for k := 0; k+1 < len(part); k += 2 {
-						out[int(part[k])] = part[k+1]
-					}
+	var nexc []float64
+	rt := rank.Start(p, func(r, _ int) {
+		start := time.Now()
+		var local []float64
+		for di := r; di < len(m.Domains); di += p {
+			d := m.Domains[di]
+			m.advanceDomain(d, m.domainField(di))
+			local = append(local, float64(di), d.NExc)
+		}
+		comm.AdvanceClock(r, time.Since(start).Seconds())
+		// Gather (domain id, n_exc) pairs at root.
+		parts := comm.Gather(r, 0, local)
+		if r == 0 {
+			nexc = make([]float64, len(m.Domains))
+			for _, part := range parts {
+				for k := 0; k+1 < len(part); k += 2 {
+					nexc[int(part[k])] = part[k+1]
 				}
-				rankNExc[0] = out
 			}
-			comm.Barrier(rank)
-		}(r)
+		}
+		comm.Barrier(r)
+	})
+	rt.Dispatch(0)
+	rt.Close()
+	if err := rt.Err(); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	m.step++
 	m.time += float64(cfg.NQD) * cfg.DtQD
 	return &DistributedResult{
-		NExc:            rankNExc[0],
+		NExc:            nexc,
 		VirtualTime:     comm.MaxClock(),
 		MeasuredCompute: comm.MaxClock(), // clocks carry measured compute here
 	}, nil

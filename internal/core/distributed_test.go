@@ -9,29 +9,49 @@ import (
 	"mlmd/internal/units"
 )
 
+// TestDistributedMatchesSerial: the distributed step runs every domain
+// through the serial MDStep's advanceDomain, so at every rank count n_exc
+// and every domain's wavefunctions are bitwise the serial run's, step after
+// step.
 func TestDistributedMatchesSerial(t *testing.T) {
-	mk := func() *DCMESH { return smallDCMESH(t, 0.3) }
-	serial := mk()
-	nSerial := serial.MDStep()
-	dist := mk()
-	comm, err := cluster.NewComm(2, cluster.Slingshot11())
-	if err != nil {
-		t.Fatal(err)
+	const steps = 2
+	serial := smallDCMESH(t, 0.3)
+	want := make([][]float64, steps)
+	for s := range want {
+		want[s] = append([]float64(nil), serial.MDStep()...)
 	}
-	res, err := dist.MDStepDistributed(comm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.NExc) != len(nSerial) {
-		t.Fatalf("distributed returned %d excitations, want %d", len(res.NExc), len(nSerial))
-	}
-	for i := range nSerial {
-		if math.Abs(res.NExc[i]-nSerial[i]) > 1e-9 {
-			t.Errorf("domain %d: distributed %g vs serial %g", i, res.NExc[i], nSerial[i])
+	for _, p := range []int{1, 2, 4} {
+		dist := smallDCMESH(t, 0.3)
+		comm, err := cluster.NewComm(p, cluster.Slingshot11())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.VirtualTime <= 0 {
-		t.Error("virtual clock did not advance")
+		for s := 0; s < steps; s++ {
+			res, err := dist.MDStepDistributed(comm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.NExc) != len(want[s]) {
+				t.Fatalf("P=%d step %d: %d excitations, want %d", p, s, len(res.NExc), len(want[s]))
+			}
+			for i := range want[s] {
+				if math.Float64bits(res.NExc[i]) != math.Float64bits(want[s][i]) {
+					t.Errorf("P=%d step %d domain %d: distributed n_exc %v, serial %v", p, s, i, res.NExc[i], want[s][i])
+				}
+			}
+			if res.VirtualTime <= 0 {
+				t.Errorf("P=%d: virtual clock did not advance", p)
+			}
+		}
+		for di, d := range dist.Domains {
+			ref := serial.Domains[di].Psi.Data
+			for k, v := range d.Psi.Data {
+				if math.Float64bits(real(v)) != math.Float64bits(real(ref[k])) ||
+					math.Float64bits(imag(v)) != math.Float64bits(imag(ref[k])) {
+					t.Fatalf("P=%d domain %d: Psi[%d] = %v, serial %v", p, di, k, v, ref[k])
+				}
+			}
+		}
 	}
 }
 

@@ -11,9 +11,12 @@ import (
 // bit-reproducible at a fixed worker count. Raw `go` statements are allowed
 // only inside internal/par itself and for the socket transport's
 // per-connection reader, heartbeat, and accept goroutines in
-// internal/cluster. Rank-lifecycle goroutines elsewhere (one long-lived
-// goroutine per rank, not a data-parallel fan-out) are intentional
-// exceptions and carry //lint:allow poolonly with a reason.
+// internal/cluster. Rank-lifecycle goroutines (one long-lived goroutine per
+// hosted rank, not a data-parallel fan-out) are started in one place, the
+// rank runtime internal/rank, whose go statement carries //lint:allow
+// poolonly with its reason; every engine hosts its ranks there. The few
+// other intentional exceptions (process supervision, transport set-up)
+// carry their own allow and reason.
 var PoolOnly = &Analyzer{
 	Name: "poolonly",
 	Doc: "no raw go statements outside internal/par (and the whitelisted " +

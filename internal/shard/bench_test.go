@@ -17,7 +17,7 @@ func BenchmarkShardStep(b *testing.B) {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			base := fccLJSystem(b, 9, 1e-3, 1)
 			eng, err := NewEngine(Config{
-				Ranks: p, Cutoff: testCutoff, Skin: testSkin,
+				Grid: [3]int{p, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
 				NewFF: LJFactory(testEps, testSigma),
 			}, base)
 			if err != nil {
@@ -41,7 +41,7 @@ func BenchmarkShardBridge(b *testing.B) {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			base := fccLJSystem(b, 9, 0, 0)
 			eng, err := NewEngine(Config{
-				Ranks: p, Cutoff: testCutoff, Skin: testSkin,
+				Grid: [3]int{p, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
 				NewFF: LJFactory(testEps, testSigma),
 			}, base)
 			if err != nil {
@@ -70,7 +70,7 @@ func BenchmarkShardRebuild(b *testing.B) {
 	for _, p := range []int{1, 2} {
 		base := fccLJSystem(b, 11, 1e-3, 1)
 		eng, err := NewEngine(Config{
-			Ranks: p, Cutoff: 2.0, Skin: 0.3,
+			Grid: [3]int{p, 1, 1}, Cutoff: 2.0, Skin: 0.3,
 			NewFF: LJFactory(testEps, testSigma),
 		}, base)
 		if err != nil {

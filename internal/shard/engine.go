@@ -55,11 +55,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mlmd/internal/cluster"
 	"mlmd/internal/md"
+	"mlmd/internal/rank"
 	"mlmd/internal/shard/halo"
 )
 
@@ -170,10 +170,7 @@ func (v *View) Lookup(gid int32) int32 {
 
 // Config describes a sharded engine.
 type Config struct {
-	// Ranks is the legacy slab rank count: Grid {Ranks, 1, 1}. Ignored
-	// when Grid is set.
-	Ranks int
-	// Grid is the Px×Py×Pz domain grid ({0,0,0} means "use Ranks").
+	// Grid is the Px×Py×Pz domain grid (at least one rank per axis).
 	Grid [3]int
 	// Cutoff and Skin size the halo (cutoff+skin) and the rebuild
 	// criterion (any owned atom moving more than skin/2 triggers a
@@ -184,10 +181,6 @@ type Config struct {
 	Net cluster.Interconnect
 	// NewFF builds rank r's force field.
 	NewFF func(rank int) RankFF
-	// DisableOverlap turns off the interior/boundary split, evaluating all
-	// forces only after the full halo refresh (for overlap-correctness
-	// tests and A/B benchmarks). Forces are bitwise identical either way.
-	DisableOverlap bool
 	// Balance enables dynamic subdomain-boundary balancing: every
 	// BalanceEvery-th rebuild the engine AllGathers the per-rank load
 	// profile and shifts the per-axis cut planes toward the load centroid
@@ -250,10 +243,9 @@ func ParseGrid(s string) ([3]int, error) {
 	return g, nil
 }
 
-// rank operation codes dispatched to the parked rank goroutines.
+// rank operation codes dispatched to the hosted ranks.
 const (
-	opQuit = iota
-	opForce
+	opForce = iota
 	opRun
 	opGatherAll
 )
@@ -296,11 +288,13 @@ type Engine struct {
 
 	// rs is indexed by rank; entries of ranks hosted by other processes
 	// are nil. local lists the hosted states (all of rs in-process, one in
-	// a multi-process worker); cmd is parallel to local.
+	// a multi-process worker) in runtime slot order.
 	rs    []*rankState
 	local []*rankState
-	cmd   []chan int
-	wg    sync.WaitGroup
+	// rt runs the dispatched ops on the hosted ranks and latches the first
+	// transport rank failure (after which the run is dead: driver
+	// collectives short-circuit and report it via Err / RunResult).
+	rt *rank.Runtime
 
 	weights []float64
 
@@ -318,13 +312,6 @@ type Engine struct {
 	gatherParts [][]float64
 
 	primed bool
-	closed bool
-
-	// failMu guards commErr: the first transport rank-failure recovered by
-	// any hosted rank goroutine (see execRankOp). Once set, the run is dead
-	// — driver collectives short-circuit and report it via Err / RunResult.
-	failMu  sync.Mutex
-	commErr error
 }
 
 type haloSide struct {
@@ -425,17 +412,6 @@ const haloRec = 5
 // goroutines. The engine keeps no reference to sys beyond the scatter;
 // bridge calls (ComputeForces) may pass the same or an equal-shape system.
 func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
-	g := cfg.Grid
-	if g == [3]int{} {
-		if cfg.Ranks < 1 {
-			return nil, fmt.Errorf("shard: need at least 1 rank, got %d", cfg.Ranks)
-		}
-		g = [3]int{cfg.Ranks, 1, 1}
-	}
-	grid, err := cluster.NewGrid3D(g[0], g[1], g[2])
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Cutoff <= 0 || cfg.Skin < 0 {
 		return nil, fmt.Errorf("shard: bad cutoff %g / skin %g", cfg.Cutoff, cfg.Skin)
 	}
@@ -445,7 +421,11 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 	if sys == nil || sys.N < 1 {
 		return nil, fmt.Errorf("shard: need a non-empty system")
 	}
-	p := grid.Size()
+	grid, comm, localRanks, err := hostRanks(cfg.Grid, cfg.Comm, cfg.LocalRank, cfg.Net)
+	if err != nil {
+		return nil, err
+	}
+	g, p := grid.P, grid.Size()
 	hw := cfg.Cutoff + cfg.Skin
 	box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
 	var w [3]float64
@@ -458,27 +438,6 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 					hw, a, w[a], box[a], g[a])
 			}
 			axes = append(axes, a)
-		}
-	}
-	comm := cfg.Comm
-	var localRanks []int
-	if comm != nil {
-		if comm.Size() != p {
-			return nil, fmt.Errorf("shard: communicator size %d does not span the %dx%dx%d grid", comm.Size(), g[0], g[1], g[2])
-		}
-		if cfg.LocalRank < 0 || cfg.LocalRank >= p {
-			return nil, fmt.Errorf("shard: local rank %d outside [0,%d)", cfg.LocalRank, p)
-		}
-		localRanks = []int{cfg.LocalRank}
-	} else {
-		var err error
-		comm, err = cluster.NewComm(p, cfg.Net)
-		if err != nil {
-			return nil, err
-		}
-		localRanks = make([]int, p)
-		for r := range localRanks {
-			localRanks[r] = r
 		}
 	}
 	e := &Engine{
@@ -510,7 +469,6 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 	}
 	e.rs = make([]*rankState, p)
 	e.local = make([]*rankState, 0, len(localRanks))
-	e.cmd = make([]chan int, 0, len(localRanks))
 	for _, r := range localRanks {
 		rs := &rankState{
 			rank: r, ff: cfg.NewFF(r),
@@ -540,14 +498,39 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 		e.local = append(e.local, rs)
 	}
 	e.scatter(sys)
-	for range e.local {
-		e.cmd = append(e.cmd, make(chan int, 1))
-	}
-	for i, rs := range e.local {
-		//lint:allow poolonly one long-lived rank loop per local rank; ranks block on collectives so the pool cannot host them
-		go e.rankLoop(rs, e.cmd[i])
-	}
+	e.rt = rank.Start(len(e.local), e.rankOp)
 	return e, nil
+}
+
+// hostRanks resolves a rank-grid shape and an optional external
+// communicator into the grid topology, the communicator and the ranks this
+// process hosts: the single rank local of an external communicator
+// spanning the grid (a multi-process run), or every rank of an in-process
+// communicator priced by net.
+func hostRanks(shape [3]int, comm *cluster.Comm, local int, net cluster.Interconnect) (cluster.Grid3D, *cluster.Comm, []int, error) {
+	grid, err := cluster.NewGrid3D(shape[0], shape[1], shape[2])
+	if err != nil {
+		return grid, nil, nil, err
+	}
+	p := grid.Size()
+	if comm != nil {
+		if comm.Size() != p {
+			return grid, nil, nil, fmt.Errorf("shard: communicator size %d does not span the %dx%dx%d grid", comm.Size(), shape[0], shape[1], shape[2])
+		}
+		if local < 0 || local >= p {
+			return grid, nil, nil, fmt.Errorf("shard: local rank %d outside [0,%d)", local, p)
+		}
+		return grid, comm, []int{local}, nil
+	}
+	comm, err = cluster.NewComm(p, net)
+	if err != nil {
+		return grid, nil, nil, err
+	}
+	hosted := make([]int, p)
+	for r := range hosted {
+		hosted[r] = r
+	}
+	return grid, comm, hosted, nil
 }
 
 // scatter assigns every atom of sys to its subdomain's rank, keeping only
@@ -612,40 +595,10 @@ func (e *Engine) refreshView(rs *rankState) {
 	}
 }
 
-// rankLoop is one rank's goroutine: park on the command channel, execute
-// the dispatched collective operation, signal completion.
-func (e *Engine) rankLoop(rs *rankState, cmd chan int) {
-	for op := range cmd {
-		if op == opQuit {
-			e.wg.Done()
-			return
-		}
-		e.execRankOp(rs, op)
-		e.wg.Done()
-	}
-}
-
-// execRankOp runs one dispatched operation, converting a transport
-// rank-failure panic (a dead peer of a multi-process run; see
-// cluster.RankFailedError) into the engine's latched error so the driver
-// call returns instead of crashing the process — the rank goroutine stays
-// parked and the dispatch completes. Any other panic propagates.
-func (e *Engine) execRankOp(rs *rankState, op int) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		rf, ok := cluster.AsRankFailure(r)
-		if !ok {
-			panic(r)
-		}
-		e.failMu.Lock()
-		if e.commErr == nil {
-			e.commErr = rf
-		}
-		e.failMu.Unlock()
-	}()
+// rankOp runs one dispatched operation on the hosted rank in runtime slot
+// slot.
+func (e *Engine) rankOp(slot, op int) {
+	rs := e.local[slot]
 	switch op {
 	case opForce:
 		e.bridgeForce(rs)
@@ -660,32 +613,11 @@ func (e *Engine) execRankOp(rs *rankState, op int) {
 // rank (nil while the mesh is healthy). Once non-nil the distributed state
 // is unrecoverable in place: the driver should stop, and a long run should
 // restart from its last checkpoint (mlmd -resume).
-func (e *Engine) Err() error {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.commErr
-}
+func (e *Engine) Err() error { return e.rt.Err() }
 
-// broadcast dispatches op to every hosted rank and waits for completion
-// (remote ranks of a multi-process run receive the same dispatch from
-// their own process; the collectives inside the operation synchronize
-// them).
-func (e *Engine) broadcast(op int) {
-	e.wg.Add(len(e.cmd))
-	for _, ch := range e.cmd {
-		ch <- op
-	}
-	e.wg.Wait()
-}
-
-// Close stops the rank goroutines. The engine must not be used afterwards.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	e.broadcast(opQuit)
-}
+// Close stops the rank goroutines (safe after a failure, a no-op when
+// repeated). The engine must not be used afterwards.
+func (e *Engine) Close() { e.rt.Close() }
 
 // Ranks returns the rank count P.
 func (e *Engine) Ranks() int { return e.p }
@@ -729,7 +661,7 @@ func (e *Engine) ComputeForces(sys *md.System) float64 {
 		panic("shard: bridge system shape does not match the scattered system")
 	}
 	e.sys = sys
-	e.broadcast(opForce)
+	e.rt.Dispatch(opForce)
 	e.sys = nil
 	e.primed = true
 	return e.peRank[e.applyRank]
@@ -795,7 +727,7 @@ func (e *Engine) Run(steps int, dt, kT, tau float64) RunResult {
 	}
 	e.steps, e.dt, e.thKT, e.thTau = steps, dt, kT, tau
 	e.primeNeeded = !e.primed
-	e.broadcast(opRun)
+	e.rt.Dispatch(opRun)
 	e.primed = true
 	return RunResult{
 		PE:          e.peRank[e.applyRank],
@@ -1054,10 +986,6 @@ func (e *Engine) rebuild(rs *rankState) {
 func (e *Engine) classifyInterior(rs *rankState) {
 	if len(e.axes) == 0 {
 		rs.nInt = rs.nOwn
-		return
-	}
-	rs.nInt = 0
-	if e.cfg.DisableOverlap {
 		return
 	}
 	rs.tmpIds = resizeI32(rs.tmpIds, rs.nOwn)
@@ -1409,7 +1337,7 @@ func (e *Engine) GatherAll(sys *md.System) {
 	if e.Err() != nil {
 		return
 	}
-	e.broadcast(opGatherAll)
+	e.rt.Dispatch(opGatherAll)
 	if e.gatherParts == nil {
 		return
 	}

@@ -37,7 +37,7 @@ const (
 func newLJEngine(t testing.TB, sys *md.System, ranks int) *Engine {
 	t.Helper()
 	eng, err := NewEngine(Config{
-		Ranks: ranks, Cutoff: testCutoff, Skin: testSkin,
+		Grid: [3]int{ranks, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
 		NewFF: LJFactory(testEps, testSigma),
 	}, sys)
 	if err != nil {
@@ -258,20 +258,21 @@ func TestShardTeleportRecovery(t *testing.T) {
 // TestShardEngineValidation covers the constructor's error paths.
 func TestShardEngineValidation(t *testing.T) {
 	sys := fccLJSystem(t, 4, 0, 0)
-	if _, err := NewEngine(Config{Ranks: 0, Cutoff: 1, NewFF: LJFactory(1, 1)}, sys); err == nil {
-		t.Error("accepted 0 ranks")
+	slab := func(p int) [3]int { return [3]int{p, 1, 1} }
+	if _, err := NewEngine(Config{Cutoff: 1, NewFF: LJFactory(1, 1)}, sys); err == nil {
+		t.Error("accepted a zero grid")
 	}
-	if _, err := NewEngine(Config{Ranks: 2, Cutoff: -1, NewFF: LJFactory(1, 1)}, sys); err == nil {
+	if _, err := NewEngine(Config{Grid: slab(2), Cutoff: -1, NewFF: LJFactory(1, 1)}, sys); err == nil {
 		t.Error("accepted negative cutoff")
 	}
-	if _, err := NewEngine(Config{Ranks: 2, Cutoff: 1, Skin: 0.1}, sys); err == nil {
+	if _, err := NewEngine(Config{Grid: slab(2), Cutoff: 1, Skin: 0.1}, sys); err == nil {
 		t.Error("accepted nil force-field factory")
 	}
-	if _, err := NewEngine(Config{Ranks: 2, Cutoff: 1, NewFF: LJFactory(1, 1)}, nil); err == nil {
+	if _, err := NewEngine(Config{Grid: slab(2), Cutoff: 1, NewFF: LJFactory(1, 1)}, nil); err == nil {
 		t.Error("accepted nil system")
 	}
 	// halo wider than the slab
-	if _, err := NewEngine(Config{Ranks: 8, Cutoff: 2, Skin: 0.3, NewFF: LJFactory(1, 1)}, sys); err == nil {
+	if _, err := NewEngine(Config{Grid: slab(8), Cutoff: 2, Skin: 0.3, NewFF: LJFactory(1, 1)}, sys); err == nil {
 		t.Error("accepted halo wider than slab")
 	}
 }

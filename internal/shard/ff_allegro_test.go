@@ -44,7 +44,7 @@ func TestShardAllegroMatchesGlobal(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		got := cloneSys(t, sys)
 		eng, err := NewEngine(Config{
-			Ranks: p, Cutoff: model.Spec.Cutoff, Skin: 0.3,
+			Grid: [3]int{p, 1, 1}, Cutoff: model.Spec.Cutoff, Skin: 0.3,
 			NewFF: AllegroFactory(model),
 		}, got)
 		if err != nil {
@@ -90,7 +90,7 @@ func TestShardAllegroShortTrajectory(t *testing.T) {
 
 	got := cloneSys(t, sys)
 	eng, err := NewEngine(Config{
-		Ranks: 2, Cutoff: model.Spec.Cutoff, Skin: 0.3,
+		Grid: [3]int{2, 1, 1}, Cutoff: model.Spec.Cutoff, Skin: 0.3,
 		NewFF: AllegroFactory(model),
 	}, got)
 	if err != nil {

@@ -45,7 +45,7 @@ func newEffHamEngine(t testing.TB, sys *md.System, lat *ferro.Lattice, gs, xs *f
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Ranks:  ranks,
+		Grid:   [3]int{ranks, 1, 1},
 		Cutoff: 1.3 * ferro.LatticeConstant,
 		Skin:   0.4 * ferro.LatticeConstant,
 		NewFF:  newFF,

@@ -54,6 +54,31 @@ func runGridTrajectory(t *testing.T, base *md.System, cfg Config, grid [3]int, s
 	return sys, res, eng
 }
 
+// interiorAtoms sums the hosted ranks' interior atom counts: the owned
+// atoms whose forces the last step evaluated while the halo exchange was in
+// flight. The 1×1×1 reference has no partitioned axis and so no split,
+// which makes a shape's bitwise match the check that the split moves no
+// bit — provided some shape actually split.
+func interiorAtoms(eng *Engine) int {
+	n := 0
+	for _, rs := range eng.local {
+		n += rs.nInt
+	}
+	return n
+}
+
+// assertSplitRan fails the matrix when no shape ran the interior/boundary
+// split.
+func assertSplitRan(t *testing.T, interior map[[3]int]int) {
+	t.Helper()
+	for _, n := range interior {
+		if n > 0 {
+			return
+		}
+	}
+	t.Errorf("no grid shape has interior atoms (%v): the comm/compute split never ran", interior)
+}
+
 // assertBitwise compares a shape's gathered trajectory endpoint against the
 // 1-rank reference, coordinate by coordinate, at tolerance zero.
 func assertBitwise(t *testing.T, grid [3]int, ref, got *md.System) {
@@ -81,9 +106,11 @@ func TestGridDecompositionIdentityMatrixLJ(t *testing.T) {
 	cfg := Config{Cutoff: testCutoff, Skin: testSkin, NewFF: LJFactory(testEps, testSigma)}
 
 	ref, refRes, _ := runGridTrajectory(t, base, cfg, [3]int{1, 1, 1}, steps, dt, nil)
+	interior := map[[3]int]int{}
 	for _, grid := range gridShapes[1:] {
 		got, res, eng := runGridTrajectory(t, base, cfg, grid, steps, dt, nil)
 		assertBitwise(t, grid, ref, got)
+		interior[grid] = interiorAtoms(eng)
 		rebuilds, migrated := eng.Stats()
 		if !testing.Short() {
 			if rebuilds < 5 {
@@ -100,6 +127,7 @@ func TestGridDecompositionIdentityMatrixLJ(t *testing.T) {
 			t.Errorf("grid %v: PE %v vs %v", grid, res.PE, refRes.PE)
 		}
 	}
+	assertSplitRan(t, interior)
 }
 
 // TestGridDecompositionIdentityMatrixEffHam runs the blended effective
@@ -125,9 +153,11 @@ func TestGridDecompositionIdentityMatrixEffHam(t *testing.T) {
 
 	ref, refRes, _ := runGridTrajectory(t, sys, cfg, [3]int{1, 1, 1}, steps, dt, w)
 	migratedTotal := int64(0)
+	interior := map[[3]int]int{}
 	for _, grid := range gridShapes[1:] {
 		got, res, eng := runGridTrajectory(t, sys, cfg, grid, steps, dt, w)
 		assertBitwise(t, grid, ref, got)
+		interior[grid] = interiorAtoms(eng)
 		_, migrated := eng.Stats()
 		migratedTotal += migrated
 		if math.Abs(res.PE-refRes.PE) > 1e-12*math.Abs(refRes.PE) {
@@ -137,6 +167,7 @@ func TestGridDecompositionIdentityMatrixEffHam(t *testing.T) {
 	if !testing.Short() && migratedTotal == 0 {
 		t.Error("no EffHam migrations across the whole matrix — fixture too cold")
 	}
+	assertSplitRan(t, interior)
 }
 
 // TestGridDecompositionIdentityMatrixAllegro locks the ISSUE 3 Allegro fix:
@@ -159,9 +190,11 @@ func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 
 	ref, refRes, _ := runGridTrajectory(t, sys, cfg, [3]int{1, 1, 1}, steps, dt, nil)
 	migratedTotal := int64(0)
+	interior := map[[3]int]int{}
 	for _, grid := range gridShapes[1:] {
 		got, res, eng := runGridTrajectory(t, sys, cfg, grid, steps, dt, nil)
 		assertBitwise(t, grid, ref, got)
+		interior[grid] = interiorAtoms(eng)
 		_, migrated := eng.Stats()
 		migratedTotal += migrated
 		if math.Abs(res.PE-refRes.PE) > 1e-12*math.Abs(refRes.PE) {
@@ -171,6 +204,7 @@ func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 	if !testing.Short() && migratedTotal == 0 {
 		t.Error("no Allegro migrations across the whole matrix — gas too cold")
 	}
+	assertSplitRan(t, interior)
 }
 
 // TestGridShapeValidation covers the grid-specific constructor errors.

@@ -2,9 +2,9 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"mlmd/internal/cluster"
+	"mlmd/internal/rank"
 	"mlmd/internal/shard/halo"
 )
 
@@ -37,10 +37,8 @@ type GridWorkload interface {
 
 // GridConfig configures a GridEngine.
 type GridConfig struct {
-	// Grid is the Px×Py×Pz rank grid; a zero value means Ranks×1×1.
+	// Grid is the Px×Py×Pz rank grid (at least one rank per axis).
 	Grid [3]int
-	// Ranks is the rank count when Grid is zero.
-	Ranks int
 	// N is the global lattice size per axis (cells).
 	N [3]int
 	// Ghost is the ghost width every field of the workload uses.
@@ -61,8 +59,7 @@ type GridConfig struct {
 
 // grid rank operation codes.
 const (
-	gopQuit = iota
-	gopRun
+	gopRun = iota
 	gopGather
 )
 
@@ -78,11 +75,11 @@ type gridRank struct {
 }
 
 // GridEngine runs a GridWorkload on every rank of a domain grid — the
-// stencil counterpart of Engine, sharing its dispatch shape: parked rank
-// goroutines execute broadcast collectives, a partial engine (Comm +
-// LocalRank) hosts one rank per process, and transport rank failures are
-// latched into Err instead of crashing the process. Driver methods must
-// be called from a single goroutine.
+// stencil counterpart of Engine and, like it, a client of the rank
+// runtime: hosted ranks execute dispatched collectives, a partial engine
+// (Comm + LocalRank) hosts one rank per process, and transport rank
+// failures are latched into Err instead of crashing the process. Driver
+// methods must be called from a single goroutine.
 type GridEngine struct {
 	comm      *cluster.Comm
 	grid      cluster.Grid3D
@@ -94,58 +91,26 @@ type GridEngine struct {
 	applyRank int
 
 	local []*gridRank
-	cmd   []chan int
-	wg    sync.WaitGroup
+	rt    *rank.Runtime
 
 	// per-dispatch parameters and results
 	steps       int
 	obs         []float64
 	gatherIdx   int
 	gatherParts [][]float64
-
-	closed  bool
-	failMu  sync.Mutex
-	commErr error
 }
 
 // NewGridEngine partitions the cfg.N lattice across the grid and starts
 // the rank goroutines.
 func NewGridEngine(cfg GridConfig) (*GridEngine, error) {
-	g := cfg.Grid
-	if g == [3]int{} {
-		if cfg.Ranks < 1 {
-			return nil, fmt.Errorf("shard: need at least 1 rank, got %d", cfg.Ranks)
-		}
-		g = [3]int{cfg.Ranks, 1, 1}
-	}
-	grid, err := cluster.NewGrid3D(g[0], g[1], g[2])
-	if err != nil {
-		return nil, err
-	}
 	if cfg.NewWork == nil {
 		return nil, fmt.Errorf("shard: GridConfig.NewWork is required")
 	}
-	p := grid.Size()
-	comm := cfg.Comm
-	var localRanks []int
-	if comm != nil {
-		if comm.Size() != p {
-			return nil, fmt.Errorf("shard: communicator size %d does not span the %dx%dx%d grid", comm.Size(), g[0], g[1], g[2])
-		}
-		if cfg.LocalRank < 0 || cfg.LocalRank >= p {
-			return nil, fmt.Errorf("shard: local rank %d outside [0,%d)", cfg.LocalRank, p)
-		}
-		localRanks = []int{cfg.LocalRank}
-	} else {
-		comm, err = cluster.NewComm(p, cfg.Net)
-		if err != nil {
-			return nil, err
-		}
-		localRanks = make([]int, p)
-		for r := range localRanks {
-			localRanks[r] = r
-		}
+	grid, comm, localRanks, err := hostRanks(cfg.Grid, cfg.Comm, cfg.LocalRank, cfg.Net)
+	if err != nil {
+		return nil, err
 	}
+	p := grid.Size()
 	e := &GridEngine{
 		comm: comm, grid: grid, p: p, n: cfg.N,
 		ghost: cfg.Ghost, even: cfg.EvenAligned,
@@ -169,77 +134,28 @@ func NewGridEngine(cfg GridConfig) (*GridEngine, error) {
 		e.local = append(e.local, gr)
 	}
 	e.obs = make([]float64, e.local[0].work.PartialLen())
-	for range e.local {
-		e.cmd = append(e.cmd, make(chan int, 1))
-	}
-	for i, gr := range e.local {
-		//lint:allow poolonly one long-lived rank loop per local rank; ranks block on collectives so the pool cannot host them
-		go e.rankLoop(gr, e.cmd[i])
-	}
+	e.rt = rank.Start(len(e.local), e.rankOp)
 	return e, nil
 }
 
-func (e *GridEngine) rankLoop(gr *gridRank, cmd chan int) {
-	for op := range cmd {
-		if op == gopQuit {
-			e.wg.Done()
-			return
-		}
-		e.execRankOp(gr, op)
-		e.wg.Done()
-	}
-}
-
-// execRankOp mirrors Engine.execRankOp: transport rank-failure panics are
-// latched, anything else propagates.
-func (e *GridEngine) execRankOp(gr *gridRank, op int) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		rf, ok := cluster.AsRankFailure(r)
-		if !ok {
-			panic(r)
-		}
-		e.failMu.Lock()
-		if e.commErr == nil {
-			e.commErr = rf
-		}
-		e.failMu.Unlock()
-	}()
+// rankOp runs one dispatched operation on the hosted rank in runtime slot
+// slot.
+func (e *GridEngine) rankOp(slot, op int) {
 	switch op {
 	case gopRun:
-		e.runRank(gr)
+		e.runRank(e.local[slot])
 	case gopGather:
-		e.gatherRank(gr)
+		e.gatherRank(e.local[slot])
 	}
-}
-
-func (e *GridEngine) broadcast(op int) {
-	e.wg.Add(len(e.cmd))
-	for _, ch := range e.cmd {
-		ch <- op
-	}
-	e.wg.Wait()
 }
 
 // Err returns the first communicator rank-failure observed by any hosted
 // rank (nil while the mesh is healthy).
-func (e *GridEngine) Err() error {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.commErr
-}
+func (e *GridEngine) Err() error { return e.rt.Err() }
 
-// Close stops the rank goroutines. The engine must not be used afterwards.
-func (e *GridEngine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	e.broadcast(gopQuit)
-}
+// Close stops the rank goroutines (safe after a failure, a no-op when
+// repeated). The engine must not be used afterwards.
+func (e *GridEngine) Close() { e.rt.Close() }
 
 // Ranks returns the rank count P.
 func (e *GridEngine) Ranks() int { return e.p }
@@ -272,7 +188,7 @@ func (e *GridEngine) Run(steps int) ([]float64, error) {
 		return nil, err
 	}
 	e.steps = steps
-	e.broadcast(gopRun)
+	e.rt.Dispatch(gopRun)
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
@@ -306,7 +222,7 @@ func (e *GridEngine) GatherField(idx int, dst []float64) error {
 		return err
 	}
 	e.gatherIdx = idx
-	e.broadcast(gopGather)
+	e.rt.Dispatch(gopGather)
 	if err := e.Err(); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -299,7 +300,7 @@ func TestNewGridEngineErrors(t *testing.T) {
 		name string
 		mut  func(*GridConfig)
 	}{
-		{"no ranks", func(c *GridConfig) { c.Grid = [3]int{}; c.Ranks = 0 }},
+		{"zero grid", func(c *GridConfig) { c.Grid = [3]int{} }},
 		{"no factory", func(c *GridConfig) { c.NewWork = nil }},
 		{"thin axis", func(c *GridConfig) { c.Grid = [3]int{1, 1, 16} }},
 		{"workload error", func(c *GridConfig) {
@@ -331,6 +332,50 @@ func TestNewGridEngineErrors(t *testing.T) {
 	cfg.LocalRank = 7
 	if _, err := NewGridEngine(cfg); err == nil {
 		t.Error("local rank out of range: no error")
+	}
+}
+
+// deadWork is a GridWorkload whose Step panics the way a rank's transport
+// does when it loses a peer.
+type deadWork struct{ lost int }
+
+func (w deadWork) Step(*halo.Exchanger)                   { panic(&cluster.RankFailedError{Rank: w.lost}) }
+func (deadWork) PartialLen() int                          { return 1 }
+func (deadWork) Partials([]float64)                       {}
+func (deadWork) NumFields() int                           { return 1 }
+func (deadWork) FieldWidth(int) int                       { return 1 }
+func (deadWork) PackField(_ int, buf []float64) []float64 { return buf }
+
+// TestGridEngineLatchesRankFailure: a rank failure inside a step surfaces
+// from Run as the typed error naming the lost rank, Err latches it, and
+// later collectives short-circuit with it instead of hanging.
+func TestGridEngineLatchesRankFailure(t *testing.T) {
+	eng, err := NewGridEngine(GridConfig{
+		Grid: [3]int{2, 1, 1}, N: [3]int{4, 4, 4}, Ghost: 1,
+		NewWork: func(int, halo.Domain) (GridWorkload, error) { return deadWork{lost: 3}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	lost := func(err error) int {
+		var rf *cluster.RankFailedError
+		if !errors.As(err, &rf) {
+			return -1
+		}
+		return rf.Rank
+	}
+	if _, err := eng.Run(1); lost(err) != 3 {
+		t.Fatalf("Run returned %v, want the rank-3 failure", err)
+	}
+	if lost(eng.Err()) != 3 {
+		t.Fatalf("Err() = %v, want the latched rank-3 failure", eng.Err())
+	}
+	if _, err := eng.Run(1); lost(err) != 3 {
+		t.Errorf("post-failure Run returned %v", err)
+	}
+	if err := eng.GatherField(0, make([]float64, 64)); lost(err) != 3 {
+		t.Errorf("post-failure GatherField returned %v", err)
 	}
 }
 

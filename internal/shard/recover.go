@@ -137,7 +137,7 @@ func agreeOnStep(comm *cluster.Comm, local int, step int64) (err error) {
 // RunRecovered runs the decomposed system to opts.Steps with periodic
 // checkpoints, automatically shrinking and resuming on rank failures (see
 // the package comment of this file for the state machine). cfg provides
-// the engine template — Grid (or Ranks) names the initial shape; Comm,
+// the engine template — Grid names the initial shape; Comm,
 // LocalRank and Cuts are owned by the driver. Every process of the run
 // must call RunRecovered with identical arguments; sys is restored from
 // the checkpoint on every process during recovery.
@@ -158,8 +158,8 @@ func RunRecovered(cfg Config, sys *md.System, opts RecoverOpts) (RunResult, Reco
 		every = opts.Steps
 	}
 	grid := cfg.Grid
-	if grid == ([3]int{}) {
-		grid = [3]int{cfg.Ranks, 1, 1}
+	if _, err := cluster.NewGrid3D(grid[0], grid[1], grid[2]); err != nil {
+		return res, stats, err
 	}
 	survivors := make([]int, grid[0]*grid[1]*grid[2])
 	for i := range survivors {
@@ -240,7 +240,6 @@ func RunRecovered(cfg Config, sys *md.System, opts RecoverOpts) (RunResult, Reco
 			}
 		}
 		ecfg := cfg
-		ecfg.Ranks = 0
 		ecfg.Grid = grid
 		ecfg.Comm = comm
 		ecfg.LocalRank = local
