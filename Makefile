@@ -94,19 +94,20 @@ SHELL := /bin/bash
 
 # Packages whose kernels run on the internal/par worker pool, plus the
 # rank-parallel shard engine, the rank runtime it runs on, and its
-# communicator (the rank-scaling race surface). The shard package is raced separately with -short: its grid
+# communicator (the rank-scaling race surface), and mlmdio (concurrent
+# checkpoint writers share a pool of encode buffers). The shard package is raced separately with -short: its grid
 # identity matrix shrinks to 60-step trajectories there, which exercises
 # every exchange/migration/overlap code path without the full-length
 # trajectory cost under the detector.
 PAR_PKGS = ./internal/par ./internal/md ./internal/linalg ./internal/allegro \
 	./internal/tddft ./internal/core ./internal/cluster ./internal/maxwell \
-	./internal/shard/halo ./internal/rank
+	./internal/shard/halo ./internal/rank ./internal/mlmdio
 
 # Coverage-gated packages and floor (ISSUE 2 CI contract; ISSUE 3 raised
 # the floor to cover the shard grid/overlap and cluster grid-topology
 # paths; ISSUE 5 added the wire codec; PR 7 added the nn batched-inference
 # tapes; PR 9 added the shape-agnostic halo layer and its grid solvers —
-# current levels: md 97%, mlmdio 90%, cluster 92%, wire 97%, shard 94%,
+# current levels: md 97%, mlmdio 93%, cluster 92%, wire 97%, shard 94%,
 # nn 94%, halo 96%, maxwell 89%, tddft 88%).
 COVER_PKGS = ./internal/md ./internal/mlmdio ./internal/cluster ./internal/cluster/wire ./internal/shard ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/lint ./internal/rank
@@ -125,7 +126,8 @@ FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).
 DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./internal/par ./internal/allegro ./internal/nn \
-	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint ./internal/rank
+	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint ./internal/rank \
+	./internal/mlmdio
 
 # Packages with architecture-specific files (assembly kernels and their
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.

@@ -64,11 +64,13 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // TestCheckpointRoundTripBitwise (ISSUE 6 satellite): Save→Load restores
-// every field of the checkpoint — the md.System bit-exactly — for several
-// random seeds.
+// every field of the checkpoint — the md.System bit-exactly, including NaN
+// payloads, ±Inf, −0, subnormals and the largest Type — for several random
+// seeds.
 func TestCheckpointRoundTripBitwise(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		cp := randomCheckpoint(t, seed)
+		addEdgeValues(cp.Sys)
 		var buf bytes.Buffer
 		if err := SaveCheckpoint(&buf, cp); err != nil {
 			t.Fatal(err)
@@ -129,7 +131,7 @@ func TestCheckpointTruncationErrors(t *testing.T) {
 }
 
 // TestCheckpointCorruptionErrors: flipped payload bytes are caught by the
-// CRC before gob ever decodes them.
+// checksum before the system decoder ever sees them.
 func TestCheckpointCorruptionErrors(t *testing.T) {
 	cp := randomCheckpoint(t, 7)
 	var buf bytes.Buffer

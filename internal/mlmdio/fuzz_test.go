@@ -66,6 +66,9 @@ func FuzzLoadSystem(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/3] ^= 0xff
 	f.Add(mutated)
+	f.Add(v1SystemStream(f, validRunSystem(f)))                            // a version-1 gob system
+	f.Add(systemHeaderBytes(systemMagic, 1<<40, 5)[:32])                   // 2^40 atoms claimed in 32 bytes
+	f.Add(append(systemHeaderBytes(systemMagic, 1<<40, 5), valid[40:]...)) // 2^40 atoms over a 4-atom body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sys, err := LoadSystem(bytes.NewReader(data))
 		if err == nil {
@@ -171,7 +174,7 @@ func TestCheckpointRoundTripsStillWork(t *testing.T) {
 	}
 }
 
-func validRunCheckpoint(tb testing.TB) []byte {
+func validRunSystem(tb testing.TB) *md.System {
 	sys, err := md.NewSystem(5, 8, 8, 8)
 	if err != nil {
 		tb.Fatal(err)
@@ -181,6 +184,11 @@ func validRunCheckpoint(tb testing.TB) []byte {
 		sys.V[i] = -0.25 * float64(i)
 		sys.F[i] = float64(i) * 1e-3
 	}
+	return sys
+}
+
+func validRunCheckpoint(tb testing.TB) []byte {
+	sys := validRunSystem(tb)
 	cp := &Checkpoint{
 		Step: 360, Time: 3780, Dt: 10.5, KT: 1e-3, Tau: 400,
 		Grid:  [3]int{2, 1, 1},
@@ -213,6 +221,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	headerFlip := append([]byte(nil), valid...)
 	headerFlip[6] ^= 0x10 // manifest corruption
 	f.Add(headerFlip)
+	f.Add(v1Checkpoint(f)) // a version-1 file
+	// A manifest whose checksummed payload is a 32-byte header claiming
+	// 2^40 atoms.
+	huge := systemHeaderBytes(systemMagic, 1<<40, 8)[:32]
+	f.Add(rawCheckpoint(f, checkpointManifest{
+		Version: CheckpointVersion, PayloadLen: int64(len(huge)), PayloadCRC: payloadCRC(huge),
+	}, huge))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := LoadCheckpoint(bytes.NewReader(data))
 		if err != nil {

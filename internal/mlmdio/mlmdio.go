@@ -1,7 +1,9 @@
 // Package mlmdio provides the serialization layer of the library: XYZ
-// trajectory output for visualization, and binary checkpoints (encoding/gob)
-// for MD systems, wave fields and trained neural-network models, so long
-// multiscale runs can stop and resume.
+// trajectory output for visualization, and binary checkpoints, so long
+// multiscale runs can stop and resume. MD systems are written in a fixed
+// little-endian layout (system.go), which is also the payload of a run
+// checkpoint; encoding/gob serves only trained neural-network models, wave
+// fields and the run checkpoint's manifest.
 package mlmdio
 
 import (
@@ -80,49 +82,6 @@ func ReadXYZ(r io.Reader) (names []string, xyz []float64, err error) {
 		}
 	}
 	return names, xyz, nil
-}
-
-// systemCheckpoint is the gob image of an md.System.
-type systemCheckpoint struct {
-	N          int
-	Lx, Ly, Lz float64
-	X, V, F    []float64
-	Mass       []float64
-	Type       []int
-}
-
-// SaveSystem writes a binary checkpoint of sys.
-func SaveSystem(w io.Writer, sys *md.System) error {
-	return gob.NewEncoder(w).Encode(systemCheckpoint{
-		N: sys.N, Lx: sys.Lx, Ly: sys.Ly, Lz: sys.Lz,
-		X: sys.X, V: sys.V, F: sys.F, Mass: sys.Mass, Type: sys.Type,
-	})
-}
-
-// LoadSystem reconstructs a System from a checkpoint. The checkpoint's
-// declared atom count is validated against its array lengths before any
-// count-derived allocation, so a corrupt or hostile stream errors instead
-// of ballooning memory.
-func LoadSystem(r io.Reader) (*md.System, error) {
-	var cp systemCheckpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("mlmdio: %w", err)
-	}
-	if cp.N < 1 || len(cp.X) != 3*cp.N || len(cp.V) != 3*cp.N || len(cp.F) != 3*cp.N ||
-		len(cp.Mass) != cp.N || len(cp.Type) != cp.N {
-		return nil, fmt.Errorf("mlmdio: inconsistent system checkpoint (N=%d, |X|=%d, |V|=%d, |F|=%d, |Mass|=%d, |Type|=%d)",
-			cp.N, len(cp.X), len(cp.V), len(cp.F), len(cp.Mass), len(cp.Type))
-	}
-	sys, err := md.NewSystem(cp.N, cp.Lx, cp.Ly, cp.Lz)
-	if err != nil {
-		return nil, err
-	}
-	copy(sys.X, cp.X)
-	copy(sys.V, cp.V)
-	copy(sys.F, cp.F)
-	copy(sys.Mass, cp.Mass)
-	copy(sys.Type, cp.Type)
-	return sys, nil
 }
 
 // fieldCheckpoint is the gob image of a WaveField.
