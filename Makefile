@@ -120,7 +120,7 @@ FUZZ_TARGETS      = FuzzReadXYZ FuzzLoadSystem FuzzLoadModel FuzzLoadWaveField F
 WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
-MD_FUZZ_TARGETS   = FuzzMinImage1
+MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList
 LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows
 FUZZ_TIME   ?= 10s
 

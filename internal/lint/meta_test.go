@@ -32,7 +32,7 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange",
 		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run",
 		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU"},
-	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row"},
+	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row", "sweepShifted", "sweepImages"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",

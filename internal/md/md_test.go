@@ -204,19 +204,6 @@ func TestForcesMatchEnergyGradient(t *testing.T) {
 	}
 }
 
-func BenchmarkNeighborListBuild(b *testing.B) {
-	sys, _ := NewSystem(4000, 30, 30, 30)
-	rng := rand.New(rand.NewSource(6))
-	for i := range sys.X {
-		sys.X[i] = rng.Float64() * 30
-	}
-	nl, _ := NewNeighborList(3.0, 0.3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nl.Build(sys)
-	}
-}
-
 func BenchmarkLJStep(b *testing.B) {
 	sys, lj := newLJSystem(b, 5, 0.0005)
 	lj.ComputeForces(sys)

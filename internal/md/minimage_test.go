@@ -2,6 +2,7 @@ package md
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -95,3 +96,53 @@ func BenchmarkMinImage1(b *testing.B) {
 }
 
 var sinkF float64
+
+// TestWrap1MatchesMod pins wrap1's shortcuts to the formula (wrapFormula,
+// math.Mod then +l for a negative remainder) by Float64bits: signed zeros,
+// ±l, ±2l and their float neighbours, the largest finite values, ±Inf and
+// NaN, on ordinary, huge, subnormal and non-finite box lengths, then 10⁶
+// random bit patterns.
+func TestWrap1MatchesMod(t *testing.T) {
+	same := func(x, l float64) {
+		t.Helper()
+		if got, want := math.Float64bits(wrap1(x, l)), math.Float64bits(wrapFormula(x, l)); got != want {
+			t.Fatalf("wrap1(%v, %v) = %#x, formula %#x", x, l, got, want)
+		}
+	}
+	boxes := []float64{
+		1, 18.7, 7.0 / 3, 1e-3, 1e300, math.MaxFloat64, 0x1p-1022,
+		5e-324, 1e-323, 1e-310, // subnormal lengths
+		math.Inf(1), math.NaN(), 0, -18.7,
+	}
+	for _, l := range boxes {
+		xs := []float64{0, 5e-324, 1e-310, 0.5 * l, math.MaxFloat64, math.Inf(1), math.NaN()}
+		for _, f := range []float64{1, 1.5, 2, 3, 1e6} {
+			c := f * l
+			xs = append(xs, c, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)))
+		}
+		for _, x := range xs {
+			same(x, l)
+			same(-x, l)
+		}
+	}
+	// Random bit patterns. math.Mod takes one loop trip per binade between x
+	// and l, so the million patterns keep x's exponent within 4 binades of
+	// l's, where the shortcuts and their edges are; a further 20 000 draw
+	// every bit of x, and of both x and l.
+	rng := rand.New(rand.NewSource(29))
+	for k := 0; k < 1_000_000; k++ {
+		l := boxes[k%7]
+		e := int64(math.Float64bits(l)>>52) + rng.Int63n(9) - 4
+		x := math.Float64frombits(rng.Uint64()&(1<<63|1<<52-1) | uint64(min(max(e, 0), 2047))<<52)
+		same(x, l)
+	}
+	for k := 0; k < 20_000; k++ {
+		x := math.Float64frombits(rng.Uint64())
+		same(x, boxes[k%7])
+		same(x, math.Float64frombits(rng.Uint64()&^(1<<63)))
+	}
+	// Displacements of an ordinary step: within a box length or two.
+	for k := 0; k < 100_000; k++ {
+		same(18.7*(4*rng.Float64()-2), 18.7)
+	}
+}

@@ -25,13 +25,21 @@ import (
 //
 //   - ranks the atoms by global id with one integer sort of packed
 //     gid<<32|local keys,
-//   - counting-sorts them into their bins, keeping a bin-contiguous copy of
-//     the coordinates beside each slot's gid rank,
+//   - counting-sorts them into their bins, keeping bin-contiguous copies of
+//     the coordinates (one array per axis) beside each slot's gid rank,
 //   - sweeps each row atom's neighbor cells over those contiguous blocks
 //     (cells adjacent along z are adjacent in memory, so a sweep is 9 straight
 //     runs in the bulk; see zFine), and
 //   - emits the accepted ranks in ascending order through a bitmap (rankSet)
 //     instead of sorting the row.
+//
+// The sweep needs no minimum image per candidate where the box allows it
+// (shiftGuard): each run of cells along an axis either lies within half a
+// box of the row atom or wholly across the periodic boundary, so cellRuns
+// hands back one shift per run (0, +l or −l) and sweepShifted tests
+// ((xi−xs)−sx)² + ((yi−ys)−sy)² + ((zi−zs)−sz)² ≤ r², the bits Period.MinImage
+// would give. Otherwise the build sweeps with the per-candidate MinImage
+// (sweepImages), the reference the shifted sweep must equal.
 //
 // Rebuild work is O(atoms + bins + candidate pairs) plus one pass over each
 // axis's cell indices (the cube root of the global cell count). All buffers
@@ -49,16 +57,22 @@ type NeighborList struct {
 	// cellAxis[a][c] counts the occupied cell indices below c along axis a,
 	// which is cell index c's bin coordinate where c is occupied itself;
 	// cellOf is each atom's bin.
-	// Bin b's atoms occupy slots cellStart[b]:cellStart[b+1] of cellX
-	// (coordinates, 3 per slot) and cellRank (gid rank). cellStart carries
-	// one spare trailing element for the counting sort.
-	cellAxis  [3][]int32
-	cellOf    []int32
-	cellStart []int32
-	cellX     []float64
-	cellRank  []uint32
-	row       []uint32 // one row's accepted ranks, in sweep order
-	order     rankSet
+	// Bin b's atoms occupy slots cellStart[b]:cellStart[b+1] of the
+	// coordinate copies binX, binY, binZ and of cellRank (gid rank).
+	// cellStart carries one spare trailing element for the counting sort.
+	cellAxis         [3][]int32
+	cellOf           []int32
+	cellStart        []int32
+	binX, binY, binZ []float64
+	cellRank         []uint32
+	// row[:m] holds the current row's accepted candidates (a sweep stores
+	// every candidate and advances m past the accepted ones); a row's runs
+	// visit each bin at most once, so one slot per atom is enough.
+	row   []uint32
+	order rankSet
+	// shifted records whether the last build swept with per-run shifts
+	// (sweepShifted) rather than per-candidate minimum images.
+	shifted bool
 
 	// refX stores positions at the last Build, for Stale.
 	refX []float64
@@ -116,6 +130,7 @@ func (nl *NeighborList) BuildOwned(sys *System, ids []int32, nOwn int) {
 	r := nl.Cutoff + nl.Skin
 	box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
 	nc := [3]int{cellCount(sys.Lx, r), cellCount(sys.Ly, r), cellCount(sys.Lz, r) * zFine}
+	reach := [3]int{1, 1, zFine} // cells a list radius spans, per axis
 	n := sys.N
 
 	if cap(nl.byGid) < n {
@@ -136,20 +151,27 @@ func (nl *NeighborList) BuildOwned(sys *System, ids []int32, nOwn int) {
 
 	// Per axis, which cell indices are occupied: flagged at c+1, so that the
 	// running sum leaves at c the number of occupied indices below c and at
-	// nc[a] their total.
+	// nc[a] their total. The same pass checks that every coordinate lies in
+	// [0, l], which the shifted sweep needs.
 	var nb [3]int
+	shifted := true
 	for a := range nc {
 		nl.cellAxis[a] = resizeI32(nl.cellAxis[a], nc[a]+1)
 		ca := nl.cellAxis[a]
 		clear(ca)
+		l := box[a]
 		for i := 0; i < n; i++ {
-			ca[axisCell(sys.X[3*i+a], box[a], nc[a])+1] = 1
+			x := sys.X[3*i+a]
+			shifted = shifted && x >= 0 && x <= l
+			ca[axisCell(x, l, nc[a])+1] = 1
 		}
 		for c := 1; c < len(ca); c++ {
 			ca[c] += ca[c-1]
 		}
 		nb[a] = int(ca[nc[a]])
+		shifted = shifted && shiftGuard(nc[a], reach[a])
 	}
+	nl.shifted = shifted
 	bx, by, bz := nl.cellAxis[0], nl.cellAxis[1], nl.cellAxis[2]
 
 	// Counting sort into bins. Counts go in at b+2, so after the prefix sum
@@ -160,8 +182,9 @@ func (nl *NeighborList) BuildOwned(sys *System, ids []int32, nOwn int) {
 	nbins := nb[0] * nb[1] * nb[2]
 	nl.cellStart = slices.Grow(nl.cellStart[:0], nbins+2)[:nbins+2]
 	nl.cellOf = resizeI32(nl.cellOf, n)
-	nl.cellX = resizeF64(nl.cellX, 3*n)
-	cs, cellOf, cx := nl.cellStart, nl.cellOf, nl.cellX
+	nl.binX, nl.binY, nl.binZ = resizeF64(nl.binX, n), resizeF64(nl.binY, n), resizeF64(nl.binZ, n)
+	cs, cellOf := nl.cellStart, nl.cellOf
+	binX, binY, binZ := nl.binX, nl.binY, nl.binZ
 	clear(cs)
 	for i := 0; i < n; i++ {
 		ax := bx[axisCell(sys.X[3*i], box[0], nc[0])]
@@ -178,46 +201,53 @@ func (nl *NeighborList) BuildOwned(sys *System, ids []int32, nOwn int) {
 		i := uint32(key)
 		s := cs[cellOf[i]+1]
 		cs[cellOf[i]+1]++
-		copy(cx[3*s:3*s+3], sys.X[3*i:3*i+3])
+		binX[s], binY[s], binZ[s] = sys.X[3*i], sys.X[3*i+1], sys.X[3*i+2]
 		ranks[s] = uint32(rank)
 	}
 
 	nl.start = resizeI32(nl.start, nOwn+1)
+	nl.row = resizeU32(nl.row, n)
 	nl.order.resize(n)
 	r2cut := r * r
 	px, py, pz := sys.Periods()
 	adj, row := nl.adj[:0], nl.row
-	var runX, runY, runZ [2][2]int
+	var runX, runY, runZ [2]axisRun
 	for i := 0; i < nOwn; i++ {
 		nl.start[i] = int32(len(adj))
 		xi, yi, zi := sys.X[3*i], sys.X[3*i+1], sys.X[3*i+2]
-		rx := runX[:cellRuns(&runX, axisCell(xi, box[0], nc[0]), nc[0], 1, bx)]
-		ry := runY[:cellRuns(&runY, axisCell(yi, box[1], nc[1]), nc[1], 1, by)]
-		rz := runZ[:cellRuns(&runZ, axisCell(zi, box[2], nc[2]), nc[2], zFine, bz)]
-		row = row[:0]
+		rx := runX[:cellRuns(&runX, axisCell(xi, box[0], nc[0]), nc[0], reach[0], box[0], bx)]
+		ry := runY[:cellRuns(&runY, axisCell(yi, box[1], nc[1]), nc[1], reach[1], box[1], by)]
+		rz := runZ[:cellRuns(&runZ, axisCell(zi, box[2], nc[2]), nc[2], reach[2], box[2], bz)]
+		m := 0
 		for _, xr := range rx {
-			for ax := xr[0]; ax < xr[1]; ax++ {
+			for ax := xr.lo; ax < xr.hi; ax++ {
 				for _, yr := range ry {
-					for ay := yr[0]; ay < yr[1]; ay++ {
+					for ay := yr.lo; ay < yr.hi; ay++ {
 						base := (ax*nb[1] + ay) * nb[2]
 						for _, zr := range rz {
 							// Bins adjacent along z are adjacent in slot
 							// order: one sweep covers the whole run.
-							lo, hi := int(cs[base+zr[0]]), int(cs[base+zr[1]])
-							row = sweepRun(row, cx[3*lo:3*hi], ranks[lo:hi], xi, yi, zi, r2cut, px, py, pz)
+							lo, hi := int(cs[base+zr.lo]), int(cs[base+zr.hi])
+							if shifted {
+								m = sweepShifted(row, m, binX[lo:hi], binY[lo:hi], binZ[lo:hi], ranks[lo:hi],
+									xi, yi, zi, xr.shift, yr.shift, zr.shift, r2cut)
+							} else {
+								m = sweepImages(row, m, binX[lo:hi], binY[lo:hi], binZ[lo:hi], ranks[lo:hi],
+									xi, yi, zi, r2cut, px, py, pz)
+							}
 						}
 					}
 				}
 			}
 		}
-		for _, rank := range row {
+		for _, rank := range row[:m] {
 			nl.order.add(rank)
 		}
 		// The sweep met atom i itself, at distance 0; drain leaves it out.
 		adj = nl.order.drain(adj, byGid, int32(i))
 	}
 	nl.start[nOwn] = int32(len(adj))
-	nl.adj, nl.row = adj, row
+	nl.adj = adj
 }
 
 // Stale reports whether any atom has moved more than skin/2 since Build.
@@ -238,51 +268,105 @@ func (nl *NeighborList) Stale(sys *System) bool {
 	return false
 }
 
-// sweepRun appends to row the gid rank of every slot of one bin run
-// (coordinates xs, ranks rs) within min-image distance² r2 of the point
-// (xi, yi, zi). It stores every candidate's rank and advances the fill only
-// past the accepted ones, so the unpredictable accept test is not a branch.
-func sweepRun(row []uint32, xs []float64, rs []uint32, xi, yi, zi, r2 float64, px, py, pz Period) []uint32 {
-	row = slices.Grow(row, len(rs))
-	out := row[len(row) : len(row)+len(rs)]
+// sweepShifted stores in row[m:] the gid rank of every slot of one bin run
+// (coordinates xs, ys, zs, ranks rs), the ones within distance² r2 of the
+// point (xi, yi, zi) first, and returns m plus the accepted count. The run's
+// periodic image is the shift (sx, sy, sz): under shiftGuard, (xi−x)−s is
+// the bit pattern Period.MinImage returns for every candidate of the run, up
+// to the sign of a zero, which squaring drops. Advancing the fill only past
+// the accepted slots keeps the unpredictable accept test from being a branch.
+//
+//mlmd:hotpath
+func sweepShifted(row []uint32, m int, xs, ys, zs []float64, rs []uint32, xi, yi, zi, sx, sy, sz, r2 float64) int {
+	out := row[m : m+len(rs)]
+	xs, ys, zs = xs[:len(rs)], ys[:len(rs)], zs[:len(rs)]
 	n := 0
 	for s, rank := range rs {
-		dx := px.MinImage(xi - xs[3*s])
-		dy := py.MinImage(yi - xs[3*s+1])
-		dz := pz.MinImage(zi - xs[3*s+2])
+		dx := xi - xs[s] - sx
+		dy := yi - ys[s] - sy
+		dz := zi - zs[s] - sz
 		out[n] = rank
 		if dx*dx+dy*dy+dz*dz <= r2 {
 			n++
 		}
 	}
-	return row[:len(row)+n]
+	return m + n
+}
+
+// sweepImages is sweepShifted with the minimum image taken per candidate:
+// the reference sweep, and the one a build takes where shiftGuard fails.
+//
+//mlmd:hotpath
+func sweepImages(row []uint32, m int, xs, ys, zs []float64, rs []uint32, xi, yi, zi, r2 float64, px, py, pz Period) int {
+	out := row[m : m+len(rs)]
+	xs, ys, zs = xs[:len(rs)], ys[:len(rs)], zs[:len(rs)]
+	n := 0
+	for s, rank := range rs {
+		dx := px.MinImage(xi - xs[s])
+		dy := py.MinImage(yi - ys[s])
+		dz := pz.MinImage(zi - zs[s])
+		out[n] = rank
+		if dx*dx+dy*dy+dz*dz <= r2 {
+			n++
+		}
+	}
+	return m + n
+}
+
+// shiftGuard reports whether an axis cut into n cells, swept h cells either
+// side of the row atom's cell, lets every run of cells carry one periodic
+// shift: (h+1)/n ≤ 0.45, which also keeps the 2h+1 cells from overlapping
+// around the ring. Then, with every coordinate in [0, l] (wrap1 can return l
+// itself):
+//
+//   - a run that does not wrap spans at most h+1 cells with the row atom, so
+//     |d| ≤ 0.45·l < fl(0.49·l) and Period.MinImage returns d+0;
+//   - a run across the boundary lies at least n−h−1 cells away, so
+//     0.55·l ≤ |d| ≤ l and MinImage returns exactly d∓l, which is (d)−s for
+//     the run's shift s = ±l.
+//
+// Both margins dwarf the relative rounding of the cell index and of the
+// bounds. Where l is too small for that (subnormal), every squared distance
+// underflows to 0 in both sweeps alike. With fewer than 5 list radii along x
+// or y, or 3 along z, the guard fails.
+func shiftGuard(n, h int) bool { return 20*(h+1) <= 9*n }
+
+// axisRun is a run [lo, hi) of consecutive bin coordinates along one axis and
+// the periodic shift that brings its atoms next to the row atom: 0, +l where
+// the run wrapped to the low end of the axis from a row atom at the high
+// end, −l the other way round.
+type axisRun struct {
+	lo, hi int
+	shift  float64
 }
 
 // cellRuns fills out with the cells within h of cell c (c included) along a
-// periodic axis of n cells, as runs [first, last+1) of consecutive bin
+// periodic axis of n cells and length l, as runs of consecutive bin
 // coordinates (bin[c] being the occupied cell indices below c, an unoccupied
 // stretch maps to an empty run), and returns the number of runs: one in the
 // bulk, two where the neighborhood wraps around the box. Where the 2h+1 cells
 // would overlap themselves around the ring (fewer than 3 list radii along the
-// axis) the axis contributes each of its cells once.
-func cellRuns(out *[2][2]int, c, n, h int, bin []int32) int {
+// axis) the axis contributes each of its cells once, unshifted.
+func cellRuns(out *[2]axisRun, c, n, h int, l float64, bin []int32) int {
 	switch {
 	case n <= 2*h+1:
-		out[0] = binRun(bin, 0, n)
+		out[0] = binRun(bin, 0, n, 0)
 	case c < h:
-		out[0], out[1] = binRun(bin, 0, c+h+1), binRun(bin, n+c-h, n)
+		out[0], out[1] = binRun(bin, 0, c+h+1, 0), binRun(bin, n+c-h, n, -l)
 		return 2
 	case c+h >= n:
-		out[0], out[1] = binRun(bin, 0, c+h+1-n), binRun(bin, c-h, n)
+		out[0], out[1] = binRun(bin, 0, c+h+1-n, l), binRun(bin, c-h, n, 0)
 		return 2
 	default:
-		out[0] = binRun(bin, c-h, c+h+1)
+		out[0] = binRun(bin, c-h, c+h+1, 0)
 	}
 	return 1
 }
 
 // binRun maps cells [lo, hi) of one axis to their run of bin coordinates.
-func binRun(bin []int32, lo, hi int) [2]int { return [2]int{int(bin[lo]), int(bin[hi])} }
+func binRun(bin []int32, lo, hi int, shift float64) axisRun {
+	return axisRun{int(bin[lo]), int(bin[hi]), shift}
+}
 
 // rankSet is a set of small integers (gid ranks below the atom count) that
 // gives its members back in ascending order without comparing them: a
@@ -368,6 +452,13 @@ func cellCount(l, r float64) int {
 func resizeI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func resizeU32(s []uint32, n int) []uint32 {
+	if cap(s) < n {
+		return make([]uint32, n)
 	}
 	return s[:n]
 }

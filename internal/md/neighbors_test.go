@@ -3,6 +3,7 @@ package md
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -118,37 +119,167 @@ func randomAtoms(rng *rand.Rand, n int, box [3]float64) (*System, []int32) {
 // (where the ±1 neighbor offsets alias and both builds must visit each cell
 // once), for 3 and 4 cells (where the neighborhood wraps onto itself or
 // nearly), for a row prefix and for the unsharded Build (ids = index), and
-// across rebuilds of one list with changing sizes.
+// across rebuilds of one list with changing sizes. Each box names the sweep
+// it takes: the shifted one needs 5 list radii along x and y and 3 along z
+// (shiftGuard), so the boxes just above and just below those lengths on each
+// axis take one path each, with atoms at exactly 0 and exactly l
+// (randomAtoms); an atom a hair outside [0, l] sends a box that passes the
+// guard to the per-candidate minimum image.
 func TestBuildMatchesLinkedCellReference(t *testing.T) {
 	const cutoff, skin = 1.5, 0.3 // list radius 1.8
-	boxes := [][3]float64{
-		{12.6, 12.6, 12.6}, // 7 cells per axis
-		{14.5, 9.1, 11.0},  // 8 x 5 x 6
-		{3.5, 9.1, 9.1},    // 1 cell along x
-		{9.1, 3.7, 9.1},    // 2 cells along y: pairs near half the box length
-		{9.1, 9.1, 3.59},   // 1 cell along z, the fine-binned axis
-		{9.1, 9.1, 5.3},    // 2 cells along z
-		{5.5, 7.3, 5.6},    // 3 x 4 x 3
-		{3.6, 3.6, 3.6},    // 2 x 2 x 2: every pair is a wrap candidate
+	cases := []struct {
+		box     [3]float64
+		shifted bool
+	}{
+		{[3]float64{12.6, 12.6, 12.6}, true}, // 7 cells per axis
+		{[3]float64{14.5, 9.1, 11.0}, true},  // 8 x 5 x 6
+		{[3]float64{3.5, 9.1, 9.1}, false},   // 1 cell along x
+		{[3]float64{9.1, 3.7, 9.1}, false},   // 2 cells along y: pairs near half the box length
+		{[3]float64{9.1, 9.1, 3.59}, false},  // 1 cell along z, the fine-binned axis
+		{[3]float64{9.1, 9.1, 5.3}, false},   // 2 cells along z
+		{[3]float64{5.5, 7.3, 5.6}, false},   // 3 x 4 x 3
+		{[3]float64{3.6, 3.6, 3.6}, false},   // 2 x 2 x 2: every pair is a wrap candidate
+		{[3]float64{9.05, 12.6, 12.6}, true}, // 5 cells along x: just above the guard
+		{[3]float64{8.95, 12.6, 12.6}, false},
+		{[3]float64{12.6, 9.05, 12.6}, true}, // the same along y
+		{[3]float64{12.6, 8.95, 12.6}, false},
+		{[3]float64{12.6, 12.6, 5.45}, true}, // 12 fine cells along z: just above
+		{[3]float64{12.6, 12.6, 5.35}, false},
 	}
 	rng := rand.New(rand.NewSource(13))
 	nl := &NeighborList{Cutoff: cutoff, Skin: skin}
-	for _, box := range boxes {
+	check := func(name string, sys *System, ids []int32, nOwn int, shifted bool) {
+		t.Helper()
+		if ids == nil {
+			nl.Build(sys)
+			ids = make([]int32, sys.N)
+			for i := range ids {
+				ids[i] = int32(i)
+			}
+		} else {
+			nl.BuildOwned(sys, ids, nOwn)
+		}
+		if nl.shifted != shifted {
+			t.Fatalf("%s: shifted sweep = %v, want %v", name, nl.shifted, shifted)
+		}
+		assertSameList(t, name, nl, sys, ids, nOwn)
+	}
+	for _, c := range cases {
+		box := c.box
 		for trial := 0; trial < 3; trial++ {
 			n := 40 + rng.Intn(int(0.8*box[0]*box[1]*box[2]))
 			nOwn := 1 + rng.Intn(n)
 			sys, ids := randomAtoms(rng, n, box)
-			nl.BuildOwned(sys, ids, nOwn)
-			assertSameList(t, fmt.Sprintf("box %v trial %d", box, trial), nl, sys, ids, nOwn)
+			check(fmt.Sprintf("box %v trial %d", box, trial), sys, ids, nOwn, c.shifted)
 		}
 		sys, _ := randomAtoms(rng, 60, box)
-		identity := make([]int32, sys.N)
-		for i := range identity {
-			identity[i] = int32(i)
-		}
-		nl.Build(sys)
-		assertSameList(t, fmt.Sprintf("box %v unsharded", box), nl, sys, identity, sys.N)
+		check(fmt.Sprintf("box %v unsharded", box), sys, nil, sys.N, c.shifted)
+		a := rng.Intn(3)
+		sys.X[3*rng.Intn(sys.N)+a] = -1e-12
+		sys.X[3*rng.Intn(sys.N)+a] = math.Nextafter(box[a], math.Inf(1))
+		check(fmt.Sprintf("box %v atoms outside along axis %d", box, a), sys, nil, sys.N, false)
 	}
+}
+
+// TestBuildPairsAtTheCutoff: pairs whose distance along one axis lies
+// within a few ulps of the list radius, across the periodic boundary and
+// inside the box, one pair per column of a 6 x 6 grid of columns 2.08 apart,
+// so the accept test is decided by the last bit of the displacement. Box
+// and radius (1.75) have short mantissas, and half the pairs sit on a 1/64
+// grid, so some distances equal the radius exactly. The shifted sweep must
+// round (xi−xj)−s exactly as the minimum image does.
+func TestBuildPairsAtTheCutoff(t *testing.T) {
+	const cutoff, skin, l = 1.5, 0.25, 12.5
+	r := cutoff + skin
+	rng := rand.New(rand.NewSource(23))
+	nl := &NeighborList{Cutoff: cutoff, Skin: skin}
+	ids := make([]int32, 72)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	for a := 0; a < 3; a++ {
+		for trial := 0; trial < 40; trial++ {
+			sys := &System{N: 72, Lx: l, Ly: l, Lz: l, X: make([]float64, 3*72)}
+			for c := 0; c < 36; c++ {
+				i, j := 2*c, 2*c+1
+				b0, b1 := (a+1)%3, (a+2)%3
+				g0, g1 := (float64(c%6)+0.5)*l/6, (float64(c/6)+0.5)*l/6
+				sys.X[3*i+b0], sys.X[3*j+b0] = g0, g0
+				sys.X[3*i+b1], sys.X[3*j+b1] = g1, g1
+				p := l - (0.1+0.8*rng.Float64())*r // the partner lands in [0.1r, 0.9r]
+				if c%2 == 1 {                      // the same distance inside the box
+					p = 2 + 5*rng.Float64()
+				}
+				if c%4 < 2 {
+					p = math.Round(64*p) / 64
+				}
+				q := p + r
+				if c%2 == 0 {
+					q -= l
+				}
+				toward := math.Inf(2*rng.Intn(2) - 1)
+				for k := rng.Intn(4); k > 0; k-- {
+					q = math.Nextafter(q, toward)
+				}
+				sys.X[3*i+a], sys.X[3*j+a] = p, q
+			}
+			nl.Build(sys)
+			if !nl.shifted {
+				t.Fatal("the box should take the shifted sweep")
+			}
+			assertSameList(t, fmt.Sprintf("axis %d trial %d", a, trial), nl, sys, ids, sys.N)
+		}
+	}
+}
+
+// FuzzNeighborList checks BuildOwned against the linked-cell reference on a
+// fuzzed box (each length folded into [0.5, 40.5), list radius 1.8), fuzzed
+// atoms (1 to 256, drawn from seed uniformly in the box or, for snap > 0, on
+// the grid of snap steps per box length, which puts atoms on cell faces and
+// at exactly 0 and l; randomAtoms pins some to 0 and l either way) and
+// fuzzed global ids and row count (from seed). A box of at least 5 list
+// radii (9.0) along x and y and 3 (5.4) along z, with no coordinate outside
+// [0, l], takes the shifted sweep; every other box, and every atom set with
+// outside set (one coordinate a hair below 0), takes the per-candidate
+// minimum image. The seeds hold one of each, and boxes on either side of
+// each axis's guard.
+func FuzzNeighborList(f *testing.F) {
+	f.Add(12.6, 12.6, 12.6, int64(1), uint16(300), uint8(0), false)
+	f.Add(12.6, 12.6, 12.6, int64(2), uint16(300), uint8(0), true)
+	f.Add(9.05, 8.95, 12.6, int64(3), uint16(200), uint8(0), false)
+	f.Add(12.6, 9.05, 5.45, int64(4), uint16(200), uint8(7), false)
+	f.Add(12.6, 12.6, 5.35, int64(5), uint16(200), uint8(0), false)
+	f.Add(3.6, 3.6, 3.6, int64(6), uint16(40), uint8(4), false)
+	f.Fuzz(func(t *testing.T, lx, ly, lz float64, seed int64, atoms uint16, snap uint8, outside bool) {
+		var box [3]float64
+		for a, l := range [3]float64{lx, ly, lz} {
+			if math.IsNaN(l) || math.IsInf(l, 0) {
+				t.Skip("not a box length")
+			}
+			box[a] = 0.5 + math.Mod(math.Abs(l), 40)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		sys, ids := randomAtoms(rng, 1+int(atoms%256), box)
+		n := sys.N
+		if snap > 0 {
+			for k := range sys.X {
+				sys.X[k] = float64(rng.Intn(int(snap)+1)) / float64(snap) * box[k%3]
+			}
+		}
+		if outside {
+			sys.X[rng.Intn(3*n)] = -1e-12
+		}
+		nOwn := 1 + rng.Intn(n)
+		nl := &NeighborList{Cutoff: 1.5, Skin: 0.3}
+		nl.BuildOwned(sys, ids, nOwn)
+		name := fmt.Sprintf("box %v, %d atoms", box, n)
+		r := nl.Cutoff + nl.Skin
+		shifted := box[0]/r >= 5 && box[1]/r >= 5 && box[2]/r >= 3 && !outside
+		if nl.shifted != shifted {
+			t.Fatalf("%s: shifted sweep = %v, want %v", name, nl.shifted, shifted)
+		}
+		assertSameList(t, name, nl, sys, ids, nOwn)
+	})
 }
 
 // TestBuildBinsOnlyOccupiedCells: atoms sitting in one corner of a large

@@ -140,15 +140,39 @@ func benchSystem(b *testing.B, n int) (*System, *LennardJones) {
 	return sys, lj
 }
 
+// BenchmarkNeighborBuild times one full serial build: a random gas of 4 000
+// atoms (cutoff 3.0 + skin 0.3, 9 cells per axis), the 8 192-atom LJ liquid
+// of BenchmarkLJForces, and fcc5324, the shape of the md.lj benchmark
+// workload (11³ fcc cells at a = 1.7, 2.0 + 0.3), its atoms moved off their
+// sites by up to ±0.05.
 func BenchmarkNeighborBuild(b *testing.B) {
-	sys, lj := benchSystem(b, 8192)
-	nl := lj.NL
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nl.Build(sys)
+	rng := rand.New(rand.NewSource(6))
+	gas, _ := NewSystem(4000, 30, 30, 30)
+	for i := range gas.X {
+		gas.X[i] = rng.Float64() * 30
 	}
-	b.ReportMetric(float64(sys.N)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Matoms/s")
+	liquid, _ := ljSystem(b, 8192, 42)
+	fcc, _ := NewFCCSystem(11, 1.7, 50)
+	for i := range fcc.X {
+		fcc.X[i] += 0.05 * (2*rng.Float64() - 1)
+	}
+	fcc.Wrap()
+	for _, c := range []struct {
+		name   string
+		sys    *System
+		cutoff float64
+	}{{"gas4000", gas, 3.0}, {"lj8192", liquid, 2.5}, {"fcc5324", fcc, 2.0}} {
+		b.Run(c.name, func(b *testing.B) {
+			nl, _ := NewNeighborList(c.cutoff, 0.3)
+			nl.Build(c.sys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nl.Build(c.sys)
+			}
+			b.ReportMetric(float64(c.sys.N)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Matoms/s")
+		})
+	}
 }
 
 func BenchmarkLJForces(b *testing.B) {

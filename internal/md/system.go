@@ -51,7 +51,25 @@ func (s *System) Wrap() {
 	}
 }
 
+// wrap1 returns the bits of wrapFormula. An atom that stepped at most one
+// box length out of [0, l) takes one of three shortcuts, each exact: math.Mod
+// returns x itself for |x| < l (so x < 0 gets the formula's x + l), and x − l
+// for l ≤ x < 2l, where the subtraction is exact (Sterbenz). NaN, ±Inf and
+// every other x fail the compares and take the formula.
 func wrap1(x, l float64) float64 {
+	switch {
+	case x >= 0 && x < l:
+		return x
+	case x < 0 && x > -l:
+		return x + l
+	case x >= l && x < 2*l:
+		return x - l
+	}
+	return wrapFormula(x, l)
+}
+
+// wrapFormula is the reference definition of the periodic wrap.
+func wrapFormula(x, l float64) float64 {
 	x = math.Mod(x, l)
 	if x < 0 {
 		x += l
