@@ -57,38 +57,16 @@
 #                  them (alternating pairs, every workload, compare table;
 #                  exit 1 on a regression). Both refs must contain benchmark/.
 #   make bench   - hot-kernel benchmarks (serial vs pool) with allocation
-#                  counts, written to BENCH_PR1.json (and echoed)
-#   make bench2  - sharded-engine strong scaling (1/2/4/8 ranks, best of 7),
-#                  written to BENCH_PR2.json (and echoed as a table)
-#   make bench3  - sharded-engine 3-D grid vs slab strong scaling
-#                  (1x1x1 ... 2x2x2, best of 7), written to BENCH_PR3.json
-#   make bench4  - hot-spot load-balancing sweep (static vs balanced grids
-#                  on the Gaussian-clustered workload, best of 5), written
-#                  to BENCH_PR4.json
-#   make bench5  - in-process vs multi-process transport sweep (one OS
-#                  process per rank over Unix sockets, best of 5) plus the
-#                  transport ping-pong, written to BENCH_PR5.json
-#   make bench6  - checkpoint write cost (periodic gather + atomic mlmdio
-#                  files) and unix-vs-tcp multi-process transport overhead,
-#                  written to BENCH_PR6.json
-#   make bench7  - Allegro inference sweep: per-atom tapes vs blocked-GEMM
-#                  batching (bitwise identical) vs GEMMMixed float32, over a
-#                  block-size sweep, written to BENCH_PR7.json
-#   make bench8  - self-healing shrink-and-resume latency (detect to first
-#                  resumed step, one injected rank failure per trial) vs
-#                  checkpoint cadence, written to BENCH_PR8.json
-#   make bench9  - sharded-FDTD stencil scaling on the grid engine (slab and
-#                  3-D rank grids, best of 5) with measured halo bytes/step,
-#                  written to BENCH_PR9.json
+#                  counts, printed by go test -bench
 #   make tables  - the full paper-table benchmark suite at the repo root
 #
-# docs/benchmarks.md documents the bench workflow and the JSON schemas;
+# docs/benchmarks.md maps what each measurement entry point is for;
 # ARCHITECTURE.md maps the layers these targets exercise.
 
 GO ?= go
 
-# Fail pipelines on the first failing stage (so `make bench` cannot write
-# BENCH_PR1.json from a failed benchmark run and still exit 0).
+# Fail pipelines on the first failing stage (so a `| tail` cannot hide a
+# failed fuzz or coverage run).
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
@@ -127,13 +105,13 @@ FUZZ_TIME   ?= 10s
 # Packages whose exported API must be fully doc-commented (`make docs`).
 DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./internal/par ./internal/allegro ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint ./internal/rank \
-	./internal/mlmdio
+	./internal/mlmdio ./internal/bench
 
 # Packages with architecture-specific files (assembly kernels and their
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.
 ARCH_PKGS = ./internal/linalg ./internal/tddft ./internal/core ./internal/nn ./internal/maxwell
 
-.PHONY: check fmt vet asm-nofma lint build test race race-full cover fuzz docs benchmark-check bench-ab bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
+.PHONY: check fmt vet asm-nofma lint build test race race-full cover fuzz docs benchmark-check bench-ab bench tables
 
 check: fmt vet lint build test race cover fuzz docs benchmark-check
 
@@ -249,32 +227,7 @@ bench-ab:
 
 bench:
 	$(GO) test ./internal/md ./internal/linalg ./internal/par \
-		-run '^$$' -bench . -benchmem -benchtime=1s \
-		| tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_PR1.json
-
-bench2:
-	$(GO) run ./cmd/bench-scaling -shard -shardjson > BENCH_PR2.json
-
-bench3:
-	$(GO) run ./cmd/bench-scaling -grid -shardjson > BENCH_PR3.json
-
-bench4:
-	$(GO) run ./cmd/bench-scaling -hotspot -shardjson > BENCH_PR4.json
-
-bench5:
-	$(GO) run ./cmd/bench-scaling -procs -shardjson > BENCH_PR5.json
-
-bench6:
-	$(GO) run ./cmd/bench-scaling -fault -shardjson > BENCH_PR6.json
-
-bench7:
-	$(GO) run ./cmd/bench-scaling -batched -shardjson > BENCH_PR7.json
-
-bench8:
-	$(GO) run ./cmd/bench-scaling -recover -shardjson > BENCH_PR8.json
-
-bench9:
-	$(GO) run ./cmd/bench-scaling -stencil -shardjson > BENCH_PR9.json
+		-run '^$$' -bench . -benchmem -benchtime=1s
 
 tables:
 	$(GO) test . -run '^$$' -bench . -benchmem

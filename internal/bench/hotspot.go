@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -13,48 +12,37 @@ import (
 )
 
 // This file measures what dynamic subdomain-boundary balancing buys on a
-// deliberately imbalanced workload (BENCH_PR4.json / `make bench4`): a
-// Gaussian density hot spot on a sparse background, decomposed over static
-// and balanced grids. The figure of merit is the max/mean per-rank
+// deliberately imbalanced workload (`bench-scaling -hotspot`): a Gaussian
+// density hot spot on a sparse background, decomposed over static and
+// balanced grids. The figure of merit is the max/mean per-rank
 // step-time imbalance — on a bulk-synchronous step, (imbalance−1)/imbalance
 // of the machine is idle — plus the owned-atom imbalance (its deterministic
 // density view) and the usual ns/step and modeled communication time.
 
 // HotSpotPoint is one (grid shape, balancing mode) measurement.
 type HotSpotPoint struct {
-	Grid     string `json:"grid"`
-	Ranks    int    `json:"ranks"`
-	Atoms    int    `json:"atoms"`
-	Steps    int    `json:"steps"`
-	Balanced bool   `json:"balanced"`
+	Grid     string
+	Ranks    int
+	Atoms    int
+	Steps    int
+	Balanced bool
 	// NsPerStep is the best-of-HotSpotTrials wall time per step.
-	NsPerStep float64 `json:"ns_per_step"`
+	NsPerStep float64
 	// StepImbalance is max/mean over ranks of the per-rank EWMA of local
 	// compute seconds per step, measured at the end of the run (1.0 =
 	// perfectly balanced).
-	StepImbalance float64 `json:"step_time_imbalance_max_over_mean"`
+	StepImbalance float64
 	// OwnedImbalance is max/mean over ranks of the final owned-atom counts.
-	OwnedImbalance float64 `json:"owned_atoms_imbalance_max_over_mean"`
+	OwnedImbalance float64
 	// Rebalances and MaxCutShift report the controller's activity (zero on
 	// static points); MaxCutShift is bounded by the halo width.
-	Rebalances  int64   `json:"rebalances"`
-	MaxCutShift float64 `json:"max_cut_shift"`
+	Rebalances  int64
+	MaxCutShift float64
 	// StepImbalanceVsStatic is set on balanced points: the static point's
 	// step-time imbalance divided by this one's (> 1 means balancing
 	// reduced the imbalance).
-	StepImbalanceVsStatic float64 `json:"step_imbalance_ratio_vs_static,omitempty"`
-	CommS                 float64 `json:"modeled_comm_seconds"`
-}
-
-// HotSpotDoc is the committable BENCH_PR4.json document.
-type HotSpotDoc struct {
-	Go         string         `json:"go"`
-	GOOS       string         `json:"goos"`
-	GOARCH     string         `json:"goarch"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Workers    string         `json:"mlmd_workers,omitempty"`
-	Benchmark  string         `json:"benchmark"`
-	Points     []HotSpotPoint `json:"points"`
+	StepImbalanceVsStatic float64
+	CommS                 float64
 }
 
 // HotSpotTrials is the best-of count of ShardHotSpot.
@@ -149,19 +137,6 @@ func measureHotSpotConfig(base *md.System, cfg shard.Config, steps int) (HotSpot
 	}
 	pt.NsPerStep = best * 1e9 / float64(steps)
 	return pt, nil
-}
-
-// HotSpotDocument wraps points with the environment header.
-func HotSpotDocument(points []HotSpotPoint) HotSpotDoc {
-	return HotSpotDoc{
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    os.Getenv("MLMD_WORKERS"),
-		Benchmark:  "shard hot-spot load balancing, Gaussian-thinned fcc LJ, static vs balanced, best-of-5 wall clock",
-		Points:     points,
-	}
 }
 
 // HotSpotTable formats the measurements with the static/balanced pairing.

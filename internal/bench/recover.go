@@ -25,38 +25,27 @@ import (
 
 // RecoverPoint is one checkpoint cadence's measured recovery cost.
 type RecoverPoint struct {
-	Ranks int    `json:"ranks"`
-	Grid  string `json:"grid"`
-	Atoms int    `json:"atoms"`
-	Steps int    `json:"steps"`
+	Ranks int
+	Grid  string
+	Atoms int
+	Steps int
 	// Every is the checkpoint cadence (steps between snapshots) and the
 	// worst-case steps re-done after a crash at this cadence.
-	Every int `json:"ckpt_every"`
+	Every int
 	// KillAt is the step at whose snapshot boundary the victim rank was
 	// SIGKILL-equivalently aborted; ResumedStep is where the survivors
 	// picked the trajectory back up.
-	KillAt      int `json:"kill_at"`
-	ResumedStep int `json:"resumed_step"`
+	KillAt      int
+	ResumedStep int
 	// DetectToResumeNs is the best-of-trials latency from failure detection
 	// to the first resumed MD step, maximized across the survivors (the
 	// slowest rank gates the mesh).
-	DetectToResumeNs float64 `json:"detect_to_resume_ns"`
+	DetectToResumeNs float64
 	// StepNs is the uninterrupted per-step time of the same workload, and
 	// AtRiskNs = Every x StepNs the worst-case work replayed per crash —
 	// the quantity the cadence actually controls.
-	StepNs   float64 `json:"step_ns"`
-	AtRiskNs float64 `json:"at_risk_ns"`
-}
-
-// RecoverDoc is the committable BENCH_PR8.json document.
-type RecoverDoc struct {
-	Go         string         `json:"go"`
-	GOOS       string         `json:"goos"`
-	GOARCH     string         `json:"goarch"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Workers    string         `json:"mlmd_workers,omitempty"`
-	Benchmark  string         `json:"benchmark"`
-	Points     []RecoverPoint `json:"points"`
+	StepNs   float64
+	AtRiskNs float64
 }
 
 // RecoverTrials is the best-of count of the -recover sweep (each trial
@@ -70,16 +59,6 @@ var RecoverCadences = []int{5, 10, 25, 50}
 // RecoverGrid is the decomposition of the -recover sweep: three slab ranks,
 // so a kill leaves a 2-survivor mesh to shrink onto.
 var RecoverGrid = [3]int{3, 1, 1}
-
-// recoverBenchConfig is the shared engine configuration of the -recover
-// sweep (the LJ workload of the PR 5/6 sweeps; the interconnect is the real
-// socket wire, not a model).
-func recoverBenchConfig(grid [3]int) shard.Config {
-	return shard.Config{
-		Grid: grid, Cutoff: 2.0, Skin: 0.3,
-		NewFF: shard.LJFactory(0.01, 1.0),
-	}
-}
 
 // recoverMeshBuilder locates original rank id among each generation's
 // survivors and builds the generation-tagged socket transport in dir,
@@ -124,11 +103,21 @@ func RecoverCost(grid [3]int, cells, steps int, cadences []int) ([]RecoverPoint,
 	if size < 2 {
 		return nil, fmt.Errorf("bench: recovery needs at least 2 ranks, grid %v has %d", grid, size)
 	}
+	for _, every := range cadences {
+		if steps < 2*every {
+			return nil, fmt.Errorf("bench: cadence %d does not fit a %d-step run twice", every, steps)
+		}
+	}
 	base, err := newShardLJSystem(cells, 3e-4)
 	if err != nil {
 		return nil, err
 	}
-	cfg := recoverBenchConfig(grid)
+	// The fcc LJ workload of the grid sweep; the interconnect is the real
+	// socket wire, not a model.
+	cfg := shard.Config{
+		Grid: grid, Cutoff: 2.0, Skin: 0.3,
+		NewFF: shard.LJFactory(0.01, 1.0),
+	}
 	plain, err := measureShardConfig(base, cfg, steps)
 	if err != nil {
 		return nil, err
@@ -141,13 +130,7 @@ func RecoverCost(grid [3]int, cells, steps int, cadences []int) ([]RecoverPoint,
 
 	points := make([]RecoverPoint, 0, len(cadences))
 	for ci, every := range cadences {
-		if steps < 2*every {
-			return nil, fmt.Errorf("bench: cadence %d does not fit a %d-step run twice", every, steps)
-		}
-		killAt := steps / 2 / every * every
-		if killAt == 0 {
-			killAt = every
-		}
+		killAt := steps / 2 / every * every // >= every: steps >= 2*every
 		best := time.Duration(0)
 		resumed := 0
 		for trial := 0; trial < RecoverTrials; trial++ {
@@ -218,20 +201,6 @@ func RecoverCost(grid [3]int, cells, steps int, cadences []int) ([]RecoverPoint,
 		})
 	}
 	return points, nil
-}
-
-// RecoverDocument wraps the sweep in the committable BENCH_PR8.json
-// document.
-func RecoverDocument(points []RecoverPoint) RecoverDoc {
-	return RecoverDoc{
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    os.Getenv("MLMD_WORKERS"),
-		Benchmark:  "self-healing shrink-and-resume: detect-to-first-resumed-step latency (RunRecovered over socket transports, one injected rank abort) vs checkpoint cadence, fcc LJ, best-of-trials",
-		Points:     points,
-	}
 }
 
 // RecoverTable formats the sweep for humans.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -22,33 +21,21 @@ import (
 
 // ShardPoint is one decomposition's measurement.
 type ShardPoint struct {
-	Ranks int `json:"ranks"`
-	// Grid is the PxxPyxPz domain-grid shape ("" on legacy slab sweeps,
-	// where the shape is implicitly Ranks x1x1).
-	Grid      string  `json:"grid,omitempty"`
-	Atoms     int     `json:"atoms"`
-	Steps     int     `json:"steps"`
-	NsPerStep float64 `json:"ns_per_step"` // best of Trials
+	Ranks int
+	// Grid is the PxxPyxPz domain-grid shape.
+	Grid      string
+	Atoms     int
+	Steps     int
+	NsPerStep float64 // best of ShardTrials
 	// Speedup is wall-clock T(1 rank)/T(P ranks) on this host. On a
 	// single-core box (the CI container) it isolates pure decomposition
 	// overhead and sits just below 1; on a multi-core host it is the
 	// actual strong-scaling speedup and can approach P.
-	Speedup float64 `json:"speedup_vs_1rank"`
-	CommS   float64 `json:"modeled_comm_seconds"`
+	Speedup float64
+	CommS   float64 // modeled communication seconds
 }
 
-// ShardScalingDoc is the committable JSON document (BENCH_PR2.json).
-type ShardScalingDoc struct {
-	Go         string       `json:"go"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Workers    string       `json:"mlmd_workers,omitempty"`
-	Benchmark  string       `json:"benchmark"`
-	Points     []ShardPoint `json:"points"`
-}
-
-// ShardTrials is the best-of count of ShardStrongScaling.
+// ShardTrials is the best-of count of ShardGridScaling.
 const ShardTrials = 7
 
 // newShardLJSystem builds the fcc LJ benchmark system (the shared
@@ -90,59 +77,6 @@ func measureShardConfig(base *md.System, cfg shard.Config, steps int) (ShardPoin
 	}, nil
 }
 
-// anchorSpeedup fills Speedup = T(1 rank)/T(P) against the sweep's 1-rank
-// point; a sweep without a 1-rank baseline is a caller error rather than a
-// silently relabeled baseline (the JSON field is named speedup_vs_1rank).
-func anchorSpeedup(points []ShardPoint) error {
-	base1 := -1
-	for i, pt := range points {
-		if pt.Ranks == 1 {
-			base1 = i
-			break
-		}
-	}
-	if base1 < 0 {
-		return fmt.Errorf("bench: shard sweep lacks the 1-rank baseline")
-	}
-	for i := range points {
-		points[i].Speedup = points[base1].NsPerStep / points[i].NsPerStep
-	}
-	return nil
-}
-
-// ShardStrongScaling runs the sharded LJ engine at each slab rank count
-// over the same initial configuration (fixed total problem size — strong
-// scaling), best-of-ShardTrials wall times. balance enables dynamic
-// boundary balancing (the uniform fcc workload barely moves the cuts; see
-// ShardHotSpot for the sweep where balancing matters).
-func ShardStrongScaling(rankCounts []int, cells, steps int, balance bool) ([]ShardPoint, error) {
-	if len(rankCounts) == 0 {
-		return nil, fmt.Errorf("bench: no rank counts given")
-	}
-	base, err := newShardLJSystem(cells, 3e-4)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]ShardPoint, 0, len(rankCounts))
-	for _, p := range rankCounts {
-		pt, err := measureShardConfig(base, shard.Config{
-			Grid: [3]int{p, 1, 1}, Cutoff: 2.0, Skin: 0.3,
-			Net:     cluster.Slingshot11(),
-			NewFF:   shard.LJFactory(0.01, 1.0),
-			Balance: balance,
-		}, steps)
-		if err != nil {
-			return nil, err
-		}
-		pt.Ranks = p
-		points = append(points, pt)
-	}
-	if err := anchorSpeedup(points); err != nil {
-		return nil, err
-	}
-	return points, nil
-}
-
 // GridShapes is the default grid-vs-slab sweep of `bench-scaling -grid`:
 // for each rank count 2/4/8 the slab (Px1x1) against the most compact 3-D
 // grid that fits the benchmark box, anchored by the 1x1x1 baseline.
@@ -156,13 +90,22 @@ var GridShapes = [][3]int{
 }
 
 // ShardGridScaling measures the same fixed-size LJ problem decomposed over
-// each domain-grid shape (BENCH_PR3.json / `make bench3`): the grid-vs-slab
+// each domain-grid shape (strong scaling, static cuts): the grid-vs-slab
 // comparison quantifies what the 3-D decomposition buys — smaller halo
 // surface and shorter per-axis rings — net of the extra per-axis exchange
-// latency. balance enables dynamic boundary balancing.
-func ShardGridScaling(shapes [][3]int, cells, steps int, balance bool) ([]ShardPoint, error) {
-	if len(shapes) == 0 {
-		return nil, fmt.Errorf("bench: no grid shapes given")
+// latency. The shapes must include 1x1x1, the Speedup baseline.
+func ShardGridScaling(shapes [][3]int, cells, steps int) ([]ShardPoint, error) {
+	base1 := -1
+	for i, g := range shapes {
+		if g == [3]int{1, 1, 1} {
+			base1 = i
+			break
+		}
+	}
+	if base1 < 0 {
+		// Without the 1-rank point the Speedup column would silently take
+		// another shape as its baseline.
+		return nil, fmt.Errorf("bench: shard sweep lacks the 1-rank baseline")
 	}
 	base, err := newShardLJSystem(cells, 3e-4)
 	if err != nil {
@@ -172,9 +115,8 @@ func ShardGridScaling(shapes [][3]int, cells, steps int, balance bool) ([]ShardP
 	for _, g := range shapes {
 		pt, err := measureShardConfig(base, shard.Config{
 			Grid: g, Cutoff: 2.0, Skin: 0.3,
-			Net:     cluster.Slingshot11(),
-			NewFF:   shard.LJFactory(0.01, 1.0),
-			Balance: balance,
+			Net:   cluster.Slingshot11(),
+			NewFF: shard.LJFactory(0.01, 1.0),
 		}, steps)
 		if err != nil {
 			return nil, err
@@ -183,32 +125,10 @@ func ShardGridScaling(shapes [][3]int, cells, steps int, balance bool) ([]ShardP
 		pt.Grid = fmt.Sprintf("%dx%dx%d", g[0], g[1], g[2])
 		points = append(points, pt)
 	}
-	if err := anchorSpeedup(points); err != nil {
-		return nil, err
+	for i := range points {
+		points[i].Speedup = points[base1].NsPerStep / points[i].NsPerStep
 	}
 	return points, nil
-}
-
-// ShardScalingDocument wraps points with the environment header.
-func ShardScalingDocument(points []ShardPoint) ShardScalingDoc {
-	return shardDocument("shard strong scaling, fcc LJ, best-of-7 wall clock", points)
-}
-
-// ShardGridDocument is the committable BENCH_PR3.json document.
-func ShardGridDocument(points []ShardPoint) ShardScalingDoc {
-	return shardDocument("shard 3-D grid vs slab strong scaling, fcc LJ, best-of-7 wall clock", points)
-}
-
-func shardDocument(benchmark string, points []ShardPoint) ShardScalingDoc {
-	return ShardScalingDoc{
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    os.Getenv("MLMD_WORKERS"),
-		Benchmark:  benchmark,
-		Points:     points,
-	}
 }
 
 // ShardScalingTable formats the measurements.
@@ -218,11 +138,7 @@ func ShardScalingTable(points []ShardPoint) string {
 		points[0].Atoms, points[0].Steps, ShardTrials, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "%6s %10s %14s %12s %16s\n", "ranks", "grid", "ns/step", "speedup", "model comm (ms)")
 	for _, pt := range points {
-		grid := pt.Grid
-		if grid == "" {
-			grid = fmt.Sprintf("%dx1x1", pt.Ranks)
-		}
-		fmt.Fprintf(&b, "%6d %10s %14.0f %12.3f %16.3f\n", pt.Ranks, grid, pt.NsPerStep, pt.Speedup, pt.CommS*1e3)
+		fmt.Fprintf(&b, "%6d %10s %14.0f %12.3f %16.3f\n", pt.Ranks, pt.Grid, pt.NsPerStep, pt.Speedup, pt.CommS*1e3)
 	}
 	return b.String()
 }

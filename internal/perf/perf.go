@@ -1,65 +1,13 @@
 // Package perf provides the measurement machinery of the benchmark harness:
-// wall-clock timers, FLOP-rate helpers, the time-to-solution (T2S) metrics
-// the paper uses to compare against the state of the art, and plain-text
-// table formatting for the Tables I–V and Figs. 4–5 reproductions.
+// a FLOP-rate helper, the time-to-solution (T2S) metrics the paper uses to
+// compare against the state of the art, and plain-text table formatting for
+// the Tables I–V and Figs. 4–5 reproductions.
 package perf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 )
-
-// Timer accumulates named wall-clock spans.
-type Timer struct {
-	totals map[string]time.Duration
-	starts map[string]time.Time
-}
-
-// NewTimer returns an empty timer.
-func NewTimer() *Timer {
-	return &Timer{totals: map[string]time.Duration{}, starts: map[string]time.Time{}}
-}
-
-// Start begins (or resumes) the named span.
-func (t *Timer) Start(name string) { t.starts[name] = time.Now() }
-
-// Stop ends the named span, accumulating its duration.
-func (t *Timer) Stop(name string) {
-	if s, ok := t.starts[name]; ok {
-		t.totals[name] += time.Since(s)
-		delete(t.starts, name)
-	}
-}
-
-// Total returns the accumulated time of a span.
-func (t *Timer) Total(name string) time.Duration { return t.totals[name] }
-
-// Summary renders all spans sorted by descending time.
-func (t *Timer) Summary() string {
-	type kv struct {
-		k string
-		v time.Duration
-	}
-	keys := make([]string, 0, len(t.totals))
-	for k := range t.totals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]kv, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, kv{k, t.totals[k]})
-	}
-	// Stable on the name-sorted rows, so spans with equal totals render in
-	// a deterministic (ascending-name) order.
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].v > rows[j].v })
-	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %12s\n", r.k, r.v)
-	}
-	return b.String()
-}
 
 // T2SElectron returns the paper's Maxwell–Ehrenfest time-to-solution metric:
 // wall-clock seconds per QD step per electron (Table I).
@@ -151,22 +99,4 @@ func (t *Table) String() string {
 		line(r)
 	}
 	return b.String()
-}
-
-// Speedup returns baseline/current, guarding division by zero.
-func Speedup(baseline, current float64) float64 {
-	if current <= 0 {
-		return 0
-	}
-	return baseline / current
-}
-
-// Efficiency returns the parallel efficiency of a scaling point:
-// weak scaling — speed(P)/speed(P0) · P0/P with speed in work/second;
-// pass the isogranular speedup and the rank ratio.
-func Efficiency(speedup, rankRatio float64) float64 {
-	if rankRatio <= 0 {
-		return 0
-	}
-	return speedup / rankRatio
 }

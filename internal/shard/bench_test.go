@@ -10,8 +10,7 @@ import (
 )
 
 // BenchmarkShardStep measures one decomposed MD step at each rank count on
-// the same fixed-size LJ problem (strong scaling). `make bench2` feeds this
-// through bench2json into BENCH_PR2.json.
+// the same fixed-size LJ problem (strong scaling).
 func BenchmarkShardStep(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {

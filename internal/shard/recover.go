@@ -85,7 +85,7 @@ type RecoverStats struct {
 	ResumedFrom string
 	// DetectToResume is the recovery latency of the last restart: from
 	// failure detection to the completion of the first resumed step on the
-	// rebuilt mesh (the BENCH_PR8 metric).
+	// rebuilt mesh (what `bench-scaling -recover` reports).
 	DetectToResume time.Duration
 }
 
