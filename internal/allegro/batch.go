@@ -132,8 +132,7 @@ type BlockEval struct {
 // chunks of at most net.BlockSize rows (0 = one chunk); per-row results are
 // independent of the grouping, and under EvalBatched they are bitwise
 // identical to per-atom EvalAtom inference. net supplies the weights and
-// shifts (the committee evaluates several nets over one gather); it must
-// share m's layer sizes.
+// shifts; it must share m's layer sizes.
 //
 //mlmd:hotpath
 func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, be *BlockEval, eAtom, gdRows []float64, gdStride int) {
@@ -260,8 +259,8 @@ func growF64(s []float64, n int) []float64 {
 // ascending atom order (pass 3) —
 // so the per-part dE/dx accumulators and energies are bitwise identical
 // to the per-atom path's. net supplies weights/shifts and dE/dx merges
-// into F (−dE/dx): the committee evaluates several nets over one gather
-// by passing gathered=true after the first member.
+// into F (−dE/dx); gathered=true reuses the parts' gather of the previous
+// call. Every caller passes net = m and gathered = false.
 //
 //mlmd:hotpath
 func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, hi int, gathered bool) float64 {

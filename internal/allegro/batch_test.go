@@ -63,50 +63,6 @@ func TestBatchedEvalBitwiseMatchesPerAtom(t *testing.T) {
 	}
 }
 
-// TestCommitteeBatchedMatchesStandaloneMembers: the committee's shared-gather
-// batched path must reproduce, bitwise, each member's standalone batched
-// forces and energy — the gather is member-independent and the per-member
-// arithmetic is the same code.
-func TestCommitteeBatchedMatchesStandaloneMembers(t *testing.T) {
-	sys := distortedLattice(t)
-	c, err := NewCommittee(testSpec(), []int{8}, 3, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range c.Members {
-		m.Mode, m.BlockSize = EvalBatched, 7
-	}
-	eMean := c.ComputeForces(sys)
-	memberF := make([][]float64, len(c.Members))
-	for k := range c.Members {
-		memberF[k] = append([]float64(nil), c.fBuf[k]...)
-	}
-	memberE := append([]float64(nil), c.es...)
-
-	var eSum float64
-	for k, m := range c.Members {
-		e := m.ComputeForces(sys)
-		eSum += e
-		if math.Float64bits(e) != math.Float64bits(memberE[k]) {
-			t.Errorf("member %d: committee energy %v != standalone %v", k, memberE[k], e)
-		}
-		for i := range sys.F {
-			if math.Float64bits(sys.F[i]) != math.Float64bits(memberF[k][i]) {
-				t.Fatalf("member %d: committee F[%d] = %v != standalone %v",
-					k, i, memberF[k][i], sys.F[i])
-			}
-		}
-	}
-	if want := eSum / float64(len(c.Members)); math.Abs(eMean-want) > 1e-12*math.Max(1, math.Abs(want)) {
-		t.Errorf("committee mean energy %v, want %v", eMean, want)
-	}
-	// Disagreement must still work on the reused buffer.
-	d := c.Disagreement(sys)
-	if len(d) != sys.N {
-		t.Fatalf("disagreement length %d, want %d", len(d), sys.N)
-	}
-}
-
 // TestBatchedMixedTracksFloat64: the GEMMMixed float32 variant is not
 // bitwise-comparable, but it must track the float64 result to float32-level
 // accuracy for both supported compute modes.

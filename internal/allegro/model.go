@@ -2,7 +2,6 @@ package allegro
 
 import (
 	"fmt"
-	"math"
 
 	"mlmd/internal/md"
 	"mlmd/internal/nn"
@@ -324,23 +323,6 @@ func (m *Model) MemoryEstimate(atoms int) int64 {
 	const neighborPrefactor = 100 // paper: 50–200
 	perAtom := int64(3*8+4) + neighborPrefactor*8
 	return int64(m.NumWeights())*8 + int64(block)*perAtom
-}
-
-// ForceError returns RMS and max force component errors against a reference
-// force field on the same system.
-func ForceError(sys *md.System, model, ref md.ForceField) (rms, worst float64) {
-	ref.ComputeForces(sys)
-	fRef := append([]float64(nil), sys.F...)
-	model.ComputeForces(sys)
-	var sum float64
-	for i := range fRef {
-		d := sys.F[i] - fRef[i]
-		sum += d * d
-		if a := math.Abs(d); a > worst {
-			worst = a
-		}
-	}
-	return math.Sqrt(sum / float64(len(fRef))), worst
 }
 
 // String implements fmt.Stringer.

@@ -79,23 +79,6 @@ func PVCTile() *Device {
 	}
 }
 
-// XeonCore returns one Sapphire Rapids HBM core (the QXMD side of the
-// shadow-dynamics split).
-func XeonCore() *Device {
-	return &Device{
-		Name:     "Xeon-Max-core",
-		PeakFP64: 35e9,
-		SustainedFrac: map[KernelClass]float64{
-			KernelGEMM:    0.70,
-			KernelStencil: 0.10,
-			KernelNN:      0.25,
-		},
-		FP64Throttle: 1.0,
-		BF16Speedup:  1.0,
-		MemoryBytes:  2 << 30,
-	}
-}
-
 // Throughput returns the sustained FLOP/s of the device for a kernel class
 // under a precision mode.
 func (d *Device) Throughput(class KernelClass, mode precision.Mode) float64 {

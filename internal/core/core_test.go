@@ -120,25 +120,6 @@ func TestDCMESHTimeAdvances(t *testing.T) {
 	}
 }
 
-func TestSetExternalPotentialGathers(t *testing.T) {
-	m := smallDCMESH(t, 0)
-	g := m.Cfg.Global
-	v := make([]float64, g.Len())
-	for i := range v {
-		v[i] = float64(i % 7)
-	}
-	m.SetExternalPotential(v)
-	// Spot-check one domain's core region value.
-	d := m.Domains[0]
-	local := make([]float64, d.G.Len())
-	m.Decomp.GatherLocal(d.Dom, v, local)
-	for i := range local {
-		if d.H.Vloc[i] != local[i] {
-			t.Fatal("external potential not gathered into domain")
-		}
-	}
-}
-
 func newAnalyticXSNNQMD(t testing.TB, nx, ny, nz int) *XSNNQMD {
 	t.Helper()
 	sys, lat, err := ferro.NewLattice(nx, ny, nz)

@@ -172,8 +172,7 @@ func NewDCMESH(cfg DCMESHConfig) (*DCMESH, error) {
 func newDomainState(cfg DCMESHConfig, decomp *dc.Decomposition, field *maxwell.Field, dom dc.Domain) (*DomainState, error) {
 	lg := decomp.LocalGrid(dom)
 	h := tddft.NewHamiltonian(lg, grid.Order2)
-	// Default external potential: a soft harmonic confinement per
-	// domain (replaced by SetExternalPotential for material runs).
+	// External potential: a soft harmonic confinement per domain.
 	tddft.HarmonicPotential(lg, 0.04, h.Vloc)
 	psi, energies := tddft.GroundState(h, cfg.Norb, cfg.GroundIters, cfg.Seed+int64(dom.ID))
 	occ0 := make([]float64, cfg.Norb)
@@ -201,16 +200,6 @@ func newDomainState(cfg DCMESHConfig, decomp *dc.Decomposition, field *maxwell.F
 		occ:     make([]float64, cfg.Norb),
 		overlap: make([]complex128, cfg.Norb*cfg.Norb),
 	}, nil
-}
-
-// SetExternalPotential installs a global external potential (e.g. the ionic
-// potential from atomic positions), gathered into every domain with buffers.
-func (m *DCMESH) SetExternalPotential(vGlobal []float64) {
-	for _, d := range m.Domains {
-		local := make([]float64, d.G.Len())
-		m.Decomp.GatherLocal(d.Dom, vGlobal, local)
-		copy(d.H.Vloc, local)
-	}
 }
 
 // Time returns the elapsed simulation time (a.u.).
@@ -246,6 +235,38 @@ func (m *DCMESH) MDStep() []float64 {
 		m.nExc[i] = d.NExc
 	}
 	return m.nExc
+}
+
+// advanceDomain runs MDStep's per-domain Ehrenfest + SH update: ax is the
+// domain's vector-potential history, one value per QD sub-step.
+func (m *DCMESH) advanceDomain(d *DomainState, ax []float64) {
+	cfg := m.Cfg
+	d.Prop.RunDriven(d.Psi, cfg.DtQD, ax)
+	surv := tddft.ProjectOccupations(d.Psi0, d.Psi)
+	occ := d.occ
+	var promoted float64
+	for s := range occ {
+		occ[s] = d.Occ0[s] * surv[s]
+		promoted += d.Occ0[s] * (1 - surv[s])
+	}
+	nEmpty := 0
+	for s := range occ {
+		if d.Occ0[s] < 0.5 {
+			nEmpty++
+		}
+	}
+	if nEmpty > 0 {
+		for s := range occ {
+			if d.Occ0[s] < 0.5 {
+				occ[s] += promoted / float64(nEmpty)
+			}
+		}
+	}
+	copy(d.SH.F, occ)
+	dtMD := float64(cfg.NQD) * cfg.DtQD
+	couplings := m.domainCouplings(d, dtMD)
+	d.SH.Step(couplings, dtMD)
+	d.NExc = tddft.ExcitedPopulation(d.Occ0, d.SH.F)
 }
 
 // sampleField sub-cycles the FDTD field across one MD step, recording

@@ -70,14 +70,6 @@ func (eh *EffectiveHamiltonian) SetExcitation(w float64) {
 	}
 }
 
-// SetExcitationPerCell assigns per-cell excited fractions (copied).
-func (eh *EffectiveHamiltonian) SetExcitationPerCell(w []float64) {
-	if len(w) != eh.Lat.NumCells() {
-		panic("ferro: excitation length mismatch")
-	}
-	eh.W = append(eh.W[:0], w...)
-}
-
 // AEff returns the effective quadratic coefficient of cell c,
 // A·(1 − 2 w_c). Exported so decomposed evaluators (internal/shard) can
 // reproduce the per-cell force with bitwise-identical arithmetic.

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"math"
-
-	"mlmd/internal/par"
-)
+import "mlmd/internal/par"
 
 // gemmRowGrain returns the row-chunk size for sharding an m×n×k GEMM over
 // the worker pool: aim for ~1 MFLOP per chunk so dynamic claiming stays
@@ -119,59 +115,4 @@ func (j *GEMM64Job) Run(m, n, k int, alpha float64, a []float64, lda int, b []fl
 	j.lda, j.ldb, j.ldc = lda, ldb, ldc
 	par.For(m, gemmRowGrain(n, k, 2), j.fn)
 	AddFlops(GEMMFlops(m, n, k))
-}
-
-// MatVec64 computes y = A x for a dense row-major m×n matrix, sharded over
-// the worker pool by rows.
-//
-//mlmd:hotpath
-func MatVec64(m, n int, a []float64, lda int, x, y []float64) {
-	grain := 1
-	if n > 0 {
-		if grain = 16384 / n; grain < 1 {
-			grain = 1
-		}
-	}
-	par.For(m, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			row := a[i*lda : i*lda+n]
-			var sum float64
-			for j, v := range row {
-				sum += v * x[j]
-			}
-			y[i] = sum
-		}
-	})
-	AddFlops(2 * uint64(m) * uint64(n))
-}
-
-// Dot64 returns the dot product of two equal-length vectors.
-//
-//mlmd:hotpath
-func Dot64(x, y []float64) float64 {
-	var sum float64
-	for i := range x {
-		sum += x[i] * y[i]
-	}
-	return sum
-}
-
-// Norm2 returns the Euclidean norm of x.
-//
-//mlmd:hotpath
-func Norm2(x []float64) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// Axpy64 computes y += alpha*x.
-//
-//mlmd:hotpath
-func Axpy64(alpha float64, x, y []float64) {
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }

@@ -200,80 +200,6 @@ func TestFlopLedger(t *testing.T) {
 	}
 }
 
-func TestJacobiEigenKnownMatrix(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 1 and 3.
-	vals, vecs, err := JacobiEigenSym(2, []float64{2, 1, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vals[0]-1) > 1e-10 || math.Abs(vals[1]-3) > 1e-10 {
-		t.Errorf("eigenvalues = %v, want [1 3]", vals)
-	}
-	// Eigenvector for λ=3 is (1,1)/√2 up to sign.
-	v := vecs[2:4]
-	if math.Abs(math.Abs(v[0])-1/math.Sqrt2) > 1e-10 || math.Abs(v[0]-v[1]) > 1e-10 {
-		t.Errorf("eigenvector for λ=3 = %v", v)
-	}
-}
-
-func TestJacobiEigenResiduals(t *testing.T) {
-	n := 10
-	rng := rand.New(rand.NewSource(4))
-	a := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			a[i*n+j], a[j*n+i] = v, v
-		}
-	}
-	vals, vecs, err := JacobiEigenSym(n, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ascending order.
-	for i := 1; i < n; i++ {
-		if vals[i] < vals[i-1] {
-			t.Fatalf("eigenvalues not sorted: %v", vals)
-		}
-	}
-	// ||A v - λ v|| small for each pair; vectors orthonormal.
-	for r := 0; r < n; r++ {
-		v := vecs[r*n : (r+1)*n]
-		av := make([]float64, n)
-		MatVec64(n, n, a, n, v, av)
-		for i := 0; i < n; i++ {
-			if math.Abs(av[i]-vals[r]*v[i]) > 1e-8 {
-				t.Fatalf("residual too large for eigenpair %d", r)
-			}
-		}
-		for s := 0; s <= r; s++ {
-			dot := Dot64(v, vecs[s*n:(s+1)*n])
-			want := 0.0
-			if s == r {
-				want = 1
-			}
-			if math.Abs(dot-want) > 1e-8 {
-				t.Fatalf("eigenvectors not orthonormal (%d,%d): %g", r, s, dot)
-			}
-		}
-	}
-}
-
-func TestVectorHelpers(t *testing.T) {
-	x := []float64{3, 4}
-	if Norm2(x) != 5 {
-		t.Errorf("Norm2 = %g", Norm2(x))
-	}
-	y := []float64{1, 1}
-	if Dot64(x, y) != 7 {
-		t.Errorf("Dot64 = %g", Dot64(x, y))
-	}
-	Axpy64(2, x, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Errorf("Axpy64 = %v", y)
-	}
-}
-
 func BenchmarkCGEMMNaive128(b *testing.B)    { benchCGEMM(b, CGEMM, 128) }
 func BenchmarkCGEMMBlocked128(b *testing.B)  { benchCGEMM(b, CGEMMBlocked, 128) }
 func BenchmarkCGEMMParallel128(b *testing.B) { benchCGEMM(b, CGEMMParallel, 128) }

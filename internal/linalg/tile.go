@@ -9,8 +9,8 @@ type gemmElem interface {
 
 // tileNoTransB accumulates op(A)·B (with alpha folded into getA) into C
 // rows [ii,iMax) over the k-range [pp,pMax), for row-major B. It is the
-// shared hot kernel behind GEMM32 and CGEMM32Parallel (complex128 has its
-// own micro-kernel, zgemmTile):
+// hot kernel behind GEMM32 (complex128 has its own micro-kernel,
+// zgemmTile):
 // a 2×2 register tile over (i, p) halves both the C-row store traffic and
 // the B-row load traffic per multiply-add — the seed's axpy form reloaded
 // C once per p — with j-blocks of bsj keeping the working set in L1.

@@ -29,7 +29,7 @@ var hotpathPkgs = map[string]bool{
 // cannot slip through review silently.
 var requiredHotpaths = map[string][]string{
 	"mlmd/internal/par": {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
-	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange",
+	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "cgemmAccumRange",
 		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run",
 		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU"},
 	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row", "sweepShifted", "sweepImages"},

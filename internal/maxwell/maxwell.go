@@ -86,12 +86,6 @@ func (f *Field) Step() {
 	f.t += f.Dt
 }
 
-// EField returns the electric field E = −(1/c) ∂A/∂t at cell i using the
-// backward difference available from the stored levels.
-func (f *Field) EField(i int) float64 {
-	return -(f.A[i] - f.APrev[i]) / (units.LightSpeed * f.Dt)
-}
-
 // Sample returns the vector potential at cell i (the A_X(α) of Eq. 3 for a
 // domain whose macroscopic position maps to cell i).
 func (f *Field) Sample(i int) float64 { return f.A[i] }
@@ -155,27 +149,6 @@ func (p Pulse) EFieldAt(t float64) float64 {
 	env := math.Exp(-0.5 * u * u / (p.Width * p.Width))
 	dA := p.Amplitude * env * (p.Omega*math.Cos(p.Omega*u) - u/(p.Width*p.Width)*math.Sin(p.Omega*u))
 	return -dA / units.LightSpeed
-}
-
-// Fluence returns ∫E²dt, a proxy for the pulse energy per area (a.u.).
-func (p Pulse) Fluence() float64 {
-	if p.Width <= 0 {
-		return 0
-	}
-	// Integrate numerically over ±6σ.
-	n := 4000
-	t0, t1 := p.Center-6*p.Width, p.Center+6*p.Width
-	h := (t1 - t0) / float64(n)
-	sum := 0.0
-	for i := 0; i <= n; i++ {
-		w := 1.0
-		if i == 0 || i == n {
-			w = 0.5
-		}
-		e := p.EFieldAt(t0 + float64(i)*h)
-		sum += w * e * e
-	}
-	return sum * h
 }
 
 // Drive pins the source cell to the analytic pulse at the current time

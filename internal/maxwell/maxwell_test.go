@@ -138,18 +138,6 @@ func TestPulseParameters(t *testing.T) {
 	}
 }
 
-func TestFluenceScalesWithAmplitude(t *testing.T) {
-	p1 := NewPulse(0.01, 0.057, 20, 10)
-	p2 := NewPulse(0.02, 0.057, 20, 10)
-	f1, f2 := p1.Fluence(), p2.Fluence()
-	if f1 <= 0 {
-		t.Fatal("zero fluence")
-	}
-	if math.Abs(f2/f1-4) > 0.01 {
-		t.Errorf("fluence should scale as E0²: ratio %g", f2/f1)
-	}
-}
-
 func TestDriveInjectsPulse(t *testing.T) {
 	f := newTestField(t, 256, 10.0)
 	p := Pulse{Amplitude: 0.5, Omega: 0.06, Center: 100 * f.Dt, Width: 30 * f.Dt}

@@ -2,55 +2,34 @@ package mlmdio
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"mlmd/internal/allegro"
-	"mlmd/internal/ferro"
-	"mlmd/internal/grid"
 	"mlmd/internal/md"
+	"mlmd/internal/units"
 )
 
-func TestXYZRoundTrip(t *testing.T) {
-	sys, _, err := ferro.NewLattice(2, 2, 1)
+// TestWriteXYZBytes pins the extended-XYZ frame byte for byte: atom
+// count, lattice in Angstrom, species names with "X" past SpeciesNames,
+// positions in Angstrom.
+func TestWriteXYZBytes(t *testing.T) {
+	sys, err := md.NewSystem(2, units.Bohr(4), units.Bohr(5), units.Bohr(6))
 	if err != nil {
 		t.Fatal(err)
 	}
+	copy(sys.X, []float64{units.Bohr(1.5), 0, units.Bohr(-2.25), units.Bohr(0.5), units.Bohr(3), units.Bohr(4)})
+	sys.Type[0], sys.Type[1] = 0, len(SpeciesNames)
 	var buf bytes.Buffer
 	if err := WriteXYZ(&buf, sys, "step=1"); err != nil {
 		t.Fatal(err)
 	}
-	names, xyz, err := ReadXYZ(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != sys.N {
-		t.Fatalf("read %d atoms, want %d", len(names), sys.N)
-	}
-	if names[0] != "Pb" || names[1] != "Ti" || names[2] != "O" {
-		t.Errorf("species names wrong: %v", names[:5])
-	}
-	for i := range xyz {
-		if math.Abs(xyz[i]-sys.X[i]) > 1e-6 {
-			t.Fatalf("coordinate %d: %g vs %g", i, xyz[i], sys.X[i])
-		}
-	}
-}
-
-func TestReadXYZErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"abc\ncomment\n",
-		"2\ncomment\nH 0 0 0\n",    // truncated
-		"1\ncomment\nH 0 zero 0\n", // bad coordinate
-		"1\ncomment\nH 0 0\n",      // short line
-	}
-	for _, c := range cases {
-		if _, _, err := ReadXYZ(strings.NewReader(c)); err == nil {
-			t.Errorf("bad input accepted: %q", c)
-		}
+	want := "2\n" +
+		"Lattice=\"4.000000 0 0 0 5.000000 0 0 0 6.000000\" step=1\n" +
+		"Pb     1.50000000     0.00000000    -2.25000000\n" +
+		"X      0.50000000     3.00000000     4.00000000\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteXYZ wrote\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -89,69 +68,8 @@ func TestSystemCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWaveFieldCheckpointRoundTrip(t *testing.T) {
-	g := grid.New(4, 6, 8, 0.5, 0.6, 0.7)
-	w := grid.NewWaveField(g, 3, grid.LayoutSoA)
-	for i := range w.Data {
-		w.Data[i] = complex(float64(i), -float64(i)/2)
-	}
-	var buf bytes.Buffer
-	if err := SaveWaveField(&buf, w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadWaveField(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.G != w.G || got.Norb != w.Norb || got.Layout != w.Layout {
-		t.Fatal("field shape not preserved")
-	}
-	for i := range w.Data {
-		if got.Data[i] != w.Data[i] {
-			t.Fatal("amplitudes not preserved")
-		}
-	}
-}
-
-func TestModelCheckpointRoundTrip(t *testing.T) {
-	spec := allegro.DescriptorSpec{Cutoff: 6, NRadial: 4, NSpecies: 3}
-	m, err := allegro.NewModel(spec, []int{8, 8}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.PerSpeciesShift[1] = -0.5
-	m.BlockSize = 64
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reloaded model must predict identically.
-	sys, _, err2 := ferro.NewLattice(2, 2, 1)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	e1 := m.Energy(sys)
-	e2 := got.Energy(sys)
-	if math.Abs(e1-e2) > 1e-12 {
-		t.Errorf("reloaded model energy %g != original %g", e2, e1)
-	}
-	if got.BlockSize != 64 || got.PerSpeciesShift[1] != -0.5 {
-		t.Error("model metadata not preserved")
-	}
-}
-
 func TestLoadErrorsOnGarbage(t *testing.T) {
 	if _, err := LoadSystem(strings.NewReader("not a gob")); err == nil {
 		t.Error("garbage system accepted")
-	}
-	if _, err := LoadWaveField(strings.NewReader("junk")); err == nil {
-		t.Error("garbage field accepted")
-	}
-	if _, err := LoadModel(strings.NewReader("junk")); err == nil {
-		t.Error("garbage model accepted")
 	}
 }

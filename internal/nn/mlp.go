@@ -305,15 +305,6 @@ func (m *MLP) BackwardInto(t *Tape, gOut []float64, grads *Grads, dst []float64)
 	return dst[:m.Sizes[0]]
 }
 
-// InputGradient returns d(out[0])/dx for a scalar-output network — the
-// analytic derivative used to turn a learned energy into forces.
-func (m *MLP) InputGradient(x []float64) []float64 {
-	t := m.ForwardTape(x)
-	gOut := make([]float64, m.Sizes[len(m.Sizes)-1])
-	gOut[0] = 1
-	return m.Backward(t, gOut, nil)
-}
-
 // Clone returns a deep copy.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{Sizes: append([]int(nil), m.Sizes...), Act: m.Act}

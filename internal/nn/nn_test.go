@@ -73,25 +73,6 @@ func TestWeightGradientsMatchFiniteDifference(t *testing.T) {
 	}
 }
 
-func TestInputGradientMatchesFiniteDifference(t *testing.T) {
-	m, _ := NewMLP([]int{4, 8, 1}, SiLU, 4)
-	x := []float64{0.1, -0.2, 0.3, 0.7}
-	g := m.InputGradient(x)
-	h := 1e-6
-	for i := range x {
-		old := x[i]
-		x[i] = old + h
-		yp := m.Forward(x)[0]
-		x[i] = old - h
-		ym := m.Forward(x)[0]
-		x[i] = old
-		want := (yp - ym) / (2 * h)
-		if math.Abs(g[i]-want) > 1e-6*math.Max(1, math.Abs(want)) {
-			t.Errorf("input grad[%d] = %g, want %g", i, g[i], want)
-		}
-	}
-}
-
 func TestAdamFitsQuadratic(t *testing.T) {
 	// Fit y = 2x1 - 3x2 + 1 with a linear network.
 	m, _ := NewMLP([]int{2, 1}, Linear, 5)

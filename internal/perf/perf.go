@@ -1,7 +1,7 @@
 // Package perf provides the measurement machinery of the benchmark harness:
-// a FLOP-rate helper, the time-to-solution (T2S) metrics the paper uses to
-// compare against the state of the art, and plain-text table formatting for
-// the Tables I–V and Figs. 4–5 reproductions.
+// the time-to-solution (T2S) metrics the paper uses to compare against the
+// state of the art, and plain-text table formatting for the Tables I–V and
+// Figs. 4–5 reproductions.
 package perf
 
 import (
@@ -19,14 +19,6 @@ func T2SElectron(wallPerQDStep float64, electrons int) float64 {
 // seconds per MD step per (atom × network weight) (Table II).
 func T2SAtomWeight(wallPerMDStep float64, atoms, weights int64) float64 {
 	return wallPerMDStep / (float64(atoms) * float64(weights))
-}
-
-// FLOPS returns flops/seconds, guarding zero time.
-func FLOPS(flops uint64, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(flops) / seconds
 }
 
 // Table is a simple fixed-column text table.

@@ -19,15 +19,6 @@ func TestT2SMetrics(t *testing.T) {
 	}
 }
 
-func TestFLOPSGuardsZero(t *testing.T) {
-	if FLOPS(100, 0) != 0 {
-		t.Error("zero time should give zero rate")
-	}
-	if FLOPS(100, 2) != 50 {
-		t.Error("FLOPS arithmetic wrong")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{
 		Title:   "demo",

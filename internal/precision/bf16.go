@@ -32,25 +32,6 @@ func (b BF16) Float32() float32 {
 	return math.Float32frombits(uint32(b) << 16)
 }
 
-// Round64 rounds a float64 through BF16 and back, as a convenience for
-// float64 pipelines that quantize intermediates.
-func Round64(v float64) float64 {
-	return float64(FromFloat32(float32(v)).Float32())
-}
-
-// Split decomposes a float32 into n BF16 components whose float32 sum
-// approximates f with increasing accuracy: f ≈ c0 + c1 + c2. This is the
-// decomposition behind MKL's float_to_BF16xN compute modes.
-func Split(f float32, n int) []BF16 {
-	out := make([]BF16, n)
-	rem := f
-	for i := 0; i < n; i++ {
-		out[i] = FromFloat32(rem)
-		rem -= out[i].Float32()
-	}
-	return out
-}
-
 // Mode selects the GEMM compute mode, mirroring MKL's bf16 options.
 type Mode int
 
@@ -97,23 +78,4 @@ func (m Mode) Components() int {
 		return 3
 	}
 	return 0
-}
-
-// RelCost returns the relative arithmetic cost of the mode versus FP32 = 1
-// on hardware with 2x-rate BF16 systolic arrays: each extra component pair
-// multiplies work but each BF16 product runs faster. These ratios drive the
-// simulated device model; the paper measures FP32/BF16 (our ModeBF16) about
-// 20% faster than FP32 end to end.
-func (m Mode) RelCost() float64 {
-	switch m {
-	case ModeBF16:
-		return 0.5 // one component pair at double rate
-	case ModeBF16x2:
-		return 1.5 // three cross products at double rate
-	case ModeBF16x3:
-		return 3.0 // six cross products at double rate
-	case ModeFP64:
-		return 2.0 // power-throttled FP64 pipe (11 vs 23 TFLOP/s on PVC)
-	}
-	return 1.0
 }

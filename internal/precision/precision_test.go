@@ -63,10 +63,9 @@ func TestSplitConverges(t *testing.T) {
 		v := float32(rng.NormFloat64())
 		var errs [4]float64
 		for n := 1; n <= 3; n++ {
-			comps := Split(v, n)
 			var sum float32
-			for _, c := range comps {
-				sum += c.Float32()
+			for _, c := range splitMatrix([]float32{v}, n) {
+				sum += c[0]
 			}
 			errs[n] = math.Abs(float64(sum - v))
 		}
@@ -158,10 +157,6 @@ func TestModeMetadata(t *testing.T) {
 	}
 	if ModeFP32.Components() != 0 || ModeFP64.Components() != 0 {
 		t.Error("non-BF16 modes must report 0 components")
-	}
-	// Cost ordering: BF16 cheapest, FP64 more than FP32.
-	if !(ModeBF16.RelCost() < ModeFP32.RelCost() && ModeFP32.RelCost() < ModeFP64.RelCost()) {
-		t.Error("relative cost ordering wrong")
 	}
 	for _, m := range []Mode{ModeFP32, ModeBF16, ModeBF16x2, ModeBF16x3, ModeFP64} {
 		if m.String() == "unknown" {

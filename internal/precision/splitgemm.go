@@ -86,26 +86,3 @@ func FrobRelError(got []float32, ref []float64) float64 {
 	}
 	return math.Sqrt(num / den)
 }
-
-// MaxRelError returns the maximum elementwise relative error of got versus
-// a float64 reference, with a floor to avoid dividing by tiny references.
-func MaxRelError(got []float32, ref []float64) float64 {
-	var worst float64
-	for i := range got {
-		den := ref[i]
-		if den < 0 {
-			den = -den
-		}
-		if den < 1e-6 {
-			den = 1e-6
-		}
-		d := float64(got[i]) - ref[i]
-		if d < 0 {
-			d = -d
-		}
-		if e := d / den; e > worst {
-			worst = e
-		}
-	}
-	return worst
-}

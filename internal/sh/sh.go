@@ -131,37 +131,6 @@ func (s *State) Excite(a, b int, n float64) float64 {
 	return s.F[b] - before
 }
 
-// HotElectronRelaxation applies one step of energy relaxation toward a
-// Fermi-Dirac distribution at temperature KT with rate 1/tau: the
-// phenomenological electron-phonon channel that cools the photoexcited
-// carriers between SH events.
-func (s *State) HotElectronRelaxation(mu, tau, dt float64) {
-	if tau <= 0 {
-		return
-	}
-	x := dt / tau
-	if x > 1 {
-		x = 1
-	}
-	// Conserve total occupation: relax toward FD, then rescale.
-	total := s.TotalOccupation()
-	var newTotal float64
-	for i := range s.F {
-		fd := FermiDirac(s.E[i], mu, s.KT)
-		s.F[i] += x * (fd - s.F[i])
-		newTotal += s.F[i]
-	}
-	if newTotal > 0 {
-		scale := total / newTotal
-		for i := range s.F {
-			s.F[i] *= scale
-			if s.F[i] > 1 {
-				s.F[i] = 1
-			}
-		}
-	}
-}
-
 // FermiDirac returns the FD occupation at energy e, chemical potential mu,
 // thermal energy kT (Hartree).
 func FermiDirac(e, mu, kT float64) float64 {

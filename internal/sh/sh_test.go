@@ -130,25 +130,6 @@ func TestFermiDirac(t *testing.T) {
 	}
 }
 
-func TestHotElectronRelaxationApproachesFD(t *testing.T) {
-	e := []float64{-0.3, -0.1, 0.1, 0.3}
-	// Strongly inverted initial population.
-	s, _ := NewState(e, []float64{0.1, 0.2, 0.8, 0.9}, 0.05, 6)
-	total := s.TotalOccupation()
-	for i := 0; i < 5000; i++ {
-		s.HotElectronRelaxation(0, 10, 1.0)
-	}
-	if math.Abs(s.TotalOccupation()-total) > 1e-6 {
-		t.Errorf("relaxation broke conservation: %g vs %g", s.TotalOccupation(), total)
-	}
-	// Ordering must now follow energies (colder distribution).
-	for i := 1; i < len(s.F); i++ {
-		if s.F[i] > s.F[i-1]+1e-9 {
-			t.Errorf("occupations not monotone after relaxation: %v", s.F)
-		}
-	}
-}
-
 func TestCouplingsFromOverlaps(t *testing.T) {
 	n := 3
 	o := make([]complex128, n*n)

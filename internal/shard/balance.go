@@ -244,16 +244,6 @@ func (e *Engine) RankLoads() []float64 {
 	return out
 }
 
-// OwnedCounts returns each rank's owned-atom count (zeros for ranks hosted
-// by other processes).
-func (e *Engine) OwnedCounts() []int {
-	out := make([]int, e.p)
-	for _, rs := range e.local {
-		out[rs.rank] = rs.nOwn
-	}
-	return out
-}
-
 // LoadImbalance returns max/mean over the hosted ranks of the per-rank
 // step-time load EWMA — 1.0 is perfect balance; a bulk-synchronous step
 // wastes (imbalance−1)/imbalance of the machine. Returns 0 before any step

@@ -160,12 +160,6 @@ func (e *GridEngine) Close() { e.rt.Close() }
 // Ranks returns the rank count P.
 func (e *GridEngine) Ranks() int { return e.p }
 
-// Grid returns the Px×Py×Pz domain grid shape.
-func (e *GridEngine) Grid() [3]int { return e.grid.P }
-
-// N returns the global lattice size.
-func (e *GridEngine) N() [3]int { return e.n }
-
 // ModeledCommSeconds returns the communicator's virtual wall clock.
 func (e *GridEngine) ModeledCommSeconds() float64 { return e.comm.MaxClock() }
 

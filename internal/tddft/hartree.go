@@ -139,12 +139,6 @@ func (hs *HartreeSolver) StepDSA(rho []float64, iters int) float64 {
 // Potential returns the DSA solver's current potential (live slice).
 func (hs *HartreeSolver) Potential() []float64 { return hs.v }
 
-// Seed initializes the DSA state from an externally computed potential.
-func (hs *HartreeSolver) Seed(v []float64) {
-	copy(hs.v, v)
-	copy(hs.vPrev, v)
-}
-
 // XCPotentialLDA fills vxc with the Slater exchange (Dirac LDA,
 // v_x = −(3/π)^{1/3} n^{1/3}), the local exchange-correlation model used for
 // the domain-local potential. Negative densities are clamped to zero.

@@ -101,53 +101,3 @@ func quantScalar(v float64, comps int) float64 {
 func ScissorFlops(ngrid, norb int) uint64 {
 	return linalg.CGEMMFlops(norb, norb, ngrid) + linalg.CGEMMFlops(ngrid, norb, norb)
 }
-
-// Projector is one separable Kleinman–Bylander-style nonlocal
-// pseudopotential channel: v_nl = Σ_a |p_a⟩ e_a ⟨p_a|.
-type Projector struct {
-	// P is the Ngrid×Nproj projector matrix (real), column a = p_a(r).
-	P []float64
-	// E holds the channel strengths e_a (Hartree).
-	E     []float64
-	Nproj int
-}
-
-// ApplyKB adds the Kleinman–Bylander nonlocal action to dst:
-// dst += Σ_a |p_a⟩ e_a ⟨p_a|src⟩. Both fields SoA. The two steps are the
-// same GEMM pattern as Eq. (5) with a tall-skinny projector matrix.
-func (pr *Projector) ApplyKB(src, dst *grid.WaveField) {
-	ngrid := src.G.Len()
-	norb := src.Norb
-	dv := src.G.DV()
-	// C[a][s] = Σ_g P[g][a] * src[g][s] * dv  (Nproj×Norb).
-	c := make([]complex128, pr.Nproj*norb)
-	for g := 0; g < ngrid; g++ {
-		row := src.Data[g*norb : (g+1)*norb]
-		for a := 0; a < pr.Nproj; a++ {
-			p := complex(pr.P[g*pr.Nproj+a]*dv, 0)
-			if p == 0 {
-				continue
-			}
-			crow := c[a*norb : (a+1)*norb]
-			for s := range row {
-				crow[s] += p * row[s]
-			}
-		}
-	}
-	linalg.AddFlops(8 * uint64(ngrid) * uint64(pr.Nproj) * uint64(norb))
-	// dst[g][s] += Σ_a P[g][a] e_a C[a][s].
-	for g := 0; g < ngrid; g++ {
-		drow := dst.Data[g*norb : (g+1)*norb]
-		for a := 0; a < pr.Nproj; a++ {
-			pe := complex(pr.P[g*pr.Nproj+a]*pr.E[a], 0)
-			if pe == 0 {
-				continue
-			}
-			crow := c[a*norb : (a+1)*norb]
-			for s := range drow {
-				drow[s] += pe * crow[s]
-			}
-		}
-	}
-	linalg.AddFlops(8 * uint64(ngrid) * uint64(pr.Nproj) * uint64(norb))
-}

@@ -206,40 +206,6 @@ func TestScissorBF16ModesAccuracyLadder(t *testing.T) {
 	}
 }
 
-func TestKBProjectorHermitianAndTargeted(t *testing.T) {
-	g := grid.NewCubic(8, 0.8)
-	norb := 3
-	nproj := 2
-	pr := &Projector{Nproj: nproj, E: []float64{0.5, -0.3}, P: make([]float64, g.Len()*nproj)}
-	for gi := 0; gi < g.Len(); gi++ {
-		ix, iy, iz := g.Coords(gi)
-		x, y, z := g.Position(ix, iy, iz)
-		lx, ly, lz := g.LxLyLz()
-		dx, dy, dz := x-lx/2, y-ly/2, z-lz/2
-		r2 := dx*dx + dy*dy + dz*dz
-		pr.P[gi*nproj+0] = math.Exp(-r2)
-		pr.P[gi*nproj+1] = dx * math.Exp(-r2)
-	}
-	src := randField(g, norb, grid.LayoutSoA, 9)
-	dst := grid.NewWaveField(g, norb, grid.LayoutSoA)
-	pr.ApplyKB(src, dst)
-	// ⟨φ|V|ψ⟩ = ⟨ψ|V|φ⟩* (Hermiticity of the separable form).
-	phi := randField(g, norb, grid.LayoutSoA, 10)
-	vphi := grid.NewWaveField(g, norb, grid.LayoutSoA)
-	pr.ApplyKB(phi, vphi)
-	dv := complex(g.DV(), 0)
-	var lhs, rhs complex128
-	for gi := 0; gi < g.Len(); gi++ {
-		lhs += cmplx.Conj(phi.Data[gi*norb]) * dst.Data[gi*norb]
-		rhs += cmplx.Conj(src.Data[gi*norb]) * vphi.Data[gi*norb]
-	}
-	lhs *= dv
-	rhs *= dv
-	if cmplx.Abs(lhs-cmplx.Conj(rhs)) > 1e-10 {
-		t.Errorf("KB projector not Hermitian: %v vs conj(%v)", lhs, rhs)
-	}
-}
-
 func TestHartreeDSAConvergesToFFT(t *testing.T) {
 	g := grid.NewCubic(16, 0.7)
 	hs, err := NewHartreeSolver(g)

@@ -4,8 +4,6 @@
 // units for I/O and reporting.
 package units
 
-import "math"
-
 // Fundamental constants in atomic units.
 const (
 	Hbar         = 1.0 // reduced Planck constant
@@ -65,17 +63,3 @@ func ThermalEnergy(kelvin float64) float64 { return kelvin * HartreePerKelvin }
 
 // Temperature returns the temperature in kelvin for a thermal energy in Hartree.
 func Temperature(hartree float64) float64 { return hartree * KelvinPerHartree }
-
-// PhotonEnergy returns the photon energy (Hartree) of light with the given
-// wavelength in nanometers.
-func PhotonEnergy(wavelengthNM float64) float64 {
-	lambdaBohr := wavelengthNM * 10 * BohrPerAngstrom
-	return 2 * math.Pi * LightSpeed / lambdaBohr
-}
-
-// Wavelength returns the wavelength in nanometers of a photon with the given
-// energy in Hartree.
-func Wavelength(hartree float64) float64 {
-	lambdaBohr := 2 * math.Pi * LightSpeed / hartree
-	return lambdaBohr * AngstromPerBohr / 10
-}

@@ -43,14 +43,6 @@ func TestKnownValues(t *testing.T) {
 	approx(t, ThermalEnergy(300), 300.0/315775.02480407, 1e-12, "ThermalEnergy(300)")
 }
 
-func TestPhotonEnergy(t *testing.T) {
-	// 800 nm Ti:sapphire photon is about 1.55 eV.
-	e := EV(PhotonEnergy(800))
-	approx(t, e, 1.5498, 1e-3, "photon 800nm")
-	// Round trip through Wavelength.
-	approx(t, Wavelength(PhotonEnergy(400)), 400, 1e-12, "Wavelength(PhotonEnergy)")
-}
-
 func TestMassAU(t *testing.T) {
 	approx(t, MassAU(1), 1822.888486209, 1e-12, "MassAU(1)")
 	if MassAU(MassPbAMU) < MassAU(MassOAMU) {
