@@ -106,7 +106,7 @@ WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList
-LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows
+LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows FuzzGroundKernels
 FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).

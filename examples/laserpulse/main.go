@@ -42,6 +42,7 @@ func main() {
 	cell := field.CellFor(lx / 2)
 
 	rho := make([]float64, g.Len())
+	surv := make([]float64, psi.Norb)
 	fieldSteps := int(dtQD/field.Dt) + 1
 	fmt.Println("\n  t [as]    A(x0)      dipole_x   survival")
 	for step := 0; step < 150; step++ {
@@ -51,9 +52,9 @@ func main() {
 		if step%15 == 0 {
 			psi.Density(rho, nil)
 			dxp, _, _ := tddft.Dipole(g, rho)
-			surv := tddft.ProjectOccupations(psi, psi)[0]
+			tddft.ProjectOccupations(surv, psi, psi)
 			fmt.Printf("  %6.1f  %+9.4f  %+9.5f  %.6f\n",
-				units.Attoseconds(float64(step)*dtQD), h.Ax, dxp, surv)
+				units.Attoseconds(float64(step)*dtQD), h.Ax, dxp, surv[0])
 		}
 	}
 	fmt.Printf("\nfinal norm drift: %.2e (unitary propagation)\n", tddft.NormDrift(psi))

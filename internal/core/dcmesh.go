@@ -14,6 +14,7 @@ import (
 
 	"mlmd/internal/dc"
 	"mlmd/internal/grid"
+	"mlmd/internal/linalg"
 	"mlmd/internal/maxwell"
 	"mlmd/internal/par"
 	"mlmd/internal/precision"
@@ -92,10 +93,12 @@ type DomainState struct {
 	XCell int
 
 	// Per-MD-step scratch, reused so advanceDomain does not allocate: the
-	// occupation hand-off and the Norb×Norb overlap matrix of the
-	// nonadiabatic couplings.
-	occ     []float64
-	overlap []complex128
+	// survival probabilities and the occupation hand-off, the Norb×Norb
+	// overlap matrix of the nonadiabatic couplings, and the couplings.
+	surv      []float64
+	occ       []float64
+	overlap   []complex128
+	couplings []sh.Coupling
 }
 
 // DCMESH is the assembled quantum-dynamics module.
@@ -113,6 +116,10 @@ type DCMESH struct {
 	// Both are reused across steps.
 	aHist []float64
 	nExc  []float64
+
+	// advance is advanceDomains bound once, so MDStep hands the pool a
+	// function value without allocating a closure per step.
+	advance func(lo, hi, worker int)
 }
 
 // NewDCMESH builds the module: decomposition, per-domain ground states
@@ -150,6 +157,7 @@ func NewDCMESH(cfg DCMESHConfig) (*DCMESH, error) {
 		aHist:   make([]float64, len(domains)*cfg.NQD),
 		nExc:    make([]float64, len(domains)),
 	}
+	m.advance = m.advanceDomains
 	// The domain ground states are independent and seeded by domain ID, so
 	// they are prepared side by side on the worker pool; every domain lands
 	// in its own slot, whatever the worker count.
@@ -197,6 +205,7 @@ func newDomainState(cfg DCMESHConfig, decomp *dc.Decomposition, field *maxwell.F
 		Psi: psi, Psi0: psi.Clone(), SH: shState,
 		Occ0: occ0, Energy: energies,
 		XCell:   field.CellFor(xMid),
+		surv:    make([]float64, cfg.Norb),
 		occ:     make([]float64, cfg.Norb),
 		overlap: make([]complex128, cfg.Norb*cfg.Norb),
 	}, nil
@@ -220,11 +229,7 @@ func (m *DCMESH) MDStep() []float64 {
 	// survival/occupation hand-off happens inside advanceDomain). Domain
 	// propagation itself nests pool-parallel kernels, which par handles
 	// without oversubscribing.
-	par.For(len(m.Domains), 1, func(lo, hi, _ int) {
-		for di := lo; di < hi; di++ {
-			m.advanceDomain(m.Domains[di], m.domainField(di))
-		}
-	})
+	par.For(len(m.Domains), 1, m.advance)
 	m.step++
 	m.time += float64(cfg.NQD) * cfg.DtQD
 	if cfg.CurrentFeedback {
@@ -237,12 +242,20 @@ func (m *DCMESH) MDStep() []float64 {
 	return m.nExc
 }
 
+// advanceDomains is MDStep's pool task: it advances domains [lo, hi).
+func (m *DCMESH) advanceDomains(lo, hi, _ int) {
+	for di := lo; di < hi; di++ {
+		m.advanceDomain(m.Domains[di], m.domainField(di))
+	}
+}
+
 // advanceDomain runs MDStep's per-domain Ehrenfest + SH update: ax is the
 // domain's vector-potential history, one value per QD sub-step.
 func (m *DCMESH) advanceDomain(d *DomainState, ax []float64) {
 	cfg := m.Cfg
 	d.Prop.RunDriven(d.Psi, cfg.DtQD, ax)
-	surv := tddft.ProjectOccupations(d.Psi0, d.Psi)
+	surv := d.surv
+	tddft.ProjectOccupations(surv, d.Psi0, d.Psi)
 	occ := d.occ
 	var promoted float64
 	for s := range occ {
@@ -310,24 +323,22 @@ func (m *DCMESH) feedCurrents() {
 func (m *DCMESH) FieldEnergy() float64 { return m.Field.Energy() }
 
 // domainCouplings estimates nonadiabatic pair couplings from orbital
-// overlaps between Ψ(0) and Ψ(t) within a domain.
+// overlaps between Ψ(0) and Ψ(t) within a domain: one column-dot sweep per
+// orbital a gives ⟨ψ0_a|ψ_b⟩ for every b > a. The result is the domain's
+// scratch, overwritten by the next call.
 func (m *DCMESH) domainCouplings(d *DomainState, dt float64) []sh.Coupling {
 	norb := d.Psi.Norb
 	o := d.overlap // only the strict upper triangle is written and read
 	dv := complex(d.G.DV(), 0)
-	n := d.G.Len()
-	for a := 0; a < norb; a++ {
-		for b := a + 1; b < norb; b++ {
-			var sum complex128
-			for gi := 0; gi < n; gi++ {
-				p0 := d.Psi0.Data[gi*norb+a]
-				pt := d.Psi.Data[gi*norb+b]
-				sum += complex(real(p0), -imag(p0)) * pt
-			}
-			o[a*norb+b] = sum * dv
+	for a := 0; a < norb-1; a++ {
+		row := o[a*norb+a+1 : (a+1)*norb]
+		linalg.ZDotCol(row, d.Psi0.Data, a, d.Psi.Data, norb, a+1)
+		for b := range row {
+			row[b] *= dv
 		}
 	}
-	return sh.CouplingsFromOverlaps(o, norb, dt, 1e-6)
+	d.couplings = sh.CouplingsFromOverlaps(d.couplings[:0], o, norb, dt, 1e-6)
+	return d.couplings
 }
 
 // TotalExcitation returns Σ_α n_exc.

@@ -265,3 +265,29 @@ func TestMDStepAllocsIndependentOfNQD(t *testing.T) {
 	}
 	t.Logf("MDStep allocations: %v at NQD=2, %v at NQD=16", few, many)
 }
+
+// TestDCMESHMDStepSteadyStateAllocs: once the first step has grown the
+// module's scratch, an MD step — field sampling, the domains' driven
+// sub-steps with the scissor, the survival projections, the overlap
+// couplings and the surface-hopping update — allocates nothing.
+func TestDCMESHMDStepSteadyStateAllocs(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+	par.SetWorkers(1) // inline pool: count the module's own allocations only
+
+	cfg := DefaultDCMESHConfig()
+	cfg.Global = grid.NewCubic(8, 0.8)
+	cfg.Dx, cfg.Dy, cfg.Dz = 2, 2, 2
+	cfg.Norb = 8
+	cfg.NQD = 2
+	cfg.GroundIters = 5
+	cfg.NonlocalDelta = complex(0, 1e-6)
+	m, err := NewDCMESH(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MDStep()
+	if allocs := testing.AllocsPerRun(5, func() { m.MDStep() }); allocs != 0 {
+		t.Errorf("MDStep allocates %v objects per step at %d domains, want 0", allocs, len(m.Domains))
+	}
+}

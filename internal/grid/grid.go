@@ -31,11 +31,6 @@ func NewCubic(n int, h float64) Grid { return New(n, n, n, h, h, h) }
 // Len returns the total number of mesh points.
 func (g Grid) Len() int { return g.Nx * g.Ny * g.Nz }
 
-// Volume returns the volume of the periodic cell (Bohr^3).
-func (g Grid) Volume() float64 {
-	return float64(g.Len()) * g.Hx * g.Hy * g.Hz
-}
-
 // DV returns the volume element per mesh point (Bohr^3).
 func (g Grid) DV() float64 { return g.Hx * g.Hy * g.Hz }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"mlmd/internal/linalg"
 )
 
 // WaveField stores Norb complex Kohn–Sham orbitals on a Grid.
@@ -183,29 +185,49 @@ func (w *WaveField) Density(dst []float64, occ []float64) {
 }
 
 // GramSchmidt orthonormalizes the orbitals in place (modified Gram-Schmidt).
-// Every sum runs over the mesh in ascending point order.
+// Every sum runs over the mesh in ascending point order. An AoS field is
+// orthonormalized through an SoA copy, which takes the same per-orbital
+// chains.
 func (w *WaveField) GramSchmidt() {
-	n := w.G.Len()
-	dv := complex(w.G.DV(), 0)
-	so, sg := w.strides()
-	data := w.Data
-	for s := 0; s < w.Norb; s++ {
-		for r := 0; r < s; r++ {
-			var ov complex128
-			for g, is, ir := 0, s*so, r*so; g < n; g, is, ir = g+1, is+sg, ir+sg {
-				ov += cmplx.Conj(data[ir]) * data[is]
-			}
-			ov *= dv
-			for g, is, ir := 0, s*so, r*so; g < n; g, is, ir = g+1, is+sg, ir+sg {
-				data[is] -= ov * data[ir]
-			}
+	if w.Layout != LayoutSoA {
+		soa := w.ToLayout(LayoutSoA)
+		soa.GramSchmidt()
+		w.CopyFrom(soa)
+		return
+	}
+	w.GramSchmidtNorm0(w.Norm2(0))
+}
+
+// GramSchmidtNorm0 is GramSchmidt of an SoA field whose orbital 0 has the
+// squared norm n0 = w.Norm2(0), taken by the caller in a sweep it had to
+// make anyway. The orthonormalization is right-looking: once orbital r is
+// final it is normalized and projected out of every later orbital, in two
+// row sweeps — scale r and take its overlaps with s > r, then subtract them
+// and take the squared norm of r+1. Each orbital sees the same operations
+// in the same order as the left-looking loop (project out r = 0, 1, … s−1,
+// then normalize), so the bits are that loop's.
+func (w *WaveField) GramSchmidtNorm0(n0 float64) {
+	if w.Layout != LayoutSoA {
+		panic("grid: GramSchmidtNorm0 requires SoA layout")
+	}
+	norb := w.Norb
+	dv := w.G.DV()
+	dvc := complex(dv, 0)
+	var buf [16]complex128
+	ovAll := buf[:]
+	if norb > len(buf) {
+		ovAll = make([]complex128, norb)
+	}
+	for r := 0; r < norb; r++ {
+		ov := ovAll[:norb-r-1]
+		if n0 > 0 {
+			linalg.ZScaleDotCol(ov, w.Data, norb, r, 1/math.Sqrt(n0), r+1)
+		} else {
+			linalg.ZDotCol(ov, w.Data, r, w.Data, norb, r+1)
 		}
-		n2 := w.Norm2(s)
-		if n2 > 0 {
-			scale := complex(1/math.Sqrt(n2), 0)
-			for g, is := 0, s*so; g < n; g, is = g+1, is+sg {
-				data[is] *= scale
-			}
+		for j := range ov {
+			ov[j] *= dvc
 		}
+		n0 = linalg.ZAxpyCol(w.Data, norb, r, ov, r+1) * dv
 	}
 }

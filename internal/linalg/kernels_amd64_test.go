@@ -67,3 +67,36 @@ func TestDGEMMArgsLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestZDotColArgsLayout pins the field offsets the assembly hard-codes.
+func TestZDotColArgsLayout(t *testing.T) {
+	var d zdotColArgs
+	got := []uintptr{
+		unsafe.Offsetof(d.x), unsafe.Offsetof(d.y), unsafe.Offsetof(d.acc),
+		unsafe.Offsetof(d.norb), unsafe.Offsetof(d.rows), unsafe.Offsetof(d.ncols),
+		unsafe.Offsetof(d.scale), unsafe.Offsetof(d.doScale),
+	}
+	for i, off := range got {
+		if off != uintptr(8*i) {
+			t.Fatalf("zdotColArgs field %d at offset %d, the assembly expects %d", i, off, 8*i)
+		}
+	}
+}
+
+// TestZStencilArgsLayout pins the field offsets the assembly hard-codes.
+func TestZStencilArgsLayout(t *testing.T) {
+	var s zstencilArgs
+	got := []uintptr{
+		unsafe.Offsetof(s.dst), unsafe.Offsetof(s.src),
+		unsafe.Offsetof(s.nb), unsafe.Offsetof(s.nb) + 8, unsafe.Offsetof(s.nb) + 16,
+		unsafe.Offsetof(s.nb) + 24, unsafe.Offsetof(s.nb) + 32, unsafe.Offsetof(s.nb) + 40,
+		unsafe.Offsetof(s.vloc), unsafe.Offsetof(s.acc), unsafe.Offsetof(s.norb), unsafe.Offsetof(s.rows),
+		unsafe.Offsetof(s.diag), unsafe.Offsetof(s.xpr), unsafe.Offsetof(s.xpi),
+		unsafe.Offsetof(s.xmr), unsafe.Offsetof(s.xmi), unsafe.Offsetof(s.y), unsafe.Offsetof(s.z),
+	}
+	for i, off := range got {
+		if off != uintptr(8*i) {
+			t.Fatalf("zstencilArgs field %d at offset %d, the assembly expects %d", i, off, 8*i)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package linalg
 
-// Assembly kernels of zkernels.go (zkernels_amd64.s) and dkernels.go
-// (dkernels_amd64.s). None of them checks a bound: the Go wrappers do.
+// Assembly kernels of zkernels.go (zkernels_amd64.s), zground.go
+// (zground_amd64.s) and dkernels.go (dkernels_amd64.s). None of them checks
+// a bound: the Go wrappers do.
 
 //go:noescape
 func zrotPairsAVX2(data *complex128, norb int, pairs *int32, npairs int, coef *[5]float64)
@@ -14,6 +15,21 @@ func zgemmTileAVX2(args *zgemmArgs)
 
 //go:noescape
 func zgemmTileAVX512(args *zgemmArgs)
+
+//go:noescape
+func zdotRowsAVX2(acc, x, y *complex128, norb, rows, ncols int)
+
+//go:noescape
+func zdotColAVX2(args *zdotColArgs)
+
+//go:noescape
+func zaxpyColAVX2(x, xlo, a *complex128, norb, rows, ncols int) float64
+
+//go:noescape
+func zresidRowsAVX2(w, hw, e *complex128, norb, rows int, dtau float64) float64
+
+//go:noescape
+func zstencilRowsAVX2(args *zstencilArgs)
 
 //go:noescape
 func dgemmTile4AVX2(args *dgemmArgs)

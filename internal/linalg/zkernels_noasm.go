@@ -21,6 +21,26 @@ func zgemmTileAVX512(args *zgemmArgs) {
 	panic("linalg: no vector kernels on this architecture")
 }
 
+func zdotRowsAVX2(acc, x, y *complex128, norb, rows, ncols int) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
+func zdotColAVX2(args *zdotColArgs) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
+func zaxpyColAVX2(x, xlo, a *complex128, norb, rows, ncols int) float64 {
+	panic("linalg: no vector kernels on this architecture")
+}
+
+func zresidRowsAVX2(w, hw, e *complex128, norb, rows int, dtau float64) float64 {
+	panic("linalg: no vector kernels on this architecture")
+}
+
+func zstencilRowsAVX2(args *zstencilArgs) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
 func dgemmTile4AVX2(args *dgemmArgs) {
 	panic("linalg: no vector kernels on this architecture")
 }

@@ -62,6 +62,9 @@ var kernelTests = []struct {
 	{"ExpRowsMatchesMathExp", TestExpRowsMatchesMathExp},
 	{"SiLURowsMatchesSiLU", TestSiLURowsMatchesSiLU},
 	{"ExpRowsFuzzSeeds", TestExpRowsFuzzSeeds},
+	{"GroundKernelsEveryShape", TestGroundKernelsEveryShape},
+	{"GroundKernelsSignedZeros", TestGroundKernelsSignedZeros},
+	{"GroundKernelsShortSlicePanics", TestGroundKernelsShortSlicePanics},
 }
 
 func runKernelTests(t *testing.T, p kernelPath) {

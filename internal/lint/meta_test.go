@@ -31,7 +31,9 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/par": {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
 	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "cgemmAccumRange",
 		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run",
-		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU"},
+		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU",
+		"ZDotRows", "zdotRowsGo", "ZDotCol", "ZScaleDotCol", "zdotColGo", "ZAxpyCol", "zaxpyColGo",
+		"ZResidRows", "zresidRowsGo", "ZStencilRows", "zstencilRowsGo"},
 	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row", "sweepShifted", "sweepImages"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {

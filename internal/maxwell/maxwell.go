@@ -170,9 +170,3 @@ func (f *Field) DriveSteps(p Pulse, cell, n int) {
 		f.Step()
 	}
 }
-
-// DipoleSource injects a current J at a cell; used in tests and by the
-// TDCDFT feedback loop.
-func (f *Field) DipoleSource(cell int, j float64) {
-	f.J[cell] = j
-}

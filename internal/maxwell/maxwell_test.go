@@ -98,7 +98,7 @@ func TestPulsePropagatesAtLightSpeed(t *testing.T) {
 
 func TestCurrentSourceGeneratesField(t *testing.T) {
 	f := newTestField(t, 128, 5.0)
-	f.DipoleSource(64, 1e-4)
+	f.J[64] = 1e-4
 	for s := 0; s < 50; s++ {
 		f.Step()
 	}

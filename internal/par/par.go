@@ -301,14 +301,3 @@ func For(n, grain int, fn func(lo, hi, worker int)) {
 		panic(pv)
 	}
 }
-
-// Do runs the given tasks on the pool and waits for all of them. Panics
-// propagate like For. Tasks must not block on each other: the pool does
-// not guarantee they all run concurrently.
-func Do(tasks ...func()) {
-	For(len(tasks), 1, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			tasks[i]()
-		}
-	})
-}

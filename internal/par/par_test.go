@@ -127,24 +127,6 @@ func TestNestedFor(t *testing.T) {
 	})
 }
 
-func TestDo(t *testing.T) {
-	withWorkers(t, 3, func() {
-		var ran [5]atomic.Int32
-		var tasks []func()
-		for i := range ran {
-			i := i
-			tasks = append(tasks, func() { ran[i].Add(1) })
-		}
-		Do(tasks...)
-		for i := range ran {
-			if ran[i].Load() != 1 {
-				t.Fatalf("task %d ran %d times", i, ran[i].Load())
-			}
-		}
-		Do() // no tasks: must not hang
-	})
-}
-
 func TestScratch(t *testing.T) {
 	withWorkers(t, 4, func() {
 		built := atomic.Int32{}

@@ -122,15 +122,6 @@ func (s *State) transfer(from, to int, amount float64) {
 	s.F[to] += amount
 }
 
-// Excite moves population n from level a to level b deterministically
-// (photoexcitation by the laser pulse, as reported by the Ehrenfest LFD
-// proxy). The move is clamped to what is available.
-func (s *State) Excite(a, b int, n float64) float64 {
-	before := s.F[b]
-	s.transfer(a, b, n)
-	return s.F[b] - before
-}
-
 // FermiDirac returns the FD occupation at energy e, chemical potential mu,
 // thermal energy kT (Hartree).
 func FermiDirac(e, mu, kT float64) float64 {
@@ -155,18 +146,20 @@ func FermiDirac(e, mu, kT float64) float64 {
 
 // CouplingsFromOverlaps converts the orbital overlap matrix between
 // successive MD steps, O[a][b] = ⟨ψ_a(t)|ψ_b(t+Δt)⟩, into pair couplings
-// d_ab = |O_ab|/Δt for a ≠ b, dropping entries below threshold.
-func CouplingsFromOverlaps(o []complex128, n int, dt, threshold float64) []Coupling {
-	var out []Coupling
+// d_ab = |O_ab|/Δt for a < b, dropping entries below threshold. Only the
+// strict upper triangle of o is read. The couplings are appended to dst,
+// so a caller that passes its previous result[:0] does not allocate in
+// steady state.
+func CouplingsFromOverlaps(dst []Coupling, o []complex128, n int, dt, threshold float64) []Coupling {
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			mag := cAbs(o[a*n+b]) / dt
 			if mag >= threshold {
-				out = append(out, Coupling{A: a, B: b, D: mag})
+				dst = append(dst, Coupling{A: a, B: b, D: mag})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 func cAbs(z complex128) float64 {

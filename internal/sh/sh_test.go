@@ -87,21 +87,23 @@ func TestZeroCouplingFreezesOccupations(t *testing.T) {
 	}
 }
 
-func TestExciteClamps(t *testing.T) {
+// TestTransferClamps: a population move is clamped by what the source
+// holds and by the space left in the target, and conserves the total.
+func TestTransferClamps(t *testing.T) {
 	e := []float64{-0.2, 0.2}
 	s, _ := NewState(e, []float64{0.5, 0.9}, 0.01, 4)
 	// Only 0.1 of space available in the target.
-	moved := s.Excite(0, 1, 0.4)
-	if math.Abs(moved-0.1) > 1e-12 {
+	s.transfer(0, 1, 0.4)
+	if moved := s.F[1] - 0.9; math.Abs(moved-0.1) > 1e-12 {
 		t.Errorf("moved %g, want 0.1 (clamped by target space)", moved)
 	}
 	if math.Abs(s.TotalOccupation()-1.4) > 1e-12 {
-		t.Error("Excite broke conservation")
+		t.Error("transfer broke conservation")
 	}
 	// Clamped by source.
 	s2, _ := NewState(e, []float64{0.05, 0}, 0.01, 5)
-	if moved := s2.Excite(0, 1, 1.0); math.Abs(moved-0.05) > 1e-12 {
-		t.Errorf("moved %g, want 0.05 (clamped by source)", moved)
+	if s2.transfer(0, 1, 1.0); math.Abs(s2.F[1]-0.05) > 1e-12 {
+		t.Errorf("moved %g, want 0.05 (clamped by source)", s2.F[1])
 	}
 }
 
@@ -135,7 +137,7 @@ func TestCouplingsFromOverlaps(t *testing.T) {
 	o := make([]complex128, n*n)
 	o[0*n+1] = complex(0.3, 0.4) // |.|=0.5
 	o[1*n+2] = complex(0.001, 0)
-	cs := CouplingsFromOverlaps(o, n, 0.5, 0.01)
+	cs := CouplingsFromOverlaps(nil, o, n, 0.5, 0.01)
 	if len(cs) != 1 {
 		t.Fatalf("got %d couplings, want 1 (threshold prunes weak)", len(cs))
 	}

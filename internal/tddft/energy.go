@@ -28,21 +28,22 @@ func ComputeEnergy(h *Hamiltonian, hs *HartreeSolver, w *grid.WaveField, occ, ve
 	h.Vloc = zero
 	hw := grid.NewWaveField(g, w.Norb, grid.LayoutSoA)
 	ws := w.ToLayout(grid.LayoutSoA)
-	h.Apply(ws, hw)
-	for s := 0; s < w.Norb; s++ {
+	sums := make([]complex128, w.Norb)
+	h.Apply(ws, hw, sums)
+	dv := g.DV()
+	for s, ks := range sums {
 		f := 1.0
 		if occ != nil {
 			f = occ[s]
 		}
 		if f != 0 {
-			ec.Kinetic += f * rayleigh(ws, hw, s)
+			ec.Kinetic += f * (real(ks) * dv)
 		}
 	}
 	h.Vloc = saved
 	// Density-dependent terms.
 	rho := make([]float64, n)
 	w.Density(rho, occ)
-	dv := g.DV()
 	for i := 0; i < n; i++ {
 		ec.External += rho[i] * vext[i]
 	}

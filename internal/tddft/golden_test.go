@@ -76,7 +76,9 @@ func TestGroundStateGolden(t *testing.T) {
 			crc := crcField(0, aos)
 			occ := []float64{1, 1, 0}
 			crc = crcFloats(crc, TotalEnergy(h, aos, occ))
-			return crcFloats(crc, ProjectOccupations(w, aos)...)
+			surv := make([]float64, 3)
+			ProjectOccupations(surv, w, aos)
+			return crcFloats(crc, surv...)
 		}},
 	}
 	for _, c := range cases {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"mlmd/internal/grid"
+	"mlmd/internal/linalg"
 )
 
 // GroundState relaxes norb orbitals to the lowest eigenstates of h by
@@ -26,22 +27,25 @@ func GroundState(h *Hamiltonian, norb, iters int, seed int64) (*grid.WaveField, 
 	// Step size bounded by the kinetic spectral radius.
 	lmax := 2*h.KineticDiag() + maxAbs(h.Vloc)
 	dtau := 0.8 / lmax
+	dv := g.DV()
+	sums := make([]complex128, norb)
+	e := make([]complex128, norb)
+	// One iteration is three kinds of row sweep over the mesh: H ψ with the
+	// Rayleigh sums, the residual step with orbital 0's norm, and the
+	// right-looking Gram–Schmidt passes.
 	for it := 0; it < iters; it++ {
-		h.Apply(w, hw)
-		// ψ ← ψ − Δτ (H ψ − ⟨ψ|H|ψ⟩ ψ) : residual descent keeps norms near 1.
-		for s := 0; s < norb; s++ {
-			e := rayleigh(w, hw, s)
-			for gi := 0; gi < g.Len(); gi++ {
-				idx := gi*norb + s
-				w.Data[idx] -= complex(dtau, 0) * (hw.Data[idx] - complex(e, 0)*w.Data[idx])
-			}
+		h.Apply(w, hw, sums)
+		for s, sum := range sums {
+			e[s] = complex(real(sum)*dv, 0) // ⟨ψ_s|H|ψ_s⟩ for ‖ψ_s‖ = 1
 		}
-		w.GramSchmidt()
+		// ψ ← ψ − Δτ (H ψ − ⟨ψ|H|ψ⟩ ψ) : residual descent keeps norms near 1.
+		n0 := linalg.ZResidRows(w.Data, hw.Data, norb, e, dtau)
+		w.GramSchmidtNorm0(n0 * dv)
 	}
-	h.Apply(w, hw)
+	h.Apply(w, hw, sums)
 	energies := make([]float64, norb)
-	for s := 0; s < norb; s++ {
-		energies[s] = rayleigh(w, hw, s)
+	for s, sum := range sums {
+		energies[s] = real(sum) * dv
 	}
 	// Sort orbitals by energy (insertion sort over columns).
 	for i := 1; i < norb; i++ {
@@ -51,20 +55,6 @@ func GroundState(h *Hamiltonian, norb, iters int, seed int64) (*grid.WaveField, 
 		}
 	}
 	return w, energies
-}
-
-// rayleigh returns Re⟨ψ_s|H ψ_s⟩ assuming ‖ψ_s‖ = 1.
-func rayleigh(w, hw *grid.WaveField, s int) float64 {
-	norb := w.Norb
-	dv := w.G.DV()
-	var sum float64
-	for gi := 0; gi < w.G.Len(); gi++ {
-		idx := gi*norb + s
-		a := w.Data[idx]
-		b := hw.Data[idx]
-		sum += real(a)*real(b) + imag(a)*imag(b)
-	}
-	return sum * dv
 }
 
 func swapOrbitals(w *grid.WaveField, a, b int) {

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"mlmd/internal/grid"
+	"mlmd/internal/linalg"
 )
 
 // Hamiltonian holds the domain-local Kohn–Sham Hamiltonian of Eq. (3):
@@ -26,15 +27,24 @@ type Hamiltonian struct {
 	// A is the uniform vector potential (a.u.) sampled at the domain's
 	// macroscopic position; Ax is along x.
 	Ax float64
+
+	// shells holds one validated row plan per stencil shell, built from NT.
+	shells []linalg.ZStencil
 }
 
 // NewHamiltonian allocates a Hamiltonian with zero potential on g.
 func NewHamiltonian(g grid.Grid, order grid.StencilOrder) *Hamiltonian {
+	nt := grid.NewNeighborTable(g, order)
+	shells := make([]linalg.ZStencil, len(nt.XP))
+	for k := range shells {
+		shells[k] = linalg.NewZStencil(nt.XP[k], nt.XM[k], nt.YP[k], nt.YM[k], nt.ZP[k], nt.ZM[k])
+	}
 	return &Hamiltonian{
-		G:     g,
-		Order: order,
-		NT:    grid.NewNeighborTable(g, order),
-		Vloc:  make([]float64, g.Len()),
+		G:      g,
+		Order:  order,
+		NT:     nt,
+		Vloc:   make([]float64, g.Len()),
+		shells: shells,
 	}
 }
 
@@ -50,52 +60,37 @@ func (h *Hamiltonian) KineticDiag() float64 {
 func hopCoeff(ck, hx float64) float64 { return -0.5 * ck / (hx * hx) }
 
 // Apply computes dst = H ψ for every orbital of src (excluding nonlocal
-// terms), used by the ground-state solver and by energy evaluation.
-// src and dst must be SoA fields on h.G with matching Norb.
-func (h *Hamiltonian) Apply(src, dst *grid.WaveField) {
+// terms), used by the ground-state solver and by energy evaluation. With
+// sums non-nil (len Norb) it also takes the Rayleigh sums
+// sums[s] = Σ_g conj(ψ[g,s])·(Hψ)[g,s] in the same sweep. Each stencil
+// shell is one row sweep of linalg.ZStencilRows over the mesh, the first
+// one with the diagonal. src and dst must be distinct SoA fields on h.G
+// with matching Norb.
+func (h *Hamiltonian) Apply(src, dst *grid.WaveField, sums []complex128) {
 	if src.G != h.G || dst.G != h.G || src.Norb != dst.Norb {
 		panic("tddft: Apply shape mismatch")
 	}
 	if src.Layout != grid.LayoutSoA || dst.Layout != grid.LayoutSoA {
 		panic("tddft: Apply requires SoA layout")
 	}
-	norb := src.Norb
-	n := h.G.Len()
 	_, c := grid.LaplacianCoeffs(h.Order)
 	diag := h.KineticDiag()
-	// Peierls phases along x for each hop distance.
-	type hop struct {
-		coeff float64
-		phase complex128 // e^{+i A h d / c-like twist}; see kinprop.go
-	}
-	hx := make([]hop, len(c))
 	for k, ck := range c {
+		// Peierls phase e^{+i A h d / c-like twist} on the x hoppings; see
+		// kinprop.go.
 		theta := h.Ax * h.G.Hx * float64(k+1) / lightC
-		hx[k] = hop{hopCoeff(ck, h.G.Hx), complex(math.Cos(theta), math.Sin(theta))}
-	}
-	for g := 0; g < n; g++ {
-		base := g * norb
-		vg := complex(h.Vloc[g]+diag, 0)
-		for s := 0; s < norb; s++ {
-			dst.Data[base+s] = vg * src.Data[base+s]
+		phase := complex(math.Cos(theta), math.Sin(theta))
+		hop := complex(hopCoeff(ck, h.G.Hx), 0)
+		shell := linalg.ZStencilCoef{
+			Init: k == 0, Diag: diag,
+			XP: hop * phase, XM: hop * conj(phase),
+			Y: hopCoeff(ck, h.G.Hy), Z: hopCoeff(ck, h.G.Hz),
 		}
-		for k, ck := range c {
-			cy := complex(hopCoeff(ck, h.G.Hy), 0)
-			cz := complex(hopCoeff(ck, h.G.Hz), 0)
-			xp := int(h.NT.XP[k][g]) * norb
-			xm := int(h.NT.XM[k][g]) * norb
-			yp := int(h.NT.YP[k][g]) * norb
-			ym := int(h.NT.YM[k][g]) * norb
-			zp := int(h.NT.ZP[k][g]) * norb
-			zm := int(h.NT.ZM[k][g]) * norb
-			cxp := complex(hx[k].coeff, 0) * hx[k].phase
-			cxm := complex(hx[k].coeff, 0) * conj(hx[k].phase)
-			for s := 0; s < norb; s++ {
-				dst.Data[base+s] += cxp*src.Data[xp+s] + cxm*src.Data[xm+s] +
-					cy*(src.Data[yp+s]+src.Data[ym+s]) +
-					cz*(src.Data[zp+s]+src.Data[zm+s])
-			}
+		var acc []complex128
+		if k == len(c)-1 {
+			acc = sums
 		}
+		linalg.ZStencilRows(dst.Data, src.Data, src.Norb, h.shells[k], h.Vloc, shell, acc)
 	}
 }
 

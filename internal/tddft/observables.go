@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"mlmd/internal/grid"
+	"mlmd/internal/linalg"
 )
 
 // TotalEnergy returns Σ_s f_s ⟨ψ_s|H|ψ_s⟩ for the local Hamiltonian
@@ -11,9 +12,11 @@ import (
 func TotalEnergy(h *Hamiltonian, w *grid.WaveField, occ []float64) float64 {
 	hw := grid.NewWaveField(h.G, w.Norb, grid.LayoutSoA)
 	ws := w.ToLayout(grid.LayoutSoA)
-	h.Apply(ws, hw)
+	sums := make([]complex128, w.Norb)
+	h.Apply(ws, hw, sums)
+	dv := h.G.DV()
 	var sum float64
-	for s := 0; s < w.Norb; s++ {
+	for s, rs := range sums {
 		f := 1.0
 		if occ != nil {
 			f = occ[s]
@@ -21,7 +24,7 @@ func TotalEnergy(h *Hamiltonian, w *grid.WaveField, occ []float64) float64 {
 		if f == 0 {
 			continue
 		}
-		sum += f * rayleigh(ws, hw, s)
+		sum += f * (real(rs) * dv)
 	}
 	return sum
 }
@@ -101,28 +104,29 @@ func ExcitedPopulation(occ0, occ []float64) float64 {
 	return n / 2
 }
 
-// ProjectOccupations returns |⟨ψ0_s|ψ_s(t)⟩|² for each orbital, the survival
-// probability used to track excitation during Ehrenfest propagation.
-func ProjectOccupations(psi0, psi *grid.WaveField) []float64 {
+// ProjectOccupations sets dst[s] = |⟨ψ0_s|ψ_s(t)⟩|² for each orbital, the
+// survival probability used to track excitation during Ehrenfest
+// propagation. dst must have length Norb; with both fields SoA it does not
+// allocate.
+func ProjectOccupations(dst []float64, psi0, psi *grid.WaveField) {
 	norb := psi.Norb
-	ngrid := psi.G.Len()
+	if len(dst) != norb || psi0.Norb != norb || psi0.G != psi.G {
+		panic("tddft: ProjectOccupations shape mismatch")
+	}
 	dv := psi.G.DV()
-	out := make([]float64, norb)
 	p0 := psi0.ToLayout(grid.LayoutSoA)
 	pt := psi.ToLayout(grid.LayoutSoA)
-	for s := 0; s < norb; s++ {
-		var re, im float64
-		for gi := 0; gi < ngrid; gi++ {
-			a := p0.Data[gi*norb+s]
-			b := pt.Data[gi*norb+s]
-			re += real(a)*real(b) + imag(a)*imag(b)
-			im += real(a)*imag(b) - imag(a)*real(b)
+	// The overlaps are taken a block of orbitals per sweep, so the
+	// accumulators fit a fixed array.
+	var buf [16]complex128
+	for lo := 0; lo < norb; lo += len(buf) {
+		ov := buf[:min(len(buf), norb-lo)]
+		linalg.ZDotRows(ov, p0.Data, pt.Data, norb, lo)
+		for j, o := range ov {
+			re, im := real(o)*dv, imag(o)*dv
+			dst[lo+j] = re*re + im*im
 		}
-		re *= dv
-		im *= dv
-		out[s] = re*re + im*im
 	}
-	return out
 }
 
 // NormDrift returns max_s |‖ψ_s‖² − 1|.

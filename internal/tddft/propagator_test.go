@@ -193,3 +193,15 @@ func BenchmarkQDRun40(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/40/8, "us/orbital")
 }
+
+// BenchmarkGroundStateIter is one imaginary-time iteration of one qd.dcmesh
+// domain's ground-state solve: a 16³ mesh with 8 orbitals under the
+// harmonic confinement of core.NewDCMESH — H ψ with the Rayleigh sums, the
+// residual step and Gram–Schmidt. The b.N iterations run as one solve.
+func BenchmarkGroundStateIter(b *testing.B) {
+	g := grid.NewCubic(16, 0.8)
+	h := NewHamiltonian(g, grid.Order2)
+	HarmonicPotential(g, 0.04, h.Vloc)
+	b.ResetTimer()
+	GroundState(h, 8, b.N, 1)
+}

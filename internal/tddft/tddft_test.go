@@ -306,7 +306,8 @@ func TestProjectOccupationsDecaysUnderPerturbation(t *testing.T) {
 	HarmonicPotential(g, 0.25, h.Vloc)
 	w, _ := GroundState(h, 2, 200, 11)
 	psi0 := w.Clone()
-	p := ProjectOccupations(psi0, w)
+	p := make([]float64, w.Norb)
+	ProjectOccupations(p, psi0, w)
 	for s, v := range p {
 		if math.Abs(v-1) > 1e-8 {
 			t.Errorf("initial survival of orbital %d = %g", s, v)
@@ -316,7 +317,7 @@ func TestProjectOccupationsDecaysUnderPerturbation(t *testing.T) {
 	prop, _ := NewPropagator(h, ImplBlocked)
 	h.Ax = 40
 	prop.Run(w, 0.05, 80)
-	p = ProjectOccupations(psi0, w)
+	ProjectOccupations(p, psi0, w)
 	for s, v := range p {
 		if v > 0.99999 {
 			t.Errorf("orbital %d survival did not decay: %g", s, v)
