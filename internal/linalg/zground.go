@@ -43,10 +43,7 @@ func ZDotRows(acc, x, y []complex128, norb, lo int) {
 		panic("linalg: ZDotRows fields differ in length")
 	}
 	checkCols(lo, len(acc), norb)
-	if len(acc) == 0 {
-		return
-	}
-	if useAVX2 && rows > 0 {
+	if useAVX2 && rows > 0 && len(acc) > 0 {
 		zdotRowsAVX2(&acc[0], &x[lo], &y[lo], norb, rows, len(acc))
 		return
 	}
@@ -80,11 +77,7 @@ func ZDotCol(acc, x []complex128, col int, y []complex128, norb, lo int) {
 	}
 	checkCols(col, 1, norb)
 	checkCols(lo, len(acc), norb)
-	if len(acc) == 0 || rows == 0 {
-		zdotColGo(acc, x, col, y, norb, lo, false, 0)
-		return
-	}
-	if useAVX2 {
+	if useAVX2 && rows > 0 && len(acc) > 0 {
 		args := zdotColArgs{x: &x[col], y: &y[lo], acc: &acc[0], norb: norb, rows: rows, ncols: len(acc)}
 		zdotColAVX2(&args)
 		return
@@ -284,13 +277,10 @@ func ZStencilRows(dst, src []complex128, norb int, st ZStencil, vloc []float64, 
 	if len(acc) != 0 && len(acc) != norb {
 		panic("linalg: ZStencilRows sums need one value per orbital")
 	}
-	if rows == 0 {
-		return
-	}
-	if &dst[0] == &src[0] {
+	if rows > 0 && &dst[0] == &src[0] {
 		panic("linalg: ZStencilRows in place")
 	}
-	if useAVX2 {
+	if useAVX2 && rows > 0 {
 		args := zstencilArgs{
 			dst: &dst[0], src: &src[0], norb: norb, rows: rows,
 			diag: c.Diag, xpr: real(c.XP), xpi: imag(c.XP), xmr: real(c.XM), xmi: imag(c.XM), y: c.Y, z: c.Z,

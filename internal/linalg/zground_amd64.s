@@ -16,13 +16,14 @@
 //
 // with dup(im y) = 0 for a real coefficient complex(c, 0) — the 0·x terms
 // are computed, not skipped — and dup(im y) sign-flipped for a conjugate
-// (x·(−y) = −(x·y) and a − (−b) = a + b in IEEE arithmetic). Sums over g
-// live in memory (the caller's accumulator slice), one load-add-store per
-// row, so each lane's chain is ascending g whatever the row width. Squared
-// norms are scalar: sum + (re·re + im·im). R14/R15 are left alone.
+// (x·(−y) = −(x·y) and a − (−b) = a + b in IEEE arithmetic). Each lane's
+// sum over g is one chain in ascending g: in memory (the caller's slice,
+// one load-add-store per row) for ZDotRows and the stencil, in a register
+// for a strip of the column kernels. Squared norms are scalar:
+// sum + (re·re + im·im). R14/R15 are left alone.
 
-// CONJDOT: Y acc at (acc)(off) += conj(x)·y, x per lane in vx, y per lane
-// in vy; t0, t1 scratch, sgn the sign mask.
+// CONJDOT: the sums at (acc)(off) += conj(x)·y, x per lane in vx, y per lane
+// in vy (vx is clobbered); t0, t1 scratch, sgn the sign mask.
 #define CONJDOT(acc, off, vx, vy, t0, t1, sgn, dupi, swp) \
 	VMOVDDUP  vx, t0;          \
 	VPERMILPD dupi, vx, t1;    \
