@@ -105,7 +105,7 @@ FUZZ_TARGETS      = FuzzLoadSystem FuzzLoadCheckpoint
 WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
-MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList
+MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList FuzzLJRow
 LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows FuzzGroundKernels
 FUZZ_TIME   ?= 10s
 
@@ -116,7 +116,7 @@ DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./interna
 
 # Packages with architecture-specific files (assembly kernels and their
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.
-ARCH_PKGS = ./internal/linalg ./internal/tddft ./internal/core ./internal/nn ./internal/maxwell
+ARCH_PKGS = ./internal/linalg ./internal/md ./internal/tddft ./internal/core ./internal/nn ./internal/maxwell
 
 .PHONY: check fmt vet asm-nofma lint reach build test race race-full cover fuzz docs benchmark-check bench-ab bench tables
 

@@ -24,6 +24,10 @@ package linalg
 // tests, which run every kernel test on each path.
 var useAVX2, useAVX512 bool
 
+// AVX2 reports whether this process runs the AVX2 kernel tier, for the
+// vector kernels of other packages to dispatch on the same bit.
+func AVX2() bool { return useAVX2 }
+
 // ZMul returns a·b by the textbook formula
 // (ar·br − ai·bi) + i(ar·bi + ai·br), each product rounded before the add.
 func ZMul(a, b complex128) complex128 {

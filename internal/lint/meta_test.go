@@ -34,7 +34,8 @@ var requiredHotpaths = map[string][]string{
 		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU",
 		"ZDotRows", "zdotRowsGo", "ZDotCol", "ZScaleDotCol", "zdotColGo", "ZAxpyCol", "zaxpyColGo",
 		"ZResidRows", "zresidRowsGo", "ZStencilRows", "zstencilRowsGo"},
-	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row", "sweepShifted", "sweepImages"},
+	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row", "(*ljKernel).rowTerms", "(*ljKernel).terms", "(*ljKernel).pairsAt", "(*ljKernel).pair",
+		"sweepShifted", "sweepImages"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",

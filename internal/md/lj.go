@@ -1,6 +1,9 @@
 package md
 
-import "mlmd/internal/par"
+import (
+	"mlmd/internal/linalg"
+	"mlmd/internal/par"
+)
 
 // ljGrain is the fixed chunk size of the pool-parallel force pass. It is a
 // constant (not worker-derived) so chunk boundaries — and therefore the
@@ -23,7 +26,9 @@ type LennardJones struct {
 	NL             *NeighborList
 
 	peChunk []float64
-	fctx    struct {
+	// terms is each chunk's scratch for the vector kernel's pair terms.
+	terms []ljScratch
+	fctx  struct {
 		sys  *System
 		base int
 	}
@@ -50,6 +55,10 @@ func (lj *LennardJones) ComputeRows(sys *System, lo, hi int) float64 {
 	}
 	nchunks := (n + ljGrain - 1) / ljGrain
 	lj.peChunk = resizeF64(lj.peChunk, nchunks)
+	if cap(lj.terms) < nchunks {
+		lj.terms = make([]ljScratch, nchunks)
+	}
+	lj.terms = lj.terms[:nchunks]
 	lj.fctx.sys = sys
 	lj.fctx.base = lo
 	if lj.forceFn == nil {
@@ -76,10 +85,15 @@ func (lj *LennardJones) forceChunk(lo, hi, _ int) {
 	}
 	k.px, k.py, k.pz = sys.Periods()
 	x := sys.X
+	t := &lj.terms[lo/ljGrain]
 	var pe float64
 	for i := base + lo; i < base+hi; i++ {
 		var fx, fy, fz float64
-		fx, fy, fz, pe = k.row(x, nl.Row(i), x[3*i], x[3*i+1], x[3*i+2], pe)
+		if useAVX2 {
+			fx, fy, fz, pe = k.rowTerms(t, x, nl.Row(i), x[3*i], x[3*i+1], x[3*i+2], pe)
+		} else {
+			fx, fy, fz, pe = k.row(x, nl.Row(i), x[3*i], x[3*i+1], x[3*i+2], pe)
+		}
 		sys.F[3*i] = fx
 		sys.F[3*i+1] = fy
 		sys.F[3*i+2] = fz
@@ -87,39 +101,131 @@ func (lj *LennardJones) forceChunk(lo, hi, _ int) {
 	lj.peChunk[lo/ljGrain] = pe
 }
 
+// useAVX2 selects the LJ terms kernel (ljTermsAVX2). It is linalg's kernel
+// tier bit, set once at init, and flipped only by this package's tests,
+// which run every LJ test on both paths.
+var useAVX2 = linalg.AVX2()
+
 // ljKernel holds what the pair loop reads: the squared cutoff, σ², the two
 // ε prefactors of u and f (4ε and 24ε, the products the per-pair expressions
 // 4·ε·(…) and 24·ε·(…) start with, so hoisting them moves no bit) and the
-// box periods.
+// box periods. It is also the argument block of ljTermsAVX2, which reads its
+// fields at fixed offsets (TestLJKernelArgsLayout).
 type ljKernel struct {
 	rc2, sig2, eps4, eps24 float64
 	px, py, pz             Period
 }
 
+// pair returns the force terms fmag·dx, fmag·dy, fmag·dz and the energy term
+// ½u of a neighbor at raw separation (dx, dy, dz), taken to its minimum
+// image, and whether it lies inside the cutoff; a rejected pair returns +0
+// terms. It is the one statement of the pair arithmetic: the scalar row and
+// the vector path's tails and bail-outs both call it, and ljTermsAVX2 is its
+// lanes.
+//
+//mlmd:hotpath
+func (k *ljKernel) pair(dx, dy, dz float64) (tx, ty, tz, hu float64, ok bool) {
+	dx = k.px.MinImage(dx)
+	dy = k.py.MinImage(dy)
+	dz = k.pz.MinImage(dz)
+	r2 := dx*dx + dy*dy + dz*dz
+	if r2 > k.rc2 || r2 == 0 {
+		return 0, 0, 0, 0, false
+	}
+	sr2 := k.sig2 / r2
+	sr6 := sr2 * sr2 * sr2
+	sr12 := sr6 * sr6
+	fmag := k.eps24 * (2*sr12 - sr6) / r2
+	return fmag * dx, fmag * dy, fmag * dz, 0.5 * (k.eps4 * (sr12 - sr6)), true
+}
+
 // row returns the force on the atom at (xi, yi, zi) summed over its neighbor
-// row in row order, and pe advanced by the row's ½u terms. It is a function
-// of its own rather than the body of forceChunk's loop because it measures
-// faster that way: written inline, the same loop costs the md.lj benchmark
-// workload 1.75 ms per step instead of 1.35 (PERFORMANCE.md, PR 13).
+// row in row order, and pe advanced by the row's ½u terms. It is the
+// reference rowTerms must equal, and the path of a host without AVX2. It is
+// a function of its own rather than the body of forceChunk's loop because
+// it measures faster that way (PERFORMANCE.md, PR 13).
 //
 //mlmd:hotpath
 func (k *ljKernel) row(x []float64, row []int32, xi, yi, zi, pe float64) (fx, fy, fz, _ float64) {
 	for _, j := range row {
-		dx := k.px.MinImage(xi - x[3*j])
-		dy := k.py.MinImage(yi - x[3*j+1])
-		dz := k.pz.MinImage(zi - x[3*j+2])
-		r2 := dx*dx + dy*dy + dz*dz
-		if r2 > k.rc2 || r2 == 0 {
+		tx, ty, tz, hu, ok := k.pair(xi-x[3*j], yi-x[3*j+1], zi-x[3*j+2])
+		if !ok {
 			continue
 		}
-		sr2 := k.sig2 / r2
-		sr6 := sr2 * sr2 * sr2
-		sr12 := sr6 * sr6
-		pe += 0.5 * (k.eps4 * (sr12 - sr6))
-		fmag := k.eps24 * (2*sr12 - sr6) / r2
-		fx += fmag * dx
-		fy += fmag * dy
-		fz += fmag * dz
+		pe += hu
+		fx += tx
+		fy += ty
+		fz += tz
 	}
 	return fx, fy, fz, pe
+}
+
+// ljSeg is how many candidates of a row one pass of the terms kernel covers;
+// a longer row takes several passes, so the scratch never depends on the
+// neighbor list.
+const ljSeg = 64
+
+// ljScratch holds the pair terms of up to ljSeg candidates, one array per
+// term. ljTermsAVX2 writes the four arrays at fixed offsets from x
+// (TestLJKernelArgsLayout).
+type ljScratch struct {
+	x, y, z, u [ljSeg]float64
+}
+
+// rowTerms is row on the vector kernel: per segment of the row, ljTerms
+// writes every candidate's terms into t, +0 for a rejected one, and one
+// scalar loop sums them in row order. The sums are row's chains with a +0
+// added where row skips a candidate, and that add is the identity: each sum
+// starts at +0, and in round-to-nearest s + y is −0 only when s and y are
+// both −0, so a sum is never −0, and s + (+0) = s for every s other than
+// −0 (NaN and ±Inf included). So rowTerms returns row's bits
+// (TestLJRowMatchesReference, FuzzLJRow).
+//
+//mlmd:hotpath
+func (k *ljKernel) rowTerms(t *ljScratch, x []float64, row []int32, xi, yi, zi, pe float64) (fx, fy, fz, _ float64) {
+	for len(row) > 0 {
+		seg := row[:min(len(row), ljSeg)]
+		row = row[len(seg):]
+		k.terms(t, x, seg, xi, yi, zi)
+		tx, ty, tz, tu := t.x[:len(seg)], t.y[:len(seg)], t.z[:len(seg)], t.u[:len(seg)]
+		for c := range tx {
+			pe += tu[c]
+			fx += tx[c]
+			fy += ty[c]
+			fz += tz[c]
+		}
+	}
+	return fx, fy, fz, pe
+}
+
+// terms writes pair's terms of candidates seg (at most ljSeg) into t. The
+// kernel takes groups of 4 and stops at a group it cannot take — a lane
+// whose separation needs minImageFormula (|d| outside both of MinImage's
+// windows, NaN, ±Inf) or an index outside x — which pair then takes, as it
+// takes the last len(seg) % 4 candidates, and every candidate on the
+// reference path.
+//
+//mlmd:hotpath
+func (k *ljKernel) terms(t *ljScratch, x []float64, seg []int32, xi, yi, zi float64) {
+	c := 0
+	if n4 := len(seg) &^ 3; useAVX2 {
+		for c < n4 {
+			c += ljTermsAVX2(k, &x[0], len(x)/3, &seg[c], n4-c, xi, yi, zi, &t.x[c])
+			if c < n4 {
+				k.pairsAt(t, x, seg, c, c+4, xi, yi, zi)
+				c += 4
+			}
+		}
+	}
+	k.pairsAt(t, x, seg, c, len(seg), xi, yi, zi)
+}
+
+// pairsAt writes pair's terms of candidates seg[lo:hi] into t.
+//
+//mlmd:hotpath
+func (k *ljKernel) pairsAt(t *ljScratch, x []float64, seg []int32, lo, hi int, xi, yi, zi float64) {
+	for c := lo; c < hi; c++ {
+		j := seg[c]
+		t.x[c], t.y[c], t.z[c], t.u[c], _ = k.pair(xi-x[3*j], yi-x[3*j+1], zi-x[3*j+2])
+	}
 }

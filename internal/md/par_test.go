@@ -175,12 +175,37 @@ func BenchmarkNeighborBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkLJForces times one force evaluation (list current) of the
+// 8 192-atom liquid and of fcc5324 (md.lj's shape and pair field: ε 0.01,
+// cutoff 2.0 + 0.3, atoms off their sites by up to ±0.05), on the vector
+// kernel and on the reference row. ns/cand is per stored neighbor.
 func BenchmarkLJForces(b *testing.B) {
-	sys, lj := benchSystem(b, 8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lj.ComputeForces(sys)
+	liquid, ljLiquid := benchSystem(b, 8192)
+	fcc := ljGoldenCases(b)[0]
+	fcc.lj.ComputeForces(fcc.sys)
+	for _, c := range []struct {
+		name string
+		sys  *System
+		lj   *LennardJones
+	}{{"lj8192", liquid, ljLiquid}, {"fcc5324", fcc.sys, fcc.lj}} {
+		for _, path := range []struct {
+			name string
+			avx2 bool
+		}{{"kernel", true}, {"reference", false}} {
+			b.Run(c.name+"/"+path.name, func(b *testing.B) {
+				if path.avx2 && !useAVX2 {
+					b.Skip("no AVX2 on this host")
+				}
+				onLJPath(path.avx2, func() {
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.lj.ComputeForces(c.sys)
+					}
+					b.ReportMetric(float64(c.lj.NL.NumPairs())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+					b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(c.lj.NL.NumPairs()), "ns/cand")
+				})
+			})
+		}
 	}
-	b.ReportMetric(float64(lj.NL.NumPairs())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }

@@ -82,31 +82,35 @@ func wrapFormula(x, l float64) float64 {
 // arithmetic bitwise.
 func Wrap1(x, l float64) float64 { return wrap1(x, l) }
 
-// Period is one periodic box length with the bound of the min-image fast
-// path precomputed, so a pair loop pays the multiply once per axis instead
+// Period is one periodic box length with the bounds of the min-image fast
+// paths precomputed, so a pair loop pays the multiplies once per axis instead
 // of once per pair. Build one with NewPeriod from a positive finite box
 // length.
 type Period struct {
-	l, near float64
+	// near is fl(0.49·l); (wrapLo, wrapHi) is (fl(0.51·l), fl(1.49·l)). The
+	// LJ terms kernel reads all four fields (ljKernel).
+	l, near, wrapLo, wrapHi float64
 }
 
 // NewPeriod returns the Period of box length l.
-func NewPeriod(l float64) Period { return Period{l: l, near: 0.49 * l} }
+func NewPeriod(l float64) Period {
+	return Period{l: l, near: 0.49 * l, wrapLo: 0.51 * l, wrapHi: 1.49 * l}
+}
 
 // MinImage returns the minimum-image reduction of displacement d:
 // d − l·Round(d/l), bit for bit. Where |d| < fl(0.49·l) the quotient d/l
 // rounds below one half, Round yields ±0 and the formula returns d itself
 // (−0 becomes +0, which d+0 reproduces); that compare is inlined into the
-// caller's pair loop and everything else goes to minImageWrap. The split is
-// what keeps this function under the inliner's budget.
+// caller's pair loop and everything else goes to wrap. The split is what
+// keeps this function under the inliner's budget.
 func (p Period) MinImage(d float64) float64 {
 	if d < p.near && -d < p.near { // |d| < near, in the form that costs the inliner least
 		return d + 0
 	}
-	return minImageWrap(d, p.l)
+	return p.wrap(d)
 }
 
-// minImageWrap is the out-of-line part of Period.MinImage. Where
+// wrap is the out-of-line part of MinImage. Where
 // fl(0.51·l) < |d| < fl(1.49·l) — every wrapped pair of atoms that both sit
 // inside the box — the quotient lies strictly between 0.5 and 1.5, Round is
 // ±1, l·(±1) is exact and the formula reduces to d ∓ l without the divide.
@@ -114,14 +118,14 @@ func (p Period) MinImage(d float64) float64 {
 // subnormal l too); NaN and ±Inf fail every compare and take the formula.
 //
 //go:noinline
-func minImageWrap(d, l float64) float64 {
-	if a := math.Abs(d); a > 0.51*l && a < 1.49*l {
+func (p Period) wrap(d float64) float64 {
+	if a := math.Abs(d); a > p.wrapLo && a < p.wrapHi {
 		if d > 0 {
-			return d - l
+			return d - p.l
 		}
-		return d + l
+		return d + p.l
 	}
-	return minImageFormula(d, l)
+	return minImageFormula(d, p.l)
 }
 
 // minImageFormula is the reference definition of the minimum image; every
