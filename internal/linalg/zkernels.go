@@ -24,9 +24,11 @@ package linalg
 // tests, which run every kernel test on each path.
 var useAVX2, useAVX512 bool
 
-// AVX2 reports whether this process runs the AVX2 kernel tier, for the
-// vector kernels of other packages to dispatch on the same bit.
-func AVX2() bool { return useAVX2 }
+// AVX2 and AVX512 report whether this process runs the AVX2 and the AVX-512
+// (AVX512F) kernel tiers, for the vector kernels of other packages to
+// dispatch on the same bits.
+func AVX2() bool   { return useAVX2 }
+func AVX512() bool { return useAVX512 }
 
 // ZMul returns a·b by the textbook formula
 // (ar·br − ai·bi) + i(ar·bi + ai·br), each product rounded before the add.

@@ -104,7 +104,7 @@ func (lj *LennardJones) forceChunk(lo, hi, _ int) {
 // useAVX2 selects the LJ terms kernel (ljTermsAVX2). It is linalg's kernel
 // tier bit, set once at init, and flipped only by this package's tests,
 // which run every LJ test on both paths.
-var useAVX2 = linalg.AVX2()
+var useAVX2, useAVX512 = linalg.AVX2(), linalg.AVX512()
 
 // ljKernel holds what the pair loop reads: the squared cutoff, σ², the two
 // ε prefactors of u and f (4ε and 24ε, the products the per-pair expressions
@@ -199,21 +199,35 @@ func (k *ljKernel) rowTerms(t *ljScratch, x []float64, row []int32, xi, yi, zi, 
 }
 
 // terms writes pair's terms of candidates seg (at most ljSeg) into t. The
-// kernel takes groups of 4 and stops at a group it cannot take — a lane
-// whose separation needs minImageFormula (|d| outside both of MinImage's
-// windows, NaN, ±Inf) or an index outside x — which pair then takes, as it
-// takes the last len(seg) % 4 candidates, and every candidate on the
-// reference path.
+// kernels take groups of 8 (AVX-512) then of 4 (AVX2), and stop at a group
+// they cannot take — a lane whose separation needs minImageFormula (|d|
+// outside both of MinImage's windows, NaN, ±Inf) or an index outside x —
+// which pair then takes. The last len(seg) % 4 candidates go to the AVX2
+// kernel as a group padded with copies of the last, whose terms land in
+// slots past len(seg) that no sum reads. On the reference path pair takes
+// every candidate.
 //
 //mlmd:hotpath
 func (k *ljKernel) terms(t *ljScratch, x []float64, seg []int32, xi, yi, zi float64) {
-	c := 0
-	if n4 := len(seg) &^ 3; useAVX2 {
+	c, n4 := 0, len(seg)&^3
+	if useAVX512 && n4 >= 8 {
+		c = ljTermsAVX512(k, &x[0], len(x)/3, &seg[0], n4&^7, xi, yi, zi, &t.x[0])
+	}
+	if useAVX2 {
 		for c < n4 {
 			c += ljTermsAVX2(k, &x[0], len(x)/3, &seg[c], n4-c, xi, yi, zi, &t.x[c])
 			if c < n4 {
 				k.pairsAt(t, x, seg, c, c+4, xi, yi, zi)
 				c += 4
+			}
+		}
+		if c < len(seg) { // c = n4 ≤ ljSeg − 4: the padded group's slots exist
+			var pad [4]int32
+			for i := range pad {
+				pad[i] = seg[min(c+i, len(seg)-1)]
+			}
+			if ljTermsAVX2(k, &x[0], len(x)/3, &pad[0], 4, xi, yi, zi, &t.x[c]) == 4 {
+				c = len(seg)
 			}
 		}
 	}

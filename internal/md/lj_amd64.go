@@ -10,3 +10,10 @@ package md
 //
 //go:noescape
 func ljTermsAVX2(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int
+
+// ljTermsAVX512 is ljTermsAVX2 on 8 candidates per ZMM (AVX512F): n is a
+// multiple of 8, and the return is n or the start of the first group of 8
+// it cannot take.
+//
+//go:noescape
+func ljTermsAVX512(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int

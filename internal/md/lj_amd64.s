@@ -66,12 +66,12 @@
 	VORPD   Y8, Y7, Y7;           \
 	VANDPD  Y7, Y0, Y0
 
-// ADDR loads row[off/4] into r, leaves the group to Go unless it is in
-// [0, nx), and makes r the index of its x in x[].
-#define ADDR(off, r) \
+// ADDR loads row[off/4] into r, leaves the group to Go (jumps to out)
+// unless it is in [0, nx), and makes r the index of its x in x[].
+#define ADDR(off, r, out) \
 	MOVLQSX off(BX), r;    \
 	CMPQ    r, DX;         \
-	JAE     done;          \
+	JAE     out;           \
 	LEAQ    (r)(r*2), r
 
 // func ljTermsAVX2(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int
@@ -115,10 +115,10 @@ TEXT ·ljTermsAVX2(SB), NOSPLIT, $544-80
 group:
 	CMPQ CX, $4
 	JLT  done
-	ADDR(0, R8)
-	ADDR(4, R9)
-	ADDR(8, R10)
-	ADDR(12, R11)
+	ADDR(0, R8, done)
+	ADDR(4, R9, done)
+	ADDR(8, R10, done)
+	ADDR(12, R11, done)
 	VMOVUPD     (SI)(R8*8), X0           // x0 y0
 	VMOVUPD     (SI)(R9*8), X1           // x1 y1
 	VINSERTF128 $1, (SI)(R10*8), Y0, Y0  // x0 y0 x2 y2
@@ -180,6 +180,145 @@ group:
 	JMP  group
 
 done:
+	MOVQ n+32(FP), R8
+	SUBQ CX, R8
+	MOVQ R8, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// ZMINIMAGE is MINIMAGE on 8 lanes: d + 0 near, d + (∓l) in the wrap
+// window, by a zero-masked XOR of −l with d's sign. The lanes in either
+// window go to ok. Z31 holds the abs mask, Z30 the sign mask, Z9 zero;
+// Z5, Z6, K1–K3 are clobbered.
+#define ZMINIMAGE(d, znl, znear, zlo, zhi, ok) \
+	VPANDQ     Z31, d, Z5;         \
+	VPANDQ     Z30, d, Z6;         \
+	VCMPPD     $0x1e, zlo, Z5, K1; \
+	VCMPPD     $0x11, zhi, Z5, K1, K2; \
+	VCMPPD     $0x11, znear, Z5, K3; \
+	KORW       K3, K2, ok;         \
+	VPXORQ.Z   znl, Z6, K1, Z6;    \
+	VADDPD     Z6, d, d
+
+// ZBCAST broadcasts the float64 at off(AX) to z; ZNEGBCAST its negation.
+#define ZBCAST(off, z) VBROADCASTSD off(AX), z
+#define ZNEGBCAST(off, z) \
+	VBROADCASTSD off(AX), z; \
+	VPXORQ       Z30, z, z
+
+// func ljTermsAVX512(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int
+TEXT ·ljTermsAVX512(SB), NOSPLIT, $0-80
+	MOVQ k+0(FP), AX
+	MOVQ x+8(FP), SI
+	MOVQ nx+16(FP), DX
+	MOVQ row+24(FP), BX
+	MOVQ n+32(FP), CX
+	MOVQ t+64(FP), DI
+	VBROADCASTSD xi+40(FP), Z29
+	VBROADCASTSD yi+48(FP), Z28
+	VBROADCASTSD zi+56(FP), Z27
+	VPTERNLOGQ   $0xff, Z31, Z31, Z31
+	VPSRLQ       $1, Z31, Z31      // abs mask
+	VPXORQ       Z9, Z9, Z9        // +0
+	VPTERNLOGQ   $0xff, Z30, Z30, Z30
+	VPSLLQ       $63, Z30, Z30     // sign mask
+	ZBCAST(0, Z14)                 // rc2
+	ZBCAST(8, Z13)                 // σ²
+	ZBCAST(16, Z11)                // 4ε
+	ZBCAST(24, Z12)                // 24ε
+	ZNEGBCAST(32, Z26)
+	ZBCAST(40, Z25)
+	ZBCAST(48, Z24)
+	ZBCAST(56, Z23)
+	ZNEGBCAST(64, Z22)
+	ZBCAST(72, Z21)
+	ZBCAST(80, Z20)
+	ZBCAST(88, Z19)
+	ZNEGBCAST(96, Z18)
+	ZBCAST(104, Z17)
+	ZBCAST(112, Z16)
+	ZBCAST(120, Z15)
+	MOVQ         $0x3FE0000000000000, R8
+	VMOVQ        R8, X10
+	VBROADCASTSD X10, Z10          // 0.5
+
+zgroup:
+	CMPQ CX, $8
+	JLT  zdone
+	ADDR(0, R8, zdone)
+	ADDR(4, R9, zdone)
+	ADDR(8, R10, zdone)
+	ADDR(12, R11, zdone)
+	VMOVUPD      (SI)(R8*8), X0
+	VMOVUPD      (SI)(R9*8), X1
+	VINSERTF32X4 $1, (SI)(R10*8), Z0, Z0
+	VINSERTF32X4 $1, (SI)(R11*8), Z1, Z1
+	VMOVSD       16(SI)(R8*8), X2
+	VMOVHPD      16(SI)(R9*8), X2, X2
+	VMOVSD       16(SI)(R10*8), X3
+	VMOVHPD      16(SI)(R11*8), X3, X3
+	VINSERTF32X4 $1, X3, Z2, Z2
+	ADDR(16, R8, zdone)
+	ADDR(20, R9, zdone)
+	ADDR(24, R10, zdone)
+	ADDR(28, R11, zdone)
+	VINSERTF32X4 $2, (SI)(R8*8), Z0, Z0
+	VINSERTF32X4 $2, (SI)(R9*8), Z1, Z1
+	VINSERTF32X4 $3, (SI)(R10*8), Z0, Z0   // x0 y0 x2 y2 x4 y4 x6 y6
+	VINSERTF32X4 $3, (SI)(R11*8), Z1, Z1   // x1 y1 x3 y3 x5 y5 x7 y7
+	VMOVSD       16(SI)(R8*8), X3
+	VMOVHPD      16(SI)(R9*8), X3, X3
+	VMOVSD       16(SI)(R10*8), X4
+	VMOVHPD      16(SI)(R11*8), X4, X4
+	VINSERTF32X4 $2, X3, Z2, Z2
+	VINSERTF32X4 $3, X4, Z2, Z2            // z0 … z7
+	VUNPCKLPD    Z1, Z0, Z3                // x0 … x7
+	VUNPCKHPD    Z1, Z0, Z4                // y0 … y7
+	VSUBPD       Z3, Z29, Z0               // dx
+	VSUBPD       Z4, Z28, Z1               // dy
+	VSUBPD       Z2, Z27, Z2               // dz
+
+	ZMINIMAGE(Z0, Z26, Z25, Z24, Z23, K4)
+	ZMINIMAGE(Z1, Z22, Z21, Z20, Z19, K5)
+	ZMINIMAGE(Z2, Z18, Z17, Z16, Z15, K6)
+	KANDW    K5, K4, K4
+	KANDW    K6, K4, K4
+	KMOVW    K4, R8
+	CMPQ     R8, $0xff
+	JNE      zdone
+
+	VMULPD   Z0, Z0, Z3
+	VMULPD   Z1, Z1, Z4
+	VADDPD   Z4, Z3, Z3
+	VMULPD   Z2, Z2, Z4
+	VADDPD   Z4, Z3, Z3                // r2
+	VCMPPD   $0x1a, Z14, Z3, K1        // !(r2 > rc2)
+	VCMPPD   $0x04, Z9, Z3, K1, K1     // and !(r2 == 0): accept
+	VDIVPD   Z3, Z13, Z4               // sr2
+	VMULPD   Z4, Z4, Z5
+	VMULPD   Z4, Z5, Z5                // sr6
+	VMULPD   Z5, Z5, Z6                // sr12
+	VADDPD   Z6, Z6, Z7                // 2·sr12
+	VSUBPD   Z5, Z7, Z7
+	VMULPD   Z12, Z7, Z7
+	VDIVPD   Z3, Z7, Z7                // fmag
+	VSUBPD   Z5, Z6, Z6
+	VMULPD   Z11, Z6, Z6
+	VMULPD.Z Z10, Z6, K1, Z6           // ½u, +0 where rejected
+	VMULPD.Z Z0, Z7, K1, Z0
+	VMULPD.Z Z1, Z7, K1, Z1
+	VMULPD.Z Z2, Z7, K1, Z2
+	VMOVUPD  Z0, (DI)
+	VMOVUPD  Z1, TY(DI)
+	VMOVUPD  Z2, TZ(DI)
+	VMOVUPD  Z6, TU(DI)
+
+	ADDQ $32, BX
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JMP  zgroup
+
+zdone:
 	MOVQ n+32(FP), R8
 	SUBQ CX, R8
 	MOVQ R8, ret+72(FP)

@@ -8,3 +8,7 @@ package md
 func ljTermsAVX2(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int {
 	panic("md: no vector kernels on this architecture")
 }
+
+func ljTermsAVX512(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int {
+	panic("md: no vector kernels on this architecture")
+}

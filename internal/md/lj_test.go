@@ -98,18 +98,37 @@ func TestLJForcesGolden(t *testing.T) {
 	}
 }
 
-// onLJPath runs f with the LJ terms kernel on (avx2, where the host has it)
-// or off.
-func onLJPath(avx2 bool, f func()) {
-	prev := useAVX2
-	useAVX2 = prev && avx2
-	defer func() { useAVX2 = prev }()
+// An ljPath is one setting of the dispatch variables: the AVX-512 kernel
+// (the default on a host that has it), the AVX2 kernel, or the reference.
+type ljPath struct {
+	name         string
+	avx2, avx512 bool
+}
+
+var (
+	ljPathAVX512    = ljPath{"avx512", true, true}
+	ljPathAVX2      = ljPath{"avx2", true, false}
+	ljPathReference = ljPath{"reference", false, false}
+	ljPaths         = []ljPath{ljPathAVX512, ljPathAVX2, ljPathReference}
+)
+
+// available reports whether this host runs p's tier.
+func (p ljPath) available() bool {
+	return (useAVX2 || !p.avx2) && (useAVX512 || !p.avx512)
+}
+
+// onLJPath runs f with the dispatch variables set to p. A tier the host
+// lacks stays off, so there f runs on the next tier down.
+func onLJPath(p ljPath, f func()) {
+	prev2, prev512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = prev2 && p.avx2, prev512 && p.avx512
+	defer func() { useAVX2, useAVX512 = prev2, prev512 }()
 	f()
 }
 
-// ljKernelTests are the tests that reach the LJ terms kernel. A plain run
-// takes the kernel where the host has AVX2; the TestLJKernelTestsOn*Path
-// tests run them on each path.
+// ljKernelTests are the tests that reach the LJ terms kernels. A plain run
+// takes the widest tier the host has; the TestLJKernelTestsOn*Path tests
+// re-run them on the tiers below it.
 var ljKernelTests = []struct {
 	name string
 	f    func(*testing.T)
@@ -125,19 +144,19 @@ var ljKernelTests = []struct {
 	{"ForcesMatchEnergyGradient", TestForcesMatchEnergyGradient},
 }
 
-func runLJKernelTests(t *testing.T, avx2 bool) {
-	if avx2 && !useAVX2 {
-		t.Skip("no AVX2 on this host")
+func runLJKernelTests(t *testing.T, p ljPath) {
+	if !p.available() {
+		t.Skipf("no %s on this host", p.name)
 	}
-	onLJPath(avx2, func() {
+	onLJPath(p, func() {
 		for _, kt := range ljKernelTests {
 			t.Run(kt.name, kt.f)
 		}
 	})
 }
 
-func TestLJKernelTestsOnAVX2Path(t *testing.T)      { runLJKernelTests(t, true) }
-func TestLJKernelTestsOnReferencePath(t *testing.T) { runLJKernelTests(t, false) }
+func TestLJKernelTestsOnAVX2Path(t *testing.T)      { runLJKernelTests(t, ljPathAVX2) }
+func TestLJKernelTestsOnReferencePath(t *testing.T) { runLJKernelTests(t, ljPathReference) }
 
 // The candidate kinds of the kernel tests, as separations d = (xi, yi, zi) −
 // x_j in a box of length ljTestBox (cutoff 2, so rc2 = 4): every value is a
@@ -346,7 +365,7 @@ func TestLJTermsIndexOutOfRangePanics(t *testing.T) {
 }
 
 // FuzzLJRow checks rowTerms against row, and terms against pair, by
-// Float64bits on rows of up to 255 random candidates: coordinates spread
+// Float64bits (sameBits) on every path, on rows of up to 255 random candidates: coordinates spread
 // around the row atom over a random box, a few of them NaN or ±Inf.
 func FuzzLJRow(f *testing.F) {
 	f.Add(int64(1), uint8(42), 2.3, 18.7, 0.5)
@@ -374,18 +393,22 @@ func FuzzLJRow(f *testing.F) {
 		}
 		p := NewPeriod(box)
 		k := &ljKernel{rc2: 4, sig2: 1, eps4: 0.04, eps24: 0.24, px: p, py: p, pz: p}
-		sameRow(t, k, x, row, "fuzz row")
-		var s ljScratch
-		seg := row[:min(len(row), ljSeg)]
-		k.terms(&s, x, seg, x[0], x[1], x[2])
-		for c, j := range seg {
-			tx, ty, tz, hu, _ := k.pair(x[0]-x[3*j], x[1]-x[3*j+1], x[2]-x[3*j+2])
-			want, got := [4]float64{tx, ty, tz, hu}, [4]float64{s.x[c], s.y[c], s.z[c], s.u[c]}
-			for a := range want {
-				if !sameBits(got[a], want[a]) {
-					t.Fatalf("slot %d term %d: %v, pair %v", c, a, got[a], want[a])
+		for _, path := range ljPaths {
+			onLJPath(path, func() {
+				sameRow(t, k, x, row, path.name)
+				var s ljScratch
+				seg := row[:min(len(row), ljSeg)]
+				k.terms(&s, x, seg, x[0], x[1], x[2])
+				for c, j := range seg {
+					tx, ty, tz, hu, _ := k.pair(x[0]-x[3*j], x[1]-x[3*j+1], x[2]-x[3*j+2])
+					want, got := [4]float64{tx, ty, tz, hu}, [4]float64{s.x[c], s.y[c], s.z[c], s.u[c]}
+					for a := range want {
+						if !sameBits(got[a], want[a]) {
+							t.Fatalf("%s: slot %d term %d: %v, pair %v", path.name, c, a, got[a], want[a])
+						}
+					}
 				}
-			}
+			})
 		}
 	})
 }

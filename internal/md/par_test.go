@@ -177,8 +177,8 @@ func BenchmarkNeighborBuild(b *testing.B) {
 
 // BenchmarkLJForces times one force evaluation (list current) of the
 // 8 192-atom liquid and of fcc5324 (md.lj's shape and pair field: ε 0.01,
-// cutoff 2.0 + 0.3, atoms off their sites by up to ±0.05), on the vector
-// kernel and on the reference row. ns/cand is per stored neighbor.
+// cutoff 2.0 + 0.3, atoms off their sites by up to ±0.05) on each path of
+// the LJ terms kernels. ns/cand is per stored neighbor.
 func BenchmarkLJForces(b *testing.B) {
 	liquid, ljLiquid := benchSystem(b, 8192)
 	fcc := ljGoldenCases(b)[0]
@@ -188,15 +188,12 @@ func BenchmarkLJForces(b *testing.B) {
 		sys  *System
 		lj   *LennardJones
 	}{{"lj8192", liquid, ljLiquid}, {"fcc5324", fcc.sys, fcc.lj}} {
-		for _, path := range []struct {
-			name string
-			avx2 bool
-		}{{"kernel", true}, {"reference", false}} {
+		for _, path := range ljPaths {
 			b.Run(c.name+"/"+path.name, func(b *testing.B) {
-				if path.avx2 && !useAVX2 {
-					b.Skip("no AVX2 on this host")
+				if !path.available() {
+					b.Skipf("no %s on this host", path.name)
 				}
-				onLJPath(path.avx2, func() {
+				onLJPath(path, func() {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
