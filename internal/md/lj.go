@@ -17,7 +17,8 @@ const ljGrain = 128
 // energy is accumulated as ½u(i,j) per directed pair (exact halving), summed
 // in fixed chunk order. The decomposed engine's LJ (internal/shard) runs the
 // same rows through the same loop, so unsharded trajectories are bitwise
-// the engine's.
+// the engine's. Where the host has AVX2 the pair terms come from the vector
+// kernels (rowTerms), with the scalar row's bits.
 //
 // ComputeForces runs on the shared worker pool and is allocation-free in
 // steady state (the chunk body and scratch are cached on first use).
@@ -101,16 +102,17 @@ func (lj *LennardJones) forceChunk(lo, hi, _ int) {
 	lj.peChunk[lo/ljGrain] = pe
 }
 
-// useAVX2 selects the LJ terms kernel (ljTermsAVX2). It is linalg's kernel
-// tier bit, set once at init, and flipped only by this package's tests,
-// which run every LJ test on both paths.
+// useAVX2 selects the LJ terms kernels (rowTerms), and useAVX512 (which
+// implies useAVX2) the ZMM one among them. They are linalg's kernel tier
+// bits, set once at init, and flipped only by this package's tests, which
+// run every LJ test on each path.
 var useAVX2, useAVX512 = linalg.AVX2(), linalg.AVX512()
 
 // ljKernel holds what the pair loop reads: the squared cutoff, σ², the two
 // ε prefactors of u and f (4ε and 24ε, the products the per-pair expressions
 // 4·ε·(…) and 24·ε·(…) start with, so hoisting them moves no bit) and the
-// box periods. It is also the argument block of ljTermsAVX2, which reads its
-// fields at fixed offsets (TestLJKernelArgsLayout).
+// box periods. It is also the argument block of the terms kernels, which
+// read its fields at fixed offsets (TestLJKernelArgsLayout).
 type ljKernel struct {
 	rc2, sig2, eps4, eps24 float64
 	px, py, pz             Period
@@ -120,8 +122,8 @@ type ljKernel struct {
 // ½u of a neighbor at raw separation (dx, dy, dz), taken to its minimum
 // image, and whether it lies inside the cutoff; a rejected pair returns +0
 // terms. It is the one statement of the pair arithmetic: the scalar row and
-// the vector path's tails and bail-outs both call it, and ljTermsAVX2 is its
-// lanes.
+// the vector path's tails and bail-outs both call it, and each lane of
+// ljTermsAVX2 and ljTermsAVX512 is it.
 //
 //mlmd:hotpath
 func (k *ljKernel) pair(dx, dy, dz float64) (tx, ty, tz, hu float64, ok bool) {
@@ -202,10 +204,8 @@ func (k *ljKernel) rowTerms(t *ljScratch, x []float64, row []int32, xi, yi, zi, 
 // kernels take groups of 8 (AVX-512) then of 4 (AVX2), and stop at a group
 // they cannot take — a lane whose separation needs minImageFormula (|d|
 // outside both of MinImage's windows, NaN, ±Inf) or an index outside x —
-// which pair then takes. The last len(seg) % 4 candidates go to the AVX2
-// kernel as a group padded with copies of the last, whose terms land in
-// slots past len(seg) that no sum reads. On the reference path pair takes
-// every candidate.
+// which pair then takes, as it takes the last len(seg) % 4 candidates, and
+// every candidate on the reference path.
 //
 //mlmd:hotpath
 func (k *ljKernel) terms(t *ljScratch, x []float64, seg []int32, xi, yi, zi float64) {
@@ -219,15 +219,6 @@ func (k *ljKernel) terms(t *ljScratch, x []float64, seg []int32, xi, yi, zi floa
 			if c < n4 {
 				k.pairsAt(t, x, seg, c, c+4, xi, yi, zi)
 				c += 4
-			}
-		}
-		if c < len(seg) { // c = n4 ≤ ljSeg − 4: the padded group's slots exist
-			var pad [4]int32
-			for i := range pad {
-				pad[i] = seg[min(c+i, len(seg)-1)]
-			}
-			if ljTermsAVX2(k, &x[0], len(x)/3, &pad[0], 4, xi, yi, zi, &t.x[c]) == 4 {
-				c = len(seg)
 			}
 		}
 	}

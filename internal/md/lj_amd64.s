@@ -1,18 +1,21 @@
 #include "textflag.h"
 
-// The LJ terms kernel of lj.go: ljKernel.pair on 4 candidates per YMM, one
-// candidate per lane. As in internal/linalg's kernels there is NO fused
-// multiply-add (`make asm-nofma`): every VMULPD result is rounded before a
-// VADDPD or VSUBPD takes it, and each lane runs pair's IEEE operations in
-// Go's evaluation order, so a lane's terms are pair's bits.
+// The LJ terms kernels of lj.go: ljKernel.pair on 4 candidates per YMM
+// (AVX2) or 8 per ZMM (AVX512F), one candidate per lane. As in
+// internal/linalg's kernels there is NO fused multiply-add (`make
+// asm-nofma`): every VMULPD result is rounded before a VADDPD or VSUBPD takes
+// it, and each lane runs pair's IEEE operations in Go's evaluation order, so
+// a lane's terms are pair's bits.
 //
-// A group of 4 loads each candidate's (x, y) with one 128-bit load and its
-// z with one 64-bit load and transposes them in registers: no gathers.
-// MinImage runs in the lanes for its two fast windows; a group with a lane
-// outside both (NaN and ±Inf included) returns to Go, which runs pair on
-// it. Rejected lanes store +0 (the accept mask ANDed in).
+// A group loads each candidate's (x, y) with one 128-bit load and its z with
+// one 64-bit load and transposes them in registers: no gathers. MinImage
+// runs in the lanes for its two fast windows, as d + 0 or d + (∓l) (IEEE
+// d − l is d + (−l)); a group with a lane outside both (NaN and ±Inf
+// included) or an index outside [0, nx) returns to Go, which runs pair on
+// it. Rejected lanes store +0 (the accept mask ANDed in, or zero-masking).
 
-// Frame: the ljKernel constants broadcast to 4 lanes, 32 bytes each.
+// ljTermsAVX2's frame: the ljKernel constants broadcast to 4 lanes, 32 bytes
+// each, −l in place of l.
 #define PX_NL    0(SP)
 #define PX_NEAR  32(SP)
 #define PX_LO    64(SP)
