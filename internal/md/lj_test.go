@@ -134,8 +134,7 @@ var ljKernelTests = []struct {
 	f    func(*testing.T)
 }{
 	{"LJForcesGolden", TestLJForcesGolden},
-	{"LJTermsMatchPair", TestLJTermsMatchPair},
-	{"LJRowMatchesReference", TestLJRowMatchesReference},
+	{"LJKernelMatchesReference", TestLJKernelMatchesReference},
 	{"LJRowNegativeZeroThenRejected", TestLJRowNegativeZeroThenRejected},
 	{"LJTermsIndexOutOfRangePanics", TestLJTermsIndexOutOfRangePanics},
 	{"LJForcesSteadyStateAllocs", TestLJForcesSteadyStateAllocs},
@@ -249,43 +248,36 @@ func ljTestRows() [][]int {
 	return rows
 }
 
-// TestLJTermsMatchPair: every slot terms writes is pair's four terms, +0 for
-// a rejected candidate, by Float64bits, whichever path took its group.
-func TestLJTermsMatchPair(t *testing.T) {
-	k := ljTestKernel()
-	var s ljScratch
-	for _, kinds := range ljTestRows() {
-		x, row := ljTestRow(kinds)
-		for len(row) > 0 {
-			seg := row[:min(len(row), ljSeg)]
-			row = row[len(seg):]
-			for c := range s.x {
-				s.x[c], s.y[c], s.z[c], s.u[c] = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-			}
-			k.terms(&s, x, seg, 5, 5, 5)
-			for c, j := range seg {
-				tx, ty, tz, hu, _ := k.pair(5-x[3*j], 5-x[3*j+1], 5-x[3*j+2])
-				want := [4]float64{tx, ty, tz, hu}
-				got := [4]float64{s.x[c], s.y[c], s.z[c], s.u[c]}
-				for a := range want {
-					if math.Float64bits(got[a]) != math.Float64bits(want[a]) {
-						t.Fatalf("kinds %v slot %d (%s) term %d: %v (%#x), pair %v (%#x)",
-							kinds, c, ljKinds[kinds[c]].name, a, got[a], math.Float64bits(got[a]), want[a], math.Float64bits(want[a]))
-					}
-				}
-			}
-		}
-	}
-}
-
 // sameBits reports whether a and b are the same float64, NaN payloads
 // excepted: Go leaves which operand's NaN an add propagates to the compiler.
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
-// sameRow fails unless rowTerms returns row's bits (sameBits) on the
-// candidates of row, from a zero and a nonzero starting energy.
+// sameTerms fails unless every slot terms writes for the candidates seg of
+// the row atom x[0:3] holds pair's four terms (sameBits), +0 for a rejected
+// candidate, whichever path took its group.
+func sameTerms(t *testing.T, k *ljKernel, x []float64, seg []int32, what string) {
+	t.Helper()
+	var s ljScratch
+	for c := range s.x {
+		s.x[c], s.y[c], s.z[c], s.u[c] = math.NaN(), math.NaN(), math.NaN(), math.NaN()
+	}
+	k.terms(&s, x, seg, x[0], x[1], x[2])
+	for c, j := range seg {
+		tx, ty, tz, hu, _ := k.pair(x[0]-x[3*j], x[1]-x[3*j+1], x[2]-x[3*j+2])
+		want, got := [4]float64{tx, ty, tz, hu}, [4]float64{s.x[c], s.y[c], s.z[c], s.u[c]}
+		for a := range want {
+			if !sameBits(got[a], want[a]) {
+				t.Fatalf("%s: slot %d term %d: %v (%#x), pair %v (%#x)",
+					what, c, a, got[a], math.Float64bits(got[a]), want[a], math.Float64bits(want[a]))
+			}
+		}
+	}
+}
+
+// sameRow fails unless rowTerms returns row's bits (sameBits) for the row
+// atom x[0:3], from a zero and a nonzero starting energy.
 func sameRow(t *testing.T, k *ljKernel, x []float64, row []int32, what string) {
 	t.Helper()
 	var s ljScratch
@@ -302,13 +294,18 @@ func sameRow(t *testing.T, k *ljKernel, x []float64, row []int32, what string) {
 	}
 }
 
-// TestLJRowMatchesReference: rowTerms — terms into scratch, +0 for a
-// rejected candidate, then the ascending sums — is row bit for bit.
-func TestLJRowMatchesReference(t *testing.T) {
+// TestLJKernelMatchesReference: on every row of ljTestRows, each slot of
+// terms is pair's, and rowTerms — terms into scratch, +0 for a rejected
+// candidate, then the ascending sums — is row bit for bit.
+func TestLJKernelMatchesReference(t *testing.T) {
 	k := ljTestKernel()
 	for _, kinds := range ljTestRows() {
 		x, row := ljTestRow(kinds)
-		sameRow(t, k, x, row, "kinds "+ljKindNames(kinds))
+		what := "kinds " + ljKindNames(kinds)
+		for c := 0; c < len(row); c += ljSeg {
+			sameTerms(t, k, x, row[c:min(c+ljSeg, len(row))], what)
+		}
+		sameRow(t, k, x, row, what)
 	}
 }
 
@@ -395,19 +392,8 @@ func FuzzLJRow(f *testing.F) {
 		k := &ljKernel{rc2: 4, sig2: 1, eps4: 0.04, eps24: 0.24, px: p, py: p, pz: p}
 		for _, path := range ljPaths {
 			onLJPath(path, func() {
+				sameTerms(t, k, x, row[:min(len(row), ljSeg)], path.name)
 				sameRow(t, k, x, row, path.name)
-				var s ljScratch
-				seg := row[:min(len(row), ljSeg)]
-				k.terms(&s, x, seg, x[0], x[1], x[2])
-				for c, j := range seg {
-					tx, ty, tz, hu, _ := k.pair(x[0]-x[3*j], x[1]-x[3*j+1], x[2]-x[3*j+2])
-					want, got := [4]float64{tx, ty, tz, hu}, [4]float64{s.x[c], s.y[c], s.z[c], s.u[c]}
-					for a := range want {
-						if !sameBits(got[a], want[a]) {
-							t.Fatalf("%s: slot %d term %d: %v, pair %v", path.name, c, a, got[a], want[a])
-						}
-					}
-				}
 			})
 		}
 	})

@@ -101,16 +101,16 @@ func NewPeriod(l float64) Period {
 // d − l·Round(d/l), bit for bit. Where |d| < fl(0.49·l) the quotient d/l
 // rounds below one half, Round yields ±0 and the formula returns d itself
 // (−0 becomes +0, which d+0 reproduces); that compare is inlined into the
-// caller's pair loop and everything else goes to wrap. The split is what
-// keeps this function under the inliner's budget.
+// caller's pair loop and everything else goes to minImageWrap. The split is
+// what keeps this function under the inliner's budget.
 func (p Period) MinImage(d float64) float64 {
 	if d < p.near && -d < p.near { // |d| < near, in the form that costs the inliner least
 		return d + 0
 	}
-	return p.wrap(d)
+	return minImageWrap(d, p)
 }
 
-// wrap is the out-of-line part of MinImage. Where
+// minImageWrap is the out-of-line part of Period.MinImage. Where
 // fl(0.51·l) < |d| < fl(1.49·l) — every wrapped pair of atoms that both sit
 // inside the box — the quotient lies strictly between 0.5 and 1.5, Round is
 // ±1, l·(±1) is exact and the formula reduces to d ∓ l without the divide.
@@ -118,7 +118,7 @@ func (p Period) MinImage(d float64) float64 {
 // subnormal l too); NaN and ±Inf fail every compare and take the formula.
 //
 //go:noinline
-func (p Period) wrap(d float64) float64 {
+func minImageWrap(d float64, p Period) float64 {
 	if a := math.Abs(d); a > p.wrapLo && a < p.wrapHi {
 		if d > 0 {
 			return d - p.l
