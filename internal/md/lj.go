@@ -168,20 +168,20 @@ func (k *ljKernel) row(x []float64, row []int32, xi, yi, zi, pe float64) (fx, fy
 const ljSeg = 64
 
 // ljScratch holds the pair terms of up to ljSeg candidates, one array per
-// term. ljTermsAVX2 writes the four arrays at fixed offsets from x
+// term. The terms kernels write the four arrays at fixed offsets from x
 // (TestLJKernelArgsLayout).
 type ljScratch struct {
 	x, y, z, u [ljSeg]float64
 }
 
-// rowTerms is row on the vector kernel: per segment of the row, ljTerms
+// rowTerms is row on the vector kernels: per segment of the row, terms
 // writes every candidate's terms into t, +0 for a rejected one, and one
 // scalar loop sums them in row order. The sums are row's chains with a +0
 // added where row skips a candidate, and that add is the identity: each sum
 // starts at +0, and in round-to-nearest s + y is −0 only when s and y are
 // both −0, so a sum is never −0, and s + (+0) = s for every s other than
 // −0 (NaN and ±Inf included). So rowTerms returns row's bits
-// (TestLJRowMatchesReference, FuzzLJRow).
+// (TestLJKernelMatchesReference, FuzzLJRow).
 //
 //mlmd:hotpath
 func (k *ljKernel) rowTerms(t *ljScratch, x []float64, row []int32, xi, yi, zi, pe float64) (fx, fy, fz, _ float64) {
