@@ -145,7 +145,7 @@ func (k *ljKernel) pair(dx, dy, dz float64) (tx, ty, tz, hu float64, ok bool) {
 // row in row order, and pe advanced by the row's ½u terms. It is the
 // reference rowTerms must equal, and the path of a host without AVX2. It is
 // a function of its own rather than the body of forceChunk's loop because
-// it measures faster that way (PERFORMANCE.md, PR 13).
+// it measures faster that way (PERFORMANCE.md, "pair geometry").
 //
 //mlmd:hotpath
 func (k *ljKernel) row(x []float64, row []int32, xi, yi, zi, pe float64) (fx, fy, fz, _ float64) {
