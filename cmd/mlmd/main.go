@@ -10,7 +10,6 @@
 //	     [-procs N [-transport unix|tcp]] [-hosts h0:p0,h1:p1,... -hostrank i]
 //	     [-peer-timeout d] [-checkpoint-every N [-checkpoint path]] [-resume path]
 //	     [-auto-resume [-max-restarts N]] [-gen G]
-//	     [-allegro-block off|on|N|mixed[:N]]
 //	mlmd -fdtd  [-ranks N | -grid PxxPyxPz] [-procs N [-transport unix|tcp]]
 //	mlmd -tddft [-ranks N | -grid PxxPyxPz] [-procs N [-transport unix|tcp]]
 //
@@ -22,12 +21,6 @@
 // identical on every decomposition and transport. The particle-stage
 // flags (-balance, -checkpoint-every, -resume, -auto-resume, -hosts,
 // -grid auto) do not apply to the field demos and fail fast.
-//
-// -allegro-block sets the process-wide Allegro inference default (per-atom
-// tapes vs blocked-GEMM batching, see internal/allegro), overriding the
-// MLMD_ALLEGRO_BLOCK environment variable; it is forwarded to -procs
-// workers. The float64 batched path is bitwise identical to per-atom, so
-// the setting never changes a trajectory.
 //
 // With -procs N the sharded lattice stage runs across N OS processes: the
 // launcher forks one worker per rank (mlmd -worker -wrank i), the workers
@@ -73,7 +66,6 @@ import (
 	"strings"
 	"time"
 
-	"mlmd/internal/allegro"
 	"mlmd/internal/cluster"
 	"mlmd/internal/core"
 	"mlmd/internal/ferro"
@@ -151,7 +143,6 @@ func main() {
 	hosts := flag.String("hosts", "", "join a multi-host TCP mesh: comma-separated host0:port,host1:port,... rank endpoints, identical on every host (requires -hostrank; rank count must match the decomposition)")
 	hostRank := flag.Int("hostrank", -1, "this process's rank in the -hosts list")
 	peerTimeout := flag.Duration("peer-timeout", 0, "declare a silent peer dead after this long without a frame (heartbeats keep healthy idle links alive; 0 disables the deadline — a killed peer is still detected through the connection close)")
-	allegroBlock := flag.String("allegro-block", "", "process-wide Allegro inference default, overriding MLMD_ALLEGRO_BLOCK: off|atom (per-atom tapes), on|batched, N (batched with block size N), or mixed[:N] (GEMMMixed float32); the float64 batched path is bitwise identical to per-atom")
 	ckptEvery := flag.Int("checkpoint-every", 0, "write a restartable snapshot of the lattice stage every N MD steps (0 = never)")
 	ckptPath := flag.String("checkpoint", "mlmd.ckpt", "checkpoint file path (written atomically by rank 0)")
 	resumePath := flag.String("resume", "", "resume the lattice stage from this checkpoint (skips the DC-MESH stage; any -grid/-procs decomposition works)")
@@ -165,13 +156,6 @@ func main() {
 	rdv := flag.String("rdv", "", "internal: rendezvous directory of the -procs socket transport")
 	flag.Parse()
 
-	if *allegroBlock != "" {
-		mode, block, err := allegro.ParseBlockSpec(*allegroBlock)
-		if err != nil {
-			fail(fmt.Errorf("-allegro-block: %w", err))
-		}
-		allegro.SetEvalDefaults(mode, block)
-	}
 	demo := ""
 	if *fdtdDemo {
 		demo = "fdtd"

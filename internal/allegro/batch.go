@@ -2,39 +2,32 @@ package allegro
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 
 	"mlmd/internal/md"
 	"mlmd/internal/nn"
 	"mlmd/internal/par"
 )
 
-// EvalMode selects a Model's inference implementation.
+// EvalMode selects a Model's inference arithmetic.
 type EvalMode int
 
 const (
-	// EvalPerAtom runs one MLP forward+backward per atom (the seed path).
-	EvalPerAtom EvalMode = iota
-	// EvalBatched gathers descriptor rows for a block of atoms into a
-	// matrix and drives the per-species MLPs with blocked GEMM64 passes.
-	// It is bitwise identical to EvalPerAtom: the GEMM accumulates each
-	// output over the reduction index in the per-atom order, and the
-	// energy/gradient reductions replay the per-atom grouping.
-	EvalBatched
+	// EvalBatched, the zero value, gathers descriptor rows for a block of
+	// atoms into a matrix and drives the per-species MLPs with blocked
+	// GEMM64 passes. Each row's energy and cotangent are bitwise identical
+	// to per-atom EvalAtom inference: the GEMM accumulates each output over
+	// the reduction index in the per-row order.
+	EvalBatched EvalMode = iota
 	// EvalBatchedMixed is EvalBatched with float32 activations under the
 	// Model's MixedMode (precision.GEMMMixed) — the measurable
 	// mixed-precision switch. It is NOT bitwise-comparable to the float64
-	// paths and is excluded from the 0-alloc steady-state contract.
+	// path and is excluded from the 0-alloc steady-state contract.
 	EvalBatchedMixed
 )
 
 // String implements fmt.Stringer.
 func (e EvalMode) String() string {
 	switch e {
-	case EvalPerAtom:
-		return "per-atom"
 	case EvalBatched:
 		return "batched"
 	case EvalBatchedMixed:
@@ -43,71 +36,9 @@ func (e EvalMode) String() string {
 	return fmt.Sprintf("EvalMode(%d)", int(e))
 }
 
-// DefaultBatchBlock is the block size applied when an eval spec enables
-// batching without naming one.
+// DefaultBatchBlock is the BlockSize the nn.allegro benchmark workload
+// runs at. NewModel leaves BlockSize at 0: the whole system is one block.
 const DefaultBatchBlock = 256
-
-// ParseBlockSpec parses an MLMD_ALLEGRO_BLOCK-style inference spec:
-//
-//	"", "0", "off", "atom"   → per-atom
-//	"on", "batched"          → batched, DefaultBatchBlock rows
-//	"N" (a positive integer) → batched, N rows per block
-//	"mixed", "mixed:N"       → batched-mixed (FP32), default/N rows
-func ParseBlockSpec(s string) (EvalMode, int, error) {
-	switch t := strings.TrimSpace(strings.ToLower(s)); t {
-	case "", "0", "off", "atom":
-		return EvalPerAtom, 0, nil
-	case "on", "batched":
-		return EvalBatched, DefaultBatchBlock, nil
-	case "mixed":
-		return EvalBatchedMixed, DefaultBatchBlock, nil
-	default:
-		if rest, ok := strings.CutPrefix(t, "mixed:"); ok {
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 1 {
-				return EvalPerAtom, 0, fmt.Errorf("allegro: bad mixed block size %q", rest)
-			}
-			return EvalBatchedMixed, n, nil
-		}
-		n, err := strconv.Atoi(t)
-		if err != nil || n < 0 {
-			return EvalPerAtom, 0, fmt.Errorf("allegro: bad eval spec %q (want off, N, batched, or mixed[:N])", s)
-		}
-		if n == 0 {
-			return EvalPerAtom, 0, nil
-		}
-		return EvalBatched, n, nil
-	}
-}
-
-var (
-	evalDefaultsSet  bool
-	evalDefaultMode  EvalMode
-	evalDefaultBlock int
-)
-
-// SetEvalDefaults overrides the inference defaults NewModel applies to new
-// models (flag plumbing for cmd/mlmd and the benches); it takes precedence
-// over the MLMD_ALLEGRO_BLOCK environment variable.
-func SetEvalDefaults(mode EvalMode, block int) {
-	evalDefaultsSet = true
-	evalDefaultMode, evalDefaultBlock = mode, block
-}
-
-// evalDefaults resolves the mode/block NewModel applies: SetEvalDefaults
-// if called, else MLMD_ALLEGRO_BLOCK (ignored when malformed), else the
-// per-atom seed behaviour.
-func evalDefaults() (EvalMode, int) {
-	if evalDefaultsSet {
-		return evalDefaultMode, evalDefaultBlock
-	}
-	if s := os.Getenv("MLMD_ALLEGRO_BLOCK"); s != "" {
-		if mode, block, err := ParseBlockSpec(s); err == nil {
-			return mode, block
-		}
-	}
-	return EvalPerAtom, 0
-}
 
 // BlockEval is the reusable scratch of the blocked per-species inference
 // driver (Model.EvalBlock): species index lists, the per-species gather
@@ -129,13 +60,12 @@ type BlockEval struct {
 // energy (network output plus the species shift — exactly EvalAtom's return
 // value) and the cotangent row gdRows[r*gdStride : r*gdStride+Dim()] with
 // dE/dD. Rows are grouped by species in ascending row order and split into
-// chunks of at most net.BlockSize rows (0 = one chunk); per-row results are
+// chunks of at most BlockSize rows (0 = one chunk); per-row results are
 // independent of the grouping, and under EvalBatched they are bitwise
-// identical to per-atom EvalAtom inference. net supplies the weights and
-// shifts; it must share m's layer sizes.
+// identical to EvalAtom's.
 //
 //mlmd:hotpath
-func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, be *BlockEval, eAtom, gdRows []float64, gdStride int) {
+func (m *Model) EvalBlock(types []int, base, n int, desc []float64, be *BlockEval, eAtom, gdRows []float64, gdStride int) {
 	dim := m.Spec.Dim()
 	nsp := m.Spec.NSpecies
 	if len(be.idx) != nsp {
@@ -148,15 +78,15 @@ func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, 
 		sp := types[base+r]
 		be.idx[sp] = append(be.idx[sp], r)
 	}
-	mixed := net.Mode == EvalBatchedMixed
+	mixed := m.Mode == EvalBatchedMixed
 	for sp := 0; sp < nsp; sp++ {
 		list := be.idx[sp]
 		if len(list) == 0 {
 			continue
 		}
-		mlp := net.Nets[sp]
-		shift := net.PerSpeciesShift[sp]
-		chunk := net.BlockSize
+		mlp := m.Nets[sp]
+		shift := m.PerSpeciesShift[sp]
+		chunk := m.BlockSize
 		if chunk <= 0 || chunk > len(list) {
 			chunk = len(list)
 		}
@@ -178,8 +108,8 @@ func (m *Model) EvalBlock(net *Model, types []int, base, n int, desc []float64, 
 				for q, r := range rows {
 					copy(x[q*dim:(q+1)*dim], desc[r*dim:(r+1)*dim])
 				}
-				mlp.ForwardBatchMixed(net.MixedMode, x, cn, &be.mixed)
-				mlp.BackwardBatchMixed(net.MixedMode, &be.mixed, be.gd[:cn*dim])
+				mlp.ForwardBatchMixed(m.MixedMode, x, cn, &be.mixed)
+				mlp.BackwardBatchMixed(m.MixedMode, &be.mixed, be.gd[:cn*dim])
 				for q, r := range rows {
 					eAtom[r] = be.mixed.Out(q) + shift
 					copy(gdRows[r*gdStride:r*gdStride+dim], be.gd[q*dim:(q+1)*dim])
@@ -226,7 +156,7 @@ func (m *Model) GatherAtom(sys *md.System, i int, cand []int32, cs []float64, sc
 // descriptor/vector rows and flattened environments of the part's atoms
 // with their radial tape (envRad, RadialLen values per environment slot),
 // the blocked-inference scratch, and the private dE/dx accumulator merged
-// after each block (the same merge discipline as the per-atom inferState).
+// after each block.
 type batchState struct {
 	env                 neighborEnv // single-atom staging for buildEnv
 	desc, vec           []float64
@@ -251,24 +181,23 @@ func growF64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// forceBlockBatched is forceBlock on the blocked path: the same static
-// part partition, but each part gathers its atoms' environments and
-// descriptor rows and radial tape first (pass 1), runs the per-species
-// blocked MLPs over the whole part (pass 2, EvalBlock), and then replays
-// the per-atom energy sum and PairGradTaped scatter from the tape in
-// ascending atom order (pass 3) —
-// so the per-part dE/dx accumulators and energies are bitwise identical
-// to the per-atom path's. net supplies weights/shifts and dE/dx merges
-// into F (−dE/dx); gathered=true reuses the parts' gather of the previous
-// call. Every caller passes net = m and gathered = false.
+// forceBlockBatched evaluates atoms [lo,hi) on the worker pool, split
+// into one contiguous range per part (parts = pool size). Each part
+// gathers its atoms' environments, descriptor rows and radial tape
+// (pass 1), runs the per-species blocked MLPs over the whole part (pass 2,
+// EvalBlock), and then sums the energies and scatters the PairGradTaped
+// terms from the tape in ascending atom order (pass 3). The scatter
+// reaches neighbors, so each part accumulates dE/dx into its own scratch
+// slot, and the slots merge into sys.F (−dE/dx) in part order afterwards.
+// Keying the slot by the static part index — not the scheduling-dependent
+// worker id — makes the result deterministic for a fixed worker count.
 //
 //mlmd:hotpath
-func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, hi int, gathered bool) float64 {
+func (m *Model) forceBlockBatched(sys *md.System, lo, hi int) float64 {
 	if m.bscratch == nil {
 		m.bscratch = par.NewScratch(func() *batchState { return &batchState{} })
 		m.batchFn = func(part, _, _ int) {
 			sys := m.bctx.sys
-			net := m.bctx.net
 			base := m.bctx.base
 			flo := part * m.bctx.span / m.bctx.parts
 			fhi := (part + 1) * m.bctx.span / m.bctx.parts
@@ -280,34 +209,32 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 			if len(ws.cs) == 0 {
 				ws.cs = m.Spec.centers()
 			}
-			if !m.bctx.gathered {
-				ws.desc = growF64(ws.desc, n*dim)
-				ws.vec = growF64(ws.vec, n*vlen)
-				if cap(ws.envOff) < n+1 {
-					ws.envOff = make([]int32, n+1)
-				}
-				ws.envOff = ws.envOff[:n+1]
-				ws.envJ = ws.envJ[:0]
-				ws.envDx, ws.envDy = ws.envDx[:0], ws.envDy[:0]
-				ws.envDz, ws.envR = ws.envDz[:0], ws.envR[:0]
-				// The part's candidate count bounds its environment slots.
-				ws.envRad = growF64(ws.envRad, len(m.nl.Rows(base+flo, base+fhi))*rl)
-				for r := 0; r < n; r++ {
-					i := base + flo + r
-					ws.envOff[r] = int32(len(ws.envJ))
-					buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &ws.env)
-					ws.envJ = append(ws.envJ, ws.env.j...)
-					ws.envDx = append(ws.envDx, ws.env.dx...)
-					ws.envDy = append(ws.envDy, ws.env.dy...)
-					ws.envDz = append(ws.envDz, ws.env.dz...)
-					ws.envR = append(ws.envR, ws.env.r...)
-					m.Spec.descriptorInto(sys, &ws.env, ws.desc[r*dim:(r+1)*dim], ws.cs, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(ws.envOff[r])*rl:])
-				}
-				ws.envOff[n] = int32(len(ws.envJ))
+			ws.desc = growF64(ws.desc, n*dim)
+			ws.vec = growF64(ws.vec, n*vlen)
+			if cap(ws.envOff) < n+1 {
+				ws.envOff = make([]int32, n+1)
 			}
+			ws.envOff = ws.envOff[:n+1]
+			ws.envJ = ws.envJ[:0]
+			ws.envDx, ws.envDy = ws.envDx[:0], ws.envDy[:0]
+			ws.envDz, ws.envR = ws.envDz[:0], ws.envR[:0]
+			// The part's candidate count bounds its environment slots.
+			ws.envRad = growF64(ws.envRad, len(m.nl.Rows(base+flo, base+fhi))*rl)
+			for r := 0; r < n; r++ {
+				i := base + flo + r
+				ws.envOff[r] = int32(len(ws.envJ))
+				buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &ws.env)
+				ws.envJ = append(ws.envJ, ws.env.j...)
+				ws.envDx = append(ws.envDx, ws.env.dx...)
+				ws.envDy = append(ws.envDy, ws.env.dy...)
+				ws.envDz = append(ws.envDz, ws.env.dz...)
+				ws.envR = append(ws.envR, ws.env.r...)
+				m.Spec.descriptorInto(sys, &ws.env, ws.desc[r*dim:(r+1)*dim], ws.cs, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(ws.envOff[r])*rl:])
+			}
+			ws.envOff[n] = int32(len(ws.envJ))
 			ws.eAtom = growF64(ws.eAtom, n)
 			ws.gD = growF64(ws.gD, n*dim)
-			m.EvalBlock(net, sys.Type, base+flo, n, ws.desc, &ws.be, ws.eAtom, ws.gD, dim)
+			m.EvalBlock(sys.Type, base+flo, n, ws.desc, &ws.be, ws.eAtom, ws.gD, dim)
 			if len(ws.dEdx) != 3*sys.N {
 				ws.dEdx = make([]float64, 3*sys.N)
 			}
@@ -335,11 +262,9 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 		parts = hi - lo
 	}
 	m.bctx.sys = sys
-	m.bctx.net = net
 	m.bctx.base = lo
 	m.bctx.span = hi - lo
 	m.bctx.parts = parts
-	m.bctx.gathered = gathered
 	par.For(parts, 1, m.batchFn)
 	var e float64
 	m.bscratch.Each(func(_ int, ws *batchState) {
@@ -348,7 +273,7 @@ func (m *Model) forceBlockBatched(sys *md.System, net *Model, F []float64, lo, h
 		}
 		e += ws.e
 		for k, v := range ws.dEdx {
-			F[k] -= v
+			sys.F[k] -= v
 		}
 	})
 	return e

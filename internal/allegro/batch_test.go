@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mlmd/internal/md"
-	"mlmd/internal/par"
 	"mlmd/internal/precision"
 )
 
@@ -21,45 +20,54 @@ func distortedLattice(t testing.TB) *md.System {
 	return sys
 }
 
-// TestBatchedEvalBitwiseMatchesPerAtom is the tentpole contract: at every
-// block size and worker count, the blocked-GEMM inference path produces the
-// same energy and forces as the per-atom tape path, bit for bit. The
-// comparison is per-atom-at-BlockSize-B vs batched-at-BlockSize-B — the
-// block loop itself changes the force accumulation grouping (that is the
-// seed's documented BlockSize behaviour), so the claim locked down here is
-// that swapping per-atom tapes for GEMMs changes nothing.
-func TestBatchedEvalBitwiseMatchesPerAtom(t *testing.T) {
+// TestEvalBlockMatchesEvalAtom is the contract of the blocked path: at
+// every chunk size, every row's energy and descriptor cotangent from
+// EvalBlock over gathered descriptor rows equal the per-atom EvalAtom
+// tape's, bit for bit, for every species of the lattice. The global force
+// path and the sharded AllegroFF both assemble forces from these rows, so
+// the chunking of the MLP GEMMs never shows in a force.
+func TestEvalBlockMatchesEvalAtom(t *testing.T) {
 	sys := distortedLattice(t)
-	for _, workers := range []int{1, 4} {
-		prev := par.SetWorkers(workers)
-		for _, block := range []int{1, 7, 64, 0} { // 0 = whole system
-			m, err := NewModel(testSpec(), []int{10, 10}, 5)
-			if err != nil {
-				t.Fatal(err)
+	m, err := NewModel(testSpec(), []int{10, 10}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ensureNeighbors(sys)
+	n, dim := sys.N, m.Spec.Dim()
+	vlen := m.Spec.NSpecies * m.Spec.NRadial * 3
+	cs := m.Spec.Centers()
+	var scr EvalScratch
+	eRef := make([]float64, n)
+	gRef := make([]float64, n*dim)
+	desc := make([]float64, n*dim)
+	vec := make([]float64, vlen)
+	species := map[int]bool{}
+	for i := 0; i < n; i++ {
+		row := m.nl.Row(i)
+		rad := make([]float64, len(row)*m.Spec.RadialLen())
+		eRef[i], _ = m.EvalAtom(sys, i, row, cs, &scr, gRef[i*dim:(i+1)*dim], vec, rad)
+		m.GatherAtom(sys, i, row, cs, &scr, desc[i*dim:(i+1)*dim], vec, rad)
+		species[sys.Type[i]] = true
+	}
+	if len(species) != m.Spec.NSpecies {
+		t.Fatalf("lattice holds %d of %d species", len(species), m.Spec.NSpecies)
+	}
+	for _, chunk := range []int{1, 7, n} {
+		m.BlockSize = chunk
+		var be BlockEval
+		eAtom := make([]float64, n)
+		gD := make([]float64, n*dim)
+		m.EvalBlock(sys.Type, 0, n, desc, &be, eAtom, gD, dim)
+		for i := 0; i < n; i++ {
+			if math.Float64bits(eAtom[i]) != math.Float64bits(eRef[i]) {
+				t.Fatalf("chunk %d: atom %d (species %d) energy %v, EvalAtom %v", chunk, i, sys.Type[i], eAtom[i], eRef[i])
 			}
-			m.Mode, m.BlockSize = EvalPerAtom, block
-			eRef := m.ComputeForces(sys)
-			fRef := append([]float64(nil), sys.F...)
-
-			m.Mode = EvalBatched
-			eBat := m.ComputeForces(sys)
-			if math.Float64bits(eBat) != math.Float64bits(eRef) {
-				t.Errorf("workers=%d block=%d: batched energy %v != per-atom %v",
-					workers, block, eBat, eRef)
-			}
-			for k := range fRef {
-				if math.Float64bits(sys.F[k]) != math.Float64bits(fRef[k]) {
-					t.Fatalf("workers=%d block=%d: F[%d] = %v != per-atom %v",
-						workers, block, k, sys.F[k], fRef[k])
+			for k := i * dim; k < (i+1)*dim; k++ {
+				if math.Float64bits(gD[k]) != math.Float64bits(gRef[k]) {
+					t.Fatalf("chunk %d: atom %d (species %d) gD[%d] = %v, EvalAtom %v", chunk, i, sys.Type[i], k-i*dim, gD[k], gRef[k])
 				}
 			}
-			// Repeat evaluation must also be bitwise stable (scratch reuse).
-			eBat2 := m.ComputeForces(sys)
-			if math.Float64bits(eBat2) != math.Float64bits(eBat) {
-				t.Errorf("workers=%d block=%d: batched rerun energy drifted", workers, block)
-			}
 		}
-		par.SetWorkers(prev)
 	}
 }
 
@@ -72,7 +80,6 @@ func TestBatchedMixedTracksFloat64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Mode, m.BlockSize = EvalBatched, 0
 	eRef := m.ComputeForces(sys)
 	fRef := append([]float64(nil), sys.F...)
 	var fScale float64 = 1
@@ -95,8 +102,8 @@ func TestBatchedMixedTracksFloat64(t *testing.T) {
 	}
 }
 
-// TestBatchedComputeForcesSteadyStateAllocs: after warmup, the batched
-// global force path must not allocate — block tapes, gather buffers, and
+// TestBatchedComputeForcesSteadyStateAllocs: after warmup, the global
+// force path must not allocate — block tapes, gather buffers, and
 // GEMM pool bindings are all reused.
 func TestBatchedComputeForcesSteadyStateAllocs(t *testing.T) {
 	sys := distortedLattice(t)
@@ -104,7 +111,7 @@ func TestBatchedComputeForcesSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Mode, m.BlockSize = EvalBatched, 16
+	m.BlockSize = 16
 	m.ComputeForces(sys)
 	m.ComputeForces(sys)
 	if n := testing.AllocsPerRun(20, func() { m.ComputeForces(sys) }); n != 0 {
@@ -112,72 +119,17 @@ func TestBatchedComputeForcesSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestParseBlockSpec covers the MLMD_ALLEGRO_BLOCK grammar.
-func TestParseBlockSpec(t *testing.T) {
-	cases := []struct {
-		in    string
-		mode  EvalMode
-		block int
-		ok    bool
-	}{
-		{"", EvalPerAtom, 0, true},
-		{"off", EvalPerAtom, 0, true},
-		{"atom", EvalPerAtom, 0, true},
-		{"0", EvalPerAtom, 0, true},
-		{"on", EvalBatched, DefaultBatchBlock, true},
-		{"batched", EvalBatched, DefaultBatchBlock, true},
-		{"128", EvalBatched, 128, true},
-		{"mixed", EvalBatchedMixed, DefaultBatchBlock, true},
-		{"mixed:64", EvalBatchedMixed, 64, true},
-		{" Batched ", EvalBatched, DefaultBatchBlock, true},
-		{"-3", EvalPerAtom, 0, false},
-		{"mixed:0", EvalPerAtom, 0, false},
-		{"banana", EvalPerAtom, 0, false},
-	}
-	for _, tc := range cases {
-		mode, block, err := ParseBlockSpec(tc.in)
-		if (err == nil) != tc.ok {
-			t.Errorf("ParseBlockSpec(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && (mode != tc.mode || block != tc.block) {
-			t.Errorf("ParseBlockSpec(%q) = %v,%d want %v,%d", tc.in, mode, block, tc.mode, tc.block)
-		}
-	}
+// TestEvalModeString covers EvalMode's names.
+func TestEvalModeString(t *testing.T) {
 	for _, tc := range []struct {
 		mode EvalMode
 		want string
 	}{
-		{EvalPerAtom, "per-atom"}, {EvalBatched, "batched"},
-		{EvalBatchedMixed, "batched-mixed"}, {EvalMode(9), "EvalMode(9)"},
+		{EvalBatched, "batched"}, {EvalBatchedMixed, "batched-mixed"},
+		{EvalMode(9), "EvalMode(9)"},
 	} {
 		if got := tc.mode.String(); got != tc.want {
 			t.Errorf("String(%d) = %q, want %q", int(tc.mode), got, tc.want)
 		}
-	}
-}
-
-// TestSetEvalDefaults: the flag override wins over the environment and is
-// applied by NewModel.
-func TestSetEvalDefaults(t *testing.T) {
-	defer func() {
-		evalDefaultsSet = false
-	}()
-	SetEvalDefaults(EvalBatched, 33)
-	m, err := NewModel(testSpec(), []int{4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Mode != EvalBatched || m.BlockSize != 33 {
-		t.Errorf("NewModel defaults = %v,%d want batched,33", m.Mode, m.BlockSize)
-	}
-	evalDefaultsSet = false
-	t.Setenv("MLMD_ALLEGRO_BLOCK", "mixed:12")
-	m2, err := NewModel(testSpec(), []int{4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Mode != EvalBatchedMixed || m2.BlockSize != 12 {
-		t.Errorf("env defaults = %v,%d want batched-mixed,12", m2.Mode, m2.BlockSize)
 	}
 }

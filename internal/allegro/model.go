@@ -24,56 +24,31 @@ type Model struct {
 	// PerSpeciesShift[sp] is an additive atomic reference energy (learned
 	// or set by TEA alignment).
 	PerSpeciesShift []float64
-	// BlockSize caps how many atoms are evaluated per inference batch
-	// (block model inference, Sec. V.B.9). 0 means no blocking.
+	// BlockSize caps how many atoms ComputeForces evaluates per block
+	// (block model inference, Sec. V.B.9) and how many rows of one species
+	// EvalBlock puts in one GEMM chunk. 0 means no blocking. Each block's
+	// partial forces merge into F before the next block runs, so BlockSize
+	// sets ComputeForces' force-accumulation grouping and with it the
+	// force bits; the chunking alone moves no bit.
 	BlockSize int
-	// Mode selects the inference implementation: per-atom tapes (the
-	// seed path), blocked GEMM64 batching (bitwise identical), or the
-	// GEMMMixed float32 variant. NewModel applies the package defaults
-	// (SetEvalDefaults / MLMD_ALLEGRO_BLOCK).
+	// Mode selects the inference arithmetic: blocked float64 GEMMs (the
+	// zero value EvalBatched, bitwise identical to per-atom EvalAtom
+	// inference) or their GEMMMixed float32 variant.
 	Mode EvalMode
 	// MixedMode is the precision.GEMMMixed compute mode used when Mode
 	// is EvalBatchedMixed (the zero value is FP32).
 	MixedMode precision.Mode
 	// nl (full rows, ascending atom index) is rebuilt on demand.
 	nl *md.NeighborList
-	// Per-worker inference scratch for the pool-parallel force path.
-	scratch *par.Scratch[inferState]
-	fctx    struct {
-		sys         *md.System
-		base        int
-		span, parts int
-	}
-	forceFn func(lo, hi, w int)
-	// Per-part scratch and closure of the batched force path (batch.go).
+	// Per-part scratch and closure of the pool-parallel force path
+	// (batch.go).
 	bscratch *par.Scratch[batchState]
 	bctx     struct {
 		sys         *md.System
-		net         *Model
 		base        int
 		span, parts int
-		gathered    bool
 	}
 	batchFn func(lo, hi, w int)
-}
-
-// inferState is one worker's reusable inference scratch: the neighbor
-// environment, descriptor/gradient buffers with the atom's radial tape, and
-// the private dE/dx accumulator merged after each block.
-type inferState struct {
-	env  neighborEnv
-	desc []float64
-	cs   []float64
-	vec  []float64
-	rad  []float64
-	gOut [1]float64
-	dEdx []float64
-	tape nn.Tape
-	gD   []float64
-	e    float64
-	// active marks slots touched in the current block (their partials
-	// need merging and their accumulators need zeroing next block).
-	active bool
 }
 
 // NewModel builds a model with hidden layer sizes hidden for every species.
@@ -82,7 +57,6 @@ func NewModel(spec DescriptorSpec, hidden []int, seed int64) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{Spec: spec, PerSpeciesShift: make([]float64, spec.NSpecies)}
-	m.Mode, m.BlockSize = evalDefaults()
 	sizes := append([]int{spec.Dim()}, hidden...)
 	sizes = append(sizes, 1)
 	for sp := 0; sp < spec.NSpecies; sp++ {
@@ -140,52 +114,33 @@ func (m *Model) Energy(sys *md.System) float64 {
 // ComputeForces implements md.ForceField: fills sys.F with −dE/dx and
 // returns the predicted energy. Atoms are processed in blocks of BlockSize
 // (if set), each block sharded over the shared worker pool with private
-// per-worker gradient accumulators merged (in worker order) at the end.
+// per-part gradient accumulators merged (in part order) at the end.
 func (m *Model) ComputeForces(sys *md.System) float64 {
-	return m.ComputeForcesOwned(sys, sys.N)
-}
-
-// ComputeForcesOwned evaluates the atomic energies of atoms [0, nOwned)
-// only, scattering −dE/dx into sys.F for every atom of sys (owned and
-// beyond), and returns Σ E_i over the owned range — the owned-prefix kernel
-// of a reverse-force-halo decomposition (sum the scattered ghost partials
-// back at the owners). The sharded engine no longer uses this scheme: its
-// canonical-order path evaluates per-atom payloads with EvalAtom and
-// assembles forces through PairGradTaped, which is bitwise reproducible
-// across decompositions where the scatter-sum here is not. With
-// nOwned == sys.N it is exactly the full ComputeForces.
-func (m *Model) ComputeForcesOwned(sys *md.System, nOwned int) float64 {
-	if nOwned < 0 || nOwned > sys.N {
-		nOwned = sys.N
-	}
 	m.ensureNeighbors(sys)
 	for i := range sys.F {
 		sys.F[i] = 0
 	}
 	block := m.BlockSize
-	if block <= 0 || block > nOwned {
-		block = nOwned
+	if block <= 0 || block > sys.N {
+		block = sys.N
 	}
 	var energy float64
-	for lo := 0; lo < nOwned; lo += block {
+	for lo := 0; lo < sys.N; lo += block {
 		hi := lo + block
-		if hi > nOwned {
-			hi = nOwned
+		if hi > sys.N {
+			hi = sys.N
 		}
-		if m.Mode == EvalPerAtom {
-			energy += m.forceBlock(sys, lo, hi)
-		} else {
-			energy += m.forceBlockBatched(sys, m, sys.F, lo, hi, false)
-		}
+		energy += m.forceBlockBatched(sys, lo, hi)
 	}
 	return energy
 }
 
-// EvalScratch holds the reusable buffers of EvalAtom — the neighbor
-// environment, the descriptor, and the MLP forward tape with its backward
-// delta scratch — so per-atom inference in steady state allocates nothing
-// (one EvalScratch per worker in a pool-parallel caller, e.g. through
-// par.Scratch as the sharded AllegroFF does).
+// EvalScratch holds the reusable buffers of GatherAtom and EvalAtom — the
+// neighbor environment, and EvalAtom's descriptor and MLP forward tape with
+// its backward delta scratch — so per-atom gathering and inference in
+// steady state allocate nothing (one EvalScratch per worker in a
+// pool-parallel caller, e.g. through par.Scratch as the sharded AllegroFF
+// does).
 type EvalScratch struct {
 	env  neighborEnv
 	desc []float64
@@ -193,21 +148,18 @@ type EvalScratch struct {
 	tape nn.Tape
 }
 
-// EvalAtom evaluates atom i in isolation for decomposed canonical-order
-// force assembly: it builds the environment from the candidate neighbor
-// indices cand (in the caller's order — the sharded engine passes its
-// ascending-global-id neighbor row; candidates at or beyond the cutoff are
-// skipped), computes the descriptor and the per-species network's energy,
-// and backpropagates to fill gD = dE_i/dDescriptor (length Spec.Dim()),
-// vec = the vector-channel accumulators S_i (length NSpecies·NRadial·3) and
-// the radial tape rad (see GatherAtom). cs must be Spec.Centers(). It
-// returns the atomic energy E_i and the number of neighbors within the
-// cutoff.
+// EvalAtom evaluates atom i in isolation, one MLP forward and backward
+// tape: it builds the environment from the candidate neighbor indices cand
+// (in the caller's order; candidates at or beyond the cutoff are skipped),
+// computes the descriptor and the per-species network's energy, and
+// backpropagates to fill gD = dE_i/dDescriptor (length Spec.Dim()), vec =
+// the vector-channel accumulators S_i (length NSpecies·NRadial·3) and the
+// radial tape rad (see GatherAtom). cs must be Spec.Centers(). It returns
+// the atomic energy E_i and the number of neighbors within the cutoff.
 //
-// gD, vec and the tape records are exactly the inputs PairGradTaped needs,
-// so a caller holding (gD, vec) for every atom of a pair and one side's
-// record can reconstruct both sides' gradient contributions without
-// re-running inference.
+// EvalAtom is the per-atom reference of the blocked path: GatherAtom plus
+// EvalBlock produce the same E_i and gD bit for bit, which is how both the
+// global force path and the sharded AllegroFF run inference.
 func (m *Model) EvalAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, gD, vec, rad []float64) (float64, int) {
 	if len(scr.desc) != m.Spec.Dim() {
 		scr.desc = make([]float64, m.Spec.Dim())
@@ -240,75 +192,6 @@ func (m *Model) CloneShared() *Model {
 	}
 	c.nl = nl
 	return c
-}
-
-// forceBlock evaluates atoms [lo,hi) on the worker pool, split into one
-// contiguous range per part (parts = pool size). Each part accumulates
-// dE/dx into its own scratch slot (the descriptor gradient scatters to
-// neighbors, so naive sharding of sys.F would race); partials merge into
-// sys.F in part order afterwards. Keying the accumulator by the static
-// part index — not the scheduling-dependent worker id — makes the result
-// deterministic for a fixed worker count, like the seed's static split.
-func (m *Model) forceBlock(sys *md.System, lo, hi int) float64 {
-	if m.scratch == nil {
-		m.scratch = par.NewScratch(func() *inferState { return &inferState{} })
-		m.forceFn = func(part, _, _ int) {
-			sys := m.fctx.sys
-			base := m.fctx.base
-			flo := part * m.fctx.span / m.fctx.parts
-			fhi := (part + 1) * m.fctx.span / m.fctx.parts
-			ws := m.scratch.Get(part)
-			if len(ws.desc) != m.Spec.Dim() {
-				ws.desc = make([]float64, m.Spec.Dim())
-				ws.cs = m.Spec.centers()
-				ws.vec = make([]float64, m.Spec.NSpecies*m.Spec.NRadial*3)
-				ws.gD = make([]float64, m.Spec.Dim())
-			}
-			rl := m.Spec.RadialLen()
-			if len(ws.dEdx) != 3*sys.N {
-				ws.dEdx = make([]float64, 3*sys.N)
-			}
-			// Zero the stale accumulator from the previous block.
-			for k := range ws.dEdx {
-				ws.dEdx[k] = 0
-			}
-			ws.e = 0
-			ws.active = true
-			ws.gOut[0] = 1
-			for i := base + flo; i < base+fhi; i++ {
-				buildEnv(sys, i, m.nl.Row(i), m.Spec.Cutoff, &ws.env)
-				ws.rad = growF64(ws.rad, len(ws.env.j)*rl)
-				m.Spec.descriptorInto(sys, &ws.env, ws.desc, ws.cs, ws.vec, ws.rad)
-				sp := sys.Type[i]
-				net := m.Nets[sp]
-				tape := net.ForwardTapeInto(ws.desc, &ws.tape)
-				ws.e += tape.Out() + m.PerSpeciesShift[sp]
-				gD := net.BackwardInto(tape, ws.gOut[:], nil, ws.gD)
-				m.Spec.descriptorGradPre(sys, ws.env, i, gD, ws.dEdx, ws.vec, ws.rad)
-			}
-		}
-	}
-	m.scratch.Each(func(_ int, ws *inferState) { ws.active = false })
-	parts := par.Workers()
-	if parts > hi-lo {
-		parts = hi - lo
-	}
-	m.fctx.sys = sys
-	m.fctx.base = lo
-	m.fctx.span = hi - lo
-	m.fctx.parts = parts
-	par.For(parts, 1, m.forceFn)
-	var e float64
-	m.scratch.Each(func(_ int, ws *inferState) {
-		if !ws.active {
-			return
-		}
-		e += ws.e
-		for k, v := range ws.dEdx {
-			sys.F[k] -= v
-		}
-	})
-	return e
 }
 
 // MemoryEstimate returns a rough per-block inference memory footprint in

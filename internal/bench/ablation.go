@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"time"
 
 	"mlmd/internal/allegro"
@@ -103,7 +104,11 @@ func AblationScissorPrecision(n, norb, reps int) (AblationResult, error) {
 
 // AblationBlockInference compares blocked vs unblocked neural-force
 // inference time and reports the memory-footprint ratio the blocking buys.
-func AblationBlockInference(cells, reps int) (AblationResult, int64, int64, error) {
+// The two are timed in rounds interleaved: one evaluation of each per round,
+// each keeping its best. On a shared host a slow phase then hits both
+// alike instead of whichever ran during it, so the ratio holds even where
+// the times themselves drift.
+func AblationBlockInference(cells, rounds int) (AblationResult, int64, int64, error) {
 	sys, _, err := ferro.NewLattice(cells, cells, cells)
 	if err != nil {
 		return AblationResult{}, 0, 0, err
@@ -113,17 +118,22 @@ func AblationBlockInference(cells, reps int) (AblationResult, int64, int64, erro
 	if err != nil {
 		return AblationResult{}, 0, 0, err
 	}
-	run := func(block int) time.Duration {
+	blocks := [2]int{0, sys.N / 2}
+	var best [2]time.Duration
+	for k, block := range blocks {
 		m.BlockSize = block
 		m.ComputeForces(sys) // warm-up
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			m.ComputeForces(sys)
-		}
-		return time.Since(start)
+		best[k] = time.Duration(math.MaxInt64)
 	}
-	full := run(0)
-	blocked := run(sys.N / 2)
+	for r := 0; r < rounds; r++ {
+		for k, block := range blocks {
+			m.BlockSize = block
+			start := time.Now()
+			m.ComputeForces(sys)
+			best[k] = min(best[k], time.Since(start))
+		}
+	}
+	full, blocked := best[0], best[1]
 	m.BlockSize = 0
 	memFull := m.MemoryEstimate(sys.N)
 	m.BlockSize = sys.N / 2

@@ -28,7 +28,7 @@ func TestAblationScissorPrecision(t *testing.T) {
 }
 
 func TestAblationBlockInference(t *testing.T) {
-	res, memFull, memBlocked, err := AblationBlockInference(2, 2)
+	res, memFull, memBlocked, err := AblationBlockInference(2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

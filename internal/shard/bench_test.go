@@ -130,7 +130,7 @@ func allegroBenchSystem(b *testing.B) (*md.System, *allegro.Model) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model.Mode, model.BlockSize = allegro.EvalBatched, allegro.DefaultBatchBlock
+	model.BlockSize = allegro.DefaultBatchBlock
 	return sys, model
 }
 

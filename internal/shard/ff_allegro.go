@@ -9,9 +9,10 @@ import (
 )
 
 // allegroGrain is the fixed chunk size of both pool-parallel phases (small:
-// per-atom inference is much heavier than an LJ row sum). It is also the
-// chunk width of the energy reduction replay in PhaseOneFinish, so the
-// energy bits do not depend on where phase one was split.
+// one atom's descriptor gather or force assembly is much heavier than an LJ
+// row sum). It is also the chunk width of the energy reduction replay in
+// PhaseOneFinish, so the energy bits do not depend on where phase one was
+// split.
 const allegroGrain = 16
 
 // AllegroFF shards an Allegro-style neural force field with canonical-order
@@ -27,10 +28,10 @@ const allegroGrain = 16
 //     allegro.DescriptorSpec.PairGradTaped needs — and tapes the radial
 //     record (Gaussians, their derivatives, cutoff) of each of i's pairs
 //     within the cutoff into the rank-local radial tape, at the pair's
-//     neighbor-list slot. Under the model's batched
-//     eval modes the MLP half runs as blocked GEMMs over gathered
-//     descriptor rows (allegro.Model.EvalBlock) instead of per-atom tapes;
-//     the float64 batched path is bitwise identical to the per-atom one.
+//     neighbor-list slot. The descriptors are gathered on the pool and the
+//     MLP half runs as blocked GEMMs over the gathered rows
+//     (allegro.Model.EvalBlock), bitwise identical to per-atom
+//     allegro.Model.EvalAtom inference under the float64 mode.
 //   - The engine halo-exchanges the payloads (same three-axis pattern and
 //     ghost slots as positions), so every rank holds the payload of every
 //     atom its owned atoms interact with.
@@ -79,10 +80,10 @@ type AllegroFF struct {
 		aux  []float64
 		base int
 	}
-	phase1Fn, phase2Fn, gatherFn func(lo, hi, w int)
+	gatherFn, phase2Fn func(lo, hi, w int)
 
-	// Batched-mode scratch: the gathered descriptor block of one
-	// PhaseOneRange call and the blocked-inference state.
+	// The gathered descriptor block of one PhaseOneRange call and the
+	// blocked-inference state.
 	bdesc []float64
 	be    allegro.BlockEval
 }
@@ -119,12 +120,12 @@ func (a *AllegroFF) PhaseOne(v *View, aux, partial []float64) {
 	a.PhaseOneFinish(v, partial)
 }
 
-// PhaseOneRange implements TwoPhaseSplitFF: per-atom inference of owned
-// atoms [lo, hi), filling their aux payloads and eAtom energies. Under the
-// model's batched modes the descriptors are gathered on the pool (the S
-// accumulators land directly in the payload) and the MLPs run as blocked
-// GEMMs; per-atom results are identical either way, so the engine's
-// split point never shows in the trajectory.
+// PhaseOneRange implements TwoPhaseSplitFF: inference of owned atoms
+// [lo, hi), filling their aux payloads and eAtom energies. The descriptors
+// are gathered on the pool (the S accumulators land directly in the
+// payload) and the MLPs run as blocked GEMMs; each atom's results do not
+// depend on which rows share its block, so the engine's split point never
+// shows in the trajectory.
 func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
 	if v.Cutoff < a.m.Spec.Cutoff {
 		panic(fmt.Sprintf("shard: engine cutoff %g is smaller than the Allegro model cutoff %g — the halo would miss interacting neighbors",
@@ -151,15 +152,11 @@ func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
 	a.p1ctx.v = v
 	a.p1ctx.aux = aux
 	a.p1ctx.base = lo
-	if a.m.Mode == allegro.EvalPerAtom {
-		par.For(n, allegroGrain, a.phase1Fn)
-		return
-	}
 	dim := a.m.Spec.Dim()
 	w := a.AuxLen()
 	a.bdesc = resizeF64(a.bdesc, n*dim)
 	par.For(n, allegroGrain, a.gatherFn)
-	a.m.EvalBlock(a.m, v.Type, lo, n, a.bdesc, &a.be, a.eAtom[lo:hi:hi], aux[lo*w:], w)
+	a.m.EvalBlock(v.Type, lo, n, a.bdesc, &a.be, a.eAtom[lo:hi:hi], aux[lo*w:], w)
 }
 
 // PhaseOneFinish implements TwoPhaseSplitFF: the energy reduction over all
@@ -214,7 +211,7 @@ func (a *AllegroFF) Compute(v *View, partial []float64) {
 func (a *AllegroFF) Energy(_ *View, total []float64) float64 { return total[0] }
 
 func (a *AllegroFF) ensureClosures() {
-	if a.phase1Fn != nil {
+	if a.gatherFn != nil {
 		return
 	}
 	if a.scratch == nil {
@@ -223,18 +220,6 @@ func (a *AllegroFF) ensureClosures() {
 	dim := a.m.Spec.Dim()
 	w := a.AuxLen()
 	rl := a.m.Spec.RadialLen()
-	a.phase1Fn = func(lo, hi, worker int) {
-		v := a.p1ctx.v
-		aux := a.p1ctx.aux
-		base := a.p1ctx.base
-		ws := a.scratch.Get(worker)
-		for i := base + lo; i < base+hi; i++ {
-			row := aux[i*w : (i+1)*w]
-			var n int
-			a.eAtom[i], n = a.m.EvalAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, row[:dim], row[dim:], a.rad[v.NL.RowOffset(i)*rl:])
-			a.nAcc[i] = int32(n)
-		}
-	}
 	a.gatherFn = func(lo, hi, worker int) {
 		v := a.p1ctx.v
 		aux := a.p1ctx.aux
@@ -262,7 +247,7 @@ func (a *AllegroFF) ensureClosures() {
 			var ax, ay, az float64 // dE/dx_j chain, ascending gid of i
 			for _, i32 := range v.NL.Row(j) {
 				i := int(i32)
-				// Geometry exactly as EvalAtom builds each center's
+				// Geometry exactly as GatherAtom builds each center's
 				// environment: MinImage(neighbor, center). The two
 				// displacements are bitwise negations, so the membership
 				// test (r < cutoff) agrees with both owners' phase-one

@@ -33,7 +33,7 @@ func newAllegroFixture(t testing.TB, n int, l float64) (*md.System, *allegro.Mod
 }
 
 // TestShardAllegroMatchesGlobal: the sharded Allegro evaluation — per-rank
-// shared-weight clones, owned-energy blocks, reverse force halo — matches
+// shared-weight clones, payload halo, canonical-order assembly — matches
 // the global model to summation-order rounding.
 func TestShardAllegroMatchesGlobal(t *testing.T) {
 	sys, model := newAllegroFixture(t, 400, 12.0)
@@ -123,7 +123,7 @@ func TestShardAllegroShortTrajectory(t *testing.T) {
 func TestAllegroTapeAlignment(t *testing.T) {
 	sys, model := newAllegroFixture(t, 160, 12.0)
 	sys.InitVelocities(3e-3, 4)
-	model.Mode, model.BlockSize = allegro.EvalBatched, 64
+	model.BlockSize = 64
 	eng, err := NewEngine(Config{
 		Grid: [3]int{2, 2, 1}, Cutoff: model.Spec.Cutoff, Skin: 0.3,
 		NewFF:   AllegroFactory(model),
