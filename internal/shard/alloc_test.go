@@ -96,47 +96,33 @@ func TestShardCheckpointedSteadyStateAllocs(t *testing.T) {
 // par.Scratch slots of allegro.EvalScratch, the blocked-GEMM inference
 // through reused block tapes, the two-phase payload halo and the
 // canonical-order assembly — the Allegro steady-state sharded step
-// allocates nothing, at one inference block per rank and at several, and
-// also between checkpoint boundaries: the same contract the engine
-// machinery and the LJ field carry. (Before the fix every per-atom
-// inference allocated its ForwardTape/Backward buffers: ~10 allocations
-// per atom per step.)
+// allocates nothing, the same contract the engine machinery and the LJ
+// field already carried. (Before the fix every per-atom inference
+// allocated its ForwardTape/Backward buffers: ~10 allocations per atom per
+// step.) TestShardAllegroBatchedSteadyStateAllocs pins the same contract
+// at several inference blocks per rank.
 func TestShardAllegroSteadyStateAllocs(t *testing.T) {
-	for _, block := range []int{0, 64} {
-		// Cold gas (no velocities): no rebuild events, pure steady state.
-		sys, model := newAllegroFixture(t, 160, 12.0)
-		model.BlockSize = block
-		eng, err := NewEngine(Config{
-			Grid: [3]int{2, 1, 1}, Cutoff: model.Spec.Cutoff, Skin: 0.3,
-			NewFF: AllegroFactory(model),
-		}, sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(eng.Close)
-		for i := 0; i < 5; i++ {
-			eng.ComputeForces(sys)
-		}
-		if n := testing.AllocsPerRun(50, func() { eng.ComputeForces(sys) }); n != 0 {
-			t.Errorf("block %d: Allegro bridge ComputeForces allocates %v allocs/op in steady state, want 0", block, n)
-		}
-		// dt = 0: the untrained model's forces would otherwise walk the gas
-		// into rebuild events, which are allowed to allocate; the zero-dt
-		// step still runs the full collective force evaluation.
-		eng.Run(2, 0, 0, 0)
-		if n := testing.AllocsPerRun(50, func() { eng.Run(1, 0, 0, 0) }); n != 0 {
-			t.Errorf("block %d: Allegro decomposed step allocates %v allocs/op in steady state, want 0", block, n)
-		}
-		// Steps between checkpoint boundaries stay clean too (the
-		// boundaries themselves may allocate in the gather/writer).
-		gathered := sys.Clone()
-		for i := 0; i < 3; i++ {
-			if _, err := eng.RunCheckpointed(4, 0, 0, 0, 2, gathered, func(int) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := testing.AllocsPerRun(50, func() { eng.Run(1, 0, 0, 0) }); n != 0 {
-			t.Errorf("block %d: Allegro step allocates %v allocs/op between checkpoints, want 0", block, n)
-		}
+	// Cold gas (no velocities): no rebuild events, pure steady state.
+	sys, model := newAllegroFixture(t, 160, 12.0)
+	eng, err := NewEngine(Config{
+		Grid: [3]int{2, 1, 1}, Cutoff: model.Spec.Cutoff, Skin: 0.3,
+		NewFF: AllegroFactory(model),
+	}, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	for i := 0; i < 5; i++ {
+		eng.ComputeForces(sys)
+	}
+	if n := testing.AllocsPerRun(50, func() { eng.ComputeForces(sys) }); n != 0 {
+		t.Errorf("Allegro bridge ComputeForces allocates %v allocs/op in steady state, want 0", n)
+	}
+	// dt = 0: the untrained model's forces would otherwise walk the gas
+	// into rebuild events, which are allowed to allocate; the zero-dt step
+	// still runs the full collective force evaluation.
+	eng.Run(2, 0, 0, 0)
+	if n := testing.AllocsPerRun(50, func() { eng.Run(1, 0, 0, 0) }); n != 0 {
+		t.Errorf("Allegro decomposed step allocates %v allocs/op in steady state, want 0", n)
 	}
 }

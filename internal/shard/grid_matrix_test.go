@@ -174,9 +174,7 @@ func TestGridDecompositionIdentityMatrixEffHam(t *testing.T) {
 // with the canonical two-phase assembly (payload halo + ascending-gid
 // chains), the neural force field's multi-rank trajectories are bitwise
 // identical to the 1-rank run for every grid shape — the PR 2 reverse-halo
-// path only matched to summation-order rounding. The rows at BlockSize 64
-// split each rank's blocked-GEMM inference into several chunks per species
-// (on the 1-rank grid too), which must move no bit either.
+// path only matched to summation-order rounding.
 func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 	steps := matrixSteps(t)
 	if !testing.Short() {
@@ -191,26 +189,16 @@ func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 	}
 
 	ref, refRes, _ := runGridTrajectory(t, sys, cfg, [3]int{1, 1, 1}, steps, dt, nil)
-	type row struct {
-		grid  [3]int
-		block int
-	}
-	var rows []row
-	for _, grid := range gridShapes[1:] {
-		rows = append(rows, row{grid, 0})
-	}
-	rows = append(rows, row{[3]int{1, 1, 1}, 64}, row{[3]int{2, 2, 1}, 64}, row{[3]int{2, 2, 2}, 64})
 	migratedTotal := int64(0)
 	interior := map[[3]int]int{}
-	for _, r := range rows {
-		model.BlockSize = r.block
-		got, res, eng := runGridTrajectory(t, sys, cfg, r.grid, steps, dt, nil)
-		assertBitwise(t, r.grid, ref, got)
-		interior[r.grid] += interiorAtoms(eng)
+	for _, grid := range gridShapes[1:] {
+		got, res, eng := runGridTrajectory(t, sys, cfg, grid, steps, dt, nil)
+		assertBitwise(t, grid, ref, got)
+		interior[grid] = interiorAtoms(eng)
 		_, migrated := eng.Stats()
 		migratedTotal += migrated
 		if math.Abs(res.PE-refRes.PE) > 1e-12*math.Abs(refRes.PE) {
-			t.Errorf("grid %v block %d: PE %v vs %v", r.grid, r.block, res.PE, refRes.PE)
+			t.Errorf("grid %v: PE %v vs %v", grid, res.PE, refRes.PE)
 		}
 	}
 	if !testing.Short() && migratedTotal == 0 {
