@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -95,6 +96,73 @@ func assertBitwise(t *testing.T, grid [3]int, ref, got *md.System) {
 	}
 }
 
+// skinAxis is the identity matrices' skin axis (ROADMAP item 16): the same
+// trajectory at four list buffers, every endpoint bitwise the reference.
+// skins[0] is 0, so every step rebuilds; skins[1] is small; skins[2] is the
+// fixture's own; skins[3] is wide enough for at most one rebuild after the
+// prime, on the shapes whose subdomains admit its halo. The reference is the
+// single rank at the fixture's skin. The bits do not
+// depend on the skin because every row is in ascending gid order, every
+// force and energy is an ascending-gid chain over a row, and a candidate
+// beyond the cutoff adds +0: any complete list gives the same sums. The
+// skin-0 row carries the event-path assertions — rebuilds every step,
+// migrations, the interior split — which a wide buffer would starve.
+func checkSkinAxis(t *testing.T, base *md.System, cfg Config, skins [4]float64, shapes [][3]int, steps int, dt float64, w []float64) {
+	t.Helper()
+	ref, _, _ := runGridTrajectory(t, base, cfg, [3]int{1, 1, 1}, steps, dt, w)
+	for k, skin := range skins {
+		t.Run(fmt.Sprintf("skin=%.3g", skin), func(t *testing.T) {
+			c := cfg
+			c.Skin = skin
+			migrated := int64(0)
+			interior := map[[3]int]int{}
+			ran := 0
+			for _, grid := range shapes {
+				if !haloAdmits(base, c, grid) {
+					continue
+				}
+				ran++
+				got, _, eng := runGridTrajectory(t, base, c, grid, steps, dt, w)
+				assertBitwise(t, grid, ref, got)
+				interior[grid] = interiorAtoms(eng)
+				rebuilds, mg := eng.Stats()
+				migrated += mg
+				switch k {
+				case 0:
+					if rebuilds != int64(steps)+1 {
+						t.Errorf("grid %v: %d rebuilds in %d steps at skin 0, want one per step and the prime", grid, rebuilds, steps)
+					}
+				case 3:
+					if rebuilds > 2 {
+						t.Errorf("grid %v: %d rebuilds at the wide skin, want the prime and at most one more", grid, rebuilds)
+					}
+				}
+			}
+			if ran == 0 {
+				t.Fatalf("no shape admits the halo %g", c.Cutoff+skin)
+			}
+			if k == 0 && !testing.Short() {
+				if migrated == 0 {
+					t.Error("no atoms migrated at skin 0")
+				}
+				assertSplitRan(t, interior)
+			}
+		})
+	}
+}
+
+// haloAdmits reports whether every partitioned axis of grid leaves a
+// subdomain at least the halo cfg.Cutoff+cfg.Skin wide.
+func haloAdmits(sys *md.System, cfg Config, grid [3]int) bool {
+	box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
+	for a, p := range grid {
+		if p > 1 && box[a]/float64(p) < cfg.Cutoff+cfg.Skin {
+			return false
+		}
+	}
+	return true
+}
+
 // TestGridDecompositionIdentityMatrixLJ is the tentpole acceptance test:
 // for every grid shape in the matrix, the multi-rank LJ trajectory — with
 // live per-axis migrations and halo rebuilds — is bitwise identical to the
@@ -128,6 +196,8 @@ func TestGridDecompositionIdentityMatrixLJ(t *testing.T) {
 		}
 	}
 	assertSplitRan(t, interior)
+	checkSkinAxis(t, base, cfg, [4]float64{0, 0.1, testSkin, 1.0},
+		[][3]int{{1, 1, 1}, {2, 2, 1}, {4, 2, 1}}, steps, dt, nil)
 }
 
 // TestGridDecompositionIdentityMatrixEffHam runs the blended effective
@@ -168,6 +238,9 @@ func TestGridDecompositionIdentityMatrixEffHam(t *testing.T) {
 		t.Error("no EffHam migrations across the whole matrix — fixture too cold")
 	}
 	assertSplitRan(t, interior)
+	a := ferro.LatticeConstant
+	checkSkinAxis(t, sys, cfg, [4]float64{0, 0.05 * a, 0.15 * a, 0.4 * a},
+		[][3]int{{1, 1, 1}, {2, 1, 1}, {2, 1, 2}}, steps, dt, w)
 }
 
 // TestGridDecompositionIdentityMatrixAllegro locks the ISSUE 3 Allegro fix:
@@ -205,6 +278,12 @@ func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 		t.Error("no Allegro migrations across the whole matrix — gas too cold")
 	}
 	assertSplitRan(t, interior)
+	// The untrained model drives the gas fast enough that no buffer holds a
+	// list for the whole run, so its skin axis covers the first 30 steps.
+	// The wide row then runs on the single rank: a list at cutoff+9 covers
+	// the whole 12-wide box.
+	checkSkinAxis(t, sys, cfg, [4]float64{0, 0.1, 0.3, 9},
+		[][3]int{{1, 1, 1}, {2, 1, 1}}, 30, dt, nil)
 }
 
 // TestGridShapeValidation covers the grid-specific constructor errors.
