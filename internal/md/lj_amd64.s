@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "minimage_amd64.h"
 
 // The LJ terms kernels of lj.go: ljKernel.pair on 4 candidates per YMM
 // (AVX2) or 8 per ZMM (AVX512F), one candidate per lane. As in
@@ -38,44 +39,6 @@
 #define TY 512
 #define TZ 1024
 #define TU 1536
-
-// BCAST broadcasts the float64 at off(AX) to the frame slot dst.
-#define BCAST(off, dst) \
-	VBROADCASTSD off(AX), Y0; \
-	VMOVUPD      Y0, dst
-
-// NEGBCAST broadcasts the negated float64 at off(AX) to the frame slot dst;
-// Y1 holds the sign mask.
-#define NEGBCAST(off, dst) \
-	VBROADCASTSD off(AX), Y0; \
-	VXORPD       Y1, Y0, Y0;  \
-	VMOVUPD      Y0, dst
-
-// MINIMAGE replaces each lane of d by Period.MinImage of it: d + 0 where
-// |d| < near, d + (−l) = d − l or d + l by the sign of d where
-// wrapLo < |d| < wrapHi (a near lane fails |d| > wrapLo and adds +0). Lanes
-// in neither window are cleared from the mask Y0. pnl is −l; Y15 holds the
-// abs mask; Y5–Y8 are clobbered.
-#define MINIMAGE(d, pnl, pnear, plo, phi) \
-	VANDPD  Y15, d, Y5;           \
-	VANDNPD d, Y15, Y6;           \
-	VXORPD  pnl, Y6, Y6;          \
-	VCMPPD  $0x1e, plo, Y5, Y7;   \
-	VANDPD  Y7, Y6, Y6;           \
-	VADDPD  Y6, d, d;             \
-	VCMPPD  $0x11, phi, Y5, Y8;   \
-	VANDPD  Y8, Y7, Y7;           \
-	VCMPPD  $0x11, pnear, Y5, Y8; \
-	VORPD   Y8, Y7, Y7;           \
-	VANDPD  Y7, Y0, Y0
-
-// ADDR loads row[off/4] into r, leaves the group to Go (jumps to out)
-// unless it is in [0, nx), and makes r the index of its x in x[].
-#define ADDR(off, r, out) \
-	MOVLQSX off(BX), r;    \
-	CMPQ    r, DX;         \
-	JAE     out;           \
-	LEAQ    (r)(r*2), r
 
 // func ljTermsAVX2(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int
 TEXT ·ljTermsAVX2(SB), NOSPLIT, $544-80
@@ -118,24 +81,7 @@ TEXT ·ljTermsAVX2(SB), NOSPLIT, $544-80
 group:
 	CMPQ CX, $4
 	JLT  done
-	ADDR(0, R8, done)
-	ADDR(4, R9, done)
-	ADDR(8, R10, done)
-	ADDR(12, R11, done)
-	VMOVUPD     (SI)(R8*8), X0           // x0 y0
-	VMOVUPD     (SI)(R9*8), X1           // x1 y1
-	VINSERTF128 $1, (SI)(R10*8), Y0, Y0  // x0 y0 x2 y2
-	VINSERTF128 $1, (SI)(R11*8), Y1, Y1  // x1 y1 x3 y3
-	VMOVSD      16(SI)(R8*8), X2
-	VMOVHPD     16(SI)(R9*8), X2, X2     // z0 z1
-	VMOVSD      16(SI)(R10*8), X3
-	VMOVHPD     16(SI)(R11*8), X3, X3    // z2 z3
-	VINSERTF128 $1, X3, Y2, Y2           // z0 z1 z2 z3
-	VUNPCKLPD   Y1, Y0, Y3               // x0 x1 x2 x3
-	VUNPCKHPD   Y1, Y0, Y4               // y0 y1 y2 y3
-	VSUBPD      Y3, Y14, Y3              // dx = xi − x
-	VSUBPD      Y4, Y13, Y4              // dy
-	VSUBPD      Y2, Y12, Y2              // dz
+	SEP4(done)
 
 	VPCMPEQQ Y0, Y0, Y0
 	MINIMAGE(Y3, PX_NL, PX_NEAR, PX_LO, PX_HI)
@@ -189,26 +135,6 @@ done:
 	VZEROUPPER
 	RET
 
-// ZMINIMAGE is MINIMAGE on 8 lanes: d + 0 near, d + (∓l) in the wrap
-// window, by a zero-masked XOR of −l with d's sign. The lanes in either
-// window go to ok. Z31 holds the abs mask, Z30 the sign mask, Z9 zero;
-// Z5, Z6, K1–K3 are clobbered.
-#define ZMINIMAGE(d, znl, znear, zlo, zhi, ok) \
-	VPANDQ     Z31, d, Z5;         \
-	VPANDQ     Z30, d, Z6;         \
-	VCMPPD     $0x1e, zlo, Z5, K1; \
-	VCMPPD     $0x11, zhi, Z5, K1, K2; \
-	VCMPPD     $0x11, znear, Z5, K3; \
-	KORW       K3, K2, ok;         \
-	VPXORQ.Z   znl, Z6, K1, Z6;    \
-	VADDPD     Z6, d, d
-
-// ZBCAST broadcasts the float64 at off(AX) to z; ZNEGBCAST its negation.
-#define ZBCAST(off, z) VBROADCASTSD off(AX), z
-#define ZNEGBCAST(off, z) \
-	VBROADCASTSD off(AX), z; \
-	VPXORQ       Z30, z, z
-
 // func ljTermsAVX512(k *ljKernel, x *float64, nx int, row *int32, n int, xi, yi, zi float64, t *float64) int
 TEXT ·ljTermsAVX512(SB), NOSPLIT, $0-80
 	MOVQ k+0(FP), AX
@@ -248,38 +174,7 @@ TEXT ·ljTermsAVX512(SB), NOSPLIT, $0-80
 zgroup:
 	CMPQ CX, $8
 	JLT  zdone
-	ADDR(0, R8, zdone)
-	ADDR(4, R9, zdone)
-	ADDR(8, R10, zdone)
-	ADDR(12, R11, zdone)
-	VMOVUPD      (SI)(R8*8), X0
-	VMOVUPD      (SI)(R9*8), X1
-	VINSERTF32X4 $1, (SI)(R10*8), Z0, Z0
-	VINSERTF32X4 $1, (SI)(R11*8), Z1, Z1
-	VMOVSD       16(SI)(R8*8), X2
-	VMOVHPD      16(SI)(R9*8), X2, X2
-	VMOVSD       16(SI)(R10*8), X3
-	VMOVHPD      16(SI)(R11*8), X3, X3
-	VINSERTF32X4 $1, X3, Z2, Z2
-	ADDR(16, R8, zdone)
-	ADDR(20, R9, zdone)
-	ADDR(24, R10, zdone)
-	ADDR(28, R11, zdone)
-	VINSERTF32X4 $2, (SI)(R8*8), Z0, Z0
-	VINSERTF32X4 $2, (SI)(R9*8), Z1, Z1
-	VINSERTF32X4 $3, (SI)(R10*8), Z0, Z0   // x0 y0 x2 y2 x4 y4 x6 y6
-	VINSERTF32X4 $3, (SI)(R11*8), Z1, Z1   // x1 y1 x3 y3 x5 y5 x7 y7
-	VMOVSD       16(SI)(R8*8), X3
-	VMOVHPD      16(SI)(R9*8), X3, X3
-	VMOVSD       16(SI)(R10*8), X4
-	VMOVHPD      16(SI)(R11*8), X4, X4
-	VINSERTF32X4 $2, X3, Z2, Z2
-	VINSERTF32X4 $3, X4, Z2, Z2            // z0 … z7
-	VUNPCKLPD    Z1, Z0, Z3                // x0 … x7
-	VUNPCKHPD    Z1, Z0, Z4                // y0 … y7
-	VSUBPD       Z3, Z29, Z0               // dx
-	VSUBPD       Z4, Z28, Z1               // dy
-	VSUBPD       Z2, Z27, Z2               // dz
+	ZSEP8(zdone)
 
 	ZMINIMAGE(Z0, Z26, Z25, Z24, Z23, K4)
 	ZMINIMAGE(Z1, Z22, Z21, Z20, Z19, K5)

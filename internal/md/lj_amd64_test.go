@@ -28,3 +28,19 @@ func TestLJKernelArgsLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneKernelArgsLayout pins the offsets the prune kernels hard-code:
+// the squared radius, then the three periods' l, near, wrapLo and wrapHi.
+func TestPruneKernelArgsLayout(t *testing.T) {
+	var k pruneKernel
+	got := []uintptr{unsafe.Offsetof(k.r2)}
+	for _, p := range []uintptr{unsafe.Offsetof(k.px), unsafe.Offsetof(k.py), unsafe.Offsetof(k.pz)} {
+		got = append(got, p+unsafe.Offsetof(k.px.l), p+unsafe.Offsetof(k.px.near),
+			p+unsafe.Offsetof(k.px.wrapLo), p+unsafe.Offsetof(k.px.wrapHi))
+	}
+	for i, off := range got {
+		if off != uintptr(8*i) {
+			t.Fatalf("pruneKernel field %d at offset %d, the assembly expects %d", i, off, 8*i)
+		}
+	}
+}

@@ -178,6 +178,10 @@ var ljKinds = []struct {
 	{"nan", [3]float64{math.NaN(), 0.5, 0}},
 	{"inf", [3]float64{0.5, math.Inf(1), 0}},
 	{"negInf", [3]float64{0.5, 0, math.Inf(-1)}},
+	{"atRadius", [3]float64{2, 0, 0}},       // r2 == rc2 exactly: accepted
+	{"atRadiusZ", [3]float64{0, 0, -2}},     // the same along −z
+	{"justOut", [3]float64{2, 0.015625, 0}}, // r2 = 4 + 2⁻¹²: rejected
+	{"atRadiusWrap", [3]float64{0, 8, 0}},   // d − l = −2 exactly
 }
 
 // ljTestRow builds the coordinates and the row of the candidates of kinds

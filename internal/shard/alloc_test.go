@@ -126,3 +126,38 @@ func TestShardAllegroSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Allegro decomposed step allocates %v allocs/op in steady state, want 0", n)
 	}
 }
+
+// TestShardDualListSteadyStateAllocs: once the rebuild buffer has reached
+// its bound, a stretch of steps that holds plain steps, prunes of the inner
+// list and rebuilds of the outer one — migration, halo and both lists, at
+// the grown buffer — allocates nothing. The crystal is hot enough that the
+// buffer runs into its slab bound and rebuilds keep coming, and cool enough
+// that most list renewals are still prunes.
+func TestShardDualListSteadyStateAllocs(t *testing.T) {
+	base := fccLJSystem(t, 6, 2e-3, 4)
+	eng, err := NewEngine(Config{
+		Grid: [3]int{2, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
+		NewFF: LJFactory(testEps, testSigma),
+	}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	eng.Run(600, 2, 0, 0)
+	rb0, _ := eng.Stats()
+	pr0, buf := eng.ListStats()
+	if buf <= testSkin {
+		t.Fatalf("buffer %g never grew past the skin %g in the warm-up", buf, testSkin)
+	}
+	if n := testing.AllocsPerRun(20, func() { eng.Run(10, 2, 0, 0) }); n != 0 {
+		t.Errorf("%v allocs per 10 steps, want 0", n)
+	}
+	rb, _ := eng.Stats()
+	pr, _ := eng.ListStats()
+	if rb == rb0 || pr == pr0 {
+		t.Errorf("the measured steps held %d rebuilds and %d prunes, want both", rb-rb0, pr-pr0)
+	}
+	if err := eng.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

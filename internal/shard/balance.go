@@ -64,11 +64,6 @@ func ewmaAlpha(window int) float64 {
 type balancer struct {
 	every int64
 	cost  CostModel
-	// maxShift caps a plane's movement per rebalance (the halo width).
-	maxShift float64
-	// minW is the narrowest width a rebalance may leave (the halo width —
-	// the same floor the constructor enforces for the static grid).
-	minW float64
 
 	// rank-0 scratch (sized once at construction).
 	slab [3][]float64
@@ -80,12 +75,10 @@ type balancer struct {
 }
 
 // newBalancer sizes the controller for the grid.
-func newBalancer(cfg Config, grid cluster.Grid3D, halo float64) *balancer {
+func newBalancer(cfg Config, grid cluster.Grid3D) *balancer {
 	b := &balancer{
-		every:    int64(cfg.BalanceEvery),
-		cost:     cfg.BalanceCost,
-		maxShift: halo,
-		minW:     halo,
+		every: int64(cfg.BalanceEvery),
+		cost:  cfg.BalanceCost,
 	}
 	if b.every <= 0 {
 		b.every = defaultBalanceEvery
@@ -124,7 +117,7 @@ func (e *Engine) maybeRebalance(rs *rankState) {
 	rs.loadVec[0] = load
 	rs.loadsAll = e.comm.AllGather(rs.rank, rs.loadVec[:], rs.loadsAll)
 	if rs.rank == e.applyRank {
-		e.applyBalancedCuts(rs.loadsAll)
+		e.applyBalancedCuts(rs.loadsAll, rs.halo)
 	}
 	e.comm.Barrier(rs.rank)
 	for a := 0; a < 3; a++ {
@@ -135,13 +128,14 @@ func (e *Engine) maybeRebalance(rs *rankState) {
 
 // applyBalancedCuts moves the interior cut planes of every partitioned axis
 // toward the load centroid (the engine's apply rank only; see balancer for
-// the invariants). Axes are independent: axis a's profile is the per-slab
+// the invariants, which hold for halo, the current one: a plane moves at
+// most halo, and no subdomain narrows below it). Axes are independent: axis a's profile is the per-slab
 // sum of the rank loads over the perpendicular plane — exactly the
 // recursive-bisection view of the 3-D load field. Rank coordinates come
 // from the grid topology (not from rank state, which a partial engine only
 // holds for its own ranks), so every process computes the identical
 // profile.
-func (e *Engine) applyBalancedCuts(loads []float64) {
+func (e *Engine) applyBalancedCuts(loads []float64, halo float64) {
 	b := e.bal
 	moved := false
 	for _, a := range e.axes {
@@ -186,11 +180,11 @@ func (e *Engine) applyBalancedCuts(loads []float64) {
 			if slab[k] > 0 {
 				pos += (target - cum[k]) / slab[k] * (cs[k+1] - cs[k])
 			}
-			lim := b.maxShift
-			if s := (cs[j] - cs[j-1] - b.minW) / 2; s < lim {
+			lim := halo
+			if s := (cs[j] - cs[j-1] - halo) / 2; s < lim {
 				lim = s
 			}
-			if s := (cs[j+1] - cs[j] - b.minW) / 2; s < lim {
+			if s := (cs[j+1] - cs[j] - halo) / 2; s < lim {
 				lim = s
 			}
 			if lim < 0 {
@@ -301,7 +295,8 @@ func (e *Engine) LoadProfile() []float64 {
 
 // BalanceStats reports the controller's event counters: completed
 // rebalances (cold-start no-ops excluded) and the largest single-plane
-// shift ever applied — by construction never above the halo width.
+// shift ever applied — by construction never above the halo width (the
+// halo of its rebalance; it only widens).
 // (0, 0) when balancing is disabled.
 func (e *Engine) BalanceStats() (rebalances int64, maxShift float64) {
 	if e.bal == nil {

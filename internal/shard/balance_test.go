@@ -58,8 +58,8 @@ func TestGridDecompositionIdentityMatrixBalancedLJ(t *testing.T) {
 		if maxShift <= 0 {
 			t.Errorf("grid %v: no cut plane ever moved on a hot-spot density", grid)
 		}
-		if maxShift > eng.halo+1e-12 {
-			t.Errorf("grid %v: cut plane moved %g in one rebalance, above the halo %g", grid, maxShift, eng.halo)
+		if maxShift > eng.currentHalo()+1e-12 {
+			t.Errorf("grid %v: cut plane moved %g in one rebalance, above the halo %g", grid, maxShift, eng.currentHalo())
 		}
 		_, migrated := eng.Stats()
 		if migrated == 0 {
@@ -176,15 +176,15 @@ func TestBalanceBoundedShiftAndConvergence(t *testing.T) {
 		if rebalances < 3 {
 			t.Errorf("grid %v: only %d rebalances over %d blocks", grid, rebalances, blocks)
 		}
-		if maxShift <= 0 || maxShift > eng.halo+1e-12 {
-			t.Errorf("grid %v: per-rebalance max cut shift %g outside (0, halo=%g]", grid, maxShift, eng.halo)
+		if maxShift <= 0 || maxShift > eng.currentHalo()+1e-12 {
+			t.Errorf("grid %v: per-rebalance max cut shift %g outside (0, halo=%g]", grid, maxShift, eng.currentHalo())
 		}
 		final := eng.OwnedImbalance()
 		if !testing.Short() && final-1 > 0.5*(initial-1) {
 			t.Errorf("grid %v: owned-atom imbalance went %.3f -> %.3f, want the excess at least halved", grid, initial, final)
 		}
 		t.Logf("grid %v: imbalance %.3f -> %.3f over %d rebalances (max shift %.3f, halo %.3f)",
-			grid, initial, final, rebalances, maxShift, eng.halo)
+			grid, initial, final, rebalances, maxShift, eng.currentHalo())
 	}
 }
 

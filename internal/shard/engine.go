@@ -13,6 +13,19 @@
 // cross rank boundaries) and the communicator's virtual clock additionally
 // yields the modeled network time of the run.
 //
+// Each rank keeps two pair lists, split by time scale (the dual pair list
+// of Páll & Hess, CPC 184, 2641, 2013, and Páll et al., JCP 153, 134110,
+// 2020). The outer list, at Cutoff plus a rebuild buffer the engine sizes
+// itself, is rebuilt only with migration and the halo; the inner list, at
+// Cutoff+Config.Skin, is the one force fields read (View.NL), and is pruned
+// from the outer rows whenever an atom has drifted Skin/2 since the last
+// prune. The buffer starts at Skin — where the two lists coincide and every
+// step runs the single-list path — and widens at each rebuild that came
+// sooner than a fixed window after the previous one, within bounds set by
+// the cut planes (bufferBound). Inner rows are a subset of outer rows in the
+// same ascending-gid order, and any complete list gives the same bits, so
+// neither the buffer nor the prune cadence moves a bit.
+//
 // Communication overlaps with compute: at every rebuild each rank reorders
 // its owned atoms so the interior ones — those whose interactions cannot
 // reach a ghost — come first, and the steady-state step evaluates that
@@ -53,6 +66,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -129,9 +143,10 @@ type View struct {
 	NOwn, NInt    int
 	NLoc, NGlobal int
 	Lx, Ly, Lz    float64
-	// Cutoff and Skin echo the engine Config (the halo is Cutoff+Skin),
-	// so force fields can assert the ghost layer covers their interaction
-	// range.
+	// Cutoff and Skin echo the engine Config: NL holds every pair within
+	// Cutoff+Skin, and the halo is at least that wide (Cutoff plus the
+	// rebuild buffer, which never falls below Skin), so force fields can
+	// assert the ghost layer covers their interaction range.
 	Cutoff, Skin float64
 	// ID maps local index to global atom id.
 	ID []int32
@@ -143,8 +158,9 @@ type View struct {
 	// Weights is the engine's global per-atom blending weight array
 	// (indexed by global id), nil until SetPerAtomWeights is called.
 	Weights []float64
-	// NL is the rank neighbor list: one row per owned atom over the local
-	// atoms (built only when the force field reports NeedsNeighborList).
+	// NL is the rank neighbor list at Cutoff+Skin: one row per owned atom
+	// over the local atoms, in ascending gid order (built or pruned only
+	// when the force field reports NeedsNeighborList).
 	NL *md.NeighborList
 	// Sys aliases the local arrays as an md.System with the global box,
 	// for force fields built on the md engine (e.g. Allegro).
@@ -172,9 +188,13 @@ func (v *View) Lookup(gid int32) int32 {
 type Config struct {
 	// Grid is the Px×Py×Pz domain grid (at least one rank per axis).
 	Grid [3]int
-	// Cutoff and Skin size the halo (cutoff+skin) and the rebuild
-	// criterion (any owned atom moving more than skin/2 triggers a
-	// collective migration + halo + neighbor-list rebuild).
+	// Cutoff is the interaction range. Skin is the pair-list buffer: the
+	// list force fields read holds every pair within Cutoff+Skin, and is
+	// renewed — pruned from the wider rebuild list, or rebuilt with
+	// migration and the halo — once any owned atom has moved more than
+	// Skin/2. The rebuild buffer, and with it the halo, starts at Skin and
+	// is widened by the engine itself (see the package comment); Skin 0
+	// rebuilds every step.
 	Cutoff, Skin float64
 	// Net is the interconnect model for the communicator's virtual clock
 	// (zero value: free network).
@@ -271,8 +291,7 @@ type Engine struct {
 	// from the identical AllGathered load profile).
 	applyRank int
 
-	box  [3]float64 // global box lengths
-	halo float64
+	box [3]float64 // global box lengths
 	// cuts holds the per-axis subdomain boundaries (uniform at
 	// construction; interior planes move when balancing is enabled).
 	// Written only by rank 0 inside the rebalance collective, under
@@ -354,9 +373,21 @@ type rankState struct {
 	// reorder); see classifyInterior.
 	nInt int
 
-	// refX holds owned positions at the last rebuild (staleness check).
-	refX        []float64
+	// refX holds owned positions at the last rebuild or prune, which the
+	// staleness check of every step measures drift from; refR holds them at
+	// the last rebuild, which a prune trigger measures the outer list's
+	// drift from.
+	refX, refR  []float64
 	needRebuild bool
+	// buf is the rebuild buffer and halo = Cutoff+buf the ghost layer's
+	// width. Every rank holds the same values: they change only at a
+	// collective rebuild, by a rule of the agreed rebuild cadence and the
+	// cut planes. since counts force steps since the last rebuild.
+	buf, halo float64
+	since     int
+	// outer is the rebuild list at Cutoff+buf once buf exceeds Skin; nl is
+	// then pruned from it. While buf is Skin, nl is built directly.
+	outer *md.NeighborList
 
 	ax [3]axisExch
 	// ex drives the per-axis ring exchanges through the shape-agnostic
@@ -398,8 +429,8 @@ type rankState struct {
 	nl   *md.NeighborList
 	lsys md.System
 
-	// event counters (read driver-side through Engine.Stats)
-	nRebuilds, nMigrated int64
+	// event counters (read driver-side through Engine.Stats and ListStats)
+	nRebuilds, nMigrated, nPrunes int64
 }
 
 // migration record layout: gid, x, y, z, vx, vy, vz, mass, type.
@@ -426,7 +457,7 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 		return nil, err
 	}
 	g, p := grid.P, grid.Size()
-	hw := cfg.Cutoff + cfg.Skin
+	hw := startHalo(cfg)
 	box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
 	var w [3]float64
 	var axes []int
@@ -442,7 +473,7 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg: cfg, comm: comm, grid: grid, p: p, n: sys.N,
-		box: box, halo: hw, axes: axes,
+		box: box, axes: axes,
 		partial:   len(localRanks) < p,
 		applyRank: localRanks[0],
 		cuts:      cluster.UniformCuts3D(grid, box[0], box[1], box[2]),
@@ -465,7 +496,7 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 	}
 	e.ewmaAlpha = ewmaAlpha(cfg.BalanceWindow)
 	if cfg.Balance {
-		e.bal = newBalancer(cfg, grid, hw)
+		e.bal = newBalancer(cfg, grid)
 	}
 	e.rs = make([]*rankState, p)
 	e.local = make([]*rankState, 0, len(localRanks))
@@ -474,6 +505,8 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 			rank: r, ff: cfg.NewFF(r),
 			flag:        make([]float64, 1),
 			needRebuild: true,
+			buf:         cfg.Skin,
+			halo:        hw,
 			ex:          halo.NewExchanger(comm, grid, r),
 		}
 		rs.posF.rs = rs
@@ -797,8 +830,9 @@ func (e *Engine) localKE(rs *rankState) float64 {
 }
 
 // forceStep is one collective force evaluation: decide between the cheap
-// overlapped ghost refresh and the full rebuild, run the rank force field,
-// AllReduce the energy partials and record the global PE.
+// overlapped ghost refresh, a prune of the inner list and the full rebuild,
+// run the rank force field, AllReduce the energy partials and record the
+// global PE.
 //
 //mlmd:hotpath
 func (e *Engine) forceStep(rs *rankState) {
@@ -806,11 +840,16 @@ func (e *Engine) forceStep(rs *rankState) {
 		rs.partial[i] = 0
 	}
 	rs.stepSecs = 0
-	if e.checkStale(rs) {
-		e.rebuild(rs)
-		e.evalFresh(rs)
-	} else {
+	rs.since++
+	switch step := e.checkStale(rs); step {
+	case stepPlain:
 		e.evalSteady(rs)
+	case stepPrune:
+		e.prune(rs)
+		e.evalFresh(rs)
+	default:
+		e.rebuild(rs, step == stepRebuild)
+		e.evalFresh(rs)
 	}
 	e.comm.AllReduceSumInPlace(rs.rank, rs.partial)
 	e.peRank[rs.rank] = rs.ff.Energy(&rs.v, rs.partial)
@@ -823,32 +862,109 @@ func (e *Engine) forceStep(rs *rankState) {
 	}
 }
 
-// checkStale decides collectively whether a rebuild is due: any rank whose
-// owned atoms moved more than skin/2 since its last rebuild forces every
-// rank to rebuild — the same criterion as md.NeighborList.Stale, made
-// global by an AllReduce.
+// The kinds of force step checkStale chooses.
+const (
+	stepPlain   = iota // lists and ghost set valid: refresh ghost positions only
+	stepPrune          // prune the inner list from the still-complete outer one
+	stepRebuild        // the lists expired: rebuild, and widen the buffer if due
+	stepForced         // a rebuild the drift did not call for (the first one)
+)
+
+// Growth rule of the rebuild buffer: a rebuild that follows the previous one
+// within fewer than growWindow force steps widens the buffer by
+// growStep·Skin, up to bufferBound. On md.lj's crystal the buffer goes
+// 0.3 → 0.75 within the first four rebuilds and then holds for thousands of
+// steps (PERFORMANCE.md, "PR 37").
+const (
+	growWindow = 40
+	growStep   = 0.5
+)
+
+// checkStale decides collectively what this step renews, with one
+// AllReduce on a plain step. Any rank whose owned atoms moved more than
+// Skin/2 since the last rebuild or prune calls for a new inner list — the
+// criterion of md.NeighborList.Stale, made global. While the rebuild buffer
+// is Skin that is a rebuild. With a wider buffer it is a prune, unless the
+// outer list would not stay complete until the next prune.
+//
+// That condition, and why one check on prune steps is enough: the outer
+// list and the ghost set hold every pair within Cutoff+buf of the last
+// rebuild's positions. Let D be the largest drift of any atom since then. A
+// pair within Cutoff+Skin now was within Cutoff+Skin+2D then, so the outer
+// rows hold all of the inner list's pairs while D ≤ (buf−Skin)/2. Until the
+// next prune no atom moves another Skin/2 (else a plain step would have
+// called for one), and the pruned inner list stays complete for the
+// cutoff. So a prune is safe exactly when D + Skin/2 ≤ buf/2, checked here
+// with a second agreed flag; otherwise the step rebuilds. The same margin
+// keeps every interior atom's rows free of ghosts (classifyInterior).
 //
 //mlmd:hotpath
-func (e *Engine) checkStale(rs *rankState) bool {
+func (e *Engine) checkStale(rs *rankState) int {
+	skin := e.cfg.Skin
+	// One float carries both flags: a forced rebuild counts more than every
+	// rank's drift together.
 	stale := 0.0
 	if rs.needRebuild {
+		stale = float64(e.p + 1)
+	} else if e.driftOver(rs, rs.refX, skin*skin/4) {
 		stale = 1
-	} else {
-		lim2 := e.cfg.Skin * e.cfg.Skin / 4
-		px, py, pz := md.NewPeriod(e.box[0]), md.NewPeriod(e.box[1]), md.NewPeriod(e.box[2])
-		for i := 0; i < rs.nOwn; i++ {
-			dx := px.MinImage(rs.x[3*i] - rs.refX[3*i])
-			dy := py.MinImage(rs.x[3*i+1] - rs.refX[3*i+1])
-			dz := pz.MinImage(rs.x[3*i+2] - rs.refX[3*i+2])
-			if dx*dx+dy*dy+dz*dz > lim2 {
-				stale = 1
-				break
-			}
-		}
 	}
 	rs.flag[0] = stale
 	e.comm.AllReduceSumInPlace(rs.rank, rs.flag)
-	return rs.flag[0] > 0
+	switch {
+	case rs.flag[0] > float64(e.p):
+		return stepForced
+	case rs.flag[0] == 0:
+		return stepPlain
+	case rs.buf <= skin:
+		return stepRebuild
+	}
+	lim := (rs.buf - skin) / 2
+	expired := 0.0
+	if e.driftOver(rs, rs.refR, lim*lim) {
+		expired = 1
+	}
+	rs.flag[0] = expired
+	e.comm.AllReduceSumInPlace(rs.rank, rs.flag)
+	if rs.flag[0] > 0 {
+		return stepRebuild
+	}
+	return stepPrune
+}
+
+// driftOver reports whether any owned atom lies farther than √lim2 from its
+// position in ref, under the minimum image.
+//
+//mlmd:hotpath
+func (e *Engine) driftOver(rs *rankState, ref []float64, lim2 float64) bool {
+	px, py, pz := md.NewPeriod(e.box[0]), md.NewPeriod(e.box[1]), md.NewPeriod(e.box[2])
+	for i := 0; i < rs.nOwn; i++ {
+		dx := px.MinImage(rs.x[3*i] - ref[3*i])
+		dy := py.MinImage(rs.x[3*i+1] - ref[3*i+1])
+		dz := pz.MinImage(rs.x[3*i+2] - ref[3*i+2])
+		if dx*dx+dy*dy+dz*dz > lim2 {
+			return true
+		}
+	}
+	return false
+}
+
+// prune is the collective prune step: ghost positions are refreshed first,
+// then the inner list is pruned from the outer rows at the current
+// positions, which become the reference of the next staleness checks. The
+// decomposition, the ghost set and the outer list stay as the last rebuild
+// left them.
+//
+//mlmd:hotpath
+func (e *Engine) prune(rs *rankState) {
+	rs.nPrunes++
+	e.refreshGhosts(rs)
+	copy(rs.refX, rs.x[:3*rs.nOwn])
+	if rs.ff.NeedsNeighborList() {
+		t0 := time.Now()
+		rs.nl.Prune(rs.outer, rs.v.Sys, rs.nOwn)
+		rs.stepSecs += time.Since(t0).Seconds()
+	}
 }
 
 // evalSteady is the steady-state path: ghost positions are stale but the
@@ -941,30 +1057,51 @@ func (e *Engine) evalFresh(rs *rankState) {
 }
 
 // rebuild is the collective event path: rebalance the cut planes if due
-// (atoms whose subdomain the shift changed become migration traffic),
-// migrate strayed atoms to their new owners per axis, reorder owned atoms
-// interior-first, rebuild the ghost halo over the three axis exchanges,
-// record the staleness reference, and rebuild the rank neighbor list if the
-// force field wants one.
-func (e *Engine) rebuild(rs *rankState) {
+// (atoms whose subdomain the shift changed become migration traffic), widen
+// the rebuild buffer if the drift called for this rebuild sooner than
+// growWindow steps after the last one (grow), migrate strayed atoms to their
+// new owners per axis, reorder owned atoms interior-first, rebuild the ghost
+// halo over the three axis exchanges, record the staleness references, and
+// rebuild the rank neighbor lists if the force field wants them.
+func (e *Engine) rebuild(rs *rankState, grow bool) {
 	rs.nRebuilds++
 	e.maybeRebalance(rs)
+	if grow && rs.since < growWindow {
+		if b := min(rs.buf+growStep*e.cfg.Skin, bufferBound(e.cfg, &e.cuts, e.axes)); b > rs.buf {
+			rs.buf, rs.halo = b, e.cfg.Cutoff+b
+		}
+	}
+	rs.since = 0
 	e.migrate(rs)
 	e.classifyInterior(rs)
 	e.buildHalo(rs)
 	rs.refX = resizeF64(rs.refX, 3*rs.nOwn)
 	copy(rs.refX, rs.x[:3*rs.nOwn])
+	rs.refR = resizeF64(rs.refR, 3*rs.nOwn)
+	copy(rs.refR, rs.refX)
 	e.refreshView(rs)
 	if rs.ff.NeedsNeighborList() {
 		t0 := time.Now()
-		rs.nl.BuildOwned(rs.v.Sys, rs.v.ID, rs.v.NOwn)
+		list := rs.nl
+		if rs.buf > e.cfg.Skin {
+			if rs.outer == nil {
+				rs.outer = &md.NeighborList{Cutoff: e.cfg.Cutoff}
+			}
+			rs.outer.Skin = rs.buf
+			list = rs.outer
+		}
+		list.BuildOwned(rs.v.Sys, rs.v.ID, rs.v.NOwn)
+		if list != rs.nl {
+			rs.nl.Prune(list, rs.v.Sys, rs.v.NOwn)
+		}
 		rs.stepSecs += time.Since(t0).Seconds()
 		// The belt over classifyInterior's geometric braces: if
 		// floating-point edge effects ever put a ghost into an interior
 		// atom's neighbor row, overlap is disabled for this rebuild window
 		// rather than risking a stale-ghost read. (The geometric margin
-		// makes this effectively unreachable.)
-		for _, j := range rs.nl.Rows(0, rs.nInt) {
+		// makes this effectively unreachable.) Checking the outer rows
+		// covers every inner list pruned from them.
+		for _, j := range list.Rows(0, rs.nInt) {
 			if int(j) >= rs.nOwn {
 				rs.nInt = 0
 				rs.v.NInt = 0
@@ -976,11 +1113,12 @@ func (e *Engine) rebuild(rs *rankState) {
 }
 
 // classifyInterior reorders the owned atoms so that the interior ones —
-// those farther than halo (= cutoff+skin) from every face of the subdomain
-// along each partitioned axis — come first, and records the split point
-// nInt. Between rebuilds every atom drifts at most skin/2, so an interior
-// atom's interactions can never reach a ghost: its forces are computable
-// before the halo refresh lands. The reorder is stable within each class;
+// those farther than the halo (Cutoff plus the rebuild buffer) from every
+// face of the subdomain along each partitioned axis — come first, and
+// records the split point nInt. Every ghost lay outside the subdomain at
+// the rebuild, so no interior atom's outer row holds one, and inner rows are
+// subsets of outer rows: an interior atom's forces are computable before
+// the halo refresh lands. The reorder is stable within each class;
 // owned ordering is free under the determinism contract (all canonical
 // sums are keyed by global id, not local index).
 func (e *Engine) classifyInterior(rs *rankState) {
@@ -1006,7 +1144,7 @@ func (e *Engine) classifyInterior(rs *rankState) {
 			// balanced subdomain is wider than half the box (minImage1
 			// would fold the far half negative there).
 			d := wrap1(rs.x[3*i+a]-rs.lo[a], e.box[a])
-			if d <= e.halo || rs.w[a]-d <= e.halo {
+			if d <= rs.halo || rs.w[a]-d <= rs.halo {
 				interior = false
 				break
 			}
@@ -1144,10 +1282,10 @@ func (e *Engine) buildHalo(rs *rankState) {
 			// this rank's slab along axis a — is in [la, la+wa) here, and
 			// wide balanced subdomains must not fold the far half.
 			d := wrap1(rs.x[3*i+a]-la, e.box[a])
-			if d <= e.halo {
+			if d <= rs.halo {
 				ax.side[0].sendIdx = append(ax.side[0].sendIdx, int32(i))
 			}
-			if wa-d <= e.halo {
+			if wa-d <= rs.halo {
 				ax.side[1].sendIdx = append(ax.side[1].sendIdx, int32(i))
 			}
 		}
@@ -1288,7 +1426,8 @@ func (e *Engine) recvAuxAxis(rs *rankState, a int) {
 // Stats reports decomposition event counts summed over the hosted ranks:
 // collective rebuilds (each rank counts every rebuild event) and atoms
 // received through migration messages. Driver-side; a partial engine
-// reports only its own ranks' migration traffic.
+// reports only its own ranks' migration traffic. Prunes are not rebuilds
+// (ListStats).
 func (e *Engine) Stats() (rebuilds, migratedAtoms int64) {
 	for _, rs := range e.local {
 		if rs.nRebuilds > rebuilds {
@@ -1297,6 +1436,41 @@ func (e *Engine) Stats() (rebuilds, migratedAtoms int64) {
 		migratedAtoms += rs.nMigrated
 	}
 	return
+}
+
+// ListStats reports the pair lists' state: collective prunes of the inner
+// list so far, and the rebuild buffer (the halo is Cutoff plus it), which
+// starts at Config.Skin and only widens. Driver-side.
+func (e *Engine) ListStats() (prunes int64, buffer float64) {
+	rs := e.local[0]
+	return rs.nPrunes, rs.buf
+}
+
+// currentHalo is the ghost layer's width now: Cutoff plus the rebuild
+// buffer, the same on every rank. Driver-side.
+func (e *Engine) currentHalo() float64 { return e.local[0].halo }
+
+// startHalo is the halo a new engine starts with, Cutoff+Skin: the width a
+// fresh decomposition's subdomains must reach (NewEngine, and the grid and
+// cut planes RunRecovered chooses for a resumed one).
+func startHalo(cfg Config) float64 { return cfg.Cutoff + cfg.Skin }
+
+// bufferBound is the widest rebuild buffer the cut planes cuts admit: every
+// subdomain stays at least a halo (Cutoff plus the buffer) wide, and along
+// every partitioned axis keeps at least half the interior slab,
+// w − 2·(Cutoff+Skin), it has at the starting buffer Skin, so that the
+// comm/compute overlap survives the growth. An axis with no slab at Skin
+// admits no growth.
+func bufferBound(cfg Config, cuts *cluster.Cuts3D, axes []int) float64 {
+	bound := math.Inf(1)
+	for a := 0; a < 3; a++ {
+		bound = min(bound, cuts.MinWidth(a)-cfg.Cutoff)
+	}
+	for _, a := range axes {
+		slab := cuts.MinWidth(a) - 2*startHalo(cfg)
+		bound = min(bound, cfg.Skin+max(slab, 0)/4)
+	}
+	return bound
 }
 
 // Gather copies the hosted ranks' positions, velocities and forces back
@@ -1372,12 +1546,12 @@ func (e *Engine) gatherAllRank(rs *rankState) {
 // at least a halo wide) and each rank's cached corner/width tracks them,
 // the owned sets partition the global ids, every owned atom sat in its
 // rank's subdomain (along all three grid axes) at the last rebuild, ghost
-// bookkeeping is consistent, every ghost lies within cutoff+skin (plus the
-// skin/2 drift allowance) of the owning subdomain, and the interior split
-// point is in range. Error messages name ranks as "rank r (ix,iy,iz)" so a
+// bookkeeping is consistent, every ghost lies within the current halo (plus
+// the half-buffer drift allowance) of the owning subdomain, and the
+// interior split point is in range. Error messages name ranks as "rank r (ix,iy,iz)" so a
 // balancing failure points at the grid cell, not just the linear id.
 func (e *Engine) Validate() error {
-	if err := e.cuts.Validate(e.halo - 1e-12); err != nil {
+	if err := e.cuts.Validate(e.currentHalo() - 1e-12); err != nil {
 		return fmt.Errorf("shard: %v", err)
 	}
 	seen := make([]int, e.n)
@@ -1403,13 +1577,13 @@ func (e *Engine) Validate() error {
 			seen[g]++
 			if !rs.needRebuild {
 				for a := 0; a < 3; a++ {
-					if e.gridCoord(rs.refX[3*i+a], a) != rs.coords[a] {
+					if e.gridCoord(rs.refR[3*i+a], a) != rs.coords[a] {
 						return fmt.Errorf("shard: %s owns atom %d outside its subdomain along axis %d at rebuild", at, g, a)
 					}
 				}
 			}
 		}
-		slack := e.halo + e.cfg.Skin/2 + 1e-12
+		slack := rs.halo + rs.buf/2 + 1e-12
 		for i := rs.nOwn; i < rs.nLoc; i++ {
 			slot, ok := rs.v.lookup[rs.ids[i]]
 			if !ok || int(slot) != i {

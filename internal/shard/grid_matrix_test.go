@@ -80,6 +80,26 @@ func assertSplitRan(t *testing.T, interior map[[3]int]int) {
 	t.Errorf("no grid shape has interior atoms (%v): the comm/compute split never ran", interior)
 }
 
+// assertDualRan fails unless the rebuild buffer grew past the skin on some
+// shape of the matrix and, with pruned set, some shape pruned its inner
+// list: the fixture's own skin then runs the dual pair list, not only the
+// single-list path.
+func assertDualRan(t *testing.T, engs []*Engine, skin float64, pruned bool) {
+	t.Helper()
+	grew, prunes := false, int64(0)
+	for _, eng := range engs {
+		p, buf := eng.ListStats()
+		grew = grew || buf > skin
+		prunes += p
+	}
+	if !grew {
+		t.Errorf("no grid shape widened its rebuild buffer past the skin %g", skin)
+	}
+	if pruned && prunes == 0 {
+		t.Error("no grid shape pruned its inner list")
+	}
+}
+
 // assertBitwise compares a shape's gathered trajectory endpoint against the
 // 1-rank reference, coordinate by coordinate, at tolerance zero.
 func assertBitwise(t *testing.T, grid [3]int, ref, got *md.System) {
@@ -175,10 +195,12 @@ func TestGridDecompositionIdentityMatrixLJ(t *testing.T) {
 
 	ref, refRes, _ := runGridTrajectory(t, base, cfg, [3]int{1, 1, 1}, steps, dt, nil)
 	interior := map[[3]int]int{}
+	var engs []*Engine
 	for _, grid := range gridShapes[1:] {
 		got, res, eng := runGridTrajectory(t, base, cfg, grid, steps, dt, nil)
 		assertBitwise(t, grid, ref, got)
 		interior[grid] = interiorAtoms(eng)
+		engs = append(engs, eng)
 		rebuilds, migrated := eng.Stats()
 		if !testing.Short() {
 			if rebuilds < 5 {
@@ -196,6 +218,9 @@ func TestGridDecompositionIdentityMatrixLJ(t *testing.T) {
 		}
 	}
 	assertSplitRan(t, interior)
+	if !testing.Short() {
+		assertDualRan(t, engs, cfg.Skin, true)
+	}
 	checkSkinAxis(t, base, cfg, [4]float64{0, 0.1, testSkin, 1.0},
 		[][3]int{{1, 1, 1}, {2, 2, 1}, {4, 2, 1}}, steps, dt, nil)
 }
@@ -264,10 +289,12 @@ func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 	ref, refRes, _ := runGridTrajectory(t, sys, cfg, [3]int{1, 1, 1}, steps, dt, nil)
 	migratedTotal := int64(0)
 	interior := map[[3]int]int{}
+	var engs []*Engine
 	for _, grid := range gridShapes[1:] {
 		got, res, eng := runGridTrajectory(t, sys, cfg, grid, steps, dt, nil)
 		assertBitwise(t, grid, ref, got)
 		interior[grid] = interiorAtoms(eng)
+		engs = append(engs, eng)
 		_, migrated := eng.Stats()
 		migratedTotal += migrated
 		if math.Abs(res.PE-refRes.PE) > 1e-12*math.Abs(refRes.PE) {
@@ -278,6 +305,9 @@ func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 		t.Error("no Allegro migrations across the whole matrix — gas too cold")
 	}
 	assertSplitRan(t, interior)
+	// The gas rebuilds every step, so the buffer grows to its slab bound
+	// but never outlives a step: no prunes.
+	assertDualRan(t, engs, cfg.Skin, false)
 	// The untrained model drives the gas fast enough that no buffer holds a
 	// list for the whole run, so its skin axis covers the first 30 steps.
 	// The wide row then runs on the single rank: a list at cutoff+9 covers

@@ -196,8 +196,8 @@ func runMPWorker() error {
 	if rebalances == 0 {
 		return fmt.Errorf("balancer never rebalanced in %d steps", steps)
 	}
-	if maxShift > cfg.Cutoff+cfg.Skin {
-		return fmt.Errorf("cut shift %g exceeds the halo", maxShift)
+	if maxShift > eng.currentHalo() {
+		return fmt.Errorf("cut shift %g exceeds the halo %g", maxShift, eng.currentHalo())
 	}
 	return writeEndpoint(out, sys, res)
 }

@@ -166,7 +166,7 @@ func RunRecovered(cfg Config, sys *md.System, opts RecoverOpts) (RunResult, Reco
 		survivors[i] = i
 	}
 	box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
-	halo := cfg.Cutoff + cfg.Skin
+	halo := startHalo(cfg)
 	gen := 0
 	startStep := int64(0)
 	cuts := cfg.Cuts
