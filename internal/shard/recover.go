@@ -1,14 +1,15 @@
 // Self-healing runs (ISSUE 8): RunRecovered wraps the chunked checkpoint
 // loop of RunCheckpointed in the shrink-and-resume state machine
 //
-//	detect -> drain -> re-rendezvous -> re-partition -> resume
+//	detect -> drain -> re-partition -> re-rendezvous -> resume
 //
 // When a rank of the mesh dies mid-run, every surviving process drains its
 // transport's failure latch to learn the full set of lost ranks, tears the
-// broken mesh down, re-rendezvous at the reduced rank count under an
-// incremented generation tag (stragglers of the dead mesh are rejected at
-// the handshake), auto-selects a new grid shape for the survivors, agrees
-// on the newest valid checkpoint, and resumes from it — with no operator
+// broken mesh down, auto-selects a new grid shape for the survivors,
+// re-rendezvous at the reduced rank count under an incremented generation
+// tag (stragglers of the dead mesh are rejected at the handshake), and only
+// then discovers the newest valid checkpoint, agrees on it, and resumes
+// from it — with no operator
 // action, bounded by a restart budget so a crash-looping host cannot spin
 // forever.
 //
@@ -171,12 +172,14 @@ func RunRecovered(cfg Config, sys *md.System, opts RecoverOpts) (RunResult, Reco
 	startStep := int64(0)
 	cuts := cfg.Cuts
 	var detect0 time.Time
+	// cause is the failure the next generation recovers from.
+	var cause error
 
 	// budget spends one restart (or fails the run when none remain) and
 	// moves to the next mesh generation.
-	budget := func(cause error) error {
+	budget := func(why error) error {
 		if stats.Restarts >= opts.MaxRestarts {
-			return fmt.Errorf("shard: restart budget %d exhausted: %w", opts.MaxRestarts, cause)
+			return fmt.Errorf("shard: restart budget %d exhausted: %w", opts.MaxRestarts, why)
 		}
 		stats.Restarts++
 		gen++
@@ -184,11 +187,14 @@ func RunRecovered(cfg Config, sys *md.System, opts RecoverOpts) (RunResult, Reco
 	}
 
 	// resume discovers the newest valid checkpoint, restores sys from it,
-	// and seeds the cut planes for the (already chosen) grid. Called on the
-	// failure path and again when a rebuilt mesh disagrees on the resume
-	// step — a survivor whose discovery raced the final pre-crash checkpoint
-	// write converges by re-reading the files.
-	resume := func(cause error) error {
+	// and seeds the cut planes for the (already chosen) grid. It runs once a
+	// rebuilt mesh has formed: every survivor, the checkpoint writer
+	// included, has then left its run loop, so no write is in flight (and
+	// if the writer died, nothing writes any more). Discovering earlier
+	// raced the writer: a survivor could read the files between the
+	// writer's rotation to .prev and its write of the kill-step checkpoint,
+	// and the disagreement burned a restart.
+	resume := func() error {
 		path, cp, err := mlmdio.NewestValidCheckpoint(opts.Candidates)
 		if err != nil {
 			return fmt.Errorf("shard: cannot resume after %w: %v", cause, err)
@@ -228,14 +234,16 @@ func RunRecovered(cfg Config, sys *md.System, opts RecoverOpts) (RunResult, Reco
 			continue
 		}
 		if gen > 0 {
+			if err := resume(); err != nil {
+				closeMesh()
+				return res, stats, err
+			}
 			if err := agreeOnStep(comm, local, startStep); err != nil {
 				closeMesh()
 				if berr := budget(err); berr != nil {
 					return res, stats, berr
 				}
-				if rerr := resume(err); rerr != nil {
-					return res, stats, rerr
-				}
+				cause = err
 				continue
 			}
 		}
@@ -347,15 +355,12 @@ func RunRecovered(cfg Config, sys *md.System, opts RecoverOpts) (RunResult, Reco
 			return res, stats, berr
 		}
 		survivors = next
+		cause = rf
 
-		// ---- re-partition ----
+		// ---- re-partition ---- (the resume itself follows the next
+		// generation's rendezvous)
 		grid, err = AutoGrid(len(survivors), box, halo)
 		if err != nil {
-			return res, stats, err
-		}
-
-		// ---- resume ----
-		if err := resume(rf); err != nil {
 			return res, stats, err
 		}
 	}

@@ -251,7 +251,88 @@ func TestRunRecoveredHonorsBudget(t *testing.T) {
 	if len(rebuildGens) != 2 || rebuildGens[0] != 1 || rebuildGens[1] != 2 {
 		t.Errorf("rebuild attempts at generations %v, want [1 2]", rebuildGens)
 	}
-	if o.stats.ResumedStep != killAt {
-		t.Errorf("discovery found step %d, want the step-%d checkpoint", o.stats.ResumedStep, killAt)
+	// Discovery follows a formed mesh (TestRunRecoveredWaitsForTheWriter),
+	// and none formed: no checkpoint was read.
+	if o.stats.ResumedStep != 0 || o.stats.ResumedFrom != "" {
+		t.Errorf("discovery ran without a mesh: step %d of %q", o.stats.ResumedStep, o.stats.ResumedFrom)
+	}
+}
+
+// TestRunRecoveredWaitsForTheWriter: the process hosting rank 0 is still
+// inside the kill-step checkpoint write — its primary file rotated to .prev,
+// the new one not yet written — when the other survivor detects the
+// failure. Discovery follows the next generation's rendezvous, which the
+// writer joins only after its write, so every survivor resumes at the kill
+// step on its one restart. (Discovering before the rendezvous read the
+// rotated predecessor, disagreed with the writer and exhausted the budget.)
+func TestRunRecoveredWaitsForTheWriter(t *testing.T) {
+	dir := socketDirOrSkip(t)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	const steps, every, killAt = 90, 30, 60
+	const dt = 2.0
+	base := fccLJSystem(t, 4, 1e-3, 3)
+	errAborted := errors.New("victim fault injection")
+	cfg := Config{
+		Grid: [3]int{3, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
+		NewFF: LJFactory(testEps, testSigma),
+	}
+	// slowWriter rotates, then stalls before writing the kill-step file.
+	slowWriter := func(cp *mlmdio.Checkpoint) error {
+		if _, err := os.Stat(path); err == nil {
+			if err := os.Rename(path, path+".prev"); err != nil {
+				return err
+			}
+		}
+		if cp.Step == killAt {
+			time.Sleep(400 * time.Millisecond)
+		}
+		return mlmdio.WriteCheckpointFile(path, cp)
+	}
+
+	outs := make([]recoverOutcome, 3)
+	var wg sync.WaitGroup
+	for id := 0; id < 3; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			var tr *cluster.SocketTransport
+			opts := RecoverOpts{
+				Steps: steps, Dt: dt, Every: every, MaxRestarts: 1,
+				Candidates: []string{path, path + ".prev"},
+				Write:      slowWriter,
+				Mesh:       socketMeshBuilder(dir, id, &tr),
+			}
+			if id == 1 {
+				opts.OnChunk = func(gen, done int) error {
+					if gen == 0 && done == killAt {
+						tr.Abort()
+						return errAborted
+					}
+					return nil
+				}
+			}
+			res, stats, err := RunRecovered(cfg, base.Clone(), opts)
+			outs[id] = recoverOutcome{res, stats, err}
+		}(id)
+	}
+	joined := make(chan struct{})
+	go func() { wg.Wait(); close(joined) }()
+	select {
+	case <-joined:
+	case <-time.After(engineFailureDeadline):
+		t.Fatal("RunRecovered did not complete within the failure deadline")
+	}
+	if !errors.Is(outs[1].err, errAborted) {
+		t.Fatalf("victim returned %v, want the injected fault", outs[1].err)
+	}
+	for _, id := range []int{0, 2} {
+		o := outs[id]
+		if o.err != nil {
+			t.Fatalf("survivor %d: %v", id, o.err)
+		}
+		if o.stats.Restarts != 1 || o.stats.ResumedStep != killAt || o.stats.ResumedFrom != path {
+			t.Errorf("survivor %d: %d restarts, resumed from step %d of %q; want 1 from step %d of %q",
+				id, o.stats.Restarts, o.stats.ResumedStep, o.stats.ResumedFrom, killAt, path)
+		}
 	}
 }
