@@ -16,7 +16,7 @@ func TestAblationDSAWarmStart(t *testing.T) {
 }
 
 func TestAblationScissorPrecision(t *testing.T) {
-	res, err := AblationScissorPrecision(10, 32, 2)
+	res, err := AblationScissorPrecision(10, 32, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
