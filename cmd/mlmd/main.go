@@ -686,6 +686,13 @@ func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float
 				rebalances, maxShift, eng.LoadImbalance(), eng.OwnedImbalance())
 		}
 	}
+	if eng != nil {
+		// The list events depend on the decomposition (an unsharded run has
+		// none), so they stay outside the golden summary too.
+		rebuilds, _ := eng.Stats()
+		prunes, buffer := eng.ListStats()
+		fmt.Fprintf(out, "(pair lists: %d rebuilds, %d prunes, rebuild buffer %.4g)\n", rebuilds, prunes, buffer)
+	}
 	fmt.Fprintln(out, "\ndone.")
 }
 

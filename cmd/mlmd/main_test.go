@@ -33,16 +33,17 @@ func runMLMD(t *testing.T, exe string, args ...string) string {
 	return string(out)
 }
 
-// stripShardNote drops the sharding announcement and the timing-dependent
-// balance summary so sharded and unsharded outputs are comparable
-// line-for-line.
+// stripShardNote drops the sharding announcement, the timing-dependent
+// balance summary and the pair-list events (which an unsharded run does not
+// have) so sharded and unsharded outputs are comparable line-for-line.
 func stripShardNote(s string) string {
 	lines := strings.Split(s, "\n")
 	kept := lines[:0]
 	for _, l := range lines {
 		if strings.HasPrefix(l, "(lattice stage sharded") ||
 			strings.HasPrefix(l, "(field stage sharded") ||
-			strings.HasPrefix(l, "(balance:") {
+			strings.HasPrefix(l, "(balance:") ||
+			strings.HasPrefix(l, "(pair lists:") {
 			continue
 		}
 		kept = append(kept, l)
