@@ -105,7 +105,7 @@ FUZZ_TARGETS      = FuzzLoadSystem FuzzLoadCheckpoint
 WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
-MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList FuzzLJRow
+MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList FuzzLJRow FuzzPruneRows
 LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows FuzzGroundKernels
 FUZZ_TIME   ?= 10s
 

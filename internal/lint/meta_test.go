@@ -35,7 +35,7 @@ var requiredHotpaths = map[string][]string{
 		"ZDotRows", "zdotRowsGo", "ZDotCol", "ZScaleDotCol", "zdotColGo", "ZAxpyCol", "zaxpyColGo",
 		"ZResidRows", "zresidRowsGo", "ZStencilRows", "zstencilRowsGo"},
 	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row", "(*ljKernel).rowTerms", "(*ljKernel).terms", "(*ljKernel).pairsAt", "(*ljKernel).pair",
-		"sweepShifted", "sweepImages"},
+		"sweepShifted", "sweepImages", "(*pruneKernel).row", "(*pruneKernel).rowRef"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",
@@ -49,6 +49,7 @@ var requiredHotpaths = map[string][]string{
 	},
 	"mlmd/internal/shard": {
 		"(*Engine).runSteps", "(*Engine).evalSteady", "(*Engine).forceStep", "(*Engine).checkStale",
+		"(*Engine).driftOver", "(*Engine).prune",
 		"(*Engine).localKE", "(*Engine).refreshGhosts", "(*Engine).postAxisSends", "(*Engine).recvAxis",
 		"(*posField).Pack", "(*posField).Unpack", "(*auxField).Pack", "(*auxField).Unpack",
 	},
