@@ -873,7 +873,7 @@ const (
 // Growth rule of the rebuild buffer: a rebuild that follows the previous one
 // within fewer than growWindow force steps widens the buffer by
 // growStep·Skin, up to bufferBound. On md.lj's crystal the buffer goes
-// 0.3 → 0.75 within the first four rebuilds and then holds for thousands of
+// 0.3 → 1.05 in the first five rebuilds, after which none comes in 3000
 // steps (PERFORMANCE.md, "PR 37").
 const (
 	growWindow = 40
@@ -895,8 +895,7 @@ const (
 // next prune no atom moves another Skin/2 (else a plain step would have
 // called for one), and the pruned inner list stays complete for the
 // cutoff. So a prune is safe exactly when D + Skin/2 ≤ buf/2, checked here
-// with a second agreed flag; otherwise the step rebuilds. The same margin
-// keeps every interior atom's rows free of ghosts (classifyInterior).
+// with a second agreed flag; otherwise the step rebuilds.
 //
 //mlmd:hotpath
 func (e *Engine) checkStale(rs *rankState) int {
