@@ -29,6 +29,14 @@ func (nl *NeighborList) Prune(outer *NeighborList, sys *System, nOwn int) {
 	nl.adj = adj
 }
 
+// Reserve makes room for pairs stored neighbors, so that a later Prune or
+// BuildOwned whose list holds no more than that allocates nothing.
+func (nl *NeighborList) Reserve(pairs int) {
+	if pairs > cap(nl.adj) {
+		nl.adj = slices.Grow(nl.adj, pairs-len(nl.adj))
+	}
+}
+
 // pruneKernel holds what the prune reads: the squared list radius and the
 // box periods. It is also the argument block of the prune kernels, which
 // read its fields at fixed offsets (TestPruneKernelArgsLayout).

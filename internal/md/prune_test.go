@@ -18,6 +18,7 @@ var pruneKernelTests = []struct {
 	{"PruneIndexOutOfRangePanics", TestPruneIndexOutOfRangePanics},
 	{"PruneMatchesBuild", TestPruneMatchesBuild},
 	{"PruneSteadyStateAllocs", TestPruneSteadyStateAllocs},
+	{"PruneAfterReserveAllocs", TestPruneAfterReserveAllocs},
 }
 
 func runPruneKernelTests(t *testing.T, p ljPath) {
@@ -214,5 +215,27 @@ func BenchmarkPrune(b *testing.B) {
 			})
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(outer.NumPairs()), "ns/cand")
 		})
+	}
+}
+
+// TestPruneAfterReserveAllocs: a prune whose list grows past the last one,
+// but not past a Reserve made before it, keeps the reserved buffer.
+func TestPruneAfterReserveAllocs(t *testing.T) {
+	sys, ids, nOwn := pruneFixture(t)
+	outer := &NeighborList{Cutoff: 2, Skin: 0.9}
+	outer.BuildOwned(sys, ids, nOwn)
+	want := &NeighborList{Cutoff: 2, Skin: 0.3}
+	want.BuildOwned(sys, ids, nOwn)
+	inner := &NeighborList{Cutoff: 2, Skin: 0}
+	inner.Prune(outer, sys, nOwn)
+	if inner.NumPairs() >= want.NumPairs() {
+		t.Fatalf("the skin-0 list holds %d pairs, not fewer than the %d of skin 0.3", inner.NumPairs(), want.NumPairs())
+	}
+	inner.Skin = 0.3
+	inner.Reserve(want.NumPairs())
+	c := inner.PairCap()
+	inner.Prune(outer, sys, nOwn)
+	if inner.PairCap() != c || inner.NumPairs() != want.NumPairs() {
+		t.Errorf("capacity %d → %d over a prune to %d pairs (built: %d)", c, inner.PairCap(), inner.NumPairs(), want.NumPairs())
 	}
 }

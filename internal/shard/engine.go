@@ -880,6 +880,11 @@ const (
 	growStep   = 0.5
 )
 
+// pruneHeadroom sizes the inner list's spare capacity at a rebuild: 1/8 of
+// its pairs, far above the few per cent a list at fixed radius varies by
+// between rebuilds.
+const pruneHeadroom = 8
+
 // checkStale decides collectively what this step renews, with one
 // AllReduce on a plain step. Any rank whose owned atoms moved more than
 // Skin/2 since the last rebuild or prune calls for a new inner list — the
@@ -1092,6 +1097,10 @@ func (e *Engine) rebuild(rs *rankState, grow bool) {
 		list.BuildOwned(rs.v.Sys, rs.v.ID, rs.v.NOwn)
 		if list != rs.nl {
 			rs.nl.Prune(list, rs.v.Sys, rs.v.NOwn)
+			// Headroom for the prunes until the next rebuild, whose lists
+			// grow and shrink a little with the motion: they must not
+			// allocate.
+			rs.nl.Reserve(rs.nl.NumPairs() + rs.nl.NumPairs()/pruneHeadroom)
 		}
 		rs.stepSecs += time.Since(t0).Seconds()
 		// The belt over classifyInterior's geometric braces: if
