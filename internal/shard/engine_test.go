@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mlmd/internal/md"
@@ -309,5 +310,50 @@ func TestShardNeighborRowOrder(t *testing.T) {
 				t.Fatalf("rank %d atom %d: row has %d neighbors, brute force finds %d", rs.rank, i, len(row), count)
 			}
 		}
+	}
+}
+
+// TestPrunedListIsTheListAtItsRadius: after every step that renewed the
+// inner list — a prune from the outer rows, or a rebuild at a widened
+// buffer — each rank's rows are exactly the rows a fresh build at
+// Cutoff+Skin gives on the same local atoms. A prune from an outer list
+// that had stopped being complete, or at a radius short of Cutoff+Skin,
+// fails it at once, where the trajectory's bits would show it only once a
+// missed pair came inside the cutoff.
+func TestPrunedListIsTheListAtItsRadius(t *testing.T) {
+	base := fccLJSystem(t, 6, 3e-3, 5)
+	eng, err := NewEngine(Config{
+		Grid: [3]int{2, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
+		NewFF: LJFactory(testEps, testSigma),
+	}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	eng.Run(0, 2, 0, 0)
+	want := &md.NeighborList{Cutoff: testCutoff, Skin: testSkin}
+	checked := 0
+	for s := 0; s < 400; s++ {
+		rb0, _ := eng.Stats()
+		pr0, _ := eng.ListStats()
+		eng.Run(1, 2, 0, 0)
+		rb, _ := eng.Stats()
+		pr, buf := eng.ListStats()
+		if buf <= testSkin || (rb == rb0 && pr == pr0) {
+			continue
+		}
+		checked++
+		for _, rs := range eng.local {
+			want.BuildOwned(rs.v.Sys, rs.v.ID, rs.nOwn)
+			for i := 0; i < rs.nOwn; i++ {
+				if !slices.Equal(rs.nl.Row(i), want.Row(i)) {
+					t.Fatalf("step %d, rank %d, row %d: inner list %v, built at its radius %v",
+						s, rs.rank, i, rs.nl.Row(i), want.Row(i))
+				}
+			}
+		}
+	}
+	if pr, _ := eng.ListStats(); checked == 0 || pr == 0 {
+		t.Fatalf("checked %d renewals, %d of them prunes: the dual list never ran", checked, pr)
 	}
 }
