@@ -874,7 +874,13 @@ const (
 // within fewer than growWindow force steps widens the buffer by
 // growStep·Skin, up to bufferBound. On md.lj's crystal the buffer goes
 // 0.3 → 1.05 in the first five rebuilds, after which none comes in 3000
-// steps (PERFORMANCE.md, "PR 37").
+// steps (PERFORMANCE.md, "PR 37"). A two-phase force field never widens
+// it: the buffer trades a wider halo on every step for fewer rebuilds, and
+// such a field pays for every ghost on every step — AuxLen payload floats
+// on top of the position, and a thinner interior to overlap phase one
+// with — while its rebuild is a small part of a step that inference
+// dominates. On nn.allegro's crystal, which the untrained model heats until
+// it rebuilds every few steps, growth took step_ms_p95 up 2–12 %.
 const (
 	growWindow = 40
 	growStep   = 0.5
@@ -1063,14 +1069,15 @@ func (e *Engine) evalFresh(rs *rankState) {
 // rebuild is the collective event path: rebalance the cut planes if due
 // (atoms whose subdomain the shift changed become migration traffic), widen
 // the rebuild buffer if the drift called for this rebuild sooner than
-// growWindow steps after the last one (grow), migrate strayed atoms to their
+// growWindow steps after the last one (grow; never for a two-phase force
+// field), migrate strayed atoms to their
 // new owners per axis, reorder owned atoms interior-first, rebuild the ghost
 // halo over the three axis exchanges, record the staleness references, and
 // rebuild the rank neighbor lists if the force field wants them.
 func (e *Engine) rebuild(rs *rankState, grow bool) {
 	rs.nRebuilds++
 	e.maybeRebalance(rs)
-	if grow && rs.since < growWindow {
+	if grow && rs.two == nil && rs.since < growWindow {
 		if b := min(rs.buf+growStep*e.cfg.Skin, bufferBound(e.cfg, &e.cuts, e.axes)); b > rs.buf {
 			rs.buf, rs.halo = b, e.cfg.Cutoff+b
 		}

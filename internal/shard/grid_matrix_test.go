@@ -81,10 +81,9 @@ func assertSplitRan(t *testing.T, interior map[[3]int]int) {
 }
 
 // assertDualRan fails unless the rebuild buffer grew past the skin on some
-// shape of the matrix and, with pruned set, some shape pruned its inner
-// list: the fixture's own skin then runs the dual pair list, not only the
-// single-list path.
-func assertDualRan(t *testing.T, engs []*Engine, skin float64, pruned bool) {
+// shape of the matrix and some shape pruned its inner list: the fixture's
+// own skin then runs the dual pair list, not only the single-list path.
+func assertDualRan(t *testing.T, engs []*Engine, skin float64) {
 	t.Helper()
 	grew, prunes := false, int64(0)
 	for _, eng := range engs {
@@ -95,7 +94,7 @@ func assertDualRan(t *testing.T, engs []*Engine, skin float64, pruned bool) {
 	if !grew {
 		t.Errorf("no grid shape widened its rebuild buffer past the skin %g", skin)
 	}
-	if pruned && prunes == 0 {
+	if prunes == 0 {
 		t.Error("no grid shape pruned its inner list")
 	}
 }
@@ -219,7 +218,7 @@ func TestGridDecompositionIdentityMatrixLJ(t *testing.T) {
 	}
 	assertSplitRan(t, interior)
 	if !testing.Short() {
-		assertDualRan(t, engs, cfg.Skin, true)
+		assertDualRan(t, engs, cfg.Skin)
 	}
 	checkSkinAxis(t, base, cfg, [4]float64{0, 0.1, testSkin, 1.0},
 		[][3]int{{1, 1, 1}, {2, 2, 1}, {4, 2, 1}}, steps, dt, nil)
@@ -305,9 +304,13 @@ func TestGridDecompositionIdentityMatrixAllegro(t *testing.T) {
 		t.Error("no Allegro migrations across the whole matrix — gas too cold")
 	}
 	assertSplitRan(t, interior)
-	// The gas rebuilds every step, so the buffer grows to its slab bound
-	// but never outlives a step: no prunes.
-	assertDualRan(t, engs, cfg.Skin, false)
+	// A two-phase force field keeps its rebuild buffer at the skin: the gas
+	// rebuilds every step, and every rebuild is still the single-list one.
+	for _, eng := range engs {
+		if prunes, buf := eng.ListStats(); prunes != 0 || buf != cfg.Skin {
+			t.Errorf("grid %v: %d prunes, rebuild buffer %g; a two-phase field keeps the skin %g", eng.Grid(), prunes, buf, cfg.Skin)
+		}
+	}
 	// The untrained model drives the gas fast enough that no buffer holds a
 	// list for the whole run, so its skin axis covers the first 30 steps.
 	// The wide row then runs on the single rank: a list at cutoff+9 covers
