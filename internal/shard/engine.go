@@ -22,7 +22,7 @@
 // prune. The buffer starts at Skin — where the two lists coincide and every
 // step runs the single-list path — and widens at each rebuild that came
 // sooner than a fixed window after the previous one, within bounds set by
-// the cut planes (bufferBound). Inner rows are a subset of outer rows in the
+// the cut planes (bufferBound); a two-phase force field keeps it at Skin. Inner rows are a subset of outer rows in the
 // same ascending-gid order, and any complete list gives the same bits, so
 // neither the buffer nor the prune cadence moves a bit.
 //
