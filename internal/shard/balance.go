@@ -129,9 +129,10 @@ func (e *Engine) maybeRebalance(rs *rankState) {
 // applyBalancedCuts moves the interior cut planes of every partitioned axis
 // toward the load centroid (the engine's apply rank only; see balancer for
 // the invariants, which hold for halo, the current one: a plane moves at
-// most halo, and no subdomain narrows below it). Axes are independent: axis a's profile is the per-slab
-// sum of the rank loads over the perpendicular plane — exactly the
-// recursive-bisection view of the 3-D load field. Rank coordinates come
+// most halo, and no subdomain narrows below it). Axes are independent:
+// axis a's profile is the per-slab sum of the rank loads over the
+// perpendicular plane — exactly the recursive-bisection view of the 3-D
+// load field. Rank coordinates come
 // from the grid topology (not from rank state, which a partial engine only
 // holds for its own ranks), so every process computes the identical
 // profile.
