@@ -313,13 +313,17 @@ func (t *SocketTransport) acceptPeers() error {
 
 // dialPeers connects to every lower rank, retrying until the peer's address
 // resolves and its listener answers (workers start asynchronously) or the
-// timeout expires. The handshake exchange on each fresh connection runs
-// under the same deadline.
+// timeout expires. The wait between retries starts at 100 µs and doubles
+// up to 10 ms: a listener that comes up a moment after the first dial is
+// reached within a fraction of a millisecond, and a slow one is not polled
+// hard. The handshake exchange on each fresh connection runs under the
+// same deadline.
 func (t *SocketTransport) dialPeers(peerAddr func(int) (string, error)) error {
 	deadline := time.Now().Add(t.opts.dial())
 	for j := 0; j < t.rank; j++ {
 		var conn net.Conn
 		var err error
+		wait := 100 * time.Microsecond
 		for {
 			var addr string
 			addr, err = peerAddr(j)
@@ -329,7 +333,8 @@ func (t *SocketTransport) dialPeers(peerAddr func(int) (string, error)) error {
 			if err == nil || time.Now().After(deadline) {
 				break
 			}
-			time.Sleep(10 * time.Millisecond)
+			time.Sleep(wait)
+			wait = min(2*wait, 10*time.Millisecond)
 		}
 		if err != nil {
 			return fmt.Errorf("cluster: socket transport dial rank %d: %w", j, err)

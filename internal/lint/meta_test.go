@@ -49,13 +49,11 @@ var requiredHotpaths = map[string][]string{
 	},
 	"mlmd/internal/shard": {
 		"(*Engine).runSteps", "(*Engine).evalSteady", "(*Engine).forceStep", "(*Engine).checkStale",
-		"(*Engine).driftOver", "(*Engine).prune",
-		"(*Engine).localKE", "(*Engine).refreshGhosts", "(*Engine).postAxisSends", "(*Engine).recvAxis",
+		"(*Engine).driftOver", "(*Engine).prune", "(*Engine).localKE",
 		"(*posField).Pack", "(*posField).Unpack", "(*auxField).Pack", "(*auxField).Unpack",
 	},
 	"mlmd/internal/shard/halo": {
 		"(*GridField).Pack", "(*GridField).Unpack", "(*GridField).Refresh",
-		"(*GridFieldC).Pack", "(*GridFieldC).Unpack", "(*GridFieldC).Refresh",
 		"(*Exchanger).PostRing", "(*Exchanger).FinishRing", "(*Exchanger).Exchange",
 	},
 }

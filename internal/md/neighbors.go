@@ -152,7 +152,7 @@ func (nl *NeighborList) BuildOwned(sys *System, ids []int32, nOwn int) {
 	// Per axis, which cell indices are occupied: flagged at c+1, so that the
 	// running sum leaves at c the number of occupied indices below c and at
 	// nc[a] their total. The same pass checks that every coordinate lies in
-	// [0, l], which the shifted sweep needs.
+	// [0, l), which the shifted sweep needs.
 	var nb [3]int
 	shifted := true
 	for a := range nc {
@@ -162,7 +162,7 @@ func (nl *NeighborList) BuildOwned(sys *System, ids []int32, nOwn int) {
 		l := box[a]
 		for i := 0; i < n; i++ {
 			x := sys.X[3*i+a]
-			shifted = shifted && x >= 0 && x <= l
+			shifted = shifted && x >= 0 && x < l
 			ca[axisCell(x, l, nc[a])+1] = 1
 		}
 		for c := 1; c < len(ca); c++ {
@@ -316,8 +316,9 @@ func sweepImages(row []uint32, m int, xs, ys, zs []float64, rs []uint32, xi, yi,
 // shiftGuard reports whether an axis cut into n cells, swept h cells either
 // side of the row atom's cell, lets every run of cells carry one periodic
 // shift: (h+1)/n ≤ 0.45, which also keeps the 2h+1 cells from overlapping
-// around the ring. Then, with every coordinate in [0, l] (wrap1 can return l
-// itself):
+// around the ring. Then, with every coordinate in [0, l) (a build with a
+// coordinate at l itself, which wrap1 returns for a tiny negative one, takes
+// the per-candidate sweep: axisCell bins it in cell 0, as the image of 0):
 //
 //   - a run that does not wrap spans at most h+1 cells with the row atom, so
 //     |d| ≤ 0.45·l < fl(0.49·l) and Period.MinImage returns d+0;
@@ -426,17 +427,26 @@ func (s *rankSet) drain(adj []int32, byGid []uint64, skip int32) []int32 {
 	return adj
 }
 
-// axisCell returns the cell index of coordinate x along an axis of length l
-// cut into n cells. Cells only propose candidate pairs — membership is the
-// min-image distance test — so the clamp at the faces costs nothing in
-// bits.
+// axisCell returns the cell index of coordinate x along a periodic axis of
+// length l cut into n cells. Cells only propose candidate pairs — membership
+// is the min-image distance test — but the proposals are complete only if
+// every atom is binned in the cell it lies in around the ring: a partner at
+// exactly the list radius can sit right at the edge of the cells the sweep
+// reaches, and one cell past them from an atom binned a cell off. So
+// x = l, the periodic image of 0 (what wrap1 returns for a tiny negative
+// coordinate), goes to cell 0, and a coordinate a hair below 0, the image
+// of a point just below l, goes to the last cell.
 func axisCell(x, l float64, n int) int {
 	c := int(x / l * float64(n))
-	if c < 0 {
+	switch {
+	case x >= l:
 		return 0
-	}
-	if c >= n {
+	case x < 0:
 		return n - 1
+	case c >= n: // x/l·n rounded up to n
+		return n - 1
+	case c < 0: // NaN
+		return 0
 	}
 	return c
 }

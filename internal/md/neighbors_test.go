@@ -95,7 +95,7 @@ func assertSameList(t *testing.T, name string, nl *NeighborList, sys *System, id
 }
 
 // randomAtoms scatters n atoms uniformly in the box (a few pinned to the
-// faces, where the cell index clamps) under a random permutation of global
+// faces, at exactly 0 and exactly l) under a random permutation of global
 // ids drawn from a range twice as large.
 func randomAtoms(rng *rand.Rand, n int, box [3]float64) (*System, []int32) {
 	sys := &System{N: n, Lx: box[0], Ly: box[1], Lz: box[2], X: make([]float64, 3*n)}
@@ -122,9 +122,11 @@ func randomAtoms(rng *rand.Rand, n int, box [3]float64) (*System, []int32) {
 // across rebuilds of one list with changing sizes. Each box names the sweep
 // it takes: the shifted one needs 5 list radii along x and y and 3 along z
 // (shiftGuard), so the boxes just above and just below those lengths on each
-// axis take one path each, with atoms at exactly 0 and exactly l
-// (randomAtoms); an atom a hair outside [0, l] sends a box that passes the
-// guard to the per-candidate minimum image.
+// axis take one path each, with atoms at exactly 0 (randomAtoms). Every atom
+// set is built twice: as drawn, with atoms at exactly l too, which sends
+// every box to the per-candidate minimum image, and with those folded to 0,
+// the same configuration. An atom a hair outside [0, l] sends a box that
+// passes the guard to the per-candidate minimum image.
 func TestBuildMatchesLinkedCellReference(t *testing.T) {
 	const cutoff, skin = 1.5, 0.3 // list radius 1.8
 	cases := []struct {
@@ -170,10 +172,14 @@ func TestBuildMatchesLinkedCellReference(t *testing.T) {
 			n := 40 + rng.Intn(int(0.8*box[0]*box[1]*box[2]))
 			nOwn := 1 + rng.Intn(n)
 			sys, ids := randomAtoms(rng, n, box)
-			check(fmt.Sprintf("box %v trial %d", box, trial), sys, ids, nOwn, c.shifted)
+			check(fmt.Sprintf("box %v trial %d", box, trial), sys, ids, nOwn, false)
+			foldTop(sys)
+			check(fmt.Sprintf("box %v trial %d folded", box, trial), sys, ids, nOwn, c.shifted)
 		}
 		sys, _ := randomAtoms(rng, 60, box)
-		check(fmt.Sprintf("box %v unsharded", box), sys, nil, sys.N, c.shifted)
+		check(fmt.Sprintf("box %v unsharded", box), sys, nil, sys.N, false)
+		foldTop(sys)
+		check(fmt.Sprintf("box %v unsharded folded", box), sys, nil, sys.N, c.shifted)
 		a := rng.Intn(3)
 		sys.X[3*rng.Intn(sys.N)+a] = -1e-12
 		sys.X[3*rng.Intn(sys.N)+a] = math.Nextafter(box[a], math.Inf(1))
@@ -232,6 +238,68 @@ func TestBuildPairsAtTheCutoff(t *testing.T) {
 	}
 }
 
+// TestBuildPairsAcrossTheFace: an atom at exactly l (what wrap1 returns for
+// a tiny negative coordinate) or a hair below 0 lies, around the ring, next
+// to the face opposite its coordinate: l is the image of 0, and −1e-12 that
+// of a point just below l. Its partners across that face, at the list
+// radius to a few ulps either way, must be in its row and it in theirs. The rows are checked against the minimum image of every pair,
+// not against the linked-cell reference, which bins by the same axisCell.
+// Each box length along the tested axis is a whole number of list radii,
+// so the partner at exactly the radius lies on a cell face.
+func TestBuildPairsAcrossTheFace(t *testing.T) {
+	const cutoff, skin = 1.5, 0.3
+	r := cutoff + skin
+	nl := &NeighborList{Cutoff: cutoff, Skin: skin}
+	for a := 0; a < 3; a++ {
+		for _, l := range []float64{5.4, 12.6} { // 3 and 7 list radii
+			box := [3]float64{12.6, 12.6, 12.6}
+			box[a] = l
+			for _, f := range []float64{l, -1e-12} {
+				x := []float64{1, 1, 1}
+				x[a] = f
+				for _, d := range []float64{r, -r} {
+					p := Wrap1(f+d, l)
+					for k := -3; k <= 3; k++ {
+						q := p
+						for i := 0; i < k; i++ {
+							q = math.Nextafter(q, math.Inf(1))
+						}
+						for i := 0; i > k; i-- {
+							q = math.Nextafter(q, math.Inf(-1))
+						}
+						y := []float64{1, 1, 1}
+						y[a] = q
+						x = append(x, y...)
+					}
+				}
+				sys := &System{N: len(x) / 3, Lx: box[0], Ly: box[1], Lz: box[2], X: x}
+				nl.Build(sys)
+				name := fmt.Sprintf("axis %d, l %v, atom at %v", a, l, f)
+				within := 0
+				for i := 0; i < sys.N; i++ {
+					var want []int32
+					for j := 0; j < sys.N; j++ {
+						dx, dy, dz := sys.MinImage(i, j)
+						if j != i && dx*dx+dy*dy+dz*dz <= r*r {
+							want = append(want, int32(j))
+						}
+					}
+					if i == 0 {
+						within = len(want)
+					}
+					if got := nl.Row(i); !slices.Equal(got, want) {
+						t.Errorf("%s: row %d = %v, minimum image %v", name, i, got, want)
+						break
+					}
+				}
+				if within == 0 {
+					t.Fatalf("%s: no partner within the radius: the test tests nothing", name)
+				}
+			}
+		}
+	}
+}
+
 // FuzzNeighborList checks BuildOwned against the linked-cell reference on a
 // fuzzed box (each length folded into [0.5, 40.5), list radius 1.8), fuzzed
 // atoms (1 to 256, drawn from seed uniformly in the box or, for snap > 0, on
@@ -239,10 +307,13 @@ func TestBuildPairsAtTheCutoff(t *testing.T) {
 // at exactly 0 and l; randomAtoms pins some to 0 and l either way) and
 // fuzzed global ids and row count (from seed). A box of at least 5 list
 // radii (9.0) along x and y and 3 (5.4) along z, with no coordinate outside
-// [0, l], takes the shifted sweep; every other box, and every atom set with
-// outside set (one coordinate a hair below 0), takes the per-candidate
-// minimum image. The seeds hold one of each, and boxes on either side of
-// each axis's guard.
+// [0, l), takes the shifted sweep; every other box, every atom set with an
+// atom at exactly l, and every atom set with outside set (one coordinate a
+// hair below 0), takes the per-candidate minimum image. An atom set with
+// atoms at exactly l is built again with those folded to 0. The seeds hold
+// one of each, boxes on either side of each axis's guard, and a box whose
+// z length is exactly 3 list radii, where an atom at l once lost its pairs
+// at exactly the list radius.
 func FuzzNeighborList(f *testing.F) {
 	f.Add(12.6, 12.6, 12.6, int64(1), uint16(300), uint8(0), false)
 	f.Add(12.6, 12.6, 12.6, int64(2), uint16(300), uint8(0), true)
@@ -250,6 +321,7 @@ func FuzzNeighborList(f *testing.F) {
 	f.Add(12.6, 9.05, 5.45, int64(4), uint16(200), uint8(7), false)
 	f.Add(12.6, 12.6, 5.35, int64(5), uint16(200), uint8(0), false)
 	f.Add(3.6, 3.6, 3.6, int64(6), uint16(40), uint8(4), false)
+	f.Add(12.6, 5.25, -4.9, int64(-99), uint16(460), uint8(9), false)
 	f.Fuzz(func(t *testing.T, lx, ly, lz float64, seed int64, atoms uint16, snap uint8, outside bool) {
 		var box [3]float64
 		for a, l := range [3]float64{lx, ly, lz} {
@@ -271,15 +343,47 @@ func FuzzNeighborList(f *testing.F) {
 		}
 		nOwn := 1 + rng.Intn(n)
 		nl := &NeighborList{Cutoff: 1.5, Skin: 0.3}
-		nl.BuildOwned(sys, ids, nOwn)
-		name := fmt.Sprintf("box %v, %d atoms", box, n)
 		r := nl.Cutoff + nl.Skin
-		shifted := box[0]/r >= 5 && box[1]/r >= 5 && box[2]/r >= 3 && !outside
-		if nl.shifted != shifted {
-			t.Fatalf("%s: shifted sweep = %v, want %v", name, nl.shifted, shifted)
+		guard := box[0]/r >= 5 && box[1]/r >= 5 && box[2]/r >= 3 && !outside
+		name := fmt.Sprintf("box %v, %d atoms", box, n)
+		// As drawn, then, if an atom sits at exactly l, with those atoms
+		// folded to 0: the same configuration, on the shifted sweep if the
+		// box passes its guard.
+		for pass := 0; ; pass++ {
+			nl.BuildOwned(sys, ids, nOwn)
+			top := hasTop(sys)
+			if shifted := guard && !top; nl.shifted != shifted {
+				t.Fatalf("%s (pass %d): shifted sweep = %v, want %v", name, pass, nl.shifted, shifted)
+			}
+			assertSameList(t, fmt.Sprintf("%s (pass %d)", name, pass), nl, sys, ids, nOwn)
+			if !top {
+				break
+			}
+			foldTop(sys)
 		}
-		assertSameList(t, name, nl, sys, ids, nOwn)
 	})
+}
+
+// foldTop moves every coordinate at exactly its box length l to 0, the same
+// point of the periodic box.
+func foldTop(sys *System) {
+	box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
+	for k, x := range sys.X {
+		if x == box[k%3] {
+			sys.X[k] = 0
+		}
+	}
+}
+
+// hasTop reports whether any coordinate is at exactly its box length.
+func hasTop(sys *System) bool {
+	box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
+	for k, x := range sys.X {
+		if x == box[k%3] {
+			return true
+		}
+	}
+	return false
 }
 
 // TestBuildBinsOnlyOccupiedCells: atoms sitting in one corner of a large

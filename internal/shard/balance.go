@@ -44,18 +44,9 @@ const (
 // EWMA has at least one measured step behind it by the first shift.
 const defaultBalanceEvery = 2
 
-// defaultBalanceWindow is the EWMA window (in force evaluations) of the
-// step-time load signal.
-const defaultBalanceWindow = 32
-
-// ewmaAlpha converts a window length into the EWMA smoothing factor
-// 2/(window+1), defaulting the window first.
-func ewmaAlpha(window int) float64 {
-	if window <= 0 {
-		window = defaultBalanceWindow
-	}
-	return 2 / float64(window+1)
-}
+// ewmaAlpha is the smoothing factor 2/(window+1) of the per-rank
+// step-time load EWMA, over a window of 32 force evaluations.
+const ewmaAlpha = 2.0 / 33
 
 // balancer is the cut-plane controller state. Its scratch and statistics
 // are written only by rank 0 inside the rebalance collective (all other

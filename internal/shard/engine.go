@@ -77,59 +77,54 @@ import (
 	"mlmd/internal/shard/halo"
 )
 
-// RankFF is one rank's force evaluator. Compute fills v.F for the owned
-// atoms and accumulates its local energy partials into partial (length
-// PartialLen, zeroed by the engine before every evaluation). The engine
-// AllReduces the partials and calls Energy on the totals.
+// RankFF is what every rank force field has: the length of its energy
+// partials, whether it reads the engine's neighbor list, and the energy
+// from the AllReduced partials. Its evaluation comes from one of two
+// kinds — BlockFF or TwoPhaseFF — and NewEngine rejects a field that is
+// neither. Evaluations accumulate into partial (length PartialLen, zeroed
+// by the engine before every force step); the engine AllReduces the
+// partials and calls Energy on the totals.
 type RankFF interface {
 	PartialLen() int
 	NeedsNeighborList() bool
-	Compute(v *View, partial []float64)
 	Energy(v *View, total []float64) float64
 }
 
-// BlockFF is the optional overlap extension of RankFF: ComputeBlock
-// evaluates the owned atoms [lo, hi) only, accumulating energy partials.
-// The engine calls it with the interior block while the halo refresh is in
-// flight and with the boundary block after ghosts land; the per-atom
-// arithmetic must not depend on the split (which holds automatically for
-// canonical per-atom neighbor sums). Interior blocks (hi <= v.NInt) are
-// guaranteed not to require any ghost data.
+// BlockFF is a force field whose per-atom force needs positions only:
+// ComputeBlock fills v.F for the owned atoms [lo, hi) and accumulates
+// their energy partials. On a plain step the engine calls it with the
+// interior block while the halo refresh is in flight and with the boundary
+// block after ghosts land; with ghosts fresh it calls it once over every
+// owned atom. The per-atom arithmetic must not depend on the split (which
+// holds automatically for canonical per-atom neighbor sums). Interior
+// blocks (hi <= v.NInt) are guaranteed not to require any ghost data.
 type BlockFF interface {
+	RankFF
 	ComputeBlock(v *View, lo, hi int, partial []float64)
 }
 
-// TwoPhaseFF is the optional extension for force fields whose per-atom force
-// assembly needs quantities computed on other ranks (e.g. the backpropagated
-// descriptor gradients of an ML potential). PhaseOne runs with positions
-// fresh and fills, for every owned atom i, a fixed-width payload
-// aux[i*AuxLen():(i+1)*AuxLen()] plus its energy partials; the engine then
-// halo-exchanges the payloads over the same three-axis pattern as positions
-// (ghost rows of aux receive their owners' payloads), and PhaseTwo assembles
-// the forces of owned atoms [lo, hi) from local + ghost payloads. PhaseTwo
-// interior blocks (hi <= v.NInt) run while the payload exchange is in
-// flight.
+// TwoPhaseFF is a force field whose per-atom force assembly needs
+// quantities computed on other ranks (e.g. the backpropagated descriptor
+// gradients of an ML potential). With positions fresh, PhaseOne fills,
+// for every owned atom i in [lo, hi), a fixed-width payload
+// aux[i*AuxLen():(i+1)*AuxLen()]; the engine runs it on the boundary atoms
+// [NInt, NOwn) first, posts the first axis's payload sends (the axis-0
+// send set holds boundary atoms only — interior atoms are farther than the
+// halo from every face), and runs it on the interior [0, NInt) while that
+// exchange is in flight. PhaseOneFinish is called once after both ranges
+// and accumulates the energy partials; its bits must not depend on where
+// the split fell (the Allegro adapter stores per-atom energies and replays
+// a fixed chunk reduction). The engine halo-exchanges the payloads over
+// the same three-axis pattern as positions (ghost rows of aux receive
+// their owners' payloads), and PhaseTwo assembles the forces of owned
+// atoms [lo, hi) from local and ghost payloads; its interior block
+// (hi <= v.NInt) runs while the first payload axis is in flight.
 type TwoPhaseFF interface {
+	RankFF
 	AuxLen() int
-	PhaseOne(v *View, aux, partial []float64)
-	PhaseTwo(v *View, aux []float64, lo, hi int)
-}
-
-// TwoPhaseSplitFF is the optional refinement of TwoPhaseFF for fields whose
-// phase one can itself be split by atom range: the engine evaluates the
-// boundary owned atoms [NInt, NOwn) first, posts the first axis's payload
-// sends (the axis-0 send set contains only boundary atoms — interior atoms
-// are farther than the halo from every face), and runs the interior range
-// while that exchange is in flight. PhaseOneFinish is called once after
-// every range of a step has run and accumulates the energy partials; it
-// must produce the same bits regardless of where the split fell (the
-// Allegro adapter stores per-atom energies and replays a fixed chunk
-// reduction). PhaseOne must remain equivalent to PhaseOneRange over
-// [0, NOwn) followed by PhaseOneFinish.
-type TwoPhaseSplitFF interface {
-	TwoPhaseFF
-	PhaseOneRange(v *View, aux []float64, lo, hi int)
+	PhaseOne(v *View, aux []float64, lo, hi int)
 	PhaseOneFinish(v *View, partial []float64)
+	PhaseTwo(v *View, aux []float64, lo, hi int)
 }
 
 // View is the rank-local window a RankFF sees: owned atoms first
@@ -212,9 +207,6 @@ type Config struct {
 	// the default, 2: the first rebuild of a run never rebalances, so the
 	// load EWMA is warm by the first shift).
 	BalanceEvery int
-	// BalanceWindow is the EWMA window, in force evaluations, of the
-	// per-rank step-time load signal (<= 0 means the default, 32).
-	BalanceWindow int
 	// BalanceCost selects the per-rank load scalar the controller
 	// equalizes: CostStepTime (default, measured wall time) or
 	// CostOwnedAtoms (deterministic atom-count proxy).
@@ -299,8 +291,6 @@ type Engine struct {
 	cuts cluster.Cuts3D
 	// bal is the boundary-balancing controller (nil when disabled).
 	bal *balancer
-	// ewmaAlpha is the smoothing factor of the per-rank step-time EWMA.
-	ewmaAlpha float64
 	// axes lists the partitioned axes (grid count > 1), ascending — the
 	// exchange order x, y, z.
 	axes []int
@@ -355,14 +345,10 @@ type rankState struct {
 	lo     [3]float64 // subdomain low corner (tracks the cut planes)
 	w      [3]float64 // subdomain widths per axis (tracks the cut planes)
 	ff     RankFF
-	block  BlockFF    // non-nil when ff implements BlockFF
-	two    TwoPhaseFF // non-nil when ff implements TwoPhaseFF
-	// twoSplit is non-nil when two also implements TwoPhaseSplitFF; the
-	// fresh-eval path then overlaps the boundary payload computation with
-	// the first payload exchange axis.
-	twoSplit TwoPhaseSplitFF
-	auxW     int
-	v        View
+	block  BlockFF    // ff when it is a BlockFF
+	two    TwoPhaseFF // ff when it is a TwoPhaseFF
+	auxW   int
+	v      View
 
 	ids        []int32
 	x, vel, f  []float64
@@ -494,7 +480,6 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 			}
 		}
 	}
-	e.ewmaAlpha = ewmaAlpha(cfg.BalanceWindow)
 	if cfg.Balance {
 		e.bal = newBalancer(cfg, grid)
 	}
@@ -516,14 +501,17 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 			rs.lo[a] = e.cuts.Lo(a, rs.coords[a])
 			rs.w[a] = e.cuts.Width(a, rs.coords[a])
 		}
-		rs.block, _ = rs.ff.(BlockFF)
-		if two, ok := rs.ff.(TwoPhaseFF); ok {
-			rs.two = two
-			rs.twoSplit, _ = rs.ff.(TwoPhaseSplitFF)
-			rs.auxW = two.AuxLen()
+		switch ff := rs.ff.(type) {
+		case TwoPhaseFF:
+			rs.two = ff
+			rs.auxW = ff.AuxLen()
 			if rs.auxW < 1 {
 				return nil, fmt.Errorf("shard: rank %d two-phase force field reports AuxLen %d", r, rs.auxW)
 			}
+		case BlockFF:
+			rs.block = ff
+		default:
+			return nil, fmt.Errorf("shard: rank %d force field %T is neither a BlockFF nor a TwoPhaseFF", r, rs.ff)
 		}
 		rs.partial = make([]float64, rs.ff.PartialLen())
 		rs.nl = &md.NeighborList{Cutoff: cfg.Cutoff, Skin: cfg.Skin}
@@ -858,7 +846,7 @@ func (e *Engine) forceStep(rs *rankState) {
 	if rs.loadEWMA == 0 {
 		rs.loadEWMA = rs.stepSecs
 	} else {
-		rs.loadEWMA += e.ewmaAlpha * (rs.stepSecs - rs.loadEWMA)
+		rs.loadEWMA += ewmaAlpha * (rs.stepSecs - rs.loadEWMA)
 	}
 }
 
@@ -968,7 +956,7 @@ func (e *Engine) driftOver(rs *rankState, ref []float64, lim2 float64) bool {
 //mlmd:hotpath
 func (e *Engine) prune(rs *rankState) {
 	rs.nPrunes++
-	e.refreshGhosts(rs)
+	rs.ex.Exchange(&rs.posF, e.axes...)
 	copy(rs.refX, rs.x[:3*rs.nOwn])
 	if rs.ff.NeedsNeighborList() {
 		t0 := time.Now()
@@ -978,91 +966,65 @@ func (e *Engine) prune(rs *rankState) {
 }
 
 // evalSteady is the steady-state path: ghost positions are stale but the
-// decomposition is valid. Block force fields evaluate their interior atoms
-// while the first axis's position exchange is in flight; everything else
-// refreshes fully first.
+// decomposition is valid. A block force field evaluates its interior atoms
+// while the first axis's position exchange is in flight (with no
+// partitioned axis nInt == nOwn, so the boundary block is empty; with no
+// interior atom the interior block is); a two-phase field refreshes fully
+// first.
 //
 //mlmd:hotpath
 func (e *Engine) evalSteady(rs *rankState) {
-	if rs.block != nil && rs.nInt > 0 && len(e.axes) > 0 {
-		a0 := e.axes[0]
-		e.postAxisSends(rs, a0)
-		t0 := time.Now()
-		rs.block.ComputeBlock(&rs.v, 0, rs.nInt, rs.partial)
-		rs.stepSecs += time.Since(t0).Seconds()
-		e.recvAxis(rs, a0)
-		for _, a := range e.axes[1:] {
-			e.postAxisSends(rs, a)
-			e.recvAxis(rs, a)
-		}
-		t0 = time.Now()
-		rs.block.ComputeBlock(&rs.v, rs.nInt, rs.nOwn, rs.partial)
-		rs.stepSecs += time.Since(t0).Seconds()
+	if rs.two != nil {
+		rs.ex.Exchange(&rs.posF, e.axes...)
+		e.evalFresh(rs)
 		return
 	}
-	e.refreshGhosts(rs)
-	e.evalFresh(rs)
+	if len(e.axes) > 0 {
+		rs.ex.Post(&rs.posF, e.axes[0])
+	}
+	t0 := time.Now()
+	rs.block.ComputeBlock(&rs.v, 0, rs.nInt, rs.partial)
+	rs.stepSecs += time.Since(t0).Seconds()
+	if len(e.axes) > 0 {
+		rs.ex.Finish(&rs.posF, e.axes[0])
+		rs.ex.Exchange(&rs.posF, e.axes[1:]...)
+	}
+	t0 = time.Now()
+	rs.block.ComputeBlock(&rs.v, rs.nInt, rs.nOwn, rs.partial)
+	rs.stepSecs += time.Since(t0).Seconds()
 }
 
-// evalFresh evaluates forces with ghost positions current (the rebuild path
-// and the non-overlapped steady path). Two-phase force fields run their
-// payload exchange here, overlapped with interior assembly.
+// evalFresh evaluates forces with ghost positions current (the rebuild and
+// prune paths, and a two-phase field's plain step). A two-phase field
+// computes its boundary payloads first, so the first axis's sends go out
+// while the interior — usually the bulk of the rank — is still being
+// evaluated, and assembles its interior forces while that axis is in
+// flight. With no partitioned axis nInt == nOwn and the boundary ranges
+// are empty; with no interior atom the interior ranges are.
 func (e *Engine) evalFresh(rs *rankState) {
 	if rs.two == nil {
 		t0 := time.Now()
-		rs.ff.Compute(&rs.v, rs.partial)
-		rs.stepSecs += time.Since(t0).Seconds()
-		return
-	}
-	if rs.twoSplit != nil && rs.nInt > 0 && len(e.axes) > 0 {
-		// Split phase one: boundary payloads first, so the first axis's
-		// sends (boundary atoms only) go out while the interior — usually
-		// the bulk of the rank — is still being evaluated.
-		a0 := e.axes[0]
-		t0 := time.Now()
-		rs.twoSplit.PhaseOneRange(&rs.v, rs.aux, rs.nInt, rs.nOwn)
-		rs.stepSecs += time.Since(t0).Seconds()
-		e.postAuxSends(rs, a0)
-		t0 = time.Now()
-		rs.twoSplit.PhaseOneRange(&rs.v, rs.aux, 0, rs.nInt)
-		rs.twoSplit.PhaseOneFinish(&rs.v, rs.partial)
-		rs.two.PhaseTwo(&rs.v, rs.aux, 0, rs.nInt)
-		rs.stepSecs += time.Since(t0).Seconds()
-		e.recvAuxAxis(rs, a0)
-		for _, a := range e.axes[1:] {
-			e.postAuxSends(rs, a)
-			e.recvAuxAxis(rs, a)
-		}
-		t0 = time.Now()
-		rs.two.PhaseTwo(&rs.v, rs.aux, rs.nInt, rs.nOwn)
+		rs.block.ComputeBlock(&rs.v, 0, rs.nOwn, rs.partial)
 		rs.stepSecs += time.Since(t0).Seconds()
 		return
 	}
 	t0 := time.Now()
-	rs.two.PhaseOne(&rs.v, rs.aux, rs.partial)
+	rs.two.PhaseOne(&rs.v, rs.aux, rs.nInt, rs.nOwn)
 	rs.stepSecs += time.Since(t0).Seconds()
-	if rs.nInt > 0 && len(e.axes) > 0 {
-		a0 := e.axes[0]
-		e.postAuxSends(rs, a0)
-		t0 = time.Now()
-		rs.two.PhaseTwo(&rs.v, rs.aux, 0, rs.nInt)
-		rs.stepSecs += time.Since(t0).Seconds()
-		e.recvAuxAxis(rs, a0)
-		for _, a := range e.axes[1:] {
-			e.postAuxSends(rs, a)
-			e.recvAuxAxis(rs, a)
-		}
-		t0 = time.Now()
-		rs.two.PhaseTwo(&rs.v, rs.aux, rs.nInt, rs.nOwn)
-		rs.stepSecs += time.Since(t0).Seconds()
-		return
-	}
-	for _, a := range e.axes {
-		e.postAuxSends(rs, a)
-		e.recvAuxAxis(rs, a)
+	if len(e.axes) > 0 {
+		rs.ex.Post(&rs.auxF, e.axes[0])
 	}
 	t0 = time.Now()
-	rs.two.PhaseTwo(&rs.v, rs.aux, 0, rs.nOwn)
+	rs.two.PhaseOne(&rs.v, rs.aux, 0, rs.nInt)
+	rs.two.PhaseOneFinish(&rs.v, rs.partial)
+	rs.two.PhaseTwo(&rs.v, rs.aux, 0, rs.nInt)
+	rs.stepSecs += time.Since(t0).Seconds()
+	if len(e.axes) > 0 {
+		rs.ex.Finish(&rs.auxF, e.axes[0])
+		rs.ex.Exchange(&rs.auxF, e.axes[1:]...)
+	}
+	t0 = time.Now()
+	rs.two.PhaseTwo(&rs.v, rs.aux, rs.nInt, rs.nOwn)
 	rs.stepSecs += time.Since(t0).Seconds()
 }
 
@@ -1394,48 +1356,6 @@ func (p *auxField) Unpack(axis, side int, buf []float64) {
 	for k, slot := range rs.ax[axis].side[side].recvSlot {
 		copy(rs.aux[int(slot)*w:(int(slot)+1)*w], buf[k*w:(k+1)*w])
 	}
-}
-
-// postAxisSends posts axis a's steady-state position messages through the
-// halo layer.
-//
-//mlmd:hotpath
-func (e *Engine) postAxisSends(rs *rankState, a int) {
-	rs.ex.Post(&rs.posF, a)
-}
-
-// recvAxis completes axis a's position exchange.
-//
-//mlmd:hotpath
-func (e *Engine) recvAxis(rs *rankState, a int) {
-	rs.ex.Finish(&rs.posF, a)
-}
-
-// refreshGhosts is the full (non-overlapped) steady-state halo refresh:
-// three sequential per-axis exchanges, each forwarding the ghost positions
-// the previous axis just delivered.
-//
-//mlmd:hotpath
-func (e *Engine) refreshGhosts(rs *rankState) {
-	for _, a := range e.axes {
-		e.postAxisSends(rs, a)
-		e.recvAxis(rs, a)
-	}
-}
-
-// postAuxSends posts axis a's payload messages for the two-phase force
-// path through the halo layer.
-//
-//mlmd:hotpath
-func (e *Engine) postAuxSends(rs *rankState, a int) {
-	rs.ex.Post(&rs.auxF, a)
-}
-
-// recvAuxAxis completes axis a's payload exchange into the ghost aux rows.
-//
-//mlmd:hotpath
-func (e *Engine) recvAuxAxis(rs *rankState, a int) {
-	rs.ex.Finish(&rs.auxF, a)
 }
 
 // Stats reports decomposition event counts summed over the hosted ranks:

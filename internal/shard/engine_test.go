@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"mlmd/internal/md"
@@ -276,7 +277,18 @@ func TestShardEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{Grid: slab(8), Cutoff: 2, Skin: 0.3, NewFF: LJFactory(1, 1)}, sys); err == nil {
 		t.Error("accepted halo wider than slab")
 	}
+	noKind := func(int) RankFF { return energyOnlyFF{} }
+	if _, err := NewEngine(Config{Grid: slab(2), Cutoff: 1, NewFF: noKind}, sys); err == nil || !strings.Contains(err.Error(), "neither") {
+		t.Errorf("accepted a force field that is neither a BlockFF nor a TwoPhaseFF (err %v)", err)
+	}
 }
+
+// energyOnlyFF is a RankFF of neither kind: it has no evaluation.
+type energyOnlyFF struct{}
+
+func (energyOnlyFF) PartialLen() int                 { return 1 }
+func (energyOnlyFF) NeedsNeighborList() bool         { return false }
+func (energyOnlyFF) Energy(*View, []float64) float64 { return 0 }
 
 // TestShardNeighborRowOrder: rows are sorted by ascending global id and
 // contain exactly the within-range neighbors.

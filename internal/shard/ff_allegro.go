@@ -50,11 +50,11 @@ const allegroGrain = 16
 // contract. (The PR 2 adapter reverse-exchanged rank-local force sums,
 // whose grouping necessarily depended on the decomposition.)
 //
-// AllegroFF also implements TwoPhaseSplitFF: per-atom energies are stored
-// in eAtom by PhaseOneRange and reduced by PhaseOneFinish in fixed
-// allegroGrain chunks over [0, NOwn), so the engine can evaluate boundary
-// atoms first and overlap the interior evaluation with the first payload
-// exchange axis without perturbing a single energy bit.
+// PhaseOne runs over a range of owned atoms: per-atom energies are stored
+// in eAtom and reduced by PhaseOneFinish in fixed allegroGrain chunks over
+// [0, NOwn), so the engine evaluates boundary atoms first and overlaps the
+// interior evaluation with the first payload exchange axis without
+// perturbing a single energy bit.
 type AllegroFF struct {
 	m  *allegro.Model
 	cs []float64
@@ -82,7 +82,7 @@ type AllegroFF struct {
 	}
 	gatherFn, phase2Fn func(lo, hi, w int)
 
-	// The gathered descriptor block of one PhaseOneRange call and the
+	// The gathered descriptor block of one PhaseOne call and the
 	// blocked-inference state.
 	bdesc []float64
 	be    allegro.BlockEval
@@ -113,20 +113,13 @@ func (a *AllegroFF) AuxLen() int {
 	return a.m.Spec.Dim() + a.m.Spec.NSpecies*a.m.Spec.NRadial*3
 }
 
-// PhaseOne implements TwoPhaseFF: the whole owned range in one sweep —
-// exactly PhaseOneRange over [0, NOwn) plus PhaseOneFinish.
-func (a *AllegroFF) PhaseOne(v *View, aux, partial []float64) {
-	a.PhaseOneRange(v, aux, 0, v.NOwn)
-	a.PhaseOneFinish(v, partial)
-}
-
-// PhaseOneRange implements TwoPhaseSplitFF: inference of owned atoms
+// PhaseOne implements TwoPhaseFF: inference of owned atoms
 // [lo, hi), filling their aux payloads and eAtom energies. The descriptors
 // are gathered on the pool (the S accumulators land directly in the
 // payload) and the MLPs run as blocked GEMMs; each atom's results do not
 // depend on which rows share its block, so the engine's split point never
 // shows in the trajectory.
-func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
+func (a *AllegroFF) PhaseOne(v *View, aux []float64, lo, hi int) {
 	if v.Cutoff < a.m.Spec.Cutoff {
 		panic(fmt.Sprintf("shard: engine cutoff %g is smaller than the Allegro model cutoff %g — the halo would miss interacting neighbors",
 			v.Cutoff, a.m.Spec.Cutoff))
@@ -140,8 +133,8 @@ func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
 		a.nAcc = make([]int32, v.NOwn)
 	}
 	a.nAcc = a.nAcc[:v.NOwn]
-	// The list does not change between the PhaseOneRange calls of one
-	// step, so only the first can grow the tape. A slot of tape is
+	// The list does not change between the PhaseOne calls of one step,
+	// so only the first non-empty one can grow the tape. A slot of tape is
 	// RadialLen float64s against the list's one int32, so the tape keeps a
 	// quarter over the list's capacity: a rebuild that adds a few percent
 	// of pairs may grow the list, but does not re-make the tape.
@@ -159,10 +152,10 @@ func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
 	a.m.EvalBlock(v.Type, lo, n, a.bdesc, &a.be, a.eAtom[lo:hi:hi], aux[lo*w:], w)
 }
 
-// PhaseOneFinish implements TwoPhaseSplitFF: the energy reduction over all
+// PhaseOneFinish implements TwoPhaseFF: the energy reduction over all
 // owned atoms in fixed allegroGrain chunks — ascending atoms within a
 // chunk, ascending chunks — so the sum's bits are independent of how
-// PhaseOneRange calls covered [0, NOwn).
+// PhaseOne calls covered [0, NOwn).
 func (a *AllegroFF) PhaseOneFinish(v *View, partial []float64) {
 	n := v.NOwn
 	var e float64
@@ -191,20 +184,6 @@ func (a *AllegroFF) PhaseTwo(v *View, aux []float64, lo, hi int) {
 	a.p2ctx.base = lo
 	a.ensureClosures()
 	par.For(hi-lo, allegroGrain, a.phase2Fn)
-}
-
-// Compute implements RankFF for non-engine callers: both phases back to
-// back. It is only correct on a ghost-free view (single rank) — ghost
-// payload rows can come solely from the engine's aux halo exchange, so a
-// multi-rank view here would silently assemble from zeroed payloads.
-// The engine itself always drives the TwoPhaseFF path.
-func (a *AllegroFF) Compute(v *View, partial []float64) {
-	if v.NLoc != v.NOwn {
-		panic("shard: AllegroFF.Compute on a view with ghosts — ghost payloads require the engine's TwoPhaseFF aux exchange")
-	}
-	aux := make([]float64, v.NLoc*a.AuxLen())
-	a.PhaseOne(v, aux, partial)
-	a.PhaseTwo(v, aux, 0, v.NOwn)
 }
 
 // Energy implements RankFF.

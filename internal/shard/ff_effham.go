@@ -49,11 +49,6 @@ func (b *BlendEffHam) PartialLen() int { return 3 }
 // lookup of the neighbor cells' Ti atoms, not by a distance list.
 func (b *BlendEffHam) NeedsNeighborList() bool { return false }
 
-// Compute implements RankFF (partial arrives zeroed from the engine).
-func (b *BlendEffHam) Compute(v *View, partial []float64) {
-	b.ComputeBlock(v, 0, v.NOwn, partial)
-}
-
 // ComputeBlock implements BlockFF: the blended forces and energy terms of
 // owned atoms [lo, hi) only, accumulated into partial. The lattice stencil
 // (one cell) is far inside the engine halo, so the interior block's lookups

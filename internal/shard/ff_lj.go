@@ -30,11 +30,6 @@ func (lj *LJ) PartialLen() int { return 1 }
 // NeedsNeighborList implements RankFF.
 func (lj *LJ) NeedsNeighborList() bool { return true }
 
-// Compute implements RankFF (partial arrives zeroed from the engine).
-func (lj *LJ) Compute(v *View, partial []float64) {
-	lj.ComputeBlock(v, 0, v.NOwn, partial)
-}
-
 // ComputeBlock implements BlockFF: forces and energy terms of owned atoms
 // [lo, hi) only, accumulated into partial.
 func (lj *LJ) ComputeBlock(v *View, lo, hi int, partial []float64) {

@@ -1,31 +1,34 @@
 package halo
 
-// GridFieldC is the complex128 counterpart of GridField: a C-component
-// complex field on a Domain block, z-fastest over the local extent with
-// ghost layers on every axis. On the wire each complex value travels as
-// its (real, imag) float64 pair — pack and unpack are exact bit
-// round-trips, no arithmetic — so kernels keep native complex128
-// expressions (the TDDFT propagator's) while riding the same float64
-// frame protocol as every other field.
+import "unsafe"
+
+// GridFieldC is a C-component complex128 field on a Domain block: a
+// GridField of 2C float64 components over the same memory, so every slab
+// walk, refresh and frame is GridField's. On the wire each complex value
+// travels as its (real, imag) float64 pair — pack and unpack are exact bit
+// copies, no arithmetic — so kernels keep native complex128 expressions
+// (the TDDFT propagator's) while riding the same float64 frame protocol as
+// every other field. The embedded GridField counts in float64 units; Index
+// and OwnIndex here count in complex units.
 type GridFieldC struct {
-	// D is the domain block this field lives on.
-	D Domain
+	// GridField is the float64 view: 2C components per cell over Data's
+	// memory.
+	GridField
 	// C is the number of complex components per cell (e.g. orbitals).
 	C int
-	// Ext is the local storage extent per axis (D.Ext()).
-	Ext [3]int
 	// Data holds Ext[0]*Ext[1]*Ext[2]*C complex values, z-fastest.
 	Data []complex128
-	// Corners selects corner-forwarding refreshes (see GridField.Corners).
-	Corners bool
-
-	prior [3]bool
 }
 
 // NewGridFieldC allocates a zeroed C-component complex field on d.
 func NewGridFieldC(d Domain, c int) *GridFieldC {
 	ext := d.Ext()
-	return &GridFieldC{D: d, C: c, Ext: ext, Data: make([]complex128, ext[0]*ext[1]*ext[2]*c)}
+	data := make([]complex128, ext[0]*ext[1]*ext[2]*c)
+	// Go lays out a complex128 as its real then its imaginary float64, so
+	// the float64 view of Data holds each cell's 2C components in the
+	// (real, imag) pair order the wire frame carries.
+	flat := unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(data))), 2*len(data))
+	return &GridFieldC{GridField: GridField{D: d, C: 2 * c, Ext: ext, Data: flat}, C: c, Data: data}
 }
 
 // Index returns the Data offset of local cell (ix,iy,iz), ghosts
@@ -38,172 +41,4 @@ func (f *GridFieldC) Index(ix, iy, iz int) int {
 func (f *GridFieldC) OwnIndex(ox, oy, oz int) int {
 	g := f.D.Ghost
 	return f.Index(ox+g, oy+g, oz+g)
-}
-
-// FrameLen returns the expected float64 frame length for (axis, side):
-// two floats per complex element of the slab.
-func (f *GridFieldC) FrameLen(axis, side int) int {
-	lo, hi := frameBox(f.D, f.Ext, f.Corners, f.prior, axis, side, false)
-	return (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]) * f.C * 2
-}
-
-// Pack implements Field: it appends the (real, imag) pairs of the G
-// owned planes adjacent to the (axis, side) face.
-//
-//mlmd:hotpath
-func (f *GridFieldC) Pack(axis, side int, buf []float64) []float64 {
-	lo, hi := frameBox(f.D, f.Ext, f.Corners, f.prior, axis, side, false)
-	run := (hi[2] - lo[2]) * f.C
-	for x := lo[0]; x < hi[0]; x++ {
-		for y := lo[1]; y < hi[1]; y++ {
-			base := f.Index(x, y, lo[2])
-			for _, v := range f.Data[base : base+run] {
-				buf = append(buf, real(v), imag(v))
-			}
-		}
-	}
-	return buf
-}
-
-// Unpack implements Field: it rebuilds complex values from the received
-// (real, imag) pairs and scatters them into the (axis, side) ghost
-// planes.
-//
-//mlmd:hotpath
-func (f *GridFieldC) Unpack(axis, side int, buf []float64) {
-	lo, hi := frameBox(f.D, f.Ext, f.Corners, f.prior, axis, side, true)
-	run := (hi[2] - lo[2]) * f.C
-	k := 0
-	for x := lo[0]; x < hi[0]; x++ {
-		for y := lo[1]; y < hi[1]; y++ {
-			base := f.Index(x, y, lo[2])
-			for i := 0; i < run; i++ {
-				f.Data[base+i] = complex(buf[k], buf[k+1])
-				k += 2
-			}
-		}
-	}
-}
-
-// UnpackChecked validates axis, side, and the frame length before
-// unpacking, rejecting forged frames without allocating.
-func (f *GridFieldC) UnpackChecked(axis, side int, buf []float64) error {
-	if axis < 0 || axis > 2 || side < 0 || side > 1 {
-		return ErrBadAxis
-	}
-	if len(buf) != f.FrameLen(axis, side) {
-		return ErrFrameLen
-	}
-	f.Unpack(axis, side, buf)
-	return nil
-}
-
-// SelfGhost fills both ghost layers of an unpartitioned axis from this
-// rank's own periodic images.
-//
-//mlmd:hotpath
-func (f *GridFieldC) SelfGhost(axis int) {
-	g := f.D.Ghost
-	f.copyPlanes(axis, f.Ext[axis]-2*g, 0)
-	f.copyPlanes(axis, g, f.Ext[axis]-g)
-}
-
-//mlmd:hotpath
-func (f *GridFieldC) copyPlanes(axis, srcLo, dstLo int) {
-	lo, hi := frameBox(f.D, f.Ext, f.Corners, f.prior, axis, 0, false)
-	g := f.D.Ghost
-	switch axis {
-	case 0:
-		run := (hi[2] - lo[2]) * f.C
-		for p := 0; p < g; p++ {
-			for y := lo[1]; y < hi[1]; y++ {
-				src, dst := f.Index(srcLo+p, y, lo[2]), f.Index(dstLo+p, y, lo[2])
-				copy(f.Data[dst:dst+run], f.Data[src:src+run])
-			}
-		}
-	case 1:
-		run := (hi[2] - lo[2]) * f.C
-		for x := lo[0]; x < hi[0]; x++ {
-			for p := 0; p < g; p++ {
-				src, dst := f.Index(x, srcLo+p, lo[2]), f.Index(x, dstLo+p, lo[2])
-				copy(f.Data[dst:dst+run], f.Data[src:src+run])
-			}
-		}
-	default:
-		run := g * f.C
-		for x := lo[0]; x < hi[0]; x++ {
-			for y := lo[1]; y < hi[1]; y++ {
-				src, dst := f.Index(x, y, srcLo), f.Index(x, y, dstLo)
-				copy(f.Data[dst:dst+run], f.Data[src:src+run])
-			}
-		}
-	}
-}
-
-// Refresh fills every ghost layer: ring exchange per partitioned axis,
-// periodic self-copy otherwise, corner forwarding when Corners is set.
-//
-//mlmd:hotpath
-func (f *GridFieldC) Refresh(ex *Exchanger) {
-	f.prior = [3]bool{}
-	for a := 0; a < 3; a++ {
-		f.refreshAxis(ex, a)
-		f.prior[a] = true
-	}
-	f.prior = [3]bool{}
-}
-
-// RefreshAxis fills only the face ghosts of one axis (no corner
-// forwarding).
-func (f *GridFieldC) RefreshAxis(ex *Exchanger, axis int) {
-	f.prior = [3]bool{}
-	f.refreshAxis(ex, axis)
-}
-
-//mlmd:hotpath
-func (f *GridFieldC) refreshAxis(ex *Exchanger, axis int) {
-	if f.D.Partitioned(axis) {
-		ex.Post(f, axis)
-		ex.Finish(f, axis)
-	} else {
-		f.SelfGhost(axis)
-	}
-}
-
-// PostAxis starts a face-ghost refresh of one axis without waiting (the
-// periodic self-copy completes immediately on unpartitioned axes).
-//
-//mlmd:hotpath
-func (f *GridFieldC) PostAxis(ex *Exchanger, axis int) {
-	f.prior = [3]bool{}
-	if f.D.Partitioned(axis) {
-		ex.Post(f, axis)
-	} else {
-		f.SelfGhost(axis)
-	}
-}
-
-// FinishAxis completes a PostAxis (no-op for unpartitioned axes).
-//
-//mlmd:hotpath
-func (f *GridFieldC) FinishAxis(ex *Exchanger, axis int) {
-	if f.D.Partitioned(axis) {
-		ex.Finish(f, axis)
-	}
-}
-
-// PackOwned appends every owned cell's (real, imag) pairs, x-major
-// z-fastest — the gather frame format for global reassembly.
-func (f *GridFieldC) PackOwned(buf []float64) []float64 {
-	g := f.D.Ghost
-	run := f.D.Own[2] * f.C
-	for x := 0; x < f.D.Own[0]; x++ {
-		for y := 0; y < f.D.Own[1]; y++ {
-			base := f.Index(x+g, y+g, g)
-			for _, v := range f.Data[base : base+run] {
-				buf = append(buf, real(v), imag(v))
-			}
-		}
-	}
-	return buf
 }

@@ -73,6 +73,17 @@ func FuzzFieldPackUnpack(f *testing.F) {
 		if len(cframe) != fc.FrameLen(axis, side) {
 			t.Fatalf("complex pack emitted %d floats, FrameLen says %d", len(cframe), fc.FrameLen(axis, side))
 		}
+		// The wire format: the (real, imag) expansion of the packed slab,
+		// walked in complex units, bit for bit.
+		want := expandOwnedSlabC(fc, axis, side)
+		if len(want) != len(cframe) {
+			t.Fatalf("complex frame has %d floats, the slab expands to %d", len(cframe), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(cframe[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("complex frame differs from the (real, imag) expansion at %d", i)
+			}
+		}
 		cdst := halo.NewGridFieldC(d, c)
 		if err := cdst.UnpackChecked(axis, side, cframe); err != nil {
 			t.Fatalf("valid complex frame rejected: %v", err)
@@ -122,6 +133,32 @@ func packGhostSlab(f *halo.GridField, axis, side int) []float64 {
 		for y := lo[1]; y < hi[1]; y++ {
 			base := f.Index(x, y, lo[2])
 			out = append(out, f.Data[base:base+(hi[2]-lo[2])*f.C]...)
+		}
+	}
+	return out
+}
+
+// expandOwnedSlabC walks the G owned planes of f adjacent to the (axis,
+// side) face in pack order, in complex units, and returns each value as
+// its (real(v), imag(v)) pair — the wire format of the complex field.
+func expandOwnedSlabC(f *halo.GridFieldC, axis, side int) []float64 {
+	g := f.D.Ghost
+	var lo, hi [3]int
+	for b := 0; b < 3; b++ {
+		lo[b], hi[b] = g, g+f.D.Own[b]
+	}
+	if side == 0 {
+		lo[axis], hi[axis] = g, 2*g
+	} else {
+		lo[axis], hi[axis] = f.Ext[axis]-2*g, f.Ext[axis]-g
+	}
+	var out []float64
+	for x := lo[0]; x < hi[0]; x++ {
+		for y := lo[1]; y < hi[1]; y++ {
+			base := f.Index(x, y, lo[2])
+			for _, v := range f.Data[base : base+(hi[2]-lo[2])*f.C] {
+				out = append(out, real(v), imag(v))
+			}
 		}
 	}
 	return out
