@@ -41,8 +41,8 @@
 #                  grammar
 #   make race-full - CI-nightly race lane: the full (non-short) detector
 #                  pass over the transport, halo, and stencil packages plus
-#                  the shard grid-identity matrix under -race (the -short
-#                  lane `make race` runs on every check)
+#                  the in-process rows of the shard identity oracle under
+#                  -race (the -short lane `make race` runs on every check)
 #   make docs    - documentation gate: gofmt -l on the documented packages,
 #                  go vet ./..., and cmd/checkdoc (fails on exported
 #                  identifiers missing doc comments in shard/cluster/
@@ -54,7 +54,8 @@
 #                  the bitwise equivalence harnesses (batched MLP, halo pack,
 #                  min-image fast path vs formula, complex128 vector kernels,
 #                  the float64 GEMM tile and the Yee curl rows vs their Go
-#                  references)
+#                  references) and the shard identity oracle's in-process
+#                  rows drawn at random (FuzzIdentity)
 #   make benchmark-check - go vet + go test inside benchmark/ (a module of its
 #                  own, which ./... never reaches)
 #   make bench-ab A=<ref> B=<ref> [SEEDS=10] [BENCH_SECONDS=10] - the gate for
@@ -107,6 +108,7 @@ NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList FuzzLJRow FuzzPruneRows
 LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows FuzzGroundKernels
+SHARD_FUZZ_TARGETS  = FuzzIdentity
 FUZZ_TIME   ?= 10s
 
 # Packages whose exported API must be fully doc-commented (`make docs`).
@@ -177,12 +179,14 @@ race:
 
 # CI-nightly: the full-depth race lane. Everything `make race` runs in
 # -short mode runs here at full length — the transport soak, the halo
-# exchange sweeps, the 3-D stencil runs, and the shard grid-identity
-# matrix (every rank-grid shape must reproduce the serial trajectory
-# bitwise while the detector watches the exchanges).
+# exchange sweeps, the 3-D stencil runs, and the shard identity oracle's
+# in-process rows (every rank grid, skin, balancing, resume and block size
+# must reproduce the 1x1x1 trajectory bitwise while the detector watches
+# the exchanges). Its socket rows re-execute the test binary per rank and
+# are skipped here, as in `make race`.
 race-full:
 	$(GO) test -race ./internal/cluster ./internal/shard/halo ./internal/maxwell
-	$(GO) test -race -run 'TestGridDecompositionIdentityMatrix' ./internal/shard
+	$(GO) test -race -run 'Identity|PartialEngines' -skip '/(unix|tcp)-' ./internal/shard
 
 cover:
 	@for p in $(COVER_PKGS); do \
@@ -217,6 +221,10 @@ fuzz:
 	@for f in $(LINALG_FUZZ_TARGETS); do \
 		echo "fuzz $$f ($(FUZZ_TIME))"; \
 		$(GO) test ./internal/linalg -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
+	done
+	@for f in $(SHARD_FUZZ_TARGETS); do \
+		echo "fuzz $$f ($(FUZZ_TIME))"; \
+		$(GO) test ./internal/shard -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
 	done
 
 # The gated benchmark is a nested module: ./... above never builds, vets or

@@ -14,8 +14,7 @@
 //     to dir/addr.<rank> (atomically, via temp-file rename); dialers poll
 //     the files of lower ranks until they appear. This replaces the unix
 //     socket-dir convention for single-host multi-process runs that want
-//     the TCP stack end to end (mlmd -procs N -transport tcp, and the
-//     TCP-vs-unix benchmarks).
+//     the TCP stack end to end (mlmd -procs N -transport tcp).
 package cluster
 
 import (

@@ -1,16 +1,15 @@
 package linalg
 
-// gemmElem is any element type the shared register-tile kernel supports.
-// Go stencils a separate instantiation per element size, so each kernel
-// compiles to specialized code.
+// gemmElem is any element type scaleRows supports. Go stencils a separate
+// instantiation per element size, so each compiles to specialized code.
 type gemmElem interface {
 	~float32 | ~float64 | ~complex64 | ~complex128
 }
 
 // tileNoTransB accumulates op(A)·B (with alpha folded into getA) into C
-// rows [ii,iMax) over the k-range [pp,pMax), for row-major B. It is the
-// hot kernel behind GEMM32 (complex128 has its own micro-kernel,
-// zgemmTile):
+// rows [ii,iMax) over the k-range [pp,pMax), for row-major float32 B. It
+// is the hot kernel behind GEMM32 (complex128 has its own micro-kernel,
+// zgemmTile, and float64 dgemmTile):
 // a 2×2 register tile over (i, p) halves both the C-row store traffic and
 // the B-row load traffic per multiply-add — the seed's axpy form reloaded
 // C once per p — with j-blocks of bsj keeping the working set in L1.
@@ -18,8 +17,7 @@ type gemmElem interface {
 // loop (4 calls per 2×2×bsj block), so the indirection costs nothing.
 //
 //mlmd:hotpath
-func tileNoTransB[T gemmElem](bsj int, getA func(i, p int) T, ii, iMax, pp, pMax, n int, b []T, ldb int, c []T, ldc int) {
-	var zero T
+func tileNoTransB(bsj int, getA func(i, p int) float32, ii, iMax, pp, pMax, n int, b []float32, ldb int, c []float32, ldc int) {
 	for jj := 0; jj < n; jj += bsj {
 		jMax := jj + bsj
 		if jMax > n {
@@ -62,7 +60,7 @@ func tileNoTransB[T gemmElem](bsj int, getA func(i, p int) T, ii, iMax, pp, pMax
 			crow := c[i*ldc+jj : i*ldc+jMax]
 			for p := pp; p < pMax; p++ {
 				av := getA(i, p)
-				if av == zero {
+				if av == 0 {
 					continue
 				}
 				brow := b[p*ldb+jj : p*ldb+jMax]

@@ -17,7 +17,7 @@
 // planes of a subdomain move toward each other at full cap, the width stays
 // >= minW. Rebalancing changes only *where* atoms live, never the forces —
 // the canonical-order contract makes trajectories bitwise identical to the
-// static grid, which TestGridDecompositionIdentityMatrixBalanced* locks.
+// static grid, which the identity oracle's balanced rows lock.
 package shard
 
 import "mlmd/internal/cluster"

@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"math"
 	"testing"
 
-	"mlmd/internal/ferro"
 	"mlmd/internal/md"
 )
 
@@ -21,112 +19,6 @@ func hotSpotSystem(t testing.TB, cells int, kT float64, seed int64) *md.System {
 		sys.InitVelocities(kT, seed)
 	}
 	return sys
-}
-
-// balancedShapes is the moving-cut-plane identity matrix: one slab, a face
-// pair, the full octant, and the asymmetric 8-rank shape.
-var balancedShapes = [][3]int{
-	{2, 1, 1},
-	{2, 2, 1},
-	{2, 2, 2},
-	{4, 2, 1},
-}
-
-// TestGridDecompositionIdentityMatrixBalancedLJ is the ISSUE 4 tentpole
-// acceptance test: with dynamic boundary balancing enabled on a hot-spot
-// density (deterministic CostOwnedAtoms signal, rebalance on every
-// rebuild), the LJ trajectory stays bitwise identical to the static 1x1x1
-// run for every grid shape — while the cut planes genuinely move and atoms
-// migrate across the moved boundaries.
-func TestGridDecompositionIdentityMatrixBalancedLJ(t *testing.T) {
-	steps := matrixSteps(t)
-	const dt = 2.0
-	base := hotSpotSystem(t, 7, 1e-3, 1)
-	cfg := Config{
-		Cutoff: testCutoff, Skin: testSkin, NewFF: LJFactory(testEps, testSigma),
-		Balance: true, BalanceEvery: 1, BalanceCost: CostOwnedAtoms,
-	}
-
-	ref, refRes, _ := runGridTrajectory(t, base, cfg, [3]int{1, 1, 1}, steps, dt, nil)
-	for _, grid := range balancedShapes {
-		got, res, eng := runGridTrajectory(t, base, cfg, grid, steps, dt, nil)
-		assertBitwise(t, grid, ref, got)
-		rebalances, maxShift := eng.BalanceStats()
-		if rebalances < 2 {
-			t.Errorf("grid %v: only %d rebalances in %d steps — balancing not exercised", grid, rebalances, steps)
-		}
-		if maxShift <= 0 {
-			t.Errorf("grid %v: no cut plane ever moved on a hot-spot density", grid)
-		}
-		if maxShift > eng.currentHalo()+1e-12 {
-			t.Errorf("grid %v: cut plane moved %g in one rebalance, above the halo %g", grid, maxShift, eng.currentHalo())
-		}
-		_, migrated := eng.Stats()
-		if migrated == 0 {
-			t.Errorf("grid %v: no atoms migrated despite moving boundaries", grid)
-		}
-		// Positions and velocities are bitwise; the scalar KE/PE reductions
-		// are chunk-summed in rank-local order, so (as in the static
-		// matrix) they agree to rounding, not bitwise.
-		if math.Abs(res.KE-refRes.KE) > 1e-12*math.Abs(refRes.KE) {
-			t.Errorf("grid %v: KE %v vs %v", grid, res.KE, refRes.KE)
-		}
-	}
-}
-
-// TestGridDecompositionIdentityMatrixBalancedEffHam runs the blended
-// effective Hamiltonian with balancing driven by the production signal —
-// measured per-rank step times, which differ run to run — and still
-// requires bitwise identity to the static 1x1x1 trajectory: where the cut
-// planes sit must never leak into the physics.
-func TestGridDecompositionIdentityMatrixBalancedEffHam(t *testing.T) {
-	steps := matrixSteps(t)
-	const dt = 20.0
-	sys, lat, gs, xs, w := newFerroFixture(t, 8, 8, 4)
-	sys.InitVelocities(1e-3, 9)
-	newFF, err := BlendEffHamFactory(lat, gs, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Cutoff:  1.3 * ferro.LatticeConstant,
-		Skin:    0.15 * ferro.LatticeConstant,
-		NewFF:   newFF,
-		Balance: true, BalanceEvery: 1, BalanceCost: CostStepTime,
-	}
-
-	ref, _, _ := runGridTrajectory(t, sys, cfg, [3]int{1, 1, 1}, steps, dt, w)
-	for _, grid := range balancedShapes {
-		got, _, eng := runGridTrajectory(t, sys, cfg, grid, steps, dt, w)
-		assertBitwise(t, grid, ref, got)
-		if rebalances, _ := eng.BalanceStats(); rebalances < 1 {
-			t.Errorf("grid %v: no rebalance fired", grid)
-		}
-	}
-}
-
-// TestGridDecompositionIdentityMatrixBalancedAllegro locks the same
-// moving-boundary bitwise identity for the neural force field's two-phase
-// payload path (step-time balancing signal, nondeterministic cut motion).
-func TestGridDecompositionIdentityMatrixBalancedAllegro(t *testing.T) {
-	steps := matrixSteps(t)
-	const dt = 1.0
-	sys, model := newAllegroFixture(t, 160, 12.0)
-	sys.InitVelocities(3e-3, 4)
-	cfg := Config{
-		Cutoff: model.Spec.Cutoff, Skin: 0.3,
-		NewFF:   AllegroFactory(model),
-		Balance: true, BalanceEvery: 1, BalanceCost: CostStepTime,
-	}
-
-	ref, _, _ := runGridTrajectory(t, sys, cfg, [3]int{1, 1, 1}, steps, dt, nil)
-	for _, grid := range balancedShapes {
-		got, _, eng := runGridTrajectory(t, sys, cfg, grid, steps, dt, nil)
-		assertBitwise(t, grid, ref, got)
-		if rebalances, _ := eng.BalanceStats(); rebalances < 1 {
-			t.Errorf("grid %v: no rebalance fired", grid)
-		}
-	}
 }
 
 // TestBalanceBoundedShiftAndConvergence is the ISSUE 4 property test: on a

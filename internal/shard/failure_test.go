@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -226,43 +225,32 @@ func TestRunCheckpointedSurfacesFailure(t *testing.T) {
 	}
 }
 
+// killCase is the worker case of TestKillWorkerMidRun: the LJ fixture on
+// three balanced OS-process ranks, far longer than the test runs.
+var killCase = identityCase{id: "kill/unix-3x1x1", fix: "lj", grid: [3]int{3, 1, 1}, steps: 1 << 20, skin: ownSkin, balance: balanced, transport: unixSockets}
+
 // TestKillWorkerMidRun is the ISSUE 6 acceptance test: real OS-process
 // workers on the socket transport, one killed mid-run with SIGKILL. Every
 // survivor must exit, within the failure deadline, with a RankFailedError
 // naming exactly the killed rank.
 func TestKillWorkerMidRun(t *testing.T) {
 	mpSkip(t)
-	fix, err := fixtureByName("lj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rdv, err := os.MkdirTemp("", "mlmdkill")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.RemoveAll(rdv) })
-	grid := [3]int{3, 1, 1}
 	const size, victim = 3, 1
 	cmds := make([]*exec.Cmd, size)
 	outputs := make([]*strings.Builder, size)
 	for r := 0; r < size; r++ {
-		cmd := exec.Command(exe)
+		cmd, err := workerCmd(killCase, r, rdv, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		outputs[r] = &strings.Builder{}
 		cmd.Stdout = outputs[r]
 		cmd.Stderr = outputs[r]
-		cmd.Env = append(os.Environ(),
-			"MLMD_SHARD_WORKER="+fix.name,
-			"MLMD_WORKER_RANK="+strconv.Itoa(r),
-			"MLMD_WORKER_SIZE="+strconv.Itoa(size),
-			fmt.Sprintf("MLMD_WORKER_GRID=%dx%dx%d", grid[0], grid[1], grid[2]),
-			"MLMD_WORKER_RDV="+rdv,
-			"MLMD_WORKER_OUT="+filepath.Join(rdv, "endpoint.bits"),
-			"MLMD_WORKER_STEPS="+strconv.Itoa(1<<20), // far longer than the test runs
-		)
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -13,9 +13,17 @@ import (
 // deterministic) Allegro-style model over it.
 func newAllegroFixture(t testing.TB, n int, l float64) (*md.System, *allegro.Model) {
 	t.Helper()
-	sys, err := md.NewSystem(n, l, l, l)
+	sys, model, err := allegroGas(n, l)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return sys, model
+}
+
+func allegroGas(n int, l float64) (*md.System, *allegro.Model, error) {
+	sys, err := md.NewSystem(n, l, l, l)
+	if err != nil {
+		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < n; i++ {
@@ -26,10 +34,7 @@ func newAllegroFixture(t testing.TB, n int, l float64) (*md.System, *allegro.Mod
 		sys.Type[i] = i % 2
 	}
 	model, err := allegro.NewModel(allegro.DescriptorSpec{Cutoff: 2.5, NRadial: 4, NSpecies: 2}, []int{16, 16}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, model
+	return sys, model, err
 }
 
 // TestShardAllegroMatchesGlobal: the sharded Allegro evaluation — per-rank
@@ -133,7 +138,7 @@ func TestAllegroTapeAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	eng.Run(matrixSteps(t), 1.0, 0, 0)
+	eng.Run(matrixSteps(testing.Short()), 1.0, 0, 0)
 	if rebuilds, _ := eng.Stats(); rebuilds < 2 {
 		t.Fatalf("only %d rebuilds — gas too cold to move the list", rebuilds)
 	}

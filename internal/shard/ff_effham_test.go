@@ -14,9 +14,17 @@ import (
 // pattern, GS/XS hamiltonians and a per-atom weight map.
 func newFerroFixture(t testing.TB, nx, ny, nz int) (*md.System, *ferro.Lattice, *ferro.EffectiveHamiltonian, *ferro.EffectiveHamiltonian, []float64) {
 	t.Helper()
-	sys, lat, err := ferro.NewLattice(nx, ny, nz)
+	sys, lat, gs, xs, w, err := ferroFixture(nx, ny, nz)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return sys, lat, gs, xs, w
+}
+
+func ferroFixture(nx, ny, nz int) (*md.System, *ferro.Lattice, *ferro.EffectiveHamiltonian, *ferro.EffectiveHamiltonian, []float64, error) {
+	sys, lat, err := ferro.NewLattice(nx, ny, nz)
+	if err != nil {
+		return nil, nil, nil, nil, nil, err
 	}
 	gs := ferro.DefaultEffHam(lat)
 	xs := ferro.DefaultEffHam(lat)
@@ -35,7 +43,7 @@ func newFerroFixture(t testing.TB, nx, ny, nz int) (*md.System, *ferro.Lattice, 
 	for i := range w {
 		w[i] = 0.5 * (1 + math.Sin(float64(i)*0.37))
 	}
-	return sys, lat, gs, xs, w
+	return sys, lat, gs, xs, w, nil
 }
 
 func newEffHamEngine(t testing.TB, sys *md.System, lat *ferro.Lattice, gs, xs *ferro.EffectiveHamiltonian, ranks int) *Engine {

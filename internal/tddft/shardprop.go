@@ -24,7 +24,8 @@ import (
 // orb[b] = c·vb + b·va from the ghost va — which are exactly the two
 // assignments of the serial pair rotation, so the sharded propagation is
 // bitwise identical to the serial one on any rank grid
-// (TestShardPropMatchesSerial, TestGridStencilIdentityMatrixTDDFT).
+// (TestShardPropMatchesSerial, and the tddft rows of internal/shard's
+// identity oracle).
 //
 // The laser pulse enters as a uniform vector potential A_x(t) through the
 // same Peierls phase angle θ = A_x·h_x/c the serial kin_prop uses.
