@@ -32,8 +32,8 @@
 // endpoints (every host must be started with the identical list).
 //
 // With -checkpoint-every N the lattice stage writes a restartable snapshot
-// every N MD steps (atomically, to -checkpoint, rotating the previous
-// snapshot to -checkpoint.prev); -resume path continues an interrupted run
+// every N MD steps (atomically, to -checkpoint, keeping the previous
+// snapshot at -checkpoint.prev); -resume path continues an interrupted run
 // from its last snapshot — on any decomposition, with a trajectory bitwise
 // identical to the uninterrupted run.
 //
@@ -659,13 +659,9 @@ func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float
 				}
 				cp.Loads = eng.LoadProfile()
 			}
-			// Rotate before writing: a crash mid-run always leaves at least
-			// one intact snapshot for auto-resume discovery to find.
-			if _, err := os.Stat(ck.path); err == nil {
-				if err := os.Rename(ck.path, ck.path+".prev"); err != nil {
-					fail(err)
-				}
-			}
+			// The write keeps the previous snapshot at ck.path.prev, so a
+			// crash mid-run always leaves an intact one for auto-resume
+			// discovery to find.
 			if err := mlmdio.WriteCheckpointFile(ck.path, cp); err != nil {
 				fail(err)
 			}

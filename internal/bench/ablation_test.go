@@ -3,15 +3,18 @@ package bench
 import "testing"
 
 func TestAblationDSAWarmStart(t *testing.T) {
-	res, err := AblationDSAWarmStart(16, 5)
+	res, cold, warm, err := AblationDSAWarmStart(16, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%s: cold %v, warm %v, speedup %.1fx", res.Name, res.Baseline, res.Variant, res.SpeedupOrOverhead)
-	// Amortization must buy a clear factor over converging from scratch
-	// (threshold leaves headroom for timing noise under parallel tests).
-	if res.SpeedupOrOverhead < 2.0 {
-		t.Errorf("warm start bought only %gx over cold DSA", res.SpeedupOrOverhead)
+	t.Logf("%s: cold %v (%d sweeps), warm %v (%d sweeps), speedup %.1fx",
+		res.Name, res.Baseline, cold, res.Variant, warm, res.SpeedupOrOverhead)
+	// Amortization must buy a clear factor over converging from scratch.
+	// A sweep costs the same on both paths, so the sweep ratio is the
+	// speedup's deterministic cause; a clock ratio flaked under parallel
+	// tests.
+	if cold < 2*warm {
+		t.Errorf("warm start saved only %d of %d sweeps over cold DSA", cold-warm, cold)
 	}
 }
 
@@ -45,7 +48,7 @@ func TestAblationBlockInference(t *testing.T) {
 
 func BenchmarkAblationDSAWarmStart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := AblationDSAWarmStart(16, 3); err != nil {
+		if _, _, _, err := AblationDSAWarmStart(16, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

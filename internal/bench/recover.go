@@ -150,15 +150,8 @@ func RecoverCost(grid [3]int, cells, steps int, cadences []int) ([]RecoverPoint,
 				opts := shard.RecoverOpts{
 					Steps: steps, Dt: 2, Every: every, MaxRestarts: 1,
 					Candidates: []string{path, path + ".prev"},
-					Write: func(cp *mlmdio.Checkpoint) error {
-						if _, err := os.Stat(path); err == nil {
-							if err := os.Rename(path, path+".prev"); err != nil {
-								return err
-							}
-						}
-						return mlmdio.WriteCheckpointFile(path, cp)
-					},
-					Mesh: recoverMeshBuilder(dir, id, &tr),
+					Write:      func(cp *mlmdio.Checkpoint) error { return mlmdio.WriteCheckpointFile(path, cp) },
+					Mesh:       recoverMeshBuilder(dir, id, &tr),
 				}
 				if id == size-1 {
 					opts.OnChunk = func(gen, done int) error {

@@ -11,8 +11,10 @@ import (
 // worker count.
 const ljGrain = 128
 
-// LennardJones is the shifted-force Lennard-Jones pair field at the list
-// cutoff. Each atom's force is Σ_j f(i,j) over its full neighbor row in
+// LennardJones is the plain truncated 12-6 Lennard-Jones pair field at the
+// list cutoff: u = 4ε[(σ/r)¹² − (σ/r)⁶] inside it and zero beyond, with
+// neither the energy nor the force shifted to vanish there, so both jump at
+// the cutoff. Each atom's force is Σ_j f(i,j) over its full neighbor row in
 // ascending global-id order, evaluated from raw coordinates; the potential
 // energy is accumulated as ½u(i,j) per directed pair (exact halving), summed
 // in fixed chunk order. The decomposed engine's LJ (internal/shard) runs the

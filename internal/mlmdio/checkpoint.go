@@ -16,19 +16,33 @@
 // where one CRC-32C would give 32; together they cost about a seventh of a
 // table-driven CRC-64.
 //
-// Checkpoint files are written atomically (temp file in the target
-// directory, fsync, rename), so a crash mid-write leaves the previous
-// checkpoint intact and a reader never observes a partial file.
+// Checkpoint files live in a ring of three inodes per path, named path
+// (the newest snapshot), path.prev (the one before) and a hidden spare
+// (.<base>.spare). A write overwrites the spare in place, fsyncs it and
+// rotates the three names with link and rename only, so no inode loses
+// its last name in steady state. That is the point: on ext4 with online
+// discard, unlinking the file a temp-file-and-rename write replaced cost
+// 38.7 ms of wall time (0.13 ms of CPU) whatever its size, while the
+// create, write and fsync together cost 0.4 ms and an in-place overwrite
+// plus fsync 0.12 ms (PERFORMANCE.md, "checkpoint files recycle their
+// blocks"). After every step of the rotation path and path.prev are
+// complete, fsynced checkpoints, so a crash mid-write leaves the previous
+// snapshot intact; a reader decodes under a shared flock, which the
+// writer's try-lock on the spare respects, so it never sees a partial or
+// recycled file.
 package mlmdio
 
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"mlmd/internal/md"
 )
@@ -211,38 +225,234 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}, nil
 }
 
-// WriteCheckpointFile writes cp to path atomically: the bytes go to a temp
-// file in path's directory, are fsynced, and the temp file is renamed over
-// path before it returns — so an interrupted write leaves the previous
-// checkpoint intact and a concurrent reader never sees a partial file.
+// WriteCheckpointFile writes cp to path and keeps the snapshot path held
+// before at path.prev. The bytes overwrite the ring's spare inode in place
+// and are fsynced; the spare is then renamed over path, the old path to
+// path.prev and the old path.prev to the spare, so the replaced files are
+// recycled instead of freed. After every step of that rotation, and so
+// after a crash at any point, path and path.prev are complete checkpoints.
+// A spare that a reader still holds is left to the reader and a fresh
+// inode takes its place. Writers of one directory are serialized by an
+// exclusive flock on the directory, across goroutines and processes.
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	return writeCheckpointRing(path, cp, swapSteps)
+}
+
+// swapSteps is the number of link/rename steps of ring.swap.
+const swapSteps = 5
+
+// writeCheckpointRing is WriteCheckpointFile stopped after the first stop
+// steps of the rotation, as a crash would stop it.
+func writeCheckpointRing(path string, cp *Checkpoint, stop int) error {
+	r := ringOf(path)
+	dir, err := flockOpen(filepath.Dir(path), syscall.LOCK_EX)
 	if err != nil {
-		return fmt.Errorf("mlmdio: checkpoint temp file: %w", err)
+		return fmt.Errorf("mlmdio: checkpoint directory: %w", err)
 	}
+	defer dir.Close()
+	if err := r.settle(); err != nil {
+		return fmt.Errorf("mlmdio: checkpoint ring: %w", err)
+	}
+	f, err := r.openSpare()
+	if err != nil {
+		return fmt.Errorf("mlmdio: checkpoint spare: %w", err)
+	}
+	// The spare stays locked until it is path: closing releases the lock.
 	err = SaveCheckpoint(f, cp)
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		if err = truncateSync(f); err != nil {
+			err = fmt.Errorf("mlmdio: checkpoint spare: %w", err)
+		}
 	}
 	if err == nil {
-		err = os.Rename(f.Name(), path)
+		if err = r.swap(stop); err != nil {
+			err = fmt.Errorf("mlmdio: checkpoint ring: %w", err)
+		}
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("mlmdio: checkpoint spare: %w", cerr)
+	}
+	return err
+}
+
+// ring names the files of one checkpoint path: the three names its inodes
+// cycle through, and the two hold names that keep path's and path.prev's
+// inodes linked while the rotation renames over them.
+type ring struct {
+	path, prev, spare string
+	holdCur, holdPrev string
+}
+
+func ringOf(path string) ring {
+	hidden := filepath.Join(filepath.Dir(path), "."+filepath.Base(path))
+	return ring{
+		path: path, prev: path + ".prev", spare: hidden + ".spare",
+		holdCur: hidden + ".hold", holdPrev: hidden + ".prev.hold",
+	}
+}
+
+// openSpare opens the spare for an in-place overwrite under an exclusive
+// flock, creating it on the first writes. If a reader still holds the
+// spare's inode under its shared lock (the inode was path or path.prev
+// when the reader opened it), the name is unlinked — the reader keeps its
+// inode until it closes — and a fresh inode is created in its place.
+func (r ring) openSpare() (*os.File, error) {
+	f, err := os.OpenFile(r.spare, os.O_RDWR|os.O_CREATE, 0o600)
+	if err != nil {
+		return nil, err
+	}
+	err = syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+	if errors.Is(err, syscall.EWOULDBLOCK) {
+		f.Close()
+		if err := os.Remove(r.spare); err != nil {
+			return nil, err
+		}
+		if f, err = os.OpenFile(r.spare, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600); err != nil {
+			return nil, err
+		}
+		err = syscall.Flock(int(f.Fd()), syscall.LOCK_EX)
 	}
 	if err != nil {
-		os.Remove(f.Name())
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// truncateSync cuts a spare that held a longer checkpoint to the bytes
+// just written and fsyncs it.
+func truncateSync(f *os.File) error {
+	n, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
 		return err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.Size() > n {
+		if err := f.Truncate(n); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
+}
+
+// swap runs the first stop steps of the rotation: link path and path.prev
+// to their hold names, rename the spare over path, the held old path over
+// path.prev and the held old path.prev to the spare name. Every inode
+// keeps a name throughout, so no step frees a block. Before the first
+// write path does not exist and the rotation is the one rename; before the
+// second path.prev does not exist and the last step has nothing to move.
+func (r ring) swap(stop int) error {
+	var hasCur, hasPrev bool
+	for k := 0; k < stop; k++ {
+		var err error
+		switch k {
+		case 0:
+			err = os.Link(r.path, r.holdCur)
+			hasCur = err == nil
+		case 1:
+			if hasCur {
+				err = os.Link(r.prev, r.holdPrev)
+				hasPrev = err == nil
+			}
+		case 2:
+			err = os.Rename(r.spare, r.path)
+		case 3:
+			if hasCur {
+				err = os.Rename(r.holdCur, r.prev)
+			}
+		case 4:
+			if hasPrev {
+				err = os.Rename(r.holdPrev, r.spare)
+			}
+		}
+		// A missing path (first write) or path.prev (second) links nothing.
+		if err != nil && !(k < 2 && errors.Is(err, fs.ErrNotExist)) {
+			return err
+		}
 	}
 	return nil
 }
 
-// ReadCheckpointFile loads the checkpoint at path.
+// settle finishes or undoes a rotation that a crash (or a failed rename)
+// interrupted, so that each inode is again under exactly one of path,
+// path.prev and the spare name and no hold name is left. A hold of path
+// that is still path's inode means the spare never took path: the hold
+// names are extra links and are dropped, path.prev's first (a lone
+// path.prev hold would read as the state below). Otherwise the spare took
+// path and the rotation is finished: the held old path becomes path.prev,
+// the held old path.prev the spare.
+func (r ring) settle() error {
+	cur, err := os.Stat(r.holdCur)
+	switch {
+	case err == nil:
+		if p, perr := os.Stat(r.path); perr == nil && os.SameFile(cur, p) {
+			if err := os.Remove(r.holdPrev); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
+			return os.Remove(r.holdCur)
+		}
+		if err := os.Rename(r.holdCur, r.prev); err != nil {
+			return err
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
+	err = os.Rename(r.holdPrev, r.spare)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return err
+}
+
+// flockOpen opens name read-only and takes the flock how on it; closing
+// the file releases the lock.
+func flockOpen(name string, how int) (*os.File, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(f.Fd()), how); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// ReadCheckpointFile loads the checkpoint at path, decoding under a shared
+// flock on the file (openShared), so a writer never recycles the inode
+// while it is read.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	f, err := openShared(path)
 	if err != nil {
 		return nil, fmt.Errorf("mlmdio: checkpoint: %w", err)
 	}
 	defer f.Close()
 	return LoadCheckpoint(f)
+}
+
+// openShared opens path under a shared flock, once the locked inode is
+// still the one named path: an inode rotated away between the open and
+// the lock may be a spare that a writer has since rewritten, so the open
+// is retried. Each retry needs a rotation to finish in between.
+func openShared(path string) (*os.File, error) {
+	for {
+		f, err := flockOpen(path, syscall.LOCK_SH)
+		if err != nil {
+			return nil, err
+		}
+		held, err := f.Stat()
+		if err == nil {
+			var named os.FileInfo
+			if named, err = os.Stat(path); err == nil && os.SameFile(held, named) {
+				return f, nil
+			}
+		}
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
 }

@@ -2,11 +2,16 @@ package mlmdio
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mlmd/internal/md"
@@ -183,8 +188,9 @@ func TestCheckpointRejectsBadManifests(t *testing.T) {
 }
 
 // TestWriteCheckpointFileAtomic: the file appears complete or not at all,
-// a failed write leaves no temp litter, and an existing checkpoint
-// survives an overwrite attempt into a bad location.
+// path.prev keeps the snapshot before, the directory holds exactly the
+// ring's three names from the third write on, and a failed write leaves
+// no litter and both snapshots intact.
 func TestWriteCheckpointFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
@@ -199,26 +205,211 @@ func TestWriteCheckpointFileAtomic(t *testing.T) {
 	if got.Step != cp.Step || !bitsEqual(got.Sys.X, cp.Sys.X) {
 		t.Error("file round-trip mismatch")
 	}
-	// Overwrite with a later snapshot: readers only ever see one or the other.
-	cp2 := randomCheckpoint(t, 12)
-	cp2.Step = cp.Step + 500
-	if err := WriteCheckpointFile(path, cp2); err != nil {
-		t.Fatal(err)
+	// Overwrite with later snapshots: readers only ever see one or the other.
+	for k := int64(1); k <= 2; k++ {
+		next := randomCheckpoint(t, 11+k)
+		next.Step = cp.Step + 500*k
+		if err := WriteCheckpointFile(path, next); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, err = ReadCheckpointFile(path); err != nil || got.Step != cp2.Step {
-		t.Fatalf("overwrite: step %d err %v", got.Step, err)
+	wantSteps := func(when string) {
+		t.Helper()
+		for name, want := range map[string]int64{path: cp.Step + 1000, path + ".prev": cp.Step + 500} {
+			if got, err := ReadCheckpointFile(name); err != nil || got.Step != want {
+				t.Fatalf("%s: %s holds step %d (err %v), want %d", when, filepath.Base(name), stepOf(got), err, want)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want := []string{".run.ckpt.spare", "run.ckpt", "run.ckpt.prev"}; !slices.Equal(names, want) {
+			t.Errorf("%s: checkpoint dir holds %q, want %q", when, names, want)
+		}
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	wantSteps("after three writes")
+	if err := WriteCheckpointFile(path, &Checkpoint{Step: cp.Step + 1500}); err == nil {
+		t.Fatal("systemless checkpoint written")
 	}
-	if len(entries) != 1 {
-		t.Errorf("checkpoint dir has %d entries (temp litter?), want 1", len(entries))
-	}
+	wantSteps("after a failed write")
 	if _, err := ReadCheckpointFile(filepath.Join(dir, "absent.ckpt")); err == nil {
 		t.Error("reading a missing checkpoint succeeded")
 	}
 	if err := WriteCheckpointFile(filepath.Join(dir, "no-such-dir", "x.ckpt"), cp); err == nil {
 		t.Error("writing into a missing directory succeeded")
 	}
+}
+
+// stepOf is cp's step, or -1 for no checkpoint.
+func stepOf(cp *Checkpoint) int64 {
+	if cp == nil {
+		return -1
+	}
+	return cp.Step
+}
+
+// ringFiles stats path, path.prev and the spare of path's ring.
+func ringFiles(t *testing.T, path string) [3]os.FileInfo {
+	t.Helper()
+	r := ringOf(path)
+	var fi [3]os.FileInfo
+	for i, name := range []string{r.path, r.prev, r.spare} {
+		var err error
+		if fi[i], err = os.Stat(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fi
+}
+
+// TestCheckpointRingRecyclesInodes: in steady state a write frees no
+// block — the inodes under path, path.prev and the spare are the same
+// three over 20 writes (each write rotates them), and path and path.prev
+// hold the newest two steps.
+func TestCheckpointRingRecyclesInodes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cp := randomCheckpoint(t, 21)
+	for step := int64(1); step <= 3; step++ {
+		cp.Step = step
+		if err := WriteCheckpointFile(path, cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring := ringFiles(t, path)
+	for step := int64(4); step <= 23; step++ {
+		cp.Step = step
+		if err := WriteCheckpointFile(path, cp); err != nil {
+			t.Fatal(err)
+		}
+		got := ringFiles(t, path)
+		for _, fi := range got {
+			if !slices.ContainsFunc(ring[:], func(r os.FileInfo) bool { return os.SameFile(r, fi) }) {
+				t.Fatalf("write of step %d left a new inode in the ring", step)
+			}
+		}
+		if os.SameFile(got[0], ring[0]) {
+			t.Fatalf("write of step %d did not rotate path's inode", step)
+		}
+		ring = got
+		_, newest, err := NewestValidCheckpoint([]string{path, path + ".prev"})
+		prev, perr := ReadCheckpointFile(path + ".prev")
+		if err != nil || perr != nil || newest.Step != step || prev.Step != step-1 {
+			t.Fatalf("after step %d: newest %d (%v), prev %d (%v)", step, stepOf(newest), err, stepOf(prev), perr)
+		}
+	}
+}
+
+// TestCheckpointHeldReaderSeesNoChange: a reader holding path's inode under
+// its shared lock keeps decoding that snapshot across three writes — the
+// third finds the inode in the spare slot, leaves it to the reader and
+// writes a fresh one — and the ring is whole again afterwards.
+func TestCheckpointHeldReaderSeesNoChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cp := randomCheckpoint(t, 31)
+	for step := int64(1); step <= 3; step++ {
+		cp.Step = step
+		if err := WriteCheckpointFile(path, cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := openShared(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	held, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := int64(4); step <= 6; step++ {
+		cp.Step = step
+		if err := WriteCheckpointFile(path, cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := LoadCheckpoint(f)
+	if err != nil || got.Step != 3 || !systemsBitwiseEqual(got.Sys, cp.Sys) {
+		t.Fatalf("held reader decoded step %d (err %v), want step 3", stepOf(got), err)
+	}
+	for _, fi := range ringFiles(t, path) {
+		if os.SameFile(fi, held) {
+			t.Error("the held inode is still in the ring")
+		}
+	}
+	if got, err := ReadCheckpointFile(path); err != nil || got.Step != 6 {
+		t.Errorf("path holds step %d (err %v), want step 6", stepOf(got), err)
+	}
+}
+
+// TestCheckpointConcurrentWritersOnePath: two goroutines write one path
+// while a third reads it; every read decodes a written step, and the ring
+// ends whole, holding the last two writes.
+func TestCheckpointConcurrentWritersOnePath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	const writes = 15
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for g := int64(0); g < 2; g++ {
+		cp := randomCheckpoint(t, 41+g)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int64(1); k <= writes; k++ {
+				cp.Step = 100*g + k
+				if err := WriteCheckpointFile(path, cp); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	read := make(chan int)
+	go func() {
+		n := 0
+		defer func() { read <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got, err := ReadCheckpointFile(path)
+			switch {
+			case errors.Is(err, fs.ErrNotExist):
+				continue // before the first write
+			case err != nil:
+				errs <- fmt.Errorf("concurrent read: %w", err)
+				return
+			case got.Step%100 < 1 || got.Step%100 > writes || got.Step/100 > 1:
+				errs <- fmt.Errorf("concurrent read: step %d was never written", got.Step)
+				return
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	t.Logf("%d reads during the writes", <-read)
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	cur, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := ReadCheckpointFile(path + ".prev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Step%100 != writes || cur.Step == prev.Step {
+		t.Errorf("path and path.prev hold steps %d and %d, want a writer's last and another write", cur.Step, prev.Step)
+	}
+	ringFiles(t, path)
 }

@@ -2,6 +2,8 @@ package mlmdio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mlmd/internal/md"
@@ -121,6 +123,111 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		for a := 0; a < 3; a++ {
 			if cp.Grid[a] > 0 && len(cp.Cuts[a]) != 0 && len(cp.Cuts[a]) != cp.Grid[a]+1 {
 				t.Fatalf("accepted cuts/grid mismatch on axis %d", a)
+			}
+		}
+	})
+}
+
+// FuzzCheckpointRing drives one checkpoint path through a sequence of
+// operations, one per input byte b: b%4 = 0 writes the next step, 1 writes
+// it but stops after (b/4)%swapSteps rotation steps as a crash would, 2
+// only reads, and 3 takes or drops a reader's shared hold on path. After
+// every operation:
+//   - NewestValidCheckpoint([path, path.prev]) returns the last completed
+//     write's step, or the interrupted write's once its spare has taken path
+//     (rotation step 3 on), and path.prev the step path held before;
+//   - no inode is linked under two of path, path.prev and the spare;
+//   - after a completed write no other name (a hold or a temp file) is left.
+func FuzzCheckpointRing(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 2})
+	for k := byte(0); k < swapSteps; k++ {
+		f.Add([]byte{0, 0, 0, 1 + 4*k, 2, 0, 2})
+		f.Add([]byte{0, 0, 1 + 4*k, 1 + 4*((k+3)%swapSteps), 0, 2})
+	}
+	f.Add([]byte{0, 0, 0, 3, 0, 0, 0, 3, 0, 2})
+	f.Add([]byte{0, 3, 0, 13, 0, 3, 9, 0})
+	sys := validRunSystem(f)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		dir := t.TempDir()
+		r := ringOf(filepath.Join(dir, "run.ckpt"))
+		var held *os.File
+		defer func() {
+			if held != nil {
+				held.Close()
+			}
+		}()
+		top, prev := int64(-1), int64(-1) // the steps at path and path.prev
+		pending := int64(-1)              // the held old path of a rotation stopped at step 3
+		step := int64(0)
+		for i, b := range ops[:min(len(ops), 24)] {
+			op, arg := b%4, int(b/4)
+			switch op {
+			case 0, 1:
+				if pending >= 0 {
+					prev, pending = pending, -1 // the next write finishes the rotation
+				}
+				step++
+				stop := swapSteps
+				if op == 1 {
+					stop = arg % swapSteps
+				}
+				// The manifest's length follows arg, so the spare shrinks and grows.
+				cp := &Checkpoint{Step: step, Extra: make([]float64, arg%5), Sys: sys}
+				if err := writeCheckpointRing(r.path, cp, stop); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				switch {
+				case stop == swapSteps || stop == 4:
+					if top >= 0 {
+						prev = top
+					}
+					top = step
+				case stop == 3:
+					if top >= 0 {
+						pending = top
+					}
+					top = step
+				}
+			case 3:
+				if held != nil {
+					held.Close()
+					held = nil
+				} else if top >= 0 {
+					var err error
+					if held, err = openShared(r.path); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+				}
+			}
+			_, cp, err := NewestValidCheckpoint([]string{r.path, r.prev})
+			if got := stepOf(cp); got != top {
+				t.Fatalf("op %d (%d): newest valid step %d (err %v), want %d", i, b, got, err, top)
+			}
+			cp, err = ReadCheckpointFile(r.prev)
+			if got := stepOf(cp); got != prev {
+				t.Fatalf("op %d (%d): path.prev holds step %d (err %v), want %d", i, b, got, err, prev)
+			}
+			var fi []os.FileInfo
+			for _, name := range []string{r.path, r.prev, r.spare} {
+				if st, err := os.Stat(name); err == nil {
+					for _, other := range fi {
+						if os.SameFile(st, other) {
+							t.Fatalf("op %d (%d): %s shares an inode with another ring name", i, b, filepath.Base(name))
+						}
+					}
+					fi = append(fi, st)
+				}
+			}
+			if op == 0 {
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					if name := filepath.Join(dir, e.Name()); name != r.path && name != r.prev && name != r.spare {
+						t.Fatalf("op %d: %s left beside the ring after a completed write", i, e.Name())
+					}
+				}
 			}
 		}
 	})

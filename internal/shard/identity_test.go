@@ -279,9 +279,14 @@ func identityTable(short bool) ([]identityCase, map[string]expect) {
 		skinRows(d+"Allegro", s, 9, al30, one, [3]int{2, 1, 1})
 	}
 	skinRows(d+"Allegro", 9, 9, al30, one)
-	// Block size 64 splits every rank's blocked-GEMM inference into
-	// several chunks per species, on the 1x1x1 grid too.
-	add(d+"AllegroBatched", wantMigration, identityCase{fix: "allegro", steps: ma, skin: ownSkin, block: 64}, one, [3]int{2, 2, 1}, [3]int{2, 2, 2})
+	// Block size 64 splits the 1x1x1 grid's blocked-GEMM inference into
+	// several chunks per species; a rank of the multi-rank grids holds
+	// fewer than 64 atoms of a species, so their block=16 rows are the
+	// ones that take the multi-chunk path there.
+	batched := identityCase{fix: "allegro", steps: ma, skin: ownSkin, block: 64}
+	add(d+"AllegroBatched", wantMigration, batched, one, [3]int{2, 2, 1}, [3]int{2, 2, 2})
+	batched.block = 16
+	add(d+"AllegroBatched/block=16", wantMigration, batched, [3]int{2, 2, 1}, [3]int{2, 2, 2})
 	// Cut planes that move at every rebuild: on the hot spot by the
 	// deterministic owned-atom signal, elsewhere by measured step times,
 	// which differ run to run and must still never reach the physics.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -59,17 +58,10 @@ func socketMeshBuilder(dir string, id int, trOut **cluster.SocketTransport) Mesh
 	}
 }
 
-// rotatingWriter persists checkpoints to path with a one-deep rotation
-// (path -> path.prev), the layout NewestValidCheckpoint discovery expects.
+// rotatingWriter persists checkpoints to path; the write keeps the one
+// before at path.prev, the layout NewestValidCheckpoint discovery expects.
 func rotatingWriter(path string) func(cp *mlmdio.Checkpoint) error {
-	return func(cp *mlmdio.Checkpoint) error {
-		if _, err := os.Stat(path); err == nil {
-			if err := os.Rename(path, path+".prev"); err != nil {
-				return err
-			}
-		}
-		return mlmdio.WriteCheckpointFile(path, cp)
-	}
+	return func(cp *mlmdio.Checkpoint) error { return mlmdio.WriteCheckpointFile(path, cp) }
 }
 
 // TestRunRecoveredShrinksInProcess: three partial engines over socket
@@ -259,12 +251,11 @@ func TestRunRecoveredHonorsBudget(t *testing.T) {
 }
 
 // TestRunRecoveredWaitsForTheWriter: the process hosting rank 0 is still
-// inside the kill-step checkpoint write — its primary file rotated to .prev,
-// the new one not yet written — when the other survivor detects the
-// failure. Discovery follows the next generation's rendezvous, which the
+// inside the kill-step checkpoint write — path still holding the previous
+// snapshot — when the other survivor detects the failure. Discovery follows the next generation's rendezvous, which the
 // writer joins only after its write, so every survivor resumes at the kill
 // step on its one restart. (Discovering before the rendezvous read the
-// rotated predecessor, disagreed with the writer and exhausted the budget.)
+// predecessor, disagreed with the writer and exhausted the budget.)
 func TestRunRecoveredWaitsForTheWriter(t *testing.T) {
 	dir := socketDirOrSkip(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -276,13 +267,8 @@ func TestRunRecoveredWaitsForTheWriter(t *testing.T) {
 		Grid: [3]int{3, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
 		NewFF: LJFactory(testEps, testSigma),
 	}
-	// slowWriter rotates, then stalls before writing the kill-step file.
+	// slowWriter stalls before writing the kill-step file.
 	slowWriter := func(cp *mlmdio.Checkpoint) error {
-		if _, err := os.Stat(path); err == nil {
-			if err := os.Rename(path, path+".prev"); err != nil {
-				return err
-			}
-		}
 		if cp.Step == killAt {
 			time.Sleep(400 * time.Millisecond)
 		}
