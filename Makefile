@@ -7,7 +7,7 @@
 #                  MatchesGolden runs a short `mlmd -procs 2` over the
 #                  Unix-socket rank transport against the golden summary, and
 #                  the auto-recovery smoke: TestAutoResumeRecoversFromKilled-
-#                  Worker SIGKILLs one of three -auto-resume workers and
+#                  Worker SIGKILLs one of three -max-restarts workers and
 #                  requires the shrunken resume to reproduce the golden tail
 #                  bitwise — both skipping on platforms without Unix
 #                  sockets), the race detector over the pool-parallel and
@@ -43,6 +43,11 @@
 #                  pass over the transport, halo, and stencil packages plus
 #                  the in-process rows of the shard identity oracle under
 #                  -race (the -short lane `make race` runs on every check)
+#   make soak    - CI-nightly recovery lane: every shrink-and-resume test
+#                  (the shard.RunRecovered driver in process and across
+#                  OS processes, and the mlmd -procs and -hosts runs that
+#                  heal through it) five times over, so a flake in the one
+#                  recovery path shows up
 #   make docs    - documentation gate: gofmt -l on the documented packages,
 #                  go vet ./..., and cmd/checkdoc (fails on exported
 #                  identifiers missing doc comments in shard/cluster/
@@ -124,7 +129,7 @@ DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./interna
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.
 ARCH_PKGS = ./internal/linalg ./internal/md ./internal/tddft ./internal/core ./internal/nn ./internal/maxwell
 
-.PHONY: check fmt vet asm-nofma lint reach build test race race-full cover fuzz docs benchmark-check bench-ab bench tables
+.PHONY: check fmt vet asm-nofma lint reach build test race race-full soak cover fuzz docs benchmark-check bench-ab bench tables
 
 check: fmt vet lint reach build test race cover fuzz docs benchmark-check
 
@@ -191,6 +196,11 @@ race:
 race-full:
 	$(GO) test -race ./internal/cluster ./internal/shard/halo ./internal/maxwell
 	$(GO) test -race -run 'Identity|PartialEngines' -skip '/(unix|tcp)-' ./internal/shard
+
+# CI-nightly, beside race-full: all recovery goes through shard.RunRecovered,
+# so its tests run five times over.
+soak:
+	$(GO) test -count=5 -run 'AutoResume|AutoRecovery|RunRecovered|Hosts' ./cmd/mlmd ./internal/shard
 
 cover:
 	@for p in $(COVER_PKGS); do \

@@ -29,7 +29,7 @@ const (
 // checkFieldDemoFlags rejects particle-stage flags that have no meaning
 // on a field demo — silently ignoring them would let a user believe a
 // checkpointed or balanced field run exists.
-func checkFieldDemoFlags(demo, gridStr string, balance bool, hosts string, ckptEvery int, resumePath string, autoResume bool) error {
+func checkFieldDemoFlags(demo, gridStr string, balance bool, hosts string, ckptEvery int, resumePath string, maxRestarts int) error {
 	switch {
 	case gridStr == "auto":
 		return fmt.Errorf("-grid auto sizes the particle lattice; give -%s an explicit PxxPyxPz decomposition", demo)
@@ -39,8 +39,8 @@ func checkFieldDemoFlags(demo, gridStr string, balance bool, hosts string, ckptE
 		return fmt.Errorf("-checkpoint-every applies to the particle lattice stage, not the -%s field demo", demo)
 	case resumePath != "":
 		return fmt.Errorf("-resume applies to the particle lattice stage, not the -%s field demo", demo)
-	case autoResume:
-		return fmt.Errorf("-auto-resume applies to the particle lattice stage, not the -%s field demo", demo)
+	case maxRestarts != 0:
+		return fmt.Errorf("-max-restarts applies to the particle lattice stage, not the -%s field demo", demo)
 	case hosts != "":
 		return fmt.Errorf("-hosts applies to the particle lattice stage; run the -%s field demo with -procs instead", demo)
 	}
@@ -165,12 +165,20 @@ func runFieldDemo(out io.Writer, demo string, opts shardOpts) {
 	if g == ([3]int{}) {
 		g = [3]int{1, 1, 1}
 	}
-	eng, err := shard.NewGridEngine(shard.GridConfig{
-		Grid: g, N: cfg.n, Ghost: 1, EvenAligned: cfg.even,
-		NewWork:   cfg.new,
-		Comm:      opts.comm,
-		LocalRank: opts.local,
-	})
+	gcfg := shard.GridConfig{Grid: g, N: cfg.n, Ghost: 1, EvenAligned: cfg.even, NewWork: cfg.new}
+	if sm := opts.socket; sm != nil {
+		ranks := make([]int, g[0]*g[1]*g[2])
+		for r := range ranks {
+			ranks[r] = r
+		}
+		comm, local, closeMesh, err := sm.Build(0, ranks, g)
+		if err != nil {
+			fail(err)
+		}
+		defer closeMesh()
+		gcfg.Comm, gcfg.LocalRank = comm, local
+	}
+	eng, err := shard.NewGridEngine(gcfg)
 	if err != nil {
 		fail(err)
 	}

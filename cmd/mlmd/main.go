@@ -9,7 +9,7 @@
 //	     [-cells N] [-ranks N | -grid PxxPyxPz|auto] [-balance]
 //	     [-procs N [-transport unix|tcp]] [-hosts h0:p0,h1:p1,... -hostrank i]
 //	     [-peer-timeout d] [-checkpoint-every N [-checkpoint path]] [-resume path]
-//	     [-auto-resume [-max-restarts N]] [-gen G]
+//	     [-max-restarts N]
 //	mlmd -fdtd  [-ranks N | -grid PxxPyxPz] [-procs N [-transport unix|tcp]]
 //	mlmd -tddft [-ranks N | -grid PxxPyxPz] [-procs N [-transport unix|tcp]]
 //
@@ -19,17 +19,19 @@
 // halo spine as the lattice stage. Each summary line is computed serially
 // on rank 0 from the gathered global fields, so the output is bitwise
 // identical on every decomposition and transport. The particle-stage
-// flags (-balance, -checkpoint-every, -resume, -auto-resume, -hosts,
+// flags (-balance, -checkpoint-every, -resume, -max-restarts, -hosts,
 // -grid auto) do not apply to the field demos and fail fast.
 //
-// With -procs N the sharded lattice stage runs across N OS processes: the
-// launcher forks one worker per rank (mlmd -worker -wrank i), the workers
-// connect through the Unix-domain-socket rank transport (-transport tcp
-// swaps in loopback TCP with a rendezvous-directory port exchange), and
-// rank 0 prints the aggregated summary — which is bitwise identical to the
-// in-process -ranks/-grid run of the same decomposition. With -hosts the
-// process joins a multi-host TCP mesh as rank -hostrank of the listed
-// endpoints (every host must be started with the identical list).
+// The lattice stage always runs on the sharded engine through
+// shard.RunRecovered — unsharded as one in-process rank. With -procs N it
+// runs across N OS processes: the launcher forks one worker per rank
+// (mlmd -worker -wrank i), the workers connect through the
+// Unix-domain-socket rank transport (-transport tcp swaps in loopback TCP
+// with a rendezvous-directory port exchange), and rank 0 prints the
+// aggregated summary — which is bitwise identical to the in-process
+// -ranks/-grid run of the same decomposition. With -hosts the process
+// joins a multi-host TCP mesh as rank -hostrank of the listed endpoints
+// (every host must be started with the identical list).
 //
 // With -checkpoint-every N the lattice stage writes a restartable snapshot
 // every N MD steps (atomically, to -checkpoint, keeping the previous
@@ -37,22 +39,19 @@
 // from its last snapshot — on any decomposition, with a trajectory bitwise
 // identical to the uninterrupted run.
 //
-// With -auto-resume (requires -procs and -checkpoint-every) the launcher
-// supervises the run: when a worker crashes mid-run, the survivors' typed
-// rank-failure exits are reaped, the newest valid checkpoint (-checkpoint
-// or its .prev rotation) is discovered, and the run is re-launched at the
-// reduced rank count under an incremented mesh generation (-gen) with an
-// auto-selected grid shape (-grid auto) — no operator action, bounded by
-// -max-restarts. Generation tags are carried in the wire handshake and the
-// rendezvous file names, so stragglers of a torn-down mesh can neither be
-// dialed nor join the new one. -grid auto picks the feasible Px×Py×Pz with
-// the least per-rank halo surface and is available on any decomposed run.
-//
-// A multi-host (-hosts) run has no single supervisor; on a rank failure
-// each survivor prints a ready-to-run shrink-and-restart command line
-// (shrunken host list, next -gen, -resume) and exits nonzero, so an
-// external launcher — or the operator — can restart the survivors against
-// the newest checkpoint.
+// -max-restarts N (with -procs or -hosts, and -checkpoint-every) makes a
+// run heal itself: when ranks are lost, every surviving process drains the
+// failure, shrinks the mesh to the survivors under the next generation tag
+// with an auto-selected grid, and resumes from the newer valid one of
+// -checkpoint and its .prev — in process, with no relaunch and no operator
+// action, at most N times. A -hosts survivor keeps its own endpoint; the
+// checkpoint path must name the same files on every host. The default, 0,
+// is fail-stop: a lost rank ends the run, and the launcher kills the
+// remaining workers. Generation tags are carried in the wire handshake and
+// the rendezvous file names, so stragglers of a torn-down mesh can neither
+// be dialed nor join the new one. -grid auto picks the feasible Px×Py×Pz
+// with the least per-rank halo surface and is available on any decomposed
+// run.
 package main
 
 import (
@@ -62,15 +61,15 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
-	"strings"
-	"time"
 
 	"mlmd/internal/cluster"
 	"mlmd/internal/core"
 	"mlmd/internal/ferro"
 	"mlmd/internal/grid"
 	"mlmd/internal/maxwell"
+	"mlmd/internal/md"
 	"mlmd/internal/mlmdio"
 	"mlmd/internal/shard"
 	"mlmd/internal/units"
@@ -89,9 +88,9 @@ const (
 const failRankEnv = "MLMD_TEST_FAIL_RANK"
 
 // killRankEnv and killStepEnv are the crash-injection hook of the
-// auto-recovery tests: the worker hosting rank killRankEnv SIGKILLs itself
-// (no bye frame — exactly a crashed host) at the first summary/checkpoint
-// boundary at or past killStepEnv steps (both unset in production).
+// auto-recovery tests: the process hosting rank killRankEnv SIGKILLs itself
+// (no bye frame — exactly a crashed host) at the first checkpoint boundary
+// at or past killStepEnv steps (both unset in production).
 const (
 	killRankEnv = "MLMD_TEST_KILL_RANK"
 	killStepEnv = "MLMD_TEST_KILL_STEP"
@@ -110,20 +109,12 @@ var (
 type shardOpts struct {
 	grid      [3]int // {0,0,0} = unsharded
 	balance   bool
-	procs     int                      // > 0: multi-process run
-	transport string                   // -procs socket family: "unix" or "tcp"
-	comm      *cluster.Comm            // worker/hosts mode: the socket communicator
-	local     int                      // worker/hosts mode: the hosted rank
-	gen       int                      // mesh generation tag of this launch
-	hostList  []string                 // -hosts mode: the rank endpoints
-	tr        *cluster.SocketTransport // worker/hosts mode: the raw transport (failure drain)
-}
-
-// ckptOpts is the resolved checkpoint/restart configuration.
-type ckptOpts struct {
-	every  int
-	path   string
-	resume *mlmdio.Checkpoint
+	procs     int      // > 0: multi-process run
+	transport string   // -procs socket family: "unix" or "tcp"
+	hosts     []string // -hosts mode: the rank endpoints
+	// socket builds the meshes of a -procs worker or a -hosts process
+	// (nil: every rank runs in this process).
+	socket *shard.SocketMesh
 }
 
 func main() {
@@ -146,9 +137,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "write a restartable snapshot of the lattice stage every N MD steps (0 = never)")
 	ckptPath := flag.String("checkpoint", "mlmd.ckpt", "checkpoint file path (written atomically by rank 0)")
 	resumePath := flag.String("resume", "", "resume the lattice stage from this checkpoint (skips the DC-MESH stage; any -grid/-procs decomposition works)")
-	autoResume := flag.Bool("auto-resume", false, "with -procs and -checkpoint-every: supervise the run — when a worker crashes, shrink to the survivors, re-select the grid, and resume from the newest valid checkpoint automatically")
-	maxRestarts := flag.Int("max-restarts", 3, "with -auto-resume: give up after this many automatic restarts (a crash-looping run must not spin forever)")
-	genFlag := flag.Int("gen", 0, "mesh generation tag carried in the rank-transport handshake and rendezvous file names (0 for a fresh launch; a shrink-and-resume relaunch must increment it so stragglers of the dead mesh are fenced out)")
+	maxRestarts := flag.Int("max-restarts", 0, "with -procs or -hosts and -checkpoint-every: when ranks are lost, the survivors shrink, re-select the grid and resume from the newest valid checkpoint by themselves, at most this many times (0 = fail-stop: a lost rank ends the run)")
 	fdtdDemo := flag.Bool("fdtd", false, "run the sharded Maxwell FDTD field demo instead of the particle pipeline (supports -ranks/-grid/-procs/-transport; summary is decomposition-invariant)")
 	tddftDemo := flag.Bool("tddft", false, "run the sharded laser-pulse TDDFT field demo instead of the particle pipeline (supports -ranks/-grid/-procs/-transport; summary is decomposition-invariant)")
 	worker := flag.Bool("worker", false, "internal: run as one rank worker of a -procs launch")
@@ -167,7 +156,7 @@ func main() {
 		demo = "tddft"
 	}
 	if demo != "" {
-		if err := checkFieldDemoFlags(demo, *gridStr, *balance, *hosts, *ckptEvery, *resumePath, *autoResume); err != nil {
+		if err := checkFieldDemoFlags(demo, *gridStr, *balance, *hosts, *ckptEvery, *resumePath, *maxRestarts); err != nil {
 			fail(err)
 		}
 	}
@@ -175,20 +164,18 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	opts.gen = *genFlag
-	if *autoResume {
-		if opts.procs == 0 {
-			fail(fmt.Errorf("-auto-resume requires -procs (a multi-host run prints a shrink-and-restart command instead; see -hosts)"))
-		}
-		if *ckptEvery <= 0 {
-			fail(fmt.Errorf("-auto-resume requires -checkpoint-every: without snapshots there is nothing to resume from"))
-		}
+	switch {
+	case *maxRestarts < 0:
+		fail(fmt.Errorf("-max-restarts must be >= 0"))
+	case *maxRestarts > 0 && opts.procs == 0 && opts.hosts == nil:
+		fail(fmt.Errorf("-max-restarts requires -procs or -hosts: in-process ranks cannot be lost alone"))
+	case *maxRestarts > 0 && *ckptEvery <= 0:
+		fail(fmt.Errorf("-max-restarts requires -checkpoint-every: without snapshots there is nothing to resume from"))
 	}
 	if opts.procs > 0 && !*worker {
-		os.Exit(launch(opts.procs, *autoResume, *maxRestarts, *ckptPath))
+		os.Exit(launch(opts.procs, *maxRestarts == 0))
 	}
-	sockOpts := cluster.SocketOptions{PeerTimeout: *peerTimeout, Generation: *genFlag}
-	out := io.Writer(os.Stdout)
+	sockOpts := cluster.SocketOptions{PeerTimeout: *peerTimeout}
 	if *worker {
 		if *wrank < 0 || *wrank >= opts.procs || *rdv == "" {
 			fail(fmt.Errorf("-worker needs -wrank in [0,%d) and -rdv", opts.procs))
@@ -196,62 +183,27 @@ func main() {
 		if os.Getenv(failRankEnv) == strconv.Itoa(*wrank) {
 			fail(fmt.Errorf("worker %d: deliberate start-up failure (%s)", *wrank, failRankEnv))
 		}
-		var tr *cluster.SocketTransport
-		var err error
-		if opts.transport == "tcp" {
-			tr, err = cluster.NewTCPRendezvousTransport(*rdv, *wrank, opts.procs, opts.grid, sockOpts)
-		} else {
-			tr, err = cluster.NewSocketTransportOpts(*rdv, *wrank, opts.procs, opts.grid, sockOpts)
-		}
-		if err != nil {
-			fail(err)
-		}
-		defer tr.Close()
-		comm, err := cluster.NewCommOver(tr, cluster.Interconnect{})
-		if err != nil {
-			fail(err)
-		}
-		opts.comm = comm
-		opts.local = *wrank
-		opts.tr = tr
-		if *wrank != 0 {
-			out = io.Discard
-		}
-	} else if *hosts != "" {
-		hostList, err := cluster.ParseHostList(*hosts)
-		if err != nil {
-			fail(err)
-		}
-		tr, err := cluster.NewTCPTransport(hostList, *hostRank, len(hostList), opts.grid, sockOpts)
-		if err != nil {
-			fail(err)
-		}
-		defer tr.Close()
-		comm, err := cluster.NewCommOver(tr, cluster.Interconnect{})
-		if err != nil {
-			fail(err)
-		}
-		opts.comm = comm
-		opts.local = *hostRank
-		opts.tr = tr
-		opts.hostList = hostList
-		if *hostRank != 0 {
-			out = io.Discard
-		}
+		opts.socket = &shard.SocketMesh{ID: *wrank, Dir: *rdv, TCP: opts.transport == "tcp", Opts: sockOpts}
+	} else if opts.hosts != nil {
+		opts.socket = &shard.SocketMesh{ID: *hostRank, Hosts: opts.hosts, Opts: sockOpts}
+	}
+	out := io.Writer(os.Stdout)
+	if opts.socket != nil && opts.socket.ID != 0 {
+		out = io.Discard
 	}
 	if demo != "" {
 		runFieldDemo(out, demo, opts)
 		return
 	}
-	ck := ckptOpts{every: *ckptEvery, path: *ckptPath}
+	ropts := shard.RecoverOpts{
+		Steps: latBlocks * latBlock, Every: *ckptEvery, Path: *ckptPath, MaxRestarts: *maxRestarts,
+	}
 	if *resumePath != "" {
-		cp, err := mlmdio.ReadCheckpointFile(*resumePath)
-		if err != nil {
+		if ropts.Resume, err = mlmdio.ReadCheckpointFile(*resumePath); err != nil {
 			fail(err)
 		}
-		ck.resume = cp
 	}
-	run(out, *mesh, *domains, *norb, *nqd, *mdsteps, *amp, *photon, *latCells, opts, ck)
+	run(out, *mesh, *domains, *norb, *nqd, *mdsteps, *amp, *photon, *latCells, opts, ropts)
 }
 
 // resolveShard validates the sharding flags and resolves them into a grid
@@ -279,6 +231,7 @@ func resolveShard(ranks int, gridStr string, balance bool, procs int, transport,
 		if err != nil {
 			return opts, err
 		}
+		opts.hosts = list
 		nHosts = len(list)
 		if hostRank < 0 || hostRank >= nHosts {
 			return opts, fmt.Errorf("-hosts lists %d endpoints: -hostrank must be in [0,%d)", nHosts, nHosts)
@@ -334,146 +287,6 @@ func resolveShard(ranks int, gridStr string, balance bool, procs int, transport,
 	return opts, nil
 }
 
-// launch is the -procs parent: it forks one worker per rank with the
-// original arguments plus the internal worker flags, streams rank 0's
-// aggregated summary, and reaps the children. Without -auto-resume the
-// first worker failure kills the remaining workers immediately — every
-// child is reaped and the rendezvous directory removed before launch
-// returns, so a botched start-up cannot orphan processes or leak
-// socket/address files.
-//
-// With -auto-resume launch is the self-healing supervisor: when a worker
-// generation ends with crashed (signal-killed) workers, it discovers the
-// newest valid checkpoint, shrinks the rank count by the crashed workers,
-// and re-launches the survivors with -resume, -grid auto and an
-// incremented -gen — so stragglers of the dead mesh can neither be dialed
-// (generation-tagged rendezvous names) nor join (handshake tag). The
-// restart budget -max-restarts bounds the loop.
-func launch(procs int, autoResume bool, maxRestarts int, ckptPath string) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fail(err)
-	}
-	dir, err := os.MkdirTemp("", "mlmd-rdv")
-	if err != nil {
-		fail(err)
-	}
-	defer os.RemoveAll(dir)
-	size, gen, restarts := procs, 0, 0
-	args := append([]string{}, os.Args[1:]...)
-	for {
-		killed, status := runWorkerGeneration(exe, dir, args, size, !autoResume)
-		if status == 0 || !autoResume {
-			return status
-		}
-		if killed == 0 {
-			fmt.Fprintln(os.Stderr, "mlmd: workers failed without a crash; an identical restart would fail the same way")
-			return status
-		}
-		if killed >= size {
-			fmt.Fprintln(os.Stderr, "mlmd: no surviving ranks to resume on")
-			return status
-		}
-		if restarts >= maxRestarts {
-			fmt.Fprintf(os.Stderr, "mlmd: restart budget %d exhausted\n", maxRestarts)
-			return status
-		}
-		path, _, err := mlmdio.NewestValidCheckpoint([]string{ckptPath, ckptPath + ".prev"})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mlmd: cannot auto-resume: %v\n", err)
-			return status
-		}
-		restarts++
-		gen++
-		size -= killed
-		fmt.Fprintf(os.Stderr, "mlmd: restart %d/%d: resuming %d ranks from %s at generation %d\n",
-			restarts, maxRestarts, size, path, gen)
-		args = stripFlags(os.Args[1:], "-grid", "-ranks", "-procs", "-resume", "-gen")
-		args = append(args,
-			"-procs", strconv.Itoa(size), "-grid", "auto",
-			"-gen", strconv.Itoa(gen), "-resume", path)
-	}
-}
-
-// runWorkerGeneration forks and reaps one generation of size workers,
-// returning how many died to a signal (crashed, as opposed to exiting with
-// an error) and the generation's exit status. With failStop the first
-// failure takes the survivors down immediately; the supervisor instead
-// lets them exit on their own typed rank-failure (bounded: close detection
-// is immediate), so crashed and surviving workers stay distinguishable.
-func runWorkerGeneration(exe, dir string, args []string, size int, failStop bool) (killed, status int) {
-	cmds := make([]*exec.Cmd, 0, size)
-	done := make(chan workerExit, size)
-	for r := 0; r < size; r++ {
-		wargs := append(append([]string{}, args...),
-			"-worker", "-wrank", strconv.Itoa(r), "-rdv", dir)
-		cmd := exec.Command(exe, wargs...)
-		cmd.Stderr = os.Stderr
-		if r == 0 {
-			cmd.Stdout = os.Stdout
-		}
-		if err := cmd.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "mlmd: worker %d: %v\n", r, err)
-			killAndReap(cmds, done)
-			return 0, 1
-		}
-		cmds = append(cmds, cmd)
-		//lint:allow poolonly one reaper goroutine per forked worker process; supervisor lifecycle, not a fan-out
-		go func(rank int, cmd *exec.Cmd) { done <- workerExit{rank, cmd.Wait()} }(r, cmd)
-	}
-	for range cmds {
-		e := <-done
-		if e.err == nil {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "mlmd: worker %d: %v\n", e.rank, e.err)
-		var ee *exec.ExitError
-		if errors.As(e.err, &ee) && ee.ProcessState.ExitCode() == -1 {
-			killed++
-		}
-		if status == 0 {
-			status = 1
-			if failStop {
-				// Fail-stop: one lost rank already dooms the run, so take
-				// the survivors down now instead of letting them block on a
-				// mesh that can never complete.
-				for _, c := range cmds {
-					if c.Process != nil {
-						c.Process.Kill()
-					}
-				}
-			}
-		}
-	}
-	return killed, status
-}
-
-// stripFlags removes the named value-taking flags and their arguments from
-// args, accepting the "-name value", "-name=value" and "--name" spellings —
-// the supervisor uses it to rewrite a generation's decomposition flags.
-func stripFlags(args []string, names ...string) []string {
-	drop := make(map[string]bool, len(names))
-	for _, n := range names {
-		drop[strings.TrimLeft(n, "-")] = true
-	}
-	out := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		name, hasValue := a, false
-		if j := strings.IndexByte(a, '='); j >= 0 {
-			name, hasValue = a[:j], true
-		}
-		if strings.HasPrefix(name, "-") && drop[strings.TrimLeft(name, "-")] {
-			if !hasValue && i+1 < len(args) {
-				i++ // skip the separate value
-			}
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 // autoGridForLattice resolves "-grid auto": the AutoGrid shape for ranks
 // over the -cells demo lattice box with the lattice-stage halo.
 func autoGridForLattice(ranks, cells int) ([3]int, error) {
@@ -490,28 +303,83 @@ type workerExit struct {
 	err  error
 }
 
-// killAndReap kills every started worker and drains their exits (the
-// start-error path of launch: reaping keeps the failed launch from leaving
-// zombies behind).
-func killAndReap(cmds []*exec.Cmd, done chan workerExit) {
-	for _, c := range cmds {
-		if c.Process != nil {
+// launch is the -procs parent: it forks one worker per rank with the
+// original arguments plus the internal worker flags, connects every
+// worker's stdout to its own (only the current generation's rank 0
+// writes), and reaps the children; the rendezvous directory is removed
+// before it returns. With failStop (-max-restarts 0) the first worker
+// failure kills the remaining workers at once, so a botched start-up
+// cannot orphan processes. Otherwise a worker that dies to a signal is
+// left to the survivors, which shrink and resume by themselves
+// (shard.RunRecovered); the launch fails if a worker exits with an error
+// or none survives.
+func launch(procs int, failStop bool) int {
+	exe, err := os.Executable()
+	if err != nil {
+		fail(err)
+	}
+	dir, err := os.MkdirTemp("", "mlmd-rdv")
+	if err != nil {
+		fail(err)
+	}
+	defer os.RemoveAll(dir)
+	cmds := make([]*exec.Cmd, 0, procs)
+	done := make(chan workerExit, procs)
+	kill := func() {
+		for _, c := range cmds {
 			c.Process.Kill()
 		}
 	}
-	for range cmds {
-		<-done
+	for r := 0; r < procs; r++ {
+		cmd := exec.Command(exe, slices.Concat(os.Args[1:], []string{"-worker", "-wrank", strconv.Itoa(r), "-rdv", dir})...)
+		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+		if err := cmd.Start(); err != nil {
+			fmt.Fprintf(os.Stderr, "mlmd: worker %d: %v\n", r, err)
+			kill()
+			for range cmds {
+				<-done
+			}
+			return 1
+		}
+		cmds = append(cmds, cmd)
+		//lint:allow poolonly one reaper goroutine per forked worker process; launcher lifecycle, not a fan-out
+		go func(rank int, cmd *exec.Cmd) { done <- workerExit{rank, cmd.Wait()} }(r, cmd)
 	}
+	status, crashed := 0, 0
+	for range cmds {
+		e := <-done
+		if e.err == nil {
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "mlmd: worker %d: %v\n", e.rank, e.err)
+		var ee *exec.ExitError
+		if !failStop && errors.As(e.err, &ee) && ee.ProcessState.ExitCode() == -1 {
+			crashed++
+			continue
+		}
+		if status == 0 && failStop {
+			// One lost rank dooms a fail-stop run: take the survivors down
+			// now instead of letting them block on a mesh that can never
+			// complete.
+			kill()
+		}
+		status = 1
+	}
+	if crashed == procs {
+		status = 1
+	}
+	return status
 }
 
 // run is the full pipeline, shared by the single-process path and every
-// -procs worker (which all execute the deterministic DC-MESH stage and
-// diverge only in which lattice subdomain they own; out is io.Discard on
-// every rank but 0). A resume (ck.resume non-nil) skips the DC-MESH stage
-// and restores the lattice state from the checkpoint instead.
-func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float64, latCells int, opts shardOpts, ck ckptOpts) {
+// -procs worker or -hosts process (which all execute the deterministic
+// DC-MESH stage and diverge only in which lattice subdomain they own; out
+// is io.Discard on every rank but 0). The lattice stage runs through
+// shard.RunRecovered with ropts, completed here by the mesh hooks. A
+// resume (ropts.Resume non-nil) skips the DC-MESH stage.
+func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float64, latCells int, opts shardOpts, ropts shard.RecoverOpts) {
 	var nExc []float64
-	if ck.resume == nil {
+	if ropts.Resume == nil {
 		cfg := core.DefaultDCMESHConfig()
 		cfg.Global = grid.NewCubic(mesh, 0.8)
 		cfg.Dx, cfg.Dy, cfg.Dz = domains, domains, 1
@@ -537,7 +405,7 @@ func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float
 		fmt.Fprintf(out, "\n-- XS-NNQMD: %dx%dx2 PbTiO3 lattice response --\n", latCells, latCells)
 	} else {
 		fmt.Fprintf(out, "-- XS-NNQMD: resuming %dx%dx2 PbTiO3 lattice at step %d (t = %6.1f fs) --\n",
-			latCells, latCells, ck.resume.Step, units.Femtoseconds(ck.resume.Time))
+			latCells, latCells, ropts.Resume.Step, units.Femtoseconds(ropts.Resume.Time))
 	}
 
 	sys, lat, err := ferro.NewLattice(latCells, latCells, 2)
@@ -547,202 +415,169 @@ func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float
 	gs := ferro.DefaultEffHam(lat)
 	xs := ferro.DefaultEffHam(lat)
 	xs.SetExcitation(1.0)
-	stepsDone := 0
-	if ck.resume == nil {
+	if cp := ropts.Resume; cp == nil {
 		s0 := gs.S0()
 		for c := 0; c < lat.NumCells(); c++ {
 			lat.SetSoftMode(sys, c, 0, 0, s0)
 		}
-	} else {
-		cp := ck.resume
-		if cp.Sys.N != sys.N || cp.Sys.Lx != sys.Lx || cp.Sys.Ly != sys.Ly || cp.Sys.Lz != sys.Lz {
-			fail(fmt.Errorf("checkpoint holds %d atoms in a %gx%gx%g box; -cells %d builds %d atoms in %gx%gx%g",
-				cp.Sys.N, cp.Sys.Lx, cp.Sys.Ly, cp.Sys.Lz, latCells, sys.N, sys.Lx, sys.Ly, sys.Lz))
-		}
-		copy(sys.X, cp.Sys.X)
-		copy(sys.V, cp.Sys.V)
-		copy(sys.F, cp.Sys.F)
-		stepsDone = int(cp.Step)
+	} else if cp.Sys.N != sys.N || cp.Sys.Lx != sys.Lx || cp.Sys.Ly != sys.Ly || cp.Sys.Lz != sys.Lz {
+		fail(fmt.Errorf("checkpoint holds %d atoms in a %gx%gx%g box; -cells %d builds %d atoms in %gx%gx%g",
+			cp.Sys.N, cp.Sys.Lx, cp.Sys.Ly, cp.Sys.Lz, latCells, sys.N, sys.Lx, sys.Ly, sys.Lz))
 	}
 	nn, err := core.NewXSNNQMD(sys, lat, gs, xs, 20, 1)
 	if err != nil {
 		fail(err)
 	}
-	var eng *shard.Engine
-	if opts.grid != [3]int{} {
-		newFF, err := shard.BlendEffHamFactory(lat, gs, xs)
-		if err != nil {
-			fail(err)
-		}
-		cfg := shard.Config{
-			Grid:      opts.grid,
-			Cutoff:    latCutoff,
-			Skin:      latSkin,
-			NewFF:     newFF,
-			Balance:   opts.balance,
-			Comm:      opts.comm,
-			LocalRank: opts.local,
-		}
-		// A resume restores the checkpoint's cut planes when the shape
-		// matches; a shrunken shape seeds them from the persisted load
-		// profile instead, so heavy regions start narrow (empty = uniform).
-		if cp := ck.resume; cp != nil {
-			if cp.Grid == opts.grid {
-				cfg.Cuts = cp.Cuts
-			} else if cp.Grid != ([3]int{}) {
-				box := [3]float64{sys.Lx, sys.Ly, sys.Lz}
-				cfg.Cuts = shard.SeedCuts(opts.grid, box, latCutoff+latSkin, cp.Grid, cp.Cuts, cp.Loads)
-			}
-		}
-		eng, err = shard.NewEngine(cfg, sys)
-		if err != nil {
-			fail(err)
-		}
-		defer eng.Close()
-		nn.SetForceField(eng)
-		g := eng.Grid()
-		if opts.procs > 0 {
-			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid, %d processes)\n",
-				eng.Ranks(), g[0], g[1], g[2], opts.procs)
-		} else {
-			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid)\n", eng.Ranks(), g[0], g[1], g[2])
-		}
-	}
-	if ck.resume == nil {
+	nn.CarrierLifetime = 1000
+	if ropts.Resume == nil {
 		if err := nn.SetExcitationFromDomains(nExc, domains, domains, 1, 0.02); err != nil {
 			fail(err)
 		}
-	} else {
-		if err := nn.SetExcitationMap(ck.resume.Extra); err != nil {
-			fail(err)
-		}
-		nn.SetTime(ck.resume.Time)
-		// Construction and SetForceField both re-primed sys.F from the
-		// current weights; the first post-resume half-kick must instead use
-		// exactly the forces the interrupted run held, so restore F last.
-		copy(sys.F, ck.resume.Sys.F)
 	}
-	nn.CarrierLifetime = 1000
-	// The lattice loop advances to the next print or checkpoint boundary,
-	// whichever comes first — chunking is invisible to the trajectory
-	// (Step(n) is a plain loop of single steps), so the summary lines are
-	// bitwise identical with checkpointing on, off, or resumed mid-run.
-	isRoot := opts.comm == nil || opts.local == 0
-	for stepsDone < latBlocks*latBlock {
-		next := (stepsDone/latBlock + 1) * latBlock
-		if ck.every > 0 {
-			if nc := (stepsDone/ck.every + 1) * ck.every; nc < next {
-				next = nc
-			}
-		}
-		nn.Step(next - stepsDone)
-		stepsDone = next
-		if eng != nil {
-			if err := eng.Err(); err != nil {
-				adviseSurvivors(opts, err)
-				fail(err)
-			}
-		}
-		if stepsDone%latBlock == 0 {
-			fmt.Fprintf(out, "t = %6.1f fs: mean Pz = %+.4f, topological charge = %+.2f\n",
-				units.Femtoseconds(nn.Time()), nn.PolarizationField().MeanPz(), nn.TopologicalCharge())
-		}
-		if ck.every > 0 && stepsDone%ck.every == 0 && isRoot {
-			cp := &mlmdio.Checkpoint{
-				Step: int64(stepsDone), Time: nn.Time(), Dt: nn.DtMD,
-				Extra: nn.ExcitationPerCell, Sys: sys,
-			}
-			if eng != nil {
-				cp.Grid = eng.Grid()
-				for a := 0; a < 3; a++ {
-					cp.Cuts[a] = eng.CutPlanes(a)
-				}
-				cp.Loads = eng.LoadProfile()
-			}
-			// The write keeps the previous snapshot at ck.path.prev, so a
-			// crash mid-run always leaves an intact one for auto-resume
-			// discovery to find.
-			if err := mlmdio.WriteCheckpointFile(ck.path, cp); err != nil {
-				fail(err)
-			}
-		}
-		maybeTestKill(opts, stepsDone)
+	newFF, err := shard.BlendEffHamFactory(lat, gs, xs)
+	if err != nil {
+		fail(err)
 	}
-	if eng != nil && opts.balance {
-		// Timing-dependent, so outside the golden summary (the trajectory
-		// above is bitwise identical to the unbalanced run regardless).
-		rebalances, maxShift := eng.BalanceStats()
-		if opts.procs > 0 {
-			// A worker hosts one rank, so per-process imbalance is
-			// trivially 1.0 — print only the controller activity (the
-			// cross-rank profile lives inside the rebalance AllGather).
-			fmt.Fprintf(out, "(balance: %d rebalances, max cut shift %.3f)\n", rebalances, maxShift)
-		} else {
-			fmt.Fprintf(out, "(balance: %d rebalances, max cut shift %.3f, step-time imbalance %.2f, owned-atom imbalance %.2f)\n",
-				rebalances, maxShift, eng.LoadImbalance(), eng.OwnedImbalance())
+	cfg := shard.Config{
+		Grid:    opts.grid,
+		Cutoff:  latCutoff,
+		Skin:    latSkin,
+		NewFF:   newFF,
+		Balance: opts.balance,
+	}
+	sharded := opts.grid != [3]int{}
+	if !sharded {
+		cfg.Grid = [3]int{1, 1, 1}
+	}
+	st := &latticeStage{nn: nn, out: out, sharded: sharded, procs: opts.socket != nil}
+	if sm := opts.socket; sm != nil {
+		ropts.Mesh = sm.Build
+		ropts.OnChunk = testKill(sm)
+		// Only the current generation's rank 0 writes the summary.
+		ropts.OnResume = func(gen int, path string) {
+			st.out = io.Discard
+			if sm.Transport.Rank() == 0 {
+				st.out = os.Stdout
+				fmt.Fprintf(os.Stderr, "mlmd: restart %d/%d: resuming %d ranks from %s at generation %d\n",
+					gen, ropts.MaxRestarts, sm.Transport.Size(), path, gen)
+			}
 		}
 	}
-	if eng != nil {
-		// The list events depend on the decomposition (an unsharded run has
-		// none), so they stay outside the golden summary too.
+	if _, err := shard.RunRecovered(cfg, sys, st, ropts); err != nil {
+		fail(err)
+	}
+	if eng := st.eng; sharded {
+		if opts.balance {
+			// Timing-dependent, so outside the golden summary (the
+			// trajectory is bitwise identical to the unbalanced run
+			// regardless).
+			rebalances, maxShift := eng.BalanceStats()
+			if st.procs {
+				// A process hosts one rank, so per-process imbalance is
+				// trivially 1.0 — print only the controller activity (the
+				// cross-rank profile lives inside the rebalance AllGather).
+				fmt.Fprintf(st.out, "(balance: %d rebalances, max cut shift %.3f)\n", rebalances, maxShift)
+			} else {
+				fmt.Fprintf(st.out, "(balance: %d rebalances, max cut shift %.3f, step-time imbalance %.2f, owned-atom imbalance %.2f)\n",
+					rebalances, maxShift, eng.LoadImbalance(), eng.OwnedImbalance())
+			}
+		}
+		// The list events depend on the decomposition (an unsharded run
+		// has none), so they stay outside the golden summary too.
 		rebuilds, _ := eng.Stats()
 		prunes, buffer := eng.ListStats()
-		fmt.Fprintf(out, "(pair lists: %d rebuilds, %d prunes, rebuild buffer %.4g)\n", rebuilds, prunes, buffer)
+		fmt.Fprintf(st.out, "(pair lists: %d rebuilds, %d prunes, rebuild buffer %.4g)\n", rebuilds, prunes, buffer)
 	}
-	fmt.Fprintln(out, "\ndone.")
+	fmt.Fprintln(st.out, "\ndone.")
 }
 
-// adviseSurvivors is the multi-host survivor behavior: a -hosts run has no
-// supervising launcher, so on a rank failure each survivor prints a
-// ready-to-run shrink-and-restart command — the surviving endpoint list,
-// this host's new rank, the next mesh generation, and where to resume —
-// then exits through fail. A brief drain first lets near-simultaneous
-// failures all land in the shrunken list.
-func adviseSurvivors(opts shardOpts, err error) {
-	var rf *cluster.RankFailedError
-	if !errors.As(err, &rf) || len(opts.hostList) == 0 || opts.tr == nil {
-		return
-	}
-	time.Sleep(100 * time.Millisecond)
-	lost := map[int]bool{rf.Rank: true}
-	for _, r := range opts.tr.FailedRanks() {
-		lost[r] = true
-	}
-	surv := make([]string, 0, len(opts.hostList))
-	newRank := -1
-	for i, h := range opts.hostList {
-		if lost[i] {
-			continue
-		}
-		if i == opts.local {
-			newRank = len(surv)
-		}
-		surv = append(surv, h)
-	}
-	if newRank < 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr,
-		"mlmd: to resume on the %d survivors, run on this host:\n  mlmd -hosts %s -hostrank %d -gen %d -grid auto -resume <newest of -checkpoint/.prev> <original flags>\n",
-		len(surv), strings.Join(surv, ","), newRank, opts.gen+1)
+// latticeStage is the shard.Stage of the XS-NNQMD lattice loop: the
+// engine serves as core.XSNNQMD's force field (ComputeForces), so every
+// process's replicated sys holds the whole state and a checkpoint is
+// filled from it — never gathered, as the ranks' own velocities are not
+// advanced on that path. Advance prints a summary line at every latBlock
+// boundary; chunking is invisible to the trajectory (XSNNQMD.Step(n) is a
+// plain loop of single steps), so the lines are bitwise identical with
+// checkpointing on, off, resumed or recovered.
+type latticeStage struct {
+	nn   *core.XSNNQMD
+	out  io.Writer
+	step int
+	// sharded announces each generation's decomposition; procs marks a
+	// multi-process run.
+	sharded, procs bool
+	eng            *shard.Engine
+	f              []float64
 }
 
-// maybeTestKill is the crash-injection hook of the auto-recovery tests
-// (killRankEnv/killStepEnv): the named rank SIGKILLs itself at the first
-// chunk boundary at or past the named step — no bye frame, no deferred
-// teardown, exactly a crashed host. A no-op in production (envs unset).
-func maybeTestKill(opts shardOpts, stepsDone int) {
-	rankEnv, stepEnv := os.Getenv(killRankEnv), os.Getenv(killStepEnv)
-	if rankEnv == "" || stepEnv == "" || opts.comm == nil {
-		return
+// Attach installs eng as the force field. Attaching keeps the forces the
+// integrator holds (the freshly primed ones, or those of the checkpoint
+// just restored), so the first half-kick uses exactly them.
+func (s *latticeStage) Attach(eng *shard.Engine, sys *md.System) error {
+	s.eng = eng
+	s.f = append(s.f[:0], sys.F...)
+	s.nn.SetForceField(eng)
+	copy(sys.F, s.f)
+	if s.sharded {
+		g := eng.Grid()
+		if s.procs {
+			fmt.Fprintf(s.out, "(lattice stage sharded across %d ranks, %dx%dx%d grid, %d processes)\n",
+				eng.Ranks(), g[0], g[1], g[2], eng.Ranks())
+		} else {
+			fmt.Fprintf(s.out, "(lattice stage sharded across %d ranks, %dx%dx%d grid)\n", eng.Ranks(), g[0], g[1], g[2])
+		}
 	}
-	rank, err1 := strconv.Atoi(rankEnv)
-	step, err2 := strconv.Atoi(stepEnv)
-	if err1 != nil || err2 != nil || rank != opts.local || stepsDone < step {
-		return
+	return eng.Err()
+}
+
+// Advance steps the lattice n MD steps, printing at each summary boundary.
+func (s *latticeStage) Advance(n int) error {
+	for end := s.step + n; s.step < end; {
+		k := min(end, (s.step/latBlock+1)*latBlock) - s.step
+		s.nn.Step(k)
+		s.step += k
+		if err := s.eng.Err(); err != nil {
+			return err
+		}
+		if s.step%latBlock == 0 {
+			fmt.Fprintf(s.out, "t = %6.1f fs: mean Pz = %+.4f, topological charge = %+.2f\n",
+				units.Femtoseconds(s.nn.Time()), s.nn.PolarizationField().MeanPz(), s.nn.TopologicalCharge())
+		}
 	}
-	if p, err := os.FindProcess(os.Getpid()); err == nil {
-		p.Kill()
+	return nil
+}
+
+// Fill adds the lattice clock and the decayed excitation map.
+func (s *latticeStage) Fill(cp *mlmdio.Checkpoint) error {
+	cp.Time, cp.Dt, cp.Extra = s.nn.Time(), s.nn.DtMD, s.nn.ExcitationPerCell
+	return nil
+}
+
+// Restore takes the lattice clock and the excitation map from cp.
+func (s *latticeStage) Restore(cp *mlmdio.Checkpoint) error {
+	s.step = int(cp.Step)
+	s.nn.SetTime(cp.Time)
+	return s.nn.SetExcitationMap(cp.Extra)
+}
+
+// testKill is the crash-injection hook of the auto-recovery tests
+// (killRankEnv/killStepEnv): the process hosting rank killRankEnv of the
+// current generation SIGKILLs itself at the first checkpoint boundary at
+// or past step killStepEnv — no bye frame, no deferred teardown, exactly a
+// crashed host. nil in production (envs unset).
+func testKill(sm *shard.SocketMesh) func(gen, done int) error {
+	rank, err1 := strconv.Atoi(os.Getenv(killRankEnv))
+	step, err2 := strconv.Atoi(os.Getenv(killStepEnv))
+	if err1 != nil || err2 != nil {
+		return nil
+	}
+	return func(_, done int) error {
+		if sm.Transport.Rank() == rank && done >= step {
+			if p, err := os.FindProcess(os.Getpid()); err == nil {
+				p.Kill()
+			}
+		}
+		return nil
 	}
 }
 

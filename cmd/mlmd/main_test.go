@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -71,8 +72,8 @@ func TestFlagMisuseFailsFast(t *testing.T) {
 		{[]string{"-procs", "3", "-ranks", "2"}, "does not match"},
 		{[]string{"-ranks", "-1"}, "must be >= 0"},
 		{[]string{"-grid", "2x2"}, "not of the form"},
-		{[]string{"-auto-resume"}, "-auto-resume requires -procs"},
-		{[]string{"-auto-resume", "-procs", "2"}, "-auto-resume requires -checkpoint-every"},
+		{[]string{"-max-restarts", "1"}, "-max-restarts requires -procs"},
+		{[]string{"-max-restarts", "1", "-procs", "2"}, "-max-restarts requires -checkpoint-every"},
 		{[]string{"-grid", "auto"}, "-grid auto needs a rank count"},
 	}
 	for _, tc := range cases {
@@ -157,7 +158,7 @@ func TestFieldDemoFlagMisuse(t *testing.T) {
 		{[]string{"-fdtd", "-grid", "auto"}, "explicit PxxPyxPz"},
 		{[]string{"-tddft", "-checkpoint-every", "10"}, "-checkpoint-every applies to the particle lattice stage"},
 		{[]string{"-fdtd", "-resume", "x.ckpt"}, "-resume applies to the particle lattice stage"},
-		{[]string{"-fdtd", "-auto-resume"}, "-auto-resume applies to the particle lattice stage"},
+		{[]string{"-fdtd", "-max-restarts", "1"}, "-max-restarts applies to the particle lattice stage"},
 		{[]string{"-tddft", "-hosts", "h:1", "-hostrank", "0"}, "run the -tddft field demo with -procs"},
 		{[]string{"-fdtd", "-procs", "3", "-grid", "2x1x1"}, "does not match"},
 	}
@@ -397,10 +398,11 @@ func TestLauncherCleansUpOnWorkerFailure(t *testing.T) {
 }
 
 // TestAutoResumeRecoversFromKilledWorker (ISSUE 8 tentpole, end to end):
-// SIGKILL one of three -auto-resume workers mid-run. The launcher must reap
-// the crash, shrink to the two survivors, auto-select their grid, and
-// resume from the newest checkpoint at the next mesh generation — exiting
-// zero with a summary tail bitwise identical to an uninterrupted run.
+// SIGKILL one of three -max-restarts workers mid-run. The two survivors
+// must shrink, auto-select their grid, and resume from the newest
+// checkpoint at the next mesh generation by themselves, and the launcher
+// must exit zero with a summary tail bitwise identical to an uninterrupted
+// run.
 func TestAutoResumeRecoversFromKilledWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -418,7 +420,7 @@ func TestAutoResumeRecoversFromKilledWorker(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	cmd := exec.Command(exe, append(append([]string{}, smallArgs...),
-		"-procs", "3", "-auto-resume",
+		"-procs", "3", "-max-restarts", "3",
 		"-checkpoint-every", "60", "-checkpoint", ckpt)...)
 	cmd.Env = append(os.Environ(),
 		"MLMD_TEST_KILL_RANK=2",
@@ -443,10 +445,10 @@ func TestAutoResumeRecoversFromKilledWorker(t *testing.T) {
 	}
 }
 
-// TestAutoResumeHonorsRestartBudget (ISSUE 8 satellite): a worker that
-// crashes every generation must not restart forever — the launcher spends
-// exactly -max-restarts attempts, names the exhausted budget, and exits
-// nonzero.
+// TestAutoResumeHonorsRestartBudget (ISSUE 8 satellite): a rank that
+// crashes every generation must not restart the run forever — the
+// survivors spend exactly -max-restarts attempts, name the exhausted
+// budget, and the launch exits nonzero.
 func TestAutoResumeHonorsRestartBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -457,7 +459,7 @@ func TestAutoResumeHonorsRestartBudget(t *testing.T) {
 	exe := buildMLMD(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	cmd := exec.Command(exe, append(append([]string{}, smallArgs...),
-		"-procs", "4", "-auto-resume", "-max-restarts", "2",
+		"-procs", "4", "-max-restarts", "2",
 		"-checkpoint-every", "60", "-checkpoint", ckpt)...)
 	cmd.Env = append(os.Environ(),
 		"MLMD_TEST_KILL_RANK=0",
@@ -472,5 +474,73 @@ func TestAutoResumeHonorsRestartBudget(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output does not contain %q:\n%s", want, got)
 		}
+	}
+}
+
+// freeLoopbackPorts returns n distinct loopback endpoints that were free a
+// moment ago.
+func freeLoopbackPorts(t *testing.T, n int) []string {
+	t.Helper()
+	hosts := make([]string, n)
+	for i := range hosts {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("no loopback TCP support: %v", err)
+		}
+		defer ln.Close()
+		hosts[i] = ln.Addr().String()
+	}
+	return hosts
+}
+
+// TestHostsMeshHealsItself: three -hosts processes, one SIGKILLed after the
+// step-120 checkpoint. A multi-host run has no launcher, so the two
+// survivors must shrink onto a generation-1 mesh at their own endpoints
+// and resume from the checkpoint by themselves; rank 0's summary must end
+// with the uninterrupted run's tail bitwise.
+func TestHostsMeshHealsItself(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	if !haveLoopbackTCP(t) {
+		t.Skip("no loopback TCP support on this platform")
+	}
+	exe := buildMLMD(t)
+	ref := runMLMD(t, exe, smallArgs...)
+	tail := ref[strings.LastIndex(ref, "t = "):]
+
+	hosts := strings.Join(freeLoopbackPorts(t, 3), ",")
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	stdout := make([]strings.Builder, 3)
+	stderr := make([]strings.Builder, 3)
+	cmds := make([]*exec.Cmd, 3)
+	for r := range cmds {
+		cmd := exec.Command(exe, append(append([]string{}, smallArgs...),
+			"-hosts", hosts, "-hostrank", strconv.Itoa(r), "-max-restarts", "1",
+			"-checkpoint-every", "60", "-checkpoint", ckpt)...)
+		cmd.Env = append(os.Environ(), "MLMD_TEST_KILL_RANK=2", "MLMD_TEST_KILL_STEP=120")
+		cmd.Stdout, cmd.Stderr = &stdout[r], &stderr[r]
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		cmds[r] = cmd
+	}
+	errs := make([]error, 3)
+	for r, cmd := range cmds {
+		errs[r] = cmd.Wait()
+	}
+	if errs[2] == nil {
+		t.Errorf("the victim exited cleanly, want death by SIGKILL\n%s", stderr[2].String())
+	}
+	for r := 0; r < 2; r++ {
+		if errs[r] != nil {
+			t.Fatalf("survivor %d: %v\n%s%s", r, errs[r], stdout[r].String(), stderr[r].String())
+		}
+	}
+	if got := stderr[0].String() + stderr[1].String(); !strings.Contains(got, "generation 1") {
+		t.Errorf("the survivors did not name mesh generation 1:\n%s", got)
+	}
+	if got := stripShardNote(stdout[0].String()); !strings.HasSuffix(got, tail) {
+		t.Errorf("healed tail differs from the uninterrupted run\n--- healed ---\n%s\n--- want tail ---\n%s", got, tail)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"mlmd/internal/cluster"
-	"mlmd/internal/mlmdio"
 	"mlmd/internal/rank"
 	"mlmd/internal/shard"
 )
@@ -59,35 +57,6 @@ var RecoverCadences = []int{5, 10, 25, 50}
 // RecoverGrid is the decomposition of the -recover sweep: three slab ranks,
 // so a kill leaves a 2-survivor mesh to shrink onto.
 var RecoverGrid = [3]int{3, 1, 1}
-
-// recoverMeshBuilder locates original rank id among each generation's
-// survivors and builds the generation-tagged socket transport in dir,
-// exposing the transport through trOut for fault injection.
-func recoverMeshBuilder(dir string, id int, trOut **cluster.SocketTransport) shard.MeshBuilder {
-	return func(gen int, survivors []int, grid [3]int) (*cluster.Comm, int, func(), error) {
-		local := -1
-		for i, s := range survivors {
-			if s == id {
-				local = i
-			}
-		}
-		if local < 0 {
-			return nil, 0, nil, fmt.Errorf("bench: process %d not among survivors %v", id, survivors)
-		}
-		tr, err := cluster.NewSocketTransportOpts(dir, local, len(survivors), grid,
-			cluster.SocketOptions{Generation: gen})
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		comm, err := cluster.NewCommOver(tr, cluster.Interconnect{})
-		if err != nil {
-			tr.Close()
-			return nil, 0, nil, err
-		}
-		*trOut = tr
-		return comm, local, func() { tr.Close() }, nil
-	}
-}
 
 // RecoverCost measures, for each checkpoint cadence, the latency of one
 // automatic shrink-and-resume: size ranks run the LJ workload over socket
@@ -138,31 +107,27 @@ func RecoverCost(grid [3]int, cells, steps int, cadences []int) ([]RecoverPoint,
 			if err := os.Mkdir(dir, 0o755); err != nil {
 				return nil, err
 			}
-			path := filepath.Join(dir, "bench.ckpt")
 			errInjected := errors.New("bench: injected rank failure")
 			stats := make([]shard.RecoverStats, size)
 			errs := make([]error, size)
 			// One runtime slot per recovering process: the meshes rendezvous
 			// and run collectives, so every process must run concurrently.
 			procs := rank.Start(size, func(id, _ int) {
-				sys := base.Clone()
-				var tr *cluster.SocketTransport
+				mesh := &shard.SocketMesh{ID: id, Dir: dir}
 				opts := shard.RecoverOpts{
-					Steps: steps, Dt: 2, Every: every, MaxRestarts: 1,
-					Candidates: []string{path, path + ".prev"},
-					Write:      func(cp *mlmdio.Checkpoint) error { return mlmdio.WriteCheckpointFile(path, cp) },
-					Mesh:       recoverMeshBuilder(dir, id, &tr),
+					Steps: steps, Every: every, MaxRestarts: 1,
+					Path: filepath.Join(dir, "bench.ckpt"), Mesh: mesh.Build,
 				}
 				if id == size-1 {
 					opts.OnChunk = func(gen, done int) error {
 						if gen == 0 && done == killAt {
-							tr.Abort()
+							mesh.Transport.Abort()
 							return errInjected
 						}
 						return nil
 					}
 				}
-				_, stats[id], errs[id] = shard.RunRecovered(cfg, sys, opts)
+				stats[id], errs[id] = shard.RunRecovered(cfg, base.Clone(), &shard.Thermostat{Dt: 2}, opts)
 			})
 			procs.Dispatch(0)
 			procs.Close()

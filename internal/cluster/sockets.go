@@ -226,6 +226,11 @@ func newSocketTransport(network, listenAddr string, publish func(net.Listener) e
 		t.Close()
 		return nil, setupErr
 	}
+	// Every peer is connected, so a later dial at this address can only come
+	// from another mesh generation: refuse it (the dialer retries) instead of
+	// parking it in the backlog of a listener that never accepts again — a
+	// multi-host survivor rebinds this very endpoint for the next generation.
+	t.closeListener()
 	for src, p := range t.peers {
 		if p == nil {
 			continue
@@ -836,6 +841,21 @@ func (t *SocketTransport) Abort() error {
 	return t.shutdown(false)
 }
 
+// closeListener closes the listener, if still open, and removes its Unix
+// socket file.
+func (t *SocketTransport) closeListener() error {
+	if t.ln == nil {
+		return nil
+	}
+	addr := t.ln.Addr().String()
+	err := t.ln.Close()
+	if t.network == "unix" {
+		os.Remove(addr)
+	}
+	t.ln = nil
+	return err
+}
+
 // shutdown is the shared teardown of Close (bye = true) and Abort.
 func (t *SocketTransport) shutdown(bye bool) error {
 	if t.closed.Swap(true) {
@@ -851,14 +871,7 @@ func (t *SocketTransport) shutdown(bye bool) error {
 			}
 		}
 	}
-	var first error
-	if t.ln != nil {
-		addr := t.ln.Addr().String()
-		first = t.ln.Close()
-		if t.network == "unix" {
-			os.Remove(addr)
-		}
-	}
+	first := t.closeListener()
 	for _, p := range t.peers {
 		if p != nil {
 			if err := p.conn.Close(); err != nil && first == nil {

@@ -163,6 +163,17 @@ func TestXSNNQMDFullExcitationDepolarizes(t *testing.T) {
 	}
 }
 
+// TestXSNNQMDExcitationAllocatesNothing: the per-atom weights pushed into
+// the force field on every decaying step reuse one slice, so after the
+// receiver sized its copy, an excitation update allocates nothing.
+func TestXSNNQMDExcitationAllocatesNothing(t *testing.T) {
+	x := newAnalyticXSNNQMD(t, 4, 4, 2)
+	x.SetUniformExcitation(0.5)
+	if a := testing.AllocsPerRun(10, func() { x.SetUniformExcitation(0.25) }); a != 0 {
+		t.Errorf("SetUniformExcitation allocates %g times per call, want 0", a)
+	}
+}
+
 func TestXSNNQMDDomainMapping(t *testing.T) {
 	x := newAnalyticXSNNQMD(t, 4, 4, 2)
 	// 2x2x1 domains: excite only domain (0,0,0).

@@ -33,6 +33,9 @@ type XSNNQMD struct {
 	CarrierLifetime float64
 	rng             *rand.Rand
 	time            float64
+	// perAtom is applyExcitation's scratch: every receiver copies the
+	// weights, so one slice serves every step.
+	perAtom []float64
 }
 
 // NewXSNNQMD wires the module with ground- and excited-state force fields.
@@ -47,6 +50,7 @@ func NewXSNNQMD(sys *md.System, lat *ferro.Lattice, gs, xs md.ForceField, dtMD f
 		Sys: sys, Lat: lat,
 		Blend:             xsnn.NewBlend(gs, xs),
 		ExcitationPerCell: make([]float64, lat.NumCells()),
+		perAtom:           make([]float64, sys.N),
 		DtMD:              dtMD,
 		rng:               rand.New(rand.NewSource(seed)),
 	}
@@ -110,7 +114,7 @@ func (x *XSNNQMD) SetUniformExcitation(w float64) {
 // internal excitation is fixed at construction); intermediate excitation is
 // expressed entirely through the blending weight of Eq. (4).
 func (x *XSNNQMD) applyExcitation() {
-	perAtom := make([]float64, x.Sys.N)
+	perAtom := x.perAtom
 	for c := 0; c < x.Lat.NumCells(); c++ {
 		w := x.ExcitationPerCell[c]
 		ti := x.Lat.TiIndex[c]

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-
-	"mlmd/internal/cluster"
 )
 
 // mpSkip skips where multi-process runs are unavailable or too slow: -short
@@ -68,34 +66,10 @@ func runMPRecoverWorker(c identityCase, rank int, rdv string) error {
 			return err
 		}
 	}
-	ckpt := filepath.Join(rdv, "run.ckpt")
-	lastLocal := 0
+	mesh := &SocketMesh{ID: rank, Dir: rdv}
 	ropts := RecoverOpts{
-		Steps: c.steps, Dt: fx.dt, Every: every, MaxRestarts: maxRestarts,
-		Candidates: []string{ckpt, ckpt + ".prev"},
-		Write:      rotatingWriter(ckpt),
-		Mesh: func(gen int, survivors []int, g [3]int) (*cluster.Comm, int, func(), error) {
-			local := -1
-			for i, s := range survivors {
-				if s == rank {
-					local = i
-				}
-			}
-			if local < 0 {
-				return nil, 0, nil, fmt.Errorf("worker %d not among survivors %v", rank, survivors)
-			}
-			tr, err := cluster.NewSocketTransportOpts(rdv, local, len(survivors), g, cluster.SocketOptions{Generation: gen})
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			comm, err := cluster.NewCommOver(tr, cluster.Interconnect{})
-			if err != nil {
-				tr.Close()
-				return nil, 0, nil, err
-			}
-			lastLocal = local
-			return comm, local, func() { tr.Close() }, nil
-		},
+		Steps: c.steps, Every: every, MaxRestarts: maxRestarts,
+		Path: filepath.Join(rdv, "run.ckpt"), Mesh: mesh.Build,
 	}
 	if killStep > 0 {
 		ropts.OnChunk = func(gen, done int) error {
@@ -105,7 +79,8 @@ func runMPRecoverWorker(c identityCase, rank int, rdv string) error {
 			return nil
 		}
 	}
-	res, stats, err := RunRecovered(cfg, sys, ropts)
+	th := &Thermostat{Dt: fx.dt}
+	stats, err := RunRecovered(cfg, sys, th, ropts)
 	if err != nil {
 		return err
 	}
@@ -114,10 +89,10 @@ func runMPRecoverWorker(c identityCase, rank int, rdv string) error {
 	}
 	fmt.Printf("recover: rank %d restarts=%d resumed=%d detect_to_resume=%v\n",
 		rank, stats.Restarts, stats.ResumedStep, stats.DetectToResume)
-	if lastLocal != 0 {
+	if mesh.Transport.Rank() != 0 {
 		return nil
 	}
-	return writeOutcome(rdv, outcome{frames: [][]float64{particleFrame(sys)}, obs: []float64{res.PE, res.KE}})
+	return writeOutcome(rdv, outcome{frames: [][]float64{particleFrame(sys)}, obs: []float64{th.Last.PE, th.Last.KE}})
 }
 
 // TestAutoRecoveryAfterKill: four OS-process workers run the LJ fixture

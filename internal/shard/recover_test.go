@@ -23,45 +23,8 @@ import (
 
 // recoverOutcome collects one process's RunRecovered return values.
 type recoverOutcome struct {
-	res   RunResult
 	stats RecoverStats
 	err   error
-}
-
-// socketMeshBuilder returns a MeshBuilder for the process holding original
-// rank id: each generation it locates id among the survivors, builds the
-// generation-tagged socket transport in dir, and exposes the transport via
-// the returned pointer so fault injection can Abort it.
-func socketMeshBuilder(dir string, id int, trOut **cluster.SocketTransport) MeshBuilder {
-	return func(gen int, survivors []int, grid [3]int) (*cluster.Comm, int, func(), error) {
-		local := -1
-		for i, s := range survivors {
-			if s == id {
-				local = i
-			}
-		}
-		if local < 0 {
-			return nil, 0, nil, fmt.Errorf("process %d not among survivors %v", id, survivors)
-		}
-		tr, err := cluster.NewSocketTransportOpts(dir, local, len(survivors), grid,
-			cluster.SocketOptions{Generation: gen})
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		comm, err := cluster.NewCommOver(tr, cluster.Interconnect{})
-		if err != nil {
-			tr.Close()
-			return nil, 0, nil, err
-		}
-		*trOut = tr
-		return comm, local, func() { tr.Close() }, nil
-	}
-}
-
-// rotatingWriter persists checkpoints to path; the write keeps the one
-// before at path.prev, the layout NewestValidCheckpoint discovery expects.
-func rotatingWriter(path string) func(cp *mlmdio.Checkpoint) error {
-	return func(cp *mlmdio.Checkpoint) error { return mlmdio.WriteCheckpointFile(path, cp) }
 }
 
 // TestRunRecoveredShrinksInProcess: three partial engines over socket
@@ -93,24 +56,22 @@ func TestRunRecoveredShrinksInProcess(t *testing.T) {
 			defer wg.Done()
 			sys := base.Clone()
 			syss[id] = sys
-			var tr *cluster.SocketTransport
+			mesh := &SocketMesh{ID: id, Dir: dir}
 			opts := RecoverOpts{
-				Steps: steps, Dt: dt, Every: every, MaxRestarts: 2,
-				Candidates: []string{path, path + ".prev"},
-				Write:      rotatingWriter(path),
-				Mesh:       socketMeshBuilder(dir, id, &tr),
+				Steps: steps, Every: every, MaxRestarts: 2,
+				Path: path, Mesh: mesh.Build,
 			}
 			if id == 1 {
 				opts.OnChunk = func(gen, done int) error {
 					if gen == 0 && done == killAt {
-						tr.Abort() // dies without a bye
+						mesh.Transport.Abort() // dies without a bye
 						return errAborted
 					}
 					return nil
 				}
 			}
-			res, stats, err := RunRecovered(cfg, sys, opts)
-			outs[id] = recoverOutcome{res, stats, err}
+			stats, err := RunRecovered(cfg, sys, &Thermostat{Dt: dt}, opts)
+			outs[id] = recoverOutcome{stats, err}
 		}(id)
 	}
 	joined := make(chan struct{})
@@ -190,18 +151,15 @@ func TestRunRecoveredHonorsBudget(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			sys := base.Clone()
-			var tr *cluster.SocketTransport
-			inner := socketMeshBuilder(dir, id, &tr)
+			mesh := &SocketMesh{ID: id, Dir: dir}
 			opts := RecoverOpts{
-				Steps: steps, Dt: dt, Every: every, MaxRestarts: 2,
-				Candidates: []string{path, path + ".prev"},
-				Write:      rotatingWriter(path),
-				Mesh:       inner,
+				Steps: steps, Every: every, MaxRestarts: 2,
+				Path: path, Mesh: mesh.Build,
 			}
 			if id == 1 {
 				opts.OnChunk = func(gen, done int) error {
 					if gen == 0 && done == killAt {
-						tr.Abort()
+						mesh.Transport.Abort()
 						return errAborted
 					}
 					return nil
@@ -212,11 +170,11 @@ func TestRunRecoveredHonorsBudget(t *testing.T) {
 						rebuildGens = append(rebuildGens, gen)
 						return nil, 0, nil, fmt.Errorf("injected rendezvous failure at generation %d", gen)
 					}
-					return inner(gen, survivors, g)
+					return mesh.Build(gen, survivors, g)
 				}
 			}
-			res, stats, err := RunRecovered(cfg, sys, opts)
-			outs[id] = recoverOutcome{res, stats, err}
+			stats, err := RunRecovered(cfg, sys, &Thermostat{Dt: dt}, opts)
+			outs[id] = recoverOutcome{stats, err}
 		}(id)
 	}
 	joined := make(chan struct{})
@@ -250,10 +208,26 @@ func TestRunRecoveredHonorsBudget(t *testing.T) {
 	}
 }
 
+// slowFill stalls after filling the checkpoint of step at, so the file
+// still holds the one before while the other processes run on.
+type slowFill struct {
+	Stage
+	at int64
+}
+
+func (s slowFill) Fill(cp *mlmdio.Checkpoint) error {
+	err := s.Stage.Fill(cp)
+	if cp.Step == s.at {
+		time.Sleep(400 * time.Millisecond)
+	}
+	return err
+}
+
 // TestRunRecoveredWaitsForTheWriter: the process hosting rank 0 is still
-// inside the kill-step checkpoint write — path still holding the previous
-// snapshot — when the other survivor detects the failure. Discovery follows the next generation's rendezvous, which the
-// writer joins only after its write, so every survivor resumes at the kill
+// filling the kill-step checkpoint — path still holding the previous
+// snapshot — when the other survivor detects the failure. Discovery
+// follows the next generation's rendezvous, which the writer joins only
+// after its write, so every survivor resumes at the kill
 // step on its one restart. (Discovering before the rendezvous read the
 // predecessor, disagreed with the writer and exhausted the budget.)
 func TestRunRecoveredWaitsForTheWriter(t *testing.T) {
@@ -267,13 +241,6 @@ func TestRunRecoveredWaitsForTheWriter(t *testing.T) {
 		Grid: [3]int{3, 1, 1}, Cutoff: testCutoff, Skin: testSkin,
 		NewFF: LJFactory(testEps, testSigma),
 	}
-	// slowWriter stalls before writing the kill-step file.
-	slowWriter := func(cp *mlmdio.Checkpoint) error {
-		if cp.Step == killAt {
-			time.Sleep(400 * time.Millisecond)
-		}
-		return mlmdio.WriteCheckpointFile(path, cp)
-	}
 
 	outs := make([]recoverOutcome, 3)
 	var wg sync.WaitGroup
@@ -281,24 +248,26 @@ func TestRunRecoveredWaitsForTheWriter(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			var tr *cluster.SocketTransport
+			mesh := &SocketMesh{ID: id, Dir: dir}
 			opts := RecoverOpts{
-				Steps: steps, Dt: dt, Every: every, MaxRestarts: 1,
-				Candidates: []string{path, path + ".prev"},
-				Write:      slowWriter,
-				Mesh:       socketMeshBuilder(dir, id, &tr),
+				Steps: steps, Every: every, MaxRestarts: 1,
+				Path: path, Mesh: mesh.Build,
+			}
+			var st Stage = &Thermostat{Dt: dt}
+			if id == 0 {
+				st = slowFill{st, killAt} // the writer
 			}
 			if id == 1 {
 				opts.OnChunk = func(gen, done int) error {
 					if gen == 0 && done == killAt {
-						tr.Abort()
+						mesh.Transport.Abort()
 						return errAborted
 					}
 					return nil
 				}
 			}
-			res, stats, err := RunRecovered(cfg, base.Clone(), opts)
-			outs[id] = recoverOutcome{res, stats, err}
+			stats, err := RunRecovered(cfg, base.Clone(), st, opts)
+			outs[id] = recoverOutcome{stats, err}
 		}(id)
 	}
 	joined := make(chan struct{})
