@@ -70,7 +70,8 @@
 #                  them (alternating pairs, every workload, compare table;
 #                  exit 1 on a regression). Both refs must contain benchmark/.
 #   make bench   - hot-kernel benchmarks (serial vs pool) with allocation
-#                  counts, printed by go test -bench
+#                  counts, printed by go test -bench, and one collective
+#                  (AllReduce, AllGather) per transport and rank count
 #   make tables  - the full paper-table benchmark suite at the repo root
 #
 # docs/benchmarks.md maps what each measurement entry point is for;
@@ -262,6 +263,7 @@ bench-ab:
 bench:
 	$(GO) test ./internal/md ./internal/linalg ./internal/par \
 		-run '^$$' -bench . -benchmem -benchtime=1s
+	$(GO) test ./internal/cluster -run '^$$' -bench Collective -benchmem -benchtime=200000x
 
 tables:
 	$(GO) test . -run '^$$' -bench . -benchmem

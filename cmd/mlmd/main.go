@@ -37,7 +37,10 @@
 // every N MD steps (atomically, to -checkpoint, keeping the previous
 // snapshot at -checkpoint.prev); -resume path continues an interrupted run
 // from its last snapshot — on any decomposition, with a trajectory bitwise
-// identical to the uninterrupted run.
+// identical to the uninterrupted run. The particle pipeline's last line
+// before "done." is a CRC64 of the final lattice state (the IEEE-754 bits
+// of positions, velocities, forces and the excitation map), so comparing
+// two summaries compares their final states bit for bit.
 //
 // -max-restarts N (with -procs or -hosts, and -checkpoint-every) makes a
 // run heal itself: when ranks are lost, every surviving process drains the
@@ -55,10 +58,13 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc64"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"slices"
@@ -488,7 +494,24 @@ func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float
 		prunes, buffer := eng.ListStats()
 		fmt.Fprintf(st.out, "(pair lists: %d rebuilds, %d prunes, rebuild buffer %.4g)\n", rebuilds, prunes, buffer)
 	}
+	fmt.Fprintf(st.out, "state crc64 = %016x\n", stateCRC(nn))
 	fmt.Fprintln(st.out, "\ndone.")
+}
+
+// stateCRC folds the IEEE-754 bits of the lattice positions, velocities and
+// forces and of the excitation map into one CRC64 (ECMA). Every process
+// holds the whole replicated state, so rank 0's value covers the run.
+func stateCRC(nn *core.XSNNQMD) uint64 {
+	tab := crc64.MakeTable(crc64.ECMA)
+	var crc uint64
+	var b [8]byte
+	for _, vals := range [][]float64{nn.Sys.X, nn.Sys.V, nn.Sys.F, nn.ExcitationPerCell} {
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			crc = crc64.Update(crc, tab, b[:])
+		}
+	}
+	return crc
 }
 
 // latticeStage is the shard.Stage of the XS-NNQMD lattice loop: the

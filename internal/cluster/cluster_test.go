@@ -71,12 +71,12 @@ func TestCommSendRecv(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		c.AdvanceClock(0, 1.0)
-		c.Send(0, 1, []float64{1, 2, 3})
+		c.SendBuf(0, 1, []float64{1, 2, 3})
 	}()
 	var got []float64
 	go func() {
 		defer wg.Done()
-		got = c.Recv(1, 0)
+		got = c.RecvInto(1, 0, nil)
 	}()
 	wg.Wait()
 	if len(got) != 3 || got[2] != 3 {
@@ -98,7 +98,8 @@ func TestCommAllReduce(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			c.AdvanceClock(r, float64(r)*0.1) // staggered clocks
-			results[r] = c.AllReduceSum(r, []float64{float64(r + 1), 1})
+			results[r] = []float64{float64(r + 1), 1}
+			c.AllReduceSumInPlace(r, results[r])
 		}(r)
 	}
 	wg.Wait()

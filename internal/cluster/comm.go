@@ -105,34 +105,19 @@ func (c *Comm) depart(src, n int) float64 {
 	return t + 8*float64(n)*c.net.Beta
 }
 
-// Send transmits data from rank src to dst (non-blocking up to the
+// SendBuf transmits data from rank src to dst (non-blocking up to the
 // transport's buffering). The sender's clock pays the injection overhead
-// alpha; the payload is copied, so the caller keeps ownership of data.
-func (c *Comm) Send(src, dst int, data []float64) {
-	c.tr.Send(src, dst, data, c.depart(src, len(data)))
-}
-
-// Recv blocks until a message from src arrives at dst, advancing dst's
-// clock to max(own, message arrival time). The returned slice is freshly
-// sized for the caller; use RecvInto to recycle a retained buffer.
-func (c *Comm) Recv(dst, src int) []float64 {
-	data, at := c.tr.Recv(dst, src, nil)
-	c.alignClock(dst, at)
-	return data
-}
-
-// SendBuf is Send under the allocation-free steady-state contract: the
-// transport copies data into a recycled buffer, so messaging allocates
-// nothing once the receiver uses RecvInto. (Since the transport split both
-// methods share the pooled path; SendBuf remains the documented pair of
-// RecvInto.) Clock accounting matches Send.
+// alpha. The transport copies data into a recycled buffer, so the caller
+// keeps ownership of data and messaging allocates nothing once the
+// receiver uses RecvInto.
 func (c *Comm) SendBuf(src, dst int, data []float64) {
 	c.tr.Send(src, dst, data, c.depart(src, len(data)))
 }
 
-// RecvInto receives a message from src at dst into the provided buffer
-// (grown if needed) and releases the transport buffer back to its pool.
-// It returns the filled buffer; clock accounting matches Recv.
+// RecvInto blocks until a message from src arrives at dst, copies it into
+// the provided buffer (grown if needed) and releases the transport buffer
+// back to its pool. It returns the filled buffer and advances dst's clock
+// to max(own, message arrival time).
 func (c *Comm) RecvInto(dst, src int, into []float64) []float64 {
 	into, at := c.tr.Recv(dst, src, into)
 	c.alignClock(dst, at)
@@ -146,22 +131,11 @@ func (c *Comm) Barrier(rank int) {
 	c.alignClock(rank, aligned)
 }
 
-// AllReduceSum sums vec elementwise across all ranks (every rank receives
-// the total in a fresh slice; vec is untouched) and aligns clocks to
-// slowest + modeled collective time.
-func (c *Comm) AllReduceSum(rank int, vec []float64) []float64 {
-	out := append([]float64(nil), vec...)
-	aligned := c.tr.AllReduceSum(rank, out, c.Clock(rank), c.costReduce)
-	c.alignClock(rank, aligned)
-	return out
-}
-
 // AllReduceSumInPlace sums vec elementwise across all ranks, overwriting
-// every rank's vec with the total. Unlike AllReduceSum it is
-// allocation-free in steady state: the combine buffer is retained by the
-// transport and each rank copies the total into its own vec before leaving
-// the rendezvous. Every rank must pass a vec of the same length. Clocks
-// align like AllReduceSum.
+// every rank's vec with the total, and aligns clocks to the slowest rank
+// plus the modeled collective time. It is allocation-free in steady state:
+// the transport sums into a pooled buffer and each rank receives the total
+// into its own vec. Every rank must pass a vec of the same length.
 func (c *Comm) AllReduceSumInPlace(rank int, vec []float64) {
 	aligned := c.tr.AllReduceSum(rank, vec, c.Clock(rank), c.costReduce)
 	c.alignClock(rank, aligned)

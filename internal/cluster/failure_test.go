@@ -361,12 +361,12 @@ func TestRecvAfterFailureBlamesLatchedRank(t *testing.T) {
 		t.Fatal("rank 2's inbox closed without a recorded bye")
 	}
 
-	// Both select arms of recv are ready now and Go picks one at random:
+	// Both select arms of take are ready now and Go picks one at random:
 	// repeat until each has surely been taken.
 	for i := 0; i < 64; i++ {
-		rf := recvFailure(t, func() { tr.recv(2) })
+		rf := recvFailure(t, func() { tr.take(0, 2) })
 		if rf != latched {
-			t.Fatalf("attempt %d: recv(2) panicked with %v, want the latched %v", i, rf, latched)
+			t.Fatalf("attempt %d: take(0, 2) panicked with %v, want the latched %v", i, rf, latched)
 		}
 	}
 }

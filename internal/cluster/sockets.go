@@ -91,12 +91,6 @@ func socketAddrGen(dir string, rank, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("g%d.r%d.sock", gen, rank))
 }
 
-// sockMsg is one received frame queued for Recv.
-type sockMsg struct {
-	data []float64
-	time float64
-}
-
 // sockPeer is one established connection to a remote rank.
 type sockPeer struct {
 	conn net.Conn
@@ -119,11 +113,9 @@ type sockPeer struct {
 //
 // Per-peer reader goroutines drain incoming frames into pooled buffers, so
 // simultaneous bulk sends from both ends of a connection cannot deadlock on
-// kernel socket buffers. Collectives run over the same connections as
-// point-to-point traffic (fan-in to rank 0, combine in ascending rank
-// order — the same summation order as the in-process barrier, which is what
-// keeps multi-process trajectories bitwise identical — then fan-out of the
-// combined result with the aligned clock).
+// kernel socket buffers. The collectives are the embedded ones every
+// transport shares, run over the same connections as point-to-point
+// traffic.
 //
 // A SocketTransport hosts exactly one rank: only that rank may appear as
 // the src of Send / the dst of Recv / the rank of a collective. Closing the
@@ -138,18 +130,18 @@ type sockPeer struct {
 // naming the lost rank instead of hanging. See RankFailedError for how the
 // shard engine converts the panic into a driver-visible error.
 type SocketTransport struct {
-	rank, size int
-	grid       [3]int
-	network    string
-	opts       SocketOptions
-	ln         net.Listener
-	peers      []*sockPeer
-	inbox      []chan sockMsg
-	pool       bufPool
-	closed     atomic.Bool
-	readErr    sync.Map // src rank -> error
+	collectives
+	rank    int
+	grid    [3]int
+	network string
+	opts    SocketOptions
+	ln      net.Listener
+	peers   []*sockPeer
+	inbox   []chan frame
+	closed  atomic.Bool
+	readErr sync.Map // src rank -> error
 	// failure latch: the first peer failure stores the typed error and
-	// closes failedCh, waking every blocked recv on this process. failMu
+	// closes failedCh, waking every blocked take on this process. failMu
 	// guards failedRanks, the cumulative set of ranks this process has
 	// blamed — concurrent and duplicate reports are idempotent, every
 	// report after the first reuses the latched error (so one survivor
@@ -189,15 +181,16 @@ func newSocketTransport(network, listenAddr string, publish func(net.Listener) e
 		return nil, fmt.Errorf("cluster: socket transport rank %d of size %d", rank, size)
 	}
 	t := &SocketTransport{
-		rank: rank, size: size, grid: grid,
+		rank: rank, grid: grid,
 		network: network, opts: opts,
 		failedCh: make(chan struct{}),
 		stop:     make(chan struct{}),
 	}
+	t.mb, t.size = t, size
 	t.peers = make([]*sockPeer, size)
-	t.inbox = make([]chan sockMsg, size)
+	t.inbox = make([]chan frame, size)
 	for i := range t.inbox {
-		t.inbox[i] = make(chan sockMsg, socketInboxDepth)
+		t.inbox[i] = make(chan frame, socketInboxDepth)
 	}
 	if size == 1 {
 		return t, nil
@@ -367,7 +360,7 @@ func (t *SocketTransport) dialPeers(peerAddr func(int) (string, error)) error {
 	return nil
 }
 
-// peerFailed latches an observed peer failure and wakes every blocked recv.
+// peerFailed latches an observed peer failure and wakes every blocked take.
 // The first report stores the transport-wide error; later reports (for the
 // same or a different rank) keep the first error — fail-stop: one lost rank
 // already dooms the mesh generation, and naming the first latched rank keeps
@@ -452,7 +445,7 @@ func (t *SocketTransport) sendFailed(dst int, err error) *RankFailedError {
 }
 
 // recvClosed picks the panic value when src's inbox closed under a blocked
-// recv. A crashed src was latched by its read loop before the inbox closed;
+// take. A crashed src was latched by its read loop before the inbox closed;
 // a graceful bye from src means the root cause is elsewhere in the mesh —
 // wait for it to latch before blaming a rank that shut down cleanly. Either
 // way the latch, once set, is the answer: it names the first failure this
@@ -553,7 +546,7 @@ func (t *SocketTransport) readLoop(src int, p *sockPeer) {
 			return
 		}
 		select {
-		case t.inbox[src] <- sockMsg{data: data, time: clock}:
+		case t.inbox[src] <- frame{data: data, time: clock}:
 		case <-t.stop:
 			// Nobody will drain a full inbox once teardown starts; bailing
 			// out here keeps Close's wg.Wait from deadlocking on this loop.
@@ -562,9 +555,6 @@ func (t *SocketTransport) readLoop(src int, p *sockPeer) {
 		}
 	}
 }
-
-// Size implements Transport.
-func (t *SocketTransport) Size() int { return t.size }
 
 // Rank returns the rank this process hosts.
 func (t *SocketTransport) Rank() int { return t.rank }
@@ -599,13 +589,15 @@ func (t *SocketTransport) DelayPeer(rank int, d time.Duration) {
 	t.peers[rank].delay.Store(int64(d))
 }
 
-// send frames data to dst with the given clock stamp (self-sends queue
-// through the local inbox, mirroring the channel transport's self-mailbox).
-func (t *SocketTransport) send(dst int, data []float64, clock float64) {
+// Send implements Transport: src must be the hosted rank. A self-send
+// queues a pooled copy through the local inbox, mirroring the channel
+// transport's self-mailbox; any other frame goes straight onto the wire.
+func (t *SocketTransport) Send(src, dst int, data []float64, at float64) {
+	t.hosted(src)
 	if dst == t.rank {
 		buf := t.pool.get(len(data))
 		copy(buf, data)
-		t.inbox[dst] <- sockMsg{data: buf, time: clock}
+		t.inbox[dst] <- frame{data: buf, time: at}
 		return
 	}
 	p := t.peers[dst]
@@ -619,19 +611,20 @@ func (t *SocketTransport) send(dst int, data []float64, clock float64) {
 	if t.opts.PeerTimeout > 0 {
 		p.conn.SetWriteDeadline(time.Now().Add(t.opts.PeerTimeout))
 	}
-	err := p.w.WriteData(clock, data)
+	err := p.w.WriteData(at, data)
 	p.mu.Unlock()
 	if err != nil {
 		panic(t.sendFailed(dst, fmt.Errorf("send: %w", err)))
 	}
 }
 
-// recv pops the next frame from src, panicking with a *RankFailedError if
-// any peer of the mesh was lost mid-run — the failure latch wakes receives
-// blocked on healthy peers too, so a survivor waiting on a rank that is
-// itself stuck behind the dead one unblocks within the detection bound
-// instead of inheriting the hang.
-func (t *SocketTransport) recv(src int) sockMsg {
+// take implements mailbox: dst must be the hosted rank. It pops the next
+// frame from src, panicking with a *RankFailedError if any peer of the mesh
+// was lost mid-run — the failure latch wakes takes blocked on healthy peers
+// too, so a survivor waiting on a rank that is itself stuck behind the dead
+// one unblocks within the detection bound instead of inheriting the hang.
+func (t *SocketTransport) take(dst, src int) frame {
+	t.hosted(dst)
 	select {
 	case m, ok := <-t.inbox[src]:
 		if !ok {
@@ -661,165 +654,6 @@ func (t *SocketTransport) hosted(rank int) {
 	if rank != t.rank {
 		panic(fmt.Sprintf("cluster: socket transport hosts rank %d, not rank %d", t.rank, rank))
 	}
-}
-
-// Send implements Transport.
-func (t *SocketTransport) Send(src, dst int, data []float64, at float64) {
-	t.hosted(src)
-	t.send(dst, data, at)
-}
-
-// Recv implements Transport.
-func (t *SocketTransport) Recv(dst, src int, into []float64) ([]float64, float64) {
-	t.hosted(dst)
-	m := t.recv(src)
-	if cap(into) < len(m.data) {
-		into = make([]float64, len(m.data))
-	}
-	into = into[:len(m.data)]
-	copy(into, m.data)
-	t.pool.put(m.data)
-	return into, m.time
-}
-
-// Barrier implements Transport (an AllReduceSum of an empty vector).
-func (t *SocketTransport) Barrier(rank int, clock float64, cost CollectiveCost) float64 {
-	return t.AllReduceSum(rank, nil, clock, cost)
-}
-
-// AllReduceSum implements Transport: fan-in to rank 0, which sums the
-// contributions in ascending rank order (bitwise identical to the
-// in-process barrier's combine), computes the aligned clock from the
-// slowest contribution, and fans the total back out.
-func (t *SocketTransport) AllReduceSum(rank int, vec []float64, clock float64, cost CollectiveCost) float64 {
-	t.hosted(rank)
-	if t.size == 1 {
-		return cost(clock, len(vec))
-	}
-	if rank != 0 {
-		t.send(0, vec, clock)
-		m := t.recv(0)
-		copy(vec, m.data)
-		aligned := m.time
-		t.pool.put(m.data)
-		return aligned
-	}
-	red := t.pool.get(len(vec))
-	for i := range red {
-		red[i] = 0
-	}
-	for i, v := range vec {
-		red[i] += v
-	}
-	worst := clock
-	for src := 1; src < t.size; src++ {
-		m := t.recv(src)
-		if len(m.data) != len(vec) {
-			panic(fmt.Sprintf("cluster: allreduce length %d from rank %d, want %d", len(m.data), src, len(vec)))
-		}
-		for i, v := range m.data {
-			red[i] += v
-		}
-		if m.time > worst {
-			worst = m.time
-		}
-		t.pool.put(m.data)
-	}
-	aligned := cost(worst, len(vec))
-	copy(vec, red)
-	for dst := 1; dst < t.size; dst++ {
-		t.send(dst, vec, aligned)
-	}
-	t.pool.put(red)
-	return aligned
-}
-
-// AllGather implements Transport: fan-in to rank 0, rank-order
-// concatenation, fan-out of the full profile with the aligned clock.
-func (t *SocketTransport) AllGather(rank int, vec, into []float64, clock float64, cost CollectiveCost) ([]float64, float64) {
-	t.hosted(rank)
-	if t.size == 1 {
-		if cap(into) < len(vec) {
-			into = make([]float64, len(vec))
-		}
-		into = into[:len(vec)]
-		copy(into, vec)
-		return into, cost(clock, len(vec))
-	}
-	if rank != 0 {
-		t.send(0, vec, clock)
-		m := t.recv(0)
-		if cap(into) < len(m.data) {
-			into = make([]float64, len(m.data))
-		}
-		into = into[:len(m.data)]
-		copy(into, m.data)
-		aligned := m.time
-		t.pool.put(m.data)
-		return into, aligned
-	}
-	ag := t.pool.get(len(vec))[:0]
-	ag = append(ag, vec...)
-	worst := clock
-	for src := 1; src < t.size; src++ {
-		m := t.recv(src)
-		ag = append(ag, m.data...)
-		if m.time > worst {
-			worst = m.time
-		}
-		t.pool.put(m.data)
-	}
-	aligned := cost(worst, len(ag))
-	for dst := 1; dst < t.size; dst++ {
-		t.send(dst, ag, aligned)
-	}
-	if cap(into) < len(ag) {
-		into = make([]float64, len(ag))
-	}
-	into = into[:len(ag)]
-	copy(into, ag)
-	t.pool.put(ag)
-	return into, aligned
-}
-
-// Gather implements Transport: contributions fan in to root (which returns
-// fresh per-rank copies); root answers every rank with the aligned clock.
-// The modeled element count is rank 0's contribution length, matching the
-// in-process transport.
-func (t *SocketTransport) Gather(rank, root int, vec []float64, clock float64, cost CollectiveCost) ([][]float64, float64) {
-	t.hosted(rank)
-	if t.size == 1 {
-		return [][]float64{append([]float64(nil), vec...)}, cost(clock, len(vec))
-	}
-	if rank != root {
-		t.send(root, vec, clock)
-		m := t.recv(root)
-		aligned := m.time
-		t.pool.put(m.data)
-		return nil, aligned
-	}
-	parts := make([][]float64, t.size)
-	parts[rank] = append([]float64(nil), vec...)
-	worst := clock
-	for src := 0; src < t.size; src++ {
-		if src == rank {
-			continue
-		}
-		m := t.recv(src)
-		parts[src] = append([]float64(nil), m.data...)
-		if m.time > worst {
-			worst = m.time
-		}
-		t.pool.put(m.data)
-	}
-	aligned := cost(worst, len(parts[0]))
-	for dst := 0; dst < t.size; dst++ {
-		if dst == rank {
-			continue
-		}
-		t.send(dst, nil, aligned)
-	}
-	return parts, aligned
 }
 
 // Close implements Transport: announces a graceful departure to every peer

@@ -31,7 +31,7 @@ func skipWithoutUnixSockets(t testing.TB) string {
 // startSocketMesh brings up one SocketTransport per rank (all in this
 // process, which exercises the full wire path — each transport only ever
 // touches its own rank).
-func startSocketMesh(t *testing.T, dir string, size int, grid [3]int) []*SocketTransport {
+func startSocketMesh(t testing.TB, dir string, size int, grid [3]int) []*SocketTransport {
 	t.Helper()
 	trs := make([]*SocketTransport, size)
 	errs := make([]error, size)

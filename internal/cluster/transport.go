@@ -1,6 +1,9 @@
 package cluster
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // CollectiveCost maps the slowest participant's virtual clock (and the
 // collective's modeled element count) to the aligned post-collective clock.
@@ -14,21 +17,23 @@ type CollectiveCost func(worst float64, totalElems int) float64
 // virtual clocks and the alpha-beta cost model; the transport only carries
 // clock values: a point-to-point message travels with its modeled arrival
 // time, and a collective contributes each rank's clock and returns the
-// aligned clock computed by the cost hook (the "collective barrier
-// generation" of the in-process cyclicBarrier, made transport-shaped).
+// aligned clock computed by the cost hook.
 //
 // Two implementations exist: the in-process channel transport behind
-// NewComm (rank goroutines, shared-memory rendezvous — bitwise identical to
-// the pre-split Comm and allocation-free in steady state), and the
-// multi-process Unix-domain-socket transport (NewSocketTransport) whose
-// ranks live in separate OS processes and speak the internal/cluster/wire
-// frame format.
+// NewComm (rank goroutines, per-pair mailbox channels, allocation-free in
+// steady state), and the multi-process socket transport
+// (NewSocketTransport, NewTCPTransport) whose ranks live in separate OS
+// processes and speak the internal/cluster/wire frame format. Both run the
+// same collectives over their point-to-point mailboxes: every contribution
+// fans in to a root, which combines in ascending rank order and fans the
+// result out with the aligned clock.
 //
 // Contract shared by both: payload floats are carried bit-exactly, per
-// ordered (src, dst) pair delivery is FIFO, and every collective combines
-// contributions in ascending rank order — so a bulk-synchronous caller (the
-// shard engine) produces bitwise-identical trajectories over either
-// transport.
+// ordered (src, dst) pair delivery is FIFO and shared by point-to-point
+// frames and collectives (a frame left unread before a collective is read
+// as a contribution), and every collective combines contributions in
+// ascending rank order — so a bulk-synchronous caller (the shard engine)
+// produces bitwise-identical trajectories over either transport.
 type Transport interface {
 	// Size returns the rank count the transport spans.
 	Size() int
@@ -130,252 +135,202 @@ func (p *bufPool) len() int {
 	return len(p.bufs)
 }
 
-// message is one in-flight point-to-point payload of the channel transport.
-type message struct {
+// frame is one in-flight point-to-point payload: a pooled buffer and its
+// modeled arrival time at the receiver.
+type frame struct {
 	data []float64
-	time float64 // modeled arrival time at the receiver
+	time float64
+}
+
+// mailbox is the point-to-point layer each transport provides and the
+// collectives run over. Send posts a copy of data from src to dst (a
+// pooled frame in process, a wire frame to a remote rank); take pops the
+// next frame from src at dst, FIFO per ordered pair, and the caller
+// returns the frame's buffer to the pool.
+type mailbox interface {
+	Send(src, dst int, data []float64, at float64)
+	take(dst, src int) frame
+}
+
+// collectives implements Recv and the four collectives of Transport once,
+// over a transport's mailbox: non-root ranks post their contribution to the
+// root and take the result back; the root takes one frame per rank in
+// ascending rank order, combines, and fans the result out with the aligned
+// clock cost(slowest contributed clock, modeled element count). Both
+// transports embed it, so their summation order agrees by construction.
+// Only the root touches ag, and every rank takes part in each collective,
+// so no two calls use it at once.
+type collectives struct {
+	mb   mailbox
+	size int
+	pool bufPool
+	// ag is the root's retained concatenation buffer of AllGather.
+	ag []float64
+}
+
+// Size implements Transport.
+func (c *collectives) Size() int { return c.size }
+
+// Recv implements Transport, releasing the frame's buffer back to the pool
+// after copying it out.
+func (c *collectives) Recv(dst, src int, into []float64) ([]float64, float64) {
+	f := c.mb.take(dst, src)
+	into = fill(into, f.data)
+	c.pool.put(f.data)
+	return into, f.time
+}
+
+// Barrier implements Transport (an AllReduceSum of an empty vector).
+func (c *collectives) Barrier(rank int, clock float64, cost CollectiveCost) float64 {
+	return c.AllReduceSum(rank, nil, clock, cost)
+}
+
+// AllReduceSum implements Transport: rank 0 sums the contributions in
+// ascending rank order, starting from zero, so every transport and every
+// rank count adds the same floats in the same order.
+func (c *collectives) AllReduceSum(rank int, vec []float64, clock float64, cost CollectiveCost) float64 {
+	if rank != 0 {
+		f := c.leaf(rank, 0, vec, clock)
+		copy(vec, f.data)
+		c.pool.put(f.data)
+		return f.time
+	}
+	red := c.pool.get(len(vec))
+	clear(red)
+	for i, v := range vec {
+		red[i] += v
+	}
+	worst := clock
+	for src := 1; src < c.size; src++ {
+		f := c.mb.take(0, src)
+		if len(f.data) != len(vec) {
+			panic(fmt.Sprintf("cluster: allreduce length %d from rank %d, want %d", len(f.data), src, len(vec)))
+		}
+		for i, v := range f.data {
+			red[i] += v
+		}
+		worst = max(worst, f.time)
+		c.pool.put(f.data)
+	}
+	aligned := cost(worst, len(vec))
+	copy(vec, red)
+	c.pool.put(red)
+	c.fanOut(0, vec, aligned)
+	return aligned
+}
+
+// AllGather implements Transport: rank 0 concatenates the contributions in
+// rank order into its retained buffer; the cost hook receives the total
+// gathered element count.
+func (c *collectives) AllGather(rank int, vec, into []float64, clock float64, cost CollectiveCost) ([]float64, float64) {
+	if rank != 0 {
+		f := c.leaf(rank, 0, vec, clock)
+		into = fill(into, f.data)
+		c.pool.put(f.data)
+		return into, f.time
+	}
+	c.ag = append(c.ag[:0], vec...)
+	worst := clock
+	for src := 1; src < c.size; src++ {
+		f := c.mb.take(0, src)
+		c.ag = append(c.ag, f.data...)
+		worst = max(worst, f.time)
+		c.pool.put(f.data)
+	}
+	aligned := cost(worst, len(c.ag))
+	c.fanOut(0, c.ag, aligned)
+	return fill(into, c.ag), aligned
+}
+
+// Gather implements Transport: contributions fan in to root, which returns
+// fresh per-rank copies and answers every rank with the aligned clock. The
+// modeled element count is rank 0's contribution length, which is the same
+// at every root.
+func (c *collectives) Gather(rank, root int, vec []float64, clock float64, cost CollectiveCost) ([][]float64, float64) {
+	if rank != root {
+		f := c.leaf(rank, root, vec, clock)
+		c.pool.put(f.data)
+		return nil, f.time
+	}
+	parts := make([][]float64, c.size)
+	parts[root] = append([]float64(nil), vec...)
+	worst := clock
+	for src := 0; src < c.size; src++ {
+		if src == root {
+			continue
+		}
+		f := c.mb.take(root, src)
+		parts[src] = append([]float64(nil), f.data...)
+		worst = max(worst, f.time)
+		c.pool.put(f.data)
+	}
+	aligned := cost(worst, len(parts[0]))
+	c.fanOut(root, nil, aligned)
+	return parts, aligned
+}
+
+// leaf is a non-root rank's side of a collective: post vec to root and take
+// the result frame back (the caller recycles its buffer).
+func (c *collectives) leaf(rank, root int, vec []float64, clock float64) frame {
+	c.mb.Send(rank, root, vec, clock)
+	return c.mb.take(rank, root)
+}
+
+// fanOut posts the root's result with the aligned clock to every other rank.
+func (c *collectives) fanOut(root int, data []float64, aligned float64) {
+	for dst := 0; dst < c.size; dst++ {
+		if dst != root {
+			c.mb.Send(root, dst, data, aligned)
+		}
+	}
+}
+
+// fill copies src into into, growing into if needed, and returns it.
+func fill(into, src []float64) []float64 {
+	if cap(into) < len(src) {
+		into = make([]float64, len(src))
+	}
+	into = into[:len(src)]
+	copy(into, src)
+	return into
 }
 
 // chanTransport is the in-process Transport: rank goroutines exchange
-// pooled payload buffers over per-pair mailbox channels and rendezvous on a
-// shared-memory cyclic barrier — the pre-split Comm internals verbatim, so
-// existing in-process runs stay bitwise identical and allocation-free.
+// pooled frames over per-pair mailbox channels, and the collectives run
+// over those mailboxes exactly as they run over sockets.
 type chanTransport struct {
-	size int
+	collectives
 	// chans[dst][src] is the mailbox from src to dst.
-	chans   [][]chan message
-	pool    bufPool
-	barrier *cyclicBarrier
+	chans [][]chan frame
 }
 
 // newChanTransport builds the in-process transport for size ranks.
 func newChanTransport(size int) *chanTransport {
-	t := &chanTransport{size: size, barrier: newCyclicBarrier(size)}
-	t.chans = make([][]chan message, size)
-	for dst := 0; dst < size; dst++ {
-		t.chans[dst] = make([]chan message, size)
-		for src := 0; src < size; src++ {
-			t.chans[dst][src] = make(chan message, 8)
+	t := &chanTransport{chans: make([][]chan frame, size)}
+	t.mb, t.size = t, size
+	for dst := range t.chans {
+		t.chans[dst] = make([]chan frame, size)
+		for src := range t.chans[dst] {
+			// Headroom over the frames one pair holds in flight (a halo
+			// ring posts two when one rank is both neighbours, a
+			// collective one), so a sender seldom waits on its receiver.
+			t.chans[dst][src] = make(chan frame, 8)
 		}
 	}
 	return t
 }
 
-// Size implements Transport.
-func (t *chanTransport) Size() int { return t.size }
-
 // Send implements Transport: the payload is copied into a pooled buffer, so
 // the caller keeps ownership of data and steady-state messaging is
-// allocation-free once Recv recycles the transport buffers.
+// allocation-free once the receiver recycles the buffer.
 func (t *chanTransport) Send(src, dst int, data []float64, at float64) {
 	payload := t.pool.get(len(data))
 	copy(payload, data)
-	t.chans[dst][src] <- message{data: payload, time: at}
+	t.chans[dst][src] <- frame{data: payload, time: at}
 }
 
-// Recv implements Transport, releasing the transport buffer back to the
-// pool after copying it out.
-func (t *chanTransport) Recv(dst, src int, into []float64) ([]float64, float64) {
-	m := <-t.chans[dst][src]
-	if cap(into) < len(m.data) {
-		into = make([]float64, len(m.data))
-	}
-	into = into[:len(m.data)]
-	copy(into, m.data)
-	t.pool.put(m.data)
-	return into, m.time
-}
-
-// Barrier implements Transport.
-func (t *chanTransport) Barrier(rank int, clock float64, cost CollectiveCost) float64 {
-	return t.barrier.await(rank, clock, cost)
-}
-
-// AllReduceSum implements Transport.
-func (t *chanTransport) AllReduceSum(rank int, vec []float64, clock float64, cost CollectiveCost) float64 {
-	return t.barrier.reduceInPlace(rank, vec, clock, cost)
-}
-
-// AllGather implements Transport.
-func (t *chanTransport) AllGather(rank int, vec, into []float64, clock float64, cost CollectiveCost) ([]float64, float64) {
-	return t.barrier.allGather(rank, vec, into, clock, cost)
-}
-
-// Gather implements Transport.
-func (t *chanTransport) Gather(rank, root int, vec []float64, clock float64, cost CollectiveCost) ([][]float64, float64) {
-	parts, aligned := t.barrier.gather(rank, vec, clock, cost)
-	if rank != root {
-		return nil, aligned
-	}
-	return parts, aligned
-}
+// take implements mailbox.
+func (t *chanTransport) take(dst, src int) frame { return <-t.chans[dst][src] }
 
 // Close implements Transport (no-op: channels are garbage collected).
 func (t *chanTransport) Close() error { return nil }
-
-// cyclicBarrier lets size goroutines repeatedly rendezvous; the last
-// arrival of each generation combines the contributions (vectors and
-// clocks) while the others are parked, and every participant leaves with
-// the combined result copied out under the barrier lock — so a later
-// generation cannot overwrite a retained buffer while it is still being
-// read (a rank re-enters the barrier only after its copy completed).
-type cyclicBarrier struct {
-	size   int
-	mu     sync.Mutex
-	cond   *sync.Cond
-	count  int
-	gen    int
-	parts  [][]float64
-	clocks []float64
-	// aligned is the generation's post-collective clock.
-	aligned float64
-	partsSn [][]float64
-	// red is the retained combine buffer of reduceInPlace.
-	red []float64
-	// ag is the retained concatenation buffer of allGather.
-	ag []float64
-}
-
-func newCyclicBarrier(size int) *cyclicBarrier {
-	b := &cyclicBarrier{
-		size:   size,
-		parts:  make([][]float64, size),
-		clocks: make([]float64, size),
-	}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// worstClock returns the slowest contributed clock of the current
-// generation (call with b.mu held by the combining rank).
-func (b *cyclicBarrier) worstClock() float64 {
-	worst := b.clocks[0]
-	for _, c := range b.clocks[1:] {
-		if c > worst {
-			worst = c
-		}
-	}
-	return worst
-}
-
-// finish closes a generation (call with b.mu held by the combining rank).
-func (b *cyclicBarrier) finish() {
-	b.count = 0
-	b.gen++
-	b.cond.Broadcast()
-}
-
-func (b *cyclicBarrier) await(rank int, clock float64, cost CollectiveCost) float64 {
-	b.mu.Lock()
-	b.clocks[rank] = clock
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.aligned = cost(b.worstClock(), 0)
-		b.finish()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	aligned := b.aligned
-	b.mu.Unlock()
-	return aligned
-}
-
-// reduceInPlace sums the ranks' vectors into the retained red buffer in
-// ascending rank order and copies the total back into every participant's
-// vec before it leaves the rendezvous.
-func (b *cyclicBarrier) reduceInPlace(rank int, vec []float64, clock float64, cost CollectiveCost) float64 {
-	b.mu.Lock()
-	b.parts[rank] = vec
-	b.clocks[rank] = clock
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		if cap(b.red) < len(vec) {
-			b.red = make([]float64, len(vec))
-		}
-		b.red = b.red[:len(vec)]
-		for i := range b.red {
-			b.red[i] = 0
-		}
-		for _, p := range b.parts {
-			for i, v := range p {
-				b.red[i] += v
-			}
-		}
-		b.aligned = cost(b.worstClock(), len(vec))
-		b.finish()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	copy(vec, b.red)
-	aligned := b.aligned
-	b.mu.Unlock()
-	return aligned
-}
-
-// allGather concatenates the ranks' vectors in rank order into the retained
-// ag buffer and copies the result into every participant's out buffer; the
-// cost hook receives the total gathered element count.
-func (b *cyclicBarrier) allGather(rank int, vec []float64, out []float64, clock float64, cost CollectiveCost) ([]float64, float64) {
-	b.mu.Lock()
-	b.parts[rank] = vec
-	b.clocks[rank] = clock
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		total := 0
-		for _, p := range b.parts {
-			total += len(p)
-		}
-		if cap(b.ag) < total {
-			b.ag = make([]float64, 0, total)
-		}
-		b.ag = b.ag[:0]
-		for _, p := range b.parts {
-			b.ag = append(b.ag, p...)
-		}
-		b.aligned = cost(b.worstClock(), total)
-		b.finish()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	if cap(out) < len(b.ag) {
-		out = make([]float64, len(b.ag))
-	}
-	out = out[:len(b.ag)]
-	copy(out, b.ag)
-	aligned := b.aligned
-	b.mu.Unlock()
-	return out, aligned
-}
-
-// gather snapshots every rank's vector (as fresh per-rank copies) for the
-// root; the modeled element count is rank 0's contribution length, which is
-// deterministic where the pre-split code used the last-arriving rank's.
-func (b *cyclicBarrier) gather(rank int, vec []float64, clock float64, cost CollectiveCost) ([][]float64, float64) {
-	b.mu.Lock()
-	b.parts[rank] = append([]float64(nil), vec...)
-	b.clocks[rank] = clock
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.partsSn = append([][]float64(nil), b.parts...)
-		b.aligned = cost(b.worstClock(), len(b.parts[0]))
-		b.finish()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	res := b.partsSn
-	aligned := b.aligned
-	b.mu.Unlock()
-	return res, aligned
-}

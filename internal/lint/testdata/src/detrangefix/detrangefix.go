@@ -30,8 +30,8 @@ func BadMapAppend(m map[int]float64) []float64 {
 
 // BadMapSend drives rank traffic in map-iteration order.
 func BadMapSend(c *cluster.Comm, m map[int][]float64) {
-	for dst, payload := range m { // want "calls cluster.Comm.Send in iteration order"
-		c.Send(0, dst, payload)
+	for dst, payload := range m { // want "calls cluster.Comm.SendBuf in iteration order"
+		c.SendBuf(0, dst, payload)
 	}
 }
 

@@ -739,7 +739,7 @@ type RunResult struct {
 // with an optional Berendsen thermostat toward thermal energy kT with time
 // constant tau (tau <= 0 disables it; the NVE path touches no velocities
 // beyond the Verlet kicks). The per-step update replicates
-// md.VelocityVerlet bitwise; PE/KE/temperature come from AllReduceSum.
+// md.VelocityVerlet bitwise; PE/KE/temperature come from AllReduceSumInPlace.
 // Run(0, ...) evaluates forces and observables without stepping (a prime).
 // State stays distributed — use Gather to pull it back into a System.
 func (e *Engine) Run(steps int, dt, kT, tau float64) RunResult {
