@@ -22,71 +22,57 @@
 // flags (-balance, -checkpoint-every, -resume, -max-restarts, -hosts,
 // -grid auto) do not apply to the field demos and fail fast.
 //
-// The lattice stage always runs on the sharded engine through
-// shard.RunRecovered — unsharded as one in-process rank. With -procs N it
-// runs across N OS processes: the launcher forks one worker per rank
-// (mlmd -worker -wrank i), the workers connect through the
-// Unix-domain-socket rank transport (-transport tcp swaps in loopback TCP
-// with a rendezvous-directory port exchange), and rank 0 prints the
-// aggregated summary — which is bitwise identical to the in-process
-// -ranks/-grid run of the same decomposition. With -hosts the process
-// joins a multi-host TCP mesh as rank -hostrank of the listed endpoints
-// (every host must be started with the identical list).
+// The particle pipeline is core.Pipeline with an NVE lattice from rest:
+// this command adds only its flags, the -procs launcher and the printing.
+// The lattice response always runs on the sharded engine through
+// shard.RunRecovered, unsharded as one in-process rank. With -procs N the
+// launcher forks one worker per rank (mlmd -worker -wrank i), which
+// connect over Unix-domain sockets (-transport tcp: loopback TCP with a
+// rendezvous-directory port exchange); with -hosts the process joins a
+// multi-host TCP mesh as rank -hostrank of the listed endpoints (the same
+// list on every host). Rank 0 prints the summary, bitwise identical to the
+// in-process -ranks/-grid run of the same decomposition. -grid auto picks
+// the feasible Px×Py×Pz with the least per-rank halo surface.
 //
-// With -checkpoint-every N the lattice stage writes a restartable snapshot
-// every N MD steps (atomically, to -checkpoint, keeping the previous
-// snapshot at -checkpoint.prev); -resume path continues an interrupted run
-// from its last snapshot — on any decomposition, with a trajectory bitwise
-// identical to the uninterrupted run. The particle pipeline's last line
-// before "done." is a CRC64 of the final lattice state (the IEEE-754 bits
-// of positions, velocities, forces and the excitation map), so comparing
-// two summaries compares their final states bit for bit.
+// -checkpoint-every N writes a restartable snapshot every N MD steps (to
+// -checkpoint, keeping the one before at -checkpoint.prev); -resume path
+// continues from one on any decomposition, bitwise as the uninterrupted
+// run. The last line before "done." is a CRC64 of the final lattice state
+// (the IEEE-754 bits of positions, velocities, forces and the excitation
+// map), so equal summaries mean equal final states.
 //
 // -max-restarts N (with -procs or -hosts, and -checkpoint-every) makes a
-// run heal itself: when ranks are lost, every surviving process drains the
-// failure, shrinks the mesh to the survivors under the next generation tag
-// with an auto-selected grid, and resumes from the newer valid one of
-// -checkpoint and its .prev — in process, with no relaunch and no operator
-// action, at most N times. A -hosts survivor keeps its own endpoint; the
-// checkpoint path must name the same files on every host. The default, 0,
-// is fail-stop: a lost rank ends the run, and the launcher kills the
-// remaining workers. Generation tags are carried in the wire handshake and
-// the rendezvous file names, so stragglers of a torn-down mesh can neither
-// be dialed nor join the new one. -grid auto picks the feasible Px×Py×Pz
-// with the least per-rank halo surface and is available on any decomposed
-// run.
+// run heal itself: when ranks are lost, the survivors shrink the mesh under
+// the next generation tag with an auto-selected grid and resume from the
+// newer valid one of -checkpoint and its .prev, in process, at most N
+// times. A -hosts survivor keeps its own endpoint; the checkpoint path must
+// name the same files on every host. The default, 0, is fail-stop: a lost
+// rank ends the run, and the launcher kills the remaining workers.
 package main
 
 import (
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/crc64"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"slices"
 	"strconv"
+	"strings"
 
 	"mlmd/internal/cluster"
 	"mlmd/internal/core"
-	"mlmd/internal/ferro"
 	"mlmd/internal/grid"
 	"mlmd/internal/maxwell"
-	"mlmd/internal/md"
 	"mlmd/internal/mlmdio"
 	"mlmd/internal/shard"
 	"mlmd/internal/units"
 )
 
-// latBlocks and latBlock shape the XS-NNQMD stage: latBlocks summary lines
-// of latBlock MD steps each.
-const (
-	latBlocks = 5
-	latBlock  = 40
-)
+// latBlock is the XS-NNQMD summary cadence in MD steps; the response
+// prints five of them.
+const latBlock = 40
 
 // failRankEnv names a worker rank that must exit immediately instead of
 // joining the mesh — the fault-injection hook of the launcher-cleanup
@@ -94,21 +80,13 @@ const (
 const failRankEnv = "MLMD_TEST_FAIL_RANK"
 
 // killRankEnv and killStepEnv are the crash-injection hook of the
-// auto-recovery tests: the process hosting rank killRankEnv SIGKILLs itself
-// (no bye frame — exactly a crashed host) at the first checkpoint boundary
-// at or past killStepEnv steps (both unset in production).
+// auto-recovery tests: the process hosting rank killRankEnv ("N": of the
+// current generation; "id:N": of generation 0) SIGKILLs itself (no bye
+// frame — exactly a crashed host) at the first checkpoint boundary at or
+// past killStepEnv steps (both unset in production).
 const (
 	killRankEnv = "MLMD_TEST_KILL_RANK"
 	killStepEnv = "MLMD_TEST_KILL_STEP"
-)
-
-// latCutoff and latSkin are the lattice-stage decomposition parameters: the
-// soft-mode stencil reaches the neighbor cell's Ti, so the cutoff must
-// cover a lattice constant plus off-centering drift. Their sum is the halo
-// width every subdomain must clear.
-var (
-	latCutoff = 1.3 * ferro.LatticeConstant
-	latSkin   = 0.4 * ferro.LatticeConstant
 )
 
 // shardOpts is the resolved sharding configuration of the lattice stage.
@@ -201,9 +179,7 @@ func main() {
 		runFieldDemo(out, demo, opts)
 		return
 	}
-	ropts := shard.RecoverOpts{
-		Steps: latBlocks * latBlock, Every: *ckptEvery, Path: *ckptPath, MaxRestarts: *maxRestarts,
-	}
+	ropts := shard.RecoverOpts{Every: *ckptEvery, Path: *ckptPath, MaxRestarts: *maxRestarts}
 	if *resumePath != "" {
 		if ropts.Resume, err = mlmdio.ReadCheckpointFile(*resumePath); err != nil {
 			fail(err)
@@ -257,7 +233,7 @@ func resolveShard(ranks int, gridStr string, balance bool, procs int, transport,
 		if n == 0 {
 			return opts, fmt.Errorf("-grid auto needs a rank count: add -ranks, -procs or -hosts")
 		}
-		g, err := autoGridForLattice(n, latCells)
+		g, err := core.LatticeAutoGrid(n, latCells, latCells, 2)
 		if err != nil {
 			return opts, err
 		}
@@ -291,16 +267,6 @@ func resolveShard(ranks int, gridStr string, balance bool, procs int, transport,
 		return opts, fmt.Errorf("-balance requires a decomposition: add -ranks, -grid, -procs or -hosts")
 	}
 	return opts, nil
-}
-
-// autoGridForLattice resolves "-grid auto": the AutoGrid shape for ranks
-// over the -cells demo lattice box with the lattice-stage halo.
-func autoGridForLattice(ranks, cells int) ([3]int, error) {
-	sys, _, err := ferro.NewLattice(cells, cells, 2)
-	if err != nil {
-		return [3]int{}, err
-	}
-	return shard.AutoGrid(ranks, [3]float64{sys.Lx, sys.Ly, sys.Lz}, latCutoff+latSkin)
 }
 
 // workerExit pairs a finished -procs worker with its exit error.
@@ -380,111 +346,94 @@ func launch(procs int, failStop bool) int {
 // run is the full pipeline, shared by the single-process path and every
 // -procs worker or -hosts process (which all execute the deterministic
 // DC-MESH stage and diverge only in which lattice subdomain they own; out
-// is io.Discard on every rank but 0). The lattice stage runs through
-// shard.RunRecovered with ropts, completed here by the mesh hooks. A
-// resume (ropts.Resume non-nil) skips the DC-MESH stage.
+// is io.Discard on every rank but 0). core.Pipeline runs the lattice
+// response through shard.RunRecovered with ropts, completed here by the
+// mesh hooks. A resume (ropts.Resume non-nil) skips the DC-MESH stage.
 func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float64, latCells int, opts shardOpts, ropts shard.RecoverOpts) {
-	var nExc []float64
+	cfg := core.PipelineConfig{
+		LatNx: latCells, LatNy: latCells, LatNz: 2,
+		DCMESH:        core.DefaultDCMESHConfig(),
+		PulseMDSteps:  mdsteps,
+		ResponseSteps: 5 * latBlock,
+		NSat:          0.02,
+		DtMD:          20,
+	}
+	qc := &cfg.DCMESH
+	qc.Global = grid.NewCubic(mesh, 0.8)
+	qc.Dx, qc.Dy, qc.Dz = domains, domains, 1
+	qc.Norb = norb
+	qc.NQD = nqd
+	qc.GroundIters = 300
+	qc.Pulse = maxwell.NewPulse(amp, units.Hartree(photon), 0.5, 0.5)
+	p, err := core.NewPipeline(cfg)
+	if err != nil {
+		fail(err)
+	}
 	if ropts.Resume == nil {
-		cfg := core.DefaultDCMESHConfig()
-		cfg.Global = grid.NewCubic(mesh, 0.8)
-		cfg.Dx, cfg.Dy, cfg.Dz = domains, domains, 1
-		cfg.Norb = norb
-		cfg.NQD = nqd
-		cfg.GroundIters = 300
-		cfg.Pulse = maxwell.NewPulse(amp, units.Hartree(photon), 0.5, 0.5)
-
 		fmt.Fprintf(out, "MLMD: %s split into %dx%dx%d domains, %d orbitals each\n",
-			cfg.Global, cfg.Dx, cfg.Dy, cfg.Dz, cfg.Norb)
-		qd, err := core.NewDCMESH(cfg)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(out, "prepared %d domain ground states\n", len(qd.Domains))
-
+			qc.Global, qc.Dx, qc.Dy, qc.Dz, qc.Norb)
+		fmt.Fprintf(out, "prepared %d domain ground states\n", len(p.QD.Domains))
 		fmt.Fprintf(out, "\n-- DC-MESH: pulse E0=%g a.u., photon %.2f eV --\n", amp, photon)
-		for s := 0; s < mdsteps; s++ {
-			nExc = qd.MDStep()
-			fmt.Fprintf(out, "MD step %d: t = %6.2f as, n_exc total = %.4f, norm drift = %.2e\n",
-				s+1, units.Attoseconds(qd.Time()), qd.TotalExcitation(), qd.NormDrift())
-		}
-		fmt.Fprintf(out, "\n-- XS-NNQMD: %dx%dx2 PbTiO3 lattice response --\n", latCells, latCells)
 	} else {
 		fmt.Fprintf(out, "-- XS-NNQMD: resuming %dx%dx2 PbTiO3 lattice at step %d (t = %6.1f fs) --\n",
 			latCells, latCells, ropts.Resume.Step, units.Femtoseconds(ropts.Resume.Time))
 	}
-
-	sys, lat, err := ferro.NewLattice(latCells, latCells, 2)
-	if err != nil {
-		fail(err)
-	}
-	gs := ferro.DefaultEffHam(lat)
-	xs := ferro.DefaultEffHam(lat)
-	xs.SetExcitation(1.0)
-	if cp := ropts.Resume; cp == nil {
-		s0 := gs.S0()
-		for c := 0; c < lat.NumCells(); c++ {
-			lat.SetSoftMode(sys, c, 0, 0, s0)
-		}
-	} else if cp.Sys.N != sys.N || cp.Sys.Lx != sys.Lx || cp.Sys.Ly != sys.Ly || cp.Sys.Lz != sys.Lz {
-		fail(fmt.Errorf("checkpoint holds %d atoms in a %gx%gx%g box; -cells %d builds %d atoms in %gx%gx%g",
-			cp.Sys.N, cp.Sys.Lx, cp.Sys.Ly, cp.Sys.Lz, latCells, sys.N, sys.Lx, sys.Ly, sys.Lz))
-	}
-	nn, err := core.NewXSNNQMD(sys, lat, gs, xs, 20, 1)
-	if err != nil {
-		fail(err)
-	}
-	nn.CarrierLifetime = 1000
-	if ropts.Resume == nil {
-		if err := nn.SetExcitationFromDomains(nExc, domains, domains, 1, 0.02); err != nil {
-			fail(err)
+	p.OnPulseStep = func(s int) {
+		fmt.Fprintf(out, "MD step %d: t = %6.2f as, n_exc total = %.4f, norm drift = %.2e\n",
+			s, units.Attoseconds(p.QD.Time()), p.QD.TotalExcitation(), p.QD.NormDrift())
+		if s == mdsteps {
+			fmt.Fprintf(out, "\n-- XS-NNQMD: %dx%dx2 PbTiO3 lattice response --\n", latCells, latCells)
 		}
 	}
-	newFF, err := shard.BlendEffHamFactory(lat, gs, xs)
-	if err != nil {
-		fail(err)
+	sharded, procs := opts.grid != [3]int{}, opts.socket != nil
+	var eng *shard.Engine
+	p.OnAttach = func(e *shard.Engine) {
+		eng = e
+		if g := e.Grid(); sharded && procs {
+			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid, %d processes)\n",
+				e.Ranks(), g[0], g[1], g[2], e.Ranks())
+		} else if sharded {
+			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid)\n", e.Ranks(), g[0], g[1], g[2])
+		}
 	}
-	cfg := shard.Config{
-		Grid:    opts.grid,
-		Cutoff:  latCutoff,
-		Skin:    latSkin,
-		NewFF:   newFF,
-		Balance: opts.balance,
+	p.OnResponseStep = func(step int) error {
+		if step%latBlock == 0 {
+			fmt.Fprintf(out, "t = %6.1f fs: mean Pz = %+.4f, topological charge = %+.2f\n",
+				units.Femtoseconds(p.NN.Time()), p.NN.PolarizationField().MeanPz(), p.NN.TopologicalCharge())
+		}
+		return nil
 	}
-	sharded := opts.grid != [3]int{}
-	if !sharded {
-		cfg.Grid = [3]int{1, 1, 1}
-	}
-	st := &latticeStage{nn: nn, out: out, sharded: sharded, procs: opts.socket != nil}
+	p.Shard = shard.Config{Grid: opts.grid, Balance: opts.balance}
 	if sm := opts.socket; sm != nil {
 		ropts.Mesh = sm.Build
 		ropts.OnChunk = testKill(sm)
 		// Only the current generation's rank 0 writes the summary.
 		ropts.OnResume = func(gen int, path string) {
-			st.out = io.Discard
+			out = io.Discard
 			if sm.Transport.Rank() == 0 {
-				st.out = os.Stdout
+				out = os.Stdout
 				fmt.Fprintf(os.Stderr, "mlmd: restart %d/%d: resuming %d ranks from %s at generation %d\n",
 					gen, ropts.MaxRestarts, sm.Transport.Size(), path, gen)
 			}
 		}
 	}
-	if _, err := shard.RunRecovered(cfg, sys, st, ropts); err != nil {
+	p.Recover = ropts
+	if _, err := p.Run(); err != nil {
 		fail(err)
 	}
-	if eng := st.eng; sharded {
+	if sharded {
 		if opts.balance {
 			// Timing-dependent, so outside the golden summary (the
 			// trajectory is bitwise identical to the unbalanced run
 			// regardless).
 			rebalances, maxShift := eng.BalanceStats()
-			if st.procs {
+			if procs {
 				// A process hosts one rank, so per-process imbalance is
 				// trivially 1.0 — print only the controller activity (the
 				// cross-rank profile lives inside the rebalance AllGather).
-				fmt.Fprintf(st.out, "(balance: %d rebalances, max cut shift %.3f)\n", rebalances, maxShift)
+				fmt.Fprintf(out, "(balance: %d rebalances, max cut shift %.3f)\n", rebalances, maxShift)
 			} else {
-				fmt.Fprintf(st.out, "(balance: %d rebalances, max cut shift %.3f, step-time imbalance %.2f, owned-atom imbalance %.2f)\n",
+				fmt.Fprintf(out, "(balance: %d rebalances, max cut shift %.3f, step-time imbalance %.2f, owned-atom imbalance %.2f)\n",
 					rebalances, maxShift, eng.LoadImbalance(), eng.OwnedImbalance())
 			}
 		}
@@ -492,110 +441,32 @@ func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float
 		// has none), so they stay outside the golden summary too.
 		rebuilds, _ := eng.Stats()
 		prunes, buffer := eng.ListStats()
-		fmt.Fprintf(st.out, "(pair lists: %d rebuilds, %d prunes, rebuild buffer %.4g)\n", rebuilds, prunes, buffer)
+		fmt.Fprintf(out, "(pair lists: %d rebuilds, %d prunes, rebuild buffer %.4g)\n", rebuilds, prunes, buffer)
 	}
-	fmt.Fprintf(st.out, "state crc64 = %016x\n", stateCRC(nn))
-	fmt.Fprintln(st.out, "\ndone.")
-}
-
-// stateCRC folds the IEEE-754 bits of the lattice positions, velocities and
-// forces and of the excitation map into one CRC64 (ECMA). Every process
-// holds the whole replicated state, so rank 0's value covers the run.
-func stateCRC(nn *core.XSNNQMD) uint64 {
-	tab := crc64.MakeTable(crc64.ECMA)
-	var crc uint64
-	var b [8]byte
-	for _, vals := range [][]float64{nn.Sys.X, nn.Sys.V, nn.Sys.F, nn.ExcitationPerCell} {
-		for _, v := range vals {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			crc = crc64.Update(crc, tab, b[:])
-		}
-	}
-	return crc
-}
-
-// latticeStage is the shard.Stage of the XS-NNQMD lattice loop: the
-// engine serves as core.XSNNQMD's force field (ComputeForces), so every
-// process's replicated sys holds the whole state and a checkpoint is
-// filled from it — never gathered, as the ranks' own velocities are not
-// advanced on that path. Advance prints a summary line at every latBlock
-// boundary; chunking is invisible to the trajectory (XSNNQMD.Step(n) is a
-// plain loop of single steps), so the lines are bitwise identical with
-// checkpointing on, off, resumed or recovered.
-type latticeStage struct {
-	nn   *core.XSNNQMD
-	out  io.Writer
-	step int
-	// sharded announces each generation's decomposition; procs marks a
-	// multi-process run.
-	sharded, procs bool
-	eng            *shard.Engine
-	f              []float64
-}
-
-// Attach installs eng as the force field. Attaching keeps the forces the
-// integrator holds (the freshly primed ones, or those of the checkpoint
-// just restored), so the first half-kick uses exactly them.
-func (s *latticeStage) Attach(eng *shard.Engine, sys *md.System) error {
-	s.eng = eng
-	s.f = append(s.f[:0], sys.F...)
-	s.nn.SetForceField(eng)
-	copy(sys.F, s.f)
-	if s.sharded {
-		g := eng.Grid()
-		if s.procs {
-			fmt.Fprintf(s.out, "(lattice stage sharded across %d ranks, %dx%dx%d grid, %d processes)\n",
-				eng.Ranks(), g[0], g[1], g[2], eng.Ranks())
-		} else {
-			fmt.Fprintf(s.out, "(lattice stage sharded across %d ranks, %dx%dx%d grid)\n", eng.Ranks(), g[0], g[1], g[2])
-		}
-	}
-	return eng.Err()
-}
-
-// Advance steps the lattice n MD steps, printing at each summary boundary.
-func (s *latticeStage) Advance(n int) error {
-	for end := s.step + n; s.step < end; {
-		k := min(end, (s.step/latBlock+1)*latBlock) - s.step
-		s.nn.Step(k)
-		s.step += k
-		if err := s.eng.Err(); err != nil {
-			return err
-		}
-		if s.step%latBlock == 0 {
-			fmt.Fprintf(s.out, "t = %6.1f fs: mean Pz = %+.4f, topological charge = %+.2f\n",
-				units.Femtoseconds(s.nn.Time()), s.nn.PolarizationField().MeanPz(), s.nn.TopologicalCharge())
-		}
-	}
-	return nil
-}
-
-// Fill adds the lattice clock and the decayed excitation map.
-func (s *latticeStage) Fill(cp *mlmdio.Checkpoint) error {
-	cp.Time, cp.Dt, cp.Extra = s.nn.Time(), s.nn.DtMD, s.nn.ExcitationPerCell
-	return nil
-}
-
-// Restore takes the lattice clock and the excitation map from cp.
-func (s *latticeStage) Restore(cp *mlmdio.Checkpoint) error {
-	s.step = int(cp.Step)
-	s.nn.SetTime(cp.Time)
-	return s.nn.SetExcitationMap(cp.Extra)
+	fmt.Fprintf(out, "state crc64 = %016x\n", p.NN.StateCRC())
+	fmt.Fprintln(out, "\ndone.")
 }
 
 // testKill is the crash-injection hook of the auto-recovery tests
 // (killRankEnv/killStepEnv): the process hosting rank killRankEnv of the
 // current generation SIGKILLs itself at the first checkpoint boundary at
 // or past step killStepEnv — no bye frame, no deferred teardown, exactly a
-// crashed host. nil in production (envs unset).
+// crashed host. The form "id:N" names generation 0's rank N instead, so it
+// fires once; a bare N kills every generation's rank N in turn. nil in
+// production (envs unset).
 func testKill(sm *shard.SocketMesh) func(gen, done int) error {
-	rank, err1 := strconv.Atoi(os.Getenv(killRankEnv))
+	id, byID := strings.CutPrefix(os.Getenv(killRankEnv), "id:")
+	rank, err1 := strconv.Atoi(id)
 	step, err2 := strconv.Atoi(os.Getenv(killStepEnv))
 	if err1 != nil || err2 != nil {
 		return nil
 	}
 	return func(_, done int) error {
-		if sm.Transport.Rank() == rank && done >= step {
+		who := sm.Transport.Rank()
+		if byID {
+			who = sm.ID
+		}
+		if who == rank && done >= step {
 			if p, err := os.FindProcess(os.Getpid()); err == nil {
 				p.Kill()
 			}

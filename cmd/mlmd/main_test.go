@@ -544,3 +544,40 @@ func TestHostsMeshHealsItself(t *testing.T) {
 		t.Errorf("healed tail differs from the uninterrupted run\n--- healed ---\n%s\n--- want tail ---\n%s", got, tail)
 	}
 }
+
+// TestAutoResumeAfterWriterDeath: SIGKILL generation 0's rank 0, the
+// checkpoint writer, once, right after its step-120 checkpoint. The two
+// survivors must shrink onto generation 1, where the old rank 1 becomes
+// the writer and the printer, resume from that checkpoint, and end with
+// the golden summary's tail, state CRC included.
+func TestAutoResumeAfterWriterDeath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	if !haveUnixSockets(t) {
+		t.Skip("no Unix-domain socket support on this platform")
+	}
+	exe := buildMLMD(t)
+	want, err := os.ReadFile(filepath.Join("testdata", "summary_small.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := string(want[strings.LastIndex(string(want), "t = "):])
+
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	cmd := exec.Command(exe, append(append([]string{}, smallArgs...),
+		"-procs", "3", "-max-restarts", "1",
+		"-checkpoint-every", "60", "-checkpoint", ckpt)...)
+	cmd.Env = append(os.Environ(), "MLMD_TEST_KILL_RANK=id:0", "MLMD_TEST_KILL_STEP=120")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("run with a dead writer failed: %v\n%s", err, out)
+	}
+	got := string(out)
+	if !strings.Contains(got, "restart 1/1: resuming 2 ranks") || !strings.Contains(got, "generation 1") {
+		t.Errorf("the survivors did not announce one shrink to generation 1:\n%s", got)
+	}
+	if !strings.HasSuffix(stripShardNote(got), tail) {
+		t.Errorf("tail after the writer's death differs from the golden summary\n--- got ---\n%s\n--- want tail ---\n%s", got, tail)
+	}
+}

@@ -7,9 +7,11 @@
 //
 //	topo-switch [-lat N] [-sky N] [-amp E0] [-steps N] [-trace] [-xyz file]
 //
-// -trace prints the topological charge and domain structure over time (the
-// Fig. 3 time series); -xyz writes an extended-XYZ trajectory for
-// visualization.
+// -trace prints the topological charge and domain structure every 10
+// response steps and after the last (the Fig. 3 time series); -xyz writes
+// an extended-XYZ trajectory frame at the same steps, for visualization.
+// Either way the run is one core.Pipeline.Run, on the same steps as a plain
+// run, and ends with the same report.
 package main
 
 import (
@@ -54,60 +56,38 @@ func main() {
 	fmt.Printf("PbTiO3 %dx%dx%d cells (%d atoms), %dx%d skyrmion superlattice, pulse E0=%g a.u.\n",
 		cfg.LatNx, cfg.LatNy, cfg.LatNz, p.Sys.N, *sky, *sky, *amp)
 
-	var xyz *os.File
-	if *xyzPath != "" {
-		xyz, err = os.Create(*xyzPath)
-		if err != nil {
-			fail(err)
-		}
-		defer xyz.Close()
-	}
-
-	if !*trace && xyz == nil {
-		// Plain pipeline run.
-		res, err := p.Run()
-		if err != nil {
-			fail(err)
-		}
-		report(res)
-		return
-	}
-
-	// Traced run: the same phases as Pipeline.Run with per-block output.
-	p.NN.SetUniformExcitation(0)
-	p.NN.Step(10)
-	q0 := p.NN.TopologicalCharge()
-	fmt.Printf("prepared: Q = %+.2f\n", q0)
-	var nExc []float64
-	for s := 0; s < cfg.PulseMDSteps; s++ {
-		nExc = p.QD.MDStep()
-	}
-	fmt.Printf("pulse done: n_exc = %.4f\n", p.QD.TotalExcitation())
-	if err := p.NN.SetExcitationFromDomains(nExc, cfg.DCMESH.Dx, cfg.DCMESH.Dy, cfg.DCMESH.Dz, cfg.NSat); err != nil {
-		fail(err)
-	}
-	p.NN.CarrierLifetime = 50 * cfg.DtMD
-	fmt.Println("\n  t [fs]     Q      meanPz    up%    down%   wall%  domains")
-	block := 10
-	for done := 0; done < *steps; done += block {
-		p.NN.Step(block)
-		field := p.NN.PolarizationField()
-		st := topo.AnalyzeDomains(field, 0.5)
-		fmt.Printf("  %6.1f  %+6.2f  %+8.4f  %5.1f  %5.1f  %5.1f  %5d\n",
-			units.Femtoseconds(p.NN.Time()), field.Charge(), field.MeanPz(),
-			100*st.UpFraction, 100*st.DownFraction, 100*st.WallFraction, st.NumDomains)
-		if xyz != nil {
-			if err := mlmdio.WriteXYZ(xyz, p.Sys, fmt.Sprintf("t_fs=%.2f Q=%.2f",
-				units.Femtoseconds(p.NN.Time()), field.Charge())); err != nil {
+	traced := *trace || *xyzPath != ""
+	if traced {
+		var xyz *os.File
+		if *xyzPath != "" {
+			if xyz, err = os.Create(*xyzPath); err != nil {
 				fail(err)
 			}
+			defer xyz.Close()
+		}
+		fmt.Println("\n  t [fs]     Q      meanPz    up%    down%   wall%  domains")
+		p.OnResponseStep = func(step int) error {
+			if step%10 != 0 && step != *steps {
+				return nil
+			}
+			field := p.NN.PolarizationField()
+			st := topo.AnalyzeDomains(field, 0.5)
+			fmt.Printf("  %6.1f  %+6.2f  %+8.4f  %5.1f  %5.1f  %5.1f  %5d\n",
+				units.Femtoseconds(p.NN.Time()), field.Charge(), field.MeanPz(),
+				100*st.UpFraction, 100*st.DownFraction, 100*st.WallFraction, st.NumDomains)
+			if xyz == nil {
+				return nil
+			}
+			return mlmdio.WriteXYZ(xyz, p.Sys, fmt.Sprintf("t_fs=%.2f Q=%.2f", units.Femtoseconds(p.NN.Time()), field.Charge()))
 		}
 	}
-	qf := p.NN.TopologicalCharge()
-	fmt.Printf("\nfinal: Q = %+.2f (started %+.2f) — switched: %v\n", qf, q0, topo.Switched(q0, qf))
-}
-
-func report(res *core.PipelineResult) {
+	res, err := p.Run()
+	if err != nil {
+		fail(err)
+	}
+	if traced {
+		fmt.Println()
+	}
 	fmt.Printf("topological charge: before pulse %+.2f, after pulse %+.2f, final %+.2f\n",
 		res.ChargeBefore, res.ChargeAfterPulse, res.ChargeFinal)
 	fmt.Printf("photoexcited electrons (all domains): %.4f\n", res.TotalExcitation)

@@ -5,6 +5,8 @@ import (
 
 	"mlmd/internal/ferro"
 	"mlmd/internal/md"
+	"mlmd/internal/mlmdio"
+	"mlmd/internal/shard"
 	"mlmd/internal/topo"
 	"mlmd/internal/units"
 )
@@ -17,7 +19,7 @@ type PipelineConfig struct {
 	// Lattice supercell (unit cells per axis).
 	LatNx, LatNy, LatNz int
 	// Skyrmion superlattice: SkyGrid × SkyGrid array with the given core
-	// radius (in cells).
+	// radius (in cells). SkyGrid 0 is the uniform +s0 texture.
 	SkyGrid   int
 	SkyRadius float64
 	// DCMESH configures the quantum module (its Dx,Dy,Dz must divide the
@@ -31,8 +33,11 @@ type PipelineConfig struct {
 	NSat float64
 	// DtMD is the XS-NNQMD time step (a.u.).
 	DtMD float64
-	// KT is the lattice temperature (Hartree).
-	KT   float64
+	// KT is the lattice temperature (Hartree). KT > 0 draws velocities
+	// from Seed, holds the texture for 10 steps before the pulse and keeps
+	// a Langevin bath on; KT 0 is an NVE run from rest.
+	KT float64
+	// Seed seeds the velocities; the bath's stream is Seed+1.
 	Seed int64
 }
 
@@ -53,7 +58,8 @@ func DefaultPipelineConfig() PipelineConfig {
 	return cfg
 }
 
-// PipelineResult records the science outcome.
+// PipelineResult records the science outcome. A resumed run skips the
+// pulse, so only its final values are set.
 type PipelineResult struct {
 	ChargeBefore, ChargeAfterPulse, ChargeFinal float64
 	TotalExcitation                             float64
@@ -61,7 +67,8 @@ type PipelineResult struct {
 	Switched                                    bool
 }
 
-// Pipeline holds the assembled modules.
+// Pipeline holds the assembled modules, and what a caller adds to a run:
+// where the response runs and how it reports.
 type Pipeline struct {
 	Cfg    PipelineConfig
 	Sys    *md.System
@@ -69,6 +76,39 @@ type Pipeline struct {
 	GS, XS *ferro.EffectiveHamiltonian
 	QD     *DCMESH
 	NN     *XSNNQMD
+	// Shard and Recover configure the response's shard.RunRecovered: the
+	// rank grid (zero: one in-process rank) and balancing, and the
+	// checkpoint, resume, mesh and restart options. Run sets the lattice
+	// halo, the force field and the step count itself.
+	Shard   shard.Config
+	Recover shard.RecoverOpts
+	// OnPulseStep, when non-nil, runs after DC-MESH MD step s (from 1) of
+	// the pulse window.
+	OnPulseStep func(s int)
+	// OnAttach, when non-nil, runs on every process when a mesh
+	// generation's engine takes over the response.
+	OnAttach func(eng *shard.Engine)
+	// OnResponseStep, when non-nil, runs on every process after response
+	// step step (from 1, counted across restarts); an error ends the run.
+	OnResponseStep func(step int) error
+}
+
+// The response engine's decomposition: the soft-mode stencil reaches the
+// neighbor cell's Ti, so the cutoff covers a lattice constant plus
+// off-centering drift. Their sum is the halo every subdomain must clear.
+var (
+	latCutoff = 1.3 * ferro.LatticeConstant
+	latSkin   = 0.4 * ferro.LatticeConstant
+)
+
+// LatticeAutoGrid is shard.AutoGrid for ranks over an nx×ny×nz lattice
+// with the response engine's halo.
+func LatticeAutoGrid(ranks, nx, ny, nz int) ([3]int, error) {
+	sys, _, err := ferro.NewLattice(nx, ny, nz)
+	if err != nil {
+		return [3]int{}, err
+	}
+	return shard.AutoGrid(ranks, [3]float64{sys.Lx, sys.Ly, sys.Lz}, latCutoff+latSkin)
 }
 
 // NewPipeline builds lattice, superlattice texture, force fields and the
@@ -93,7 +133,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			}
 		}
 	}
-	sys.InitVelocities(cfg.KT, cfg.Seed)
 	qd, err := NewDCMESH(cfg.DCMESH)
 	if err != nil {
 		return nil, err
@@ -102,35 +141,123 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn.KT = cfg.KT
-	nn.Gamma = 0.002
+	if cfg.KT > 0 {
+		sys.InitVelocities(cfg.KT, cfg.Seed)
+		nn.KT, nn.Gamma = cfg.KT, 0.002
+	}
 	return &Pipeline{Cfg: cfg, Sys: sys, Lat: lat, GS: gs, XS: xs, QD: qd, NN: nn}, nil
 }
 
-// Run executes prepare → pulse → response and returns the result.
+// Run executes prepare → pulse → response and returns the result; it runs
+// once per Pipeline. With p.Recover.Resume set it restores the checkpoint
+// and runs the rest of the response only.
 func (p *Pipeline) Run() (*PipelineResult, error) {
 	cfg := p.Cfg
 	res := &PipelineResult{}
-	// Phase 1: GS relaxation of the prepared texture (short).
-	p.NN.SetUniformExcitation(0)
-	p.NN.Step(10)
-	res.ChargeBefore = p.NN.TopologicalCharge()
-	res.MeanPzBefore = p.NN.PolarizationField().MeanPz()
-	// Phase 2: DC-MESH pulse — per-domain excitation counts.
-	var nExc []float64
-	for s := 0; s < cfg.PulseMDSteps; s++ {
-		nExc = p.QD.MDStep()
+	if cp := p.Recover.Resume; cp != nil {
+		if s := p.Sys; cp.Sys.N != s.N || cp.Sys.Lx != s.Lx || cp.Sys.Ly != s.Ly || cp.Sys.Lz != s.Lz {
+			return nil, fmt.Errorf("core: checkpoint holds %d atoms in a %gx%gx%g box; the %dx%dx%d lattice has %d atoms in %gx%gx%g",
+				cp.Sys.N, cp.Sys.Lx, cp.Sys.Ly, cp.Sys.Lz, cfg.LatNx, cfg.LatNy, cfg.LatNz, s.N, s.Lx, s.Ly, s.Lz)
+		}
+	} else {
+		// Phase 1: GS relaxation of the prepared texture in the bath.
+		if cfg.KT > 0 {
+			p.NN.SetUniformExcitation(0)
+			p.NN.Step(10)
+		}
+		res.ChargeBefore = p.NN.TopologicalCharge()
+		res.MeanPzBefore = p.NN.PolarizationField().MeanPz()
+		// Phase 2: DC-MESH pulse — per-domain excitation counts.
+		var nExc []float64
+		for s := 1; s <= cfg.PulseMDSteps; s++ {
+			nExc = p.QD.MDStep()
+			if p.OnPulseStep != nil {
+				p.OnPulseStep(s)
+			}
+		}
+		res.TotalExcitation = p.QD.TotalExcitation()
+		// Phase 3: inform XS-NNQMD.
+		if err := p.NN.SetExcitationFromDomains(nExc, cfg.DCMESH.Dx, cfg.DCMESH.Dy, cfg.DCMESH.Dz, cfg.NSat); err != nil {
+			return nil, fmt.Errorf("core: excitation handshake: %w", err)
+		}
+		res.ChargeAfterPulse = p.NN.TopologicalCharge()
 	}
-	res.TotalExcitation = p.QD.TotalExcitation()
-	// Phase 3: inform XS-NNQMD and evolve the texture.
-	if err := p.NN.SetExcitationFromDomains(nExc, cfg.DCMESH.Dx, cfg.DCMESH.Dy, cfg.DCMESH.Dz, cfg.NSat); err != nil {
-		return nil, fmt.Errorf("core: excitation handshake: %w", err)
-	}
-	res.ChargeAfterPulse = p.NN.TopologicalCharge()
+	// Phase 4: evolve the texture on the sharded engine.
 	p.NN.CarrierLifetime = 50 * cfg.DtMD
-	p.NN.Step(cfg.ResponseSteps)
+	newFF, err := shard.BlendEffHamFactory(p.Lat, p.GS, p.XS)
+	if err != nil {
+		return nil, err
+	}
+	sc := p.Shard
+	sc.Cutoff, sc.Skin, sc.NewFF = latCutoff, latSkin, newFF
+	if sc.Grid == [3]int{} {
+		sc.Grid = [3]int{1, 1, 1}
+	}
+	ro := p.Recover
+	ro.Steps = cfg.ResponseSteps
+	if _, err := shard.RunRecovered(sc, p.Sys, &latticeStage{p: p}, ro); err != nil {
+		return nil, err
+	}
 	res.ChargeFinal = p.NN.TopologicalCharge()
 	res.MeanPzFinal = p.NN.PolarizationField().MeanPz()
 	res.Switched = topo.Switched(res.ChargeBefore, res.ChargeFinal)
 	return res, nil
+}
+
+// latticeStage is the shard.Stage of the response: the engine serves as
+// XSNNQMD's force field (ComputeForces), so every process's replicated Sys
+// holds the whole state and a checkpoint is filled from it — never
+// gathered, as the ranks' own velocities do not advance on that path.
+// XSNNQMD.Step(n) is a plain loop of single steps, so chunking is
+// invisible to the trajectory: it is bitwise the same with checkpointing
+// on, off, resumed or recovered.
+type latticeStage struct {
+	p    *Pipeline
+	step int
+	eng  *shard.Engine
+	f    []float64
+}
+
+// Attach installs eng as the force field. Attaching keeps the forces the
+// integrator holds (those of the last step, or of the checkpoint just
+// restored), so the first half-kick uses exactly them.
+func (s *latticeStage) Attach(eng *shard.Engine, sys *md.System) error {
+	s.eng = eng
+	s.f = append(s.f[:0], sys.F...)
+	s.p.NN.SetForceField(eng)
+	copy(sys.F, s.f)
+	if s.p.OnAttach != nil {
+		s.p.OnAttach(eng)
+	}
+	return eng.Err()
+}
+
+// Advance steps the lattice n MD steps, reporting after each.
+func (s *latticeStage) Advance(n int) error {
+	for range n {
+		s.p.NN.Step(1)
+		s.step++
+		err := s.eng.Err()
+		if err == nil && s.p.OnResponseStep != nil {
+			err = s.p.OnResponseStep(s.step)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Fill adds the lattice clock and the decayed excitation map.
+func (s *latticeStage) Fill(cp *mlmdio.Checkpoint) error {
+	cp.Time, cp.Dt, cp.Extra = s.p.NN.Time(), s.p.NN.DtMD, s.p.NN.ExcitationPerCell
+	return nil
+}
+
+// Restore takes the response step, the lattice clock and the excitation
+// map from cp.
+func (s *latticeStage) Restore(cp *mlmdio.Checkpoint) error {
+	s.step = int(cp.Step)
+	s.p.NN.SetTime(cp.Time)
+	return s.p.NN.SetExcitationMap(cp.Extra)
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
+	"math"
 	"math/rand"
 
 	"mlmd/internal/ferro"
@@ -178,4 +181,17 @@ func (x *XSNNQMD) PolarizationField() *topo.Field {
 // TopologicalCharge returns the skyrmion number of the current texture.
 func (x *XSNNQMD) TopologicalCharge() float64 {
 	return x.PolarizationField().Charge()
+}
+
+// StateCRC folds the IEEE-754 bits of the lattice positions, velocities and
+// forces and of the excitation map into one CRC64 (ECMA): equal CRCs mean
+// equal final states.
+func (x *XSNNQMD) StateCRC() uint64 {
+	var b []byte
+	for _, vals := range [][]float64{x.Sys.X, x.Sys.V, x.Sys.F, x.ExcitationPerCell} {
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return crc64.Checksum(b, crc64.MakeTable(crc64.ECMA))
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"mlmd/internal/core"
 	"mlmd/internal/ferro"
 	"mlmd/internal/md"
 	"mlmd/internal/xsnn"
@@ -88,49 +87,6 @@ func TestShardEffHamForcesBitwise(t *testing.T) {
 		}
 		if math.Abs(pe-peRef) > 1e-12*math.Abs(peRef) {
 			t.Errorf("P=%d: PE %v, want %v", p, pe, peRef)
-		}
-	}
-}
-
-// TestShardXSNNQMDTrajectoryBitwise runs the full XS-NNQMD module — Langevin
-// bath, carrier decay, topological analysis — sharded vs unsharded. The
-// trajectories and the topological charge must agree bitwise.
-func TestShardXSNNQMDTrajectoryBitwise(t *testing.T) {
-	const nx, ny, nz = 8, 8, 2
-	const seed = 11
-
-	run := func(ranks int) (*md.System, float64, float64) {
-		sys, lat, gs, xs, _ := newFerroFixture(t, nx, ny, nz)
-		nn, err := core.NewXSNNQMD(sys, lat, gs, xs, 20, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ranks > 0 {
-			nn.SetForceField(newEffHamEngine(t, sys, lat, gs, xs, ranks))
-		}
-		nn.KT, nn.Gamma = 1e-4, 1e-3
-		nn.SetUniformExcitation(0.3)
-		nn.CarrierLifetime = 1000
-		var pe float64
-		for block := 0; block < 3; block++ {
-			pe = nn.Step(30)
-		}
-		return sys, nn.TopologicalCharge(), pe
-	}
-
-	refSys, refQ, _ := run(0)
-	for _, p := range []int{1, 2, 4} {
-		gotSys, gotQ, _ := run(p)
-		for i := range refSys.X {
-			if gotSys.X[i] != refSys.X[i] {
-				t.Fatalf("P=%d: X[%d] = %v, want %v (diff %g)", p, i, gotSys.X[i], refSys.X[i], gotSys.X[i]-refSys.X[i])
-			}
-			if gotSys.V[i] != refSys.V[i] {
-				t.Fatalf("P=%d: V[%d] = %v, want %v", p, i, gotSys.V[i], refSys.V[i])
-			}
-		}
-		if gotQ != refQ {
-			t.Errorf("P=%d: topological charge %v, want %v", p, gotQ, refQ)
 		}
 	}
 }
