@@ -56,15 +56,14 @@ func main() {
 	fmt.Printf("PbTiO3 %dx%dx%d cells (%d atoms), %dx%d skyrmion superlattice, pulse E0=%g a.u.\n",
 		cfg.LatNx, cfg.LatNy, cfg.LatNz, p.Sys.N, *sky, *sky, *amp)
 
-	traced := *trace || *xyzPath != ""
-	if traced {
-		var xyz *os.File
-		if *xyzPath != "" {
-			if xyz, err = os.Create(*xyzPath); err != nil {
-				fail(err)
-			}
-			defer xyz.Close()
+	var xyz *os.File
+	if *xyzPath != "" {
+		if xyz, err = os.Create(*xyzPath); err != nil {
+			fail(err)
 		}
+	}
+	traced := *trace || xyz != nil
+	if traced {
 		fmt.Println("\n  t [fs]     Q      meanPz    up%    down%   wall%  domains")
 		p.OnResponseStep = func(step int) error {
 			if step%10 != 0 && step != *steps {
@@ -82,6 +81,9 @@ func main() {
 		}
 	}
 	res, err := p.Run()
+	if err == nil && xyz != nil {
+		err = xyz.Close()
+	}
 	if err != nil {
 		fail(err)
 	}

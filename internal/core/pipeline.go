@@ -104,11 +104,8 @@ var (
 // LatticeAutoGrid is shard.AutoGrid for ranks over an nx×ny×nz lattice
 // with the response engine's halo.
 func LatticeAutoGrid(ranks, nx, ny, nz int) ([3]int, error) {
-	sys, _, err := ferro.NewLattice(nx, ny, nz)
-	if err != nil {
-		return [3]int{}, err
-	}
-	return shard.AutoGrid(ranks, [3]float64{sys.Lx, sys.Ly, sys.Lz}, latCutoff+latSkin)
+	a := ferro.LatticeConstant
+	return shard.AutoGrid(ranks, [3]float64{float64(nx) * a, float64(ny) * a, float64(nz) * a}, latCutoff+latSkin)
 }
 
 // NewPipeline builds lattice, superlattice texture, force fields and the
