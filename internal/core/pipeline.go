@@ -88,24 +88,26 @@ type Pipeline struct {
 	// OnAttach, when non-nil, runs on every process when a mesh
 	// generation's engine takes over the response.
 	OnAttach func(eng *shard.Engine)
-	// OnResponseStep, when non-nil, runs on every process after response
-	// step step (from 1, counted across restarts); an error ends the run.
+	// OnResponseStep, when non-nil, runs on every process after each
+	// response step with the step count (from 1, across restarts); an
+	// error ends the run.
 	OnResponseStep func(step int) error
 }
 
-// The response engine's decomposition: the soft-mode stencil reaches the
-// neighbor cell's Ti, so the cutoff covers a lattice constant plus
-// off-centering drift. Their sum is the halo every subdomain must clear.
-var (
-	latCutoff = 1.3 * ferro.LatticeConstant
-	latSkin   = 0.4 * ferro.LatticeConstant
-)
+// latticeHalo is the response engine's decomposition: the soft-mode
+// stencil reaches the neighbor cell's Ti, so the cutoff covers a lattice
+// constant plus off-centering drift. Their sum is the halo every subdomain
+// must clear.
+func latticeHalo() (cutoff, skin float64) {
+	return 1.3 * ferro.LatticeConstant, 0.4 * ferro.LatticeConstant
+}
 
 // LatticeAutoGrid is shard.AutoGrid for ranks over an nx×ny×nz lattice
 // with the response engine's halo.
 func LatticeAutoGrid(ranks, nx, ny, nz int) ([3]int, error) {
 	a := ferro.LatticeConstant
-	return shard.AutoGrid(ranks, [3]float64{float64(nx) * a, float64(ny) * a, float64(nz) * a}, latCutoff+latSkin)
+	cutoff, skin := latticeHalo()
+	return shard.AutoGrid(ranks, [3]float64{float64(nx) * a, float64(ny) * a, float64(nz) * a}, cutoff+skin)
 }
 
 // NewPipeline builds lattice, superlattice texture, force fields and the
@@ -186,7 +188,8 @@ func (p *Pipeline) Run() (*PipelineResult, error) {
 		return nil, err
 	}
 	sc := p.Shard
-	sc.Cutoff, sc.Skin, sc.NewFF = latCutoff, latSkin, newFF
+	sc.Cutoff, sc.Skin = latticeHalo()
+	sc.NewFF = newFF
 	if sc.Grid == [3]int{} {
 		sc.Grid = [3]int{1, 1, 1}
 	}

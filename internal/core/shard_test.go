@@ -50,9 +50,9 @@ func TestShardXSNNQMDTrajectoryBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := shard.NewEngine(shard.Config{
-				Grid: [3]int{ranks, 1, 1}, Cutoff: latCutoff, Skin: latSkin, NewFF: newFF,
-			}, sys)
+			cfg := shard.Config{Grid: [3]int{ranks, 1, 1}, NewFF: newFF}
+			cfg.Cutoff, cfg.Skin = latticeHalo()
+			eng, err := shard.NewEngine(cfg, sys)
 			if err != nil {
 				t.Fatal(err)
 			}
