@@ -149,6 +149,8 @@ func main() {
 		fail(err)
 	}
 	switch {
+	case demo == "" && *mdsteps < 1 && *resumePath == "":
+		fail(fmt.Errorf("-mdsteps must be >= 1: the lattice responds to the pulse"))
 	case *maxRestarts < 0:
 		fail(fmt.Errorf("-max-restarts must be >= 0"))
 	case *maxRestarts > 0 && opts.procs == 0 && opts.hosts == nil:
@@ -184,6 +186,7 @@ func main() {
 		if ropts.Resume, err = mlmdio.ReadCheckpointFile(*resumePath); err != nil {
 			fail(err)
 		}
+		*mdsteps = 0 // a resume runs the response only
 	}
 	run(out, *mesh, *domains, *norb, *nqd, *mdsteps, *amp, *photon, *latCells, opts, ropts)
 }
@@ -389,11 +392,10 @@ func run(out io.Writer, mesh, domains, norb, nqd, mdsteps int, amp, photon float
 	var eng *shard.Engine
 	p.OnAttach = func(e *shard.Engine) {
 		eng = e
-		if g := e.Grid(); sharded && procs {
-			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid, %d processes)\n",
-				e.Ranks(), g[0], g[1], g[2], e.Ranks())
+		if g, n := e.Grid(), e.Ranks(); procs { // a process per rank
+			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid, %d processes)\n", n, g[0], g[1], g[2], n)
 		} else if sharded {
-			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid)\n", e.Ranks(), g[0], g[1], g[2])
+			fmt.Fprintf(out, "(lattice stage sharded across %d ranks, %dx%dx%d grid)\n", n, g[0], g[1], g[2])
 		}
 	}
 	p.OnResponseStep = func(step int) error {

@@ -581,3 +581,23 @@ func TestAutoResumeAfterWriterDeath(t *testing.T) {
 		t.Errorf("tail after the writer's death differs from the golden summary\n--- got ---\n%s\n--- want tail ---\n%s", got, tail)
 	}
 }
+
+// TestNoPulseFailsFast: a run without a pulse window has nothing for the
+// lattice to respond to, so -mdsteps 0 fails before the ground states are
+// prepared; a resume, which skips the pulse, accepts it.
+func TestNoPulseFailsFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	exe := buildMLMD(t)
+	out, err := exec.Command(exe, "-mdsteps", "0").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-mdsteps must be >= 1") || strings.Contains(string(out), "prepared") {
+		t.Errorf("-mdsteps 0: err %v, output %q; want a fail-fast error naming -mdsteps", err, out)
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	ref := runMLMD(t, exe, append(append([]string{}, smallArgs...), "-checkpoint-every", "60", "-checkpoint", ckpt)...)
+	got := runMLMD(t, exe, append(append([]string{}, smallArgs...), "-resume", ckpt, "-mdsteps", "0")...)
+	if tail := ref[strings.LastIndex(ref, "t = "):]; !strings.HasSuffix(got, tail) {
+		t.Errorf("-resume with -mdsteps 0: tail differs\n--- got ---\n%s\n--- want tail ---\n%s", got, tail)
+	}
+}

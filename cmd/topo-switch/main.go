@@ -62,8 +62,9 @@ func main() {
 			fail(err)
 		}
 	}
-	traced := *trace || xyz != nil
-	if traced {
+	gap := "" // a blank line between a trace and the report
+	if *trace || xyz != nil {
+		gap = "\n"
 		fmt.Println("\n  t [fs]     Q      meanPz    up%    down%   wall%  domains")
 		p.OnResponseStep = func(step int) error {
 			if step%10 != 0 && step != *steps {
@@ -87,10 +88,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if traced {
-		fmt.Println()
-	}
-	fmt.Printf("topological charge: before pulse %+.2f, after pulse %+.2f, final %+.2f\n",
+	fmt.Printf("%stopological charge: before pulse %+.2f, after pulse %+.2f, final %+.2f\n", gap,
 		res.ChargeBefore, res.ChargeAfterPulse, res.ChargeFinal)
 	fmt.Printf("photoexcited electrons (all domains): %.4f\n", res.TotalExcitation)
 	fmt.Printf("mean polarization Pz: %.4f -> %.4f\n", res.MeanPzBefore, res.MeanPzFinal)

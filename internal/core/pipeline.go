@@ -26,6 +26,8 @@ type PipelineConfig struct {
 	// lattice dims).
 	DCMESH DCMESHConfig
 	// PulseMDSteps is how many DC-MESH MD steps the pulse window covers.
+	// With 0 (as for a resume) no DC-MESH module is built and Run runs the
+	// response only.
 	PulseMDSteps int
 	// ResponseSteps is the XS-NNQMD step count after the pulse.
 	ResponseSteps int
@@ -132,9 +134,11 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			}
 		}
 	}
-	qd, err := NewDCMESH(cfg.DCMESH)
-	if err != nil {
-		return nil, err
+	var qd *DCMESH
+	if cfg.PulseMDSteps > 0 {
+		if qd, err = NewDCMESH(cfg.DCMESH); err != nil {
+			return nil, err
+		}
 	}
 	nn, err := NewXSNNQMD(sys, lat, gs, xs, cfg.DtMD, cfg.Seed+1)
 	if err != nil {
@@ -158,7 +162,7 @@ func (p *Pipeline) Run() (*PipelineResult, error) {
 			return nil, fmt.Errorf("core: checkpoint holds %d atoms in a %gx%gx%g box; the %dx%dx%d lattice has %d atoms in %gx%gx%g",
 				cp.Sys.N, cp.Sys.Lx, cp.Sys.Ly, cp.Sys.Lz, cfg.LatNx, cfg.LatNy, cfg.LatNz, s.N, s.Lx, s.Ly, s.Lz)
 		}
-	} else {
+	} else if cfg.PulseMDSteps > 0 {
 		// Phase 1: GS relaxation of the prepared texture in the bath.
 		if cfg.KT > 0 {
 			p.NN.SetUniformExcitation(0)
@@ -215,17 +219,14 @@ type latticeStage struct {
 	p    *Pipeline
 	step int
 	eng  *shard.Engine
-	f    []float64
 }
 
-// Attach installs eng as the force field. Attaching keeps the forces the
-// integrator holds (those of the last step, or of the checkpoint just
-// restored), so the first half-kick uses exactly them.
-func (s *latticeStage) Attach(eng *shard.Engine, sys *md.System) error {
+// Attach installs eng as the force field. The forces sys holds (those of
+// the last step, or of the checkpoint just restored) stay, so the first
+// half-kick uses exactly them.
+func (s *latticeStage) Attach(eng *shard.Engine, _ *md.System) error {
 	s.eng = eng
-	s.f = append(s.f[:0], sys.F...)
 	s.p.NN.SetForceField(eng)
-	copy(sys.F, s.f)
 	if s.p.OnAttach != nil {
 		s.p.OnAttach(eng)
 	}

@@ -68,14 +68,14 @@ type perAtomWeighted interface {
 	SetPerAtomWeights(w []float64)
 }
 
-// SetForceField replaces the step loop's force field (e.g. with a sharded
-// engine) and re-primes forces so the next VelocityVerlet half-kick is
-// consistent. The replacement receives subsequent per-atom excitation
-// weights if it implements SetPerAtomWeights.
+// SetForceField replaces the step loop's force field with ff, which must
+// evaluate the same force (e.g. the sharded engine over the same blend):
+// the forces Sys holds stay, so the next half-kick uses exactly them. ff
+// receives the per-atom excitation weights if it implements
+// SetPerAtomWeights.
 func (x *XSNNQMD) SetForceField(ff md.ForceField) {
 	x.FF = ff
 	x.applyExcitation()
-	x.FF.ComputeForces(x.Sys)
 }
 
 // SetExcitationFromDomains maps DC-MESH per-domain n_exc onto per-cell
