@@ -153,7 +153,8 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 
 // Run executes prepare → pulse → response and returns the result; it runs
 // once per Pipeline. With p.Recover.Resume set it restores the checkpoint
-// and runs the rest of the response only.
+// and runs the rest of the response only, bitwise as the uninterrupted run
+// for KT 0 (the bath's random stream is not checkpointed).
 func (p *Pipeline) Run() (*PipelineResult, error) {
 	cfg := p.Cfg
 	res := &PipelineResult{}
