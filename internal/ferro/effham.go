@@ -8,20 +8,20 @@ import (
 
 // EffectiveHamiltonian is the analytic PbTiO3 model:
 //
-//	E = Σ_cells [ A_eff(w_c) |s_c|² + B |s_c|⁴ ]            (soft-mode double well)
+//	E = Σ_cells [ A_eff |s_c|² + B |s_c|⁴ ]                  (soft-mode double well)
 //	  − J Σ_<cc'> s_c · s_c'                                 (ferroelectric coupling)
 //	  + ½ k_host Σ_atoms≠Ti |x_i − R0_i|²                    (host cage)
-//	  + ½ k_perp Σ_cells |s_c,⊥axis|² (optional tetragonality)
 //
 // with s_c the Ti off-centering of cell c. A < 0, B > 0 give the double well
 // with spontaneous |s0| = sqrt(−A/2B). Photoexcitation enters through the
-// per-cell excited fraction w_c ∈ [0,1]:
+// excited fraction w ∈ [0,1] of the surface:
 //
-//	A_eff = A (1 − 2 w_c)
+//	A_eff = A (1 − 2 w)
 //
 // so w = 0 keeps the ferroelectric well, w = 1/2 flattens it and w > 1/2
 // turns it paraelectric — the light-induced well softening that drives the
-// topological switching of Fig. 3.
+// topological switching of Fig. 3. Spatially varying excitation is the
+// per-atom blend (internal/xsnn) of a w = 0 and a w = 1 surface.
 //
 // Because the host term ties atoms to lattice sites, this force field is an
 // Einstein-crystal-like model: it is translation-pinned by construction and
@@ -34,8 +34,8 @@ type EffectiveHamiltonian struct {
 	J float64
 	// KHost is the harmonic constant tying Pb/O atoms to their sites.
 	KHost float64
-	// W holds the per-cell excitation fraction (nil = ground state).
-	W []float64
+	// W is the excited fraction of every cell (0 = ground state).
+	W float64
 }
 
 // DefaultEffHam returns parameters giving a ~0.03 Bohr spontaneous
@@ -60,34 +60,8 @@ func (eh *EffectiveHamiltonian) S0() float64 {
 	return math.Sqrt(-eh.A / (2 * eh.B))
 }
 
-// SetExcitation assigns the same excited fraction w to every cell.
-func (eh *EffectiveHamiltonian) SetExcitation(w float64) {
-	if eh.W == nil {
-		eh.W = make([]float64, eh.Lat.NumCells())
-	}
-	for c := range eh.W {
-		eh.W[c] = w
-	}
-}
-
-// AEff returns the effective quadratic coefficient of cell c,
-// A·(1 − 2 w_c). Exported so decomposed evaluators (internal/shard) can
-// reproduce the per-cell force with bitwise-identical arithmetic.
-func (eh *EffectiveHamiltonian) AEff(c int) float64 {
-	if eh.W == nil {
-		return eh.A
-	}
-	return eh.A * (1 - 2*eh.W[c])
-}
-
-// aEff returns the effective quadratic coefficient of cell c.
-func (eh *EffectiveHamiltonian) aEff(c int) float64 { return eh.AEff(c) }
-
-// neighborCells returns the 6 nearest-neighbor cell ids of cell c
-// (periodic).
-func (eh *EffectiveHamiltonian) neighborCells(c int) [6]int {
-	return eh.Lat.NeighborCells(c)
-}
+// SetExcitation sets the excited fraction w of every cell.
+func (eh *EffectiveHamiltonian) SetExcitation(w float64) { eh.W = w }
 
 func wrapc(i, n int) int {
 	if i < 0 {
@@ -99,61 +73,69 @@ func wrapc(i, n int) int {
 	return i
 }
 
+// TiForce is the law on one Ti: the force on the Ti of a cell with soft
+// mode s whose six neighbor cells, in NeighborCells order, have soft modes
+// ns, and the cell's energy — its well plus the +x, +y, +z half of its
+// bonds, so that every bond counts once in the sum over cells. Serial and
+// decomposed evaluators both call it, so their forces agree bitwise.
+func (eh *EffectiveHamiltonian) TiForce(s [3]float64, ns *[6][3]float64) (f [3]float64, pe float64) {
+	a := eh.A * (1 - 2*eh.W)
+	s2 := s[0]*s[0] + s[1]*s[1] + s[2]*s[2]
+	pe = a*s2 + eh.B*s2*s2
+	for k := 0; k < 6; k += 2 { // +x, +y, +z neighbors
+		pe -= eh.J * (s[0]*ns[k][0] + s[1]*ns[k][1] + s[2]*ns[k][2])
+	}
+	// F = −∂E/∂s = −(2a + 4B s²) s, plus J Σ_nb s_nb from all six bonds.
+	coef := -(2*a + 4*eh.B*s2)
+	var g [3]float64
+	for k := range ns {
+		g[0] += ns[k][0]
+		g[1] += ns[k][1]
+		g[2] += ns[k][2]
+	}
+	for d := range f {
+		f[d] = coef*s[d] + eh.J*g[d]
+	}
+	return f, pe
+}
+
+// CageForce is the law on one Pb or O atom displaced d from its site: the
+// host cage's force and energy.
+func (eh *EffectiveHamiltonian) CageForce(d [3]float64) (f [3]float64, pe float64) {
+	for k := range f {
+		f[k] = -(eh.KHost * d[k])
+	}
+	return f, 0.5 * eh.KHost * (d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
+}
+
 // ComputeForces implements md.ForceField.
 func (eh *EffectiveHamiltonian) ComputeForces(sys *md.System) float64 {
 	l := eh.Lat
-	for i := range sys.F {
-		sys.F[i] = 0
+	s := make([][3]float64, l.NumCells())
+	for c := range s {
+		s[c][0], s[c][1], s[c][2] = l.SoftMode(sys, c)
 	}
 	var pe float64
-	ncells := l.NumCells()
-	// Cache soft modes.
-	s := make([]float64, 3*ncells)
-	for c := 0; c < ncells; c++ {
-		sx, sy, sz := l.SoftMode(sys, c)
-		s[3*c], s[3*c+1], s[3*c+2] = sx, sy, sz
-	}
-	// Double well + coupling act on Ti atoms.
-	for c := 0; c < ncells; c++ {
-		sx, sy, sz := s[3*c], s[3*c+1], s[3*c+2]
-		s2 := sx*sx + sy*sy + sz*sz
-		a := eh.aEff(c)
-		pe += a*s2 + eh.B*s2*s2
-		// F = −∂E/∂s = −(2a + 4B s²) s.
-		coef := -(2*a + 4*eh.B*s2)
-		ti := l.TiIndex[c]
-		sys.F[3*ti] += coef * sx
-		sys.F[3*ti+1] += coef * sy
-		sys.F[3*ti+2] += coef * sz
-		// Coupling: E = −J Σ_<cc'> s·s' (count each bond once via +x,+y,+z).
-		nb := eh.neighborCells(c)
-		for k := 0; k < 6; k += 2 { // +x, +y, +z neighbors
-			c2 := nb[k]
-			pe -= eh.J * (sx*s[3*c2] + sy*s[3*c2+1] + sz*s[3*c2+2])
+	for c := range s {
+		var ns [6][3]float64
+		for k, c2 := range l.NeighborCells(c) {
+			ns[k] = s[c2]
 		}
-		// Force from all 6 bonds touching c: F_c = J Σ_nb s_nb.
-		var gx, gy, gz float64
-		for _, c2 := range nb {
-			gx += s[3*c2]
-			gy += s[3*c2+1]
-			gz += s[3*c2+2]
-		}
-		sys.F[3*ti] += eh.J * gx
-		sys.F[3*ti+1] += eh.J * gy
-		sys.F[3*ti+2] += eh.J * gz
+		f, e := eh.TiForce(s[c], &ns)
+		copy(sys.F[3*l.TiIndex[c]:], f[:])
+		pe += e
 	}
-	// Host cage on every non-Ti atom.
 	for i := 0; i < sys.N; i++ {
 		if sys.Type[i] == SpTi {
 			continue
 		}
-		dx := md.MinImage1(sys.X[3*i]-l.R0[3*i], sys.Lx)
-		dy := md.MinImage1(sys.X[3*i+1]-l.R0[3*i+1], sys.Ly)
-		dz := md.MinImage1(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz)
-		pe += 0.5 * eh.KHost * (dx*dx + dy*dy + dz*dz)
-		sys.F[3*i] -= eh.KHost * dx
-		sys.F[3*i+1] -= eh.KHost * dy
-		sys.F[3*i+2] -= eh.KHost * dz
+		f, e := eh.CageForce([3]float64{
+			md.MinImage1(sys.X[3*i]-l.R0[3*i], sys.Lx),
+			md.MinImage1(sys.X[3*i+1]-l.R0[3*i+1], sys.Ly),
+			md.MinImage1(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz),
+		})
+		copy(sys.F[3*i:], f[:])
+		pe += e
 	}
 	return pe
 }

@@ -75,6 +75,7 @@ import (
 	"mlmd/internal/md"
 	"mlmd/internal/rank"
 	"mlmd/internal/shard/halo"
+	"mlmd/internal/xsnn"
 )
 
 // RankFF is what every rank force field has: the length of its energy
@@ -650,21 +651,14 @@ func (e *Engine) Grid() [3]int { return e.grid.P }
 // alpha-beta modeled communication time accumulated by the run.
 func (e *Engine) ModeledCommSeconds() float64 { return e.comm.MaxClock() }
 
-// SetPerAtomWeights installs the global per-atom blending weights (copied,
-// clamped to [0,1] exactly like xsnn.Blend) read by weight-aware rank force
-// fields such as the blended effective Hamiltonian.
+// SetPerAtomWeights installs the global per-atom blending weights (copied
+// and clamped by xsnn.ClampWeights, as xsnn.Blend does) read by
+// weight-aware rank force fields such as the blended effective Hamiltonian.
 func (e *Engine) SetPerAtomWeights(w []float64) {
 	if len(w) != e.n {
 		panic("shard: per-atom weight length mismatch")
 	}
-	e.weights = append(e.weights[:0], w...)
-	for i, v := range e.weights {
-		if v < 0 {
-			e.weights[i] = 0
-		} else if v > 1 {
-			e.weights[i] = 1
-		}
-	}
+	e.weights = xsnn.ClampWeights(e.weights, w)
 	for _, rs := range e.local {
 		rs.v.Weights = e.weights
 	}

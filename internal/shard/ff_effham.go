@@ -4,14 +4,16 @@ import (
 	"fmt"
 
 	"mlmd/internal/ferro"
+	"mlmd/internal/xsnn"
 )
 
 // BlendEffHam is the sharded counterpart of xsnn.Blend over two
 // ferro.EffectiveHamiltonian force fields (ground state and excited
 // state): F_i = (1−w_i)·F_GS,i + w_i·F_XS,i with per-atom weights from the
-// engine (Eq. 4 of the paper). It reproduces the serial blend's arithmetic
-// operation-for-operation — soft-mode well and coupling terms accumulate in
-// the same order, with the same expression shapes — so a sharded XS-NNQMD
+// engine (Eq. 4 of the paper). It only gathers each owned atom's inputs —
+// its site displacement and, for a Ti, the six neighbor cells' soft modes
+// — and calls the law the serial code calls (ferro's TiForce and
+// CageForce, xsnn's BlendForce and BlendEnergy), so a sharded XS-NNQMD
 // trajectory is bitwise identical to the unsharded one for every rank
 // count.
 //
@@ -55,8 +57,16 @@ func (b *BlendEffHam) NeedsNeighborList() bool { return false }
 // always resolve to owned atoms — asserted below, because an interior-pass
 // ghost dereference would silently read a stale position.
 func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
-	lat, gs, xs := b.lat, b.gs, b.xs
+	lat := b.lat
 	px, py, pz := v.Periods()
+	// site is local atom li's min-image displacement from gid g's site.
+	site := func(li, g int) [3]float64 {
+		return [3]float64{
+			px.MinImage(v.X[3*li] - lat.R0[3*g]),
+			py.MinImage(v.X[3*li+1] - lat.R0[3*g+1]),
+			pz.MinImage(v.X[3*li+2] - lat.R0[3*g+2]),
+		}
+	}
 	var eGS, eXS, wSum float64
 	for i := lo; i < hi; i++ {
 		g := int(v.ID[i])
@@ -65,15 +75,11 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 			w = v.Weights[g]
 		}
 		wSum += w
-		c := g / ferro.AtomsPerCell
-		if g%ferro.AtomsPerCell == 1 { // the cell's Ti: well + coupling
-			sx := px.MinImage(v.X[3*i] - lat.R0[3*g])
-			sy := py.MinImage(v.X[3*i+1] - lat.R0[3*g+1])
-			sz := pz.MinImage(v.X[3*i+2] - lat.R0[3*g+2])
-			s2 := sx*sx + sy*sy + sz*sz
-			nb := lat.NeighborCells(c)
+		var fg, fx [3]float64
+		var eg, ex float64
+		if g%ferro.AtomsPerCell == 1 { // the cell's Ti
 			var ns [6][3]float64
-			for k, c2 := range nb {
+			for k, c2 := range lat.NeighborCells(g / ferro.AtomsPerCell) {
 				tg := lat.TiIndex[c2]
 				li := v.Lookup(int32(tg))
 				if li < 0 {
@@ -82,28 +88,20 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 				if hi <= v.NInt && int(li) >= v.NOwn {
 					panic(fmt.Sprintf("shard: rank %d interior atom %d dereferences ghost Ti %d — interior margin violated", v.Rank, i, tg))
 				}
-				ns[k][0] = px.MinImage(v.X[3*li] - lat.R0[3*tg])
-				ns[k][1] = py.MinImage(v.X[3*li+1] - lat.R0[3*tg+1])
-				ns[k][2] = pz.MinImage(v.X[3*li+2] - lat.R0[3*tg+2])
+				ns[k] = site(int(li), tg)
 			}
-			fgx, fgy, fgz, peg := tiForce(gs, c, sx, sy, sz, s2, &ns)
-			fxx, fxy, fxz, pex := tiForce(xs, c, sx, sy, sz, s2, &ns)
-			eGS += peg
-			eXS += pex
-			v.F[3*i] = (1-w)*fgx + w*fxx
-			v.F[3*i+1] = (1-w)*fgy + w*fxy
-			v.F[3*i+2] = (1-w)*fgz + w*fxz
-		} else { // host-cage atom
-			dx := px.MinImage(v.X[3*i] - lat.R0[3*g])
-			dy := py.MinImage(v.X[3*i+1] - lat.R0[3*g+1])
-			dz := pz.MinImage(v.X[3*i+2] - lat.R0[3*g+2])
-			eGS += 0.5 * gs.KHost * (dx*dx + dy*dy + dz*dz)
-			eXS += 0.5 * xs.KHost * (dx*dx + dy*dy + dz*dz)
-			fgx, fgy, fgz := -(gs.KHost * dx), -(gs.KHost * dy), -(gs.KHost * dz)
-			fxx, fxy, fxz := -(xs.KHost * dx), -(xs.KHost * dy), -(xs.KHost * dz)
-			v.F[3*i] = (1-w)*fgx + w*fxx
-			v.F[3*i+1] = (1-w)*fgy + w*fxy
-			v.F[3*i+2] = (1-w)*fgz + w*fxz
+			s := site(i, g)
+			fg, eg = b.gs.TiForce(s, &ns)
+			fx, ex = b.xs.TiForce(s, &ns)
+		} else {
+			d := site(i, g)
+			fg, eg = b.gs.CageForce(d)
+			fx, ex = b.xs.CageForce(d)
+		}
+		eGS += eg
+		eXS += ex
+		for k := range fg {
+			v.F[3*i+k] = xsnn.BlendForce(w, fg[k], fx[k])
 		}
 	}
 	partial[0] += eGS
@@ -111,34 +109,7 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 	partial[2] += wSum
 }
 
-// tiForce evaluates one effective Hamiltonian's force on a Ti atom and the
-// cell's energy terms (well plus the +x,+y,+z half of the coupling, so each
-// bond is counted once globally). The expression shapes replicate
-// ferro.EffectiveHamiltonian.ComputeForces bit-for-bit: the force is
-// fl(fl(coef·s) + fl(J·g)) exactly like the serial code's two
-// accumulations.
-func tiForce(eh *ferro.EffectiveHamiltonian, c int, sx, sy, sz, s2 float64, ns *[6][3]float64) (fx, fy, fz, pe float64) {
-	a := eh.AEff(c)
-	pe = a*s2 + eh.B*s2*s2
-	for k := 0; k < 6; k += 2 { // +x, +y, +z neighbors
-		pe -= eh.J * (sx*ns[k][0] + sy*ns[k][1] + sz*ns[k][2])
-	}
-	coef := -(2*a + 4*eh.B*s2)
-	var gx, gy, gz float64
-	for k := 0; k < 6; k++ {
-		gx += ns[k][0]
-		gy += ns[k][1]
-		gz += ns[k][2]
-	}
-	fx = coef*sx + eh.J*gx
-	fy = coef*sy + eh.J*gy
-	fz = coef*sz + eh.J*gz
-	return
-}
-
-// Energy implements RankFF, replicating xsnn.Blend's mean-weight blended
-// energy (1−w̄)E_GS + w̄·E_XS.
+// Energy implements RankFF: xsnn.BlendEnergy of the summed partials.
 func (b *BlendEffHam) Energy(v *View, total []float64) float64 {
-	wMean := total[2] / float64(v.NGlobal)
-	return (1-wMean)*total[0] + wMean*total[1]
+	return xsnn.BlendEnergy(total[0], total[1], total[2], v.NGlobal)
 }

@@ -32,14 +32,23 @@ func newSys(t *testing.T, n int) *md.System {
 	return sys
 }
 
+// uniform returns n copies of w.
+func uniform(n int, w float64) []float64 {
+	ws := make([]float64, n)
+	for i := range ws {
+		ws[i] = w
+	}
+	return ws
+}
+
 func TestPureEndpoints(t *testing.T) {
 	sys := newSys(t, 4)
 	b := NewBlend(constFF{f: 1, e: 10}, constFF{f: 3, e: 30})
-	b.SetWeight(0)
+	b.SetPerAtomWeights(uniform(4, 0))
 	if e := b.ComputeForces(sys); e != 10 || sys.F[0] != 1 {
 		t.Errorf("w=0: e=%g f=%g", e, sys.F[0])
 	}
-	b.SetWeight(1)
+	b.SetPerAtomWeights(uniform(4, 1))
 	if e := b.ComputeForces(sys); e != 30 || sys.F[0] != 3 {
 		t.Errorf("w=1: e=%g f=%g", e, sys.F[0])
 	}
@@ -48,7 +57,7 @@ func TestPureEndpoints(t *testing.T) {
 func TestLinearInterpolation(t *testing.T) {
 	sys := newSys(t, 4)
 	b := NewBlend(constFF{f: 1, e: 10}, constFF{f: 3, e: 30})
-	b.SetWeight(0.25)
+	b.SetPerAtomWeights(uniform(4, 0.25))
 	e := b.ComputeForces(sys)
 	if math.Abs(e-15) > 1e-12 {
 		t.Errorf("blended energy = %g, want 15", e)
@@ -60,13 +69,13 @@ func TestLinearInterpolation(t *testing.T) {
 
 func TestWeightClamping(t *testing.T) {
 	b := NewBlend(constFF{}, constFF{})
-	b.SetWeight(-0.5)
-	if b.W != 0 {
-		t.Errorf("negative weight not clamped: %g", b.W)
+	b.SetPerAtomWeights(uniform(2, -0.5))
+	if b.PerAtomW[0] != 0 {
+		t.Errorf("negative weight not clamped: %g", b.PerAtomW[0])
 	}
-	b.SetWeight(1.7)
-	if b.W != 1 {
-		t.Errorf("overweight not clamped: %g", b.W)
+	b.SetPerAtomWeights(uniform(2, 1.7))
+	if b.PerAtomW[0] != 1 {
+		t.Errorf("overweight not clamped: %g", b.PerAtomW[0])
 	}
 }
 
