@@ -36,12 +36,16 @@ type PipelineConfig struct {
 	// DtMD is the XS-NNQMD time step (a.u.).
 	DtMD float64
 	// KT is the lattice temperature (Hartree). KT > 0 draws velocities
-	// from Seed, holds the texture for 10 steps before the pulse and keeps
-	// a Langevin bath on; KT 0 is an NVE run from rest.
+	// from Seed, holds the texture for holdSteps (10) steps before the
+	// pulse and keeps a Langevin bath on; KT 0 is an NVE run from rest.
 	KT float64
 	// Seed seeds the velocities; the bath's stream is Seed+1.
 	Seed int64
 }
+
+// holdSteps is the length of the ground-state relaxation in the bath
+// before the pulse of a KT > 0 run.
+const holdSteps = 10
 
 // DefaultPipelineConfig returns a laptop-scale but complete configuration.
 func DefaultPipelineConfig() PipelineConfig {
@@ -153,8 +157,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 
 // Run executes prepare → pulse → response and returns the result; it runs
 // once per Pipeline. With p.Recover.Resume set it restores the checkpoint
-// and runs the rest of the response only, bitwise as the uninterrupted run
-// for KT 0 (the bath's random stream is not checkpointed).
+// and runs the rest of the response only, bitwise as the uninterrupted run.
 func (p *Pipeline) Run() (*PipelineResult, error) {
 	cfg := p.Cfg
 	res := &PipelineResult{}
@@ -167,7 +170,7 @@ func (p *Pipeline) Run() (*PipelineResult, error) {
 		// Phase 1: GS relaxation of the prepared texture in the bath.
 		if cfg.KT > 0 {
 			p.NN.SetUniformExcitation(0)
-			p.NN.Step(10)
+			p.NN.Step(holdSteps)
 		}
 		res.ChargeBefore = p.NN.TopologicalCharge()
 		res.MeanPzBefore = p.NN.PolarizationField().MeanPz()
@@ -257,9 +260,13 @@ func (s *latticeStage) Fill(cp *mlmdio.Checkpoint) error {
 }
 
 // Restore takes the response step, the lattice clock and the excitation
-// map from cp.
+// map from cp, and replays the bath's draws up to cp: those of the hold
+// and of cp.Step response steps. (The bath is on only with KT > 0, so the
+// checkpointed run held before its pulse — unless it ran with
+// PulseMDSteps 0, whose checkpoints resume off the uninterrupted stream.)
 func (s *latticeStage) Restore(cp *mlmdio.Checkpoint) error {
 	s.step = int(cp.Step)
+	s.p.NN.replayBath(holdSteps + s.step)
 	s.p.NN.SetTime(cp.Time)
 	return s.p.NN.SetExcitationMap(cp.Extra)
 }

@@ -10,8 +10,7 @@ import (
 
 // TestPipelineSameBitsOnEveryPath: the response ends on the same bits on
 // any rank grid, with balancing, with checkpoints written, and resumed
-// from the last of them on another grid. The resume runs the NVE path
-// (KT 0), since the bath's random stream is not checkpointed.
+// from the last of them on another grid, with the bath on and off.
 func TestPipelineSameBitsOnEveryPath(t *testing.T) {
 	run := func(kT float64, setup func(p *Pipeline)) uint64 {
 		t.Helper()
@@ -39,23 +38,25 @@ func TestPipelineSameBitsOnEveryPath(t *testing.T) {
 		}
 	}
 
-	ref = run(0, func(*Pipeline) {})
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	if got := run(0, func(p *Pipeline) { p.Recover = shard.RecoverOpts{Every: 15, Path: ckpt} }); got != ref {
-		t.Errorf("checkpointed run: CRC64 %#016x, plain %#016x", got, ref)
-	}
-	cp, err := mlmdio.ReadCheckpointFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Step != 30 {
-		t.Fatalf("last checkpoint at step %d, want 30", cp.Step)
-	}
-	resumed := run(0, func(p *Pipeline) {
-		p.Shard.Grid = [3]int{2, 2, 1}
-		p.Recover.Resume = cp
-	})
-	if resumed != ref {
-		t.Errorf("resumed run: CRC64 %#016x, uninterrupted %#016x", resumed, ref)
+	for _, temp := range []float64{0, kT} {
+		ref := run(temp, func(*Pipeline) {})
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		if got := run(temp, func(p *Pipeline) { p.Recover = shard.RecoverOpts{Every: 15, Path: ckpt} }); got != ref {
+			t.Errorf("kT %g checkpointed run: CRC64 %#016x, plain %#016x", temp, got, ref)
+		}
+		cp, err := mlmdio.ReadCheckpointFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Step != 30 {
+			t.Fatalf("kT %g: last checkpoint at step %d, want 30", temp, cp.Step)
+		}
+		resumed := run(temp, func(p *Pipeline) {
+			p.Shard.Grid = [3]int{2, 2, 1}
+			p.Recover.Resume = cp
+		})
+		if resumed != ref {
+			t.Errorf("kT %g resumed run: CRC64 %#016x, uninterrupted %#016x", temp, resumed, ref)
+		}
 	}
 }

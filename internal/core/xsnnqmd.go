@@ -34,6 +34,7 @@ type XSNNQMD struct {
 	KT, Gamma float64
 	// CarrierLifetime is the excitation decay time (a.u.); 0 = no decay.
 	CarrierLifetime float64
+	seed            int64
 	rng             *rand.Rand
 	time            float64
 	// perAtom is applyExcitation's scratch: every receiver copies the
@@ -55,6 +56,7 @@ func NewXSNNQMD(sys *md.System, lat *ferro.Lattice, gs, xs md.ForceField, dtMD f
 		ExcitationPerCell: make([]float64, lat.NumCells()),
 		perAtom:           make([]float64, sys.N),
 		DtMD:              dtMD,
+		seed:              seed,
 		rng:               rand.New(rand.NewSource(seed)),
 	}
 	x.FF = x.Blend
@@ -149,6 +151,21 @@ func (x *XSNNQMD) Step(n int) float64 {
 		x.time += x.DtMD
 	}
 	return pe
+}
+
+// replayBath puts the Langevin bath's random stream where it stands after
+// steps bathed steps from construction: it reseeds the stream and draws
+// the 3N normals md.LangevinThermostat takes per step, steps times — the
+// resume path of a checkpointed run, whose stream the checkpoint does not
+// hold. Without a bath (Gamma 0) it does nothing.
+func (x *XSNNQMD) replayBath(steps int) {
+	if x.Gamma <= 0 {
+		return
+	}
+	x.rng = rand.New(rand.NewSource(x.seed))
+	for range steps * 3 * x.Sys.N {
+		x.rng.NormFloat64()
+	}
 }
 
 // Time returns elapsed MD time (a.u.).
