@@ -124,7 +124,7 @@ FUZZ_TIME   ?= 10s
 # Packages whose exported API must be fully doc-commented (`make docs`).
 DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./internal/par ./internal/allegro ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint ./internal/rank \
-	./internal/mlmdio ./internal/bench
+	./internal/mlmdio ./internal/bench ./internal/ferro ./internal/xsnn ./internal/core
 
 # Packages with architecture-specific files (assembly kernels and their
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.

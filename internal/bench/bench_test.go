@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"mlmd/internal/tddft"
 )
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {
@@ -199,5 +197,4 @@ func TestLegatoFidelityScaling(t *testing.T) {
 	// time-to-failure at equal inference cost — is asserted above.
 	t.Logf("fidelity exponents: plain %.2f, SAM %.2f (paper: -0.29, -0.14)",
 		res.ExponentPlain, res.ExponentSAM)
-	_ = tddft.ImplParallel // keep import shape stable if asserts change
 }

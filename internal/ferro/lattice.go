@@ -19,11 +19,15 @@ import (
 	"mlmd/internal/units"
 )
 
-// Species indices within a PbTiO3 perovskite cell.
+// Species indices within a PbTiO3 perovskite cell (md.System.Type).
 const (
+	// SpPb is the A-site lead at the cell corner.
 	SpPb = 0
+	// SpTi is the B-site titanium at the body center, whose off-centering
+	// is the cell's soft mode.
 	SpTi = 1
-	SpO  = 2
+	// SpO is each of the three face-center oxygens.
+	SpO = 2
 )
 
 // AtomsPerCell is the 5-atom perovskite basis.
