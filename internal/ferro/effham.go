@@ -78,34 +78,28 @@ func wrapc(i, n int) int {
 // ns, and the cell's energy — its well plus the +x, +y, +z half of its
 // bonds, so that every bond counts once in the sum over cells. Serial and
 // decomposed evaluators both call it, so their forces agree bitwise.
-func (eh *EffectiveHamiltonian) TiForce(s [3]float64, ns *[6][3]float64) (f [3]float64, pe float64) {
+func (eh *EffectiveHamiltonian) TiForce(sx, sy, sz float64, ns *[6][3]float64) (fx, fy, fz, pe float64) {
 	a := eh.A * (1 - 2*eh.W)
-	s2 := s[0]*s[0] + s[1]*s[1] + s[2]*s[2]
+	s2 := sx*sx + sy*sy + sz*sz
 	pe = a*s2 + eh.B*s2*s2
 	for k := 0; k < 6; k += 2 { // +x, +y, +z neighbors
-		pe -= eh.J * (s[0]*ns[k][0] + s[1]*ns[k][1] + s[2]*ns[k][2])
+		pe -= eh.J * (sx*ns[k][0] + sy*ns[k][1] + sz*ns[k][2])
 	}
 	// F = −∂E/∂s = −(2a + 4B s²) s, plus J Σ_nb s_nb from all six bonds.
 	coef := -(2*a + 4*eh.B*s2)
-	var g [3]float64
+	var gx, gy, gz float64
 	for k := range ns {
-		g[0] += ns[k][0]
-		g[1] += ns[k][1]
-		g[2] += ns[k][2]
+		gx += ns[k][0]
+		gy += ns[k][1]
+		gz += ns[k][2]
 	}
-	for d := range f {
-		f[d] = coef*s[d] + eh.J*g[d]
-	}
-	return f, pe
+	return coef*sx + eh.J*gx, coef*sy + eh.J*gy, coef*sz + eh.J*gz, pe
 }
 
 // CageForce is the law on one Pb or O atom displaced d from its site: the
 // host cage's force and energy.
-func (eh *EffectiveHamiltonian) CageForce(d [3]float64) (f [3]float64, pe float64) {
-	for k := range f {
-		f[k] = -(eh.KHost * d[k])
-	}
-	return f, 0.5 * eh.KHost * (d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
+func (eh *EffectiveHamiltonian) CageForce(dx, dy, dz float64) (fx, fy, fz, pe float64) {
+	return -(eh.KHost * dx), -(eh.KHost * dy), -(eh.KHost * dz), 0.5 * eh.KHost * (dx*dx + dy*dy + dz*dz)
 }
 
 // ComputeForces implements md.ForceField.
@@ -121,20 +115,20 @@ func (eh *EffectiveHamiltonian) ComputeForces(sys *md.System) float64 {
 		for k, c2 := range l.NeighborCells(c) {
 			ns[k] = s[c2]
 		}
-		f, e := eh.TiForce(s[c], &ns)
-		copy(sys.F[3*l.TiIndex[c]:], f[:])
+		ti := l.TiIndex[c]
+		fx, fy, fz, e := eh.TiForce(s[c][0], s[c][1], s[c][2], &ns)
+		sys.F[3*ti], sys.F[3*ti+1], sys.F[3*ti+2] = fx, fy, fz
 		pe += e
 	}
 	for i := 0; i < sys.N; i++ {
 		if sys.Type[i] == SpTi {
 			continue
 		}
-		f, e := eh.CageForce([3]float64{
+		fx, fy, fz, e := eh.CageForce(
 			md.MinImage1(sys.X[3*i]-l.R0[3*i], sys.Lx),
 			md.MinImage1(sys.X[3*i+1]-l.R0[3*i+1], sys.Ly),
-			md.MinImage1(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz),
-		})
-		copy(sys.F[3*i:], f[:])
+			md.MinImage1(sys.X[3*i+2]-l.R0[3*i+2], sys.Lz))
+		sys.F[3*i], sys.F[3*i+1], sys.F[3*i+2] = fx, fy, fz
 		pe += e
 	}
 	return pe

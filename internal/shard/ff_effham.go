@@ -59,14 +59,6 @@ func (b *BlendEffHam) NeedsNeighborList() bool { return false }
 func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 	lat := b.lat
 	px, py, pz := v.Periods()
-	// site is local atom li's min-image displacement from gid g's site.
-	site := func(li, g int) [3]float64 {
-		return [3]float64{
-			px.MinImage(v.X[3*li] - lat.R0[3*g]),
-			py.MinImage(v.X[3*li+1] - lat.R0[3*g+1]),
-			pz.MinImage(v.X[3*li+2] - lat.R0[3*g+2]),
-		}
-	}
 	var eGS, eXS, wSum float64
 	for i := lo; i < hi; i++ {
 		g := int(v.ID[i])
@@ -75,8 +67,10 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 			w = v.Weights[g]
 		}
 		wSum += w
-		var fg, fx [3]float64
-		var eg, ex float64
+		dx := px.MinImage(v.X[3*i] - lat.R0[3*g])
+		dy := py.MinImage(v.X[3*i+1] - lat.R0[3*g+1])
+		dz := pz.MinImage(v.X[3*i+2] - lat.R0[3*g+2])
+		var fgx, fgy, fgz, eg, fxx, fxy, fxz, ex float64
 		if g%ferro.AtomsPerCell == 1 { // the cell's Ti
 			var ns [6][3]float64
 			for k, c2 := range lat.NeighborCells(g / ferro.AtomsPerCell) {
@@ -88,21 +82,21 @@ func (b *BlendEffHam) ComputeBlock(v *View, lo, hi int, partial []float64) {
 				if hi <= v.NInt && int(li) >= v.NOwn {
 					panic(fmt.Sprintf("shard: rank %d interior atom %d dereferences ghost Ti %d — interior margin violated", v.Rank, i, tg))
 				}
-				ns[k] = site(int(li), tg)
+				ns[k][0] = px.MinImage(v.X[3*li] - lat.R0[3*tg])
+				ns[k][1] = py.MinImage(v.X[3*li+1] - lat.R0[3*tg+1])
+				ns[k][2] = pz.MinImage(v.X[3*li+2] - lat.R0[3*tg+2])
 			}
-			s := site(i, g)
-			fg, eg = b.gs.TiForce(s, &ns)
-			fx, ex = b.xs.TiForce(s, &ns)
+			fgx, fgy, fgz, eg = b.gs.TiForce(dx, dy, dz, &ns)
+			fxx, fxy, fxz, ex = b.xs.TiForce(dx, dy, dz, &ns)
 		} else {
-			d := site(i, g)
-			fg, eg = b.gs.CageForce(d)
-			fx, ex = b.xs.CageForce(d)
+			fgx, fgy, fgz, eg = b.gs.CageForce(dx, dy, dz)
+			fxx, fxy, fxz, ex = b.xs.CageForce(dx, dy, dz)
 		}
 		eGS += eg
 		eXS += ex
-		for k := range fg {
-			v.F[3*i+k] = xsnn.BlendForce(w, fg[k], fx[k])
-		}
+		v.F[3*i] = xsnn.BlendForce(w, fgx, fxx)
+		v.F[3*i+1] = xsnn.BlendForce(w, fgy, fxy)
+		v.F[3*i+2] = xsnn.BlendForce(w, fgz, fxz)
 	}
 	partial[0] += eGS
 	partial[1] += eXS
