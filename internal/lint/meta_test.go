@@ -53,8 +53,8 @@ var requiredHotpaths = map[string][]string{
 		"(*posField).Pack", "(*posField).Unpack", "(*auxField).Pack", "(*auxField).Unpack",
 	},
 	"mlmd/internal/shard/halo": {
-		"(*GridField).Pack", "(*GridField).Unpack", "(*GridField).Refresh",
-		"(*Exchanger).PostRing", "(*Exchanger).FinishRing", "(*Exchanger).Exchange",
+		"(*GridField).Pack", "(*GridField).Unpack", "(*GridField).Refresh", "(*GridField).PostAxis", "(*GridField).FinishAxis",
+		"(*Exchanger).PostRing", "(*Exchanger).FinishRing", "(*Exchanger).Exchange", "(*Exchanger).PostSide", "(*Exchanger).FinishSide",
 	},
 }
 

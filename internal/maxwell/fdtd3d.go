@@ -17,10 +17,11 @@ import (
 //	B −= Δt·c ∇×E           (forward differences)
 //
 // with a B-ghost refresh before the E update and an E-ghost refresh
-// before the B update. Every owned cell's update is a fixed expression
-// over its face neighborhood, so trajectories are bitwise identical
-// across all grid shapes and transports (shard.GridEngine's identity
-// matrix pins this). Every product is rounded before it is added
+// before the B update, each of only the ghosts that update reads. Every
+// owned cell's update is a fixed expression over its face neighborhood,
+// so trajectories are bitwise identical across all grid shapes and
+// transports (shard.GridEngine's identity matrix pins this). Every
+// product is rounded before it is added
 // (linalg.CurlRows, applySource), so no GOARCH may fuse one and an
 // undriven run has the same bits everywhere; the source's pulse sample
 // goes through math.Exp/Sin/Cos, which do not promise that. Sim3D
@@ -134,27 +135,30 @@ func splitmix64(x uint64) uint64 {
 //mlmd:hotpath
 func (s *Sim3D) Step(ex *halo.Exchanger) {
 	// E update reads B at self and minus neighbors: trim the low face.
-	s.halfStep(ex, s.B, s.updateE, 1, 0)
+	s.halfStep(ex, s.B, s.updateE, halo.Minus)
 	s.applySource()
 	// B update reads E at self and plus neighbors: trim the high face.
-	s.halfStep(ex, s.E, s.updateB, 0, 1)
+	s.halfStep(ex, s.E, s.updateB, halo.Plus)
 	s.t += s.Dt
 	s.step++
 }
 
-// halfStep refreshes read's ghosts and runs update over the owned box,
-// the interior while the exchange is in flight. loTrim/hiTrim name the
-// owned layers (along partitioned axes) whose update reads the refreshed
-// ghosts. Per-cell updates are independent, so the split cannot affect
-// bits: every rank grid reproduces the 1×1×1 run, which has no
-// partitioned axis and so no split.
+// halfStep refreshes the ghosts of read that update reads and runs update
+// over the owned box, the interior while the exchange is in flight. The
+// curl's differences along an axis step toward one side only, and across
+// an axis's face they take only the two components transverse to it, so
+// each axis's read set is that side and those components: one frame per
+// partitioned axis, two thirds of each cell. Per-cell updates are
+// independent, so the interior/boundary split cannot affect bits: every
+// rank grid reproduces the 1×1×1 run, which has no partitioned axis and so
+// no split.
 //
 //mlmd:hotpath
-func (s *Sim3D) halfStep(ex *halo.Exchanger, read *halo.GridField, update func(lo, hi [3]int), loTrim, hiTrim int) {
+func (s *Sim3D) halfStep(ex *halo.Exchanger, read *halo.GridField, update func(lo, hi [3]int), side halo.Sides) {
 	for a := 0; a < 3; a++ {
-		read.PostAxis(ex, a)
+		read.PostAxis(ex, a, halo.Reads{Sides: side, Comps: transverse(a)})
 	}
-	ilo, ihi := s.interiorBox(loTrim, hiTrim)
+	ilo, ihi := s.interiorBox(side)
 	update(ilo, ihi)
 	for a := 0; a < 3; a++ {
 		read.FinishAxis(ex, a)
@@ -162,14 +166,23 @@ func (s *Sim3D) halfStep(ex *halo.Exchanger, read *halo.GridField, update func(l
 	s.boundarySlabs(ilo, ihi, update)
 }
 
+// transverse is the component mask of the two field components
+// transverse to axis: the ones the Yee curl reads across that axis's
+// faces.
+func transverse(axis int) uint64 { return 0b111 &^ (1 << axis) }
+
 // interiorBox returns the owned sub-box whose update never reads a
-// partitioned-axis ghost.
-func (s *Sim3D) interiorBox(loTrim, hiTrim int) (lo, hi [3]int) {
+// partitioned-axis ghost on the given side.
+func (s *Sim3D) interiorBox(side halo.Sides) (lo, hi [3]int) {
 	for a := 0; a < 3; a++ {
 		hi[a] = s.D.Own[a]
 		if s.D.Partitioned(a) {
-			lo[a] = loTrim
-			hi[a] -= hiTrim
+			if side&halo.Minus != 0 {
+				lo[a] = 1
+			}
+			if side&halo.Plus != 0 {
+				hi[a]--
+			}
 			if hi[a] < lo[a] {
 				hi[a] = lo[a]
 			}
@@ -255,24 +268,29 @@ func (s *Sim3D) Energy() float64 {
 	return (e2 + b2) * dv / (8 * math.Pi)
 }
 
+// fieldSums returns ΣE² and ΣB² over the owned cells, each summed as
+// three per-component chains so that the adds' latencies overlap.
+//
 //mlmd:hotpath
 func (s *Sim3D) fieldSums() (e2, b2 float64) {
 	d := s.D
+	var ex, ey, ez, bx, by, bz float64
 	for ox := 0; ox < d.Own[0]; ox++ {
 		for oy := 0; oy < d.Own[1]; oy++ {
 			base := s.E.OwnIndex(ox, oy, 0)
-			for oz := 0; oz < d.Own[2]; oz++ {
-				for c := 0; c < 3; c++ {
-					ev := s.E.Data[base+c]
-					bv := s.B.Data[base+c]
-					e2 += ev * ev
-					b2 += bv * bv
-				}
-				base += 3
+			e := s.E.Data[base : base+3*d.Own[2]]
+			b := s.B.Data[base : base+3*d.Own[2]]
+			for i := 0; i+2 < len(e); i += 3 {
+				ex += e[i] * e[i]
+				ey += e[i+1] * e[i+1]
+				ez += e[i+2] * e[i+2]
+				bx += b[i] * b[i]
+				by += b[i+1] * b[i+1]
+				bz += b[i+2] * b[i+2]
 			}
 		}
 	}
-	return e2, b2
+	return (ex + ey) + ez, (bx + by) + bz
 }
 
 // PartialLen implements shard.GridWorkload: [ΣE², ΣB²].

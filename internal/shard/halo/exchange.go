@@ -18,17 +18,21 @@ type Field interface {
 	Unpack(axis, side int, buf []float64)
 }
 
-// Exchanger drives both-directions ring transfers along grid axes over a
-// cluster.Comm, owning the pooled frame buffers. One Exchanger belongs to
-// one rank; it is not safe for concurrent use by multiple goroutines.
+// Exchanger drives ring transfers along grid axes over a cluster.Comm,
+// owning the pooled frame buffers. One Exchanger belongs to one rank; it
+// is not safe for concurrent use by multiple goroutines.
 //
-// The operation order is fixed and identical to the particle engine's
+// An axis moves its frames one of two ways. The both-directions ring
+// (PostRing/FinishRing, Post/Finish) fills both faces' ghosts. Its
+// operation order is fixed and identical to the particle engine's
 // original wiring: send toward plus, send toward minus, receive from
 // minus, receive from plus. On two-rank axes both neighbors are the same
 // peer and this order is what keeps the two in-flight frames matched to
 // the correct sides (FIFO per peer pair: the frame sent toward plus is
 // the first one the neighbor receives, and "from minus" is received
-// first).
+// first). The one-sided ring (PostSide/FinishSide) fills one face's
+// ghosts: one send toward one neighbor, one receive from the other, so a
+// two-rank axis has a single frame in flight and nothing to match.
 type Exchanger struct {
 	comm *cluster.Comm
 	grid cluster.Grid3D
@@ -36,7 +40,7 @@ type Exchanger struct {
 	send [2][]float64
 	recv [2][]float64
 	// bytes accumulates the payload bytes sent by this rank through the
-	// exchanger (both sides, all axes) for bench reporting.
+	// exchanger (every side, all axes) for bench reporting.
 	bytes int64
 }
 
@@ -76,7 +80,7 @@ func (ex *Exchanger) PostRing(axis int, sm, sp []float64) {
 // FinishRing receives the two frames for a previously posted axis ring:
 // first from the minus neighbor, then from the plus neighbor. The
 // returned slices alias the exchanger's pooled receive buffers and are
-// valid until the next FinishRing/Finish/Ring/Exchange call.
+// valid until the next FinishRing/Finish/FinishSide/Ring/Exchange call.
 //
 //mlmd:hotpath
 func (ex *Exchanger) FinishRing(axis int) (rm, rp []float64) {
@@ -96,8 +100,8 @@ func (ex *Exchanger) Ring(axis int, sm, sp []float64) (rm, rp []float64) {
 }
 
 // Post packs both sides of f for axis into the pooled send frames and
-// posts the ring sends. The matching Finish must run before the next
-// Post on this exchanger.
+// posts the ring sends. The transport copies the frames, so posts of
+// other axes may follow before the matching Finish.
 //
 //mlmd:hotpath
 func (ex *Exchanger) Post(f Field, axis int) {
@@ -114,6 +118,36 @@ func (ex *Exchanger) Finish(f Field, axis int) {
 	rm, rp := ex.FinishRing(axis)
 	f.Unpack(axis, 0, rm)
 	f.Unpack(axis, 1, rp)
+}
+
+// PostSide starts the one-sided ring that fills f's side ghosts of axis:
+// it packs the owned planes facing the opposite side and sends them
+// toward that neighbor, which receives them from its side neighbor.
+//
+//mlmd:hotpath
+func (ex *Exchanger) PostSide(f Field, axis, side int) {
+	minus, plus := ex.grid.AxisNeighbors(ex.rank, axis)
+	to := plus
+	if side == 1 {
+		to = minus
+	}
+	ex.send[0] = f.Pack(axis, 1-side, ex.send[0][:0])
+	ex.comm.SendBuf(ex.rank, to, ex.send[0])
+	ex.bytes += 8 * int64(len(ex.send[0]))
+}
+
+// FinishSide receives the frame of a posted one-sided ring from the side
+// neighbor and unpacks it into f's side ghosts.
+//
+//mlmd:hotpath
+func (ex *Exchanger) FinishSide(f Field, axis, side int) {
+	minus, plus := ex.grid.AxisNeighbors(ex.rank, axis)
+	from := minus
+	if side == 1 {
+		from = plus
+	}
+	ex.recv[side] = ex.comm.RecvInto(ex.rank, from, ex.recv[side])
+	f.Unpack(axis, side, ex.recv[side])
 }
 
 // Exchange runs Post+Finish for each listed axis in order. Axes must be

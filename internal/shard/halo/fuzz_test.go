@@ -11,18 +11,19 @@ import (
 // FuzzFieldPackUnpack fuzzes the ghost-frame codec on arbitrary block
 // shapes: a packed (axis, side) frame must unpack into the matching ghost
 // slab bit-exactly (for both the float64 and the complex128 field, whose
-// wire format is the (real, imag) pair split), and UnpackChecked must
-// reject every forged frame length without touching the field and
-// without allocating.
+// wire format is the (real, imag) pair split), a read set's frame must be
+// the whole frame's elements of the components it names and unpack into
+// those alone, and UnpackChecked must reject every forged frame length
+// without touching the field and without allocating.
 func FuzzFieldPackUnpack(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(3), uint8(5), uint8(1), uint8(2), uint8(0), uint8(0), uint8(7))
-	f.Add(uint64(99), uint8(6), uint8(6), uint8(6), uint8(2), uint8(1), uint8(2), uint8(1), uint8(0))
-	f.Add(uint64(7), uint8(2), uint8(8), uint8(3), uint8(1), uint8(3), uint8(1), uint8(1), uint8(200))
+	f.Add(uint64(1), uint8(4), uint8(3), uint8(5), uint8(1), uint8(2), uint8(0), uint8(0), uint8(7), uint8(6))
+	f.Add(uint64(99), uint8(6), uint8(6), uint8(6), uint8(2), uint8(1), uint8(2), uint8(1), uint8(0), uint8(5))
+	f.Add(uint64(7), uint8(2), uint8(8), uint8(3), uint8(1), uint8(3), uint8(1), uint8(1), uint8(200), uint8(3))
 	grid, err := cluster.NewGrid3D(1, 1, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz, ghost, comp, axis8, side8, forge uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz, ghost, comp, axis8, side8, forge, comps8 uint8) {
 		n := [3]int{2 + int(nx%7), 2 + int(ny%7), 2 + int(nz%7)}
 		g := 1 + int(ghost%2)
 		c := 1 + int(comp%3)
@@ -50,10 +51,8 @@ func FuzzFieldPackUnpack(f *testing.F) {
 		if err := dst.UnpackChecked(axis, side, frame); err != nil {
 			t.Fatalf("valid frame rejected: %v", err)
 		}
-		// Round trip: packing the ghost slab we just filled must reproduce
-		// the frame bit-for-bit. Ghost slabs are what SelfGhost reads, so
-		// re-derive via direct comparison of the unpack box instead: pack
-		// the destination's ghost slab through a second unpack-box walk.
+		// Round trip: the ghost slab just filled, walked in pack order,
+		// must reproduce the frame bit for bit.
 		checkFrame := packGhostSlab(dst, axis, side)
 		if len(checkFrame) != len(frame) {
 			t.Fatalf("ghost slab has %d floats, frame %d", len(checkFrame), len(frame))
@@ -63,6 +62,58 @@ func FuzzFieldPackUnpack(f *testing.F) {
 				t.Fatalf("round trip bit mismatch at %d", i)
 			}
 		}
+
+		// Read-set frames: the frame packed for either side under a
+		// component mask is the whole frame with the other components left
+		// out, and it unpacks into those components of the ghost slab
+		// alone.
+		comps := uint64(comps8)
+		for s := 0; s < 2; s++ {
+			fl.SetReads(axis, halo.Reads{Sides: halo.Both, Comps: halo.AllComps})
+			full := fl.Pack(axis, s, nil)
+			reads := halo.Reads{Sides: halo.Sides(1 + s), Comps: comps}
+			fl.SetReads(axis, reads)
+			sub := fl.Pack(axis, s, nil)
+			if len(sub) != fl.FrameLen(axis, s) {
+				t.Fatalf("read-set pack emitted %d floats, FrameLen says %d", len(sub), fl.FrameLen(axis, s))
+			}
+			var want []float64
+			for i, v := range full {
+				if comps>>(i%c)&1 != 0 {
+					want = append(want, v)
+				}
+			}
+			if len(sub) != len(want) {
+				t.Fatalf("side %d comps %b: read-set frame has %d floats, the whole frame's named ones %d", s, comps, len(sub), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(sub[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("side %d comps %b: read-set frame differs from the whole frame at %d", s, comps, i)
+				}
+			}
+			sdst := halo.NewGridField(d, c)
+			for i := range sdst.Data {
+				sdst.Data[i] = math.NaN()
+			}
+			sdst.SetReads(axis, reads)
+			sdst.Unpack(axis, s, sub)
+			written := 0
+			for _, v := range sdst.Data {
+				if !math.IsNaN(v) {
+					written++
+				}
+			}
+			if written != len(sub) {
+				t.Fatalf("side %d comps %b: unpacking a %d-float frame wrote %d elements", s, comps, len(sub), written)
+			}
+			for i, v := range packGhostSlab(sdst, axis, s) {
+				named := comps>>(i%c)&1 != 0
+				if named && math.Float64bits(v) != math.Float64bits(full[i]) || !named && !math.IsNaN(v) {
+					t.Fatalf("side %d comps %b: ghost slab element %d = %v after unpack, whole frame %v", s, comps, i, v, full[i])
+				}
+			}
+		}
+		fl.SetReads(axis, halo.Reads{Sides: halo.Both, Comps: halo.AllComps})
 
 		// Complex codec round trip on the same block.
 		fc := halo.NewGridFieldC(d, c)

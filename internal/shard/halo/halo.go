@@ -6,13 +6,15 @@
 //
 // The layer has three pieces:
 //
-//   - Exchanger drives one both-directions ring transfer per partitioned
-//     axis over cluster.Comm, with pooled send/receive frames (steady-state
-//     exchanges allocate nothing once the frames reach their working size).
-//     The wire order is fixed — send plus-side, send minus-side, receive
-//     minus-side, receive plus-side, axes ascending — which is exactly the
-//     order the particle engine always used, so refactoring it onto the
-//     Exchanger is bitwise neutral.
+//   - Exchanger drives the ring transfers of a partitioned axis over
+//     cluster.Comm, with pooled send/receive frames (steady-state exchanges
+//     allocate nothing once the frames reach their working size). The
+//     both-directions ring fills both faces' ghosts; its wire order is
+//     fixed — send plus-side, send minus-side, receive minus-side, receive
+//     plus-side, axes ascending — which is exactly the order the particle
+//     engine always used, so refactoring it onto the Exchanger was bitwise
+//     neutral. The one-sided ring fills one face's ghosts: one send toward
+//     one neighbor, one receive from the other.
 //
 //   - Field is the shape abstraction: anything that can pack its (axis,
 //     side) send set into a []float64 frame and unpack the frame received
@@ -32,7 +34,14 @@
 // Ghost filling per axis follows the particle protocol: side 0 faces the
 // minus ring neighbor, side 1 the plus neighbor; the frame sent toward a
 // neighbor carries the G owned planes adjacent to that face, and the frame
-// received from a side fills that side's ghost planes. Edge and corner
+// received from a side fills that side's ghost planes. A grid refresh
+// moves only its read set (Reads): per axis, the sides and components the
+// stencil reads across that axis's faces. Packing, unpacking and the
+// periodic self-copy all follow it, and a one-sided read set rides the
+// one-sided ring. The Yee update of maxwell.Sim3D reads one side and the
+// two transverse components per axis, so it moves one frame per
+// partitioned axis, two thirds of each cell; the TDDFT odd sweep and
+// Refresh read both sides and every component. Edge and corner
 // ghosts (needed by stencils wider than a face star) arrive without extra
 // neighbor pairs by forwarding: with Corners enabled, each axis's frames
 // extend over the full local extent — including the ghosts earlier axes

@@ -1,6 +1,7 @@
 package halo_test
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -23,6 +24,9 @@ func wrapi(i, n int) int {
 	}
 	return i
 }
+
+// whole is the read set of a whole face refresh.
+var whole = halo.Reads{Sides: halo.Both, Comps: halo.AllComps}
 
 func mustGrid(t *testing.T, p [3]int) cluster.Grid3D {
 	t.Helper()
@@ -210,7 +214,7 @@ func TestGridFieldFaceRefresh(t *testing.T) {
 		ex := halo.NewExchanger(comm, g, rank)
 		for a := 0; a < 3; a++ {
 			f.RefreshAxis(ex, a)
-			f2.PostAxis(ex, a)
+			f2.PostAxis(ex, a, whole)
 			f2.FinishAxis(ex, a)
 		}
 		bad := false
@@ -310,6 +314,99 @@ func TestGridFieldCRefreshGlobalValues(t *testing.T) {
 	}
 }
 
+// TestGridFieldReadSets refreshes one axis at a time under read sets of
+// one side or both and of some components or all, on every grid shape and
+// ghost width, over ghosts poisoned with NaN: every ghost the read set
+// names must hold the periodic value of the cell it mirrors, and every
+// other ghost must still hold NaN. A refresh writes what its read set
+// names and nothing else.
+func TestGridFieldReadSets(t *testing.T) {
+	shapes := [][3]int{{1, 1, 1}, {2, 1, 1}, {1, 2, 1}, {1, 1, 2}, {2, 2, 1}, {2, 2, 2}, {3, 2, 1}}
+	n := [3]int{6, 5, 4}
+	sets := []halo.Reads{
+		{Sides: halo.Minus, Comps: 0b110},
+		{Sides: halo.Plus, Comps: 0b101},
+		{Sides: halo.Both, Comps: 0b010},
+		{Sides: halo.Plus, Comps: halo.AllComps},
+		{Sides: halo.Both, Comps: 0},
+		whole,
+	}
+	for _, ghost := range []int{1, 2} {
+		for _, shape := range shapes {
+			g := mustGrid(t, shape)
+			for _, r := range sets {
+				for axis := 0; axis < 3; axis++ {
+					var mu sync.Mutex
+					fail := ""
+					runRanks(t, g, func(rank int, comm *cluster.Comm) {
+						d, err := halo.NewDomain(g, rank, n, ghost, false)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						f := halo.NewGridField(d, 3)
+						for i := range f.Data {
+							f.Data[i] = math.NaN()
+						}
+						fillOwned(f)
+						ex := halo.NewExchanger(comm, g, rank)
+						f.PostAxis(ex, axis, r)
+						f.FinishAxis(ex, axis)
+						if msg := checkReadSet(f, axis, r); msg != "" {
+							mu.Lock()
+							fail = msg
+							mu.Unlock()
+						}
+					})
+					if fail != "" {
+						t.Fatalf("ghost %d shape %v axis %d reads %+v: %s", ghost, shape, axis, r, fail)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkReadSet returns a description of the first cell of f that a
+// refresh of axis under r left wrong, or "".
+func checkReadSet(f *halo.GridField, axis int, r halo.Reads) string {
+	d, g := f.D, f.D.Ghost
+	for ix := 0; ix < f.Ext[0]; ix++ {
+		for iy := 0; iy < f.Ext[1]; iy++ {
+			for iz := 0; iz < f.Ext[2]; iz++ {
+				loc := [3]int{ix, iy, iz}
+				owned, named := true, true
+				for b := 0; b < 3; b++ {
+					in := loc[b] >= g && loc[b] < g+d.Own[b]
+					owned = owned && in
+					if b != axis {
+						named = named && in
+					}
+				}
+				switch {
+				case loc[axis] < g:
+					named = named && r.Sides&halo.Minus != 0
+				case loc[axis] >= g+d.Own[axis]:
+					named = named && r.Sides&halo.Plus != 0
+				default:
+					named = false
+				}
+				base := f.Index(ix, iy, iz)
+				for c := 0; c < f.C; c++ {
+					want := math.NaN()
+					if owned || named && r.Comps>>c&1 != 0 {
+						want = gval(d.N, f.C, wrapi(d.Off[0]+ix-g, d.N[0]), wrapi(d.Off[1]+iy-g, d.N[1]), wrapi(d.Off[2]+iz-g, d.N[2]), c)
+					}
+					if got := f.Data[base+c]; math.Float64bits(got) != math.Float64bits(want) {
+						return fmt.Sprintf("rank at %v: cell %v component %d holds %v, want %v", d.Coord, loc, c, got, want)
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
 func TestUnpackCheckedRejectsForgedFrames(t *testing.T) {
 	g := mustGrid(t, [3]int{1, 1, 1})
 	d, err := halo.NewDomain(g, 0, [3]int{4, 4, 4}, 1, false)
@@ -344,25 +441,35 @@ func TestUnpackCheckedRejectsForgedFrames(t *testing.T) {
 }
 
 // TestExchangerBytesSent pins the byte accounting the bench lane reports:
-// one face exchange moves 2 slabs × slab floats × 8 bytes per rank.
+// one face exchange moves 2 slabs × slab floats × 8 bytes per rank, and a
+// one-sided refresh of two components of three moves one slab of those.
 func TestExchangerBytesSent(t *testing.T) {
 	shape := [3]int{2, 1, 1}
 	n := [3]int{4, 3, 3}
 	g := mustGrid(t, shape)
-	var total int64
-	var mu sync.Mutex
-	runRanks(t, g, func(rank int, comm *cluster.Comm) {
-		d, _ := halo.NewDomain(g, rank, n, 1, false)
-		f := halo.NewGridField(d, 1)
-		ex := halo.NewExchanger(comm, g, rank)
-		f.RefreshAxis(ex, 0)
-		mu.Lock()
-		total += ex.BytesSent()
-		mu.Unlock()
-	})
-	want := int64(2 * 2 * 3 * 3 * 8) // 2 ranks × 2 sides × 3×3 slab × 8 B
-	if total != want {
-		t.Fatalf("bytes sent %d, want %d", total, want)
+	for _, tc := range []struct {
+		c    int
+		r    halo.Reads
+		want int64
+	}{
+		{1, whole, 2 * 2 * 3 * 3 * 8},                                      // 2 ranks × 2 sides × 3×3 slab × 8 B
+		{3, halo.Reads{Sides: halo.Plus, Comps: 0b101}, 2 * 3 * 3 * 2 * 8}, // 2 ranks × 1 side × 3×3 slab × 2 components × 8 B
+	} {
+		var total int64
+		var mu sync.Mutex
+		runRanks(t, g, func(rank int, comm *cluster.Comm) {
+			d, _ := halo.NewDomain(g, rank, n, 1, false)
+			f := halo.NewGridField(d, tc.c)
+			ex := halo.NewExchanger(comm, g, rank)
+			f.PostAxis(ex, 0, tc.r)
+			f.FinishAxis(ex, 0)
+			mu.Lock()
+			total += ex.BytesSent()
+			mu.Unlock()
+		})
+		if total != tc.want {
+			t.Fatalf("%d components, reads %+v: bytes sent %d, want %d", tc.c, tc.r, total, tc.want)
+		}
 	}
 }
 
@@ -493,10 +600,10 @@ func TestGridFieldCAxisRefresh(t *testing.T) {
 		}
 		fillC()
 		ex0 := halo.NewExchanger(comm, g, rank)
-		f.PostAxis(ex0, 0)
+		f.PostAxis(ex0, 0, whole)
 		f.FinishAxis(ex0, 0)
 		f.RefreshAxis(ex0, 1)
-		f.PostAxis(ex0, 2) // unpartitioned: completes immediately
+		f.PostAxis(ex0, 2, whole) // unpartitioned: completes immediately
 		f.FinishAxis(ex0, 2)
 
 		checkFace := func(axis int) {

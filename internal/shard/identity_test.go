@@ -199,6 +199,13 @@ type identityCase struct {
 	block     int  // Allegro inference block size; 0 is one block per species
 	long      bool // skipped under -short
 	want      expect
+	// poison fills, before each step, every ghost cell of a grid solver
+	// with NaN, and every skin-shell ghost payload of a two-phase force
+	// field (ghost_test.go).
+	poison bool
+	// perturb moves one float of every received frame; the row must
+	// leave its reference's bits instead of keeping them.
+	perturb perturbAt
 }
 
 // resumePlan checkpoints a row's first at steps on grid from, every every
@@ -213,6 +220,12 @@ func shapeName(g [3]int) string { return fmt.Sprintf("%dx%dx%d", g[0], g[1], g[2
 // leaf is the row's own subtest name.
 func (c identityCase) leaf() string {
 	name := [...]string{"", "partial-", "unix-", "tcp-"}[c.transport]
+	if c.poison {
+		name += "poison-"
+	}
+	if c.perturb != perturbNone {
+		name += "perturb-" + c.perturb.String() + "-"
+	}
 	if r := c.resume; r != nil {
 		name += fmt.Sprintf("%s@%d-", shapeName(r.from), r.at)
 	}
@@ -270,6 +283,9 @@ func identityTable(short bool) ([]identityCase, map[string]expect) {
 		skinRows(d+"EffHam", s, 0.4*a, identityCase{fix: "effham", steps: m}, one, [3]int{2, 1, 1}, [3]int{2, 1, 2})
 	}
 	add(d+"Allegro", wantSplit|wantMigration, identityCase{fix: "allegro", steps: ma, skin: ownSkin, want: wantSingleList}, shapes...)
+	// NaN in the payload of every ghost farther than the cutoff from every
+	// owned atom: phase two never reads the halo's skin shell.
+	add(d+"Allegro", 0, identityCase{fix: "allegro", steps: ma, skin: ownSkin, poison: true}, [3]int{2, 1, 1}, [3]int{2, 2, 1}, [3]int{2, 2, 2})
 	// The untrained model drives the gas fast enough that no buffer holds
 	// a list for the whole run, so its skin rows cover the first 30
 	// steps; a list at cutoff+9 spans the whole 12-wide box, so the wide
@@ -319,14 +335,30 @@ func identityTable(short bool) ([]identityCase, map[string]expect) {
 	add("TestPartialEnginesOverSharedComm", 0, identityCase{fix: "lj6", steps: 120, skin: ownSkin, balance: balanced, transport: partialEngines}, [3]int{2, 2, 1})
 	add("TestGridPartialEnginesOverSharedComm", 0, identityCase{fix: "fdtd", steps: 60, transport: partialEngines, want: wantHaloTraffic}, [3]int{2, 2, 1})
 
+	// The poison rows: NaN in every ghost before each step, on every grid
+	// shape and transport, must leave every bit as it is.
 	for _, gs := range []struct {
 		fix, name string
 		steps     int
 	}{{"fdtd", "FDTD", 320}, {"tddft", "TDDFT", 310}} {
 		add("TestGridStencilIdentityMatrix"+gs.name, 0, identityCase{fix: gs.fix, steps: gs.steps, want: wantHaloTraffic}, stencil...)
+		add("TestGridStencilIdentityMatrix"+gs.name, 0, identityCase{fix: gs.fix, steps: gs.steps, poison: true}, append([][3]int{one}, stencil...)...)
+		add("TestGridStencilIdentityMatrix"+gs.name, 0, identityCase{fix: gs.fix, steps: gs.steps, transport: partialEngines, poison: true, want: wantHaloTraffic}, stencil...)
 		for _, g := range wire {
 			for _, tr := range []transport{unixSockets, tcpSockets} {
 				add("TestGridMultiProcessIdentity"+gs.name, 0, identityCase{fix: gs.fix, steps: gs.steps, transport: tr, want: wantHaloTraffic}, g)
+				add("TestGridMultiProcessIdentity"+gs.name, 0, identityCase{fix: gs.fix, steps: gs.steps, transport: tr, poison: true, want: wantHaloTraffic}, g)
+			}
+		}
+	}
+	// The perturbed rows: 1e-13 on the first, a middle or the last float
+	// of every received ghost frame must reach the trajectory, on every
+	// partitioned grid and transport that can carry it.
+	for _, at := range []perturbAt{perturbFirst, perturbMiddle, perturbLast} {
+		add("TestGridFramesAreReadFDTD", 0, identityCase{fix: "fdtd", steps: 60, transport: partialEngines, perturb: at}, stencil...)
+		for _, g := range wire {
+			for _, tr := range []transport{unixSockets, tcpSockets} {
+				add("TestGridFramesAreReadFDTD", 0, identityCase{fix: "fdtd", steps: 60, transport: tr, perturb: at}, g)
 			}
 		}
 	}
@@ -353,6 +385,7 @@ func TestGridStencilIdentityMatrixFDTD(t *testing.T)                  { runIdent
 func TestGridStencilIdentityMatrixTDDFT(t *testing.T)                 { runIdentity(t) }
 func TestGridMultiProcessIdentityFDTD(t *testing.T)                   { runIdentity(t) }
 func TestGridMultiProcessIdentityTDDFT(t *testing.T)                  { runIdentity(t) }
+func TestGridFramesAreReadFDTD(t *testing.T)                          { runIdentity(t) }
 
 // runIdentity runs the table's rows under the calling suite, group by
 // group, each row a subtest named by its id.
@@ -398,7 +431,7 @@ func runGroup(t *testing.T, rows []identityCase, want expect) {
 				mpSkip(t)
 			}
 			o := checkRow(t, c)
-			if identityFixtures[c.fix].particle == nil {
+			if identityFixtures[c.fix].particle == nil && c.perturb == perturbNone {
 				if prev, ok := obs[c.grid]; ok && !slices.Equal(prev, o.obs) {
 					t.Errorf("observables %v differ from %v on the same grid", o.obs, prev)
 				}
@@ -439,6 +472,12 @@ func checkRow(t *testing.T, c identityCase) outcome {
 	o, err := c.run(false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.perturb != perturbNone {
+		if firstDiff(o.last(), ref.last()) < 0 {
+			t.Errorf("the last frame is bitwise the 1x1x1 reference with the %s float of every received frame moved by 1e-13: a frame carries a float no step reads", c.perturb)
+		}
+		return o
 	}
 	if i := firstDiff(o.last(), ref.last()); i >= 0 {
 		t.Errorf("last frame is not bitwise the 1x1x1 reference: %s differs", ref.describe(i, c.fix))
@@ -611,6 +650,9 @@ func (c identityCase) run(trace bool) (outcome, error) {
 func (c identityCase) runPartial(trace bool) (outcome, error) {
 	p := c.grid[0] * c.grid[1] * c.grid[2]
 	comm, err := cluster.NewComm(p, cluster.Interconnect{})
+	if err == nil && c.perturb != perturbNone {
+		comm, err = cluster.NewCommOver(perturbedTransport{comm.Transport(), c.perturb}, cluster.Interconnect{})
+	}
 	if err != nil {
 		return outcome{}, err
 	}
@@ -662,6 +704,10 @@ func (c identityCase) runRank(comm *cluster.Comm, local int, trace bool) (outcom
 	}
 	if c.block != 0 {
 		s.model.BlockSize = c.block
+	}
+	if c.poison {
+		newFF := cfg.NewFF
+		cfg.NewFF = func(r int) RankFF { return poisonSkinAux(newFF(r)) }
 	}
 	cfg.Comm, cfg.LocalRank = comm, local
 	var o outcome
@@ -765,6 +811,16 @@ func (c identityCase) checkpoint(dt float64, s particleSetup, cfg Config, trace 
 // runGrid runs a grid solver's row on the ranks this process hosts.
 func (c identityCase) runGrid(cfg GridConfig, comm *cluster.Comm, local int, trace bool) (outcome, error) {
 	cfg.Grid, cfg.Comm, cfg.LocalRank = c.grid, comm, local
+	if c.poison {
+		newWork := cfg.NewWork
+		cfg.NewWork = func(r int, d halo.Domain) (GridWorkload, error) {
+			w, err := newWork(r, d)
+			if err != nil {
+				return nil, err
+			}
+			return poisonGhosts(w)
+		}
+	}
 	eng, err := NewGridEngine(cfg)
 	if err != nil {
 		return outcome{}, err
@@ -898,7 +954,11 @@ func runWorker() error {
 		return err
 	}
 	defer tr.Close()
-	comm, err := cluster.NewCommOver(tr, cluster.Interconnect{})
+	var over cluster.Transport = tr
+	if c.perturb != perturbNone {
+		over = perturbedTransport{tr, c.perturb}
+	}
+	comm, err := cluster.NewCommOver(over, cluster.Interconnect{})
 	if err != nil {
 		return err
 	}
@@ -957,17 +1017,18 @@ func readOutcome(dir string) (outcome, error) {
 }
 
 // FuzzIdentity draws in-process rows from the oracle's axes — fixture or
-// grid solver, grid shape, skin, balancing, a resume step and an Allegro
-// block size — and holds each to its 1x1x1 reference, reaching
-// combinations no table row pins, such as balanced cuts with a resume
-// inside a rebuild window.
+// grid solver, grid shape, skin, balancing, a resume step, an Allegro
+// block size and poisoned ghosts — and holds each to its 1x1x1 reference,
+// reaching combinations no table row pins, such as balanced cuts with a
+// resume inside a rebuild window.
 func FuzzIdentity(f *testing.F) {
-	f.Add(uint8(1), uint8(4), uint8(0), uint8(2), uint8(13), uint8(0), uint8(26))
-	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(7), uint8(1), uint8(16))
-	f.Add(uint8(2), uint8(6), uint8(2), uint8(0), uint8(0), uint8(0), uint8(20))
-	f.Add(uint8(5), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(24))
-	f.Fuzz(func(t *testing.T, fix, shape, skin, balance, resume, block, steps uint8) {
-		c, ok := fuzzCase(fix, shape, skin, balance, resume, block, steps)
+	f.Add(uint8(1), uint8(4), uint8(0), uint8(2), uint8(13), uint8(0), uint8(26), uint8(0))
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(7), uint8(1), uint8(16), uint8(1))
+	f.Add(uint8(2), uint8(6), uint8(2), uint8(0), uint8(0), uint8(0), uint8(20), uint8(0))
+	f.Add(uint8(5), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(24), uint8(0))
+	f.Add(uint8(4), uint8(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(30), uint8(1))
+	f.Fuzz(func(t *testing.T, fix, shape, skin, balance, resume, block, steps, poison uint8) {
+		c, ok := fuzzCase(fix, shape, skin, balance, resume, block, steps, poison)
 		if !ok {
 			t.Skip("the grid does not admit the halo")
 		}
@@ -976,7 +1037,7 @@ func FuzzIdentity(f *testing.F) {
 }
 
 // fuzzCase maps FuzzIdentity's inputs onto an in-process row.
-func fuzzCase(fix, shape, skin, balance, resume, block, steps uint8) (identityCase, bool) {
+func fuzzCase(fix, shape, skin, balance, resume, block, steps, poison uint8) (identityCase, bool) {
 	fixtures := []string{"lj", "lj-hotspot", "effham", "allegro", "fdtd", "tddft"}
 	shapes := [][3]int{{1, 1, 1}, {2, 1, 1}, {1, 2, 1}, {1, 1, 2}, {2, 2, 1}, {2, 1, 2}, {2, 2, 2}, {4, 2, 1}, {4, 1, 1}}
 	c := identityCase{
@@ -986,6 +1047,8 @@ func fuzzCase(fix, shape, skin, balance, resume, block, steps uint8) (identityCa
 		steps: 4 + int(steps)%40,
 	}
 	fx := identityFixtures[c.fix]
+	// Poison means something to a grid solver and a two-phase field.
+	c.poison = poison%2 == 1 && (fx.particle == nil || c.fix == "allegro")
 	if fx.particle == nil {
 		cfg := fx.grid
 		cfg.Grid = c.grid

@@ -234,13 +234,13 @@ func (sp *ShardProp) Step(ex *halo.Exchanger) {
 				continue
 			}
 			// Odd sweep: boundary pairs read post-even(Δt/2) neighbor
-			// values through the axis ghosts, exchanged while the interior
-			// pairs rotate.
+			// values through the axis ghosts — both faces, every orbital —
+			// exchanged while the interior pairs rotate.
 			if !sp.D.Partitioned(ax) {
 				sp.rotatePairs(sp.oddPairs[ax], c, f, b)
 				continue
 			}
-			sp.W.PostAxis(ex, ax)
+			sp.W.PostAxis(ex, ax, halo.Reads{Sides: halo.Both, Comps: halo.AllComps})
 			sp.rotatePairs(sp.oddPairs[ax], c, f, b)
 			sp.W.FinishAxis(ex, ax)
 			sp.rotateOneSided(sp.oddLow[ax], c, b)
