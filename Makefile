@@ -59,8 +59,9 @@
 #                  wire frame decoder (the multi-process rank transport), plus
 #                  the bitwise equivalence harnesses (batched MLP, halo pack,
 #                  min-image fast path vs formula, complex128 vector kernels,
-#                  the float64 GEMM tile and the Yee curl rows vs their Go
-#                  references) and the shard identity oracle's in-process
+#                  the float64 GEMM tile, the Yee curl rows, the exp and
+#                  sincos rows and Allegro's radial and pair-gradient rows
+#                  vs their references) and the shard identity oracle's in-process
 #                  rows drawn at random (FuzzIdentity)
 #   make benchmark-check - go vet + go test inside benchmark/ (a module of its
 #                  own, which ./... never reaches)
@@ -117,7 +118,8 @@ WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
 NN_FUZZ_TARGETS   = FuzzBatchedMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 MD_FUZZ_TARGETS   = FuzzMinImage1 FuzzNeighborList FuzzLJRow FuzzPruneRows
-LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows FuzzGroundKernels
+LINALG_FUZZ_TARGETS = FuzzZKernels FuzzDKernels FuzzCurlRows FuzzExpRows FuzzSincosRows FuzzGroundKernels
+ALLEGRO_FUZZ_TARGETS = FuzzRadialRows FuzzPairGradRows
 SHARD_FUZZ_TARGETS  = FuzzIdentity
 FUZZ_TIME   ?= 10s
 
@@ -128,7 +130,8 @@ DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./interna
 
 # Packages with architecture-specific files (assembly kernels and their
 # stubs) or that call them: cross-vetted for a non-amd64 GOARCH.
-ARCH_PKGS = ./internal/linalg ./internal/md ./internal/tddft ./internal/core ./internal/nn ./internal/maxwell
+ARCH_PKGS = ./internal/linalg ./internal/md ./internal/tddft ./internal/core ./internal/nn ./internal/maxwell \
+	./internal/allegro
 
 .PHONY: check fmt vet asm-nofma lint reach build test race race-full soak cover fuzz docs benchmark-check bench-ab bench tables
 
@@ -236,6 +239,10 @@ fuzz:
 	@for f in $(LINALG_FUZZ_TARGETS); do \
 		echo "fuzz $$f ($(FUZZ_TIME))"; \
 		$(GO) test ./internal/linalg -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
+	done
+	@for f in $(ALLEGRO_FUZZ_TARGETS); do \
+		echo "fuzz $$f ($(FUZZ_TIME))"; \
+		$(GO) test ./internal/allegro -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZ_TIME) | tail -2; \
 	done
 	@for f in $(SHARD_FUZZ_TARGETS); do \
 		echo "fuzz $$f ($(FUZZ_TIME))"; \

@@ -169,6 +169,7 @@ type batchState struct {
 	eAtom               []float64
 	gD                  []float64
 	dEdx                []float64
+	pairs               pairScratch
 	be                  BlockEval
 	e                   float64
 	active              bool
@@ -252,7 +253,7 @@ func (m *Model) forceBlockBatched(sys *md.System, lo, hi int) float64 {
 					dx: ws.envDx[o0:o1], dy: ws.envDy[o0:o1], dz: ws.envDz[o0:o1],
 					r: ws.envR[o0:o1],
 				}
-				m.Spec.descriptorGradPre(sys, envView, i, ws.gD[r*dim:(r+1)*dim], ws.dEdx, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(o0)*rl:int(o1)*rl])
+				m.Spec.descriptorGradPre(sys, envView, i, ws.gD[r*dim:(r+1)*dim], ws.dEdx, ws.vec[r*vlen:(r+1)*vlen], ws.envRad[int(o0)*rl:int(o1)*rl], &ws.pairs)
 			}
 		}
 	}

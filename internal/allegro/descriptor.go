@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"mlmd/internal/linalg"
 	"mlmd/internal/md"
 )
 
@@ -81,9 +80,11 @@ type neighborEnv struct {
 	j          []int     // neighbor atom indices
 	dx, dy, dz []float64 // displacement components (j − i)
 	r          []float64
-	// gauss is descriptorInto's scratch: the Gaussian exponents of the whole
-	// environment, then their exps, NRadial per neighbor.
-	gauss []float64
+	// The scratch of radialRows: gauss the Gaussian exponents of the whole
+	// environment, then their exps (NRadial per neighbor), sn and cn the
+	// cutoff phases' sines and cosines, and terms the per-neighbor
+	// descriptor terms descriptorInto sums.
+	gauss, sn, cn, terms []float64
 }
 
 func (env *neighborEnv) reset() {
@@ -161,17 +162,17 @@ func (d DescriptorSpec) radialInto(r float64, cs, g, t []float64) {
 	for k := 0; k < nr; k++ {
 		dg := g[k] * (-(r - cs[k]) / (w * w))
 		t[k] = g[k]
-		t[nr+k] = dg*fc + g[k]*dfc
+		t[nr+k] = float64(dg*fc) + float64(g[k]*dfc)
 	}
 	t[2*nr] = fc
 }
 
 // descriptorInto is Descriptor with caller-provided scratch (cs from
-// centers(), vec of length NSpecies*NRadial*3, and env's own gauss), so
-// per-worker hot loops avoid per-atom allocation. It also writes the radial
-// tape: record n of tape (RadialLen values each, len(env.j) records) is env
-// neighbor n's. The Gaussians of the whole environment are one
-// linalg.ExpRows sweep.
+// centers(), vec of length NSpecies*NRadial*3, and env's own), so per-worker
+// hot loops avoid per-atom allocation. It also writes the radial tape: record
+// n of tape (RadialLen values each, len(env.j) records) is env neighbor n's.
+// The records and the per-neighbor terms come from radialRows, on the vector
+// kernels; the sums over neighbors stay one scalar loop in neighbor order.
 //
 //mlmd:hotpath
 func (d DescriptorSpec) descriptorInto(sys *md.System, env *neighborEnv, out, cs, vec, tape []float64) {
@@ -185,30 +186,18 @@ func (d DescriptorSpec) descriptorInto(sys *md.System, env *neighborEnv, out, cs
 		vec[i] = 0
 	}
 	nr := d.NRadial
-	rl := d.RadialLen()
-	ng := len(env.j) * nr
-	if cap(env.gauss) < ng {
-		env.gauss = make([]float64, ng)
-	}
-	g := env.gauss[:ng]
-	for n, r := range env.r {
-		d.gaussExponents(r, cs, g[n*nr:(n+1)*nr])
-	}
-	linalg.ExpRows(g, g)
-	for n := range env.j {
-		sp := sys.Type[env.j[n]]
-		r := env.r[n]
-		t := tape[n*rl : (n+1)*rl]
-		d.radialInto(r, cs, g[n*nr:(n+1)*nr], t)
-		fc := t[2*nr]
-		ux, uy, uz := env.dx[n]/r, env.dy[n]/r, env.dz[n]/r
+	n := len(env.j)
+	d.radialRows(env, cs, tape)
+	terms := env.terms[:4*nr*n]
+	for p := range env.j {
+		sp := sys.Type[env.j[p]]
 		for k := 0; k < nr; k++ {
-			gf := t[k] * fc
 			base := (sp*nr + k)
-			out[base*2] += gf
-			vec[base*3] += gf * ux
-			vec[base*3+1] += gf * uy
-			vec[base*3+2] += gf * uz
+			q := 4*k*n + p
+			out[base*2] += terms[q]
+			vec[base*3] += terms[q+n]
+			vec[base*3+1] += terms[q+2*n]
+			vec[base*3+2] += terms[q+3*n]
 		}
 	}
 	for b := 0; b < d.NSpecies*nr; b++ {
@@ -219,15 +208,22 @@ func (d DescriptorSpec) descriptorInto(sys *md.System, env *neighborEnv, out, cs
 // descriptorGradPre accumulates dE/dx for all atoms given dE/dD of atom i
 // (gD, length Dim), its vector accumulators vec and its radial tape — both
 // exactly as descriptorInto filled them for the same environment — by the
-// chain rule through the descriptor. Forces are F = −dE/dx; the caller
-// negates.
+// chain rule through the descriptor. The pair terms come from PairGradRows
+// into ps; the scatter stays one scalar loop in neighbor order. Forces are
+// F = −dE/dx; the caller negates.
 //
 //mlmd:hotpath
-func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int, gD, dEdx, vec, tape []float64) {
-	rl := d.RadialLen()
-	for n := range env.j {
-		j := env.j[n]
-		gx, gy, gz := d.PairGradTaped(sys.Type[j], gD, vec, tape[n*rl:(n+1)*rl], env.dx[n], env.dy[n], env.dz[n], env.r[n])
+func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int, gD, dEdx, vec, tape []float64, ps *pairScratch) {
+	n := len(env.j)
+	ps.grow(n)
+	for p, j := range env.j {
+		sp := int32(sys.Type[j] * d.NRadial)
+		ps.gOff[p] = 2 * sp
+		ps.sOff[p] = 3 * sp
+	}
+	d.PairGradRows(ps.gx, ps.gy, ps.gz, gD, vec, ps.gOff, ps.sOff, tape, env.dx, env.dy, env.dz, env.r)
+	for p, j := range env.j {
+		gx, gy, gz := ps.gx[p], ps.gy[p], ps.gz[p]
 		dEdx[3*j] += gx
 		dEdx[3*j+1] += gy
 		dEdx[3*j+2] += gz
@@ -235,6 +231,21 @@ func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int
 		dEdx[3*i+1] -= gy
 		dEdx[3*i+2] -= gz
 	}
+}
+
+// pairScratch holds descriptorGradPre's PairGradRows operands for one
+// environment: the payload offsets of each pair and its three terms.
+type pairScratch struct {
+	gOff, sOff []int32
+	gx, gy, gz []float64
+}
+
+func (ps *pairScratch) grow(n int) {
+	if cap(ps.gOff) < n {
+		ps.gOff, ps.sOff = make([]int32, n), make([]int32, n)
+	}
+	ps.gOff, ps.sOff = ps.gOff[:n], ps.sOff[:n]
+	ps.gx, ps.gy, ps.gz = growF64(ps.gx, n), growF64(ps.gy, n), growF64(ps.gz, n)
 }
 
 // PairGradTaped evaluates the gradient of one atom's energy with respect to
@@ -248,11 +259,12 @@ func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int
 // The record depends on r alone, so one record serves both directions of a
 // pair.
 //
-// This is the single source of the pair-term arithmetic: both the global
-// scatter path (descriptorGradPre) and the sharded canonical assembly
-// (internal/shard's Allegro adapter) call it, so a force summed from
-// PairGradTaped values in a fixed order is bitwise reproducible across
-// decompositions.
+// This is the single source of the pair-term arithmetic: PairGradRows, which
+// both the global scatter path (descriptorGradPre) and the sharded canonical
+// assembly (internal/shard's Allegro adapter) call, equals it lane by lane,
+// so a force summed from PairGradTaped values in a fixed order is bitwise
+// reproducible across decompositions. Every product is rounded before it is
+// added (explicit float64 conversions), so no target fuses one.
 //
 //mlmd:hotpath
 func (d DescriptorSpec) PairGradTaped(spJ int, gD, vec, t []float64, dx, dy, dz, r float64) (gx, gy, gz float64) {
@@ -269,12 +281,12 @@ func (d DescriptorSpec) PairGradTaped(spJ int, gD, vec, t []float64, dx, dy, dz,
 		// Vector channel: D = |S|², S = Σ g fc u.
 		// dD/dx_j = 2 S · [ h u ⊗ u + g fc (I − u⊗u)/r ].
 		sx, sy, sz := vec[base*3], vec[base*3+1], vec[base*3+2]
-		su := sx*ux + sy*uy + sz*uz
+		su := float64(float64(sx*ux)+float64(sy*uy)) + float64(sz*uz)
 		cRad := gD[base*2+1] * 2 * (su * h)
 		cTan := gD[base*2+1] * 2 * g * fc / r
-		gx += cS*ux + cRad*ux + cTan*(sx-su*ux)
-		gy += cS*uy + cRad*uy + cTan*(sy-su*uy)
-		gz += cS*uz + cRad*uz + cTan*(sz-su*uz)
+		gx += float64(float64(cS*ux)+float64(cRad*ux)) + float64(cTan*(sx-float64(su*ux)))
+		gy += float64(float64(cS*uy)+float64(cRad*uy)) + float64(cTan*(sy-float64(su*uy)))
+		gz += float64(float64(cS*uz)+float64(cRad*uz)) + float64(cTan*(sz-float64(su*uz)))
 	}
 	return gx, gy, gz
 }

@@ -148,6 +148,12 @@ type EvalScratch struct {
 	tape nn.Tape
 }
 
+// Neighbors returns the neighbor indices of the environment the last
+// GatherAtom (or EvalAtom) built with this scratch, in candidate order: the
+// n-th is the atom whose record went to rad[n·RadialLen():]. The slice is
+// scratch and changes with the next call.
+func (s *EvalScratch) Neighbors() []int { return s.env.j }
+
 // EvalAtom evaluates atom i in isolation, one MLP forward and backward
 // tape: it builds the environment from the candidate neighbor indices cand
 // (in the caller's order; candidates at or beyond the cutoff are skipped),

@@ -62,6 +62,9 @@ var kernelTests = []struct {
 	{"ExpRowsMatchesMathExp", TestExpRowsMatchesMathExp},
 	{"SiLURowsMatchesSiLU", TestSiLURowsMatchesSiLU},
 	{"ExpRowsFuzzSeeds", TestExpRowsFuzzSeeds},
+	{"SincosRowsMatchesMathSincos", TestSincosRowsMatchesMathSincos},
+	{"SincosRowsShapePanics", TestSincosRowsShapePanics},
+	{"SincosRowsFuzzSeeds", TestSincosRowsFuzzSeeds},
 	{"GroundKernelsEveryShape", TestGroundKernelsEveryShape},
 	{"GroundKernelsSignedZeros", TestGroundKernelsSignedZeros},
 	{"GroundKernelsShortSlicePanics", TestGroundKernelsShortSlicePanics},

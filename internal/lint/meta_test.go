@@ -31,7 +31,7 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/par": {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
 	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "cgemmAccumRange",
 		"ZRotPairs", "zrotPairsGo", "ZPhaseRows", "zphaseRowsGo", "zgemmTile", "zgemmTileGo", "dgemmTile", "dgemmTileGo", "(*GEMM64Job).Run",
-		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU",
+		"CurlRows", "curlRowsGo", "ExpRows", "expRowsGo", "SiLURows", "siluRowsGo", "SiLU", "SincosRows", "sincosRowsGo",
 		"ZDotRows", "zdotRowsGo", "ZDotCol", "ZScaleDotCol", "zdotColGo", "ZAxpyCol", "zaxpyColGo",
 		"ZResidRows", "zresidRowsGo", "ZStencilRows", "zstencilRowsGo"},
 	"mlmd/internal/md": {"(*LennardJones).forceChunk", "(*ljKernel).row", "(*ljKernel).rowTerms", "(*ljKernel).terms", "(*ljKernel).pairsAt", "(*ljKernel).pair",
@@ -40,6 +40,7 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/allegro": {
 		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",
 		"DescriptorSpec.descriptorInto", "DescriptorSpec.gaussExponents", "DescriptorSpec.radialInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTaped", "buildEnv",
+		"DescriptorSpec.radialRows", "DescriptorSpec.radialPair", "DescriptorSpec.PairGradRows",
 	},
 	"mlmd/internal/maxwell": {"(*Field).Step", "(*Sim3D).Step", "(*Sim3D).halfStep", "(*Sim3D).updateE", "(*Sim3D).updateB", "(*Sim3D).applySource", "(*Sim3D).PackField"},
 	"mlmd/internal/tddft": {
@@ -49,7 +50,7 @@ var requiredHotpaths = map[string][]string{
 	},
 	"mlmd/internal/shard": {
 		"(*Engine).runSteps", "(*Engine).evalSteady", "(*Engine).forceStep", "(*Engine).checkStale",
-		"(*Engine).driftOver", "(*Engine).prune", "(*Engine).localKE",
+		"(*Engine).driftOver", "(*Engine).prune", "(*Engine).ownedKE",
 		"(*posField).Pack", "(*posField).Unpack", "(*auxField).Pack", "(*auxField).Unpack",
 	},
 	"mlmd/internal/shard/halo": {

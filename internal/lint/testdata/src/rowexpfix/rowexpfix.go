@@ -1,6 +1,7 @@
-// Package rowexpfix is the rowexp analyzer's fixture: math.Exp inside and
-// outside //mlmd:hotpath functions, by call, by value, through a renamed
-// import and a closure, and the near misses the rule leaves alone.
+// Package rowexpfix is the rowexp analyzer's fixture: math.Exp, math.Sin,
+// math.Cos and math.Sincos inside and outside //mlmd:hotpath functions, by
+// call, by value, through a renamed import and a closure, and the near misses
+// the rule leaves alone.
 package rowexpfix
 
 import (
@@ -40,12 +41,20 @@ type expr struct{}
 // Exp is a method that merely shares the name.
 func (expr) Exp(x float64) float64 { return x }
 
+// BadTrig calls the trigonometric functions SincosRows replaces.
+//
+//mlmd:hotpath
+func BadTrig(x float64) float64 {
+	s, c := math.Sincos(x)  // want "math.Sincos on the hot path; take the row through linalg.SincosRows"
+	s += math.Sin(x)        // want "math.Sin on the hot path"
+	return s + c + m.Cos(x) // want "BadTrig: math.Cos on the hot path"
+}
+
 // NearMisses uses the other transcendentals and a same-named method.
 //
 //mlmd:hotpath
 func NearMisses(x float64) float64 {
-	s, c := math.Sincos(x)
-	return math.Exp2(x) + math.Expm1(x) + s + c + expr{}.Exp(x)
+	return math.Exp2(x) + math.Expm1(x) + math.Tan(x) + math.Asin(x) + expr{}.Exp(x)
 }
 
 // Reference is the scalar loop a row kernel is checked against, with the

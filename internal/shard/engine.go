@@ -397,6 +397,8 @@ type rankState struct {
 
 	flag    []float64 // 1-element collective scratch
 	partial []float64
+	// red is runSteps' closing reduction: [partial… | kinetic energy].
+	red []float64
 
 	// Per-step load signal: stepSecs accumulates the local compute wall
 	// time (force evaluation + neighbor-list builds, never communication
@@ -515,6 +517,7 @@ func NewEngine(cfg Config, sys *md.System) (*Engine, error) {
 			return nil, fmt.Errorf("shard: rank %d force field %T is neither a BlockFF nor a TwoPhaseFF", r, rs.ff)
 		}
 		rs.partial = make([]float64, rs.ff.PartialLen())
+		rs.red = make([]float64, len(rs.partial)+1)
 		rs.nl = &md.NeighborList{Cutoff: cfg.Cutoff, Skin: cfg.Skin}
 		e.rs[r] = rs
 		e.local = append(e.local, rs)
@@ -697,6 +700,8 @@ func (e *Engine) bridgeForce(rs *rankState) {
 		rs.x[3*i+2] = sys.X[3*g+2]
 	}
 	e.forceStep(rs)
+	e.comm.AllReduceSumInPlace(rs.rank, rs.partial)
+	e.peRank[rs.rank] = rs.ff.Energy(&rs.v, rs.partial)
 	for i := 0; i < rs.nOwn; i++ {
 		g := int(rs.ids[i])
 		sys.F[3*g] = rs.f[3*i]
@@ -755,7 +760,10 @@ func (e *Engine) Run(steps int, dt, kT, tau float64) RunResult {
 // runSteps is the rank side of Run. A zero-step dispatch re-evaluates
 // forces even when already primed, so Run(0, ...) always returns a PE
 // consistent with the current configuration (never a stale value from an
-// earlier dispatch).
+// earlier dispatch). Only the last force step's energy is read, so the
+// dispatch closes with one reduction of [that step's partials | KE]: each
+// element is summed from zero in rank order, as the per-step reductions it
+// replaces summed it, so PE and KE keep their bits.
 //
 //mlmd:hotpath
 func (e *Engine) runSteps(rs *rankState) {
@@ -784,7 +792,9 @@ func (e *Engine) runSteps(rs *rankState) {
 			}
 		}
 		if e.thTau > 0 {
-			cur := 2 * e.localKE(rs) / (3 * float64(e.n))
+			rs.flag[0] = e.ownedKE(rs)
+			e.comm.AllReduceSumInPlace(rs.rank, rs.flag)
+			cur := 2 * rs.flag[0] / (3 * float64(e.n))
 			if cur > 0 {
 				lambda := md.BerendsenLambda(cur, e.thKT, e.thTau, dt)
 				for i := 0; i < 3*rs.nOwn; i++ {
@@ -793,28 +803,32 @@ func (e *Engine) runSteps(rs *rankState) {
 			}
 		}
 	}
-	e.keRank[rs.rank] = e.localKE(rs)
+	n := len(rs.partial)
+	copy(rs.red, rs.partial)
+	rs.red[n] = e.ownedKE(rs)
+	e.comm.AllReduceSumInPlace(rs.rank, rs.red)
+	e.peRank[rs.rank] = rs.ff.Energy(&rs.v, rs.red[:n])
+	e.keRank[rs.rank] = rs.red[n]
 }
 
-// localKE returns the globally AllReduced kinetic energy (every rank gets
-// the total; the partial sum follows md.KineticEnergy's per-atom form).
+// ownedKE returns the kinetic energy of the rank's owned atoms, the
+// partial sum of md.KineticEnergy's per-atom form; a reduction over ranks
+// makes it the total.
 //
 //mlmd:hotpath
-func (e *Engine) localKE(rs *rankState) float64 {
+func (e *Engine) ownedKE(rs *rankState) float64 {
 	var ke float64
 	for i := 0; i < rs.nOwn; i++ {
 		v2 := rs.vel[3*i]*rs.vel[3*i] + rs.vel[3*i+1]*rs.vel[3*i+1] + rs.vel[3*i+2]*rs.vel[3*i+2]
 		ke += 0.5 * rs.mass[i] * v2
 	}
-	rs.flag[0] = ke
-	e.comm.AllReduceSumInPlace(rs.rank, rs.flag)
-	return rs.flag[0]
+	return ke
 }
 
 // forceStep is one collective force evaluation: decide between the cheap
 // overlapped ghost refresh, a prune of the inner list and the full rebuild,
-// run the rank force field, AllReduce the energy partials and record the
-// global PE.
+// and run the rank force field, leaving this rank's energy partials in
+// rs.partial for the caller's reduction.
 //
 //mlmd:hotpath
 func (e *Engine) forceStep(rs *rankState) {
@@ -833,8 +847,6 @@ func (e *Engine) forceStep(rs *rankState) {
 		e.rebuild(rs, step == stepRebuild)
 		e.evalFresh(rs)
 	}
-	e.comm.AllReduceSumInPlace(rs.rank, rs.partial)
-	e.peRank[rs.rank] = rs.ff.Energy(&rs.v, rs.partial)
 	// Fold this step's local compute time into the rank's load EWMA (the
 	// balancing signal; also the imbalance diagnostic of static runs).
 	if rs.loadEWMA == 0 {

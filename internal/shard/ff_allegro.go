@@ -65,10 +65,12 @@ type AllegroFF struct {
 	eAtom []float64
 	nAcc  []int32
 	// rad is the radial tape: the record of owned atom i's n-th neighbor
-	// within the cutoff starts at (NL.RowOffset(i)+n)·RadialLen. It is
-	// sized from the neighbor list's capacity, so it grows only when the
+	// within the cutoff starts at (NL.RowOffset(i)+n)·RadialLen, and nbr
+	// holds that neighbor's local index at slot NL.RowOffset(i)+n. Both are
+	// sized from the neighbor list's capacity, so they grow only when the
 	// list has.
 	rad []float64
+	nbr []int32
 
 	p1ctx struct {
 		v    *View
@@ -90,6 +92,39 @@ type AllegroFF struct {
 
 type allegroWS struct {
 	scr allegro.EvalScratch
+	// Phase two's pairs of one row: their distances and the operands of the
+	// two PairGradRows calls, G(i→j) (plus) and G(j→i) (minus).
+	r           []float64
+	plus, minus pairRun
+}
+
+// pairRun is one PairGradRows call's operands: per pair, where the center's
+// payload rows start in aux (advanced by the neighbor species' block), the
+// displacement neighbor − center, and the returned terms.
+type pairRun struct {
+	gOff, sOff             []int32
+	dx, dy, dz, gx, gy, gz []float64
+}
+
+func (pr *pairRun) reset() {
+	pr.gOff, pr.sOff = pr.gOff[:0], pr.sOff[:0]
+	pr.dx, pr.dy, pr.dz = pr.dx[:0], pr.dy[:0], pr.dz[:0]
+}
+
+func (pr *pairRun) add(gOff, sOff int, dx, dy, dz float64) {
+	pr.gOff = append(pr.gOff, int32(gOff))
+	pr.sOff = append(pr.sOff, int32(sOff))
+	pr.dx = append(pr.dx, dx)
+	pr.dy = append(pr.dy, dy)
+	pr.dz = append(pr.dz, dz)
+}
+
+// eval runs PairGradRows over the run, center payloads in aux, the records in
+// tape and the distances in r.
+func (pr *pairRun) eval(spec allegro.DescriptorSpec, aux, tape, r []float64) {
+	n := len(r)
+	pr.gx, pr.gy, pr.gz = resizeF64(pr.gx, n), resizeF64(pr.gy, n), resizeF64(pr.gz, n)
+	spec.PairGradRows(pr.gx, pr.gy, pr.gz, aux, aux, pr.gOff, pr.sOff, tape, pr.dx, pr.dy, pr.dz, r)
 }
 
 // AllegroFactory returns a Config.NewFF producing per-rank shared-weight
@@ -140,6 +175,7 @@ func (a *AllegroFF) PhaseOne(v *View, aux []float64, lo, hi int) {
 	// of pairs may grow the list, but does not re-make the tape.
 	if rl := a.m.Spec.RadialLen(); len(a.rad) < v.NL.NumPairs()*rl {
 		a.rad = make([]float64, v.NL.PairCap()*rl*5/4)
+		a.nbr = make([]int32, len(a.rad)/rl)
 	}
 	a.ensureClosures()
 	a.p1ctx.v = v
@@ -179,6 +215,9 @@ func (a *AllegroFF) PhaseTwo(v *View, aux []float64, lo, hi int) {
 	if hi-lo <= 0 {
 		return
 	}
+	if len(aux) > math.MaxInt32 {
+		panic("shard: Allegro payload array too long for PairGradRows' int32 offsets")
+	}
 	a.p2ctx.v = v
 	a.p2ctx.aux = aux
 	a.p2ctx.base = lo
@@ -207,57 +246,83 @@ func (a *AllegroFF) ensureClosures() {
 		for i := base + lo; i < base+hi; i++ {
 			row := aux[i*w : (i+1)*w]
 			r := i - base
-			a.nAcc[i] = int32(a.m.GatherAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, a.bdesc[r*dim:(r+1)*dim], row[dim:], a.rad[v.NL.RowOffset(i)*rl:]))
+			off := v.NL.RowOffset(i)
+			cand := v.NL.Row(i)
+			n := a.m.GatherAtom(v.Sys, i, cand, a.cs, &ws.scr, a.bdesc[r*dim:(r+1)*dim], row[dim:], a.rad[off*rl:])
+			a.nAcc[i] = int32(n)
+			nbr := a.nbr[off : off+len(cand)]
+			for q, j := range ws.scr.Neighbors() {
+				nbr[q] = int32(j)
+			}
+			if n < len(nbr) {
+				nbr[n] = -1 // a count past the accepted ones reads this
+			}
 		}
 	}
-	a.phase2Fn = func(lo, hi, _ int) {
+	a.phase2Fn = func(lo, hi, worker int) {
 		v := a.p2ctx.v
 		aux := a.p2ctx.aux
 		base := a.p2ctx.base
 		spec := a.m.Spec
 		rc := spec.Cutoff
+		nr := spec.NRadial
 		x := v.X
 		px, py, pz := v.Periods()
+		ws := a.scratch.Get(worker)
 		for j := base + lo; j < base+hi; j++ {
-			rowJ := aux[j*w : (j+1)*w]
+			ws.r = ws.r[:0]
+			ws.plus.reset()
+			ws.minus.reset()
 			xj, yj, zj := x[3*j], x[3*j+1], x[3*j+2]
-			rad := a.rad[v.NL.RowOffset(j)*rl:]
-			n := 0                 // j's neighbors within the cutoff so far
-			var ax, ay, az float64 // dE/dx_j chain, ascending gid of i
-			for _, i32 := range v.NL.Row(j) {
+			tj := v.Type[j]
+			off := v.NL.RowOffset(j)
+			n := int(a.nAcc[j])
+			// The neighbors phase one accepted, in row order: the n-th is
+			// the n-th record of j's tape row. Geometry exactly as GatherAtom
+			// builds each center's environment: MinImage(neighbor, center);
+			// the two displacements are bitwise negations, so r is the one
+			// both owners' phase-one environments hold, and lies within the
+			// cutoff — unless the count is off (the slot past the accepted
+			// ones holds −1), which fails here instead of assembling from
+			// another pair's record.
+			if n > len(v.NL.Row(j)) {
+				panic(fmt.Sprintf("shard: Allegro atom %d taped %d neighbors of a row of %d", v.ID[j], n, len(v.NL.Row(j))))
+			}
+			for _, i32 := range a.nbr[off : off+n] {
 				i := int(i32)
-				// Geometry exactly as GatherAtom builds each center's
-				// environment: MinImage(neighbor, center). The two
-				// displacements are bitwise negations, so the membership
-				// test (r < cutoff) agrees with both owners' phase-one
-				// environments, and the n-th accepted neighbor here is the
-				// n-th record of j's tape row.
+				if i < 0 {
+					panic(fmt.Sprintf("shard: Allegro atom %d has a tape count past its accepted neighbors — the radial tape is misaligned", v.ID[j]))
+				}
 				// center i, neighbor j
 				dxj, dyj, dzj := px.MinImage(xj-x[3*i]), py.MinImage(yj-x[3*i+1]), pz.MinImage(zj-x[3*i+2])
 				r := math.Sqrt(dxj*dxj + dyj*dyj + dzj*dzj)
-				if r >= rc || r == 0 {
-					continue
+				if !(r < rc) || r == 0 {
+					panic(fmt.Sprintf("shard: Allegro atom %d reads a taped neighbor at r = %g, outside the cutoff %g — the radial tape is misaligned", v.ID[j], r, rc))
 				}
-				t := rad[n*rl : (n+1)*rl]
-				n++
-				rowI := aux[i*w : (i+1)*w]
-				// + G(i→j): atom i's energy moved by x_j.
-				gx, gy, gz := spec.PairGradTaped(v.Type[j], rowI[:dim], rowI[dim:], t, dxj, dyj, dzj, r)
-				ax += gx
-				ay += gy
-				az += gz
+				ws.r = append(ws.r, r)
+				// + G(i→j): atom i's energy moved by x_j, from i's payload.
+				ws.plus.add(i*w+2*nr*tj, i*w+dim+3*nr*tj, dxj, dyj, dzj)
 				// − G(j→i): atom j's own energy moved by x_j (Newton's
 				// third law through the descriptor chain rule).
 				// center j, neighbor i
+				ti := v.Type[i]
 				dxi, dyi, dzi := px.MinImage(x[3*i]-xj), py.MinImage(x[3*i+1]-yj), pz.MinImage(x[3*i+2]-zj)
-				gx, gy, gz = spec.PairGradTaped(v.Type[i], rowJ[:dim], rowJ[dim:], t, dxi, dyi, dzi, r)
-				ax -= gx
-				ay -= gy
-				az -= gz
+				ws.minus.add(j*w+2*nr*ti, j*w+dim+3*nr*ti, dxi, dyi, dzi)
 			}
-			if n != int(a.nAcc[j]) {
-				panic(fmt.Sprintf("shard: Allegro atom %d accepted %d neighbors in phase two but taped %d in phase one — the radial tape is misaligned",
-					v.ID[j], n, a.nAcc[j]))
+			// Both terms of a pair read its record from j's row of the tape.
+			tape := a.rad[off*rl : (off+n)*rl]
+			ws.plus.eval(spec, aux, tape, ws.r)
+			ws.minus.eval(spec, aux, tape, ws.r)
+			// dE/dx_j chain, ascending gid of i.
+			var ax, ay, az float64
+			p, m := &ws.plus, &ws.minus
+			for q := 0; q < n; q++ {
+				ax += p.gx[q]
+				ay += p.gy[q]
+				az += p.gz[q]
+				ax -= m.gx[q]
+				ay -= m.gy[q]
+				az -= m.gz[q]
 			}
 			v.F[3*j] = -ax
 			v.F[3*j+1] = -ay

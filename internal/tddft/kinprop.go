@@ -243,6 +243,7 @@ func (kp *KinProp) propagateBaseline(w *grid.WaveField, dt, axPot float64) {
 		// Diagonal kinetic phase, trig per point (deliberately untuned).
 		for i := 0; i < ngrid; i++ {
 			ph := -dt * kp.diag
+			//lint:allow rowexp the Table III baseline rung keeps its per-point trig on purpose
 			orb[i] *= complex(math.Cos(ph), math.Sin(ph))
 		}
 	}
@@ -272,9 +273,11 @@ func (kp *KinProp) baselineSweep(orb []complex128, ax, parity int, t, theta floa
 				a := g.Index(ix, iy, iz)
 				// Recompute the rotation every pair (the baseline sin).
 				angle := kp.hop[ax] * t
+				//lint:allow rowexp the Table III baseline rung recomputes its rotation per pair on purpose
 				cth, sth := math.Cos(angle), math.Sin(angle)
 				var ph complex128 = 1
 				if ax == 0 && theta != 0 {
+					//lint:allow rowexp the Table III baseline rung recomputes its rotation per pair on purpose
 					ph = complex(math.Cos(theta), math.Sin(theta))
 				}
 				va, vb := orb[a], orb[b]

@@ -1,8 +1,6 @@
 package tddft
 
 import (
-	"math"
-
 	"mlmd/internal/grid"
 	"mlmd/internal/linalg"
 	"mlmd/internal/par"
@@ -11,14 +9,24 @@ import (
 // phaseTable fills dst[g] = e^{−i·dt·v[g]}, the local-potential phase of a
 // step dt, for len(dst) points of v. This is the only place the v_prop trig
 // is evaluated: the Propagator keeps the table across the sub-steps of one
-// run, ShardProp across the two half-steps of one step.
+// run, ShardProp across the two half-steps of one step. The phases go
+// through linalg.SincosRows a block at a time, in stack arrays: the same bits
+// as math.Sincos per point.
 //
 //mlmd:hotpath
 func phaseTable(dst []complex128, v []float64, dt float64) {
+	const block = 64
+	var x, sin, cos [block]float64
 	v = v[:len(dst)]
-	for g := range dst {
-		sin, cos := math.Sincos(-dt * v[g])
-		dst[g] = complex(cos, sin)
+	for g0 := 0; g0 < len(dst); g0 += block {
+		n := min(block, len(dst)-g0)
+		for i := 0; i < n; i++ {
+			x[i] = -dt * v[g0+i]
+		}
+		linalg.SincosRows(sin[:n], cos[:n], x[:n])
+		for i := 0; i < n; i++ {
+			dst[g0+i] = complex(cos[i], sin[i])
+		}
 	}
 }
 
