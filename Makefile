@@ -182,9 +182,12 @@ build:
 
 # The second line is the exp dispatch's regression test: with the stdlib's
 # exp on its unfused path the self-check must keep the fused kernel off.
+# The third runs the Allegro goldens, which are keyed by the exp block the
+# process runs, on that path too (with the row kernels' reference path).
 test:
 	$(GO) test ./...
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/linalg -run 'Exp|SiLU'
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/allegro ./internal/shard -run 'AllegroForcesGolden|AllegroTrajectoryGolden|RowsKernelTestsOnReferencePath'
 
 race:
 	$(GO) test -race $(PAR_PKGS)

@@ -152,6 +152,8 @@ func TestModelForcesMatchEnergyGradient(t *testing.T) {
 	}
 }
 
+// TestBlockInferenceMatchesUnblocked: BlockSize only chunks the inference
+// GEMMs, so a blocked run's energy and forces are the unblocked run's bits.
 func TestBlockInferenceMatchesUnblocked(t *testing.T) {
 	sys, lat, _ := smallLattice(t)
 	for c := 0; c < lat.NumCells(); c++ {
@@ -162,12 +164,12 @@ func TestBlockInferenceMatchesUnblocked(t *testing.T) {
 	f1 := append([]float64(nil), sys.F...)
 	m.BlockSize = 7 // awkward block size on purpose
 	e2 := m.ComputeForces(sys)
-	if math.Abs(e1-e2) > 1e-9 {
-		t.Errorf("blocked energy %g != unblocked %g", e2, e1)
+	if math.Float64bits(e1) != math.Float64bits(e2) {
+		t.Errorf("blocked energy %v != unblocked %v", e2, e1)
 	}
 	for i := range f1 {
-		if math.Abs(f1[i]-sys.F[i]) > 1e-9 {
-			t.Fatalf("blocked force differs at %d", i)
+		if math.Float64bits(f1[i]) != math.Float64bits(sys.F[i]) {
+			t.Fatalf("blocked F[%d] = %v, unblocked %v", i, sys.F[i], f1[i])
 		}
 	}
 	// Blocking must reduce the memory estimate.

@@ -22,7 +22,7 @@ func distortedLattice(t testing.TB) *md.System {
 
 // TestEvalBlockMatchesEvalAtom is the contract of the blocked path: at
 // every chunk size, every row's energy and descriptor cotangent from
-// EvalBlock over gathered descriptor rows equal the per-atom EvalAtom
+// evalBlock over gathered descriptor rows equal the per-atom EvalAtom
 // tape's, bit for bit, for every species of the lattice. The global force
 // path and the sharded AllegroFF both assemble forces from these rows, so
 // the chunking of the MLP GEMMs never shows in a force.
@@ -35,7 +35,7 @@ func TestEvalBlockMatchesEvalAtom(t *testing.T) {
 	m.ensureNeighbors(sys)
 	n, dim := sys.N, m.Spec.Dim()
 	vlen := m.Spec.NSpecies * m.Spec.NRadial * 3
-	cs := m.Spec.Centers()
+	cs := m.Spec.centers()
 	var scr EvalScratch
 	eRef := make([]float64, n)
 	gRef := make([]float64, n*dim)
@@ -46,7 +46,7 @@ func TestEvalBlockMatchesEvalAtom(t *testing.T) {
 		row := m.nl.Row(i)
 		rad := make([]float64, len(row)*m.Spec.RadialLen())
 		eRef[i], _ = m.EvalAtom(sys, i, row, cs, &scr, gRef[i*dim:(i+1)*dim], vec, rad)
-		m.GatherAtom(sys, i, row, cs, &scr, desc[i*dim:(i+1)*dim], vec, rad)
+		m.gatherAtom(sys, i, row, cs, &scr, desc[i*dim:(i+1)*dim], vec, rad)
 		species[sys.Type[i]] = true
 	}
 	if len(species) != m.Spec.NSpecies {
@@ -54,10 +54,10 @@ func TestEvalBlockMatchesEvalAtom(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 7, n} {
 		m.BlockSize = chunk
-		var be BlockEval
+		var be blockEval
 		eAtom := make([]float64, n)
 		gD := make([]float64, n*dim)
-		m.EvalBlock(sys.Type, 0, n, desc, &be, eAtom, gD, dim)
+		m.evalBlock(sys.Type, 0, n, desc, &be, eAtom, gD, dim)
 		for i := 0; i < n; i++ {
 			if math.Float64bits(eAtom[i]) != math.Float64bits(eRef[i]) {
 				t.Fatalf("chunk %d: atom %d (species %d) energy %v, EvalAtom %v", chunk, i, sys.Type[i], eAtom[i], eRef[i])

@@ -45,10 +45,6 @@ func (d DescriptorSpec) Validate() error {
 	return nil
 }
 
-// Centers returns the radial basis centers, evenly spaced in (0, cutoff) —
-// the cs scratch argument of the evaluation paths (EvalAtom, GatherAtom).
-func (d DescriptorSpec) Centers() []float64 { return d.centers() }
-
 // centers returns the radial basis centers, evenly spaced in (0, cutoff).
 func (d DescriptorSpec) centers() []float64 {
 	c := make([]float64, d.NRadial)
@@ -205,49 +201,6 @@ func (d DescriptorSpec) descriptorInto(sys *md.System, env *neighborEnv, out, cs
 	}
 }
 
-// descriptorGradPre accumulates dE/dx for all atoms given dE/dD of atom i
-// (gD, length Dim), its vector accumulators vec and its radial tape — both
-// exactly as descriptorInto filled them for the same environment — by the
-// chain rule through the descriptor. The pair terms come from PairGradRows
-// into ps; the scatter stays one scalar loop in neighbor order. Forces are
-// F = −dE/dx; the caller negates.
-//
-//mlmd:hotpath
-func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int, gD, dEdx, vec, tape []float64, ps *pairScratch) {
-	n := len(env.j)
-	ps.grow(n)
-	for p, j := range env.j {
-		sp := int32(sys.Type[j] * d.NRadial)
-		ps.gOff[p] = 2 * sp
-		ps.sOff[p] = 3 * sp
-	}
-	d.PairGradRows(ps.gx, ps.gy, ps.gz, gD, vec, ps.gOff, ps.sOff, tape, env.dx, env.dy, env.dz, env.r)
-	for p, j := range env.j {
-		gx, gy, gz := ps.gx[p], ps.gy[p], ps.gz[p]
-		dEdx[3*j] += gx
-		dEdx[3*j+1] += gy
-		dEdx[3*j+2] += gz
-		dEdx[3*i] -= gx
-		dEdx[3*i+1] -= gy
-		dEdx[3*i+2] -= gz
-	}
-}
-
-// pairScratch holds descriptorGradPre's PairGradRows operands for one
-// environment: the payload offsets of each pair and its three terms.
-type pairScratch struct {
-	gOff, sOff []int32
-	gx, gy, gz []float64
-}
-
-func (ps *pairScratch) grow(n int) {
-	if cap(ps.gOff) < n {
-		ps.gOff, ps.sOff = make([]int32, n), make([]int32, n)
-	}
-	ps.gOff, ps.sOff = ps.gOff[:n], ps.sOff[:n]
-	ps.gx, ps.gy, ps.gz = growF64(ps.gx, n), growF64(ps.gy, n), growF64(ps.gz, n)
-}
-
 // PairGradTaped evaluates the gradient of one atom's energy with respect to
 // a single neighbor's position: given the center atom's backpropagated dE/dD
 // (gD), its vector-channel accumulators S (vec, as filled by the descriptor
@@ -259,11 +212,10 @@ func (ps *pairScratch) grow(n int) {
 // The record depends on r alone, so one record serves both directions of a
 // pair.
 //
-// This is the single source of the pair-term arithmetic: PairGradRows, which
-// both the global scatter path (descriptorGradPre) and the sharded canonical
-// assembly (internal/shard's Allegro adapter) call, equals it lane by lane,
-// so a force summed from PairGradTaped values in a fixed order is bitwise
-// reproducible across decompositions. Every product is rounded before it is
+// This is the single source of the pair-term arithmetic: pairGradRows, which
+// the one force assembly (TwoPhase's phase two) calls, equals it lane by
+// lane, so a force summed from PairGradTaped values in a fixed order is
+// bitwise reproducible across decompositions. Every product is rounded before it is
 // added (explicit float64 conversions), so no target fuses one.
 //
 //mlmd:hotpath

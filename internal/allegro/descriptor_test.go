@@ -40,7 +40,7 @@ func pairGradRecomputed(d DescriptorSpec, spJ int, gD, vec, cs []float64, dx, dy
 // tiny separations).
 func TestPairGradTapedMatchesRecomputed(t *testing.T) {
 	spec := DescriptorSpec{Cutoff: 2.5, NRadial: 5, NSpecies: 2}
-	cs := spec.Centers()
+	cs := spec.centers()
 	rc := spec.Cutoff
 	rng := rand.New(rand.NewSource(23))
 	gD := make([]float64, spec.Dim())

@@ -5,7 +5,6 @@ import (
 
 	"mlmd/internal/md"
 	"mlmd/internal/nn"
-	"mlmd/internal/par"
 	"mlmd/internal/precision"
 )
 
@@ -14,9 +13,10 @@ import (
 // atomic energies; forces follow analytically.
 //
 // A Model is not safe for concurrent use: Energy/ComputeForces share the
-// neighbor list and per-part inference scratch (ComputeForces itself
+// neighbor list and the two-phase scratch (ComputeForces itself
 // parallelizes internally over the worker pool). Evaluate concurrent
-// configurations on separate Model instances.
+// configurations on separate Model instances, or on one TwoPhase each
+// (NewTwoPhase), as the sharded engine's ranks do.
 type Model struct {
 	Spec DescriptorSpec
 	// Nets[sp] predicts the atomic energy of species sp.
@@ -24,12 +24,11 @@ type Model struct {
 	// PerSpeciesShift[sp] is an additive atomic reference energy (learned
 	// or set by TEA alignment).
 	PerSpeciesShift []float64
-	// BlockSize caps how many atoms ComputeForces evaluates per block
-	// (block model inference, Sec. V.B.9) and how many rows of one species
-	// EvalBlock puts in one GEMM chunk. 0 means no blocking. Each block's
-	// partial forces merge into F before the next block runs, so BlockSize
-	// sets ComputeForces' force-accumulation grouping and with it the
-	// force bits; the chunking alone moves no bit.
+	// BlockSize caps how many rows of one species go into one GEMM chunk
+	// of the blocked inference (block model inference, Sec. V.B.9), and
+	// with it the block MemoryEstimate reports. 0 means one chunk per
+	// species. Each row's results are independent of its chunk, so
+	// BlockSize moves no energy or force bit.
 	BlockSize int
 	// Mode selects the inference arithmetic: blocked float64 GEMMs (the
 	// zero value EvalBatched, bitwise identical to per-atom EvalAtom
@@ -38,17 +37,11 @@ type Model struct {
 	// MixedMode is the precision.GEMMMixed compute mode used when Mode
 	// is EvalBatchedMixed (the zero value is FP32).
 	MixedMode precision.Mode
-	// nl (full rows, ascending atom index) is rebuilt on demand.
-	nl *md.NeighborList
-	// Per-part scratch and closure of the pool-parallel force path
-	// (batch.go).
-	bscratch *par.Scratch[batchState]
-	bctx     struct {
-		sys         *md.System
-		base        int
-		span, parts int
-	}
-	batchFn func(lo, hi, w int)
+	// nl (full rows, ascending atom index) is rebuilt on demand; tp and
+	// aux are ComputeForces' two-phase assembly and its payload array.
+	nl  *md.NeighborList
+	tp  *TwoPhase
+	aux []float64
 }
 
 // NewModel builds a model with hidden layer sizes hidden for every species.
@@ -112,35 +105,27 @@ func (m *Model) Energy(sys *md.System) float64 {
 }
 
 // ComputeForces implements md.ForceField: fills sys.F with −dE/dx and
-// returns the predicted energy. Atoms are processed in blocks of BlockSize
-// (if set), each block sharded over the shared worker pool with private
-// per-part gradient accumulators merged (in part order) at the end.
+// returns the predicted energy. It runs the two-phase assembly (TwoPhase)
+// over every atom — the sharded engine's path on a 1x1x1 grid — so its E
+// and F are the same bits at every worker count and BlockSize, and its F
+// the same bits as the engine's at every grid.
 func (m *Model) ComputeForces(sys *md.System) float64 {
 	m.ensureNeighbors(sys)
-	for i := range sys.F {
-		sys.F[i] = 0
+	if m.tp == nil {
+		m.tp = m.NewTwoPhase()
 	}
-	block := m.BlockSize
-	if block <= 0 || block > sys.N {
-		block = sys.N
-	}
-	var energy float64
-	for lo := 0; lo < sys.N; lo += block {
-		hi := lo + block
-		if hi > sys.N {
-			hi = sys.N
-		}
-		energy += m.forceBlockBatched(sys, lo, hi)
-	}
-	return energy
+	m.aux = growF64(m.aux, sys.N*m.tp.AuxLen())
+	m.tp.PhaseOne(sys, m.nl, m.aux, 0, sys.N)
+	e := m.tp.Energy(sys.N)
+	m.tp.PhaseTwo(sys, m.nl, m.aux, 0, sys.N)
+	return e
 }
 
-// EvalScratch holds the reusable buffers of GatherAtom and EvalAtom — the
+// EvalScratch holds the reusable buffers of gatherAtom and EvalAtom — the
 // neighbor environment, and EvalAtom's descriptor and MLP forward tape with
 // its backward delta scratch — so per-atom gathering and inference in
 // steady state allocate nothing (one EvalScratch per worker in a
-// pool-parallel caller, e.g. through par.Scratch as the sharded AllegroFF
-// does).
+// pool-parallel caller, as TwoPhase's gather keeps them).
 type EvalScratch struct {
 	env  neighborEnv
 	desc []float64
@@ -148,56 +133,29 @@ type EvalScratch struct {
 	tape nn.Tape
 }
 
-// Neighbors returns the neighbor indices of the environment the last
-// GatherAtom (or EvalAtom) built with this scratch, in candidate order: the
-// n-th is the atom whose record went to rad[n·RadialLen():]. The slice is
-// scratch and changes with the next call.
-func (s *EvalScratch) Neighbors() []int { return s.env.j }
-
 // EvalAtom evaluates atom i in isolation, one MLP forward and backward
 // tape: it builds the environment from the candidate neighbor indices cand
 // (in the caller's order; candidates at or beyond the cutoff are skipped),
 // computes the descriptor and the per-species network's energy, and
 // backpropagates to fill gD = dE_i/dDescriptor (length Spec.Dim()), vec =
 // the vector-channel accumulators S_i (length NSpecies·NRadial·3) and the
-// radial tape rad (see GatherAtom). cs must be Spec.Centers(). It returns
+// radial tape rad (see gatherAtom). cs must be Spec.centers(). It returns
 // the atomic energy E_i and the number of neighbors within the cutoff.
 //
-// EvalAtom is the per-atom reference of the blocked path: GatherAtom plus
-// EvalBlock produce the same E_i and gD bit for bit, which is how both the
-// global force path and the sharded AllegroFF run inference.
+// EvalAtom is the per-atom reference of the blocked path: gatherAtom plus
+// evalBlock produce the same E_i and gD bit for bit, which is how TwoPhase
+// runs inference.
 func (m *Model) EvalAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, gD, vec, rad []float64) (float64, int) {
 	if len(scr.desc) != m.Spec.Dim() {
 		scr.desc = make([]float64, m.Spec.Dim())
 	}
-	nAcc := m.GatherAtom(sys, i, cand, cs, scr, scr.desc, vec, rad)
+	nAcc := m.gatherAtom(sys, i, cand, cs, scr, scr.desc, vec, rad)
 	sp := sys.Type[i]
 	net := m.Nets[sp]
 	tape := net.ForwardTapeInto(scr.desc, &scr.tape)
 	scr.gOut[0] = 1
 	net.BackwardInto(tape, scr.gOut[:], nil, gD)
 	return tape.Out() + m.PerSpeciesShift[sp], nAcc
-}
-
-// CloneShared returns a new Model sharing this model's (read-only at
-// inference time) weights and per-species shifts, but with private neighbor
-// list and inference scratch, so several goroutines — e.g. the ranks of a
-// sharded run — can evaluate concurrently on different systems.
-func (m *Model) CloneShared() *Model {
-	c := &Model{
-		Spec:            m.Spec,
-		Nets:            m.Nets,
-		PerSpeciesShift: m.PerSpeciesShift,
-		BlockSize:       m.BlockSize,
-		Mode:            m.Mode,
-		MixedMode:       m.MixedMode,
-	}
-	nl, err := md.NewNeighborList(m.Spec.Cutoff, m.nl.Skin)
-	if err != nil {
-		panic(err) // unreachable: the source model validated the spec
-	}
-	c.nl = nl
-	return c
 }
 
 // MemoryEstimate returns a rough per-block inference memory footprint in

@@ -9,7 +9,7 @@ import (
 
 // This file is the per-pair half of Allegro inference on the vector units:
 // radialRows (the gather's radial records and descriptor terms) and
-// PairGradRows (the force terms). Each lane of their kernels (rows_amd64.s,
+// pairGradRows (the force terms). Each lane of their kernels (rows_amd64.s,
 // AVX2, FMA-free) runs one pair's chain of the scalar reference — the same
 // IEEE operations in the same order — so the results are the reference's
 // bits. The sums over pairs stay scalar loops in neighbor order in the
@@ -130,7 +130,7 @@ type pairGradArgs struct {
 	n4, nr, rl    int
 }
 
-// PairGradRows evaluates PairGradTaped for a run of pairs: for every p it
+// pairGradRows evaluates PairGradTaped for a run of pairs: for every p it
 // sets gx[p], gy[p], gz[p] to
 //
 //	d.PairGradTaped(0, gD[gOff[p]:], S[sOff[p]:], tape[p·RadialLen():], dx[p], dy[p], dz[p], r[p])
@@ -147,18 +147,18 @@ type pairGradArgs struct {
 // in its own fixed order keeps its determinism contract.
 //
 //mlmd:hotpath
-func (d DescriptorSpec) PairGradRows(gx, gy, gz, gD, S []float64, gOff, sOff []int32, tape, dx, dy, dz, r []float64) {
+func (d DescriptorSpec) pairGradRows(gx, gy, gz, gD, S []float64, gOff, sOff []int32, tape, dx, dy, dz, r []float64) {
 	n := len(r)
 	nr := d.NRadial
 	rl := d.RadialLen()
 	if len(gx) != n || len(gy) != n || len(gz) != n || len(gOff) != n || len(sOff) != n ||
 		len(dx) != n || len(dy) != n || len(dz) != n || len(tape) < n*rl {
-		panic("allegro: PairGradRows with operands of different lengths")
+		panic("allegro: pairGradRows with operands of different lengths")
 	}
 	// The kernel checks nothing: every row it reads must lie in gD and S.
 	for p := range gOff {
 		if g, s := int(gOff[p]), int(sOff[p]); g < 0 || g+2*nr > len(gD) || s < 0 || s+3*nr > len(S) {
-			panic(fmt.Sprintf("allegro: PairGradRows pair %d reads past its payload (offsets %d, %d)", p, g, s))
+			panic(fmt.Sprintf("allegro: pairGradRows pair %d reads past its payload (offsets %d, %d)", p, g, s))
 		}
 	}
 	if !useAVX2 || n < 4 {

@@ -4,7 +4,7 @@
 // added, as in the Go references. A lane is one pair; per pair the
 // operations are the reference's, in its order (a product's two operands may
 // swap, which moves no bit). Pairs sit at a stride in the radial tape
-// (RadialLen values per record) and in the payloads PairGradRows reads, so
+// (RadialLen values per record) and in the payloads pairGradRows reads, so
 // lanes are gathered and scattered one float64 at a time (LANES4, BCAST4,
 // PAIR4, STORE4);
 // everything else is 4 pairs per YMM. Loads avoid the shuffle port where

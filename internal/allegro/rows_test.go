@@ -123,7 +123,7 @@ func checkRadialRows(t *testing.T, what string, spec DescriptorSpec, env *neighb
 	t.Helper()
 	n := len(env.r)
 	rl := spec.RadialLen()
-	cs := spec.Centers()
+	cs := spec.centers()
 	tape := make([]float64, n*rl)
 	spec.radialRows(env, cs, tape)
 	terms := append([]float64(nil), env.terms[:4*spec.NRadial*n]...)
@@ -198,7 +198,7 @@ func TestRadialRowsFuzzSeeds(t *testing.T) {
 	}
 }
 
-// pairProblem is one PairGradRows call's operands.
+// pairProblem is one pairGradRows call's operands.
 type pairProblem struct {
 	gD, s, tape, dx, dy, dz, r []float64
 	gOff, sOff                 []int32
@@ -228,7 +228,7 @@ func newPairProblem(rng *rand.Rand, spec DescriptorSpec, n, mode, rate int) *pai
 	env := radialProblem(rng, spec, n, mode)
 	pp.tape = make([]float64, n*spec.RadialLen())
 	if n > 0 {
-		onRowsPath(rowsReference, func() { spec.radialRows(env, spec.Centers(), pp.tape) })
+		onRowsPath(rowsReference, func() { spec.radialRows(env, spec.centers(), pp.tape) })
 	}
 	pp.dx, pp.dy, pp.dz, pp.r = env.dx, env.dy, env.dz, env.r
 	for p := 0; p < n; p++ {
@@ -239,14 +239,14 @@ func newPairProblem(rng *rand.Rand, spec DescriptorSpec, n, mode, rate int) *pai
 	return pp
 }
 
-// checkPairGradRows runs PairGradRows on pp and wants PairGradTaped's terms
+// checkPairGradRows runs pairGradRows on pp and wants PairGradTaped's terms
 // pair by pair.
 func checkPairGradRows(t *testing.T, what string, spec DescriptorSpec, pp *pairProblem) {
 	t.Helper()
 	n := len(pp.r)
 	rl := spec.RadialLen()
 	gx, gy, gz := make([]float64, n), make([]float64, n), make([]float64, n)
-	spec.PairGradRows(gx, gy, gz, pp.gD, pp.s, pp.gOff, pp.sOff, pp.tape, pp.dx, pp.dy, pp.dz, pp.r)
+	spec.pairGradRows(gx, gy, gz, pp.gD, pp.s, pp.gOff, pp.sOff, pp.tape, pp.dx, pp.dy, pp.dz, pp.r)
 	for p := 0; p < n; p++ {
 		wx, wy, wz := spec.PairGradTaped(0, pp.gD[pp.gOff[p]:], pp.s[pp.sOff[p]:], pp.tape[p*rl:(p+1)*rl], pp.dx[p], pp.dy[p], pp.dz[p], pp.r[p])
 		if !sameBits(gx[p], wx) || !sameBits(gy[p], wy) || !sameBits(gz[p], wz) {
@@ -255,7 +255,7 @@ func checkPairGradRows(t *testing.T, what string, spec DescriptorSpec, pp *pairP
 	}
 }
 
-// TestPairGradRowsMatchesPairGradTaped: PairGradRows equals PairGradTaped by
+// TestPairGradRowsMatchesPairGradTaped: pairGradRows equals PairGradTaped by
 // Float64bits on every row length 0–67, each distance mode, with and without
 // special values in the payloads, for every descriptor shape of rowsSpecs.
 func TestPairGradRowsMatchesPairGradTaped(t *testing.T) {
@@ -298,7 +298,7 @@ func checkPairGradFuzz(t *testing.T, seed int64, r float64, n, mode, rate, spec 
 	checkPairGradRows(t, fmt.Sprintf("seed %d r %v", seed, r), sp, pp)
 }
 
-// FuzzPairGradRows: PairGradRows equals PairGradTaped by Float64bits on
+// FuzzPairGradRows: pairGradRows equals PairGradTaped by Float64bits on
 // fuzzed rows: lengths that end in every tail, distances in, at and past the
 // cutoff, special values in the payloads, and one fuzzed distance anywhere
 // in the row.
@@ -324,7 +324,7 @@ func TestPairGradRowsRefusesBadOperands(t *testing.T) {
 	pp := newPairProblem(rand.New(rand.NewSource(52)), spec, 8, 0, 0)
 	gx, gy, gz := make([]float64, 8), make([]float64, 8), make([]float64, 8)
 	call := func() {
-		spec.PairGradRows(gx, gy, gz, pp.gD, pp.s, pp.gOff, pp.sOff, pp.tape, pp.dx, pp.dy, pp.dz, pp.r)
+		spec.pairGradRows(gx, gy, gz, pp.gD, pp.s, pp.gOff, pp.sOff, pp.tape, pp.dx, pp.dy, pp.dz, pp.r)
 	}
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -367,7 +367,7 @@ func BenchmarkPairGradRows(b *testing.B) {
 		b.Run(p.name, func(b *testing.B) {
 			onRowsPath(p, func() {
 				for i := 0; i < b.N; i++ {
-					spec.PairGradRows(gx, gy, gz, pp.gD, pp.s, pp.gOff, pp.sOff, pp.tape, pp.dx, pp.dy, pp.dz, pp.r)
+					spec.pairGradRows(gx, gy, gz, pp.gD, pp.s, pp.gOff, pp.sOff, pp.tape, pp.dx, pp.dy, pp.dz, pp.r)
 				}
 			})
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
@@ -380,7 +380,7 @@ func BenchmarkPairGradRows(b *testing.B) {
 func BenchmarkRadialRows(b *testing.B) {
 	spec := rowsSpecs[0]
 	env := radialProblem(rand.New(rand.NewSource(1)), spec, 12, 0)
-	cs := spec.Centers()
+	cs := spec.centers()
 	tape := make([]float64, len(env.r)*spec.RadialLen())
 	for _, p := range []rowsPath{rowsAVX2, rowsReference} {
 		b.Run(p.name, func(b *testing.B) {

@@ -38,9 +38,10 @@ var requiredHotpaths = map[string][]string{
 		"sweepShifted", "sweepImages", "(*pruneKernel).row", "(*pruneKernel).rowRef"},
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
-		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",
-		"DescriptorSpec.descriptorInto", "DescriptorSpec.gaussExponents", "DescriptorSpec.radialInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTaped", "buildEnv",
-		"DescriptorSpec.radialRows", "DescriptorSpec.radialPair", "DescriptorSpec.PairGradRows",
+		"(*Model).evalBlock", "(*Model).gatherAtom",
+		"(*TwoPhase).PhaseOne", "(*TwoPhase).gather", "(*TwoPhase).Energy", "(*TwoPhase).PhaseTwo", "(*TwoPhase).assemble",
+		"DescriptorSpec.descriptorInto", "DescriptorSpec.gaussExponents", "DescriptorSpec.radialInto", "DescriptorSpec.PairGradTaped", "buildEnv",
+		"DescriptorSpec.radialRows", "DescriptorSpec.radialPair", "DescriptorSpec.pairGradRows",
 	},
 	"mlmd/internal/maxwell": {"(*Field).Step", "(*Sim3D).Step", "(*Sim3D).halfStep", "(*Sim3D).updateE", "(*Sim3D).updateB", "(*Sim3D).applySource", "(*Sim3D).PackField"},
 	"mlmd/internal/tddft": {

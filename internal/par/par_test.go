@@ -144,7 +144,11 @@ func TestScratch(t *testing.T) {
 		}
 		total := 0
 		seen := map[int]bool{}
-		s.Each(func(w int, v *[]int) {
+		for w := range s.slots {
+			v := s.slots[w].Load()
+			if v == nil {
+				continue
+			}
 			total += len(*v)
 			for _, lo := range *v {
 				if seen[lo] {
@@ -152,7 +156,7 @@ func TestScratch(t *testing.T) {
 				}
 				seen[lo] = true
 			}
-		})
+		}
 		if total != 100 {
 			t.Fatalf("scratch slots recorded %d of 100 chunks", total)
 		}

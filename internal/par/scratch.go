@@ -32,14 +32,3 @@ func (s *Scratch[T]) Get(w int) *T {
 	}
 	return p
 }
-
-// Each calls fn for every materialized slot in ascending worker order.
-// Call it outside the For that populates the slots (e.g. to reset buffers
-// before a pass or to reduce per-worker partials after one).
-func (s *Scratch[T]) Each(fn func(w int, v *T)) {
-	for w := range s.slots {
-		if p := s.slots[w].Load(); p != nil {
-			fn(w, p)
-		}
-	}
-}
