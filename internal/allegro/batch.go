@@ -36,7 +36,7 @@ func (e EvalMode) String() string {
 }
 
 // DefaultBatchBlock is the BlockSize the nn.allegro benchmark workload
-// runs at. NewModel leaves BlockSize at 0: the whole system is one block.
+// runs at. NewModel leaves BlockSize at 0: one GEMM chunk per species.
 const DefaultBatchBlock = 256
 
 // blockEval is the reusable scratch of the blocked per-species inference

@@ -23,7 +23,7 @@ func TestForcesRunToRunDeterministic(t *testing.T) {
 	f0 := append([]float64(nil), sys.F...)
 	for _, workers := range []int{1, 2, 4} {
 		par.SetWorkers(workers)
-		for rep := 0; rep < 3; rep++ {
+		for rep := 0; rep < 5; rep++ {
 			e := m.ComputeForces(sys)
 			if math.Float64bits(e) != math.Float64bits(e0) {
 				t.Fatalf("workers %d rep %d: energy %v != 1-worker run %v", workers, rep, e, e0)

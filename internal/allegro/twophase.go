@@ -77,13 +77,16 @@ type TwoPhase struct {
 	}
 	gatherFn, inferFn, assembleFn func(lo, hi, w int)
 
-	// The gathered descriptor block of one PhaseOne call.
+	// The gathered descriptor block of one PhaseOne call, and the
+	// blocked-inference state of each part of it. A part keeps its state
+	// whichever worker runs it, so the tapes reach their size in the first
+	// step and steady steps allocate nothing.
 	bdesc []float64
+	be    []blockEval
 }
 
 type phaseWS struct {
 	scr EvalScratch
-	be  blockEval
 	// Phase two's pairs of one row: their distances and the operands of the
 	// two pairGradRows calls, G(i→j) (plus) and G(j→i) (minus).
 	r           []float64
@@ -170,20 +173,22 @@ func (t *TwoPhase) PhaseOne(sys *md.System, nl *md.NeighborList, aux []float64, 
 	// too short to keep the pool busy alone.
 	t.ctx.span = n
 	t.ctx.parts = min(par.Workers(), (n+phaseGrain-1)/phaseGrain)
+	if len(t.be) < t.ctx.parts {
+		t.be = make([]blockEval, t.ctx.parts)
+	}
 	par.For(t.ctx.parts, 1, t.inferFn)
 }
 
 // infer is phase one's blocked-MLP pool body: part p of the gathered rows.
 //
 //mlmd:hotpath
-func (t *TwoPhase) infer(p, _, worker int) {
+func (t *TwoPhase) infer(p, _, _ int) {
 	sys, aux, base := t.ctx.sys, t.ctx.aux, t.ctx.base
 	lo := base + p*t.ctx.span/t.ctx.parts
 	hi := base + (p+1)*t.ctx.span/t.ctx.parts
 	dim := t.m.Spec.Dim()
 	w := t.AuxLen()
-	ws := t.scratch.Get(worker)
-	t.m.evalBlock(sys.Type, lo, hi-lo, t.bdesc[(lo-base)*dim:], &ws.be, t.eAtom[lo:hi:hi], aux[lo*w:], w)
+	t.m.evalBlock(sys.Type, lo, hi-lo, t.bdesc[(lo-base)*dim:], &t.be[p], t.eAtom[lo:hi:hi], aux[lo*w:], w)
 }
 
 // gather is phase one's pool body: the descriptor rows of atoms
