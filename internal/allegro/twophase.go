@@ -169,10 +169,15 @@ func (t *TwoPhase) PhaseOne(sys *md.System, nl *md.NeighborList, aux []float64, 
 	t.bdesc = growF64(t.bdesc, n*t.m.Spec.Dim())
 	par.For(n, phaseGrain, t.gatherFn)
 	// The MLPs run as one evalBlock per contiguous part of the range, the
-	// parts side by side on the pool: a GEMM over one species' chunk is
-	// too short to keep the pool busy alone.
+	// parts side by side on the pool: one caller's GEMMs over a species'
+	// chunk are too short to keep the pool busy alone. A part holds at
+	// least BlockSize atoms, so a range already shared out among
+	// concurrent callers — an engine's ranks — stays whole GEMM chunks.
 	t.ctx.span = n
 	t.ctx.parts = min(par.Workers(), (n+phaseGrain-1)/phaseGrain)
+	if b := t.m.BlockSize; b > 0 {
+		t.ctx.parts = min(t.ctx.parts, max(1, n/b))
+	}
 	if len(t.be) < t.ctx.parts {
 		t.be = make([]blockEval, t.ctx.parts)
 	}
