@@ -39,7 +39,7 @@ var requiredHotpaths = map[string][]string{
 	"mlmd/internal/nn": {"(*MLP).ForwardTapeInto", "(*MLP).layerForwardInto", "(*MLP).BackwardInto", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
 	"mlmd/internal/allegro": {
 		"(*Model).evalBlock", "(*Model).gatherAtom",
-		"(*TwoPhase).PhaseOne", "(*TwoPhase).gather", "(*TwoPhase).Energy", "(*TwoPhase).PhaseTwo", "(*TwoPhase).assemble",
+		"(*TwoPhase).PhaseOne", "(*TwoPhase).gather", "(*TwoPhase).infer", "(*TwoPhase).Energy", "(*TwoPhase).PhaseTwo", "(*TwoPhase).assemble",
 		"DescriptorSpec.descriptorInto", "DescriptorSpec.gaussExponents", "DescriptorSpec.radialInto", "DescriptorSpec.PairGradTaped", "buildEnv",
 		"DescriptorSpec.radialRows", "DescriptorSpec.radialPair", "DescriptorSpec.pairGradRows",
 	},
